@@ -83,14 +83,52 @@ def test_traced_smoke_repeats_counts_and_verdicts_exactly():
     assert all(rec["counts"]["search.sdp.iterations"] > 0 for rec in search)
 
 
-def test_tail_percentile_leaves_ten_items_of_a_pass_beyond_it():
+def test_tail_percentile_leaves_ten_samples_beyond_it():
     assert run.tail_percentile(30) == 66
-    assert run.tail_percentile(29) == 65
-    assert run.tail_percentile(20) == 50
+    assert run.tail_percentile(100) == 90
+    assert run.tail_percentile(870) == 98
     assert run.tail_percentile(5) == 100
     times = [float(i) for i in range(1, 30)]
     assert abs(run.quantile(times, 0.5) - 15.0) < 1e-9
     assert 19.0 < run.quantile(times, 0.65) < 20.0
+
+
+def test_scaling_maps_the_reference_speed_to_wall_seconds():
+    ref = run.CAL_REF_S
+    assert run.scale([ref, ref]) == 1.0
+    assert abs(run.scale([ref, 3 * ref, 2 * ref]) - 0.5) < 1e-12
+    with run.SpeedSampler() as sampler:
+        start = run.perf_counter()
+        while run.perf_counter() - start < 0.3:
+            pass
+    assert len(sampler.samples) >= 3 and all(c > 0.0 for c in sampler.samples)
+    assert 0.0 < sampler.spent < 0.3
+
+
+def _dual_outcome(normals):
+    rows = [" ".join(f"{x:.17g}" for x in row) for row in normals]
+    text = "\n".join([f"{normals.shape[1]} {normals.shape[0]}", *rows])
+    return run.workloads.Outcome(0, text, "")
+
+
+def test_dual_check_counts_facets_at_the_package_resolution():
+    import numpy as np
+
+    w = run.workloads
+    for eps, merged in ((1e-3, 0), (5e-6, 1)):
+        # A square cross-section with a vertex pushed out past one edge's
+        # midpoint by eps: that edge splits into two facets eps apart.
+        square = [[1, 0], [0, 1], [-1, 0], [0, -1], [0.5 + eps, 0.5 + eps]]
+        gens = np.column_stack([np.ones(5), np.array(square)])
+        item = w.Item("dual", ["dual", "-"], {"kind": "dual", "generators": gens.tolist()})
+        assert w.merged_facets(item) == merged
+        hull = w._hull_normals(gens)
+        assert len(hull) == 5
+        want = w._merge_directions(hull)
+        assert len(want) == 5 - merged
+        assert w.check(item, _dual_outcome(want), {}) is None
+        if merged:
+            assert w.check(item, _dual_outcome(hull), {}) is not None
 
 
 def test_refuses_to_run_without_the_package(tmp_path):

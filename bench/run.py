@@ -7,9 +7,10 @@
 One process, one client: each item is a `cli.main(argv)` call made in-process,
 and the next item starts only after the previous one returned.  Set-up
 imports the package and writes the seeded inputs to files; the run then
-repeats whole passes over the workload's items for about --seconds of item
-time: a next pass starts only if it is expected to end in time.  Every result is checked against its known answer after the
-timed loop.  With --trace 0 the end-to-end metrics are printed; with
+makes whole passes over the workload's items, as many as take about
+--seconds of host-scaled item time (see `calibrate`) at the commit that
+defined the benchmark.  Every result is checked against its known answer
+after the timed loop.  With --trace 0 the end-to-end metrics are printed; with
 --trace 1 each item runs twice, untraced and traced, and the per-layer
 metrics are printed, per pass.  The last stdout line is one JSON object.
 A full record (environment, per-item counts, failures, spans) is written to
@@ -37,6 +38,7 @@ import math  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -56,9 +58,25 @@ SRC = ROOT / "src"
 OUT_DIR = ROOT / ".bench_out"
 WORK_DIR = ROOT / ".bench_work"
 
-# Set-ups before the loop; one more runs after every pass (untimed by the
-# item clock), so the set-up median spans the whole run.
-SETUP_REPEATS = 3
+# Set-ups before the loop; setup_s is their median.
+SETUP_REPEATS = 11
+
+# Scaled seconds one pass of each workload takes at the commit that defined
+# the benchmark.  A run makes round(--seconds / PASS_SECONDS) passes, at
+# least one, so every commit makes the same calls for a given --seconds and
+# the tail percentile, which depends on the number of calls, stays the same.
+PASS_SECONDS = {"search": 32.0, "decide": 6.1, "analyze": 0.9}
+
+# Host speed calibration.  The reference host switches between speed states
+# up to 1.7x apart, for a fraction of a second to minutes at a time, so every
+# timing is scaled by CAL_REF_S over the mean time of a fixed calibration
+# kernel, sampled just before, every SAMPLE_INTERVAL_S during, and just after
+# the timed work.  CAL_REF_S is the kernel's time in the reference host's
+# fast state, so a scaled second is a wall-clock second at that speed.
+CAL_REF_S = 1.6e-4
+CAL_REPEATS = 3
+SAMPLE_INTERVAL_S = 0.05
+_CAL_MATRIX = np.random.default_rng(20221017).normal(size=(8, 8))
 
 END_TO_END_UNITS = {
     "items_per_s": "items/s",
@@ -155,25 +173,77 @@ def _package_modules() -> list[str]:
     return [m for m in sys.modules if m == "sdcones" or m.startswith("sdcones.")]
 
 
-def set_up(workload: str, seed: int, work: Path, smoke: bool, keep: bool = True):
+def _calibration_kernel() -> None:
+    """Fixed work in the program's mix: scalar indexing in Python loops (as
+    in the Jacobi sweeps), small array arithmetic and a tiny SVD."""
+    a = _CAL_MATRIX + _CAL_MATRIX.T
+    acc = 0.0
+    for p in range(8):
+        for q in range(8):
+            acc += abs(a[p, q]) ** 0.5
+    for _ in range(8):
+        a = a @ a / np.sqrt((a * a).sum())
+        np.linalg.svd(a[:4])
+
+
+def calibrate() -> float:
+    """Seconds the calibration kernel takes now: the best of a few runs."""
+    best = math.inf
+    for _ in range(CAL_REPEATS):
+        start = perf_counter()
+        _calibration_kernel()
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def scale(calibrations: list[float]) -> float:
+    """Factor from wall seconds to scaled seconds for work timed among these
+    calibrations, which are spread evenly over it."""
+    return CAL_REF_S / statistics.fmean(calibrations)
+
+
+class SpeedSampler:
+    """While active, a SIGALRM handler calibrates every SAMPLE_INTERVAL_S of
+    wall time and adds up its own time, which the caller takes out of the
+    work it timed.  Python runs the handler between bytecodes of the main
+    thread, and nothing it touches is shared with the package."""
+
+    def __init__(self) -> None:
+        self.samples: list[float] = []
+        self.spent = 0.0
+
+    def _sample(self, signum, frame) -> None:
+        start = perf_counter()
+        self.samples.append(calibrate())
+        self.spent += perf_counter() - start
+
+    def __enter__(self):
+        self.samples, self.spent = [], 0.0
+        signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
+def set_up(workload: str, seed: int, work: Path, smoke: bool):
     """Import sdcones.cli afresh and write the seeded inputs under `work`;
-    return the items and the seconds it took.  With keep=False the package
-    loaded before is put back, so a repeat in mid-run leaves the loop's
-    modules (and any tracer patches on them) in place.
+    return the items, the wall seconds it took and the scaled seconds.
 
     numpy is imported once, before any set-up: it is a dependency, not part
     of the package, and importing it afresh would dominate the figure.
     """
-    saved = {m: sys.modules.pop(m) for m in _package_modules()}
-    start = perf_counter()
-    importlib.import_module("sdcones.cli")
-    items = workloads.build(workload, seed, work, smoke)
-    elapsed = perf_counter() - start
-    if not keep:
-        for m in _package_modules():
-            del sys.modules[m]
-        sys.modules.update(saved)
-    return items, elapsed
+    for m in _package_modules():
+        del sys.modules[m]
+    before = calibrate()
+    with SpeedSampler() as sampler:
+        start = perf_counter()
+        importlib.import_module("sdcones.cli")
+        items = workloads.build(workload, seed, work, smoke)
+        elapsed = perf_counter() - start - sampler.spent
+    return items, elapsed, elapsed * scale([before, *sampler.samples, calibrate()])
 
 
 # ---------------------------------------------------------------------------
@@ -214,41 +284,44 @@ def fingerprint(item, outcome: Outcome) -> tuple[str, int]:
     return h.hexdigest(), size
 
 
-def run_loop(items, seconds: float, tracer, after_pass):
-    """Repeat whole passes while the next one is expected to end within
-    `seconds` of item time; the first pass always runs.
+def run_loop(items, passes: int, tracer):
+    """Make `passes` whole passes over the items.
 
-    Returns per-call records (pass, item index, seconds, digest, bytes, and,
-    when tracing, the untraced twin's seconds and digest) and the first
-    pass's outcomes.  Item time excludes the digesting between calls.
+    Returns per-call records (pass, item index, wall seconds, digest,
+    bytes; untraced: scaled seconds and the calibrations around the call;
+    traced: the untraced twin's seconds and digest) and the first pass's
+    outcomes.  Item time excludes the calibration and digesting between
+    calls.
     """
     records = []
     first = {}
-    busy = 0.0
-    passes = 0
-    while passes == 0 or busy * (passes + 1) / passes <= seconds:
+    sampler = SpeedSampler()
+    cal = calibrate()
+    for p in range(passes):
         for i, item in enumerate(items):
-            rec = {"pass": passes, "item": i}
+            rec = {"pass": p, "item": i}
             if tracer is not None:
                 twin, rec["untraced_s"] = call(item)
                 rec["untraced_digest"], _ = fingerprint(item, twin)
-                tracer.item = passes * len(items) + i
+                tracer.item = p * len(items) + i
                 tracer.install()
                 try:
-                    outcome, elapsed = call(item)
+                    outcome, rec["seconds"] = call(item)
                 finally:
                     tracer.uninstall()
             else:
-                outcome, elapsed = call(item)
-            busy += elapsed
-            rec["seconds"] = elapsed
+                rec["cal_before"] = cal
+                with sampler:
+                    outcome, elapsed = call(item)
+                cal = rec["cal_after"] = calibrate()
+                rec["seconds"] = elapsed - sampler.spent
+                rec["scaled_s"] = rec["seconds"] * scale(
+                    [rec["cal_before"], *sampler.samples, cal])
             rec["digest"], rec["bytes"] = fingerprint(item, outcome)
-            if passes == 0:
+            if p == 0:
                 first[i] = outcome
             records.append(rec)
-        passes += 1
-        after_pass()
-    return records, first, passes
+    return records, first
 
 
 def judge(items, records, first):
@@ -277,12 +350,11 @@ def judge(items, records, first):
 # Metrics.
 # ---------------------------------------------------------------------------
 
-def tail_percentile(pass_size: int) -> int:
-    """Highest whole percentile that leaves at least ten of one pass's items
-    beyond it, so every run of a workload, whatever its number of passes,
-    states the same percentile; 100 for a pass under eleven items."""
+def tail_percentile(samples: int) -> int:
+    """Highest whole percentile that leaves at least ten samples beyond it;
+    100 when there are fewer than eleven."""
     return next((q for q in range(99, 0, -1)
-                 if pass_size - math.ceil(q * pass_size / 100) >= 10), 100)
+                 if samples - math.ceil(q * samples / 100) >= 10), 100)
 
 
 def quantile(times: list[float], q: float) -> float:
@@ -297,33 +369,39 @@ def quantile(times: list[float], q: float) -> float:
     return float(hdquantiles(np.asarray(times), prob=[q])[0])
 
 
-def end_to_end(records, n_items, setup_durations, peak_rss_mb, failed) -> tuple[dict, list]:
-    """Every pass runs the same items, so each item's median over passes is
-    its time; the quantiles are taken over those n_items values, which keeps
-    the estimate independent of how many passes fitted in the run."""
-    times = [r["seconds"] for r in records]
-    per_item = defaultdict(list)
-    for r in records:
-        per_item[r["item"]].append(r["seconds"])
-    medians = [statistics.median(v) for v in per_item.values()]
-    q = tail_percentile(n_items)
-    beyond = n_items - math.ceil(q * n_items / 100)
+def end_to_end(records, setups, peak_rss_mb, failed) -> tuple[dict, list]:
+    """Timings are scaled seconds over every call of the run; every pass
+    runs the same items, so the quantiles do not depend on how many passes
+    fitted in the run, only the tail percentile does."""
+    times = [r["scaled_s"] for r in records]
+    wall = [r["seconds"] for r in records]
+    n = len(times)
+    q = tail_percentile(n)
+    beyond = n - math.ceil(q * n / 100)
     metrics = {
-        "items_per_s": len(times) / sum(times),
-        "item_s.p50": quantile(medians, 0.5),
-        "item_s.tail": quantile(medians, q / 100),
-        "failed_share": failed / len(records),
-        "setup_s": statistics.median(setup_durations),
+        "items_per_s": n / sum(times),
+        "item_s.p50": quantile(times, 0.5),
+        "item_s.tail": quantile(times, q / 100),
+        "failed_share": failed / n,
+        "setup_s": statistics.median(s for _, s in setups),
         "peak_rss_mb": peak_rss_mb,
     }
+    speed = [CAL_REF_S / r["cal_after"] for r in records]
     notes = [
-        f"items_per_s over {len(times)} items and {sum(times):.3f} s of item time",
-        f"item_s.p50 and item_s.tail are Harrell-Davis quantiles of the {n_items} "
-        f"items' median times over {len(times) // n_items} pass(es)",
-        f"item_s.tail is p{q}: {beyond} of the {n_items} items lie beyond it",
-        f"failed_share is {failed} of {len(records)} items",
-        f"setup_s is the median of {len(setup_durations)} set-ups spread over the "
-        f"run (min {min(setup_durations):.4f} s, max {max(setup_durations):.4f} s)",
+        f"items_per_s over {n} items and {sum(times):.3f} scaled s "
+        f"({sum(wall):.3f} wall s) of item time",
+        f"item_s.p50 and item_s.tail are Harrell-Davis quantiles of the {n} calls' "
+        f"scaled times",
+        f"item_s.tail is p{q}: {beyond} of the {n} calls lie beyond it",
+        f"failed_share is {failed} of {n} items",
+        f"setup_s is the median of {len(setups)} set-ups before the loop "
+        f"(scaled {min(s for _, s in setups):.4f}-{max(s for _, s in setups):.4f} s, "
+        f"wall {min(w for w, _ in setups):.4f}-{max(w for w, _ in setups):.4f} s)",
+        f"unscaled: items_per_s {n / sum(wall):.4f}, item_s.p50 "
+        f"{quantile(wall, 0.5):.5f} s, item_s.tail {quantile(wall, q / 100):.5f} s",
+        f"host speed relative to the calibration reference: median "
+        f"{statistics.median(speed):.3f}, quartiles "
+        + ", ".join(f"{v:.3f}" for v in statistics.quantiles(speed, n=4)[::2]),
     ]
     return metrics, notes
 
@@ -405,17 +483,13 @@ def sanity(items, records, tracer) -> list[str]:
 def run_workload(args, workload: str) -> dict:
     work = WORK_DIR / f"{workload}-{os.getpid()}"
     try:
-        setup_durations = []
+        setups = []
         for rep in range(SETUP_REPEATS):
-            items, elapsed = set_up(workload, args.seed, work / f"setup{rep}", args.smoke)
-            setup_durations.append(elapsed)
-
-        def repeat_setup():
-            setup_durations.append(set_up(workload, args.seed, work / "repeat",
-                                          args.smoke, keep=False)[1])
-
+            items, *timing = set_up(workload, args.seed, work / f"setup{rep}", args.smoke)
+            setups.append(timing)
         tracer = spans.Tracer() if args.trace else None
-        records, first, passes = run_loop(items, args.seconds, tracer, repeat_setup)
+        passes = max(1, round(args.seconds / PASS_SECONDS[workload]))
+        records, first = run_loop(items, passes, tracer)
         # Before the checks, which load scipy.
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         failures = judge(items, records, first)
@@ -433,8 +507,7 @@ def run_workload(args, workload: str) -> dict:
                      if counts.get(p * len(items) + i) != counts.get(i)]
     failed = len({(p, name) for p, name, _ in failures})
     if tracer is None:
-        metrics, notes = end_to_end(records, len(items), setup_durations,
-                                    peak_rss_mb, failed)
+        metrics, notes = end_to_end(records, setups, peak_rss_mb, failed)
         units = END_TO_END_UNITS
     else:
         metrics, notes = per_layer(tracer, passes, len(items), records)
@@ -448,11 +521,16 @@ def run_workload(args, workload: str) -> dict:
             out["sanity"] = sanity(items, records, tracer)
             lines += [f"# sanity {s}" for s in out["sanity"]]
         out["spans"] = tracer.dump()
+    notes += [f"{it.name}: {k} facet(s) within the package's direction "
+              "resolution of another, counted as one"
+              for it in items if it.expect["kind"] == "dual"
+              for k in [workloads.merged_facets(it)] if k]
     lines += [f"# metric {k} = {v!r} {units[k]}" for k, v in metrics.items()]
     lines += [f"# note {n}" for n in notes]
     lines += [f"# FAIL pass {p} {name}: {why}" for p, name, why in failures]
-    out.update(metrics=metrics, notes=notes, failures=failures,
-               calls=[[r["pass"], r["item"], r["seconds"]] for r in records])
+    out.update(metrics=metrics, notes=notes, failures=failures, setups=setups,
+               calls=[[r["pass"], r["item"], r["seconds"], r.get("scaled_s")]
+                      for r in records])
     OUT_DIR.mkdir(exist_ok=True)
     tag = "-smoke" if args.smoke else ""
     path = OUT_DIR / f"{workload}-seed{args.seed}-trace{args.trace}{tag}.json"

@@ -8,7 +8,6 @@ seed and writes them to files; `check` judges one finished call.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +26,17 @@ TRAILING_EIG_TOL = 1e-8
 
 # Orientation tolerance when re-checking `dual` output against its input.
 DUAL_ORIENT_TOL = 1e-7
+
+# The package counts two directions as one when their cosine reaches
+# 1 - 1e-9, about 4.5e-5 rad (`geometry.DUPLICATE_COSINE`, "two directions
+# count as the same ray").  Facets of a random cone can lie closer than that:
+# seed 504 draws two 3.7e-5 rad apart.  The known facet count of `dual` is
+# therefore that of the ConvexHull facets merged at this resolution, and the
+# run notes every cone where a merge happened.
+DIRECTION_RESOLUTION_COS = 1.0 - 1e-9
+
+# A printed facet normal must match a ConvexHull facet to this cosine.
+DUAL_MATCH_COS = 1.0 - 1e-8
 
 
 @dataclass
@@ -137,37 +147,12 @@ def _build_decide(rng, work: Path, smoke: bool) -> list[Item]:
     return items
 
 
-# Facet normals of a generated cone must be further apart than this cosine.
-# The package merges directions at cosine 1 - 1e-9 (about 4.5e-5 rad), so
-# two facets closer than that are one facet at its resolution; inputs keep
-# 10x that in 1 - cos (about 3x in angle).
-FACET_SEPARATION_COS = 1.0 - 1e-8
-
-
 def _random_cone(rng, d: int, n: int) -> np.ndarray:
     """Generators (1, x) with x on the unit sphere, so every generator is an
-    extreme ray, redrawn until all facets are well separated."""
-    for _ in range(100):
-        x = rng.normal(size=(n, d - 1))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        gens = np.column_stack([np.ones(n), x])
-        normals = _facet_normals(gens / np.linalg.norm(gens, axis=1)[:, None])
-        cos = normals @ normals.T
-        np.fill_diagonal(cos, -1.0)
-        if cos.max() <= FACET_SEPARATION_COS:
-            return gens
-    raise RuntimeError(f"no well-separated random cone with d={d}, n={n}")
-
-
-def _facet_normals(gens: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Unit facet normals of cone(gens) by a vectorized subset scan, kept
-    independent of the package under test."""
-    n, d = gens.shape
-    subsets = np.array(list(itertools.combinations(range(n), d - 1)))
-    normals = np.linalg.svd(gens[subsets])[2][:, -1, :]
-    prods = normals @ gens.T
-    return np.vstack([normals[prods.min(axis=1) >= -tol],
-                      -normals[prods.max(axis=1) <= tol]])
+    extreme ray."""
+    x = rng.normal(size=(n, d - 1))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    return np.column_stack([np.ones(n), x])
 
 
 def _well_conditioned(rng, d: int) -> np.ndarray:
@@ -311,31 +296,47 @@ def _check_verify(item, outcome, reports):
 
 
 def _check_dual(item, outcome, reports):
-    from scipy.spatial import ConvexHull
-
     if outcome.code != 0:
         return f"exit {outcome.code}: {outcome.stderr.strip()[:200]}"
     lines = outcome.stdout.strip().splitlines()
     d, n = (int(v) for v in lines[0].split())
     normals = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
     gens = np.asarray(item.expect["generators"])
-    # Cross-section at first coordinate 1 is the polytope conv(x_i); its
-    # facets are the cone's facets.
-    hull = ConvexHull(gens[:, 1:])
-    want = len(_distinct_rows(hull.equations))
-    if n != want or normals.shape != (want, gens.shape[1]) or d != gens.shape[1]:
-        return f"{n} facets printed, ConvexHull finds {want}"
+    want = _merge_directions(_hull_normals(gens))
+    if n != len(want) or normals.shape != want.shape or d != gens.shape[1]:
+        return f"{n} facets printed, ConvexHull finds {len(want)}"
+    cos = (normals / np.linalg.norm(normals, axis=1)[:, None]) @ want.T
+    if min(cos.max(axis=0).min(), cos.max(axis=1).min()) < DUAL_MATCH_COS:
+        return "printed normals do not match the ConvexHull facets"
     if (gens @ normals.T).min() < -DUAL_ORIENT_TOL:
         return "a printed normal is not inward"
     return None
 
 
-def _distinct_rows(rows: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
+def _hull_normals(gens: np.ndarray) -> np.ndarray:
+    """Unit inward facet normals of cone(gens), from scipy's ConvexHull of
+    the cross-section at first coordinate 1, whose facets are the cone's."""
+    from scipy.spatial import ConvexHull
+
+    eq = ConvexHull(gens[:, 1:]).equations  # a.x + b <= 0 inside
+    normals = -np.column_stack([eq[:, -1], eq[:, :-1]])
+    return normals / np.linalg.norm(normals, axis=1)[:, None]
+
+
+def _merge_directions(rows: np.ndarray, cos: float = DIRECTION_RESOLUTION_COS) -> np.ndarray:
     kept: list[np.ndarray] = []
     for r in rows:
-        if not any(np.abs(r - k).max() <= tol for k in kept):
+        if all(float(r @ k) < cos for k in kept):
             kept.append(r)
-    return kept
+    return np.array(kept)
+
+
+def merged_facets(item: Item) -> int:
+    """How many distinct ConvexHull facets of a `dual` item's cone lie
+    within the package's direction resolution of another one."""
+    hull = _hull_normals(np.asarray(item.expect["generators"]))
+    # A non-simplicial facet appears once per triangle, with equal normals.
+    return len(_merge_directions(hull, 1.0 - 1e-13)) - len(_merge_directions(hull))
 
 
 # Fields of an analysis report that positive diagonal congruence and a
