@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .search import support_of
 
 DEFAULT_DNN_TOL = 1e-9
@@ -153,7 +153,8 @@ def dnn5_classify(a, tol: float = DEFAULT_DNN_TOL) -> str:
     cone) or 'not_extreme'.
 
     The label is cross-checked against the W1/W2 certificate; a disagreement
-    means the tolerances are inconsistent and is raised rather than hidden.
+    means the tolerances are inconsistent and is raised as ConvergenceError
+    rather than hidden.
     """
     m = linalg.require_symmetric(a)
     if m.shape != (5, 5):
@@ -169,7 +170,7 @@ def dnn5_classify(a, tol: float = DEFAULT_DNN_TOL) -> str:
         label = "not_extreme"
     report = dnn_extremality(m, tol)
     if report.extreme != (label != "not_extreme"):
-        raise RuntimeError(
+        raise ConvergenceError(
             f"classification {label!r} disagrees with the extremality "
             f"certificate (intersection_dim={report.intersection_dim})"
         )
@@ -198,7 +199,7 @@ def classify_psd_slack(a, irreducible: bool, simplicial: bool) -> SlackVerdicts:
     rules are:
 
     * irreducible      => the slack generates an extreme ray of the DNN cone
-      (re-verified numerically here);
+      (re-verified numerically here; a disagreement raises ConvergenceError);
     * simplicial       => the slack has a diagonal representative, which is
       completely positive and completely positive semidefinite;
     * not simplicial   => the slack is non-diagonal, hence outside the
@@ -215,7 +216,7 @@ def classify_psd_slack(a, irreducible: bool, simplicial: bool) -> SlackVerdicts:
     report = dnn_extremality(m)
     dnn_extreme = bool(irreducible)
     if report.extreme != dnn_extreme:
-        raise RuntimeError(
+        raise ConvergenceError(
             "irreducibility hypothesis disagrees with the numerical "
             f"extremality certificate (intersection_dim={report.intersection_dim})"
         )

@@ -1,9 +1,11 @@
-"""Self-contained dense kernels: symmetric eigendecomposition, numeric rank,
-null spaces, and the two spectral projections used by the rest of the package.
+"""Dense kernels: symmetric eigendecomposition, singular values, numeric
+rank, null spaces, and the two spectral projections used by the rest of the
+package.
 
-The eigensolver is a cyclic Jacobi iteration rather than a LAPACK call: at the
-target sizes (n <= 50) it is fast enough, it is bit-deterministic for identical
-input, and it keeps the numerical core of the package auditable.  All functions
+The factorizations are LAPACK calls through numpy.linalg; this module adds
+the package's contract on top: validated input, eigenvalues in descending
+order, singular values padded to one per column, a fixed sign for every
+basis vector, and LAPACK failures raised as ConvergenceError.  All functions
 are pure; there is no shared mutable state.
 """
 
@@ -21,11 +23,6 @@ SYMMETRY_TOL = 1e-12
 
 # Default relative cutoff separating numerical zeros from structural values.
 DEFAULT_RANK_TOL = 1e-8
-
-# Jacobi stops once the off-diagonal Frobenius mass drops below this fraction
-# of ||A||_F.
-_OFF_DIAG_TOL = 1e-13
-_MAX_SWEEPS = 100
 
 
 def as_matrix(a) -> np.ndarray:
@@ -57,6 +54,9 @@ def require_symmetric(a) -> np.ndarray:
         raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         return m
+    if np.array_equal(m, m.T):
+        # Equal to 0.5 * (m + m.T) bit for bit, without the arithmetic.
+        return m.copy()
     gap = np.abs(m - m.T)
     bound = SYMMETRY_TOL * np.maximum(1.0, np.maximum(np.abs(m), np.abs(m.T)))
     if np.any(gap > bound):
@@ -79,132 +79,50 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def sym_eigen(a) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def _positive_leading(vecs: np.ndarray) -> np.ndarray:
+    """Negate each column whose first component above 1e-12 in magnitude is
+    negative, so the sign of every basis vector is fixed.  Columns are
+    orthonormal, so each has such a component."""
+    lead = vecs[(np.abs(vecs) > 1e-12).argmax(axis=0), np.arange(vecs.shape[1])]
+    return np.where(lead < 0.0, -vecs, vecs)
 
-    Deterministic: the sweep order is fixed (row-major over the upper
-    triangle), ties in the eigenvalue ordering are broken by the stable sort,
-    and each eigenvector's sign is fixed by its first nonzero component.
+
+def sym_eigen(a) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
+
+    Within a repeated eigenvalue the basis is whatever LAPACK returns;
+    callers depend only on the spanned eigenspace, which the tests check by
+    rotating inside degenerate eigenspaces.
     """
     w = require_symmetric(a)
-    n = w.shape[0]
-    if n == 0:
+    if w.shape[0] == 0:
         return EigenDecomposition(np.zeros(0), np.zeros((0, 0)))
-    w = w.copy()
-    v = np.eye(n)
-    fro = np.sqrt((w * w).sum())
-    if n > 1 and fro > 0.0:
-        target = _OFF_DIAG_TOL * fro
-        # Rotations on entries this small cannot move the off-diagonal mass
-        # above target, so they are skipped.
-        skip = target / (2.0 * n)
-        for _ in range(_MAX_SWEEPS):
-            off = np.sqrt(2.0 * (np.triu(w, 1) ** 2).sum())
-            if off <= target:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = w[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    tau = (w[q, q] - w[p, p]) / (2.0 * apq)
-                    t = (1.0 if tau >= 0.0 else -1.0) / (
-                        abs(tau) + np.sqrt(1.0 + tau * tau)
-                    )
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    app, aqq = w[p, p], w[q, q]
-                    row_p = w[p].copy()
-                    row_q = w[q].copy()
-                    new_p = c * row_p - s * row_q
-                    new_q = s * row_p + c * row_q
-                    w[p, :] = new_p
-                    w[:, p] = new_p
-                    w[q, :] = new_q
-                    w[:, q] = new_q
-                    # Closed forms keep the pivot entries exact.
-                    w[p, p] = app - t * apq
-                    w[q, q] = aqq + t * apq
-                    w[p, q] = 0.0
-                    w[q, p] = 0.0
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-        else:
-            raise ConvergenceError(
-                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps"
-            )
-    vals = np.diag(w).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    for j in range(n):
-        col = vecs[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            vecs[:, j] = -col
-    return EigenDecomposition(vals, vecs)
+    try:
+        vals, vecs = np.linalg.eigh(w)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+    return EigenDecomposition(vals[::-1], _positive_leading(vecs[:, ::-1]))
 
 
-def _one_sided_jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonalize the columns of a by plane rotations.
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values descending, padded with zeros to one per column, and
+    the full set of right singular vectors as columns.
 
-    Returns (singular values descending, right singular vectors as columns).
-    Working on the matrix itself rather than its Gram matrix keeps small
-    singular values at full relative accuracy, which the rank and null-space
-    cutoffs depend on.
+    The padding keeps the null directions of a wide matrix (fewer rows than
+    columns) paired with zero singular values.
     """
-    m = a.copy()
-    k = m.shape[1]
-    v = np.eye(k)
-    # Columns whose norm falls to rounding noise relative to ||A||_F are
-    # finished: their residual direction is meaningless and rotating against
-    # it would chatter forever.
-    floor = (1e-15 * np.sqrt((m * m).sum())) ** 2
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                app = float(m[:, p] @ m[:, p])
-                aqq = float(m[:, q] @ m[:, q])
-                apq = float(m[:, p] @ m[:, q])
-                if app <= floor or aqq <= floor:
-                    continue
-                if abs(apq) <= 1e-14 * np.sqrt(app * aqq):
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = (1.0 if tau >= 0.0 else -1.0) / (
-                    abs(tau) + np.sqrt(1.0 + tau * tau)
-                )
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                mp = m[:, p].copy()
-                mq = m[:, q].copy()
-                m[:, p] = c * mp - s * mq
-                m[:, q] = s * mp + c * mq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if not rotated:
-            break
-    else:
-        raise ConvergenceError(
-            f"one-sided Jacobi did not converge in {_MAX_SWEEPS} sweeps"
-        )
-    sv = np.sqrt((m * m).sum(axis=0))
-    order = np.argsort(-sv, kind="stable")
-    return sv[order], v[:, order]
+    try:
+        _, s, vt = np.linalg.svd(m, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    sv = np.zeros(m.shape[1])
+    sv[: s.size] = s
+    return sv, vt.T
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values, descending."""
-    m = as_matrix(a)
-    if m.size == 0:
-        return np.zeros(0)
-    return _one_sided_jacobi(m)[0]
+    """Singular values, descending, one per column (zero-padded)."""
+    return _svd(as_matrix(a))[0]
 
 
 def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -225,20 +143,9 @@ def null_space(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     m = as_matrix(a)
     if m.shape[1] == 0:
         return np.zeros((0, 0))
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1])
-    sv, v = _one_sided_jacobi(m)
-    if sv.size and sv[0] > 0.0:
-        keep = sv <= tol * sv[0]
-    else:
-        keep = np.ones(sv.shape, dtype=bool)
-    basis = v[:, keep]
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            basis[:, j] = -col
-    return basis
+    sv, v = _svd(m)
+    # For the zero matrix every sv is 0 <= tol * 0, so all of v is kept.
+    return _positive_leading(v[:, sv <= tol * sv[0]])
 
 
 def psd_project(a) -> np.ndarray:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import jsonschema
 import numpy as np
 import pytest
 
-from sdcones import cli, data, geometry, search
+from sdcones import cli, data, dnn, geometry, search
 
 from conftest import equal_up_to_scaling, match_columns_by_pattern, support_pattern_of
 
@@ -158,6 +159,22 @@ class TestAnalyzeCommand:
         geometry.save_matrix(workdir / "m.mat", np.array([[1.0, 2.0], [0.0, 1.0]]))
         code, _, err = run_cli(capsys, "analyze", "m.mat", "--rank", "2")
         assert code == cli.EXIT_PRECONDITION
+
+    def test_certificate_disagreement_exits_3(self, workdir, capsys, monkeypatch):
+        # An extremality certificate that contradicts the support-graph
+        # verdict is a numerical inconsistency, reported like non-convergence.
+        exact = dnn.dnn_extremality
+
+        def contradicting(*args, **kwargs):
+            rep = exact(*args, **kwargs)
+            return dataclasses.replace(rep, intersection_dim=2, extreme=False)
+
+        monkeypatch.setattr(dnn, "dnn_extremality", contradicting)
+        geometry.save_matrix(workdir / "m.mat", data.pentagon_slack())
+        code, out, err = run_cli(capsys, "analyze", "m.mat", "--rank", "3")
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert "disagrees with the numerical extremality certificate" in err
 
 
 class TestVerifyCommand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdcones import data, dnn, linalg, search
-from sdcones.errors import PreconditionError
+from sdcones.errors import ConvergenceError, PreconditionError
 
 from conftest import random_orthogonal
 
@@ -130,8 +130,10 @@ class TestClassifyPsdSlack:
         assert v1.dnn_extreme and v1.cp_member and v1.cpsd_member
 
     def test_inconsistent_hypothesis_raises(self, pentagon_slack):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as excinfo:
             dnn.classify_psd_slack(pentagon_slack, irreducible=False, simplicial=False)
+        # Typed, so the CLI reports it with exit 3 instead of a traceback.
+        assert excinfo.type is ConvergenceError
 
     def test_non_dnn_rejected(self):
         with pytest.raises(PreconditionError):

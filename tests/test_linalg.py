@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sdcones import linalg
-from sdcones.errors import PreconditionError
+from sdcones import data, dnn, geometry, linalg, search, selfdual
+from sdcones.errors import ConvergenceError, PreconditionError
 
 from conftest import random_orthogonal
 
@@ -184,3 +187,175 @@ class TestSingularValues:
             ref = np.linalg.svd(a, compute_uv=False)
             k = min(n, m)
             assert np.abs(mine[:k] - ref[:k]).max() <= 1e-10 * max(ref[0], 1.0)
+
+
+# -- the linalg contract on generated matrices ------------------------------
+
+SIDES = st.integers(0, 7)
+ENTRIES = st.floats(-100.0, 100.0, allow_subnormal=False)
+
+
+@st.composite
+def matrices(draw):
+    """Entrywise-drawn matrices and products of random factors of a drawn
+    rank (rank deficient, zero at rank 0); sides from 0 to 7 give
+    zero-column, tall and wide shapes."""
+    rows, cols = draw(SIDES), draw(SIDES)
+    if draw(st.booleans()):
+        return draw(hnp.arrays(float, (rows, cols), elements=ENTRIES))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return scale * rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetrized drawn matrices and Q diag(w) Q^T with w drawn from a few
+    values, so that repeated eigenvalues are common."""
+    n = draw(SIDES)
+    if draw(st.booleans()):
+        a = draw(hnp.arrays(float, (n, n), elements=ENTRIES))
+        return a + a.T
+    w = draw(st.lists(st.sampled_from([-2.0, 0.0, 1.0, 3.0]), min_size=n, max_size=n))
+    q = random_orthogonal(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    a = (q * w) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def assert_sign_rule(vecs: np.ndarray) -> None:
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        assert nz.size and col[nz[0]] > 0.0
+
+
+class TestContract:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_matrices())
+    def test_sym_eigen(self, a):
+        n = a.shape[0]
+        eig = linalg.sym_eigen(a)
+        assert eig.values.shape == (n,) and eig.vectors.shape == (n, n)
+        assert np.all(np.diff(eig.values) <= 0.0)
+        scale = np.abs(a).max(initial=0.0)
+        assert np.abs(eig.vectors.T @ eig.vectors - np.eye(n)).max(initial=0.0) <= 1e-10
+        recon = (eig.vectors * eig.values) @ eig.vectors.T
+        assert np.abs(a - recon).max(initial=0.0) <= 1e-10 * scale
+        assert_sign_rule(eig.vectors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_singular_values_null_space_rank(self, a):
+        cols = a.shape[1]
+        sv = linalg.singular_values(a)
+        assert sv.shape == (cols,)
+        assert np.all(sv >= 0.0) and np.all(np.diff(sv) <= 0.0)
+        top = sv[0] if cols else 0.0
+        basis = linalg.null_space(a)
+        assert basis.shape[0] == cols
+        k = basis.shape[1]
+        assert np.abs(basis.T @ basis - np.eye(k)).max(initial=0.0) <= 1e-10
+        # Each kept direction has singular value <= 1e-8 * top; the extra
+        # 1e-12 * top is room for rounding in the product.
+        resid = np.linalg.norm(a @ basis, axis=0)
+        assert resid.max(initial=0.0) <= (1e-8 + 1e-12) * top
+        assert_sign_rule(basis)
+        assert linalg.numeric_rank(a) == cols - k
+
+
+class TestLapackFailure:
+    @staticmethod
+    def _fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    def test_eigh(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", self._fail)
+        with pytest.raises(ConvergenceError, match="eigh"):
+            linalg.sym_eigen(np.eye(2))
+
+    def test_svd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", self._fail)
+        for fn in (linalg.singular_values, linalg.numeric_rank, linalg.null_space):
+            with pytest.raises(ConvergenceError, match="SVD"):
+                fn(np.eye(2))
+
+
+class TestRequireSymmetric:
+    def test_exact_input_copied_bitwise(self):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(6, 6))
+        a = a + a.T
+        out = linalg.require_symmetric(a)
+        assert out is not a
+        assert np.array_equal(out, 0.5 * (a + a.T))
+
+    def test_near_symmetric_symmetrized(self):
+        a = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
+        out = linalg.require_symmetric(a)
+        assert out[0, 1] == out[1, 0] == 0.5 * (a[0, 1] + a[1, 0])
+
+
+# -- downstream results do not depend on the basis of an eigenspace --------
+
+def rotating_sym_eigen(rng: np.random.Generator):
+    """sym_eigen, with the basis of every repeated eigenvalue replaced by a
+    random orthonormal basis of the same eigenspace."""
+    exact = linalg.sym_eigen
+
+    def rotated(a):
+        eig = exact(a)
+        vals, vecs = eig.values, eig.vectors.copy()
+        gap = 1e-9 * max(np.abs(vals).max(initial=0.0), 1.0)
+        start = 0
+        for stop in range(1, vals.size + 1):
+            if stop == vals.size or vals[start] - vals[stop] > gap:
+                if stop - start > 1:
+                    q = random_orthogonal(rng, stop - start)
+                    vecs[:, start:stop] = vecs[:, start:stop] @ q
+                start = stop
+        return linalg.EigenDecomposition(vals, vecs)
+
+    return rotated
+
+
+class TestDegenerateEigenspaces:
+    """The pentagon circulant has the eigenvalue pairs 2.5, 2.5 and 0, 0, so
+    LAPACK's basis inside each pair is arbitrary.  No result may depend on
+    it."""
+
+    ROTATIONS = 20
+
+    @staticmethod
+    def _results(m):
+        cone = geometry.cone_from_factorization(m, 3)
+        real = search.extract_realization(m, 3)
+        return {
+            "generators": cone.generators,
+            "slack": geometry.slack_matrix(cone).matrix,
+            "self_dual": selfdual.is_self_dual(cone)[0],
+            "gram": real.gram,
+            "verified": search.verify_realization(real, data.pentagon_support()).passed,
+            "intersection_dim": dnn.dnn_extremality(m).intersection_dim,
+        }
+
+    def test_pentagon_rotations(self, pentagon_slack, monkeypatch):
+        vals = linalg.sym_eigen(pentagon_slack).values
+        assert abs(vals[1] - vals[2]) <= 1e-9 and np.abs(vals[3:]).max() <= 1e-9
+        ref = self._results(pentagon_slack)
+        assert ref["self_dual"] and ref["verified"] and ref["intersection_dim"] == 1
+        rng = np.random.default_rng(29)
+        moved = 0.0
+        for _ in range(self.ROTATIONS):
+            monkeypatch.setattr(linalg, "sym_eigen", rotating_sym_eigen(rng))
+            got = self._results(pentagon_slack)
+            monkeypatch.undo()
+            assert got["slack"].shape == ref["slack"].shape
+            assert np.abs(got["slack"] - ref["slack"]).max() <= 1e-9
+            assert got["self_dual"] == ref["self_dual"]
+            assert np.abs(got["gram"] - ref["gram"]).max() <= 1e-9
+            assert got["verified"] == ref["verified"]
+            assert got["intersection_dim"] == ref["intersection_dim"]
+            moved = max(moved, np.abs(got["generators"] - ref["generators"]).max())
+        # The rotations did change the factor the cone is built from.
+        assert moved > 0.1
