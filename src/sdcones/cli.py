@@ -453,9 +453,16 @@ def _run_one(args, path: str) -> tuple[int, str]:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+# Built by the first main call and reused: building the argparse tree costs
+# about 30 times as much as parsing one command line with it.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "examples":
             code = EXIT_OK

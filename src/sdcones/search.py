@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, linalg
-from .errors import ParseError, PreconditionError
+from .errors import ConvergenceError, ParseError, PreconditionError
 
 # Relative threshold deciding which entries count as structural zeros.
 SUPPORT_CLAMP = 1e-10
@@ -30,6 +30,10 @@ TRAILING_EIG_TOL = 1e-8
 REFINE_STOP_TOL = 1e-12
 
 DEFAULT_VERIFY_TOL = 1e-6
+
+# Nodes (columns tried) one involution_permutations enumeration may visit.
+# Forward checking needs 2 162 on the regular 17-gon and 126 483 on the 51-gon.
+INVOLUTION_NODE_BUDGET = 1_000_000
 
 
 def support_of(a, rel: float = SUPPORT_CLAMP) -> np.ndarray:
@@ -120,9 +124,19 @@ def involution_permutations(s: np.ndarray):
     """Yield all column permutations sigma with S[i, sigma(j)] == S[j, sigma(i)]
     for all i, j and S[i, sigma(i)] == 1, in lexicographic order.
 
-    Backtracking with two prunes: a column can only land on a position with
-    matching nonzero count, and the degree multisets of its support must
-    agree (the same invariants a graph-isomorphism search would use).
+    Backtracking with forward checking (Haralick & Elliott, 1980).  Each row
+    starts with a domain of candidate columns: a nonzero of its own, with
+    matching nonzero count and matching degree multiset of its support (the
+    same invariants a graph-isomorphism search would use).  Placing
+    sigma[j] = c leaves every later row r only the columns c' with
+    S[j, c'] == S[r, c], minus c itself, and the search backtracks as soon as
+    some later row has no column left; so every column tried is consistent
+    with all rows placed before it.  Rows are placed in their fixed order
+    0..n-1 and each row tries its columns in increasing order, which keeps
+    the output lexicographic.
+
+    Each column tried counts as one node.  More than INVOLUTION_NODE_BUDGET
+    nodes in one enumeration raise ConvergenceError instead of running on.
     """
     n = s.shape[0]
     row_counts = s.sum(axis=1)
@@ -135,40 +149,33 @@ def involution_permutations(s: np.ndarray):
     col_profile = [
         tuple(sorted(row_counts[np.nonzero(s[:, c])[0]])) for c in range(n)
     ]
-    candidates = [
-        [
-            c
-            for c in range(n)
-            if s[j, c] == 1
-            and col_counts[c] == row_counts[j]
-            and col_profile[c] == row_profile[j]
-        ]
-        for j in range(n)
-    ]
+    same_profile = np.array(
+        [[cp == rp for cp in col_profile] for rp in row_profile], dtype=bool
+    ).reshape(n, n)
+    domain = (s == 1) & (row_counts[:, None] == col_counts[None, :]) & same_profile
     sigma = np.full(n, -1, dtype=int)
-    used = np.zeros(n, dtype=bool)
+    nodes = 0
 
-    def extend(j: int):
+    def extend(j: int, dom: np.ndarray):
+        # dom[r - j] holds the columns still open to row r >= j.
+        nonlocal nodes
         if j == n:
             yield sigma.copy()
             return
-        for c in candidates[j]:
-            if used[c]:
-                continue
-            ok = True
-            for i in range(j):
-                if s[i, c] != s[j, sigma[i]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            sigma[j] = c
-            used[c] = True
-            yield from extend(j + 1)
-            used[c] = False
-            sigma[j] = -1
+        for c in np.flatnonzero(dom[0]):
+            nodes += 1
+            if nodes > INVOLUTION_NODE_BUDGET:
+                raise ConvergenceError(
+                    f"involution search on {n} rows visited {nodes} nodes, "
+                    f"over the budget of {INVOLUTION_NODE_BUDGET}"
+                )
+            rest = dom[1:] & (s[j] == s[j + 1:, c, None])
+            rest[:, c] = False
+            if rest.any(axis=1).all():
+                sigma[j] = c
+                yield from extend(j + 1, rest)
 
-    yield from extend(0)
+    yield from extend(0, domain)
 
 
 def sisd_check(s) -> np.ndarray | None:

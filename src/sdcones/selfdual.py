@@ -103,9 +103,11 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     slack PSD.
 
     Absence is returned only after every support-compatible permutation has
-    been tried; the first certificate in lexicographic permutation order is
-    returned, with the gauge freedom fixed so the PSD matrix's largest
-    diagonal entry equals the largest diagonal entry of the input.
+    been tried; an enumeration that would exceed
+    search.INVOLUTION_NODE_BUDGET raises ConvergenceError instead.  The first
+    certificate in lexicographic permutation order is returned, with the
+    gauge freedom fixed so the PSD matrix's largest diagonal entry equals the
+    largest diagonal entry of the input.
     """
     m = _as_slack_array(slack)
     if m.shape[0] != m.shape[1]:

@@ -203,6 +203,15 @@ class TestVerifyCommand:
         assert payload["self_dual"] is True
         assert payload["certificate"]["min_eigenvalue"] >= -1e-9
 
+    def test_node_budget_exits_3(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(search, "INVOLUTION_NODE_BUDGET", 100)
+        cone = geometry.cone_over_polytope(data.regular_polygon_vertices(17))
+        geometry.save_cone(workdir / "g17.cone", cone.generators)
+        code, out, err = run_cli(capsys, "verify", "g17.cone")
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert "involution search on 17 rows visited 101 nodes" in err
+
 
 class TestSearchCommand:
     def test_pentagon_writes_outputs(self, workdir, capsys):
@@ -236,6 +245,28 @@ class TestSearchCommand:
         (workdir / "bad.support").write_text("2\n1x\n01\n")
         code, _, _ = run_cli(capsys, "search", "bad.support", "--rank", "2")
         assert code == cli.EXIT_PARSE
+
+
+class TestParser:
+    def test_built_once_with_independent_namespaces(self, monkeypatch):
+        build, builds, seen = cli.build_parser, [], []
+
+        def counted_build():
+            builds.append(1)
+            return build()
+
+        def record(args, path):
+            seen.append(args)
+            return cli.EXIT_OK, ""
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        monkeypatch.setattr(cli, "_run_one", record)
+        assert cli.main(["analyze", "m.mat", "--rank", "3"]) == 0
+        assert cli.main(["verify", "c.cone"]) == 0
+        assert len(builds) == 1
+        assert seen[0].command == "analyze" and seen[0].rank == 3
+        assert seen[1].command == "verify" and not hasattr(seen[1], "rank")
 
 
 class TestBatch:

@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sdcones import data, geometry, linalg, search
 from sdcones.errors import ParseError, PreconditionError
@@ -21,6 +24,32 @@ def brute_force_sisd(s: np.ndarray):
         ):
             return perm
     return None
+
+
+def all_involutions_brute_force(s: np.ndarray) -> list[tuple[int, ...]]:
+    """Every permutation meeting the involutive support condition, filtered
+    from itertools.permutations and so in lexicographic order."""
+    n = s.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
+    # placed[p, i, j] = s[i, perm_p[j]]
+    placed = s[np.arange(n)[None, :, None], perms[:, None, :]]
+    symmetric = (placed == placed.transpose(0, 2, 1)).all(axis=(1, 2))
+    unit_diagonal = (np.diagonal(placed, axis1=1, axis2=2) == 1).all(axis=1)
+    return [tuple(int(c) for c in p) for p in perms[symmetric & unit_diagonal]]
+
+
+@st.composite
+def involution_patterns(draw):
+    """Random 0/1 patterns, half of them symmetric with a unit diagonal and
+    shuffled columns, so that non-empty enumerations are common."""
+    n = draw(st.integers(1, 7))
+    bits = draw(hnp.arrays(np.uint8, (n, n), elements=st.integers(0, 1)))
+    if draw(st.booleans()):
+        bits = np.triu(bits, 1)
+        bits = bits | bits.T
+        np.fill_diagonal(bits, 1)
+        bits = bits[:, draw(st.permutations(range(n)))]
+    return bits
 
 
 def random_01_pattern(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -88,6 +117,12 @@ class TestSisdCheck:
                 fixed = s[:, mine]
                 assert np.array_equal(fixed, fixed.T)
                 assert np.all(np.diag(fixed) == 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(involution_patterns())
+    def test_enumeration_matches_brute_force_in_order(self, s):
+        mine = [tuple(int(c) for c in p) for p in search.involution_permutations(s)]
+        assert mine == all_involutions_brute_force(s)
 
     def test_rejects_bad_input(self):
         with pytest.raises(PreconditionError):

@@ -124,6 +124,16 @@ class TestIsSelfDual:
                 if cone.n_rays % 2 == 0:
                     assert not selfdual.is_self_dual(cone)[0]
 
+    @pytest.mark.parametrize("k", [21, 30, 31])
+    def test_large_regular_polygons(self, k):
+        # Regular k-gon cones are self-dual exactly for odd k.
+        cone = geometry.cone_over_polytope(data.regular_polygon_vertices(k))
+        ok, cert = selfdual.is_self_dual(cone)
+        assert ok == (k % 2 == 1)
+        if ok:
+            scale = np.abs(cert.psd_matrix).max()
+            assert cert.min_eigenvalue >= -selfdual.PSD_EIG_TOL * scale
+
 
 class TestIrreducible:
     def test_pentagon_cycle_connected(self, pentagon_slack):
