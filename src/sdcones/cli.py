@@ -458,41 +458,45 @@ def _run_one(args, path: str) -> tuple[int, str]:
 _parser: argparse.ArgumentParser | None = None
 
 
+def _settle(run, *args) -> tuple[int, str, bool]:
+    """Run one input: its exit code, its text, and whether the text is a
+    failure message for stderr rather than output for stdout."""
+    try:
+        code, text = run(*args)
+    except (ParseError, FileNotFoundError) as exc:
+        return EXIT_PARSE, f"parse error: {exc}", True
+    except PreconditionError as exc:
+        return EXIT_PRECONDITION, f"precondition failure: {exc}", True
+    except ConvergenceError as exc:
+        return EXIT_NO_CONVERGENCE, f"did not converge: {exc}", True
+    return code, text, False
+
+
 def main(argv=None) -> int:
+    """Run one subcommand.  Every input gets its own result: outputs are
+    printed in input order, each failure's message goes to stderr, and the
+    exit code is the largest of the inputs' codes."""
     global _parser
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    try:
-        if args.command == "examples":
-            code = EXIT_OK
-            for name in args.names:
-                code, text = cmd_examples(name, args.out)
-                print(text)
-            return code
-        inputs = args.inputs
-        if args.jobs > 1 and len(inputs) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outcomes = list(pool.map(lambda p: _run_one(args, p), inputs))
-        else:
-            outcomes = [_run_one(args, p) for p in inputs]
-        code = EXIT_OK
-        for c, text in outcomes:
-            print(text)
-            code = max(code, c)
-        return code
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PreconditionError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
+    if args.command == "examples":
+        outcomes = [_settle(cmd_examples, name, args.out) for name in args.names]
+    elif args.command in ("slack", "dual") and args.out and len(args.inputs) > 1:
+        print(
+            f"precondition failure: --out names one file but {len(args.inputs)} "
+            "inputs were given; each would overwrite the one before",
+            file=sys.stderr,
+        )
         return EXIT_PRECONDITION
-    except ConvergenceError as exc:
-        print(f"did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    elif args.jobs > 1 and len(args.inputs) > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(lambda p: _settle(_run_one, args, p), args.inputs))
+    else:
+        outcomes = [_settle(_run_one, args, p) for p in args.inputs]
+    for _, text, failed in outcomes:
+        print(text, file=sys.stderr if failed else sys.stdout)
+    return max(code for code, _, _ in outcomes)
 
 
 if __name__ == "__main__":  # pragma: no cover

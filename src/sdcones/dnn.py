@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConvergenceError, PreconditionError
-from .search import support_of
+from .search import is_connected, support_of
 
 DEFAULT_DNN_TOL = 1e-9
 
@@ -101,15 +101,7 @@ def _is_cycle5(a: np.ndarray) -> bool:
         return False
     # Degree-2 everywhere means a disjoint union of cycles; on 5 vertices a
     # single component is the 5-cycle.
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in np.nonzero(mask[i])[0]:
-            if j not in seen:
-                seen.add(int(j))
-                frontier.append(int(j))
-    return len(seen) == 5
+    return is_connected(mask)
 
 
 def dnn_extremality(

@@ -4,9 +4,12 @@ package.
 
 The factorizations are LAPACK calls through numpy.linalg; this module adds
 the package's contract on top: validated input, eigenvalues in descending
-order, singular values padded to one per column, a fixed sign for every
-basis vector, and LAPACK failures raised as ConvergenceError.  All functions
-are pure; there is no shared mutable state.
+order, singular values padded to one per column, and LAPACK failures raised
+as ConvergenceError.  sym_eigen and null_space return bases, so they fix the
+sign of every basis vector.  The projections psd_project, low_rank_project
+and psd_project_min_eig return V diag(w) V^T, in which the sign of each
+column of V cancels exactly, so they skip the sign rule.  All functions are
+pure; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise PreconditionError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise PreconditionError("matrix entries must be finite")
     return m
 
@@ -43,28 +46,33 @@ def asymmetry(a) -> float:
     return float(np.abs(m - m.T).max())
 
 
-def require_symmetric(a) -> np.ndarray:
-    """Validate square symmetric input and return its exact symmetrization.
+def _symmetric(a) -> np.ndarray:
+    """Validated square symmetric input, exactly symmetrized.
 
-    Rejection carries the measured asymmetry so callers can report how far
-    the input was from symmetric.
+    Exactly symmetric input comes back as is, possibly the caller's own
+    array, since 0.5 * (m + m.T) would equal it bit for bit.  Rejection
+    carries the measured asymmetry so callers can report how far the input
+    was from symmetric.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
-    if m.size == 0:
+    if (m == m.T).all():
         return m
-    if np.array_equal(m, m.T):
-        # Equal to 0.5 * (m + m.T) bit for bit, without the arithmetic.
-        return m.copy()
     gap = np.abs(m - m.T)
     bound = SYMMETRY_TOL * np.maximum(1.0, np.maximum(np.abs(m), np.abs(m.T)))
-    if np.any(gap > bound):
+    if (gap > bound).any():
         raise PreconditionError(
             f"matrix is not symmetric: measured asymmetry {asymmetry(m):.3e} "
             f"exceeds {SYMMETRY_TOL:g} * max(1, |entry|)"
         )
     return 0.5 * (m + m.T)
+
+
+def require_symmetric(a) -> np.ndarray:
+    """Validate square symmetric input and return its exact symmetrization
+    as a fresh array."""
+    return _symmetric(a).copy()
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,17 @@ def _positive_leading(vecs: np.ndarray) -> np.ndarray:
     return np.where(lead < 0.0, -vecs, vecs)
 
 
+def _eigh(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigenpairs of a validated symmetric matrix, eigenvalues
+    descending, as reversed views of eigh's ascending output.  The column
+    signs are whatever LAPACK returns."""
+    try:
+        vals, vecs = np.linalg.eigh(w)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+    return vals[::-1], vecs[:, ::-1]
+
+
 def sym_eigen(a) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
@@ -94,14 +113,11 @@ def sym_eigen(a) -> EigenDecomposition:
     callers depend only on the spanned eigenspace, which the tests check by
     rotating inside degenerate eigenspaces.
     """
-    w = require_symmetric(a)
+    w = _symmetric(a)
     if w.shape[0] == 0:
         return EigenDecomposition(np.zeros(0), np.zeros((0, 0)))
-    try:
-        vals, vecs = np.linalg.eigh(w)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
-    return EigenDecomposition(vals[::-1], _positive_leading(vecs[:, ::-1]))
+    vals, vecs = _eigh(w)
+    return EigenDecomposition(vals, _positive_leading(vecs))
 
 
 def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,12 +164,25 @@ def null_space(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return _positive_leading(v[:, sv <= tol * sv[0]])
 
 
+def _reconstruct(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """V diag(weights) V^T, symmetrized exactly.  Negating a column of V
+    negates both factors of each of its terms, so the result does not depend
+    on the column signs, bit for bit."""
+    b = (vecs * weights) @ vecs.T
+    return 0.5 * (b + b.T)
+
+
 def psd_project(a) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: eigenvalues clipped at 0."""
-    eig = sym_eigen(a)
-    clipped = np.clip(eig.values, 0.0, None)
-    b = (eig.vectors * clipped) @ eig.vectors.T
-    return 0.5 * (b + b.T)
+    return psd_project_min_eig(a)[0]
+
+
+def psd_project_min_eig(a) -> tuple[np.ndarray, float]:
+    """psd_project(a) and the smallest eigenvalue of a (inf for an empty
+    matrix), from one eigendecomposition."""
+    vals, vecs = _eigh(_symmetric(a))
+    min_eig = float(vals[-1]) if vals.size else float("inf")
+    return _reconstruct(vecs, np.maximum(vals, 0.0)), min_eig
 
 
 def low_rank_project(a, d: int) -> np.ndarray:
@@ -162,13 +191,13 @@ def low_rank_project(a, d: int) -> np.ndarray:
     This is the projection used inside the alternating rank-refinement loop;
     its use here is restricted to (near-)PSD iterates, hence the clipping.
     """
-    eig = sym_eigen(a)
-    n = eig.values.shape[0]
+    w = _symmetric(a)
+    n = w.shape[0]
     if d < 1:
         raise PreconditionError(f"target rank must be >= 1, got {d}")
     if d > n:
         raise PreconditionError(f"target rank {d} exceeds matrix size {n}")
+    vals, vecs = _eigh(w)
     kept = np.zeros(n)
-    kept[:d] = np.clip(eig.values[:d], 0.0, None)
-    b = (eig.vectors * kept) @ eig.vectors.T
-    return 0.5 * (b + b.T)
+    kept[:d] = np.maximum(vals[:d], 0.0)
+    return _reconstruct(vecs, kept)

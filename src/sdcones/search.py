@@ -45,6 +45,19 @@ def support_of(a, rel: float = SUPPORT_CLAMP) -> np.ndarray:
     return m > rel * scale
 
 
+def is_connected(mask: np.ndarray) -> bool:
+    """Connectivity of the graph with the symmetric boolean adjacency matrix
+    mask (diagonal entries are ignored); the graph on no vertices counts as
+    connected.  Breadth-first search, one numpy step per level."""
+    seen = np.zeros(mask.shape[0], dtype=bool)
+    seen[:1] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = mask[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 @dataclass(frozen=True)
 class SupportPattern:
     """Symmetric 0/1 matrix with unit diagonal: the combinatorial input."""
@@ -216,9 +229,8 @@ class SdpResult:
 
 def _affine_project(x: np.ndarray, on: np.ndarray) -> np.ndarray:
     """Closed-form projection onto {X_ij = 0 off support, X_ii = 1}."""
-    y = x.copy()
-    y[~on] = 0.0
-    np.fill_diagonal(y, 1.0)
+    y = np.where(on, x, 0.0)
+    y.flat[:: y.shape[0] + 1] = 1.0
     return y
 
 
@@ -268,14 +280,11 @@ def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> S
     min_eig = 0.0
     polish_iters = 0
     for polish_iters in range(1, params.max_iter + 1):
-        eig = linalg.sym_eigen(x)
-        min_eig = float(eig.values[-1])
+        z, min_eig = linalg.psd_project_min_eig(x)
         if min_eig >= -params.psd_tol:
             converged = True
             break
-        clipped = np.clip(eig.values, 0.0, None)
-        z = (eig.vectors * clipped) @ eig.vectors.T
-        x = _affine_project(0.5 * (z + z.T), on)
+        x = _affine_project(z, on)
 
     residuals = {
         "psd_margin": min_eig,
@@ -496,7 +505,7 @@ def extract_realization(x, d: int) -> Realization:
         raise PreconditionError("matrix must be entrywise nonnegative")
     mask = support_of(a)
     diagonal = not (mask & ~np.eye(mask.shape[0], dtype=bool)).any()
-    if not diagonal and not _connected(mask):
+    if not diagonal and not is_connected(mask):
         raise PreconditionError("support graph is not connected")
     r = linalg.numeric_rank(a)
     if r != d:
@@ -533,22 +542,6 @@ def extract_realization(x, d: int) -> Realization:
         "selfdual_gap": float("nan"),
     }
     return Realization(dim=d, generators=wbar, gram=gram, residuals=residuals)
-
-
-def _connected(mask: np.ndarray) -> bool:
-    n = mask.shape[0]
-    if n == 0:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(mask[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
 
 
 @dataclass

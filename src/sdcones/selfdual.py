@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry, linalg
 from .errors import PreconditionError
-from .search import involution_permutations, support_of
+from .search import involution_permutations, is_connected, support_of
 
 # Cycle-consistency tolerance for the scaling equations (relative).
 SCALING_CYCLE_TOL = 1e-8
@@ -163,22 +163,7 @@ def is_self_dual(
 def is_irreducible(a) -> bool:
     """Connectivity of the support graph G(A): vertices 1..n, an edge per
     nonzero off-diagonal entry."""
-    m = linalg.require_symmetric(a)
-    n = m.shape[0]
-    if n == 0:
-        return True
-    mask = support_of(m)
-    np.fill_diagonal(mask, False)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(mask[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    return is_connected(support_of(linalg.require_symmetric(a)))
 
 
 def is_simplicial(obj) -> bool:

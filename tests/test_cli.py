@@ -293,3 +293,60 @@ class TestBatch:
         f1 = (workdir / "r1" / "p_realization.cone").read_bytes()
         f2 = (workdir / "r2" / "p_realization.cone").read_bytes()
         assert f1 == f2
+
+
+def json_documents(text: str) -> list:
+    """The JSON values printed one after another in text."""
+    decoder, docs, pos = json.JSONDecoder(), [], 0
+    while text[pos:].strip():
+        pos += len(text[pos:]) - len(text[pos:].lstrip())
+        doc, pos = decoder.raw_decode(text, pos)
+        docs.append(doc)
+    return docs
+
+
+class TestMultipleInputs:
+    def test_failing_input_keeps_other_outputs(self, workdir, capsys):
+        geometry.save_matrix(workdir / "good.mat", data.pentagon_slack())
+        geometry.save_matrix(workdir / "neg.mat", -np.eye(3))
+        code, out, err = run_cli(
+            capsys, "analyze", "good.mat", "missing.mat", "neg.mat", "good.mat",
+            "--rank", "3",
+        )
+        # The largest exit code: parse error (4) over precondition failure (2).
+        assert code == cli.EXIT_PARSE
+        reports = json_documents(out)
+        assert [r["input"]["path"] for r in reports] == ["good.mat", "good.mat"]
+        assert all(r["results"]["selfdual_certification"]["certified"] for r in reports)
+        lines = err.strip().splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("parse error:") and "missing.mat" in lines[0]
+        assert lines[1].startswith("precondition failure:") and "nonnegative" in lines[1]
+
+    def test_failure_alone_has_empty_stdout(self, workdir, capsys):
+        code, out, err = run_cli(capsys, "analyze", "missing.mat", "--rank", "3")
+        assert code == cli.EXIT_PARSE
+        assert out == "" and err.startswith("parse error:")
+
+    def test_jobs_keep_every_result(self, workdir, capsys):
+        geometry.save_cone(workdir / "a.cone", np.eye(2))
+        code, out, err = run_cli(capsys, "verify", "a.cone", "nope.cone", "a.cone",
+                                 "--jobs", "2")
+        assert code == cli.EXIT_PARSE
+        assert [d["input"] for d in json_documents(out)] == ["a.cone", "a.cone"]
+        assert "nope.cone" in err
+
+    @pytest.mark.parametrize("command", ["slack", "dual"])
+    def test_one_out_file_for_several_inputs_rejected(self, workdir, capsys, command):
+        geometry.save_cone(workdir / "a.cone", np.eye(3))
+        geometry.save_cone(workdir / "b.cone", np.eye(2))
+        code, out, err = run_cli(capsys, command, "a.cone", "b.cone", "--out", "x.mat")
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert "--out" in err and "2 inputs" in err
+        assert not (workdir / "x.mat").exists()
+        # One input with --out, or several without it, still run.
+        code, _, _ = run_cli(capsys, command, "a.cone", "--out", "x.mat")
+        assert code == 0 and (workdir / "x.mat").exists()
+        code, out, _ = run_cli(capsys, command, "a.cone", "b.cone")
+        assert code == 0 and out.count("\n") >= 2

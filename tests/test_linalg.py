@@ -264,6 +264,73 @@ class TestContract:
         assert linalg.numeric_rank(a) == cols - k
 
 
+def perturbed(a: np.ndarray, rel: float) -> np.ndarray:
+    """a with a[0, 1] moved by rel * max(1, |a[0, 1]|)."""
+    b = a.copy()
+    b[0, 1] += rel * max(1.0, abs(b[0, 1]))
+    return b
+
+
+PROJECTIONS = {
+    "psd_project": linalg.psd_project,
+    "low_rank_project": lambda a: linalg.low_rank_project(a, max(1, a.shape[0] - 1)),
+    "psd_project_min_eig": lambda a: linalg.psd_project_min_eig(a)[0],
+}
+
+
+class TestProjectionContract:
+    """The projections skip the copy and the sign rule of sym_eigen but keep
+    its input contract: square, finite, symmetric within SYMMETRY_TOL."""
+
+    @pytest.mark.parametrize("name", sorted(PROJECTIONS))
+    @settings(max_examples=150, deadline=None)
+    @given(a=symmetric_matrices(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_contract(self, name, a, bad):
+        project = PROJECTIONS[name]
+        n = a.shape[0]
+        with pytest.raises(PreconditionError, match="square"):
+            project(np.zeros((n, n + 1)))
+        if n == 0:
+            if name == "low_rank_project":
+                with pytest.raises(PreconditionError, match="exceeds"):
+                    project(a)
+            else:
+                assert project(a).shape == (0, 0)
+            return
+        broken = a.copy()
+        broken[n - 1, 0] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            project(broken)
+        scale = np.abs(a).max()
+        for b in (a, perturbed(a, 0.25 * linalg.SYMMETRY_TOL) if n > 1 else a):
+            out = project(b)
+            assert out.shape == (n, n)
+            assert np.array_equal(out, out.T)
+            assert np.linalg.eigvalsh(out).min() >= -1e-10 * max(scale, 1.0)
+        if n > 1:
+            with pytest.raises(PreconditionError, match="not symmetric"):
+                project(perturbed(a, 100 * linalg.SYMMETRY_TOL))
+
+    def test_min_eig_is_the_smallest_eigenvalue(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 8):
+            a = rng.normal(size=(n, n))
+            a = a + a.T
+            out, min_eig = linalg.psd_project_min_eig(a)
+            assert min_eig == linalg.sym_eigen(a).values[-1]
+            assert np.array_equal(out, linalg.psd_project(a))
+        assert linalg.psd_project_min_eig(np.zeros((0, 0)))[1] == np.inf
+
+    def test_input_not_modified(self):
+        a = np.diag([2.0, -1.0, 0.5])
+        a[0, 2] = a[2, 0] = 0.3
+        before = a.copy()
+        linalg.psd_project(a)
+        linalg.low_rank_project(a, 1)
+        linalg.psd_project_min_eig(a)
+        assert np.array_equal(a, before)
+
+
 class TestLapackFailure:
     @staticmethod
     def _fail(*args, **kwargs):
@@ -273,6 +340,13 @@ class TestLapackFailure:
         monkeypatch.setattr(np.linalg, "eigh", self._fail)
         with pytest.raises(ConvergenceError, match="eigh"):
             linalg.sym_eigen(np.eye(2))
+
+    def test_eigh_in_projections(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", self._fail)
+        for fn in (linalg.psd_project, linalg.psd_project_min_eig,
+                   lambda a: linalg.low_rank_project(a, 1)):
+            with pytest.raises(ConvergenceError, match="eigh"):
+                fn(np.eye(2))
 
     def test_svd(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", self._fail)
@@ -289,6 +363,14 @@ class TestRequireSymmetric:
         out = linalg.require_symmetric(a)
         assert out is not a
         assert np.array_equal(out, 0.5 * (a + a.T))
+
+    def test_result_does_not_alias_input(self):
+        for a in (np.eye(3), np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]]), np.zeros((0, 0))):
+            before = a.copy()
+            out = linalg.require_symmetric(a)
+            assert not np.shares_memory(out, a)
+            out[...] = 7.0
+            assert np.array_equal(a, before)
 
     def test_near_symmetric_symmetrized(self):
         a = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sdcones import data, geometry, linalg, search
+from sdcones import data, dnn, geometry, linalg, search, selfdual
 from sdcones.errors import ParseError, PreconditionError
 
 from conftest import equal_up_to_scaling
@@ -338,6 +338,151 @@ class TestPipeline:
         assert ref1.converged and ref2.converged
         back = ref2.matrix[np.ix_(np.argsort(tau), np.argsort(tau))]
         assert equal_up_to_scaling(ref1.matrix, back, tol=1e-5)
+
+
+# -- the projection path the SDP and refinement loops used before the lean
+# -- projections, kept as an oracle ------------------------------------------
+
+def oracle_reconstruct(eig: linalg.EigenDecomposition, weights: np.ndarray) -> np.ndarray:
+    b = (eig.vectors * weights) @ eig.vectors.T
+    return 0.5 * (b + b.T)
+
+
+def oracle_psd_project(a):
+    eig = linalg.sym_eigen(a)
+    return oracle_reconstruct(eig, np.clip(eig.values, 0.0, None))
+
+
+def oracle_psd_project_min_eig(a):
+    eig = linalg.sym_eigen(a)
+    return oracle_reconstruct(eig, np.clip(eig.values, 0.0, None)), float(eig.values[-1])
+
+
+def oracle_low_rank_project(a, d):
+    eig = linalg.sym_eigen(a)
+    kept = np.zeros(eig.values.shape[0])
+    kept[:d] = np.clip(eig.values[:d], 0.0, None)
+    return oracle_reconstruct(eig, kept)
+
+
+def oracle_affine_project(x, on):
+    y = x.copy()
+    y[~on] = 0.0
+    np.fill_diagonal(y, 1.0)
+    return y
+
+
+def bits_of(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestProjectionOracle:
+    """sym_eigen with its sign rule, np.clip and a copying affine step give
+    the same iterates, bit for bit, as the lean projections."""
+
+    CASES = [
+        ("pentagon", data.pentagon_support, 3),
+        ("prism", data.prism_support, 4),
+        ("selfpolar10", data.ten_support, 4),
+        ("four-cycle", data.four_cycle_support, 3),
+    ]
+
+    @staticmethod
+    def _run(pattern, weights, params):
+        sdp = search.sdp_feasibility(pattern, weights, params)
+        ref = search.rank_refine(sdp.matrix, params.target_rank, params, pattern)
+        return sdp, ref
+
+    @pytest.mark.parametrize("name,support,rank", CASES, ids=[c[0] for c in CASES])
+    def test_bitwise_equal_iterates(self, name, support, rank, monkeypatch):
+        pattern = support()
+        for seed in (0, 1, 5):
+            params = search.SearchParams(target_rank=rank, seed=seed)
+            weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=(pattern.n,) * 2)
+            sdp, ref = self._run(pattern, weights, params)
+            with monkeypatch.context() as mp:
+                mp.setattr(linalg, "psd_project", oracle_psd_project)
+                mp.setattr(linalg, "psd_project_min_eig", oracle_psd_project_min_eig)
+                mp.setattr(linalg, "low_rank_project", oracle_low_rank_project)
+                mp.setattr(search, "_affine_project", oracle_affine_project)
+                sdp_o, ref_o = self._run(pattern, weights, params)
+            assert sdp.iterations == sdp_o.iterations
+            assert bits_of(sdp.objective_trace) == bits_of(sdp_o.objective_trace)
+            assert bits_of(sdp.matrix) == bits_of(sdp_o.matrix)
+            assert sdp.residuals == sdp_o.residuals
+            assert sdp.converged == sdp_o.converged
+            assert ref.iterations == ref_o.iterations
+            assert bits_of(ref.matrix) == bits_of(ref_o.matrix)
+            assert bits_of(ref.rank_residuals) == bits_of(ref_o.rank_residuals)
+            assert bits_of(ref.affine_residuals) == bits_of(ref_o.affine_residuals)
+            assert (ref.converged, ref.reason) == (ref_o.converged, ref_o.reason)
+
+    def test_oracle_was_called(self, monkeypatch):
+        # Guards the test above against patching names the loops never use.
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "psd_project", counted(oracle_psd_project))
+        monkeypatch.setattr(linalg, "psd_project_min_eig", counted(oracle_psd_project_min_eig))
+        monkeypatch.setattr(linalg, "low_rank_project", counted(oracle_low_rank_project))
+        pattern = data.pentagon_support()
+        params = search.SearchParams(target_rank=3)
+        self._run(pattern, np.ones((5, 5)), params)
+        assert set(calls) == {
+            "oracle_psd_project", "oracle_psd_project_min_eig", "oracle_low_rank_project"
+        }
+
+
+# -- one connectivity helper -------------------------------------------------
+
+def closure_connected(mask: np.ndarray) -> bool:
+    """Connectivity by transitive closure: repeated boolean products of
+    I + A until they stop growing."""
+    n = mask.shape[0]
+    reach = (mask | np.eye(n, dtype=bool)).astype(np.int64)
+    while True:
+        grown = ((reach @ reach) > 0).astype(np.int64)
+        if np.array_equal(grown, reach):
+            return bool(reach.all())
+        reach = grown
+
+
+@st.composite
+def adjacency(draw):
+    """Symmetric boolean matrices on 0-9 vertices, sparse or dense, with the
+    diagonal drawn too."""
+    n = draw(st.integers(0, 9))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.uniform(size=(n, n)) < density)
+    return upper | upper.T
+
+
+class TestIsConnected:
+    @settings(max_examples=300, deadline=None)
+    @given(adjacency())
+    def test_matches_transitive_closure(self, mask):
+        expected = closure_connected(mask)
+        assert search.is_connected(mask) is expected
+        # The callers see the same graph through a weighted symmetric matrix.
+        weighted = np.where(mask, 2.0, 0.0) + np.eye(mask.shape[0])
+        assert selfdual.is_irreducible(weighted) is expected
+        if mask.shape[0] == 5:
+            off = mask & ~np.eye(5, dtype=bool)
+            cycle = bool((off.sum(axis=1) == 2).all()) and expected
+            assert dnn._is_cycle5(weighted) is cycle
+
+    def test_small_cases(self):
+        assert search.is_connected(np.zeros((0, 0), dtype=bool))
+        assert search.is_connected(np.zeros((1, 1), dtype=bool))
+        assert not search.is_connected(np.eye(2, dtype=bool))
+        path = np.eye(4, k=1, dtype=bool)
+        assert search.is_connected(path | path.T)
 
 
 class TestSupportIO:
