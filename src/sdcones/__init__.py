@@ -51,10 +51,10 @@ from .dnn import (
     is_dnn,
     verify_congruence,
 )
+from .patterns import SupportPattern
 from .search import (
     Realization,
     SearchParams,
-    SupportPattern,
     extract_realization,
     load_support,
     randomized_retry,

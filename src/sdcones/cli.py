@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -74,36 +74,6 @@ def _json_ready(obj):
     return obj
 
 
-def certify_psd_slack(matrix: np.ndarray, d: int) -> tuple[bool, str]:
-    """Certify that a symmetric PSD matrix is a slack matrix of a self-dual
-    cone by rebuilding the cone from its spectral factor and matching the
-    rebuilt slack's support back to the input.
-    """
-    ok, reasons = geometry.slack_necessary_check(matrix, d)
-    if not ok:
-        return False, "; ".join(reasons)
-    try:
-        cone = geometry.cone_from_factorization(matrix, d)
-        rebuilt = geometry.slack_matrix(cone)
-    except PreconditionError as exc:
-        return False, str(exc)
-    rb = rebuilt.matrix
-    if rb.shape != matrix.shape:
-        return False, (
-            f"rebuilt cone has {rb.shape[1]} facets for {rb.shape[0]} rays; "
-            "not self-dual"
-        )
-    duals = geometry.facet_normals(cone)
-    mapping = geometry.match_generators(cone.generators, duals, tol=1e-7)
-    if mapping is None:
-        return False, "rebuilt dual generators do not match the primal ones"
-    aligned = np.zeros_like(rb)
-    aligned[:, mapping] = rb
-    if not np.array_equal(search.support_of(aligned), search.support_of(matrix)):
-        return False, "rebuilt slack support differs from the input support"
-    return True, "factor-cone round trip reproduces the support"
-
-
 def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> AnalysisReport:
     m = linalg.require_symmetric(matrix)
     if m.min() < 0.0:
@@ -157,7 +127,7 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     certified = False
     detail = "matrix is not PSD"
     if is_psd:
-        certified, detail = certify_psd_slack(m, d)
+        certified, detail = selfdual.certify_psd_slack(m, d)
     results["selfdual_certification"] = {
         "certified": bool(certified),
         "detail": detail,
@@ -235,9 +205,7 @@ def cmd_dual(path: str, tol: float, out: str | None) -> tuple[int, str]:
     normals = geometry.facet_normals(cone, tol)
     if out:
         geometry.save_cone(out, normals)
-    lines = [f"{normals.shape[1]} {normals.shape[0]}"]
-    lines += [" ".join(f"{x:.17g}" for x in row) for row in normals]
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, geometry.cone_text(normals)
 
 
 def cmd_analyze(path: str, d: int, tol: float) -> tuple[int, str]:
@@ -250,15 +218,14 @@ def cmd_verify(path: str, tol: float) -> tuple[int, str]:
     cone = geometry.load_cone(path)
     _require_extreme(cone, tol)
     ok, cert = selfdual.is_self_dual(cone, tol)
-    payload: dict = {"input": path, "self_dual": bool(ok), "version": __version__}
+    payload: dict = {"input": path, "self_dual": bool(ok), "version": __version__,
+                     "certificate": None}
     if cert is not None:
         payload["certificate"] = {
             "permutation": _json_ready(cert.permutation),
             "scaling": _json_ready(cert.scaling),
             "min_eigenvalue": cert.min_eigenvalue,
         }
-    else:
-        payload["certificate"] = None
     return EXIT_OK, json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -270,15 +237,12 @@ def cmd_search(
 ) -> tuple[int, str]:
     bits = search.load_support(path)
     result = search.run_pipeline(bits, params, verify_tol)
-    stem = Path(path).stem
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    transcript_path, cone_path = _search_outputs(path, out_dir)
+    transcript_path.parent.mkdir(parents=True, exist_ok=True)
     transcript = _transcript_payload(path, result)
-    transcript_path = out / f"{stem}_transcript.json"
     transcript_text = json.dumps(transcript, sort_keys=True, indent=2)
     transcript_path.write_text(transcript_text + "\n", encoding="utf-8")
     if result.success:
-        cone_path = out / f"{stem}_realization.cone"
         geometry.save_cone(cone_path, result.realization.generators)
         return EXIT_OK, transcript_text
     if result.sisd_permutation is None:
@@ -286,34 +250,24 @@ def cmd_search(
     raise ConvergenceError(result.failure or "search failed")
 
 
+def _search_outputs(path: str, out_dir: str) -> tuple[Path, Path]:
+    """The transcript and realization files search writes for one input."""
+    out, stem = Path(out_dir), Path(path).stem
+    return out / f"{stem}_transcript.json", out / f"{stem}_realization.cone"
+
+
 def _transcript_payload(path: str, result: search.PipelineResult) -> dict:
     payload: dict = {
         "input": path,
         "version": __version__,
-        "params": result.params.to_dict(),
+        "params": dict(vars(result.params)),
         "success": result.success,
         "failure": result.failure,
         "sisd_permutation": _json_ready(result.sisd_permutation),
     }
     if result.retry is not None:
         payload["attempts"] = [
-            {
-                "index": a.index,
-                "sdp_converged": a.sdp_converged,
-                "sdp_iterations": a.sdp_iterations,
-                "objective": a.objective,
-                "objective_trace": _json_ready(a.objective_trace),
-                "sdp_residuals": _json_ready(a.sdp_residuals),
-                "refine_converged": a.refine_converged,
-                "refine_iterations": a.refine_iterations,
-                "refine_reason": a.refine_reason,
-                "refine_rank_residuals": _json_ready(a.refine_rank_residuals),
-                "refine_affine_residuals": _json_ready(a.refine_affine_residuals),
-                "nonnegative": a.nonnegative,
-                "certified": a.certified,
-                "certify_reason": a.certify_reason,
-            }
-            for a in result.retry.attempts
+            _json_ready(vars(a)) for a in result.retry.attempts
         ]
         if result.retry.matrix is not None:
             payload["refined_matrix"] = _json_ready(result.retry.matrix)
@@ -324,56 +278,39 @@ def _transcript_payload(path: str, result: search.PipelineResult) -> dict:
             "residuals": _json_ready(result.realization.residuals),
         }
     if result.verification is not None:
-        payload["verification"] = {
-            "generator_match": result.verification.generator_match,
-            "support_match": result.verification.support_match,
-            "entries_positive": result.verification.entries_positive,
-            "worst_cosine": result.verification.worst_cosine,
-            "min_structural_ratio": result.verification.min_structural_ratio,
-            "max_off_support_ratio": result.verification.max_off_support_ratio,
-            "details": result.verification.details,
-            "passed": result.verification.passed,
-        }
+        report = result.verification
+        payload["verification"] = dict(vars(report), passed=report.passed)
     return payload
 
 
 EXAMPLE_WRITERS = {
     "pentagon": lambda out: [
-        _write_cone(out / "pentagon_rays.cone", data.pentagon_rays()),
-        _write_matrix(out / "pentagon_slack.mat", data.pentagon_slack()),
-        _write_support(out / "pentagon.support", data.pentagon_support()),
+        _write(out / "pentagon_rays.cone", geometry.save_cone, data.pentagon_rays()),
+        _write(out / "pentagon_slack.mat", geometry.save_matrix, data.pentagon_slack()),
+        _write(out / "pentagon.support", search.save_support, data.pentagon_support().bits),
     ],
     "prism": lambda out: [
-        _write_cone(out / "prism_rays.cone", data.prism_rays()),
-        _write_matrix(out / "prism_slack.mat", data.prism_slack()),
-        _write_support(out / "prism.support", data.prism_support()),
+        _write(out / "prism_rays.cone", geometry.save_cone, data.prism_rays()),
+        _write(out / "prism_slack.mat", geometry.save_matrix, data.prism_slack()),
+        _write(out / "prism.support", search.save_support, data.prism_support().bits),
     ],
-    "nonslack": lambda out: [_write_matrix(out / "nonslack.mat", data.nonslack_extreme_matrix())],
+    "nonslack": lambda out: [
+        _write(out / "nonslack.mat", geometry.save_matrix, data.nonslack_extreme_matrix()),
+    ],
     "congruence": lambda out: [
-        _write_matrix(out / "congruence_a.mat", data.congruence_triple()[0]),
-        _write_matrix(out / "congruence_b.mat", data.congruence_triple()[1]),
-        _write_matrix(out / "congruence_m.mat", data.congruence_triple()[2]),
+        _write(out / f"congruence_{name}.mat", geometry.save_matrix, m)
+        for name, m in zip("abm", data.congruence_triple())
     ],
     "selfpolar10": lambda out: [
-        _write_matrix(out / "selfpolar10_gram.mat", data.ten_gram()),
-        _write_matrix(out / "selfpolar10_w.mat", data.ten_w_transpose()),
-        _write_support(out / "selfpolar10.support", data.ten_support()),
+        _write(out / "selfpolar10_gram.mat", geometry.save_matrix, data.ten_gram()),
+        _write(out / "selfpolar10_w.mat", geometry.save_matrix, data.ten_w_transpose()),
+        _write(out / "selfpolar10.support", search.save_support, data.ten_support().bits),
     ],
 }
 
 
-def _write_cone(path: Path, generators) -> str:
-    geometry.save_cone(path, generators)
-    return str(path)
-
-
-def _write_matrix(path: Path, matrix) -> str:
-    geometry.save_matrix(path, matrix)
-    return str(path)
-
-
-def _write_support(path: Path, pattern: search.SupportPattern) -> str:
-    search.save_support(path, pattern.bits)
+def _write(path: Path, save, value) -> str:
+    save(path, value)
     return str(path)
 
 
@@ -400,29 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, files=True):
-        if files:
-            p.add_argument("inputs", nargs="+", help="input file(s)")
+    def files(name, text):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("inputs", nargs="+", help="input file(s)")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--jobs", type=int, default=1, help="parallel batch inputs")
-        p.add_argument("--out", default=None, help="output file or directory")
+        return p
 
-    p_slack = sub.add_parser("slack", help="slack matrix of a cone file")
-    common(p_slack)
-    p_dual = sub.add_parser("dual", help="Euclidean dual cone of a cone file")
-    common(p_dual)
-    p_analyze = sub.add_parser("analyze", help="full matrix analysis report")
-    common(p_analyze)
+    p_slack = files("slack", "slack matrix of a cone file")
+    p_slack.add_argument("--json", action="store_true", help="JSON output")
+    p_slack.add_argument("--out", default=None, help="also write the matrix here")
+    p_dual = files("dual", "Euclidean dual cone of a cone file")
+    p_dual.add_argument("--out", default=None, help="also write the dual cone here")
+    p_analyze = files("analyze", "full matrix analysis report")
     p_analyze.add_argument("--rank", type=int, required=True, help="cone dimension d")
-    p_verify = sub.add_parser("verify", help="self-duality decision for a cone file")
-    common(p_verify)
-    p_search = sub.add_parser("search", help="self-dual realization search")
-    common(p_search)
+    files("verify", "self-duality decision for a cone file")
+    p_search = files("search", "self-dual realization search")
     p_search.add_argument("--rank", type=int, required=True, help="target rank d")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--retries", type=int, default=20)
     p_search.add_argument("--max-iter", type=int, default=2000)
+    p_search.add_argument("--out", default=".", help="output directory")
     p_examples = sub.add_parser("examples", help="write bundled example data")
     p_examples.add_argument("names", nargs="+", help="example name(s)")
     p_examples.add_argument("--out", default=".", help="output directory")
@@ -449,7 +383,7 @@ def _run_one(args, path: str) -> tuple[int, str]:
             retries=args.retries,
         )
         verify_tol = tol if tol is not None else search.DEFAULT_VERIFY_TOL
-        return cmd_search(path, params, args.out or ".", verify_tol)
+        return cmd_search(path, params, args.out, verify_tol)
     raise AssertionError(f"unhandled command {args.command}")
 
 
@@ -472,6 +406,24 @@ def _settle(run, *args) -> tuple[int, str, bool]:
     return code, text, False
 
 
+def _output_clash(args) -> str | None:
+    """Why the inputs cannot all run, when two of them would write the same
+    output path; None when every output path is written once."""
+    if args.command == "search":
+        targets = [t for p in args.inputs for t in _search_outputs(p, args.out)]
+    elif args.command in ("slack", "dual") and args.out:
+        targets = [Path(args.out)] * len(args.inputs)
+    else:
+        return None
+    for target, count in Counter(targets).items():
+        if count > 1:
+            return (
+                f"{count} inputs would write {target} (--out {args.out}); "
+                "each would overwrite the one before"
+            )
+    return None
+
+
 def main(argv=None) -> int:
     """Run one subcommand.  Every input gets its own result: outputs are
     printed in input order, each failure's message goes to stderr, and the
@@ -482,17 +434,11 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     if args.command == "examples":
         outcomes = [_settle(cmd_examples, name, args.out) for name in args.names]
-    elif args.command in ("slack", "dual") and args.out and len(args.inputs) > 1:
-        print(
-            f"precondition failure: --out names one file but {len(args.inputs)} "
-            "inputs were given; each would overwrite the one before",
-            file=sys.stderr,
-        )
-        return EXIT_PRECONDITION
-    elif args.jobs > 1 and len(args.inputs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(lambda p: _settle(_run_one, args, p), args.inputs))
     else:
+        clash = _output_clash(args)
+        if clash is not None:
+            print(f"precondition failure: {clash}", file=sys.stderr)
+            return EXIT_PRECONDITION
         outcomes = [_settle(_run_one, args, p) for p in args.inputs]
     for _, text, failed in outcomes:
         print(text, file=sys.stderr if failed else sys.stdout)

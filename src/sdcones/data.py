@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .search import SupportPattern, support_of
+from .patterns import SupportPattern, support_of
 
 
 def pentagon_rays() -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConvergenceError, PreconditionError
-from .search import is_connected, support_of
+from .patterns import is_connected, support_of
 
 DEFAULT_DNN_TOL = 1e-9
 
@@ -73,9 +73,7 @@ def _sym_basis_images(x: np.ndarray) -> list[np.ndarray]:
 def _intersection_dim(a: np.ndarray, eig: linalg.EigenDecomposition, k: int) -> int:
     """dim(W1 ∩ W2) for the rank-k factor from the top-k eigenpairs."""
     n = a.shape[0]
-    vals = np.clip(eig.values[:k], 0.0, None)
-    x = eig.vectors[:, :k] * np.sqrt(vals)
-    images = _sym_basis_images(x)
+    images = _sym_basis_images(eig.factor(k))
     zero_mask = ~support_of(a)
     zeros = [(i, j) for i in range(n) for j in range(i, n) if zero_mask[i, j]]
     if not zeros:

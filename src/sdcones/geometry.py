@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import ParseError, PreconditionError
+from .patterns import support_of
 
 # Two directions count as the same ray when their cosine reaches this.
 DUPLICATE_COSINE = 1.0 - 1e-9
@@ -50,17 +53,11 @@ class PolyhedralCone:
         norms = np.sqrt((g * g).sum(axis=1))
         if np.any(norms < 1e-300):
             raise PreconditionError("zero generator is not a valid ray")
-        g = g / norms[:, None]
-        keep: list[int] = []
-        for i in range(g.shape[0]):
-            dup = False
-            for j in keep:
-                if float(g[i] @ g[j]) >= DUPLICATE_COSINE:
-                    dup = True
-                    break
-            if not dup:
-                keep.append(i)
-        self.generators = g[keep]
+        rows: list[np.ndarray] = []
+        for row in g / norms[:, None]:
+            if not _contains_direction(rows, row):
+                rows.append(row)
+        self.generators = np.array(rows)
 
     @property
     def dim(self) -> int:
@@ -219,16 +216,7 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
     entries below ZERO_CLAMP are clamped to exact zero so pattern logic can
     compare supports without tolerance bookkeeping.
     """
-    normals = facet_normals(cone, tol)
-    m = cone.generators @ normals.T
-    if m.min() < -ZERO_CLAMP:
-        raise PreconditionError(
-            f"negative slack entry {m.min():.3e}; generators are not extreme "
-            "rays of a pointed cone at this tolerance"
-        )
-    m = m.copy()
-    m[m < ZERO_CLAMP] = 0.0
-    _validate_slack(m, cone.dim)
+    m = clamped_slack(cone.generators @ facet_normals(cone, tol).T, cone.dim)
     return SlackMatrix(
         matrix=m,
         cone_dim=cone.dim,
@@ -237,43 +225,43 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
     )
 
 
-def _validate_slack(m: np.ndarray, d: int) -> None:
-    if np.any((m != 0.0).sum(axis=1) == 0):
-        raise PreconditionError("slack matrix has a zero row")
-    if np.any((m != 0.0).sum(axis=0) == 0):
-        raise PreconditionError("slack matrix has a zero column")
-    patterns = {tuple(row) for row in (m != 0.0)}
-    if len(patterns) < m.shape[0]:
-        raise PreconditionError("two slack rows share the same zero pattern")
-    r = linalg.numeric_rank(m)
-    if r != d:
-        raise PreconditionError(f"slack matrix has rank {r}, expected {d}")
-
-
-def slack_necessary_check(m, d: int) -> tuple[bool, list[str]]:
-    """Pattern-based necessary conditions for being a slack matrix in R^d.
-
-    Checks rank d, at least d-1 zeros per row, no zero rows/columns and no
-    duplicated row zero-patterns; returns (verdict, reasons for rejection).
-    """
-    a = linalg.as_matrix(m)
-    if a.size == 0:
-        return False, ["empty matrix"]
-    if a.min() < 0.0:
-        raise PreconditionError("slack candidates must be nonnegative")
-    scale = a.max()
-    nz = a > (ZERO_CLAMP * max(scale, 1e-300))
-    reasons: list[str] = []
-    r = linalg.numeric_rank(a)
-    if r != d:
-        reasons.append(f"rank is {r}, expected {d}")
-    zero_counts = (~nz).sum(axis=1)
-    bad_rows = np.nonzero(zero_counts < d - 1)[0]
-    for i in bad_rows:
-        reasons.append(
-            f"row {i} has only {int(zero_counts[i])} zeros, "
-            f"need at least {d - 1}"
+def clamped_slack(m: np.ndarray, d: int) -> np.ndarray:
+    """Generator-by-facet products of a cone in R^d, entries below ZERO_CLAMP
+    set to zero; PreconditionError unless they pass slack_pattern_reasons."""
+    if m.min() < -ZERO_CLAMP:
+        raise PreconditionError(
+            f"negative slack entry {m.min():.3e}; generators are not extreme "
+            "rays of a pointed cone at this tolerance"
         )
+    m = m.copy()
+    m[m < ZERO_CLAMP] = 0.0
+    reasons = slack_pattern_reasons(m, d)
+    if reasons:
+        raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
+    return m
+
+
+def slack_pattern_reasons(m: np.ndarray, d: int | None = None) -> list[str]:
+    """Why a nonnegative matrix cannot be a slack matrix in R^d (no reasons
+    when it passes): the checks of slack_necessary_check, without rank and
+    zeros per row when d is None.  Negative entries raise PreconditionError.
+    """
+    if m.size == 0:
+        return ["empty matrix"]
+    if m.min() < 0.0:
+        raise PreconditionError("slack candidates must be nonnegative")
+    nz = support_of(m)
+    reasons: list[str] = []
+    if d is not None:
+        r = linalg.numeric_rank(m)
+        if r != d:
+            reasons.append(f"rank is {r}, expected {d}")
+        zero_counts = (~nz).sum(axis=1)
+        for i in np.nonzero(zero_counts < d - 1)[0]:
+            reasons.append(
+                f"row {i} has only {int(zero_counts[i])} zeros, "
+                f"need at least {d - 1}"
+            )
     if np.any(nz.sum(axis=1) == 0):
         reasons.append("matrix has a zero row")
     if np.any(nz.sum(axis=0) == 0):
@@ -284,6 +272,16 @@ def slack_necessary_check(m, d: int) -> tuple[bool, list[str]]:
             reasons.append(f"rows {seen[row]} and {i} share the same zero pattern")
         else:
             seen[row] = i
+    return reasons
+
+
+def slack_necessary_check(m, d: int) -> tuple[bool, list[str]]:
+    """Pattern-based necessary conditions for being a slack matrix in R^d.
+
+    Checks rank d, at least d-1 zeros per row, no zero rows/columns and no
+    duplicated row zero-patterns; returns (verdict, reasons for rejection).
+    """
+    reasons = slack_pattern_reasons(linalg.as_matrix(m), d)
     return (not reasons), reasons
 
 
@@ -319,11 +317,22 @@ def cone_from_factorization(m, d: int) -> PolyhedralCone:
     if r != d:
         raise PreconditionError(f"matrix has numeric rank {r}, expected {d}")
     eig = linalg.sym_eigen(a)
-    vals = np.clip(eig.values[:d], 0.0, None)
-    if vals.min() <= 0.0:
+    if eig.values[d - 1] <= 0.0:
         raise PreconditionError("matrix is not PSD of the requested rank")
-    x = eig.vectors[:, :d] * np.sqrt(vals)
-    return PolyhedralCone(x)
+    return PolyhedralCone(eig.factor(d))
+
+
+def _cosine_match(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray | None, float]:
+    """match_generators' mapping (or None) and the worst cosine of each row
+    of b with its most similar row of a (0.0 when the shapes differ)."""
+    if a.shape != b.shape:
+        return None, 0.0
+    cos = b @ a.T
+    mapping = np.argmax(cos, axis=1)
+    worst = float(cos[np.arange(b.shape[0]), mapping].min())
+    if len(set(mapping.tolist())) != a.shape[0] or worst < 1.0 - tol:
+        return None, worst
+    return mapping, worst
 
 
 def match_generators(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | None:
@@ -333,15 +342,32 @@ def match_generators(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | N
     at least 1 - tol, or None when no bijective matching exists.  Inputs are
     expected row-normalized.
     """
-    if a.shape != b.shape:
-        return None
-    cos = b @ a.T
-    mapping = np.argmax(cos, axis=1)
-    if len(set(mapping.tolist())) != a.shape[0]:
-        return None
-    if cos[np.arange(b.shape[0]), mapping].min() < 1.0 - tol:
-        return None
-    return mapping
+    return _cosine_match(a, b, tol)[0]
+
+
+class RoundTrip(NamedTuple):
+    mapping: np.ndarray | None
+    worst_cosine: float
+    slack: np.ndarray
+
+
+def dual_round_trip(cone: PolyhedralCone, tol: float, match_tol: float) -> RoundTrip:
+    """A cone's unclamped slack against its own Euclidean dual, from one scan.
+
+    The facet normals (at tol) are matched to the generators by cosine, as in
+    match_generators at match_tol, with the worst cosine reported.  When the
+    match exists the cone is self-dual and slack column i is the normal
+    matched to generator i; otherwise the columns follow the scan.
+    """
+    gens = cone.generators
+    normals = facet_normals(cone, tol)
+    mapping, worst = _cosine_match(gens, normals, match_tol)
+    slack = gens @ normals.T
+    if mapping is not None:
+        aligned = np.zeros_like(slack)
+        aligned[:, mapping] = slack
+        slack = aligned
+    return RoundTrip(mapping, worst, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +375,18 @@ def match_generators(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | N
 # "rows cols" header then the rows.  17 significant digits round-trip floats.
 # ---------------------------------------------------------------------------
 
-def _format_row(row) -> str:
-    return " ".join(f"{x:.17g}" for x in row)
+def _rows_text(header: str, rows: np.ndarray) -> str:
+    return "\n".join([header] + [" ".join(f"{x:.17g}" for x in row) for row in rows])
+
+
+def cone_text(generators) -> str:
+    """The text of a cone file, without its final newline."""
+    g = linalg.as_matrix(generators)
+    return _rows_text(f"{g.shape[1]} {g.shape[0]}", g)
 
 
 def save_cone(path, generators) -> None:
-    g = linalg.as_matrix(generators)
-    lines = [f"{g.shape[1]} {g.shape[0]}"]
-    lines += [_format_row(row) for row in g]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text(cone_text(generators) + "\n", encoding="utf-8")
 
 
 def load_cone(path) -> PolyhedralCone:
@@ -368,17 +396,17 @@ def load_cone(path) -> PolyhedralCone:
 
 def save_matrix(path, matrix) -> None:
     m = linalg.as_matrix(matrix)
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    lines += [_format_row(row) for row in m]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = _rows_text(f"{m.shape[0]} {m.shape[1]}", m)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_matrix(path) -> np.ndarray:
     return _load_numeric(path, kind="matrix")
 
 
-def _load_numeric(path, kind: str) -> np.ndarray:
+def read_lines(path, kind: str) -> list[str]:
+    """The stripped nonblank lines of a text file; ParseError when it cannot
+    be read or holds none.  kind names the format in messages."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = [ln.strip() for ln in fh if ln.strip()]
@@ -386,6 +414,11 @@ def _load_numeric(path, kind: str) -> np.ndarray:
         raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
     if not raw:
         raise ParseError(f"{kind} file {path} is empty")
+    return raw
+
+
+def _load_numeric(path, kind: str) -> np.ndarray:
+    raw = read_lines(path, kind)
     head = raw[0].split()
     if len(head) != 2:
         raise ParseError(f"{kind} file {path}: header must hold two integers")

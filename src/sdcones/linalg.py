@@ -86,6 +86,11 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
+    def factor(self, k: int) -> np.ndarray:
+        """The top-k eigenvectors scaled by the square roots of their
+        eigenvalues clipped at 0: X with X X^T the top-k spectral part."""
+        return self.vectors[:, :k] * np.sqrt(np.clip(self.values[:k], 0.0, None))
+
 
 def _positive_leading(vecs: np.ndarray) -> np.ndarray:
     """Negate each column whose first component above 1e-12 in magnitude is

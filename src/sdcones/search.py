@@ -17,10 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, linalg
-from .errors import ConvergenceError, ParseError, PreconditionError
-
-# Relative threshold deciding which entries count as structural zeros.
-SUPPORT_CLAMP = 1e-10
+from .errors import ParseError, PreconditionError
+from .patterns import (
+    SUPPORT_CLAMP,
+    SupportPattern,
+    involution_permutations,
+    is_connected,
+    support_of,
+)
 
 # Success gates for the refined Gram matrix, matching the magnitudes the
 # numerical experiments produce: structural entries clear 1e-4, trailing
@@ -30,64 +34,6 @@ TRAILING_EIG_TOL = 1e-8
 REFINE_STOP_TOL = 1e-12
 
 DEFAULT_VERIFY_TOL = 1e-6
-
-# Nodes (columns tried) one involution_permutations enumeration may visit.
-# Forward checking needs 2 162 on the regular 17-gon and 126 483 on the 51-gon.
-INVOLUTION_NODE_BUDGET = 1_000_000
-
-
-def support_of(a, rel: float = SUPPORT_CLAMP) -> np.ndarray:
-    """Boolean support of a matrix, zeros decided relative to the max entry."""
-    m = np.abs(linalg.as_matrix(a))
-    scale = m.max() if m.size else 0.0
-    if scale <= 0.0:
-        return np.zeros(m.shape, dtype=bool)
-    return m > rel * scale
-
-
-def is_connected(mask: np.ndarray) -> bool:
-    """Connectivity of the graph with the symmetric boolean adjacency matrix
-    mask (diagonal entries are ignored); the graph on no vertices counts as
-    connected.  Breadth-first search, one numpy step per level."""
-    seen = np.zeros(mask.shape[0], dtype=bool)
-    seen[:1] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = mask[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
-
-
-@dataclass(frozen=True)
-class SupportPattern:
-    """Symmetric 0/1 matrix with unit diagonal: the combinatorial input."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.bits)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise PreconditionError("support pattern must be square")
-        if not np.isin(b, (0, 1)).all():
-            raise PreconditionError("support pattern entries must be 0 or 1")
-        b = b.astype(np.uint8)
-        if np.any(b != b.T):
-            raise PreconditionError("support pattern must be symmetric")
-        if np.any(np.diag(b) != 1):
-            raise PreconditionError("support pattern must have a unit diagonal")
-        object.__setattr__(self, "bits", b)
-
-    @property
-    def n(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.bits.astype(bool)
-
-    @classmethod
-    def from_matrix(cls, a, rel: float = SUPPORT_CLAMP) -> "SupportPattern":
-        return cls(support_of(a, rel).astype(np.uint8))
 
 
 @dataclass
@@ -116,80 +62,10 @@ class SearchParams:
         if self.step_size is not None and self.step_size <= 0.0:
             raise PreconditionError("step_size must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "target_rank": self.target_rank,
-            "max_iter": self.max_iter,
-            "step_size": self.step_size,
-            "psd_tol": self.psd_tol,
-            "support_tol": self.support_tol,
-            "rank_tol": self.rank_tol,
-            "seed": self.seed,
-            "retries": self.retries,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Strongly involutive combinatorial self-duality.
 # ---------------------------------------------------------------------------
-
-def involution_permutations(s: np.ndarray):
-    """Yield all column permutations sigma with S[i, sigma(j)] == S[j, sigma(i)]
-    for all i, j and S[i, sigma(i)] == 1, in lexicographic order.
-
-    Backtracking with forward checking (Haralick & Elliott, 1980).  Each row
-    starts with a domain of candidate columns: a nonzero of its own, with
-    matching nonzero count and matching degree multiset of its support (the
-    same invariants a graph-isomorphism search would use).  Placing
-    sigma[j] = c leaves every later row r only the columns c' with
-    S[j, c'] == S[r, c], minus c itself, and the search backtracks as soon as
-    some later row has no column left; so every column tried is consistent
-    with all rows placed before it.  Rows are placed in their fixed order
-    0..n-1 and each row tries its columns in increasing order, which keeps
-    the output lexicographic.
-
-    Each column tried counts as one node.  More than INVOLUTION_NODE_BUDGET
-    nodes in one enumeration raise ConvergenceError instead of running on.
-    """
-    n = s.shape[0]
-    row_counts = s.sum(axis=1)
-    col_counts = s.sum(axis=0)
-    # Position j ends up as row j of the permuted matrix; its column in the
-    # symmetric result must have rowcount(j) entries.
-    row_profile = [
-        tuple(sorted(col_counts[np.nonzero(s[j])[0]])) for j in range(n)
-    ]
-    col_profile = [
-        tuple(sorted(row_counts[np.nonzero(s[:, c])[0]])) for c in range(n)
-    ]
-    same_profile = np.array(
-        [[cp == rp for cp in col_profile] for rp in row_profile], dtype=bool
-    ).reshape(n, n)
-    domain = (s == 1) & (row_counts[:, None] == col_counts[None, :]) & same_profile
-    sigma = np.full(n, -1, dtype=int)
-    nodes = 0
-
-    def extend(j: int, dom: np.ndarray):
-        # dom[r - j] holds the columns still open to row r >= j.
-        nonlocal nodes
-        if j == n:
-            yield sigma.copy()
-            return
-        for c in np.flatnonzero(dom[0]):
-            nodes += 1
-            if nodes > INVOLUTION_NODE_BUDGET:
-                raise ConvergenceError(
-                    f"involution search on {n} rows visited {nodes} nodes, "
-                    f"over the budget of {INVOLUTION_NODE_BUDGET}"
-                )
-            rest = dom[1:] & (s[j] == s[j + 1:, c, None])
-            rest[:, c] = False
-            if rest.any(axis=1).all():
-                sigma[j] = c
-                yield from extend(j + 1, rest)
-
-    yield from extend(0, domain)
-
 
 def sisd_check(s) -> np.ndarray | None:
     """First column permutation making the support symmetric with a nonzero
@@ -510,9 +386,7 @@ def extract_realization(x, d: int) -> Realization:
     r = linalg.numeric_rank(a)
     if r != d:
         raise PreconditionError(f"matrix has numeric rank {r}, expected {d}")
-    eig = linalg.sym_eigen(a)
-    vals = np.clip(eig.values[:d], 0.0, None)
-    factor = eig.vectors[:, :d] * np.sqrt(vals)
+    factor = linalg.sym_eigen(a).factor(d)
     if diagonal:
         # Diagonal Gram: the factor rows are already mutually orthogonal
         # generators of an orthant image; there is no Perron rescaling.
@@ -573,36 +447,24 @@ def verify_realization(
     """
     details: list[str] = []
     cone = real.cone
-    gens = cone.generators
     if cone.n_rays != pattern.n:
         return VerificationReport(
             False, False, False, 0.0, 0.0, 1.0,
             [f"{cone.n_rays} generators for a {pattern.n}-point support"],
         )
     try:
-        duals = geometry.facet_normals(cone, tol)
+        trip = geometry.dual_round_trip(cone, tol, tol)
     except PreconditionError as exc:
         return VerificationReport(False, False, False, 0.0, 0.0, 1.0, [str(exc)])
-
-    worst = 0.0
-    mapping = None
-    if duals.shape[0] == gens.shape[0]:
-        cos = duals @ gens.T
-        cand = np.argmax(cos, axis=1)
-        worst = float(cos[np.arange(duals.shape[0]), cand].min())
-        if len(set(cand.tolist())) == gens.shape[0] and worst >= 1.0 - tol:
-            mapping = cand
-    gen_match = mapping is not None
-    if not gen_match:
+    worst = trip.worst_cosine
+    if trip.mapping is None:
         details.append(
             f"dual generators do not match primal generators bijectively "
-            f"({duals.shape[0]} facets, worst cosine {worst:.12f})"
+            f"({trip.slack.shape[1]} facets, worst cosine {worst:.12f})"
         )
         return VerificationReport(False, False, False, worst, 0.0, 1.0, details)
 
-    raw = gens @ duals.T
-    aligned = np.zeros_like(raw)
-    aligned[:, mapping] = raw
+    aligned = trip.slack
     scale = aligned.max()
     on = pattern.mask
     off_max = float(np.abs(aligned[~on]).max() / scale) if (~on).any() else 0.0
@@ -700,13 +562,7 @@ def save_support(path, bits) -> None:
 
 
 def load_support(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise ParseError(f"cannot read support file {path}: {exc}") from exc
-    if not raw:
-        raise ParseError(f"support file {path} is empty")
+    raw = geometry.read_lines(path, "support")
     try:
         n = int(raw[0])
     except ValueError as exc:

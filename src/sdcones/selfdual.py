@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry, linalg
 from .errors import PreconditionError
-from .search import involution_permutations, is_connected, support_of
+from .patterns import involution_permutations, is_connected, support_of
 
 # Cycle-consistency tolerance for the scaling equations (relative).
 SCALING_CYCLE_TOL = 1e-8
@@ -27,6 +27,10 @@ PSD_EIG_TOL = 1e-9
 
 # Symmetry tolerance of the scaled matrix, relative to its largest entry.
 SCALED_SYMMETRY_TOL = 1e-9
+
+# certify_psd_slack matches the rebuilt cone's facet normals to its
+# generators when their cosine reaches 1 minus this.
+ROUND_TRIP_MATCH_TOL = 1e-7
 
 
 @dataclass
@@ -43,24 +47,6 @@ class PsdSlackCertificate:
     scaling: np.ndarray
     psd_matrix: np.ndarray
     min_eigenvalue: float
-
-
-def _as_slack_array(slack) -> np.ndarray:
-    if isinstance(slack, geometry.SlackMatrix):
-        m = slack.matrix
-    else:
-        m = linalg.as_matrix(slack)
-    if m.size == 0:
-        raise PreconditionError("empty slack matrix")
-    if m.min() < 0.0:
-        raise PreconditionError("slack matrix must be nonnegative")
-    nz = support_of(m)
-    if np.any(nz.sum(axis=1) == 0) or np.any(nz.sum(axis=0) == 0):
-        raise PreconditionError("slack matrix has a zero row or column")
-    patterns = {tuple(row) for row in nz}
-    if len(patterns) < m.shape[0]:
-        raise PreconditionError("two slack rows share the same zero pattern")
-    return m
 
 
 def _solve_scaling(n_mat: np.ndarray) -> np.ndarray | None:
@@ -104,12 +90,18 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
 
     Absence is returned only after every support-compatible permutation has
     been tried; an enumeration that would exceed
-    search.INVOLUTION_NODE_BUDGET raises ConvergenceError instead.  The first
+    patterns.INVOLUTION_NODE_BUDGET raises ConvergenceError instead.  The first
     certificate in lexicographic permutation order is returned, with the
     gauge freedom fixed so the PSD matrix's largest diagonal entry equals the
     largest diagonal entry of the input.
     """
-    m = _as_slack_array(slack)
+    if isinstance(slack, geometry.SlackMatrix):
+        m = slack.matrix
+    else:
+        m = linalg.as_matrix(slack)
+    reasons = geometry.slack_pattern_reasons(m)  # the checks that need no d
+    if reasons:
+        raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
     if m.shape[0] != m.shape[1]:
         return None
     z = support_of(m).astype(np.uint8)
@@ -158,6 +150,34 @@ def is_self_dual(
         return False, None
     cert = find_psd_scaling(slack)
     return cert is not None, cert
+
+
+def certify_psd_slack(matrix: np.ndarray, d: int) -> tuple[bool, str]:
+    """Certify that a symmetric PSD matrix is a slack matrix of a self-dual
+    cone by rebuilding the cone from its spectral factor and matching the
+    rebuilt slack's support back to the input.
+    """
+    ok, reasons = geometry.slack_necessary_check(matrix, d)
+    if not ok:
+        return False, "; ".join(reasons)
+    try:
+        cone = geometry.cone_from_factorization(matrix, d)
+        trip = geometry.dual_round_trip(
+            cone, geometry.DEFAULT_FACET_TOL, ROUND_TRIP_MATCH_TOL
+        )
+        rebuilt = geometry.clamped_slack(trip.slack, d)
+    except PreconditionError as exc:
+        return False, str(exc)
+    if rebuilt.shape != matrix.shape:
+        return False, (
+            f"rebuilt cone has {rebuilt.shape[1]} facets for {rebuilt.shape[0]} "
+            "rays; not self-dual"
+        )
+    if trip.mapping is None:
+        return False, "rebuilt dual generators do not match the primal ones"
+    if not np.array_equal(support_of(rebuilt), support_of(matrix)):
+        return False, "rebuilt slack support differs from the input support"
+    return True, "factor-cone round trip reproduces the support"
 
 
 def is_irreducible(a) -> bool:

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sdcones import cli, data, dnn, geometry, search
+from sdcones import cli, data, dnn, geometry, patterns, search
 
 from conftest import equal_up_to_scaling, match_columns_by_pattern, support_pattern_of
 
@@ -204,7 +204,7 @@ class TestVerifyCommand:
         assert payload["certificate"]["min_eigenvalue"] >= -1e-9
 
     def test_node_budget_exits_3(self, workdir, capsys, monkeypatch):
-        monkeypatch.setattr(search, "INVOLUTION_NODE_BUDGET", 100)
+        monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 100)
         cone = geometry.cone_over_polytope(data.regular_polygon_vertices(17))
         geometry.save_cone(workdir / "g17.cone", cone.generators)
         code, out, err = run_cli(capsys, "verify", "g17.cone")
@@ -274,10 +274,10 @@ class TestBatch:
         geometry.save_cone(workdir / "a.cone", np.eye(2))
         geometry.save_cone(workdir / "b.cone", np.eye(3))
         code, out, _ = run_cli(
-            capsys, "verify", "a.cone", "b.cone", "--jobs", "2"
+            capsys, "verify", "a.cone", "b.cone"
         )
         assert code == 0
-        # Outputs are concatenated in input order regardless of worker timing.
+        # Outputs are printed in input order.
         assert out.index("a.cone") < out.index("b.cone")
 
     def test_determinism(self, workdir, capsys):
@@ -330,8 +330,7 @@ class TestMultipleInputs:
 
     def test_jobs_keep_every_result(self, workdir, capsys):
         geometry.save_cone(workdir / "a.cone", np.eye(2))
-        code, out, err = run_cli(capsys, "verify", "a.cone", "nope.cone", "a.cone",
-                                 "--jobs", "2")
+        code, out, err = run_cli(capsys, "verify", "a.cone", "nope.cone", "a.cone")
         assert code == cli.EXIT_PARSE
         assert [d["input"] for d in json_documents(out)] == ["a.cone", "a.cone"]
         assert "nope.cone" in err
@@ -350,3 +349,52 @@ class TestMultipleInputs:
         assert code == 0 and (workdir / "x.mat").exists()
         code, out, _ = run_cli(capsys, command, "a.cone", "b.cone")
         assert code == 0 and out.count("\n") >= 2
+
+    def test_search_outputs_of_one_stem_rejected(self, workdir, capsys):
+        for sub in ("a", "b", "c"):
+            (workdir / sub).mkdir()
+            search.save_support(workdir / sub / "p.support", data.pentagon_support().bits)
+        code, out, err = run_cli(capsys, "search", "a/p.support", "b/p.support",
+                                 "--rank", "3", "--out", "o")
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert "--out" in err and "2 inputs" in err
+        assert not (workdir / "o").exists()
+        # Distinct stems write distinct files and still run.
+        (workdir / "c" / "p.support").rename(workdir / "c" / "q.support")
+        code, _, _ = run_cli(capsys, "search", "a/p.support", "c/q.support",
+                             "--rank", "3", "--out", "o")
+        assert code == 0
+        assert sorted(f.name for f in (workdir / "o").iterdir()) == [
+            "p_realization.cone", "p_transcript.json",
+            "q_realization.cone", "q_transcript.json",
+        ]
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "c.cone", "--json"],
+        ["analyze", "m.mat", "--rank", "3", "--out", "o"],
+        ["verify", "c.cone", "--jobs", "2"],
+    ])
+    def test_flag_of_another_subcommand_rejected(self, workdir, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_PRECONDITION
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("name, argv", [
+        ("c.cone", ["verify"]),
+        ("m.mat", ["analyze", "--rank", "3"]),
+        ("p.support", ["search", "--rank", "3"]),
+    ])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_missing_or_empty_file_exit_4(self, workdir, capsys, name, argv, empty):
+        if empty:
+            (workdir / name).write_text("\n  \n")
+        code, out, err = run_cli(capsys, argv[0], name, *argv[1:])
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert ("is empty" if empty else "cannot read") in err

@@ -215,6 +215,14 @@ class TestSlackMatrix:
             patterns = {tuple(row) for row in (sm.matrix != 0.0)}
             assert len(patterns) == sm.matrix.shape[0]
 
+    def test_non_extreme_generator_rejected(self):
+        # The midpoint of an edge lies on one facet of a 3-dimensional cone,
+        # short of the d - 1 = 2 zeros every extreme ray's row has.
+        square = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, -1], [1, -1, 1]])
+        cone = geometry.PolyhedralCone(np.vstack([square, [1.0, 1, 0]]))
+        with pytest.raises(PreconditionError, match="row 4 has only 1 zeros"):
+            geometry.slack_matrix(cone)
+
     def test_invariance_under_isomorphism(self, pentagon_rays):
         rng = np.random.default_rng(29)
         cone = geometry.PolyhedralCone(pentagon_rays)
@@ -311,6 +319,28 @@ class TestConeFromFactorization:
     def test_wrong_rank_rejected(self, pentagon_slack):
         with pytest.raises(PreconditionError, match="rank"):
             geometry.cone_from_factorization(pentagon_slack, 2)
+
+
+class TestDualRoundTrip:
+    def test_self_dual_cone_aligns_columns(self, pentagon_slack):
+        cone = geometry.cone_from_factorization(pentagon_slack, 3)
+        trip = geometry.dual_round_trip(cone, geometry.DEFAULT_FACET_TOL, 1e-7)
+        assert trip.mapping is not None and trip.worst_cosine >= 1.0 - 1e-7
+        # Column i belongs to the facet matched to generator i, so the
+        # aligned slack is symmetric, as the pentagon slack is.
+        assert np.abs(trip.slack - trip.slack.T).max() <= 1e-9
+        assert np.array_equal(
+            support_pattern_of(trip.slack), support_pattern_of(pentagon_slack)
+        )
+
+    def test_square_cone_has_no_match(self):
+        square = geometry.cone_over_polytope(
+            np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        )
+        trip = geometry.dual_round_trip(square, geometry.DEFAULT_FACET_TOL, 1e-7)
+        assert trip.mapping is None
+        assert abs(trip.worst_cosine - np.sqrt(2.0 / 3.0)) <= 1e-12
+        assert trip.slack.shape == (4, 4) and trip.slack.min() >= -1e-12
 
 
 class TestFileFormats:

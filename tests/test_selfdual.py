@@ -51,7 +51,7 @@ class TestFindPsdScaling:
     def test_malformed_slack_rejected(self):
         with pytest.raises(PreconditionError):
             selfdual.find_psd_scaling(np.array([[1.0, 0.0], [-1.0, 1.0]]))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="zero column"):
             selfdual.find_psd_scaling(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
     def test_non_square_absent(self):
@@ -169,3 +169,22 @@ class TestSimplicial:
         m[1, 0] = 2.0
         m[2, 1] = 3.0
         assert selfdual.is_simplicial(m)
+
+
+class TestCertifyPsdSlack:
+    def test_prism_scans_facets_once(self, prism_slack, monkeypatch):
+        scans = []
+        scan = geometry._facet_scan
+
+        def counted(*args):
+            scans.append(1)
+            return scan(*args)
+
+        monkeypatch.setattr(geometry, "_facet_scan", counted)
+        ok, detail = selfdual.certify_psd_slack(prism_slack, 4)
+        assert ok, detail
+        assert len(scans) == 1
+
+    def test_nonslack_reasons(self, nonslack_extreme):
+        ok, detail = selfdual.certify_psd_slack(nonslack_extreme, 4)
+        assert not ok and "only 2 zeros" in detail
