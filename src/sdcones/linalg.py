@@ -6,10 +6,13 @@ The factorizations are LAPACK calls through numpy.linalg; this module adds
 the package's contract on top: validated input, eigenvalues in descending
 order, singular values padded to one per column, and LAPACK failures raised
 as ConvergenceError.  sym_eigen and null_space return bases, so they fix the
-sign of every basis vector.  The projections psd_project, low_rank_project
-and psd_project_min_eig return V diag(w) V^T, in which the sign of each
-column of V cancels exactly, so they skip the sign rule.  All functions are
-pure; there is no shared mutable state.
+sign of every basis vector.  The SVD, the padding, the null-direction rule
+and the sign rule also take stacks of matrices: null_space is the one-matrix
+case of null_directions, which the facet scan calls on a stack of subsets,
+so both share one batched null-vector rule.  The projections psd_project,
+low_rank_project and psd_project_min_eig return V diag(w) V^T, in which the
+sign of each column of V cancels exactly, so they skip the sign rule.  All
+functions are pure; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -95,8 +98,10 @@ class EigenDecomposition:
 def _positive_leading(vecs: np.ndarray) -> np.ndarray:
     """Negate each column whose first component above 1e-12 in magnitude is
     negative, so the sign of every basis vector is fixed.  Columns are
-    orthonormal, so each has such a component."""
-    lead = vecs[(np.abs(vecs) > 1e-12).argmax(axis=0), np.arange(vecs.shape[1])]
+    orthonormal, so each has such a component.  vecs may carry leading batch
+    axes; the rule acts on the columns of each matrix."""
+    first = (np.abs(vecs) > 1e-12).argmax(axis=-2)[..., None, :]
+    lead = np.take_along_axis(vecs, first, axis=-2)
     return np.where(lead < 0.0, -vecs, vecs)
 
 
@@ -127,7 +132,8 @@ def sym_eigen(a) -> EigenDecomposition:
 
 def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values descending, padded with zeros to one per column, and
-    the full set of right singular vectors as columns.
+    the full set of right singular vectors as columns.  m may carry leading
+    batch axes; LAPACK factors each matrix on its own.
 
     The padding keeps the null directions of a wide matrix (fewer rows than
     columns) paired with zero singular values.
@@ -136,9 +142,9 @@ def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, s, vt = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    sv = np.zeros(m.shape[1])
-    sv[: s.size] = s
-    return sv, vt.T
+    sv = np.zeros(m.shape[:-2] + m.shape[-1:])
+    sv[..., : s.shape[-1]] = s
+    return sv, np.swapaxes(vt, -1, -2)
 
 
 def singular_values(a) -> np.ndarray:
@@ -154,19 +160,32 @@ def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def null_space(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the right null space, one basis vector per column.
+def null_directions(
+    stack: np.ndarray, tol: float = DEFAULT_RANK_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Null spaces of a stack of finite matrices (leading batch axes, at
+    least one column each) as (nullity, vectors).
 
-    A direction counts as null when its singular value is at most
-    tol * (largest singular value); for the zero matrix the whole space is
-    returned.
+    vectors holds each matrix's right singular vectors as columns, with the
+    sign rule applied; the last nullity of them are an orthonormal basis of
+    its right null space.  A direction counts as null when its singular
+    value is at most tol * (largest singular value), so the zero matrix has
+    the whole space.  Singular values descend, so the null directions are
+    always the trailing columns.
     """
+    sv, v = _svd(stack)
+    nullity = (sv <= tol * sv[..., :1]).sum(axis=-1)
+    return nullity, _positive_leading(v)
+
+
+def null_space(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the right null space, one basis vector per column:
+    null_directions of a single matrix."""
     m = as_matrix(a)
     if m.shape[1] == 0:
         return np.zeros((0, 0))
-    sv, v = _svd(m)
-    # For the zero matrix every sv is 0 <= tol * 0, so all of v is kept.
-    return _positive_leading(v[:, sv <= tol * sv[0]])
+    nullity, v = null_directions(m, tol)
+    return v[:, v.shape[1] - int(nullity):]
 
 
 def _reconstruct(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -99,6 +99,22 @@ class TestDualCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "4 4"
 
+    def test_svd_failure_in_facet_scan_exits_3(self, workdir, capsys, monkeypatch):
+        geometry.save_cone(workdir / "orthant.cone", np.eye(4))
+        svd = np.linalg.svd
+
+        def fail_on_stacks(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fail_on_stacks)
+        code, out, err = run_cli(capsys, "dual", "orthant.cone")
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert "did not converge: SVD did not converge" in err
+        assert "Traceback" not in err
+
 
 class TestAnalyzeCommand:
     def _analyze(self, capsys, workdir, matrix, rank):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from sdcones import data, geometry, linalg
@@ -44,6 +46,71 @@ def oracle_facet_normals(gens: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         if not any(abs(float(v @ w)) >= 1.0 - 1e-9 and float(v @ w) > 0 for w in found):
             found.append(v)
     return np.asarray(found)
+
+
+def loop_facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
+    """The per-subset facet scan the stacked one replaced: one null_space
+    call, orientation test and merge per (d-1)-subset, in lexicographic
+    order.  The stacked scan must reproduce it bit for bit."""
+    n, d = gen.shape
+    if d == 1:
+        col = gen[:, 0]
+        if col.min() > 0.0:
+            return np.array([[1.0]])
+        if col.max() < 0.0:
+            return np.array([[-1.0]])
+        return np.zeros((0, 1))
+    found: list[np.ndarray] = []
+    for combo in itertools.combinations(range(n), d - 1):
+        basis = linalg.null_space(gen[list(combo)])
+        if basis.shape[1] != 1:
+            continue
+        v = basis[:, 0]
+        prods = gen @ v
+        if prods.min() >= -tol:
+            pass
+        elif prods.max() <= tol:
+            v = -v
+        else:
+            continue
+        if not geometry._contains_direction(found, v):
+            found.append(v)
+    if not found:
+        return np.zeros((0, d))
+    return np.vstack(found)
+
+
+@st.composite
+def scan_generators(draw) -> np.ndarray:
+    """Unit generator rows for the facet scan, d = 2..6 and n <= 12: gaussian,
+    pointed or small-integer cones, then duplicated, antipodal and collinear
+    rows, so that many (d-1)-subsets are rank-deficient and some cones
+    contain a line."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["gaussian", "pointed", "lattice"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        g = rng.integers(-2, 3, size=(n, d)).astype(float)
+        g[~g.any(axis=1), 0] = 1.0
+    else:
+        g = rng.normal(size=(n, d))
+        if kind == "pointed":
+            g[:, 0] = np.abs(g[:, 0]) + 0.5
+    rows = list(g)
+    for op, i, j in draw(st.lists(st.tuples(
+            st.sampled_from(["duplicate", "antipodal", "collinear"]),
+            st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4)):
+        if len(rows) == 12:
+            break
+        if op == "duplicate":
+            rows.append(2.5 * rows[i])
+        elif op == "antipodal":
+            rows.append(-rows[i])
+        elif np.linalg.norm(rows[i] + rows[j]) > 1e-9:
+            rows.append(rows[i] + rows[j])
+    g = np.array(rows)
+    return g / np.linalg.norm(g, axis=1)[:, None]
 
 
 def in_cone_oracle(gens: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
@@ -119,6 +186,50 @@ class TestFacetNormals:
         with pytest.raises(PreconditionError, match="full-dimensional"):
             geometry.facet_normals(flat)
         geometry.facet_normals(cone)
+
+
+class TestStackedFacetScan:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_generators())
+    def test_equals_per_subset_loop(self, gen):
+        tol = geometry.DEFAULT_FACET_TOL
+        expected = loop_facet_scan(gen, tol)
+        got = geometry._facet_scan(gen, tol)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("d, n", [(3, 1), (4, 2), (6, 4), (2, 1), (4, 3), (6, 5)])
+    def test_no_or_one_subset(self, d, n):
+        # n < d-1 gives no subset at all; n = d-1 exactly one, whose
+        # hyperplane holds every generator.
+        gen = np.eye(d)[:n]
+        expected = loop_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+        got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+        assert got.shape == expected.shape == ((0, d) if n < d - 1 else (1, d))
+        assert np.array_equal(got, expected)
+
+    def test_cone_with_line(self):
+        gen = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                        [0.0, 0.6, 0.8]])
+        expected = loop_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+        got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+        assert expected.shape == (2, 3)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_boundaries(self, monkeypatch, chunk, prism_rays):
+        rng = np.random.default_rng(11)
+        cones = [geometry.PolyhedralCone(prism_rays).generators,
+                 random_pointed_cone_generators(rng, 4, 11),
+                 random_pointed_cone_generators(rng, 5, 11)]
+        expected = [loop_facet_scan(g, geometry.DEFAULT_FACET_TOL) for g in cones]
+        monkeypatch.setattr(geometry, "_SCAN_CHUNK", chunk)
+        for gen, want in zip(cones, expected):
+            # C(7, 3) = 35 subsets fill whole chunks of 7; C(11, 3) = 165
+            # and C(11, 4) = 330 leave a partial last chunk.
+            got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+            assert want.shape[0] > 0
+            assert np.array_equal(got, want)
 
 
 class TestDualCone:

@@ -353,6 +353,24 @@ class TestLapackFailure:
         for fn in (linalg.singular_values, linalg.numeric_rank, linalg.null_space):
             with pytest.raises(ConvergenceError, match="SVD"):
                 fn(np.eye(2))
+        with pytest.raises(ConvergenceError, match="SVD"):
+            geometry.facet_normals(geometry.PolyhedralCone(np.eye(3)))
+
+    def test_svd_stack_in_facet_scan(self, monkeypatch):
+        # Only the facet scan factors a stack of matrices, so this failure
+        # comes from its SVD and not from the rank checks around it.
+        svd = np.linalg.svd
+
+        def fail_on_stacks(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fail_on_stacks)
+        with pytest.raises(ConvergenceError, match="SVD"):
+            geometry.facet_normals(geometry.PolyhedralCone(np.eye(3)))
+        with pytest.raises(ConvergenceError, match="SVD"):
+            linalg.null_directions(np.ones((4, 2, 3)))
 
 
 class TestRequireSymmetric:
