@@ -173,8 +173,7 @@ def _format_matrix_text(m: np.ndarray) -> str:
 
 def cmd_slack(path: str, tol: float, as_json: bool, out: str | None) -> tuple[int, str]:
     cone = geometry.load_cone(path)
-    _require_extreme(cone, tol)
-    sm = geometry.slack_matrix(cone, tol)
+    sm = geometry.slack_matrix(cone, tol, require_extreme=True)
     if out:
         geometry.save_matrix(out, sm.matrix)
     if as_json:
@@ -190,14 +189,6 @@ def cmd_slack(path: str, tol: float, as_json: bool, out: str | None) -> tuple[in
         f"cone dimension {sm.cone_dim}"
     )
     return EXIT_OK, header + "\n" + _format_matrix_text(sm.matrix)
-
-
-def _require_extreme(cone: geometry.PolyhedralCone, tol: float) -> None:
-    reduced = geometry.extreme_rays(cone.generators, tol)
-    if reduced.n_rays != cone.n_rays:
-        raise PreconditionError(
-            f"{cone.n_rays - reduced.n_rays} generator(s) are not extreme rays"
-        )
 
 
 def cmd_dual(path: str, tol: float, out: str | None) -> tuple[int, str]:
@@ -216,8 +207,9 @@ def cmd_analyze(path: str, d: int, tol: float) -> tuple[int, str]:
 
 def cmd_verify(path: str, tol: float) -> tuple[int, str]:
     cone = geometry.load_cone(path)
-    _require_extreme(cone, tol)
-    ok, cert = selfdual.is_self_dual(cone, tol)
+    ok, cert = selfdual.is_self_dual(
+        geometry.slack_matrix(cone, tol, require_extreme=True)
+    )
     payload: dict = {"input": path, "self_dual": bool(ok), "version": __version__,
                      "certificate": None}
     if cert is not None:

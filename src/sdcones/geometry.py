@@ -196,6 +196,31 @@ def dual_cone(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> Polyhedra
     return PolyhedralCone(facet_normals(cone, tol))
 
 
+def _extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarray:
+    """Which generators are extreme rays of the cone with these facet
+    normals: those whose active facets (|<g, n>| <= tol) have normals of
+    rank d-1.
+
+    The ranks come from one stacked SVD over the active-normal sets,
+    zero-padded to a common row count: zero rows add only zero singular
+    values, so each rank is the count of singular values above
+    DEFAULT_RANK_TOL times the largest, as in linalg.numeric_rank.
+    """
+    d = gens.shape[1]
+    active = np.abs(gens @ normals.T) <= tol
+    counts = active.sum(axis=1)
+    rows = max(1, int(counts.max()))
+    # Each generator's active normals first, in facet order, then zeros.
+    order = np.argsort(~active, axis=1, kind="stable")[:, :rows]
+    filled = np.arange(rows)[None, :] < counts[:, None]
+    stack = np.where(filled[:, :, None], normals[order], 0.0)
+    sv = linalg._svd(stack)[0]
+    top = sv[:, :1]
+    ranks = np.where(top[:, 0] > 0.0,
+                     (sv > linalg.DEFAULT_RANK_TOL * top).sum(axis=1), 0)
+    return (counts >= d - 1) & (ranks == d - 1)
+
+
 def extreme_rays(generators, tol: float = DEFAULT_FACET_TOL) -> PolyhedralCone:
     """Reduce a generating set to the extreme rays of its cone.
 
@@ -213,25 +238,40 @@ def extreme_rays(generators, tol: float = DEFAULT_FACET_TOL) -> PolyhedralCone:
     normals = _facet_scan(cone.generators, tol)
     if normals.shape[0] == 0 or linalg.numeric_rank(normals) < d:
         raise PreconditionError("cone is not pointed")
-    prods = cone.generators @ normals.T
-    kept = []
-    for i in range(cone.n_rays):
-        active = normals[np.abs(prods[i]) <= tol]
-        if active.shape[0] >= d - 1 and linalg.numeric_rank(active) == d - 1:
-            kept.append(i)
-    if not kept:
+    kept = _extreme_mask(cone.generators, normals, tol)
+    if not kept.any():
         raise PreconditionError("no extreme rays found; input cone degenerate")
     return PolyhedralCone(cone.generators[kept])
 
 
-def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackMatrix:
+def slack_matrix(
+    cone: PolyhedralCone,
+    tol: float = DEFAULT_FACET_TOL,
+    require_extreme: bool = False,
+) -> SlackMatrix:
     """Slack matrix of a pointed full-dimensional cone with extreme generators.
 
     Entry (i, j) is the inner product of generator i with dual generator j;
     entries below ZERO_CLAMP are clamped to exact zero so pattern logic can
     compare supports without tolerance bookkeeping.
+
+    With require_extreme the generators are checked first, against the one
+    facet scan the slack is built from, in this order: PreconditionError
+    when they do not span the ambient space, when the cone is not pointed,
+    when none of them is an extreme ray, or when some are not (the tests and
+    messages of extreme_rays, plus a count of the generators it would drop).
     """
-    m = clamped_slack(cone.generators @ facet_normals(cone, tol).T, cone.dim)
+    gens = cone.generators
+    if require_extreme and not is_full_dimensional(cone):
+        raise PreconditionError("generators do not span the ambient space")
+    normals = facet_normals(cone, tol)
+    if require_extreme:
+        dropped = int((~_extreme_mask(gens, normals, tol)).sum())
+        if dropped == cone.n_rays:
+            raise PreconditionError("no extreme rays found; input cone degenerate")
+        if dropped:
+            raise PreconditionError(f"{dropped} generator(s) are not extreme rays")
+    m = clamped_slack(gens @ normals.T, cone.dim)
     return SlackMatrix(
         matrix=m,
         cone_dim=cone.dim,

@@ -15,7 +15,8 @@ from .errors import ConvergenceError, PreconditionError
 SUPPORT_CLAMP = 1e-10
 
 # Nodes (columns tried) one involution_permutations enumeration may visit.
-# Forward checking needs 2 162 on the regular 17-gon and 126 483 on the 51-gon.
+# The smallest-domain-first search needs 218 on the regular 17-gon, 2 277 on
+# the 50-gon, 2 377 on the 51-gon and 9 752 on the 101-gon.
 INVOLUTION_NODE_BUDGET = 1_000_000
 
 
@@ -77,55 +78,93 @@ def involution_permutations(s: np.ndarray):
     """Yield all column permutations sigma with S[i, sigma(j)] == S[j, sigma(i)]
     for all i, j and S[i, sigma(i)] == 1, in lexicographic order.
 
-    Backtracking with forward checking (Haralick & Elliott, 1980).  Each row
+    Backtracking with forward checking and smallest-domain-first row order
+    (MRV, "minimum remaining values"; Haralick & Elliott, 1980).  Each row
     starts with a domain of candidate columns: a nonzero of its own, with
     matching nonzero count and matching degree multiset of its support (the
     same invariants a graph-isomorphism search would use).  Placing
-    sigma[j] = c leaves every later row r only the columns c' with
+    sigma[j] = c leaves every unplaced row r only the columns c' with
     S[j, c'] == S[r, c], minus c itself, and the search backtracks as soon as
-    some later row has no column left; so every column tried is consistent
-    with all rows placed before it.  Rows are placed in their fixed order
-    0..n-1 and each row tries its columns in increasing order, which keeps
-    the output lexicographic.
+    some unplaced row has no column left; so every column tried is
+    consistent with all rows placed before it.  The row placed next is the
+    unplaced row with the fewest open columns, ties going to the lowest
+    index, and it tries its columns in increasing order.  On a polygon's
+    circulant support one placement pins the rows next to it, so the search
+    walks around the polygon instead of branching at every row: 218 nodes on
+    the regular 17-gon and 2 377 on the 51-gon, where the fixed row order
+    0..n-1 needs 2 162 and 126 483.  Domains are sets of columns held as the
+    bits of Python ints, so a node costs a few integer operations per row.
+
+    Rows placed in that order do not produce the permutations in
+    lexicographic order, so the enumeration always runs to the end before
+    anything is yielded, and the sorted list comes out afterwards.
 
     Each column tried counts as one node.  More than INVOLUTION_NODE_BUDGET
-    nodes in one enumeration raise ConvergenceError instead of running on.
+    nodes in one enumeration raise ConvergenceError, before the first
+    permutation is yielded, instead of running on.
     """
     n = s.shape[0]
-    row_counts = s.sum(axis=1)
-    col_counts = s.sum(axis=0)
+    nz = s != 0
+    row_counts = np.count_nonzero(nz, axis=1)
+    col_counts = np.count_nonzero(nz, axis=0)
     # Position j ends up as row j of the permuted matrix; its column in the
-    # symmetric result must have rowcount(j) entries.
-    row_profile = [
-        tuple(sorted(col_counts[np.nonzero(s[j])[0]])) for j in range(n)
-    ]
-    col_profile = [
-        tuple(sorted(row_counts[np.nonzero(s[:, c])[0]])) for c in range(n)
-    ]
-    same_profile = np.array(
-        [[cp == rp for cp in col_profile] for rp in row_profile], dtype=bool
-    ).reshape(n, n)
-    domain = (s == 1) & (row_counts[:, None] == col_counts[None, :]) & same_profile
-    sigma = np.full(n, -1, dtype=int)
+    # symmetric result must have rowcount(j) entries and the same multiset
+    # of degrees, compared as sorted rows padded with -1 per zero.
+    row_profile = np.sort(np.where(nz, col_counts[None, :], -1), axis=1)
+    col_profile = np.sort(np.where(nz.T, row_counts[None, :], -1), axis=1)
+    labels: dict[bytes, int] = {}
+    row_label, col_label = (
+        [labels.setdefault(p.tobytes(), len(labels)) for p in profile]
+        for profile in (row_profile, col_profile)
+    )
+    domain = (s == 1) & np.equal.outer(row_label, col_label)
+    # Bit c of rows_of[j] is S[j, c]; bit r of col_of[c] is S[r, c].
+    rows_of, col_of = _bitsets(nz), _bitsets(nz.T)
+    sigma = [-1] * n
+    found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def extend(j: int, dom: np.ndarray):
-        # dom[r - j] holds the columns still open to row r >= j.
+    def extend(rows: list[int], doms: list[int]):
+        # rows lists the unplaced rows in increasing order; bit c of doms[k]
+        # is set while column c is open to row rows[k].
         nonlocal nodes
-        if j == n:
-            yield sigma.copy()
+        if not rows:
+            found.append(tuple(sigma))
             return
-        for c in np.flatnonzero(dom[0]):
+        k = min(range(len(rows)), key=lambda i: doms[i].bit_count())
+        j = rows[k]
+        rest_rows = rows[:k] + rows[k + 1:]
+        rest_doms = doms[:k] + doms[k + 1:]
+        on, off = rows_of[j], ~rows_of[j]
+        todo = doms[k]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            c = low.bit_length() - 1
             nodes += 1
             if nodes > INVOLUTION_NODE_BUDGET:
                 raise ConvergenceError(
                     f"involution search on {n} rows visited {nodes} nodes, "
                     f"over the budget of {INVOLUTION_NODE_BUDGET}"
                 )
-            rest = dom[1:] & (s[j] == s[j + 1:, c, None])
-            rest[:, c] = False
-            if rest.any(axis=1).all():
+            col, keep = col_of[c], ~low
+            pruned = []
+            for r, dom in zip(rest_rows, rest_doms):
+                dom &= (on if col >> r & 1 else off) & keep
+                if not dom:
+                    break
+                pruned.append(dom)
+            else:
                 sigma[j] = c
-                yield from extend(j + 1, rest)
+                extend(rest_rows, pruned)
 
-    yield from extend(0, domain)
+    extend(list(range(n)), _bitsets(domain))
+    found.sort()
+    for perm in found:
+        yield np.array(perm, dtype=int)
+
+
+def _bitsets(mask: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int whose bit c is entry c."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

@@ -68,8 +68,11 @@ class SearchParams:
 # ---------------------------------------------------------------------------
 
 def sisd_check(s) -> np.ndarray | None:
-    """First column permutation making the support symmetric with a nonzero
-    diagonal, or None when the exhaustive pruned search finds none."""
+    """First column permutation, in lexicographic order, making the support
+    symmetric with a nonzero diagonal, or None when the exhaustive pruned
+    search finds none.  The search enumerates every such permutation before
+    returning the first, so one over patterns.INVOLUTION_NODE_BUDGET nodes
+    raises ConvergenceError."""
     a = np.asarray(s)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError("support must be a square matrix")

@@ -89,11 +89,12 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     slack PSD.
 
     Absence is returned only after every support-compatible permutation has
-    been tried; an enumeration that would exceed
-    patterns.INVOLUTION_NODE_BUDGET raises ConvergenceError instead.  The first
-    certificate in lexicographic permutation order is returned, with the
-    gauge freedom fixed so the PSD matrix's largest diagonal entry equals the
-    largest diagonal entry of the input.
+    been tried.  The enumeration always finishes before the first permutation
+    is tried, so one that would exceed patterns.INVOLUTION_NODE_BUDGET raises
+    ConvergenceError even when an early permutation would have certified the
+    slack.  The first certificate in lexicographic permutation order is
+    returned, with the gauge freedom fixed so the PSD matrix's largest
+    diagonal entry equals the largest diagonal entry of the input.
     """
     if isinstance(slack, geometry.SlackMatrix):
         m = slack.matrix
@@ -137,15 +138,20 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
 
 
 def is_self_dual(
-    cone: geometry.PolyhedralCone, tol: float = geometry.DEFAULT_FACET_TOL
+    cone: geometry.PolyhedralCone | geometry.SlackMatrix,
+    tol: float = geometry.DEFAULT_FACET_TOL,
 ) -> tuple[bool, PsdSlackCertificate | None]:
     """Decide self-duality of a cone (with respect to *some* inner product).
 
     True exactly when the PSD-scaling search succeeds on a slack matrix; the
-    certificate is attached.  A non-square slack (facet count differs from
-    ray count) settles the question immediately.
+    certificate is attached.  Accepts a PolyhedralCone, whose slack is built
+    at tol, or a SlackMatrix already built from one.  A non-square slack
+    (facet count differs from ray count) settles the question immediately.
     """
-    slack = geometry.slack_matrix(cone, tol)
+    if isinstance(cone, geometry.SlackMatrix):
+        slack = cone
+    else:
+        slack = geometry.slack_matrix(cone, tol)
     if slack.matrix.shape[0] != slack.matrix.shape[1]:
         return False, None
     cert = find_psd_scaling(slack)

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdcones import data
+from sdcones import data, geometry, linalg
+from sdcones.errors import PreconditionError
 
 # One line per acceptance criterion, echoed in the terminal summary so the
 # verdicts stay visible under pytest's output capture.
@@ -35,6 +36,37 @@ def random_pointed_cone_generators(
         gens /= np.linalg.norm(gens, axis=1)[:, None]
         if np.linalg.matrix_rank(gens) == d:
             return gens
+
+
+def loop_extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarray:
+    """The per-generator extremality test the stacked one replaced: one
+    numeric_rank call on each generator's active facet normals."""
+    d = gens.shape[1]
+    prods = gens @ normals.T
+    kept = np.zeros(gens.shape[0], dtype=bool)
+    for i in range(gens.shape[0]):
+        active = normals[np.abs(prods[i]) <= tol]
+        kept[i] = active.shape[0] >= d - 1 and linalg.numeric_rank(active) == d - 1
+    return kept
+
+
+def loop_extreme_rays(generators, tol: float = geometry.DEFAULT_FACET_TOL):
+    """extreme_rays with the per-generator rank loop (loop_extreme_mask)."""
+    cone = geometry.PolyhedralCone(generators)
+    d = cone.dim
+    if linalg.numeric_rank(cone.generators) < d:
+        raise PreconditionError("generators do not span the ambient space")
+    if d == 1:
+        if not geometry.is_pointed(cone, tol):
+            raise PreconditionError("cone is not pointed")
+        return cone
+    normals = geometry._facet_scan(cone.generators, tol)
+    if normals.shape[0] == 0 or linalg.numeric_rank(normals) < d:
+        raise PreconditionError("cone is not pointed")
+    kept = loop_extreme_mask(cone.generators, normals, tol)
+    if not kept.any():
+        raise PreconditionError("no extreme rays found; input cone degenerate")
+    return geometry.PolyhedralCone(cone.generators[kept])
 
 
 def support_pattern_of(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 from sdcones import cli, data, dnn, geometry, patterns, search
+from sdcones.errors import PreconditionError
 
-from conftest import equal_up_to_scaling, match_columns_by_pattern, support_pattern_of
+from conftest import (
+    equal_up_to_scaling,
+    loop_extreme_rays,
+    match_columns_by_pattern,
+    support_pattern_of,
+)
 
 
 @pytest.fixture
@@ -227,6 +233,104 @@ class TestVerifyCommand:
         assert code == cli.EXIT_NO_CONVERGENCE
         assert out == ""
         assert "involution search on 17 rows visited 101 nodes" in err
+
+    @pytest.mark.parametrize("k", [50, 51])
+    def test_polygons_decided_within_5000_nodes(self, workdir, capsys, monkeypatch, k):
+        monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 5_000)
+        cone = geometry.cone_over_polytope(data.regular_polygon_vertices(k))
+        geometry.save_cone(workdir / "gon.cone", cone.generators)
+        code, out, err = run_cli(capsys, "verify", "gon.cone")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["self_dual"] is (k % 2 == 1)
+
+
+# The library function, kept before a test patches geometry.slack_matrix.
+LIBRARY_SLACK_MATRIX = geometry.slack_matrix
+
+
+def two_scan_slack_matrix(cone, tol=geometry.DEFAULT_FACET_TOL, require_extreme=False):
+    """The slack of verify and slack before they shared one facet scan:
+    extreme_rays (with the per-generator rank loop) scans the generators,
+    then slack_matrix scans them again."""
+    if require_extreme:
+        reduced = loop_extreme_rays(cone.generators, tol)
+        if reduced.n_rays != cone.n_rays:
+            raise PreconditionError(
+                f"{cone.n_rays - reduced.n_rays} generator(s) are not extreme rays"
+            )
+    return LIBRARY_SLACK_MATRIX(cone, tol)
+
+# Cone files for the single-scan tests, with the --tol each runs at (None:
+# the default).  The three at a coarse tol come from a seeded random search
+# for cones whose one scan finds no extreme ray, gives a negative slack
+# entry, or gives a slack row with too few zeros.
+SINGLE_SCAN_CONES = {
+    "prism": (data.prism_rays(), None),
+    "pentagon": (data.pentagon_rays(), None),
+    "orthant": (np.eye(3), None),
+    "square": ([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]], None),
+    "interior-ray": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], None),
+    "edge-ray": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], None),
+    "three-interior": ([[1, 0], [0, 1], [1, 1], [2, 1], [1, 2]], None),
+    "not-spanning": ([[1, 0, 0], [0, 1, 0], [1, 1, 0]], None),
+    "line": ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]], None),
+    "halfplane": ([[1, 0], [-1, 0], [0, 1]], None),
+    "d1": ([[2.0]], None),
+    "d1-duplicates": ([[2.0], [0.5]], None),
+    "d1-line": ([[2.0], [-1.0]], None),
+    "duplicates": (np.vstack([data.prism_rays(), 3.0 * data.prism_rays()[:2]]), None),
+    "near-flat-vertex": ([[1, -1, 0], [1, 0, 1e-4], [1, 1, 0], [1, 0, -1]], None),
+    "no-extreme-ray": ([
+        [1.0, -0.5062916583143148, 0.5937480717858228, 0.8911669542823284],
+        [1.0, 0.3208483045665637, -0.818230227390307, 0.7316522837854408],
+        [1.0, -0.5014400184670523, 0.8791606182879853, -1.0717874168774442],
+        [1.0, 0.9144672031287812, -0.02006345461548042, -1.2487488903344155],
+        [1.0, -0.31389947196684775, 0.05410227877154389, 0.27279133916445375],
+        [1.0, -0.9821881249409777, -1.107373047165193, 0.19958453284708083],
+        [1.0, -0.46674961687980204, 0.23550561173022522, 0.7595195224783792],
+    ], 0.3),
+    "negative-slack": ([
+        [0.9997845245056822, -2.0000520875825156, -1.0000954149223154],
+        [0.9999347373047459, 0.9999725446024847, -0.00012436070752310066],
+        [0.9998889489578273, -1.0000100317064449, -0.999988422947735],
+        [0.9999344001722085, -0.9999501714931235, -1.0000219454712354],
+        [0.9998980086912452, -1.9999959269332075, -0.9998117586415014],
+    ], 1e-4),
+    "too-few-zeros": ([
+        [1.0000263663090456, -2.0000919598758613, 0.00013954346085892104],
+        [1.0000319135948323, 0.00020440029383495881, -1.999983435240681],
+        [1.0000410487591764, -1.249355218362942e-05, -1.9999926564395805],
+        [1.0001212675317959, -1.9998718017467207, -2.000004169793223],
+    ], 1e-4),
+}
+
+
+class TestSingleScan:
+    @pytest.mark.parametrize("argv", [["verify"], ["slack"], ["slack", "--json"]])
+    def test_one_facet_scan_on_the_prism(self, workdir, capsys, monkeypatch, argv):
+        geometry.save_cone(workdir / "p.cone", data.prism_rays())
+        scans = []
+        scan = geometry._facet_scan
+
+        def counted(*args):
+            scans.append(1)
+            return scan(*args)
+
+        monkeypatch.setattr(geometry, "_facet_scan", counted)
+        code, _, _ = run_cli(capsys, *argv, "p.cone")
+        assert code == 0
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_SCAN_CONES))
+    @pytest.mark.parametrize("argv", [["verify"], ["slack"], ["slack", "--json"]])
+    def test_same_output_as_two_scans(self, workdir, capsys, monkeypatch, name, argv):
+        gens, tol = SINGLE_SCAN_CONES[name]
+        geometry.save_cone(workdir / "c.cone", np.asarray(gens, float))
+        if tol is not None:
+            argv = [*argv, "--tol", str(tol)]
+        one = run_cli(capsys, *argv, "c.cone")
+        monkeypatch.setattr(geometry, "slack_matrix", two_scan_slack_matrix)
+        assert run_cli(capsys, *argv, "c.cone") == one
 
 
 class TestSearchCommand:

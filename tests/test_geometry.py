@@ -14,6 +14,8 @@ from sdcones.errors import ParseError, PreconditionError
 
 from conftest import (
     equal_up_to_scaling,
+    loop_extreme_mask,
+    loop_extreme_rays,
     match_columns_by_pattern,
     random_pointed_cone_generators,
     support_pattern_of,
@@ -111,6 +113,52 @@ def scan_generators(draw) -> np.ndarray:
             rows.append(rows[i] + rows[j])
     g = np.array(rows)
     return g / np.linalg.norm(g, axis=1)[:, None]
+
+
+@st.composite
+def extremality_generators(draw) -> np.ndarray:
+    """Unit generator rows of a pointed spanning cone, d = 2..5: a gaussian
+    or small-integer base cone, then interior points, points inside a facet,
+    points on an edge or a 2-face of a facet, and duplicated rows; the
+    duplicates are kept, so both copies of a ray are tested."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(d, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = random_pointed_cone_generators(rng, d, n)
+    else:
+        while True:
+            base = np.column_stack(
+                [np.ones(n), rng.integers(-2, 3, size=(n, d - 1))]
+            ).astype(float)
+            if np.linalg.matrix_rank(base) == d:
+                break
+        base /= np.linalg.norm(base, axis=1)[:, None]
+    normals = geometry._facet_scan(base, geometry.DEFAULT_FACET_TOL)
+    rows = list(base)
+    for op in draw(st.lists(st.sampled_from(["interior", "facet", "edge", "duplicate"]),
+                            min_size=1, max_size=4)):
+        if op == "interior":
+            pick = np.arange(n)
+        elif op == "duplicate":
+            rows.append(2.5 * base[rng.integers(n)])
+            continue
+        else:
+            f = normals[rng.integers(normals.shape[0])]
+            pick = np.flatnonzero(np.abs(base @ f) <= geometry.DEFAULT_FACET_TOL)
+            if op == "edge":
+                pick = rng.choice(pick, size=min(2, pick.size), replace=False)
+        rows.append(rng.integers(1, 3, size=pick.size) @ base[pick])
+    g = np.array(rows)
+    return g / np.linalg.norm(g, axis=1)[:, None]
+
+
+def _outcome(fn, *args):
+    """A function's result as bytes of its generators, or its error text."""
+    try:
+        return fn(*args).generators.tobytes()
+    except PreconditionError as exc:
+        return str(exc)
 
 
 def in_cone_oracle(gens: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
@@ -285,6 +333,29 @@ class TestExtremeRays:
     def test_unpointed_rejected(self):
         with pytest.raises(PreconditionError, match="pointed"):
             geometry.extreme_rays([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(extremality_generators())
+    def test_stacked_ranks_match_loop(self, g):
+        tol = geometry.DEFAULT_FACET_TOL
+        normals = geometry._facet_scan(g, tol)
+        assert np.array_equal(geometry._extreme_mask(g, normals, tol),
+                              loop_extreme_mask(g, normals, tol))
+        assert _outcome(geometry.extreme_rays, g) == _outcome(loop_extreme_rays, g)
+
+    def test_near_flat_vertex_kept(self):
+        # The vertex (0, 1e-4) sits just off the segment between its
+        # neighbours: its two facet normals are 2e-4 rad apart, so their
+        # smallest singular value is 1e-4 of the largest, still rank 2.
+        square = np.array([[1, -1, 0], [1, 0, 1e-4], [1, 1, 0], [1, 0, -1.0]])
+        cone = geometry.extreme_rays(square)
+        assert cone.n_rays == 4
+        assert np.array_equal(cone.generators, loop_extreme_rays(square).generators)
+
+    def test_one_dimensional(self):
+        assert geometry.extreme_rays([[2.0], [3.0]]).n_rays == 1
+        with pytest.raises(PreconditionError, match="not pointed"):
+            geometry.extreme_rays([[2.0], [-3.0]])
 
 
 class TestSlackMatrix:

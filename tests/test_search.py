@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sdcones import data, dnn, geometry, linalg, search, selfdual
+from sdcones import data, dnn, geometry, linalg, patterns, search, selfdual
 from sdcones.errors import ParseError, PreconditionError
 
 from conftest import equal_up_to_scaling
@@ -38,11 +39,51 @@ def all_involutions_brute_force(s: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(int(c) for c in p) for p in perms[symmetric & unit_diagonal]]
 
 
+def fixed_order_involutions(s: np.ndarray) -> list[tuple[int, ...]]:
+    """The enumeration the smallest-domain-first search replaced: the same
+    initial domains and forward checking, rows placed in the fixed order
+    0..n-1 and columns in increasing order, so the permutations come out in
+    lexicographic order without sorting.  No node budget."""
+    n = s.shape[0]
+    row_counts = s.sum(axis=1)
+    col_counts = s.sum(axis=0)
+    row_profile = [tuple(sorted(col_counts[np.nonzero(s[j])[0]])) for j in range(n)]
+    col_profile = [tuple(sorted(row_counts[np.nonzero(s[:, c])[0]])) for c in range(n)]
+    same_profile = np.array(
+        [[cp == rp for cp in col_profile] for rp in row_profile], dtype=bool
+    ).reshape(n, n)
+    domain = (s == 1) & (row_counts[:, None] == col_counts[None, :]) & same_profile
+    sigma = [-1] * n
+    found = []
+
+    def extend(j: int, dom: np.ndarray):
+        # dom[r - j] holds the columns still open to row r >= j.
+        if j == n:
+            found.append(tuple(sigma))
+            return
+        for c in np.flatnonzero(dom[0]):
+            rest = dom[1:] & (s[j] == s[j + 1:, c, None])
+            rest[:, c] = False
+            if rest.any(axis=1).all():
+                sigma[j] = int(c)
+                extend(j + 1, rest)
+
+    extend(0, domain)
+    return found
+
+
+def polygon_support(k: int) -> np.ndarray:
+    """The transposed support of the regular k-gon cone's slack matrix, as
+    find_psd_scaling enumerates it."""
+    cone = geometry.cone_over_polytope(data.regular_polygon_vertices(k))
+    return patterns.support_of(geometry.slack_matrix(cone).matrix).astype(np.uint8).T
+
+
 @st.composite
-def involution_patterns(draw):
+def involution_patterns(draw, max_n: int = 7):
     """Random 0/1 patterns, half of them symmetric with a unit diagonal and
     shuffled columns, so that non-empty enumerations are common."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, max_n))
     bits = draw(hnp.arrays(np.uint8, (n, n), elements=st.integers(0, 1)))
     if draw(st.booleans()):
         bits = np.triu(bits, 1)
@@ -50,6 +91,30 @@ def involution_patterns(draw):
         np.fill_diagonal(bits, 1)
         bits = bits[:, draw(st.permutations(range(n)))]
     return bits
+
+
+@st.composite
+def symmetric_patterns(draw):
+    """Symmetric 0/1 patterns with a unit diagonal, n <= 8, columns shuffled:
+    random ones, and disjoint all-ones blocks (at most 4 rows each) with
+    random symmetric entries between blocks.  Blocks of different sizes give
+    rows of different domain sizes and several permutations, so the
+    smallest-domain-first order differs from the lexicographic one."""
+    n = draw(st.integers(1, 8))
+    bits = np.triu(draw(hnp.arrays(np.uint8, (n, n), elements=st.integers(0, 1))), 1)
+    if draw(st.booleans()):
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(draw(st.integers(1, min(4, n - sum(sizes)))))
+        bits = bits * draw(st.integers(0, 1))
+        start = 0
+        for size in sizes:
+            bits[start:start + size, start:start + size] = 1
+            start += size
+        bits = np.triu(bits, 1)
+    bits = bits | bits.T
+    np.fill_diagonal(bits, 1)
+    return bits[:, draw(st.permutations(range(n)))]
 
 
 def random_01_pattern(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -123,6 +188,39 @@ class TestSisdCheck:
     def test_enumeration_matches_brute_force_in_order(self, s):
         mine = [tuple(int(c) for c in p) for p in search.involution_permutations(s)]
         assert mine == all_involutions_brute_force(s)
+
+    # A dense 8x8 pattern has up to 8! = 40 320 permutations, about 1 s of
+    # oracle time each, so this test draws fewer examples than the one above.
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(involution_patterns(max_n=8), symmetric_patterns()))
+    def test_enumeration_matches_fixed_order(self, s):
+        mine = [tuple(int(c) for c in p) for p in search.involution_permutations(s)]
+        assert mine == fixed_order_involutions(s)
+
+    @pytest.mark.parametrize("sizes", [(3, 2), (2, 3, 1), (1, 4, 2)])
+    def test_uneven_blocks_in_lexicographic_order(self, sizes):
+        # Rows of a smaller all-ones block have fewer open columns, so the
+        # search places them first; the output must still be lexicographic.
+        n = sum(sizes)
+        s = np.zeros((n, n), dtype=np.uint8)
+        start = 0
+        for size in sizes:
+            s[start:start + size, start:start + size] = 1
+            start += size
+        s = s[:, np.random.default_rng(n).permutation(n)]
+        mine = [tuple(int(c) for c in p) for p in search.involution_permutations(s)]
+        assert mine == all_involutions_brute_force(s) == fixed_order_involutions(s)
+        assert len(mine) == math.prod(math.factorial(k) for k in sizes)
+
+    @pytest.mark.parametrize("k", range(4, 32))
+    def test_polygons_match_fixed_order(self, k):
+        s = polygon_support(k)
+        shuffled = s[:, np.random.default_rng(k).permutation(k)]
+        for pattern in (s, shuffled):
+            mine = [tuple(int(c) for c in p)
+                    for p in search.involution_permutations(pattern)]
+            assert mine == fixed_order_involutions(pattern)
+            assert len(mine) == k % 2
 
     def test_rejects_bad_input(self):
         with pytest.raises(PreconditionError):
