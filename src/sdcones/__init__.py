@@ -51,6 +51,7 @@ from .dnn import (
     is_dnn,
     verify_congruence,
 )
+from .analysis import analyze_matrix
 from .patterns import SupportPattern
 from .search import (
     Realization,
@@ -104,6 +105,7 @@ __all__ = [
     "dnn5_classify",
     "classify_psd_slack",
     "verify_congruence",
+    "analyze_matrix",
     "SupportPattern",
     "SearchParams",
     "Realization",

@@ -1,4 +1,6 @@
-"""Command-line front end: file I/O, JSON reporting, bundled data.
+"""Command-line front end: argument parsing, file I/O, JSON output, exit
+codes and the bundled examples.  Each subcommand loads its input and hands
+it to the library; analyze prints analysis.analyze_matrix's report as is.
 
 Subcommands: slack, dual, analyze, verify, search, examples.  Exit codes:
 0 success, 2 precondition failure, 3 numerical non-convergence, 4 parse
@@ -9,7 +11,6 @@ its flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from collections import Counter
@@ -17,150 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, data, dnn, geometry, linalg, search, selfdual
+from . import __version__, analysis, data, dnn, geometry, search, selfdual
+from .analysis import _json_ready
 from .errors import ConvergenceError, ParseError, PreconditionError
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_PARSE = 4
-
-SCHEMA_PATH = Path(__file__).parent / "schemas" / "analysis_report.schema.json"
-
-
-@dataclasses.dataclass
-class AnalysisReport:
-    """Structured record of every test run on an input matrix.
-
-    Each entry of results carries a `provenance` string naming the rule or
-    computation that produced it; serialization round-trips losslessly.
-    """
-
-    input: dict
-    version: str
-    params: dict
-    results: dict
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        raw = json.loads(text)
-        return cls(
-            input=raw["input"],
-            version=raw["version"],
-            params=raw["params"],
-            results=raw["results"],
-        )
-
-
-def _json_ready(obj):
-    """Recursively convert numpy containers for json.dumps."""
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, float) and (obj != obj):  # NaN has no JSON spelling
-        return None
-    return obj
-
-
-def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> AnalysisReport:
-    m = linalg.require_symmetric(matrix)
-    if m.min() < 0.0:
-        raise PreconditionError("analyze expects a nonnegative matrix")
-    n = m.shape[0]
-    results: dict = {}
-
-    rank = linalg.numeric_rank(m)
-    results["rank"] = {"value": rank, "provenance": "numerical"}
-
-    eig = linalg.sym_eigen(m)
-    min_eig = float(eig.values[-1]) if eig.values.size else 0.0
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    is_psd = min_eig >= -tol * max(scale, 1e-300)
-    results["psd"] = {
-        "value": bool(is_psd),
-        "min_eigenvalue": min_eig,
-        "provenance": "numerical",
-    }
-    results["dnn"] = {"value": bool(dnn.is_dnn(m, tol)), "provenance": "numerical"}
-
-    slack_ok, reasons = geometry.slack_necessary_check(m, d)
-    results["slack_check"] = {
-        "value": bool(slack_ok),
-        "reasons": reasons,
-        "provenance": "pattern",
-    }
-
-    irreducible = selfdual.is_irreducible(m)
-    simplicial = selfdual.is_simplicial(m)
-    results["irreducible"] = {"value": bool(irreducible), "provenance": "support-graph"}
-    results["simplicial"] = {"value": bool(simplicial), "provenance": "pattern"}
-
-    if results["dnn"]["value"]:
-        rep = dnn.dnn_extremality(m, tol)
-        results["extremality"] = {
-            "extreme": rep.extreme,
-            "intersection_dim": rep.intersection_dim,
-            "rank": rep.rank,
-            "support_cycle5": rep.support_cycle5,
-            "borderline": rep.borderline,
-            "provenance": "numerical",
-        }
-    else:
-        results["extremality"] = {
-            "extreme": None,
-            "reason": "matrix is not doubly nonnegative",
-            "provenance": "numerical",
-        }
-
-    certified = False
-    detail = "matrix is not PSD"
-    if is_psd:
-        certified, detail = selfdual.certify_psd_slack(m, d)
-    results["selfdual_certification"] = {
-        "certified": bool(certified),
-        "detail": detail,
-        "provenance": "factor-cone-round-trip",
-    }
-
-    if certified:
-        verdicts = dnn.classify_psd_slack(m, irreducible, simplicial)
-        results["verdicts"] = {
-            "dnn_extreme": verdicts.dnn_extreme,
-            "cp_member": verdicts.cp_member,
-            "cpsd_member": verdicts.cpsd_member,
-            "provenance": verdicts.provenance,
-        }
-    else:
-        results["verdicts"] = {
-            "withheld": True,
-            "reason": detail,
-            "provenance": "hypotheses-not-certified",
-        }
-
-    if n == 5 and results["dnn"]["value"]:
-        results["dnn5"] = {
-            "label": dnn.dnn5_classify(m, tol),
-            "provenance": "rank-and-support-classification",
-        }
-
-    return AnalysisReport(
-        input={"path": origin, "rows": n, "cols": n},
-        version=__version__,
-        params={"rank": d, "tol": tol},
-        results=_json_ready(results),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +66,7 @@ def cmd_dual(path: str, tol: float, out: str | None) -> tuple[int, str]:
 
 def cmd_analyze(path: str, d: int, tol: float) -> tuple[int, str]:
     matrix = geometry.load_matrix(path)
-    report = analyze_matrix(matrix, d, tol, origin=path)
-    return EXIT_OK, report.to_json()
+    return EXIT_OK, analysis.analyze_matrix(matrix, d, tol, origin=path).to_json()
 
 
 def cmd_verify(path: str, tol: float) -> tuple[int, str]:

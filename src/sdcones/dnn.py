@@ -28,14 +28,17 @@ _INTERSECTION_TOL = 1e-8
 def is_dnn(a, tol: float = DEFAULT_DNN_TOL) -> bool:
     """PSD and entrywise nonnegative, both within tol * max|entry|."""
     m = linalg.require_symmetric(a)
-    if m.size == 0:
-        return True
-    scale = float(np.abs(m).max())
+    return _is_dnn(m, linalg.sym_eigen(m), tol)
+
+
+def _is_dnn(m: np.ndarray, eig: linalg.EigenDecomposition, tol: float) -> bool:
+    """is_dnn of a validated symmetric matrix, read from its eigenvalues."""
+    scale = float(np.abs(m).max()) if m.size else 0.0
     if scale == 0.0:
         return True
     if m.min() < -tol * scale:
         return False
-    return float(linalg.sym_eigen(m).values[-1]) >= -tol * scale
+    return float(eig.values[-1]) >= -tol * scale
 
 
 @dataclass
@@ -55,37 +58,25 @@ class ExtremalityReport:
     borderline: dict[int, int] | None = None
 
 
-def _sym_basis_images(x: np.ndarray) -> list[np.ndarray]:
-    """Images X E X^T of an orthonormal basis E of symmetric k x k matrices,
-    off-diagonal elements carrying the 1/sqrt(2) weight."""
-    k = x.shape[1]
-    images = []
-    for p in range(k):
-        for q in range(p, k):
-            if p == q:
-                b = np.outer(x[:, p], x[:, p])
-            else:
-                b = (np.outer(x[:, p], x[:, q]) + np.outer(x[:, q], x[:, p])) / np.sqrt(2.0)
-            images.append(b)
-    return images
-
-
 def _intersection_dim(a: np.ndarray, eig: linalg.EigenDecomposition, k: int) -> int:
-    """dim(W1 ∩ W2) for the rank-k factor from the top-k eigenpairs."""
-    n = a.shape[0]
-    images = _sym_basis_images(eig.factor(k))
-    zero_mask = ~support_of(a)
-    zeros = [(i, j) for i in range(n) for j in range(i, n) if zero_mask[i, j]]
-    if not zeros:
-        return len(images)
+    """dim(W1 ∩ W2) for the rank-k factor X from the top-k eigenpairs.
+
+    Column (p, q) of the system holds the image X E X^T of the (p, q) element
+    E of an orthonormal basis of symmetric k x k matrices, off-diagonal
+    elements carrying the 1/sqrt(2) weight, at the zero entries of a."""
+    x = eig.factor(k)
+    rows, cols = np.nonzero(np.triu(~support_of(a)))
+    if rows.size == 0:
+        return k * (k + 1) // 2
+    p, q = np.triu_indices(k)
+    xi, xj = x[rows], x[cols]
+    c = xi[:, p] * xj[:, q]
+    off = p != q
+    c[:, off] = (c[:, off] + xi[:, q[off]] * xj[:, p[off]]) / np.sqrt(2.0)
     # Upper-triangle vectorization with sqrt(2) off-diagonal weights makes the
     # Euclidean product of coefficient vectors the Frobenius product; the
     # weights do not change the null space but keep the scaling honest.
-    c = np.zeros((len(zeros), len(images)))
-    root2 = np.sqrt(2.0)
-    for col, b in enumerate(images):
-        for row, (i, j) in enumerate(zeros):
-            c[row, col] = b[i, j] * (root2 if i != j else 1.0)
+    c[rows != cols] *= np.sqrt(2.0)
     return linalg.null_space(c, _INTERSECTION_TOL).shape[1]
 
 
@@ -114,9 +105,9 @@ def dnn_extremality(
     instead of silently committing to one reading.
     """
     m = linalg.require_symmetric(a)
-    if not is_dnn(m, tol):
-        raise PreconditionError("matrix is not doubly nonnegative within tolerance")
     eig = linalg.sym_eigen(m)
+    if not _is_dnn(m, eig, tol):
+        raise PreconditionError("matrix is not doubly nonnegative within tolerance")
     top = float(eig.values[0]) if eig.values.size else 0.0
     if top <= 0.0:
         raise PreconditionError("zero matrix has no extreme-ray certificate")
@@ -149,16 +140,18 @@ def dnn5_classify(a, tol: float = DEFAULT_DNN_TOL) -> str:
     m = linalg.require_symmetric(a)
     if m.shape != (5, 5):
         raise PreconditionError("classification applies to 5x5 matrices")
-    if not is_dnn(m, tol):
-        raise PreconditionError("matrix is not doubly nonnegative within tolerance")
-    r = linalg.numeric_rank(m)
-    if r == 1:
+    return _dnn5_label(linalg.numeric_rank(m), dnn_extremality(m, tol))
+
+
+def _dnn5_label(rank: int, report: ExtremalityReport) -> str:
+    """dnn5_classify's label from the numeric rank and the extremality
+    report of a 5x5 DNN matrix, cross-checked against the report."""
+    if rank == 1:
         label = "rank1"
-    elif r == 3 and _is_cycle5(m):
+    elif rank == 3 and report.support_cycle5:
         label = "pentagon_slack"
     else:
         label = "not_extreme"
-    report = dnn_extremality(m, tol)
     if report.extreme != (label != "not_extreme"):
         raise ConvergenceError(
             f"classification {label!r} disagrees with the extremality "
@@ -197,13 +190,18 @@ def classify_psd_slack(a, irreducible: bool, simplicial: bool) -> SlackVerdicts:
       completely positive cone.
     """
     m = linalg.require_symmetric(a)
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if scale == 0.0:
+    if not m.any():
         raise PreconditionError("zero matrix is not a slack matrix")
     if not is_dnn(m):
         raise PreconditionError("a PSD slack must be doubly nonnegative")
+    return _slack_verdicts(dnn_extremality(m), irreducible, simplicial)
 
-    report = dnn_extremality(m)
+
+def _slack_verdicts(
+    report: ExtremalityReport, irreducible: bool, simplicial: bool
+) -> SlackVerdicts:
+    """classify_psd_slack's rules, cross-checked against the extremality
+    report of the certified PSD slack."""
     dnn_extreme = bool(irreducible)
     if report.extreme != dnn_extreme:
         raise ConvergenceError(

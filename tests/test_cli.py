@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sdcones import cli, data, dnn, geometry, patterns, search
+from sdcones import analysis, cli, data, dnn, geometry, patterns, search
 from sdcones.errors import PreconditionError
 
 from conftest import (
@@ -159,7 +159,7 @@ class TestAnalyzeCommand:
         assert res["dnn5"]["label"] == "not_extreme"
 
     def test_schema_and_round_trip(self, workdir, capsys):
-        schema = json.loads(cli.SCHEMA_PATH.read_text())
+        schema = json.loads(analysis.SCHEMA_PATH.read_text())
         for matrix, rank in [
             (data.pentagon_slack(), 3),
             (data.nonslack_extreme_matrix(), 4),
@@ -168,8 +168,8 @@ class TestAnalyzeCommand:
         ]:
             rep = self._analyze(capsys, workdir, matrix, rank)
             jsonschema.validate(rep, schema)
-            report = cli.AnalysisReport(**rep)
-            again = cli.AnalysisReport.from_json(report.to_json())
+            report = analysis.AnalysisReport(**rep)
+            again = analysis.AnalysisReport.from_json(report.to_json())
             assert again == report
 
     def test_every_result_has_provenance(self, workdir, capsys):
@@ -197,6 +197,37 @@ class TestAnalyzeCommand:
         assert code == cli.EXIT_NO_CONVERGENCE
         assert out == ""
         assert "disagrees with the numerical extremality certificate" in err
+
+    def test_verdicts_use_the_given_tol(self, workdir, capsys):
+        # The smallest eigenvalue sits at -5e-9 * max|entry|: PSD at tol
+        # 1e-6, not at the default 1e-9.  Every step, the membership
+        # verdicts included, has to judge it at the tol it was given.
+        p = data.pentagon_slack()
+        m = p - 5e-9 * np.abs(p).max() * np.eye(5)
+        geometry.save_matrix(workdir / "m.mat", m)
+        code, out, err = run_cli(capsys, "analyze", "m.mat", "--rank", "3",
+                                 "--tol", "1e-6")
+        assert (code, err) == (0, "")
+        res = json.loads(out)["results"]
+        assert res["dnn"]["value"] is True
+        assert res["selfdual_certification"]["certified"] is True
+        assert res["verdicts"]["dnn_extreme"] is True
+        assert res["verdicts"]["cp_member"] is False
+        assert res["verdicts"]["cpsd_member"] is False
+        assert res["dnn5"]["label"] == "pentagon_slack"
+
+    @pytest.mark.parametrize("flags", [
+        ["--rank", "0"], ["--rank", "-1"],
+        ["--rank", "3", "--tol", "0"], ["--rank", "3", "--tol", "-1"],
+        ["--rank", "3", "--tol", "nan"], ["--rank", "3", "--tol", "inf"],
+    ])
+    def test_parameters_outside_the_schema_exit_2(self, workdir, capsys, flags):
+        geometry.save_matrix(workdir / "m.mat", data.pentagon_slack())
+        code, out, err = run_cli(capsys, "analyze", "m.mat", *flags)
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert err.startswith("precondition failure:")
+        assert "Traceback" not in err
 
 
 class TestVerifyCommand:

@@ -18,6 +18,32 @@ def random_dnn(rng: np.random.Generator, n: int) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def loop_system(a: np.ndarray, eig: linalg.EigenDecomposition, k: int):
+    """The W1/W2 system of the extremality test as the per-entry loop built
+    it: one column per image X E X^T of a basis matrix E, one row per zero
+    entry (i <= j) of a; None when a has no zero entry."""
+    x = eig.factor(k)
+    images = []
+    for p in range(k):
+        for q in range(p, k):
+            if p == q:
+                b = np.outer(x[:, p], x[:, p])
+            else:
+                b = (np.outer(x[:, p], x[:, q]) + np.outer(x[:, q], x[:, p])) / np.sqrt(2.0)
+            images.append(b)
+    n = a.shape[0]
+    zero_mask = ~search.support_of(a)
+    zeros = [(i, j) for i in range(n) for j in range(i, n) if zero_mask[i, j]]
+    if not zeros:
+        return None
+    c = np.zeros((len(zeros), len(images)))
+    root2 = np.sqrt(2.0)
+    for col, b in enumerate(images):
+        for row, (i, j) in enumerate(zeros):
+            c[row, col] = b[i, j] * (root2 if i != j else 1.0)
+    return c
+
+
 class TestIsDnn:
     def test_pentagon(self, pentagon_slack):
         assert dnn.is_dnn(pentagon_slack)
@@ -88,6 +114,31 @@ class TestExtremality:
             rep = dnn.dnn_extremality(p @ a @ p.T)
             assert rep.extreme == base.extreme
             assert rep.intersection_dim == base.intersection_dim
+
+    def test_stacked_system_equals_the_loop(self, monkeypatch):
+        systems = []
+        null_space = linalg.null_space
+
+        def capture(c, tol):
+            systems.append(c)
+            return null_space(c, tol)
+
+        monkeypatch.setattr(linalg, "null_space", capture)
+        rng = np.random.default_rng(61)
+        matrices = [data.pentagon_slack(), data.prism_slack(),
+                    data.nonslack_extreme_matrix(), np.eye(4), np.ones((3, 3))]
+        matrices += [random_dnn(rng, int(rng.integers(1, 8))) for _ in range(30)]
+        for a in matrices:
+            eig = linalg.sym_eigen(a)
+            for k in range(1, a.shape[0] + 1):
+                systems.clear()
+                dim = dnn._intersection_dim(a, eig, k)
+                expected = loop_system(a, eig, k)
+                if expected is None:
+                    assert systems == [] and dim == k * (k + 1) // 2
+                else:
+                    assert len(systems) == 1
+                    assert np.array_equal(systems[0], expected)
 
     def test_borderline_reports_neighbour_ranks(self):
         a = np.diag([1.0, 1.0, 3e-8])

@@ -1,6 +1,7 @@
 """The package's modules form layers, and no module imports a later one:
 
-    errors, linalg -> patterns -> geometry -> selfdual, dnn, data -> search -> cli
+    errors, linalg -> patterns -> geometry -> selfdual, dnn, data -> analysis
+        -> search -> cli
 
 Modules of one layer do not import each other either.  The check reads the
 import statements of the source files, so it also covers imports that a
@@ -20,6 +21,7 @@ LAYERS = [
     {"patterns"},
     {"geometry"},
     {"selfdual", "dnn", "data"},
+    {"analysis"},
     {"search"},
     {"cli"},
 ]
