@@ -56,13 +56,16 @@ def _json_ready(obj):
 
 def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> AnalysisReport:
     """Report on a nonnegative symmetric matrix as a candidate PSD slack of a
-    self-dual cone in R^d, judged at relative tolerance tol.  A d below 1 or
-    a tol that is not finite and positive raises PreconditionError."""
+    self-dual cone in R^d, judged at relative tolerance tol.  An empty
+    matrix, a d below 1 or a tol that is not finite and positive raises
+    PreconditionError."""
     if d < 1:
         raise PreconditionError(f"rank must be >= 1, got {d}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise PreconditionError(f"tol must be finite and positive, got {tol}")
     m = linalg.require_symmetric(matrix)
+    if m.size == 0:
+        raise PreconditionError("analyze expects a nonempty matrix")
     if m.min() < 0.0:
         raise PreconditionError("analyze expects a nonnegative matrix")
     n = m.shape[0]
@@ -72,8 +75,8 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     results["rank"] = {"value": rank, "provenance": "numerical"}
 
     eig = linalg.sym_eigen(m)
-    min_eig = float(eig.values[-1]) if eig.values.size else 0.0
-    scale = float(np.abs(m).max()) if m.size else 0.0
+    min_eig = float(eig.values[-1])
+    scale = float(np.abs(m).max())
     is_psd = min_eig >= -tol * max(scale, 1e-300)
     results["psd"] = {
         "value": bool(is_psd),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -38,7 +39,7 @@ def _format_matrix_text(m: np.ndarray) -> str:
 
 def cmd_slack(path: str, tol: float, as_json: bool, out: str | None) -> tuple[int, str]:
     cone = geometry.load_cone(path)
-    sm = geometry.slack_matrix(cone, tol, require_extreme=True)
+    sm = geometry.slack_matrix(cone, tol)
     if out:
         geometry.save_matrix(out, sm.matrix)
     if as_json:
@@ -71,9 +72,7 @@ def cmd_analyze(path: str, d: int, tol: float) -> tuple[int, str]:
 
 def cmd_verify(path: str, tol: float) -> tuple[int, str]:
     cone = geometry.load_cone(path)
-    ok, cert = selfdual.is_self_dual(
-        geometry.slack_matrix(cone, tol, require_extreme=True)
-    )
+    ok, cert = selfdual.is_self_dual(geometry.slack_matrix(cone, tol))
     payload: dict = {"input": path, "self_dual": bool(ok), "version": __version__,
                      "certificate": None}
     if cert is not None:
@@ -193,21 +192,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def files(name, text):
+    def files(name, text, tol):
         p = sub.add_parser(name, help=text)
         p.add_argument("inputs", nargs="+", help="input file(s)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=float, default=tol,
+                       help=f"tolerance (default {tol:g})")
         return p
 
-    p_slack = files("slack", "slack matrix of a cone file")
+    facet_tol = geometry.DEFAULT_FACET_TOL
+    p_slack = files("slack", "slack matrix of a cone file", facet_tol)
     p_slack.add_argument("--json", action="store_true", help="JSON output")
     p_slack.add_argument("--out", default=None, help="also write the matrix here")
-    p_dual = files("dual", "Euclidean dual cone of a cone file")
+    p_dual = files("dual", "Euclidean dual cone of a cone file", facet_tol)
     p_dual.add_argument("--out", default=None, help="also write the dual cone here")
-    p_analyze = files("analyze", "full matrix analysis report")
+    p_analyze = files("analyze", "full matrix analysis report", dnn.DEFAULT_DNN_TOL)
     p_analyze.add_argument("--rank", type=int, required=True, help="cone dimension d")
-    files("verify", "self-duality decision for a cone file")
-    p_search = files("search", "self-dual realization search")
+    files("verify", "self-duality decision for a cone file", facet_tol)
+    p_search = files("search", "self-dual realization search",
+                     search.DEFAULT_VERIFY_TOL)
     p_search.add_argument("--rank", type=int, required=True, help="target rank d")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--retries", type=int, default=20)
@@ -222,15 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_one(args, path: str) -> tuple[int, str]:
     tol = args.tol
     if args.command == "slack":
-        return cmd_slack(path, tol if tol is not None else geometry.DEFAULT_FACET_TOL,
-                         args.json, args.out)
+        return cmd_slack(path, tol, args.json, args.out)
     if args.command == "dual":
-        return cmd_dual(path, tol if tol is not None else geometry.DEFAULT_FACET_TOL,
-                        args.out)
+        return cmd_dual(path, tol, args.out)
     if args.command == "analyze":
-        return cmd_analyze(path, args.rank, tol if tol is not None else dnn.DEFAULT_DNN_TOL)
+        return cmd_analyze(path, args.rank, tol)
     if args.command == "verify":
-        return cmd_verify(path, tol if tol is not None else geometry.DEFAULT_FACET_TOL)
+        return cmd_verify(path, tol)
     if args.command == "search":
         params = search.SearchParams(
             target_rank=args.rank,
@@ -238,8 +238,7 @@ def _run_one(args, path: str) -> tuple[int, str]:
             seed=args.seed,
             retries=args.retries,
         )
-        verify_tol = tol if tol is not None else search.DEFAULT_VERIFY_TOL
-        return cmd_search(path, params, args.out, verify_tol)
+        return cmd_search(path, params, args.out, tol)
     raise AssertionError(f"unhandled command {args.command}")
 
 
@@ -262,9 +261,12 @@ def _settle(run, *args) -> tuple[int, str, bool]:
     return code, text, False
 
 
-def _output_clash(args) -> str | None:
-    """Why the inputs cannot all run, when two of them would write the same
-    output path; None when every output path is written once."""
+def _refusal(args) -> str | None:
+    """Why none of the inputs can run: a --tol that is not finite and
+    positive, or two inputs that would write the same output path; None when
+    they can all run."""
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        return f"--tol must be finite and positive, got {args.tol}"
     if args.command == "search":
         targets = [t for p in args.inputs for t in _search_outputs(p, args.out)]
     elif args.command in ("slack", "dual") and args.out:
@@ -291,9 +293,9 @@ def main(argv=None) -> int:
     if args.command == "examples":
         outcomes = [_settle(cmd_examples, name, args.out) for name in args.names]
     else:
-        clash = _output_clash(args)
-        if clash is not None:
-            print(f"precondition failure: {clash}", file=sys.stderr)
+        refusal = _refusal(args)
+        if refusal is not None:
+            print(f"precondition failure: {refusal}", file=sys.stderr)
             return EXIT_PRECONDITION
         outcomes = [_settle(_run_one, args, p) for p in args.inputs]
     for _, text, failed in outcomes:

@@ -162,18 +162,13 @@ def is_pointed(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> bool:
     """True when the cone contains no line.
 
     Decided through the rank of the Euclidean dual's generators: the cone is
-    pointed exactly when its facet normals span the span of the cone.  For
-    generators that do not span R^d the scan runs in row-space coordinates.
+    pointed exactly when its facet normals span the span of the cone.  The
+    scan runs in row-space coordinates, so generators need not span R^d.
     """
     g = cone.generators
     basis = _row_space_basis(g)
-    r = basis.shape[1]
-    coords = g @ basis
-    if r == 1:
-        col = coords[:, 0]
-        return bool(col.min() > 0.0 or col.max() < 0.0)
-    normals = _facet_scan(coords, tol)
-    return normals.shape[0] > 0 and linalg.numeric_rank(normals) == r
+    normals = _facet_scan(g @ basis, tol)
+    return normals.shape[0] > 0 and linalg.numeric_rank(normals) == basis.shape[1]
 
 
 def facet_normals(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> np.ndarray:
@@ -181,10 +176,11 @@ def facet_normals(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> np.nd
 
     Found by the stacked-SVD scan over all (d-1)-subsets of generators.  Rows
     are returned in enumeration order (lexicographic over generator subsets),
-    deduplicated by cosine similarity.
+    deduplicated by cosine similarity.  PreconditionError when the generators
+    do not span R^d or the cone is not pointed.
     """
     if not is_full_dimensional(cone):
-        raise PreconditionError("cone is not full-dimensional")
+        raise PreconditionError("generators do not span the ambient space")
     normals = _facet_scan(cone.generators, tol)
     if normals.shape[0] == 0 or linalg.numeric_rank(normals) < cone.dim:
         raise PreconditionError("cone is not pointed")
@@ -199,7 +195,7 @@ def dual_cone(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> Polyhedra
 def _extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarray:
     """Which generators are extreme rays of the cone with these facet
     normals: those whose active facets (|<g, n>| <= tol) have normals of
-    rank d-1.
+    rank d-1.  PreconditionError when none is.
 
     The ranks come from one stacked SVD over the active-normal sets,
     zero-padded to a common row count: zero rows add only zero singular
@@ -218,59 +214,40 @@ def _extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarr
     top = sv[:, :1]
     ranks = np.where(top[:, 0] > 0.0,
                      (sv > linalg.DEFAULT_RANK_TOL * top).sum(axis=1), 0)
-    return (counts >= d - 1) & (ranks == d - 1)
+    kept = (counts >= d - 1) & (ranks == d - 1)
+    if not kept.any():
+        raise PreconditionError("no extreme rays found; input cone degenerate")
+    return kept
 
 
 def extreme_rays(generators, tol: float = DEFAULT_FACET_TOL) -> PolyhedralCone:
     """Reduce a generating set to the extreme rays of its cone.
 
     A generator is extreme exactly when the facets it lies on have normals of
-    rank d-1.  Duplicate directions are merged by the constructor.
+    rank d-1.  Duplicate directions are merged by the constructor.  The
+    checks and messages are facet_normals'.
     """
     cone = PolyhedralCone(generators)
-    d = cone.dim
-    if linalg.numeric_rank(cone.generators) < d:
-        raise PreconditionError("generators do not span the ambient space")
-    if d == 1:
-        if not is_pointed(cone, tol):
-            raise PreconditionError("cone is not pointed")
-        return cone
-    normals = _facet_scan(cone.generators, tol)
-    if normals.shape[0] == 0 or linalg.numeric_rank(normals) < d:
-        raise PreconditionError("cone is not pointed")
-    kept = _extreme_mask(cone.generators, normals, tol)
-    if not kept.any():
-        raise PreconditionError("no extreme rays found; input cone degenerate")
+    kept = _extreme_mask(cone.generators, facet_normals(cone, tol), tol)
     return PolyhedralCone(cone.generators[kept])
 
 
-def slack_matrix(
-    cone: PolyhedralCone,
-    tol: float = DEFAULT_FACET_TOL,
-    require_extreme: bool = False,
-) -> SlackMatrix:
-    """Slack matrix of a pointed full-dimensional cone with extreme generators.
+def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackMatrix:
+    """Slack matrix of a pointed full-dimensional cone: one row per
+    generator, one column per facet.
 
     Entry (i, j) is the inner product of generator i with dual generator j;
     entries below ZERO_CLAMP are clamped to exact zero so pattern logic can
-    compare supports without tolerance bookkeeping.
-
-    With require_extreme the generators are checked first, against the one
-    facet scan the slack is built from, in this order: PreconditionError
-    when they do not span the ambient space, when the cone is not pointed,
-    when none of them is an extreme ray, or when some are not (the tests and
-    messages of extreme_rays, plus a count of the generators it would drop).
+    compare supports without tolerance bookkeeping.  Every generator must be
+    an extreme ray, judged against the one facet scan the slack is built
+    from: PreconditionError for facet_normals' reasons, when no generator is
+    extreme, or with a count of those that are not.
     """
     gens = cone.generators
-    if require_extreme and not is_full_dimensional(cone):
-        raise PreconditionError("generators do not span the ambient space")
     normals = facet_normals(cone, tol)
-    if require_extreme:
-        dropped = int((~_extreme_mask(gens, normals, tol)).sum())
-        if dropped == cone.n_rays:
-            raise PreconditionError("no extreme rays found; input cone degenerate")
-        if dropped:
-            raise PreconditionError(f"{dropped} generator(s) are not extreme rays")
+    dropped = int((~_extreme_mask(gens, normals, tol)).sum())
+    if dropped:
+        raise PreconditionError(f"{dropped} generator(s) are not extreme rays")
     m = clamped_slack(gens @ normals.T, cone.dim)
     return SlackMatrix(
         matrix=m,
@@ -345,17 +322,12 @@ def cone_over_polytope(vertices, tol: float = DEFAULT_FACET_TOL) -> PolyhedralCo
 
     Vertices v in R^d become generators (1, v) in R^(d+1).  The interiority
     check is by facet enumeration: every facet normal of the lifted cone must
-    have a strictly positive first coordinate.
+    have a strictly positive first coordinate.  Every lifted generator has
+    first coordinate 1, so a lifted cone that spans R^(d+1) is pointed.
     """
     v = linalg.as_matrix(vertices)
-    lifted = np.hstack([np.ones((v.shape[0], 1)), v])
-    cone = PolyhedralCone(lifted)
-    if not is_full_dimensional(cone):
-        raise PreconditionError("polytope is not full-dimensional")
-    normals = _facet_scan(cone.generators, tol)
-    if normals.shape[0] == 0 or linalg.numeric_rank(normals) < cone.dim:
-        raise PreconditionError("lifted cone is degenerate")
-    if normals[:, 0].min() <= tol:
+    cone = PolyhedralCone(np.hstack([np.ones((v.shape[0], 1)), v]))
+    if facet_normals(cone, tol)[:, 0].min() <= tol:
         raise PreconditionError("origin is not in the interior of the polytope")
     return cone
 

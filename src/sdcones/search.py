@@ -70,9 +70,11 @@ class SearchParams:
 def sisd_check(s) -> np.ndarray | None:
     """First column permutation, in lexicographic order, making the support
     symmetric with a nonzero diagonal, or None when the exhaustive pruned
-    search finds none.  The search enumerates every such permutation before
-    returning the first, so one over patterns.INVOLUTION_NODE_BUDGET nodes
-    raises ConvergenceError."""
+    search finds none.  A support that is already symmetric with a unit
+    diagonal returns the identity, the first permutation, at once.  Any
+    other search enumerates every such permutation before returning the
+    first, so one over patterns.INVOLUTION_NODE_BUDGET nodes raises
+    ConvergenceError."""
     a = np.asarray(s)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError("support must be a square matrix")
@@ -81,6 +83,8 @@ def sisd_check(s) -> np.ndarray | None:
     a = a.astype(np.uint8)
     if np.any(a.sum(axis=1) == 0) or np.any(a.sum(axis=0) == 0):
         raise PreconditionError("support must have no zero rows or columns")
+    if np.array_equal(a, a.T) and a.diagonal().all():
+        return np.arange(a.shape[0])
     for sigma in involution_permutations(a):
         return sigma
     return None

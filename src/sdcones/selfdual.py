@@ -145,8 +145,9 @@ def is_self_dual(
 
     True exactly when the PSD-scaling search succeeds on a slack matrix; the
     certificate is attached.  Accepts a PolyhedralCone, whose slack is built
-    at tol, or a SlackMatrix already built from one.  A non-square slack
-    (facet count differs from ray count) settles the question immediately.
+    at tol (PreconditionError when a generator is not an extreme ray), or a
+    SlackMatrix already built from one.  A non-square slack (facet count
+    differs from ray count) settles the question immediately.
     """
     if isinstance(cone, geometry.SlackMatrix):
         slack = cone

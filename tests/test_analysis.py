@@ -254,3 +254,8 @@ class TestOneDecomposition:
         calls = count_eigh(monkeypatch)
         run(data.pentagon_slack())
         assert len(calls) == 1
+
+
+def test_empty_matrix_rejected():
+    with pytest.raises(PreconditionError, match="nonempty matrix"):
+        analysis.analyze_matrix(np.zeros((0, 0)), 1, dnn.DEFAULT_DNN_TOL, "empty")

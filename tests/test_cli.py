@@ -230,6 +230,25 @@ class TestAnalyzeCommand:
         assert "Traceback" not in err
 
 
+class TestTolChecked:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["slack", "pentagon_rays.cone", "--out", "slack.mat"],
+        ["dual", "pentagon_rays.cone", "--out", "dual.cone"],
+        ["verify", "pentagon_rays.cone", "pentagon_rays.cone"],
+        ["search", "pentagon.support", "--rank", "3", "--out", "run"],
+    ])
+    def test_bad_tol_exits_2_before_any_input_runs(self, workdir, capsys, argv, tol):
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        before = sorted(workdir.iterdir())
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert err == ("precondition failure: --tol must be finite and positive, "
+                       f"got {float(tol)}\n")
+        assert sorted(workdir.iterdir()) == before
+
+
 class TestVerifyCommand:
     def test_orthant_true(self, workdir, capsys):
         geometry.save_cone(workdir / "o.cone", np.eye(3))
@@ -279,16 +298,15 @@ class TestVerifyCommand:
 LIBRARY_SLACK_MATRIX = geometry.slack_matrix
 
 
-def two_scan_slack_matrix(cone, tol=geometry.DEFAULT_FACET_TOL, require_extreme=False):
+def two_scan_slack_matrix(cone, tol=geometry.DEFAULT_FACET_TOL):
     """The slack of verify and slack before they shared one facet scan:
     extreme_rays (with the per-generator rank loop) scans the generators,
     then slack_matrix scans them again."""
-    if require_extreme:
-        reduced = loop_extreme_rays(cone.generators, tol)
-        if reduced.n_rays != cone.n_rays:
-            raise PreconditionError(
-                f"{cone.n_rays - reduced.n_rays} generator(s) are not extreme rays"
-            )
+    reduced = loop_extreme_rays(cone.generators, tol)
+    if reduced.n_rays != cone.n_rays:
+        raise PreconditionError(
+            f"{cone.n_rays - reduced.n_rays} generator(s) are not extreme rays"
+        )
     return LIBRARY_SLACK_MATRIX(cone, tol)
 
 # Cone files for the single-scan tests, with the --tol each runs at (None:

@@ -231,7 +231,8 @@ class TestFacetNormals:
         cone = geometry.PolyhedralCone([[1.0, 0.0], [1.0, 1e-3]])
         # Spans a 2-plane in R^2, fine; a flat cone in R^3 is rejected.
         flat = geometry.PolyhedralCone([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        with pytest.raises(PreconditionError, match="full-dimensional"):
+        with pytest.raises(PreconditionError,
+                           match="generators do not span the ambient space"):
             geometry.facet_normals(flat)
         geometry.facet_normals(cone)
 
@@ -399,10 +400,12 @@ class TestSlackMatrix:
 
     def test_non_extreme_generator_rejected(self):
         # The midpoint of an edge lies on one facet of a 3-dimensional cone,
-        # short of the d - 1 = 2 zeros every extreme ray's row has.
+        # short of the d - 1 = 2 facets of independent normals every extreme
+        # ray lies on.
         square = np.array([[1.0, 1, 1], [1, 1, -1], [1, -1, -1], [1, -1, 1]])
         cone = geometry.PolyhedralCone(np.vstack([square, [1.0, 1, 0]]))
-        with pytest.raises(PreconditionError, match="row 4 has only 1 zeros"):
+        with pytest.raises(PreconditionError,
+                           match=r"1 generator\(s\) are not extreme rays"):
             geometry.slack_matrix(cone)
 
     def test_invariance_under_isomorphism(self, pentagon_rays):
@@ -523,6 +526,36 @@ class TestDualRoundTrip:
         assert trip.mapping is None
         assert abs(trip.worst_cosine - np.sqrt(2.0 / 3.0)) <= 1e-12
         assert trip.slack.shape == (4, 4) and trip.slack.min() >= -1e-12
+
+
+# Every public function that needs a cone's facets, on the prism.
+FACET_SCAN_CALLS = {
+    "facet_normals": lambda c: geometry.facet_normals(c),
+    "dual_cone": lambda c: geometry.dual_cone(c),
+    "extreme_rays": lambda c: geometry.extreme_rays(c.generators),
+    "slack_matrix": lambda c: geometry.slack_matrix(c),
+    "cone_over_polytope": lambda c: geometry.cone_over_polytope(c.generators[:, 1:]
+                                                                / c.generators[:, :1]),
+    "is_pointed": lambda c: geometry.is_pointed(c),
+    "dual_round_trip": lambda c: geometry.dual_round_trip(
+        c, geometry.DEFAULT_FACET_TOL, 1e-7),
+}
+
+
+class TestOneScanPerCall:
+    @pytest.mark.parametrize("name", sorted(FACET_SCAN_CALLS))
+    def test_one_facet_scan(self, prism_rays, monkeypatch, name):
+        cone = geometry.PolyhedralCone(prism_rays)
+        scans = []
+        scan = geometry._facet_scan
+
+        def counted(*args):
+            scans.append(1)
+            return scan(*args)
+
+        monkeypatch.setattr(geometry, "_facet_scan", counted)
+        FACET_SCAN_CALLS[name](cone)
+        assert len(scans) == 1
 
 
 class TestFileFormats:

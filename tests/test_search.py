@@ -159,6 +159,12 @@ class TestSisdCheck:
         assert np.array_equal(fixed, fixed.T)
         assert np.all(np.diag(fixed) == 1)
 
+    def test_dense_symmetric_support_is_the_identity(self):
+        # Every one of the 10! permutations is involutive here, far over the
+        # node budget, but the identity is already the first of them.
+        sigma = search.sisd_check(np.ones((10, 10), dtype=int))
+        assert np.array_equal(sigma, np.arange(10))
+
     def test_four_cycle_pattern_has_permutation(self):
         sigma = search.sisd_check(data.four_cycle_support().bits)
         assert sigma is not None

@@ -78,6 +78,21 @@ class TestIsSelfDual:
         ok, cert = selfdual.is_self_dual(square)
         assert not ok and cert is None
 
+    def test_redundant_generator_rejected(self, pentagon_rays):
+        # pentagon x R+ x R+ is self-dual.  e4 + e5 lies in the relative
+        # interior of its face cone(e4, e5), so with it listed the generators
+        # give 8 rows for 7 facets: not a slack matrix, and no reason to
+        # answer "not self-dual".
+        gens = np.zeros((7, 5))
+        gens[:5, :3] = pentagon_rays
+        gens[5:, 3:] = np.eye(2)
+        ok, cert = selfdual.is_self_dual(geometry.PolyhedralCone(gens))
+        assert ok and cert is not None
+        redundant = geometry.PolyhedralCone(np.vstack([gens, [0, 0, 0, 1, 1]]))
+        with pytest.raises(PreconditionError,
+                           match=r"^1 generator\(s\) are not extreme rays$"):
+            selfdual.is_self_dual(redundant)
+
     def test_isomorphism_invariance(self, pentagon_rays):
         rng = np.random.default_rng(37)
         square = geometry.cone_over_polytope(
