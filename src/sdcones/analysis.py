@@ -102,7 +102,10 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     if is_psd:
         rep = dnn.dnn_extremality(m, tol)
         results["extremality"] = dict(dataclasses.asdict(rep), provenance="numerical")
-        certified, detail = selfdual.certify_psd_slack(m, d)
+        if slack_ok:
+            certified, detail = selfdual._factor_cone_round_trip(m, d)
+        else:
+            certified, detail = False, "; ".join(reasons)
     else:
         results["extremality"] = {
             "extreme": None,

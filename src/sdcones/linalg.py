@@ -11,7 +11,9 @@ and the sign rule also take stacks of matrices: null_space is the one-matrix
 case of null_directions, which the facet scan calls on a stack of subsets,
 so both share one batched null-vector rule.  The projections psd_project,
 low_rank_project and psd_project_min_eig return V diag(w) V^T, in which the
-sign of each column of V cancels exactly, so they skip the sign rule.  All
+sign of each column of V cancels exactly, so they skip the sign rule; they
+take stacks too, so the SDP search projects a stack of attempts with one
+LAPACK call, and each matrix of a stack gets the bits it would get alone.  All
 functions are pure; there is no shared mutable state.
 """
 
@@ -33,10 +35,16 @@ DEFAULT_RANK_TOL = 1e-8
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d float array."""
+    return _finite(a, stack=False)
+
+
+def _finite(a, stack: bool) -> np.ndarray:
+    """Coerce to a finite float array: one matrix, or with stack also a
+    stack of matrices (leading batch axes)."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise PreconditionError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.size and not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise PreconditionError("matrix entries must be finite")
     return m
 
@@ -49,27 +57,37 @@ def asymmetry(a) -> float:
     return float(np.abs(m - m.T).max())
 
 
-def _symmetric(a) -> np.ndarray:
-    """Validated square symmetric input, exactly symmetrized.
+def _symmetric(a, stack: bool = False) -> np.ndarray:
+    """Validated square symmetric input, exactly symmetrized.  With stack,
+    a may carry leading batch axes; each matrix of the stack is checked and
+    symmetrized as a single matrix would be.
 
     Exactly symmetric input comes back as is, possibly the caller's own
     array, since 0.5 * (m + m.T) would equal it bit for bit.  Rejection
     carries the measured asymmetry so callers can report how far the input
     was from symmetric.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    m = _finite(a, stack)
+    if m.shape[-2] != m.shape[-1]:
         raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
-    if (m == m.T).all():
+    mt = m.swapaxes(-1, -2)
+    # Equal bytes are equal (finite) entries, and far cheaper to compare
+    # than entry by entry; only zeros of opposite sign need the latter.
+    if m.tobytes() == mt.tobytes() or (m == mt).all():
         return m
-    gap = np.abs(m - m.T)
-    bound = SYMMETRY_TOL * np.maximum(1.0, np.maximum(np.abs(m), np.abs(m.T)))
+    gap = np.abs(m - mt)
+    bound = SYMMETRY_TOL * np.maximum(1.0, np.maximum(np.abs(m), np.abs(mt)))
     if (gap > bound).any():
         raise PreconditionError(
-            f"matrix is not symmetric: measured asymmetry {asymmetry(m):.3e} "
+            f"matrix is not symmetric: measured asymmetry {gap.max():.3e} "
             f"exceeds {SYMMETRY_TOL:g} * max(1, |entry|)"
         )
-    return 0.5 * (m + m.T)
+    if m.ndim == 2:
+        return 0.5 * (m + mt)
+    exact = (m == mt).all(axis=(-2, -1))
+    out = m.copy()
+    out[~exact] = 0.5 * (m[~exact] + mt[~exact])
+    return out
 
 
 def require_symmetric(a) -> np.ndarray:
@@ -106,14 +124,14 @@ def _positive_leading(vecs: np.ndarray) -> np.ndarray:
 
 
 def _eigh(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigenpairs of a validated symmetric matrix, eigenvalues
-    descending, as reversed views of eigh's ascending output.  The column
-    signs are whatever LAPACK returns."""
+    """LAPACK eigenpairs of a validated symmetric matrix, or of each matrix
+    of a stack, eigenvalues descending, as reversed views of eigh's
+    ascending output.  The column signs are whatever LAPACK returns."""
     try:
         vals, vecs = np.linalg.eigh(w)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh did not converge: {exc}") from exc
-    return vals[::-1], vecs[:, ::-1]
+    return vals[..., ::-1], vecs[..., ::-1]
 
 
 def sym_eigen(a) -> EigenDecomposition:
@@ -144,7 +162,7 @@ def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     sv = np.zeros(m.shape[:-2] + m.shape[-1:])
     sv[..., : s.shape[-1]] = s
-    return sv, np.swapaxes(vt, -1, -2)
+    return sv, vt.swapaxes(-1, -2)
 
 
 def singular_values(a) -> np.ndarray:
@@ -189,39 +207,43 @@ def null_space(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 
 def _reconstruct(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """V diag(weights) V^T, symmetrized exactly.  Negating a column of V
-    negates both factors of each of its terms, so the result does not depend
-    on the column signs, bit for bit."""
-    b = (vecs * weights) @ vecs.T
-    return 0.5 * (b + b.T)
+    """V diag(weights) V^T, symmetrized exactly, for one matrix or a stack.
+    Negating a column of V negates both factors of each of its terms, so the
+    result does not depend on the column signs, bit for bit."""
+    b = (vecs * weights[..., None, :]) @ vecs.swapaxes(-1, -2)
+    return 0.5 * (b + b.swapaxes(-1, -2))
 
 
 def psd_project(a) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: eigenvalues clipped at 0."""
+    """Frobenius-nearest positive semidefinite matrix: eigenvalues clipped at
+    0.  a may be a stack of matrices (leading batch axes); each is projected
+    as on its own, bit for bit."""
     return psd_project_min_eig(a)[0]
 
 
-def psd_project_min_eig(a) -> tuple[np.ndarray, float]:
+def psd_project_min_eig(a) -> tuple[np.ndarray, float | np.ndarray]:
     """psd_project(a) and the smallest eigenvalue of a (inf for an empty
-    matrix), from one eigendecomposition."""
-    vals, vecs = _eigh(_symmetric(a))
-    min_eig = float(vals[-1]) if vals.size else float("inf")
-    return _reconstruct(vecs, np.maximum(vals, 0.0)), min_eig
+    matrix), from one eigendecomposition.  For a stack the smallest
+    eigenvalues come as an array with the stack's leading shape."""
+    vals, vecs = _eigh(_symmetric(a, stack=True))
+    low = vals[..., -1] if vals.shape[-1] else np.full(vals.shape[:-1], np.inf)
+    return _reconstruct(vecs, np.maximum(vals, 0.0)), float(low) if vals.ndim == 1 else low
 
 
 def low_rank_project(a, d: int) -> np.ndarray:
-    """Keep the d largest nonnegative eigenvalues, zero the rest.
+    """Keep the d largest nonnegative eigenvalues, zero the rest; of each
+    matrix when a is a stack.
 
     This is the projection used inside the alternating rank-refinement loop;
     its use here is restricted to (near-)PSD iterates, hence the clipping.
     """
-    w = _symmetric(a)
-    n = w.shape[0]
+    w = _symmetric(a, stack=True)
+    n = w.shape[-1]
     if d < 1:
         raise PreconditionError(f"target rank must be >= 1, got {d}")
     if d > n:
         raise PreconditionError(f"target rank {d} exceeds matrix size {n}")
     vals, vecs = _eigh(w)
-    kept = np.zeros(n)
-    kept[:d] = np.maximum(vals[:d], 0.0)
+    kept = np.zeros(vals.shape)
+    kept[..., :d] = np.maximum(vals[..., :d], 0.0)
     return _reconstruct(vecs, kept)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, linalg
-from .errors import ParseError, PreconditionError
+from .errors import ConvergenceError, ParseError, PreconditionError
 from .patterns import (
     SUPPORT_CLAMP,
     SupportPattern,
@@ -56,6 +56,8 @@ class SearchParams:
             raise PreconditionError("max_iter must be >= 1")
         if self.retries < 1:
             raise PreconditionError("retries must be >= 1")
+        if self.seed < 0:
+            raise PreconditionError("seed must be >= 0")
         for name in ("psd_tol", "support_tol", "rank_tol"):
             if getattr(self, name) <= 0.0:
                 raise PreconditionError(f"{name} must be positive")
@@ -111,10 +113,21 @@ class SdpResult:
 
 
 def _affine_project(x: np.ndarray, on: np.ndarray) -> np.ndarray:
-    """Closed-form projection onto {X_ij = 0 off support, X_ii = 1}."""
+    """Closed-form projection onto {X_ij = 0 off support, X_ii = 1}, of one
+    matrix or of each matrix of a stack."""
     y = np.where(on, x, 0.0)
-    y.flat[:: y.shape[0] + 1] = 1.0
+    n = on.shape[0]
+    if y.ndim == 2:
+        y.flat[:: n + 1] = 1.0
+    else:
+        y.reshape(-1, n * n)[:, :: n + 1] = 1.0
     return y
+
+
+def _objective_weights(on: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weights symmetrized and restricted to the support, of one weight
+    matrix or of each matrix of a stack."""
+    return np.where(on, 0.5 * (weights + weights.swapaxes(-1, -2)), 0.0)
 
 
 def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> SdpResult:
@@ -127,61 +140,123 @@ def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> S
     pure alternating-projection polish then drives the iterate to
     feasibility within the configured tolerances.
     """
-    on = pattern.mask
     n = pattern.n
     c = linalg.as_matrix(weights)
     if c.shape != (n, n):
         raise PreconditionError(f"weights must be {n}x{n}")
     if c.min() < 0.0:
         raise PreconditionError("weights must be nonnegative")
-    c = np.where(on, 0.5 * (c + c.T), 0.0)
+    return _sdp_loop(pattern.mask, _objective_weights(pattern.mask, c), params)[0]
+
+
+def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpResult]:
+    """The solver of sdp_feasibility on objective weights c: one (n, n)
+    matrix, or a (k, n, n) stack of k attempts, with one result per attempt.
+
+    A stack makes one projection call per iteration for all of its live
+    attempts.  Each attempt keeps its own step, trace and stop rules in
+    Python floats and leaves the stack when it stops, and the projections
+    treat each matrix of a stack as they treat one matrix, so every attempt
+    gets the iterates and the result it would get alone, bit for bit.  The
+    ascent runs until every attempt has stopped; then the polish runs.
+    """
+    n = on.shape[0]
+    stacked = c.ndim == 3
+    k = c.shape[0] if stacked else 1
+    final: list = [None] * k  # each attempt's iterate once it has stopped
+    live = list(range(k))  # the attempts still in the stack, in stack order
+
+    def retire(x: np.ndarray, done: list[int], keep: list[int]) -> list[int]:
+        """Store the iterates of the stack rows in done; the attempts left."""
+        rows = list(x) if stacked else [x]
+        for j in done:
+            final[live[j]] = rows[j]
+        return [live[j] for j in keep]
+
+    def sums(a: np.ndarray) -> list[float]:
+        # A stack's sums have the bits of each matrix's own a.sum().
+        return a.sum(axis=(-2, -1)).tolist() if stacked else [float(a.sum())]
 
     base_step = params.step_size if params.step_size is not None else 1.0 / n
-    step = base_step
-    x = np.eye(n)
-    trace = [float((c * x).sum())]
-    ascent_iters = 0
-    while ascent_iters < params.max_iter:
-        ascent_iters += 1
+    steps = [base_step] * k
+    x = np.broadcast_to(np.eye(n), c.shape)
+    traces = [[obj] for obj in sums(c * x)]
+    ascent_iters = [0] * k
+    max_iter = params.max_iter
+    it = 0
+    while live:
+        it += 1
+        step = np.array([steps[i] for i in live])[:, None, None] if stacked else steps[0]
         y = linalg.psd_project(_affine_project(x + step * c, on))
-        obj = float((c * y).sum())
-        if obj < trace[-1] - 1e-12 * max(1.0, abs(trace[-1])):
-            step *= 0.5
-            if step < 1e-6 * base_step:
+        accepted, keep, done = [], [], []
+        for j, obj in enumerate(sums(c * y)):
+            i = live[j]
+            trace = traces[i]
+            if obj < trace[-1] - 1e-12 * max(1.0, abs(trace[-1])):
+                steps[i] *= 0.5
+                accepted.append(False)
+                stop = steps[i] < 1e-6 * base_step
+            else:
+                trace.append(obj)
+                steps[i] = min(steps[i] * 1.5, base_step)
+                accepted.append(True)
+                stop = len(trace) > 60 and trace[-1] - trace[-60] < 1e-10 * max(
+                    1.0, abs(trace[-1])
+                )
+            if stop or it == max_iter:
+                ascent_iters[i] = it
+                done.append(j)
+            else:
+                keep.append(j)
+        if all(accepted):
+            x = y
+        elif any(accepted):
+            x = np.where(np.array(accepted)[:, None, None], y, x)
+        if done:
+            live = retire(x, done, keep)
+            if live:
+                x, c = x[keep], c[keep]
+
+    x = _affine_project(np.stack(final) if stacked else final[0], on)
+    min_eig = [0.0] * k
+    polish_iters = [0] * k
+    converged = [False] * k
+    live = list(range(k))
+    for it in range(1, max_iter + 1):
+        z, low = linalg.psd_project_min_eig(x)
+        keep, done = [], []
+        for j, eig in enumerate(low.tolist() if stacked else [low]):
+            i = live[j]
+            min_eig[i], polish_iters[i] = eig, it
+            if eig >= -params.psd_tol:
+                converged[i] = True
+                done.append(j)
+            else:
+                keep.append(j)
+        if done:
+            live = retire(x, done, keep)
+            if not live:
                 break
-            continue
-        x = y
-        trace.append(obj)
-        step = min(step * 1.5, base_step)
-        if len(trace) > 60 and trace[-1] - trace[-60] < 1e-10 * max(
-            1.0, abs(trace[-1])
-        ):
-            break
-
-    x = _affine_project(x, on)
-    converged = False
-    min_eig = 0.0
-    polish_iters = 0
-    for polish_iters in range(1, params.max_iter + 1):
-        z, min_eig = linalg.psd_project_min_eig(x)
-        if min_eig >= -params.psd_tol:
-            converged = True
-            break
+            z = z[keep]
         x = _affine_project(z, on)
+    retire(x, list(range(len(live))), [])
 
-    residuals = {
-        "psd_margin": min_eig,
-        "diag_gap": float(np.abs(np.diag(x) - 1.0).max()),
-        "off_support_max": float(np.abs(x[~on]).max()) if (~on).any() else 0.0,
-    }
-    return SdpResult(
-        matrix=x,
-        objective=trace[-1],
-        objective_trace=trace,
-        residuals=residuals,
-        converged=converged,
-        iterations=ascent_iters + polish_iters,
-    )
+    off = ~on
+    return [
+        SdpResult(
+            matrix=final[i],
+            objective=traces[i][-1],
+            objective_trace=traces[i],
+            residuals={
+                "psd_margin": min_eig[i],
+                "diag_gap": float(np.abs(np.diag(final[i]) - 1.0).max()),
+                "off_support_max": float(np.abs(final[i][off]).max()) if off.any() else 0.0,
+            },
+            converged=converged[i],
+            iterations=ascent_iters[i] + polish_iters[i],
+        )
+        for i in range(k)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +344,26 @@ def rank_refine(
 # Randomized retries.
 # ---------------------------------------------------------------------------
 
+# Attempts after the first run in stacks of at most this many: each SDP
+# iteration then makes one eigendecomposition call for the whole stack, and
+# a large retry count never allocates one (n, n) array per attempt at once.
+_RETRY_STACK = 32
+
+
+def _sdp_attempts(pattern: SupportPattern, weights: np.ndarray, params: SearchParams):
+    """SDP results, in index order, for one (n, n) weight matrix or a
+    (k, n, n) stack of them.  A stack runs as one stacked solve; if that
+    raises, its attempts rerun one at a time through sdp_feasibility, lazily,
+    so an error surfaces at the attempt that raises it and only once every
+    attempt before it has been consumed."""
+    if weights.ndim == 2:
+        return [sdp_feasibility(pattern, weights, params)]
+    try:
+        return _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
+    except (ConvergenceError, PreconditionError):
+        return (sdp_feasibility(pattern, w, params) for w in weights)
+
+
 @dataclass
 class AttemptRecord:
     index: int
@@ -316,43 +411,57 @@ def randomized_retry(
     retrying when a refined matrix extracts to a cone that fails the
     self-duality verification (a refined matrix need not be a slack matrix
     at all, so refinement success alone is not proof of a realization).
+
+    Attempt 1 runs alone; later attempts run as stacks of up to _RETRY_STACK
+    (see _sdp_attempts).  Their weights are the same draws from the stream,
+    and they are refined, recorded and certified in index order up to the
+    first certified one, so the transcript is the one a loop of one
+    sdp_feasibility call per attempt writes.
     """
     rng = np.random.default_rng(params.seed)
     n = pattern.n
     attempts: list[AttemptRecord] = []
-    for index in range(params.retries):
-        weights = rng.uniform(0.5, 1.5, size=(n, n))
-        sdp = sdp_feasibility(pattern, weights, params)
-        refined = None
-        nonneg = False
-        if sdp.converged:
-            refined = rank_refine(sdp.matrix, params.target_rank, params, pattern)
-            # A valid slack is entrywise nonnegative; a refined matrix with
-            # negative structural entries is a dead end, not a realization.
-            nonneg = bool(refined.matrix.min() >= -SUPPORT_CLAMP)
-        record = AttemptRecord(
-            index=index,
-            sdp_converged=sdp.converged,
-            sdp_iterations=sdp.iterations,
-            objective=sdp.objective,
-            objective_trace=sdp.objective_trace,
-            sdp_residuals=sdp.residuals,
-            refine_converged=bool(refined and refined.converged),
-            refine_iterations=refined.iterations if refined else 0,
-            refine_reason=refined.reason if refined else "sdp did not converge",
-            refine_rank_residuals=refined.rank_residuals if refined else [],
-            refine_affine_residuals=refined.affine_residuals if refined else [],
-            nonnegative=nonneg,
-        )
-        attempts.append(record)
-        if refined is not None and refined.converged and nonneg:
-            if certify is None:
-                return RetryResult(refined.matrix, True, attempts)
-            outcome, reason = certify(refined.matrix)
-            record.certified = outcome is not None
-            record.certify_reason = reason
-            if outcome is not None:
-                return RetryResult(refined.matrix, True, attempts, certificate=outcome)
+    index = 0
+    while index < params.retries:
+        if index == 0:
+            weights = rng.uniform(0.5, 1.5, size=(n, n))
+        else:
+            k = min(_RETRY_STACK, params.retries - index)
+            weights = rng.uniform(0.5, 1.5, size=(k, n, n))
+        for sdp in _sdp_attempts(pattern, weights, params):
+            refined = None
+            nonneg = False
+            if sdp.converged:
+                refined = rank_refine(sdp.matrix, params.target_rank, params, pattern)
+                # A valid slack is entrywise nonnegative; a refined matrix with
+                # negative structural entries is a dead end, not a realization.
+                nonneg = bool(refined.matrix.min() >= -SUPPORT_CLAMP)
+            record = AttemptRecord(
+                index=index,
+                sdp_converged=sdp.converged,
+                sdp_iterations=sdp.iterations,
+                objective=sdp.objective,
+                objective_trace=sdp.objective_trace,
+                sdp_residuals=sdp.residuals,
+                refine_converged=bool(refined and refined.converged),
+                refine_iterations=refined.iterations if refined else 0,
+                refine_reason=refined.reason if refined else "sdp did not converge",
+                refine_rank_residuals=refined.rank_residuals if refined else [],
+                refine_affine_residuals=refined.affine_residuals if refined else [],
+                nonnegative=nonneg,
+            )
+            attempts.append(record)
+            index += 1
+            if refined is not None and refined.converged and nonneg:
+                if certify is None:
+                    return RetryResult(refined.matrix, True, attempts)
+                outcome, reason = certify(refined.matrix)
+                record.certified = outcome is not None
+                record.certify_reason = reason
+                if outcome is not None:
+                    return RetryResult(
+                        refined.matrix, True, attempts, certificate=outcome
+                    )
     return RetryResult(matrix=None, success=False, attempts=attempts)
 
 

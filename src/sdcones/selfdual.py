@@ -167,6 +167,12 @@ def certify_psd_slack(matrix: np.ndarray, d: int) -> tuple[bool, str]:
     ok, reasons = geometry.slack_necessary_check(matrix, d)
     if not ok:
         return False, "; ".join(reasons)
+    return _factor_cone_round_trip(matrix, d)
+
+
+def _factor_cone_round_trip(matrix: np.ndarray, d: int) -> tuple[bool, str]:
+    """certify_psd_slack on a matrix that has passed
+    geometry.slack_necessary_check at d: the rebuild and the support match."""
     try:
         cone = geometry.cone_from_factorization(matrix, d)
         trip = geometry.dual_round_trip(

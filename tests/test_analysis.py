@@ -249,6 +249,22 @@ class TestOneDecomposition:
         assert json.loads(capsys.readouterr().out)["results"]["verdicts"]["dnn_extreme"]
         assert len(calls) <= 3
 
+    def test_one_slack_check_per_item(self, tmp_path, monkeypatch, capsys):
+        # The pass runs the necessary slack check once and hands its result
+        # to the certification, which used to run it again.
+        geometry.save_matrix(tmp_path / "m.mat", data.pentagon_slack())
+        calls, check = [], geometry.slack_necessary_check
+
+        def counted(m, d):
+            calls.append(d)
+            return check(m, d)
+
+        monkeypatch.setattr(geometry, "slack_necessary_check", counted)
+        assert cli.main(["analyze", str(tmp_path / "m.mat"), "--rank", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)["results"]
+        assert report["selfdual_certification"]["certified"]
+        assert calls == [3]
+
     @pytest.mark.parametrize("run", [dnn.dnn_extremality, dnn.dnn5_classify])
     def test_dnn_certificates(self, monkeypatch, run):
         calls = count_eigh(monkeypatch)

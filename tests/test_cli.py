@@ -415,6 +415,17 @@ class TestSearchCommand:
         code, _, _ = run_cli(capsys, "search", "bad.support", "--rank", "2")
         assert code == cli.EXIT_PARSE
 
+    def test_negative_seed_exit_2(self, workdir, capsys):
+        search.save_support(workdir / "f.support", data.four_cycle_support().bits)
+        before = sorted(workdir.iterdir())
+        code, out, err = run_cli(
+            capsys, "search", "f.support", "--rank", "3", "--seed", "-1", "--out", "run"
+        )
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert err == "precondition failure: seed must be >= 0\n"
+        assert sorted(workdir.iterdir()) == before
+
 
 class TestParser:
     def test_built_once_with_independent_namespaces(self, monkeypatch):

@@ -264,6 +264,10 @@ class TestContract:
         assert linalg.numeric_rank(a) == cols - k
 
 
+def bits_of(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def perturbed(a: np.ndarray, rel: float) -> np.ndarray:
     """a with a[0, 1] moved by rel * max(1, |a[0, 1]|)."""
     b = a.copy()
@@ -329,6 +333,93 @@ class TestProjectionContract:
         linalg.low_rank_project(a, 1)
         linalg.psd_project_min_eig(a)
         assert np.array_equal(a, before)
+
+
+def symmetric_stack(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """k symmetric n x n matrices: Gaussian ones, and every third one with a
+    repeated eigenvalue, so the projections meet degenerate spectra too."""
+    stack = []
+    for i in range(k):
+        if i % 3 == 2:
+            w = rng.choice([-1.0, 0.0, 2.0], size=n)
+            q = random_orthogonal(rng, n)
+            a = (q * w) @ q.T
+        else:
+            a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-2, 3)
+        stack.append(0.5 * (a + a.T))
+    return np.stack(stack)
+
+
+class TestStackedProjections:
+    """Each matrix of a stack gets the bits the 2-D call gives it, and the
+    2-D checks."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 19])
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
+    def test_members_match_single_calls(self, k, n):
+        rng = np.random.default_rng(100 * k + n)
+        stack = symmetric_stack(rng, k, n)
+        # One member asymmetric within the tolerance: symmetrized as in 2-D.
+        if n > 1:
+            stack[k // 2] = perturbed(stack[k // 2], 0.25 * linalg.SYMMETRY_TOL)
+        before = stack.copy()
+        out = linalg.psd_project(stack)
+        out_min, low = linalg.psd_project_min_eig(stack)
+        assert out.shape == out_min.shape == (k, n, n) and low.shape == (k,)
+        ranks = sorted({1, max(1, n // 2), n})
+        low_rank = {d: linalg.low_rank_project(stack, d) for d in ranks}
+        for i in range(k):
+            one = stack[i].copy()
+            assert bits_of(out[i]) == bits_of(linalg.psd_project(one))
+            single, single_low = linalg.psd_project_min_eig(one)
+            assert bits_of(out_min[i]) == bits_of(single)
+            assert isinstance(single_low, float)
+            assert bits_of(low[i]) == bits_of(single_low)
+            for d in ranks:
+                assert bits_of(low_rank[d][i]) == bits_of(linalg.low_rank_project(one, d))
+        assert bits_of(stack) == bits_of(before)
+
+    def test_symmetrized_member_by_member(self):
+        rng = np.random.default_rng(7)
+        stack = symmetric_stack(rng, 4, 5)
+        stack[1] = perturbed(stack[1], 0.25 * linalg.SYMMETRY_TOL)
+        sym = linalg._symmetric(stack, stack=True)
+        for i in range(4):
+            assert bits_of(sym[i]) == bits_of(linalg._symmetric(stack[i]))
+        assert bits_of(sym[0]) == bits_of(stack[0])
+        assert not np.array_equal(sym[1], stack[1])
+        assert np.array_equal(sym[1], sym[1].T)
+
+    PROJECT_STACK = {
+        "psd_project": linalg.psd_project,
+        "psd_project_min_eig": lambda a: linalg.psd_project_min_eig(a)[0],
+        "low_rank_project": lambda a: linalg.low_rank_project(a, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROJECT_STACK))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_rejected(self, name, bad):
+        stack = symmetric_stack(np.random.default_rng(11), 5, 4)
+        stack[3, 2, 1] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            self.PROJECT_STACK[name](stack)
+        with pytest.raises(PreconditionError, match="finite"):
+            PROJECTIONS[name](stack[3])
+
+    @pytest.mark.parametrize("name", sorted(PROJECT_STACK))
+    def test_asymmetric_member_rejected(self, name):
+        stack = symmetric_stack(np.random.default_rng(13), 5, 4)
+        stack[2] = perturbed(stack[2], 100 * linalg.SYMMETRY_TOL)
+        with pytest.raises(PreconditionError, match="not symmetric"):
+            self.PROJECT_STACK[name](stack)
+        with pytest.raises(PreconditionError, match="not symmetric"):
+            PROJECTIONS[name](stack[2])
+
+    def test_two_d_entry_points_stay_two_d(self):
+        stack = np.stack([np.eye(3)] * 2)
+        for fn in (linalg.sym_eigen, linalg.require_symmetric, linalg.as_matrix):
+            with pytest.raises(PreconditionError, match="2-d"):
+                fn(stack)
 
 
 class TestLapackFailure:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sdcones import data, dnn, geometry, linalg, patterns, search, selfdual
-from sdcones.errors import ParseError, PreconditionError
+from sdcones.errors import ConvergenceError, ParseError, PreconditionError
 
 from conftest import equal_up_to_scaling
 
@@ -340,6 +341,184 @@ class TestRandomizedRetry:
         )
         assert not res.success
         assert len(res.attempts) == 4
+
+
+class TestSearchParams:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(PreconditionError, match="seed must be >= 0"):
+            search.SearchParams(target_rank=3, seed=-1)
+        assert search.SearchParams(target_rank=3, seed=0).seed == 0
+
+
+# -- the retry loop before attempts ran as stacks, kept as an oracle ---------
+
+def sequential_retry(pattern, params, certify=None):
+    """One sdp_feasibility call per attempt, each with its own (n, n) weight
+    draw, refined, recorded and certified before the next one runs."""
+    rng = np.random.default_rng(params.seed)
+    n = pattern.n
+    attempts = []
+    for index in range(params.retries):
+        weights = rng.uniform(0.5, 1.5, size=(n, n))
+        sdp = search.sdp_feasibility(pattern, weights, params)
+        refined = None
+        nonneg = False
+        if sdp.converged:
+            refined = search.rank_refine(sdp.matrix, params.target_rank, params, pattern)
+            nonneg = bool(refined.matrix.min() >= -patterns.SUPPORT_CLAMP)
+        record = search.AttemptRecord(
+            index=index,
+            sdp_converged=sdp.converged,
+            sdp_iterations=sdp.iterations,
+            objective=sdp.objective,
+            objective_trace=sdp.objective_trace,
+            sdp_residuals=sdp.residuals,
+            refine_converged=bool(refined and refined.converged),
+            refine_iterations=refined.iterations if refined else 0,
+            refine_reason=refined.reason if refined else "sdp did not converge",
+            refine_rank_residuals=refined.rank_residuals if refined else [],
+            refine_affine_residuals=refined.affine_residuals if refined else [],
+            nonnegative=nonneg,
+        )
+        attempts.append(record)
+        if refined is not None and refined.converged and nonneg:
+            if certify is None:
+                return search.RetryResult(refined.matrix, True, attempts)
+            outcome, reason = certify(refined.matrix)
+            record.certified = outcome is not None
+            record.certify_reason = reason
+            if outcome is not None:
+                return search.RetryResult(
+                    refined.matrix, True, attempts, certificate=outcome
+                )
+    return search.RetryResult(matrix=None, success=False, attempts=attempts)
+
+
+def gon7_support() -> np.ndarray:
+    cone = geometry.cone_over_polytope(data.regular_polygon_vertices(7))
+    return patterns.support_of(geometry.slack_matrix(cone).matrix).astype(np.uint8)
+
+
+def pipeline_bits(result) -> tuple:
+    """Everything a pipeline run reports about its attempts, as bytes: the
+    records (floats pickled bit for bit), the refined matrix, the winner."""
+    retry = result.retry
+    matrix = None if retry.matrix is None else bits_of(retry.matrix)
+    return (
+        [pickle.dumps(vars(a)) for a in retry.attempts],
+        matrix,
+        retry.winning_attempt,
+        result.success,
+        result.failure,
+    )
+
+
+class TestStackedRetries:
+    """Attempts after the first run as stacks; the transcript has to be the
+    one the sequential loop writes, bit for bit."""
+
+    SUPPORTS = [
+        ("pentagon", lambda: data.pentagon_support().bits, 3),
+        ("prism", lambda: data.prism_support().bits, 4),
+        ("selfpolar10", lambda: data.ten_support().bits, 4),
+        ("gon7", gon7_support, 3),
+        ("four-cycle", lambda: data.four_cycle_support().bits, 3),
+    ]
+
+    @staticmethod
+    def _both(bits, params, monkeypatch):
+        stacked = search.run_pipeline(bits, params)
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "randomized_retry", sequential_retry)
+            sequential = search.run_pipeline(bits, params)
+        return stacked, sequential
+
+    @pytest.mark.parametrize("stack", [search._RETRY_STACK, 3])
+    @pytest.mark.parametrize(
+        "name,support,rank", SUPPORTS, ids=[c[0] for c in SUPPORTS]
+    )
+    def test_same_records_as_sequential(self, name, support, rank, stack, monkeypatch):
+        monkeypatch.setattr(search, "_RETRY_STACK", stack)
+        bits = support()
+        for seed in (0, 1, 5, 7, 11):
+            for retries in (1, 2, 4, 20):
+                params = search.SearchParams(target_rank=rank, seed=seed, retries=retries)
+                stacked, sequential = self._both(bits, params, monkeypatch)
+                assert pipeline_bits(stacked) == pipeline_bits(sequential)
+                if stacked.success:
+                    assert bits_of(stacked.realization.generators) == bits_of(
+                        sequential.realization.generators
+                    )
+
+    def test_four_cycle_runs_stacks(self, monkeypatch):
+        # Guards the test above: a failing support must reach the stacked
+        # solver, one eigh call per iteration for the whole stack.
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        res = search.randomized_retry(
+            data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5)
+        )
+        assert len(res.attempts) == 20 and not res.success
+        assert (19, 4, 4) in shapes
+
+    def test_stack_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
+        eigh = np.linalg.eigh
+        stacks = []
+
+        def fail_on_stacks(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                stacks.append(np.shape(a))
+                raise np.linalg.LinAlgError("did not converge")
+            return eigh(a, *args, **kwargs)
+
+        bits = data.four_cycle_support().bits
+        for seed in (0, 5):
+            params = search.SearchParams(target_rank=3, seed=seed)
+            expected = pipeline_bits(search.run_pipeline(bits, params))
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "eigh", fail_on_stacks)
+                mp.setattr(search, "_RETRY_STACK", 5)
+                assert pipeline_bits(search.run_pipeline(bits, params)) == expected
+        assert stacks and all(shape[0] > 1 for shape in stacks)
+
+    def test_error_surfaces_at_its_attempt(self, monkeypatch):
+        # Every eigh call from the third attempt on fails: the stacked solve
+        # fails, the rerun records attempt 2 and raises in attempt 3, as the
+        # sequential loop does.
+        eigh = np.linalg.eigh
+        calls = {"weights": 0}
+        sdp = search.sdp_feasibility
+
+        def counted_sdp(pattern, weights, params):
+            calls["weights"] += 1
+            return sdp(pattern, weights, params)
+
+        def failing(a, *args, **kwargs):
+            if np.ndim(a) > 2 or calls["weights"] >= 3:
+                raise np.linalg.LinAlgError("did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(search, "sdp_feasibility", counted_sdp)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ConvergenceError, match="eigh"):
+            search.randomized_retry(
+                data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5)
+            )
+        assert calls["weights"] == 3
+
+    def test_stacked_draws_are_the_sequential_draws(self):
+        for k in range(1, 33):
+            for n in range(1, 11):
+                stacked = np.random.default_rng(k * 100 + n).uniform(0.5, 1.5, size=(k, n, n))
+                rng = np.random.default_rng(k * 100 + n)
+                one_by_one = [rng.uniform(0.5, 1.5, size=(n, n)) for _ in range(k)]
+                assert bits_of(stacked) == bits_of(np.stack(one_by_one))
 
 
 class TestExtractRealization:
