@@ -32,20 +32,18 @@ from .patterns import (
 MIN_STRUCTURAL_ENTRY = 1e-4
 TRAILING_EIG_TOL = 1e-8
 REFINE_STOP_TOL = 1e-12
+SDP_PSD_TOL = 1e-9  # the SDP polish stops at a smallest eigenvalue >= -this
 
 DEFAULT_VERIFY_TOL = 1e-6
 
 
 @dataclass
 class SearchParams:
-    """Knobs of the pipeline; the defaults reproduce the bundled examples."""
+    """The values `sdcones search` sets, with an iteration cap per SDP and
+    refinement loop; the defaults reproduce the bundled examples."""
 
     target_rank: int
     max_iter: int = 2000
-    step_size: float | None = None
-    psd_tol: float = 1e-9
-    support_tol: float = 1e-9
-    rank_tol: float = 1e-8
     seed: int = 0
     retries: int = 20
 
@@ -58,11 +56,6 @@ class SearchParams:
             raise PreconditionError("retries must be >= 1")
         if self.seed < 0:
             raise PreconditionError("seed must be >= 0")
-        for name in ("psd_tol", "support_tol", "rank_tol"):
-            if getattr(self, name) <= 0.0:
-                raise PreconditionError(f"{name} must be positive")
-        if self.step_size is not None and self.step_size <= 0.0:
-            raise PreconditionError("step_size must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +100,7 @@ class SdpResult:
     matrix: np.ndarray
     objective: float
     objective_trace: list[float]
-    residuals: dict
+    psd_margin: float
     converged: bool
     iterations: int
 
@@ -138,7 +131,9 @@ def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> S
     lower the monitored objective is rejected and retried at half the size,
     so the recorded objective trace is non-decreasing by construction.  A
     pure alternating-projection polish then drives the iterate to
-    feasibility within the configured tolerances.
+    feasibility: the returned matrix has an exact unit diagonal and exact
+    zeros off the support, and it has converged when its smallest
+    eigenvalue, psd_margin, is at least -SDP_PSD_TOL.
     """
     n = pattern.n
     c = linalg.as_matrix(weights)
@@ -177,7 +172,7 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
         # A stack's sums have the bits of each matrix's own a.sum().
         return a.sum(axis=(-2, -1)).tolist() if stacked else [float(a.sum())]
 
-    base_step = params.step_size if params.step_size is not None else 1.0 / n
+    base_step = 1.0 / n
     steps = [base_step] * k
     x = np.broadcast_to(np.eye(n), c.shape)
     traces = [[obj] for obj in sums(c * x)]
@@ -228,7 +223,7 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
         for j, eig in enumerate(low.tolist() if stacked else [low]):
             i = live[j]
             min_eig[i], polish_iters[i] = eig, it
-            if eig >= -params.psd_tol:
+            if eig >= -SDP_PSD_TOL:
                 converged[i] = True
                 done.append(j)
             else:
@@ -241,17 +236,12 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
         x = _affine_project(z, on)
     retire(x, list(range(len(live))), [])
 
-    off = ~on
     return [
         SdpResult(
             matrix=final[i],
             objective=traces[i][-1],
             objective_trace=traces[i],
-            residuals={
-                "psd_margin": min_eig[i],
-                "diag_gap": float(np.abs(np.diag(final[i]) - 1.0).max()),
-                "off_support_max": float(np.abs(final[i][off]).max()) if off.any() else 0.0,
-            },
+            psd_margin=min_eig[i],
             converged=converged[i],
             iterations=ascent_iters[i] + polish_iters[i],
         )
@@ -298,7 +288,6 @@ def rank_refine(
     y = _affine_project(a, on)
     rank_res: list[float] = []
     aff_res: list[float] = []
-    history: list[float] = []
     converged = False
     iterations = 0
     for it in range(1, params.max_iter + 1):
@@ -309,12 +298,11 @@ def rank_refine(
         r_aff = float(np.abs(z - low).max())
         rank_res.append(r_rank)
         aff_res.append(r_aff)
-        history.append(max(r_rank, r_aff))
         y = z
         if r_rank < REFINE_STOP_TOL and r_aff < REFINE_STOP_TOL:
             converged = True
             break
-        if it > 100 and history[it - 101] - history[it - 1] < 1e-16:
+        if it > 100 and max(rank_res[-101], aff_res[-101]) - max(r_rank, r_aff) < 1e-16:
             return RefineResult(
                 y, False, it, rank_res, aff_res, reason="stagnation"
             )
@@ -366,17 +354,19 @@ def _sdp_attempts(pattern: SupportPattern, weights: np.ndarray, params: SearchPa
 
 @dataclass
 class AttemptRecord:
+    """One transcript attempt, all scalars; the refinement residuals are the
+    last half-step residuals, None when refinement did not run."""
+
     index: int
     sdp_converged: bool
     sdp_iterations: int
     objective: float
-    objective_trace: list[float]
-    sdp_residuals: dict
+    psd_margin: float
     refine_converged: bool
     refine_iterations: int
     refine_reason: str | None
-    refine_rank_residuals: list[float]
-    refine_affine_residuals: list[float]
+    refine_rank_residual: float | None
+    refine_affine_residual: float | None
     nonnegative: bool
     certified: bool | None = None
     certify_reason: str | None = None
@@ -441,13 +431,12 @@ def randomized_retry(
                 sdp_converged=sdp.converged,
                 sdp_iterations=sdp.iterations,
                 objective=sdp.objective,
-                objective_trace=sdp.objective_trace,
-                sdp_residuals=sdp.residuals,
+                psd_margin=sdp.psd_margin,
                 refine_converged=bool(refined and refined.converged),
                 refine_iterations=refined.iterations if refined else 0,
                 refine_reason=refined.reason if refined else "sdp did not converge",
-                refine_rank_residuals=refined.rank_residuals if refined else [],
-                refine_affine_residuals=refined.affine_residuals if refined else [],
+                refine_rank_residual=refined.rank_residuals[-1] if refined else None,
+                refine_affine_residual=refined.affine_residuals[-1] if refined else None,
                 nonnegative=nonneg,
             )
             attempts.append(record)
@@ -634,13 +623,18 @@ def run_pipeline(
 
     An attempt only counts as a success once its realization passes
     verification, so a reported failure always means "no certified
-    realization found", never a silent acceptance.
+    realization found", never a silent acceptance.  A target rank above the
+    support size raises PreconditionError before any SDP runs.
     """
     sigma = sisd_check(support)
     if sigma is None:
         return PipelineResult(
             params, None, None, None, None, None, False,
             failure="support is not strongly involutive",
+        )
+    if params.target_rank > len(sigma):
+        raise PreconditionError(
+            f"target rank {params.target_rank} exceeds the support size {len(sigma)}"
         )
     pattern = apply_sisd(np.asarray(support), sigma)
 

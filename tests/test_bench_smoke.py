@@ -4,6 +4,7 @@ function name its tracer keys on still exists in the package."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import sdcones
+from sdcones import search
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 RUN = BENCH / "run.py"
@@ -50,3 +52,18 @@ def test_tracer_names_resolve():
                        if inspect.isfunction(fn) and fn.__module__ == module.__name__)
     names = set(spans.SPAN_NAMES) | set(spans.FACET_SCANS) | {spans.PERM_ITERATOR}
     assert sorted(names - defined) == []
+
+
+def test_tracer_result_fields_exist():
+    # The tracer reads these result fields for its search counts; a field
+    # slimmed away would zero a count instead of failing.
+    spans = _load_spans()
+    assert {"sdp_feasibility", "rank_refine", "randomized_retry"} <= set(spans.SPAN_NAMES)
+    read = {
+        search.SdpResult: "iterations",
+        search.RefineResult: "iterations",
+        search.RetryResult: "attempts",
+        search.AttemptRecord: "certified",
+    }
+    for cls, name in read.items():
+        assert name in {f.name for f in dataclasses.fields(cls)}, (cls.__name__, name)

@@ -426,6 +426,39 @@ class TestSearchCommand:
         assert err == "precondition failure: seed must be >= 0\n"
         assert sorted(workdir.iterdir()) == before
 
+    def test_rank_above_support_size_exit_2_before_any_sdp(self, workdir, capsys, monkeypatch):
+        def no_sdp(*args):
+            raise AssertionError("an SDP ran")
+
+        monkeypatch.setattr(search, "_sdp_loop", no_sdp)
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        before = sorted(workdir.iterdir())
+        code, out, err = run_cli(
+            capsys, "search", "pentagon.support", "--rank", "9", "--out", "run"
+        )
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert err == "precondition failure: target rank 9 exceeds the support size 5\n"
+        assert sorted(workdir.iterdir()) == before
+
+    def test_transcript_size_does_not_grow_with_max_iter(self, workdir, capsys):
+        search.save_support(workdir / "f.support", data.four_cycle_support().bits)
+        keys = set()
+        for max_iter in ("200", "2000", "8000"):
+            code, _, _ = run_cli(
+                capsys, "search", "f.support", "--rank", "3", "--seed", "5",
+                "--max-iter", max_iter, "--out", max_iter,
+            )
+            assert code == cli.EXIT_NO_CONVERGENCE
+            path = workdir / max_iter / "f_transcript.json"
+            assert path.stat().st_size <= 16 * 1024
+            attempts = json.loads(path.read_text())["attempts"]
+            assert len(attempts) == 20
+            for attempt in attempts:
+                keys.add(frozenset(attempt))
+                assert not any(isinstance(v, list) for v in attempt.values())
+        assert len(keys) == 1
+
 
 class TestParser:
     def test_built_once_with_independent_namespaces(self, monkeypatch):
