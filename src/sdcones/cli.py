@@ -4,8 +4,8 @@ it to the library; analyze prints analysis.analyze_matrix's report as is.
 
 Subcommands: slack, dual, analyze, verify, search, examples.  Exit codes:
 0 success, 2 precondition failure, 3 numerical non-convergence, 4 parse
-error.  All randomness is seeded, so every command is deterministic given
-its flags.
+error or an output that cannot be written.  All randomness is seeded, so
+every command is deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -252,8 +252,10 @@ def _settle(run, *args) -> tuple[int, str, bool]:
     failure message for stderr rather than output for stdout."""
     try:
         code, text = run(*args)
-    except (ParseError, FileNotFoundError) as exc:
+    except ParseError as exc:
         return EXIT_PARSE, f"parse error: {exc}", True
+    except OSError as exc:  # inputs are read through ParseError, so a write
+        return EXIT_PARSE, f"cannot write output: {exc}", True
     except PreconditionError as exc:
         return EXIT_PRECONDITION, f"precondition failure: {exc}", True
     except ConvergenceError as exc:

@@ -21,9 +21,6 @@ from .patterns import is_connected, support_of
 
 DEFAULT_DNN_TOL = 1e-9
 
-# Null spaces of the intersection system are measured at this tolerance.
-_INTERSECTION_TOL = 1e-8
-
 
 def is_dnn(a, tol: float = DEFAULT_DNN_TOL) -> bool:
     """PSD and entrywise nonnegative, both within tol * max|entry|."""
@@ -77,7 +74,7 @@ def _intersection_dim(a: np.ndarray, eig: linalg.EigenDecomposition, k: int) -> 
     # Euclidean product of coefficient vectors the Frobenius product; the
     # weights do not change the null space but keep the scaling honest.
     c[rows != cols] *= np.sqrt(2.0)
-    return linalg.null_space(c, _INTERSECTION_TOL).shape[1]
+    return linalg.null_space(c).shape[1]
 
 
 def _is_cycle5(a: np.ndarray) -> bool:
@@ -93,13 +90,11 @@ def _is_cycle5(a: np.ndarray) -> bool:
     return is_connected(mask)
 
 
-def dnn_extremality(
-    a,
-    tol: float = DEFAULT_DNN_TOL,
-    rank_tol: float = linalg.DEFAULT_RANK_TOL,
-) -> ExtremalityReport:
+def dnn_extremality(a, tol: float = DEFAULT_DNN_TOL) -> ExtremalityReport:
     """Certify whether a DNN matrix generates an extreme ray of the DNN cone.
 
+    The rank k counts eigenvalues above DEFAULT_RANK_TOL times the largest;
+    singular values would also count negative eigenvalues a loose tol admits.
     When the smallest retained eigenvalue sits within 10x of the rank cutoff
     the report also carries the intersection dimensions at ranks k-1 and k+1
     instead of silently committing to one reading.
@@ -111,10 +106,10 @@ def dnn_extremality(
     top = float(eig.values[0]) if eig.values.size else 0.0
     if top <= 0.0:
         raise PreconditionError("zero matrix has no extreme-ray certificate")
-    k = int(np.count_nonzero(eig.values > rank_tol * top))
+    k = int(np.count_nonzero(eig.values > linalg.DEFAULT_RANK_TOL * top))
     dim = _intersection_dim(m, eig, k)
     borderline = None
-    if eig.values[k - 1] <= 10.0 * rank_tol * top:
+    if eig.values[k - 1] <= 10.0 * linalg.DEFAULT_RANK_TOL * top:
         borderline = {}
         for alt in (k - 1, k + 1):
             if 1 <= alt <= m.shape[0]:

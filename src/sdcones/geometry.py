@@ -49,17 +49,22 @@ class PolyhedralCone:
     and pointedness is a queried property, not a constructor invariant).
     """
 
-    def __init__(self, generators, dim: int | None = None):
+    def __init__(self, generators):
         g = linalg.as_matrix(generators)
         if g.shape[0] == 0:
             raise PreconditionError("a cone needs at least one generator")
-        if dim is not None and dim != g.shape[1]:
-            raise PreconditionError(
-                f"generator width {g.shape[1]} does not match dim={dim}"
-            )
-        norms = np.sqrt((g * g).sum(axis=1))
-        if np.any(norms < 1e-300):
+        peak = np.abs(g).max(axis=1, initial=0.0)
+        if not peak.all():
             raise PreconditionError("zero generator is not a valid ray")
+        with np.errstate(over="ignore"):
+            squares = (g * g).sum(axis=1)
+        # A row whose sum of squares overflows, or is small enough that a
+        # square lost bits to underflow, is scaled by its largest |entry|
+        # first; rows of ordinary magnitude keep their bits.
+        odd = ~((squares > 1e-290) & (squares < np.inf))
+        g = np.where(odd[:, None], g / peak[:, None], g)
+        squares[odd] = (g[odd] * g[odd]).sum(axis=1)
+        norms = np.sqrt(squares)
         rows: list[np.ndarray] = []
         for row in g / norms[:, None]:
             if not _contains_direction(rows, row):
@@ -142,33 +147,24 @@ def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
     return np.vstack(found)
 
 
-def _row_space_basis(g: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the row space of g."""
-    gram = g.T @ g
-    eig = linalg.sym_eigen(0.5 * (gram + gram.T))
-    s = np.sqrt(np.clip(eig.values, 0.0, None))
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((g.shape[1], 0))
-    keep = s > linalg.DEFAULT_RANK_TOL * s[0]
-    return eig.vectors[:, keep]
-
-
 def is_full_dimensional(cone: PolyhedralCone) -> bool:
     """True when the generators span the whole ambient space."""
     return linalg.numeric_rank(cone.generators) == cone.dim
 
 
 def is_pointed(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> bool:
-    """True when the cone contains no line.
-
-    Decided through the rank of the Euclidean dual's generators: the cone is
-    pointed exactly when its facet normals span the span of the cone.  The
-    scan runs in row-space coordinates, so generators need not span R^d.
+    """True when the cone contains no line, that is when its facet normals
+    span its span.  facet_normals decides that in the coordinates of the
+    generators' row space (their leading right singular vectors), so
+    generators need not span R^d.
     """
     g = cone.generators
-    basis = _row_space_basis(g)
-    normals = _facet_scan(g @ basis, tol)
-    return normals.shape[0] > 0 and linalg.numeric_rank(normals) == basis.shape[1]
+    nullity, v = linalg.null_directions(g)
+    try:
+        facet_normals(PolyhedralCone(g @ v[:, : g.shape[1] - int(nullity)]), tol)
+    except PreconditionError:
+        return False
+    return True
 
 
 def facet_normals(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> np.ndarray:
@@ -199,8 +195,7 @@ def _extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarr
 
     The ranks come from one stacked SVD over the active-normal sets,
     zero-padded to a common row count: zero rows add only zero singular
-    values, so each rank is the count of singular values above
-    DEFAULT_RANK_TOL times the largest, as in linalg.numeric_rank.
+    values, so each rank is what linalg.numeric_rank gives its set.
     """
     d = gens.shape[1]
     active = np.abs(gens @ normals.T) <= tol
@@ -210,10 +205,7 @@ def _extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarr
     order = np.argsort(~active, axis=1, kind="stable")[:, :rows]
     filled = np.arange(rows)[None, :] < counts[:, None]
     stack = np.where(filled[:, :, None], normals[order], 0.0)
-    sv = linalg._svd(stack)[0]
-    top = sv[:, :1]
-    ranks = np.where(top[:, 0] > 0.0,
-                     (sv > linalg.DEFAULT_RANK_TOL * top).sum(axis=1), 0)
+    ranks = linalg._rank(linalg._svd(stack)[0])
     kept = (counts >= d - 1) & (ranks == d - 1)
     if not kept.any():
         raise PreconditionError("no extreme rays found; input cone degenerate")

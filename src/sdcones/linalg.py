@@ -6,10 +6,10 @@ The factorizations are LAPACK calls through numpy.linalg; this module adds
 the package's contract on top: validated input, eigenvalues in descending
 order, singular values padded to one per column, and LAPACK failures raised
 as ConvergenceError.  sym_eigen and null_space return bases, so they fix the
-sign of every basis vector.  The SVD, the padding, the null-direction rule
-and the sign rule also take stacks of matrices: null_space is the one-matrix
-case of null_directions, which the facet scan calls on a stack of subsets,
-so both share one batched null-vector rule.  The projections psd_project,
+sign of every basis vector.  One rule (_rank) decides every numeric rank.
+The SVD, the padding, the rank rule and the sign rule also take stacks of
+matrices: null_space is the one-matrix case of null_directions, which the
+facet scan calls on a stack of subsets.  The projections psd_project,
 low_rank_project and psd_project_min_eig return V diag(w) V^T, in which the
 sign of each column of V cancels exactly, so they skip the sign rule; they
 take stacks too, so the SDP search projects a stack of attempts with one
@@ -170,39 +170,40 @@ def singular_values(a) -> np.ndarray:
     return _svd(as_matrix(a))[0]
 
 
-def numeric_rank(a, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above tol * (largest singular value)."""
-    s = singular_values(a)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+def _rank(sv: np.ndarray) -> np.ndarray:
+    """Numeric rank from the descending singular values of one matrix, or of
+    each matrix of a stack: the count above DEFAULT_RANK_TOL * (largest),
+    so 0 for a zero matrix or one without columns."""
+    return (sv > DEFAULT_RANK_TOL * sv[..., :1]).sum(axis=-1)
 
 
-def null_directions(
-    stack: np.ndarray, tol: float = DEFAULT_RANK_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def numeric_rank(a) -> int:
+    """Number of singular values above DEFAULT_RANK_TOL * (largest)."""
+    return int(_rank(singular_values(a)))
+
+
+def null_directions(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Null spaces of a stack of finite matrices (leading batch axes, at
     least one column each) as (nullity, vectors).
 
     vectors holds each matrix's right singular vectors as columns, with the
-    sign rule applied; the last nullity of them are an orthonormal basis of
-    its right null space.  A direction counts as null when its singular
-    value is at most tol * (largest singular value), so the zero matrix has
-    the whole space.  Singular values descend, so the null directions are
-    always the trailing columns.
+    sign rule applied; the first columns - nullity of them are an
+    orthonormal basis of its row space and the last nullity of its right
+    null space.  nullity is columns minus the numeric rank, so the zero
+    matrix has the whole space.  Singular values descend, so the null
+    directions are always the trailing columns.
     """
     sv, v = _svd(stack)
-    nullity = (sv <= tol * sv[..., :1]).sum(axis=-1)
-    return nullity, _positive_leading(v)
+    return sv.shape[-1] - _rank(sv), _positive_leading(v)
 
 
-def null_space(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def null_space(a) -> np.ndarray:
     """Orthonormal basis of the right null space, one basis vector per column:
     null_directions of a single matrix."""
     m = as_matrix(a)
     if m.shape[1] == 0:
         return np.zeros((0, 0))
-    nullity, v = null_directions(m, tol)
+    nullity, v = null_directions(m)
     return v[:, v.shape[1] - int(nullity):]
 
 

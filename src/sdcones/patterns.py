@@ -20,13 +20,13 @@ SUPPORT_CLAMP = 1e-10
 INVOLUTION_NODE_BUDGET = 1_000_000
 
 
-def support_of(a, rel: float = SUPPORT_CLAMP) -> np.ndarray:
-    """Boolean support of a matrix, zeros decided relative to the max entry."""
+def support_of(a) -> np.ndarray:
+    """Boolean support: entries above SUPPORT_CLAMP times the largest one."""
     m = np.abs(linalg.as_matrix(a))
     scale = m.max() if m.size else 0.0
     if scale <= 0.0:
         return np.zeros(m.shape, dtype=bool)
-    return m > rel * scale
+    return m > SUPPORT_CLAMP * scale
 
 
 def is_connected(mask: np.ndarray) -> bool:
@@ -70,8 +70,8 @@ class SupportPattern:
         return self.bits.astype(bool)
 
     @classmethod
-    def from_matrix(cls, a, rel: float = SUPPORT_CLAMP) -> "SupportPattern":
-        return cls(support_of(a, rel).astype(np.uint8))
+    def from_matrix(cls, a) -> "SupportPattern":
+        return cls(support_of(a).astype(np.uint8))
 
 
 def involution_permutations(s: np.ndarray):

@@ -39,8 +39,11 @@ DEFAULT_VERIFY_TOL = 1e-6
 
 @dataclass
 class SearchParams:
-    """The values `sdcones search` sets, with an iteration cap per SDP and
-    refinement loop; the defaults reproduce the bundled examples."""
+    """The values `sdcones search` sets; the defaults reproduce the bundled
+    examples.  max_iter caps the SDP ascent, the SDP polish and refinement
+    each, so sdp_iterations can reach 2 * max_iter; sdp_converged says only
+    that the polished matrix has smallest eigenvalue >= -SDP_PSD_TOL, not
+    that the ascent reached its plateau."""
 
     target_rank: int
     max_iter: int = 2000

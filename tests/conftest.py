@@ -69,6 +69,31 @@ def loop_extreme_rays(generators, tol: float = geometry.DEFAULT_FACET_TOL):
     return geometry.PolyhedralCone(cone.generators[kept])
 
 
+def eigen_row_space_basis(g: np.ndarray) -> np.ndarray:
+    """The row-space basis is_pointed used before it took one SVD: the
+    eigenvectors of g^T g whose eigenvalues' square roots pass the rank rule.
+    Those square roots carry noise near 1e-8 of the largest, the rank
+    cutoff itself, so on a generator set of deficient rank the basis can
+    come out one or more directions too wide."""
+    gram = g.T @ g
+    eig = linalg.sym_eigen(0.5 * (gram + gram.T))
+    s = np.sqrt(np.clip(eig.values, 0.0, None))
+    if s.size == 0 or s[0] <= 0.0:
+        return np.zeros((g.shape[1], 0))
+    keep = s > linalg.DEFAULT_RANK_TOL * s[0]
+    return eig.vectors[:, keep]
+
+
+def eigen_is_pointed(cone, tol: float = geometry.DEFAULT_FACET_TOL) -> bool:
+    """is_pointed as it was before it went through facet_normals: the facet
+    scan in the coordinates of eigen_row_space_basis, and the rank of the
+    normals it finds."""
+    g = cone.generators
+    basis = eigen_row_space_basis(g)
+    normals = geometry._facet_scan(g @ basis, tol)
+    return normals.shape[0] > 0 and linalg.numeric_rank(normals) == basis.shape[1]
+
+
 def support_pattern_of(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:
     a = np.abs(np.asarray(m, dtype=float))
     scale = a.max() if a.size else 0.0

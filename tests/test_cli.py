@@ -611,3 +611,65 @@ class TestUnreadableInputs:
         assert code == cli.EXIT_PARSE
         assert out == ""
         assert ("is empty" if empty else "cannot read") in err
+
+
+def scaled_pentagon(how: str) -> np.ndarray:
+    rays = data.pentagon_rays()
+    if how == "one row x 1e200":
+        rays[2] *= 1e200
+        return rays
+    return float(how) * rays
+
+
+class TestExtremeMagnitudes:
+    """Generators far outside the ordinary floating-point range give the
+    answers of the unscaled cone."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("how", ["1e200", "1e154", "1e-160", "1e-200",
+                                     "one row x 1e200"])
+    def test_verify_slack_dual_match_unscaled(self, workdir, capsys, how):
+        geometry.save_cone(workdir / "base.cone", data.pentagon_rays())
+        geometry.save_cone(workdir / "scaled.cone", scaled_pentagon(how))
+        results = {}
+        for name in ("base", "scaled"):
+            runs = [run_cli(capsys, *argv, f"{name}.cone")
+                    for argv in (["verify"], ["slack", "--json"], ["dual"])]
+            assert [(code, err) for code, _, err in runs] == [(0, "")] * 3
+            results[name] = [out for _, out, _ in runs]
+        (verify, slack, dual), (verify2, slack2, dual2) = results["base"], results["scaled"]
+        cert, cert2 = json.loads(verify)["certificate"], json.loads(verify2)["certificate"]
+        assert json.loads(verify2)["self_dual"] is json.loads(verify)["self_dual"] is True
+        assert cert2["permutation"] == cert["permutation"]
+        assert np.abs(np.subtract(cert2["scaling"], cert["scaling"])).max() <= 1e-12
+        assert abs(cert2["min_eigenvalue"] - cert["min_eigenvalue"]) <= 1e-12
+        m, m2 = (np.asarray(json.loads(s)["matrix"]) for s in (slack, slack2))
+        assert m2.shape == m.shape == (5, 5)
+        assert np.abs(m2 - m).max() <= 1e-12
+        lines, lines2 = dual.splitlines(), dual2.splitlines()
+        assert lines2[0] == lines[0] == "3 5"
+        rows, rows2 = (np.loadtxt(x[1:], ndmin=2) for x in (lines, lines2))
+        assert np.abs(rows2 - rows).max() <= 1e-12
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written is a typed failure: exit 4,
+    a message on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dual", "pentagon_rays.cone", "--out", "a_dir"],
+        ["slack", "pentagon_rays.cone", "--out", "a_dir"],
+        ["search", "pentagon.support", "--rank", "3", "--out", "a_file"],
+        ["examples", "pentagon", "--out", "a_file"],
+        ["dual", "pentagon_rays.cone", "--out", "a_file/x.cone"],
+    ])
+    def test_exit_4_without_traceback(self, workdir, capsys, argv):
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        (workdir / "a_dir").mkdir()
+        (workdir / "a_file").write_text("kept\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err.startswith("cannot write output:") and "a_" in err
+        assert "Traceback" not in err
+        assert (workdir / "a_file").read_text() == "kept\n"

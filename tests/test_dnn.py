@@ -119,9 +119,9 @@ class TestExtremality:
         systems = []
         null_space = linalg.null_space
 
-        def capture(c, tol):
+        def capture(c):
             systems.append(c)
-            return null_space(c, tol)
+            return null_space(c)
 
         monkeypatch.setattr(linalg, "null_space", capture)
         rng = np.random.default_rng(61)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +16,13 @@ from sdcones import data, geometry, linalg
 from sdcones.errors import ParseError, PreconditionError
 
 from conftest import (
+    eigen_is_pointed,
+    eigen_row_space_basis,
     equal_up_to_scaling,
     loop_extreme_mask,
     loop_extreme_rays,
     match_columns_by_pattern,
+    random_orthogonal,
     random_pointed_cone_generators,
     support_pattern_of,
 )
@@ -167,6 +173,29 @@ def in_cone_oracle(gens: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
     return resid <= tol * max(1.0, np.linalg.norm(x))
 
 
+@st.composite
+def subspace_cones(draw):
+    """Generators in a random r-dimensional subspace of R^d (d from 1 to 5,
+    so full-dimensional, lower-dimensional and d = 1 cones), with the cone's
+    pointedness when the construction fixes it: True when every generator
+    lies in one open half of the subspace, False when a generator's negative
+    is added, None when the coefficients are drawn freely."""
+    d = draw(st.integers(1, 5))
+    r = draw(st.integers(1, d))
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["pointed", "line", "free"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    coeff = rng.uniform(-1.0, 1.0, size=(n, r))
+    if kind == "pointed":
+        coeff[:, 0] = rng.uniform(0.3, 1.0, size=n)
+    elif kind == "line":
+        coeff = np.vstack([coeff, -coeff[:1]])
+    frame = random_orthogonal(rng, d)[:, :r]
+    pointed = {"pointed": True, "line": False, "free": None}[kind]
+    return scale * coeff @ frame.T, pointed
+
+
 class TestPolyhedralCone:
     def test_normalizes_and_dedups(self):
         cone = geometry.PolyhedralCone([[2.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
@@ -177,6 +206,30 @@ class TestPolyhedralCone:
     def test_rejects_zero_generator(self):
         with pytest.raises(PreconditionError):
             geometry.PolyhedralCone([[0.0, 0.0]])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e154, 1e-160, 1e-200])
+    def test_extreme_magnitudes_normalize_like_ordinary_ones(self, pentagon_rays, scale):
+        base = geometry.PolyhedralCone(pentagon_rays).generators
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = geometry.PolyhedralCone(scale * pentagon_rays).generators
+        assert np.abs(scaled - base).max() <= 1e-15
+
+    def test_ordinary_rows_keep_their_bits(self, pentagon_rays):
+        base = geometry.PolyhedralCone(pentagon_rays).generators
+        mixed = pentagon_rays.copy()
+        mixed[2] *= 1e200
+        mixed[4] *= 1e-200
+        got = geometry.PolyhedralCone(mixed).generators
+        keep = [0, 1, 3]
+        assert got[keep].tobytes() == base[keep].tobytes()
+        assert np.abs(got - base).max() <= 1e-15
+
+    def test_tiny_nonzero_generator_is_a_ray(self):
+        cone = geometry.PolyhedralCone([[5e-324, 0.0]])
+        assert np.array_equal(cone.generators, [[1.0, 0.0]])
+        with pytest.raises(PreconditionError, match="zero generator"):
+            geometry.PolyhedralCone([[1e200, 0.0], [0.0, 0.0]])
 
 
 class TestPointedFullDimensional:
@@ -200,6 +253,34 @@ class TestPointedFullDimensional:
         assert not geometry.is_full_dimensional(cone)
         both = geometry.PolyhedralCone([[1.0, 0.0], [-1.0, 0.0]])
         assert not geometry.is_pointed(both)
+
+    @pytest.mark.parametrize("gens", [[[1.0, 2.0, 3.0]],
+                                      [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]]])
+    def test_pointed_below_full_dimension(self, gens):
+        # The eigenvalue-based row space (eigen_row_space_basis) came out
+        # too wide for both, and is_pointed called them not pointed.
+        assert geometry.is_pointed(geometry.PolyhedralCone(gens))
+
+    @settings(max_examples=300, deadline=None)
+    @given(subspace_cones())
+    def test_agrees_with_the_eigenvalue_oracle(self, case):
+        gens, pointed = case
+        cone = geometry.PolyhedralCone(gens)
+        got = geometry.is_pointed(cone)
+        if pointed is not None:
+            assert got == pointed
+        g = cone.generators
+        if eigen_row_space_basis(g).shape[1] == linalg.numeric_rank(g):
+            assert got == eigen_is_pointed(cone)
+
+
+def test_facet_scan_has_one_caller():
+    # Every use of the name counts, so a call through an alias would too.
+    tree = ast.parse(inspect.getsource(geometry))
+    users = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Name) and node.id == "_facet_scan"]
+    assert users == ["facet_normals"]
 
 
 class TestFacetNormals:

@@ -264,6 +264,18 @@ class TestContract:
         assert linalg.numeric_rank(a) == cols - k
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(matrices(), st.tuples(SIDES, SIDES).map(np.zeros)))
+    def test_rank_plus_nullity_is_columns(self, a):
+        cols = a.shape[1]
+        nullity = linalg.null_space(a).shape[1]
+        assert linalg.numeric_rank(a) + nullity == cols
+        # The null-space count from before numeric_rank and null_space
+        # shared one rank rule.
+        sv = linalg.singular_values(a)
+        assert nullity == (int((sv <= 1e-8 * sv[0]).sum()) if cols else 0)
+
+
 def bits_of(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
