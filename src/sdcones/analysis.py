@@ -1,8 +1,9 @@
 """The analysis pass: every test of the package on one matrix, in one report.
 
-analyze_matrix decomposes the matrix once and certifies its DNN extremality
-once; the DNN test, the verdicts and the 5x5 label read those two, through
-the rules dnn keeps for them.
+analyze_matrix certifies the matrix's DNN extremality once; the verdicts and
+the 5x5 label read that certificate, through the rules dnn keeps for them.
+Decompositions are not shared: the rank and PSD tests, the extremality test,
+the slack check and the factor-cone round trip each decompose the matrix.
 """
 
 from __future__ import annotations
@@ -34,23 +35,31 @@ class AnalysisReport:
     results: dict
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
+        return to_json(self)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         return cls(**json.loads(text))
 
 
+def to_json(obj) -> str:
+    """obj as the JSON text sdcones prints and writes: keys sorted, indent 2."""
+    return json.dumps(_json_ready(obj), sort_keys=True, indent=2)
+
+
 def _json_ready(obj):
-    """Recursively convert numpy containers for json.dumps."""
+    """Recursively convert dataclasses (as their fields) and numpy containers
+    for json.dumps."""
     if isinstance(obj, dict):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, (np.ndarray, np.generic)):
         return _json_ready(obj.tolist())
-    if isinstance(obj, float) and (obj != obj):  # NaN has no JSON spelling
-        return None
+    if isinstance(obj, float):
+        return None if obj != obj else obj  # NaN has no JSON spelling
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _json_ready({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     return obj
 
 
@@ -101,7 +110,7 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     certified, detail = False, "matrix is not PSD"
     if is_psd:
         rep = dnn.dnn_extremality(m, tol)
-        results["extremality"] = dict(dataclasses.asdict(rep), provenance="numerical")
+        results["extremality"] = dict(vars(rep), provenance="numerical")
         if slack_ok:
             certified, detail = selfdual._factor_cone_round_trip(m, d)
         else:
@@ -120,7 +129,7 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
 
     if certified:
         verdicts = dnn._slack_verdicts(rep, irreducible, simplicial)
-        results["verdicts"] = dataclasses.asdict(verdicts)
+        results["verdicts"] = verdicts
     else:
         results["verdicts"] = {
             "withheld": True,

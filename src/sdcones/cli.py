@@ -1,6 +1,7 @@
 """Command-line front end: argument parsing, file I/O, JSON output, exit
-codes and the bundled examples.  Each subcommand loads its input and hands
-it to the library; analyze prints analysis.analyze_matrix's report as is.
+codes and the bundled examples.  Each subcommand checks its output paths
+(_outputs), loads its input, makes one library call on it and prints any
+JSON through analysis.to_json.
 
 Subcommands: slack, dual, analyze, verify, search, examples.  Exit codes:
 0 success, 2 precondition failure, 3 numerical non-convergence, 4 parse
@@ -11,8 +12,9 @@ every command is deterministic given its flags.
 from __future__ import annotations
 
 import argparse
-import json
+import errno
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -20,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, data, dnn, geometry, search, selfdual
-from .analysis import _json_ready
 from .errors import ConvergenceError, ParseError, PreconditionError
 
 EXIT_OK = 0
@@ -43,13 +44,13 @@ def cmd_slack(path: str, tol: float, as_json: bool, out: str | None) -> tuple[in
     if out:
         geometry.save_matrix(out, sm.matrix)
     if as_json:
-        payload = {
+        rows, cols = sm.shape
+        return EXIT_OK, analysis.to_json({
             "cone_dim": sm.cone_dim,
-            "row_labels": sm.row_labels,
-            "col_labels": sm.col_labels,
-            "matrix": _json_ready(sm.matrix),
-        }
-        return EXIT_OK, json.dumps(payload, sort_keys=True, indent=2)
+            "row_labels": list(range(rows)),
+            "col_labels": list(range(cols)),
+            "matrix": sm.matrix,
+        })
     header = (
         f"slack matrix: {sm.shape[0]} rays x {sm.shape[1]} facets, "
         f"cone dimension {sm.cone_dim}"
@@ -72,30 +73,26 @@ def cmd_analyze(path: str, d: int, tol: float) -> tuple[int, str]:
 
 def cmd_verify(path: str, tol: float) -> tuple[int, str]:
     cone = geometry.load_cone(path)
-    ok, cert = selfdual.is_self_dual(geometry.slack_matrix(cone, tol))
-    payload: dict = {"input": path, "self_dual": bool(ok), "version": __version__,
-                     "certificate": None}
+    ok, cert = selfdual.is_self_dual(cone, tol)
     if cert is not None:
-        payload["certificate"] = {
-            "permutation": _json_ready(cert.permutation),
-            "scaling": _json_ready(cert.scaling),
-            "min_eigenvalue": cert.min_eigenvalue,
-        }
-    return EXIT_OK, json.dumps(payload, sort_keys=True, indent=2)
+        cert = {"permutation": cert.permutation, "scaling": cert.scaling,
+                "min_eigenvalue": cert.min_eigenvalue}
+    payload = {"input": path, "self_dual": ok, "version": __version__,
+               "certificate": cert}
+    return EXIT_OK, analysis.to_json(payload)
 
 
 def cmd_search(
     path: str,
     params: search.SearchParams,
-    out_dir: str,
+    outputs: list[Path],
     verify_tol: float,
 ) -> tuple[int, str]:
     bits = search.load_support(path)
     result = search.run_pipeline(bits, params, verify_tol)
-    transcript_path, cone_path = _search_outputs(path, out_dir)
+    transcript_path, cone_path = outputs
     transcript_path.parent.mkdir(parents=True, exist_ok=True)
-    transcript = _transcript_payload(path, result)
-    transcript_text = json.dumps(transcript, sort_keys=True, indent=2)
+    transcript_text = analysis.to_json(_transcript_payload(path, result))
     transcript_path.write_text(transcript_text + "\n", encoding="utf-8")
     if result.success:
         geometry.save_cone(cone_path, result.realization.generators)
@@ -105,79 +102,60 @@ def cmd_search(
     raise ConvergenceError(result.failure or "search failed")
 
 
-def _search_outputs(path: str, out_dir: str) -> tuple[Path, Path]:
-    """The transcript and realization files search writes for one input."""
-    out, stem = Path(out_dir), Path(path).stem
-    return out / f"{stem}_transcript.json", out / f"{stem}_realization.cone"
-
-
 def _transcript_payload(path: str, result: search.PipelineResult) -> dict:
     payload: dict = {
         "input": path,
         "version": __version__,
-        "params": dict(vars(result.params)),
+        "params": result.params,
         "success": result.success,
         "failure": result.failure,
-        "sisd_permutation": _json_ready(result.sisd_permutation),
+        "sisd_permutation": result.sisd_permutation,
     }
     if result.retry is not None:
-        payload["attempts"] = [
-            _json_ready(vars(a)) for a in result.retry.attempts
-        ]
+        payload["attempts"] = result.retry.attempts
         if result.retry.matrix is not None:
-            payload["refined_matrix"] = _json_ready(result.retry.matrix)
+            payload["refined_matrix"] = result.retry.matrix
     if result.realization is not None:
-        payload["realization"] = {
-            "dim": result.realization.dim,
-            "generators": _json_ready(result.realization.generators),
-            "residuals": _json_ready(result.realization.residuals),
-        }
+        real = result.realization
+        payload["realization"] = {"dim": real.dim, "generators": real.generators,
+                                  "residuals": real.residuals}
     if result.verification is not None:
         report = result.verification
         payload["verification"] = dict(vars(report), passed=report.passed)
     return payload
 
 
-EXAMPLE_WRITERS = {
-    "pentagon": lambda out: [
-        _write(out / "pentagon_rays.cone", geometry.save_cone, data.pentagon_rays()),
-        _write(out / "pentagon_slack.mat", geometry.save_matrix, data.pentagon_slack()),
-        _write(out / "pentagon.support", search.save_support, data.pentagon_support().bits),
-    ],
-    "prism": lambda out: [
-        _write(out / "prism_rays.cone", geometry.save_cone, data.prism_rays()),
-        _write(out / "prism_slack.mat", geometry.save_matrix, data.prism_slack()),
-        _write(out / "prism.support", search.save_support, data.prism_support().bits),
-    ],
-    "nonslack": lambda out: [
-        _write(out / "nonslack.mat", geometry.save_matrix, data.nonslack_extreme_matrix()),
-    ],
-    "congruence": lambda out: [
-        _write(out / f"congruence_{name}.mat", geometry.save_matrix, m)
-        for name, m in zip("abm", data.congruence_triple())
-    ],
-    "selfpolar10": lambda out: [
-        _write(out / "selfpolar10_gram.mat", geometry.save_matrix, data.ten_gram()),
-        _write(out / "selfpolar10_w.mat", geometry.save_matrix, data.ten_w_transpose()),
-        _write(out / "selfpolar10.support", search.save_support, data.ten_support().bits),
-    ],
+# Each example's files, in the order they are written, with the data
+# function whose value each one holds; the suffix picks the saver.
+EXAMPLES = {
+    "pentagon": {"pentagon_rays.cone": data.pentagon_rays,
+                 "pentagon_slack.mat": data.pentagon_slack,
+                 "pentagon.support": data.pentagon_support},
+    "prism": {"prism_rays.cone": data.prism_rays,
+              "prism_slack.mat": data.prism_slack,
+              "prism.support": data.prism_support},
+    "nonslack": {"nonslack.mat": data.nonslack_extreme_matrix},
+    "congruence": {"congruence_a.mat": data.nonslack_extreme_matrix,
+                   "congruence_b.mat": data.congruence_b,
+                   "congruence_m.mat": data.congruence_m},
+    "selfpolar10": {"selfpolar10_gram.mat": data.ten_gram,
+                    "selfpolar10_w.mat": data.ten_w_transpose,
+                    "selfpolar10.support": data.ten_support},
 }
-
-
-def _write(path: Path, save, value) -> str:
-    save(path, value)
-    return str(path)
+SAVERS = {".cone": geometry.save_cone, ".mat": geometry.save_matrix,
+          ".support": search.save_support}
 
 
 def cmd_examples(name: str, out_dir: str) -> tuple[int, str]:
-    if name not in EXAMPLE_WRITERS:
+    if name not in EXAMPLES:
         raise PreconditionError(
-            f"unknown example {name!r}; known: {', '.join(sorted(EXAMPLE_WRITERS))}"
+            f"unknown example {name!r}; known: {', '.join(sorted(EXAMPLES))}"
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = EXAMPLE_WRITERS[name](out)
-    return EXIT_OK, "\n".join(written)
+    for file_name, make in EXAMPLES[name].items():
+        SAVERS[Path(file_name).suffix](out / file_name, make())
+    return EXIT_OK, "\n".join(str(out / f) for f in EXAMPLES[name])
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +199,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _outputs(args, path: str) -> list[Path]:
+    """The files the command of args writes for the input at path."""
+    if args.command == "search":
+        out, stem = Path(args.out), Path(path).stem
+        return [out / f"{stem}_transcript.json", out / f"{stem}_realization.cone"]
+    if args.command in ("slack", "dual") and args.out:
+        return [Path(args.out)]
+    return []
+
+
+def _check_writable(target: Path) -> None:
+    """Raise the OSError that writing target would raise when it names a
+    directory or lies under a file; creates nothing."""
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    ancestor = next((p for p in target.parents if p.exists()), Path("."))
+    if not ancestor.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(target))
+
+
 def _run_one(args, path: str) -> tuple[int, str]:
+    outputs = _outputs(args, path)
+    for target in outputs:
+        _check_writable(target)
     tol = args.tol
     if args.command == "slack":
         return cmd_slack(path, tol, args.json, args.out)
@@ -232,13 +233,9 @@ def _run_one(args, path: str) -> tuple[int, str]:
     if args.command == "verify":
         return cmd_verify(path, tol)
     if args.command == "search":
-        params = search.SearchParams(
-            target_rank=args.rank,
-            max_iter=args.max_iter,
-            seed=args.seed,
-            retries=args.retries,
-        )
-        return cmd_search(path, params, args.out, tol)
+        params = search.SearchParams(target_rank=args.rank, max_iter=args.max_iter,
+                                     seed=args.seed, retries=args.retries)
+        return cmd_search(path, params, outputs, tol)
     raise AssertionError(f"unhandled command {args.command}")
 
 
@@ -265,22 +262,20 @@ def _settle(run, *args) -> tuple[int, str, bool]:
 
 def _refusal(args) -> str | None:
     """Why none of the inputs can run: a --tol that is not finite and
-    positive, or two inputs that would write the same output path; None when
-    they can all run."""
+    positive, two inputs that would write the same output path, or an output
+    path that is one of the inputs; None when they can all run."""
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         return f"--tol must be finite and positive, got {args.tol}"
-    if args.command == "search":
-        targets = [t for p in args.inputs for t in _search_outputs(p, args.out)]
-    elif args.command in ("slack", "dual") and args.out:
-        targets = [Path(args.out)] * len(args.inputs)
-    else:
-        return None
-    for target, count in Counter(targets).items():
+    targets = Counter(t for p in args.inputs for t in _outputs(args, p))
+    inputs = {Path(p).resolve() for p in args.inputs} if targets else set()
+    for target, count in targets.items():
         if count > 1:
             return (
                 f"{count} inputs would write {target} (--out {args.out}); "
                 "each would overwrite the one before"
             )
+        if target.resolve() in inputs:
+            return f"--out {args.out} would overwrite the input {target}"
     return None
 
 

@@ -96,8 +96,12 @@ def congruence_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Triple (A, B, M) with A = M B M^T exactly: the 7x7 non-slack extreme
     ray factors through the 8x8 slack B of a sandwiched self-dual cone via
     the nonnegative matrix M."""
-    a = nonslack_extreme_matrix()
-    b = np.array(
+    return nonslack_extreme_matrix(), congruence_b(), congruence_m()
+
+
+def congruence_b() -> np.ndarray:
+    """B of congruence_triple: the 8x8 slack of the sandwiched cone."""
+    return np.array(
         [
             [2, 1, 0, 0, 2, 2, 0, 2],
             [1, 2, 1, 0, 0, 1, 0, 0],
@@ -110,6 +114,10 @@ def congruence_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ],
         dtype=float,
     )
+
+
+def congruence_m() -> np.ndarray:
+    """M of congruence_triple: the nonnegative 7x8 factor."""
     m = np.zeros((7, 8))
     for i in range(4):
         m[i, i] = 1.0
@@ -117,7 +125,7 @@ def congruence_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m[4, 7] = 0.75
     m[5, 6] = 1.0
     m[6, 7] = 1.0
-    return a, b, m
+    return m
 
 
 def ten_gram() -> np.ndarray:
@@ -190,7 +198,7 @@ __all__ = [
     "prism_rays",
     "prism_slack",
     "nonslack_extreme_matrix",
-    "congruence_triple",
+    "congruence_triple", "congruence_b", "congruence_m",
     "ten_gram",
     "ten_w_transpose",
     "pentagon_support",

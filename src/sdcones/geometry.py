@@ -13,7 +13,7 @@ in this package is scale-free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -90,8 +90,6 @@ class SlackMatrix:
 
     matrix: np.ndarray
     cone_dim: int
-    row_labels: list[int] = field(default_factory=list)
-    col_labels: list[int] = field(default_factory=list)
 
     @property
     def shape(self):
@@ -240,13 +238,7 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
     dropped = int((~_extreme_mask(gens, normals, tol)).sum())
     if dropped:
         raise PreconditionError(f"{dropped} generator(s) are not extreme rays")
-    m = clamped_slack(gens @ normals.T, cone.dim)
-    return SlackMatrix(
-        matrix=m,
-        cone_dim=cone.dim,
-        row_labels=list(range(m.shape[0])),
-        col_labels=list(range(m.shape[1])),
-    )
+    return SlackMatrix(clamped_slack(gens @ normals.T, cone.dim), cone.dim)
 
 
 def clamped_slack(m: np.ndarray, d: int) -> np.ndarray:

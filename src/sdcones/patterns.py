@@ -61,6 +61,10 @@ class SupportPattern:
             raise PreconditionError("support pattern must have a unit diagonal")
         object.__setattr__(self, "bits", b)
 
+    def __array__(self, dtype=None, copy=None):
+        """The bits, so a pattern converts and saves like its 0/1 matrix."""
+        return np.array(self.bits, dtype=dtype, copy=copy)
+
     @property
     def n(self) -> int:
         return self.bits.shape[0]

@@ -138,21 +138,16 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
 
 
 def is_self_dual(
-    cone: geometry.PolyhedralCone | geometry.SlackMatrix,
-    tol: float = geometry.DEFAULT_FACET_TOL,
+    cone: geometry.PolyhedralCone, tol: float = geometry.DEFAULT_FACET_TOL
 ) -> tuple[bool, PsdSlackCertificate | None]:
     """Decide self-duality of a cone (with respect to *some* inner product).
 
-    True exactly when the PSD-scaling search succeeds on a slack matrix; the
-    certificate is attached.  Accepts a PolyhedralCone, whose slack is built
-    at tol (PreconditionError when a generator is not an extreme ray), or a
-    SlackMatrix already built from one.  A non-square slack (facet count
-    differs from ray count) settles the question immediately.
+    True exactly when the PSD-scaling search succeeds on the cone's slack
+    matrix, built at tol (PreconditionError when a generator is not an
+    extreme ray); the certificate is attached.  A non-square slack (facet
+    count differs from ray count) settles the question immediately.
     """
-    if isinstance(cone, geometry.SlackMatrix):
-        slack = cone
-    else:
-        slack = geometry.slack_matrix(cone, tol)
+    slack = geometry.slack_matrix(cone, tol)
     if slack.matrix.shape[0] != slack.matrix.shape[1]:
         return False, None
     cert = find_psd_scaling(slack)
@@ -208,13 +203,8 @@ def is_simplicial(obj) -> bool:
     """
     if isinstance(obj, geometry.PolyhedralCone):
         return obj.n_rays == obj.dim and geometry.is_full_dimensional(obj)
-    if isinstance(obj, geometry.SlackMatrix):
-        m = obj.matrix
-        if m.shape[0] != m.shape[1] or m.shape[0] != obj.cone_dim:
-            return False
-    else:
-        m = linalg.as_matrix(obj)
-        if m.shape[0] != m.shape[1]:
-            return False
+    m = linalg.as_matrix(obj)
+    if m.shape[0] != m.shape[1]:
+        return False
     nz = support_of(m)
     return bool(np.all(nz.sum(axis=1) == 1) and np.all(nz.sum(axis=0) == 1))

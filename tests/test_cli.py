@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sdcones import analysis, cli, data, dnn, geometry, patterns, search
+from sdcones import __version__, selfdual
 from sdcones.errors import PreconditionError
 
 from conftest import (
@@ -673,3 +674,183 @@ class TestUnwritableOutputs:
         assert err.startswith("cannot write output:") and "a_" in err
         assert "Traceback" not in err
         assert (workdir / "a_file").read_text() == "kept\n"
+
+
+# The conversion slack --json, verify and search used before the one JSON
+# writer (analysis.to_json): _json_ready as it was, applied field by field,
+# then json.dumps.  It is the byte oracle for the writer.
+def _parent_json_ready(obj):
+    if isinstance(obj, dict):
+        return {str(k): _parent_json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_parent_json_ready(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _parent_json_ready(obj.tolist())
+    if isinstance(obj, float) and (obj != obj):
+        return None
+    return obj
+
+
+def _parent_dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def oracle_slack_json(path: str) -> str:
+    sm = geometry.slack_matrix(geometry.load_cone(path))
+    return _parent_dumps({
+        "cone_dim": sm.cone_dim,
+        "row_labels": list(range(sm.shape[0])),
+        "col_labels": list(range(sm.shape[1])),
+        "matrix": _parent_json_ready(sm.matrix),
+    })
+
+
+def oracle_verify(path: str) -> str:
+    ok, cert = selfdual.is_self_dual(geometry.load_cone(path))
+    payload = {"input": path, "self_dual": bool(ok), "version": __version__,
+               "certificate": None}
+    if cert is not None:
+        payload["certificate"] = {
+            "permutation": _parent_json_ready(cert.permutation),
+            "scaling": _parent_json_ready(cert.scaling),
+            "min_eigenvalue": cert.min_eigenvalue,
+        }
+    return _parent_dumps(payload)
+
+
+def oracle_transcript(path: str, result: search.PipelineResult) -> str:
+    payload = {
+        "input": path,
+        "version": __version__,
+        "params": dict(vars(result.params)),
+        "success": result.success,
+        "failure": result.failure,
+        "sisd_permutation": _parent_json_ready(result.sisd_permutation),
+    }
+    if result.retry is not None:
+        payload["attempts"] = [_parent_json_ready(vars(a)) for a in result.retry.attempts]
+        if result.retry.matrix is not None:
+            payload["refined_matrix"] = _parent_json_ready(result.retry.matrix)
+    if result.realization is not None:
+        payload["realization"] = {
+            "dim": result.realization.dim,
+            "generators": _parent_json_ready(result.realization.generators),
+            "residuals": _parent_json_ready(result.realization.residuals),
+        }
+    if result.verification is not None:
+        report = result.verification
+        payload["verification"] = dict(vars(report), passed=report.passed)
+    return _parent_dumps(payload)
+
+
+ORACLE_CONES = {
+    "pentagon": data.pentagon_rays(),
+    "prism": data.prism_rays(),
+    "orthant": np.eye(3),
+    "square": [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]],
+}
+
+
+class TestJsonWriterBytes:
+    """slack --json, verify and search print and write exactly the oracle's
+    bytes."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONES))
+    def test_slack_json_and_verify(self, workdir, capsys, name):
+        geometry.save_cone(workdir / "c.cone", np.asarray(ORACLE_CONES[name], float))
+        assert run_cli(capsys, "slack", "c.cone", "--json") == (
+            0, oracle_slack_json("c.cone") + "\n", "")
+        code, out, err = run_cli(capsys, "verify", "c.cone")
+        assert (code, out, err) == (0, oracle_verify("c.cone") + "\n", "")
+        assert json.loads(out)["self_dual"] is (name != "square")
+
+    @pytest.mark.parametrize("name, support, code", [
+        ("pentagon", data.pentagon_support, cli.EXIT_OK),
+        ("four-cycle", data.four_cycle_support, cli.EXIT_NO_CONVERGENCE),
+    ])
+    def test_search_transcript(self, workdir, capsys, monkeypatch, name, support, code):
+        search.save_support(workdir / "s.support", support().bits)
+        results, pipeline = [], search.run_pipeline
+
+        def recorded(*args, **kwargs):
+            results.append(pipeline(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(search, "run_pipeline", recorded)
+        got = run_cli(capsys, "search", "s.support", "--rank", "3", "--retries", "3",
+                      "--out", "run")
+        expected = oracle_transcript("s.support", results[0]) + "\n"
+        assert got[0] == code
+        assert got[1] == (expected if code == cli.EXIT_OK else "")
+        assert (workdir / "run" / "s_transcript.json").read_bytes() == expected.encode()
+
+
+class TestOutputsCheckedFirst:
+    """An output path that cannot be written fails its input before any of
+    the input's work runs, and the check creates nothing."""
+
+    def test_search_out_file_runs_no_pipeline(self, workdir, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(search, "run_pipeline", lambda *args: calls.append(args))
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        (workdir / "a_file").write_text("kept\n")
+        before = sorted(workdir.iterdir())
+        for out in ("a_file", "a_file/sub"):
+            code, stdout, err = run_cli(capsys, "search", "pentagon.support",
+                                        "--rank", "3", "--out", out)
+            assert (code, stdout) == (cli.EXIT_PARSE, "")
+            assert err.startswith("cannot write output:") and "a_file" in err
+        assert calls == []
+        assert sorted(workdir.iterdir()) == before
+        assert (workdir / "a_file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["slack", "dual"])
+    @pytest.mark.parametrize("out", ["a_dir", "a_file/x", "a_file/sub/x"])
+    def test_unwritable_out_runs_no_facet_scan(self, workdir, capsys, monkeypatch,
+                                               command, out):
+        scans = []
+        monkeypatch.setattr(geometry, "_facet_scan", lambda *args: scans.append(args))
+        geometry.save_cone(workdir / "p.cone", data.pentagon_rays())
+        (workdir / "a_dir").mkdir()
+        (workdir / "a_file").write_text("kept\n")
+        before = sorted(workdir.iterdir())
+        code, stdout, err = run_cli(capsys, command, "p.cone", "--out", out)
+        assert (code, stdout) == (cli.EXIT_PARSE, "")
+        assert err.startswith("cannot write output:") and out in err
+        assert scans == []
+        assert sorted(workdir.iterdir()) == before
+        assert (workdir / "a_file").read_text() == "kept\n"
+
+
+class TestOutNamesAnInput:
+    """An --out that resolves to an input path is refused before anything
+    runs: exit 2, nothing written, the input's bytes kept."""
+
+    @pytest.mark.parametrize("command", ["slack", "dual"])
+    @pytest.mark.parametrize("inputs, out", [
+        (["p.cone"], "p.cone"),
+        (["p.cone"], "./p.cone"),
+        (["p.cone"], "absolute"),
+        (["sub/../p.cone"], "p.cone"),
+    ])
+    def test_slack_and_dual_refused(self, workdir, capsys, command, inputs, out):
+        geometry.save_cone(workdir / "p.cone", data.pentagon_rays())
+        geometry.save_cone(workdir / "o.cone", np.eye(3))
+        (workdir / "sub").mkdir()
+        if out == "absolute":
+            out = str(workdir / "p.cone")
+        before = {f: f.read_bytes() for f in workdir.iterdir() if f.is_file()}
+        code, stdout, err = run_cli(capsys, command, *inputs, "--out", out)
+        assert (code, stdout) == (cli.EXIT_PRECONDITION, "")
+        assert err.startswith("precondition failure:") and "overwrite the input" in err
+        assert {f: f.read_bytes() for f in workdir.iterdir() if f.is_file()} == before
+
+    def test_search_output_naming_another_input_refused(self, workdir, capsys):
+        search.save_support(workdir / "p.support", data.pentagon_support().bits)
+        search.save_support(workdir / "p_transcript.json", data.pentagon_support().bits)
+        before = {f: f.read_bytes() for f in workdir.iterdir()}
+        code, stdout, err = run_cli(capsys, "search", "p.support", "p_transcript.json",
+                                    "--rank", "3")
+        assert (code, stdout) == (cli.EXIT_PRECONDITION, "")
+        assert "overwrite the input p_transcript.json" in err
+        assert {f: f.read_bytes() for f in workdir.iterdir()} == before
