@@ -209,20 +209,23 @@ def _outputs(args, path: str) -> list[Path]:
     return []
 
 
-def _check_writable(target: Path) -> None:
+def _check_writable(target: Path, makes_parents: bool) -> None:
     """Raise the OSError that writing target would raise when it names a
-    directory or lies under a file; creates nothing."""
+    directory, lies under a file, or lies in a missing directory that the
+    command does not make (search makes its --out); creates nothing."""
     if target.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     ancestor = next((p for p in target.parents if p.exists()), Path("."))
     if not ancestor.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(target))
+    if not makes_parents and ancestor != target.parent:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target))
 
 
 def _run_one(args, path: str) -> tuple[int, str]:
     outputs = _outputs(args, path)
     for target in outputs:
-        _check_writable(target)
+        _check_writable(target, makes_parents=args.command == "search")
     tol = args.tol
     if args.command == "slack":
         return cmd_slack(path, tol, args.json, args.out)

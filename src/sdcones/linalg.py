@@ -222,13 +222,13 @@ def psd_project(a) -> np.ndarray:
     return psd_project_min_eig(a)[0]
 
 
-def psd_project_min_eig(a) -> tuple[np.ndarray, float | np.ndarray]:
+def psd_project_min_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """psd_project(a) and the smallest eigenvalue of a (inf for an empty
-    matrix), from one eigendecomposition.  For a stack the smallest
-    eigenvalues come as an array with the stack's leading shape."""
+    matrix), from one eigendecomposition.  The smallest eigenvalues come as
+    an array with a's leading shape: 0-d for one matrix, (k,) for a stack."""
     vals, vecs = _eigh(_symmetric(a, stack=True))
     low = vals[..., -1] if vals.shape[-1] else np.full(vals.shape[:-1], np.inf)
-    return _reconstruct(vecs, np.maximum(vals, 0.0)), float(low) if vals.ndim == 1 else low
+    return _reconstruct(vecs, np.maximum(vals, 0.0)), low
 
 
 def low_rank_project(a, d: int) -> np.ndarray:

@@ -111,12 +111,10 @@ class SdpResult:
 def _affine_project(x: np.ndarray, on: np.ndarray) -> np.ndarray:
     """Closed-form projection onto {X_ij = 0 off support, X_ii = 1}, of one
     matrix or of each matrix of a stack."""
-    y = np.where(on, x, 0.0)
+    y = np.zeros(x.shape)
+    np.copyto(y, x, where=on)
     n = on.shape[0]
-    if y.ndim == 2:
-        y.flat[:: n + 1] = 1.0
-    else:
-        y.reshape(-1, n * n)[:, :: n + 1] = 1.0
+    y.reshape(*y.shape[:-2], n * n)[..., :: n + 1] = 1.0  # a view: y is C-contiguous
     return y
 
 
@@ -144,12 +142,13 @@ def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> S
         raise PreconditionError(f"weights must be {n}x{n}")
     if c.min() < 0.0:
         raise PreconditionError("weights must be nonnegative")
-    return _sdp_loop(pattern.mask, _objective_weights(pattern.mask, c), params)[0]
+    return _sdp_loop(pattern.mask, _objective_weights(pattern.mask, c)[None], params)[0]
 
 
 def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpResult]:
-    """The solver of sdp_feasibility on objective weights c: one (n, n)
-    matrix, or a (k, n, n) stack of k attempts, with one result per attempt.
+    """The solver of sdp_feasibility on a (k, n, n) stack c of objective
+    weights, one per attempt, with one result per attempt; sdp_feasibility
+    runs a stack of one.
 
     A stack makes one projection call per iteration for all of its live
     attempts.  Each attempt keeps its own step, trace and stop rules in
@@ -159,21 +158,19 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     ascent runs until every attempt has stopped; then the polish runs.
     """
     n = on.shape[0]
-    stacked = c.ndim == 3
-    k = c.shape[0] if stacked else 1
+    k = c.shape[0]
     final: list = [None] * k  # each attempt's iterate once it has stopped
     live = list(range(k))  # the attempts still in the stack, in stack order
 
     def retire(x: np.ndarray, done: list[int], keep: list[int]) -> list[int]:
         """Store the iterates of the stack rows in done; the attempts left."""
-        rows = list(x) if stacked else [x]
         for j in done:
-            final[live[j]] = rows[j]
+            final[live[j]] = x[j]
         return [live[j] for j in keep]
 
     def sums(a: np.ndarray) -> list[float]:
-        # A stack's sums have the bits of each matrix's own a.sum().
-        return a.sum(axis=(-2, -1)).tolist() if stacked else [float(a.sum())]
+        # Each member's sum has the bits of that matrix's own a.sum().
+        return a.sum(axis=(-2, -1)).tolist()
 
     base_step = 1.0 / n
     steps = [base_step] * k
@@ -184,7 +181,7 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     it = 0
     while live:
         it += 1
-        step = np.array([steps[i] for i in live])[:, None, None] if stacked else steps[0]
+        step = np.array([steps[i] for i in live])[:, None, None]
         y = linalg.psd_project(_affine_project(x + step * c, on))
         accepted, keep, done = [], [], []
         for j, obj in enumerate(sums(c * y)):
@@ -215,7 +212,7 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
             if live:
                 x, c = x[keep], c[keep]
 
-    x = _affine_project(np.stack(final) if stacked else final[0], on)
+    x = _affine_project(np.stack(final), on)
     min_eig = [0.0] * k
     polish_iters = [0] * k
     converged = [False] * k
@@ -223,7 +220,7 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     for it in range(1, max_iter + 1):
         z, low = linalg.psd_project_min_eig(x)
         keep, done = [], []
-        for j, eig in enumerate(low.tolist() if stacked else [low]):
+        for j, eig in enumerate(low.tolist()):
             i = live[j]
             min_eig[i], polish_iters[i] = eig, it
             if eig >= -SDP_PSD_TOL:
@@ -342,13 +339,14 @@ _RETRY_STACK = 32
 
 
 def _sdp_attempts(pattern: SupportPattern, weights: np.ndarray, params: SearchParams):
-    """SDP results, in index order, for one (n, n) weight matrix or a
-    (k, n, n) stack of them.  A stack runs as one stacked solve; if that
-    raises, its attempts rerun one at a time through sdp_feasibility, lazily,
-    so an error surfaces at the attempt that raises it and only once every
-    attempt before it has been consumed."""
-    if weights.ndim == 2:
-        return [sdp_feasibility(pattern, weights, params)]
+    """SDP results, in index order, of one solve of a (k, n, n) stack of
+    weight matrices.  A stack of one is solved by sdp_feasibility, the entry
+    point that per-call SDP profiles count.  If a larger stack raises, its
+    attempts rerun one at a time through sdp_feasibility, lazily, so an error
+    surfaces at the attempt that raises it and only once every attempt before
+    it has been consumed."""
+    if len(weights) == 1:
+        return [sdp_feasibility(pattern, weights[0], params)]
     try:
         return _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
     except (ConvergenceError, PreconditionError):
@@ -405,22 +403,20 @@ def randomized_retry(
     self-duality verification (a refined matrix need not be a slack matrix
     at all, so refinement success alone is not proof of a realization).
 
-    Attempt 1 runs alone; later attempts run as stacks of up to _RETRY_STACK
-    (see _sdp_attempts).  Their weights are the same draws from the stream,
-    and they are refined, recorded and certified in index order up to the
-    first certified one, so the transcript is the one a loop of one
-    sdp_feasibility call per attempt writes.
+    Every attempt runs in a stack (see _sdp_attempts): attempt 1 alone, the
+    rest up to _RETRY_STACK at a time.  A stack's weights are the same draws
+    from the stream as one (n, n) draw per attempt, and its attempts are
+    refined, recorded and certified in index order up to the first certified
+    one, so the transcript is the one a loop of one sdp_feasibility call per
+    attempt writes.
     """
     rng = np.random.default_rng(params.seed)
     n = pattern.n
     attempts: list[AttemptRecord] = []
     index = 0
     while index < params.retries:
-        if index == 0:
-            weights = rng.uniform(0.5, 1.5, size=(n, n))
-        else:
-            k = min(_RETRY_STACK, params.retries - index)
-            weights = rng.uniform(0.5, 1.5, size=(k, n, n))
+        k = min(_RETRY_STACK, params.retries - index) if index else 1
+        weights = rng.uniform(0.5, 1.5, size=(k, n, n))
         for sdp in _sdp_attempts(pattern, weights, params):
             refined = None
             nonneg = False
@@ -515,7 +511,7 @@ def extract_realization(x, d: int) -> Realization:
         wbar = factor / factor[:, :1]
         wbar[:, 0] = 1.0
     gram = wbar @ wbar.T
-    off_zero = ~support_of(a)
+    off_zero = ~mask
     residuals = {
         "psd_margin": float(linalg.sym_eigen(gram).values[-1]),
         "support_violation": float(np.abs(gram[off_zero]).max())

@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sdcones import data, geometry, linalg
 from sdcones.errors import PreconditionError
+
+# Property tests draw the same examples on every run and keep no example
+# database, so two runs of the suite test the same inputs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # One line per acceptance criterion, echoed in the terminal summary so the
 # verdicts stay visible under pytest's output capture.

@@ -821,6 +821,22 @@ class TestOutputsCheckedFirst:
         assert sorted(workdir.iterdir()) == before
         assert (workdir / "a_file").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command", ["slack", "dual"])
+    @pytest.mark.parametrize("out", ["nodir/x", "nodir/sub/x"])
+    def test_missing_directory_runs_no_facet_scan(self, workdir, capsys, monkeypatch,
+                                                  command, out):
+        # slack and dual write into an existing directory; only search makes
+        # its --out directory.
+        scans = []
+        monkeypatch.setattr(geometry, "_facet_scan", lambda *args: scans.append(args))
+        geometry.save_cone(workdir / "p.cone", data.pentagon_rays())
+        before = sorted(workdir.iterdir())
+        code, stdout, err = run_cli(capsys, command, "p.cone", "--out", out)
+        assert (code, stdout) == (cli.EXIT_PARSE, "")
+        assert err == f"cannot write output: [Errno 2] No such file or directory: '{out}'\n"
+        assert scans == []
+        assert sorted(workdir.iterdir()) == before
+
 
 class TestOutNamesAnInput:
     """An --out that resolves to an input path is refused before anything

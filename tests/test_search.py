@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -496,7 +497,9 @@ class TestStackedRetries:
 
     def test_four_cycle_runs_stacks(self, monkeypatch):
         # Guards the test above: a failing support must reach the stacked
-        # solver, one eigh call per iteration for the whole stack.
+        # solver, one eigh call per iteration for the whole stack.  Attempt 1
+        # is a stack of one, so no SDP projection sees a lone (n, n) matrix;
+        # the pentagon succeeds at attempt 1 and runs no other stack.
         shapes = []
         eigh = np.linalg.eigh
 
@@ -504,32 +507,58 @@ class TestStackedRetries:
             shapes.append(np.shape(a))
             return eigh(a, *args, **kwargs)
 
+        def projection(fn):
+            def wrapper(a):
+                sdp_shapes.append(np.shape(a))
+                return fn(a)
+            return wrapper
+
         monkeypatch.setattr(np.linalg, "eigh", recorded)
-        res = search.randomized_retry(
-            data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5)
+        monkeypatch.setattr(linalg, "psd_project", projection(linalg.psd_project))
+        monkeypatch.setattr(
+            linalg, "psd_project_min_eig", projection(linalg.psd_project_min_eig)
         )
-        assert len(res.attempts) == 20 and not res.success
+        for support, attempts in ((data.pentagon_support, 1), (data.four_cycle_support, 20)):
+            pattern = support()
+            n = pattern.n
+            shapes, sdp_shapes = [], []
+            res = search.randomized_retry(pattern, search.SearchParams(target_rank=3, seed=5))
+            assert len(res.attempts) == attempts and res.success == (attempts == 1)
+            assert sdp_shapes and all(len(s) == 3 and s[1:] == (n, n) for s in sdp_shapes)
+            first = sdp_shapes[: sdp_shapes.index((19, n, n))] if attempts > 1 else sdp_shapes
+            assert first and set(first) == {(1, n, n)}
         assert (19, 4, 4) in shapes
 
     def test_stack_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
+        # Every stack of more than one attempt fails; attempt 1 and each
+        # rerun are one sdp_feasibility call, one per recorded attempt.
         eigh = np.linalg.eigh
         stacks = []
+        sdp = search.sdp_feasibility
 
         def fail_on_stacks(a, *args, **kwargs):
-            if np.ndim(a) > 2:
+            if np.ndim(a) > 2 and len(a) > 1:
                 stacks.append(np.shape(a))
                 raise np.linalg.LinAlgError("did not converge")
             return eigh(a, *args, **kwargs)
+
+        def counted_sdp(pattern, weights, params):
+            solves.append(np.shape(weights))
+            return sdp(pattern, weights, params)
 
         bits = data.four_cycle_support().bits
         for seed in (0, 5):
             params = search.SearchParams(target_rank=3, seed=seed)
             expected = pipeline_bits(search.run_pipeline(bits, params))
+            solves = []
             with monkeypatch.context() as mp:
                 mp.setattr(np.linalg, "eigh", fail_on_stacks)
                 mp.setattr(search, "_RETRY_STACK", 5)
-                assert pipeline_bits(search.run_pipeline(bits, params)) == expected
-        assert stacks and all(shape[0] > 1 for shape in stacks)
+                mp.setattr(search, "sdp_feasibility", counted_sdp)
+                result = search.run_pipeline(bits, params)
+            assert pipeline_bits(result) == expected
+            assert len(solves) == len(result.retry.attempts)
+        assert stacks
 
     def test_error_surfaces_at_its_attempt(self, monkeypatch):
         # Every eigh call from the third attempt on fails: the stacked solve
@@ -544,7 +573,7 @@ class TestStackedRetries:
             return sdp(pattern, weights, params)
 
         def failing(a, *args, **kwargs):
-            if np.ndim(a) > 2 or calls["weights"] >= 3:
+            if (np.ndim(a) > 2 and len(a) > 1) or calls["weights"] >= 3:
                 raise np.linalg.LinAlgError("did not converge")
             return eigh(a, *args, **kwargs)
 
@@ -703,6 +732,24 @@ def bits_of(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def each_member(oracle):
+    """oracle, written for one matrix, applied to one matrix or to each
+    matrix of a stack (its first argument); a stack's results are stacked,
+    field by field for a tuple, so psd_project_min_eig gives the array of
+    smallest eigenvalues."""
+
+    @functools.wraps(oracle)
+    def apply(a, *args):
+        if np.ndim(a) == 2:
+            return oracle(a, *args)
+        results = [oracle(m, *args) for m in a]
+        if isinstance(results[0], tuple):
+            return tuple(np.array(field) for field in zip(*results))
+        return np.stack(results)
+
+    return apply
+
+
 class TestProjectionOracle:
     """sym_eigen with its sign rule, np.clip and a copying affine step give
     the same iterates, bit for bit, as the lean projections."""
@@ -728,10 +775,11 @@ class TestProjectionOracle:
             weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=(pattern.n,) * 2)
             sdp, ref = self._run(pattern, weights, params)
             with monkeypatch.context() as mp:
-                mp.setattr(linalg, "psd_project", oracle_psd_project)
-                mp.setattr(linalg, "psd_project_min_eig", oracle_psd_project_min_eig)
-                mp.setattr(linalg, "low_rank_project", oracle_low_rank_project)
-                mp.setattr(search, "_affine_project", oracle_affine_project)
+                mp.setattr(linalg, "psd_project", each_member(oracle_psd_project))
+                mp.setattr(linalg, "psd_project_min_eig",
+                           each_member(oracle_psd_project_min_eig))
+                mp.setattr(linalg, "low_rank_project", each_member(oracle_low_rank_project))
+                mp.setattr(search, "_affine_project", each_member(oracle_affine_project))
                 sdp_o, ref_o = self._run(pattern, weights, params)
             assert sdp.iterations == sdp_o.iterations
             assert bits_of(sdp.objective_trace) == bits_of(sdp_o.objective_trace)
@@ -754,9 +802,11 @@ class TestProjectionOracle:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(linalg, "psd_project", counted(oracle_psd_project))
-        monkeypatch.setattr(linalg, "psd_project_min_eig", counted(oracle_psd_project_min_eig))
-        monkeypatch.setattr(linalg, "low_rank_project", counted(oracle_low_rank_project))
+        monkeypatch.setattr(linalg, "psd_project", counted(each_member(oracle_psd_project)))
+        monkeypatch.setattr(linalg, "psd_project_min_eig",
+                            counted(each_member(oracle_psd_project_min_eig)))
+        monkeypatch.setattr(linalg, "low_rank_project",
+                            counted(each_member(oracle_low_rank_project)))
         pattern = data.pentagon_support()
         params = search.SearchParams(target_rank=3)
         self._run(pattern, np.ones((5, 5)), params)
