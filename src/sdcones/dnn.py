@@ -239,6 +239,9 @@ def verify_congruence(a, m, b, tol: float = 1e-12) -> bool:
         raise PreconditionError(
             f"incompatible shapes: A {am.shape}, M {mm.shape}, B {bm.shape}"
         )
+    for name, x in (("A", am), ("M", mm), ("B", bm)):
+        if x.size == 0:
+            raise PreconditionError(f"{name} is empty: shape {x.shape}")
     if mm.min() < -tol:
         return False
     resid = float(np.abs(am - mm @ bm @ mm.T).max())

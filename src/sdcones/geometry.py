@@ -353,6 +353,10 @@ def match_generators(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | N
     at least 1 - tol, or None when no bijective matching exists.  Inputs are
     expected row-normalized.
     """
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise PreconditionError(
+            f"cannot match generators with no rows: shapes {a.shape} and {b.shape}"
+        )
     return _cosine_match(a, b, tol)[0]
 
 

@@ -31,15 +31,34 @@ def support_of(a) -> np.ndarray:
 
 def is_connected(mask: np.ndarray) -> bool:
     """Connectivity of the graph with the symmetric boolean adjacency matrix
-    mask (diagonal entries are ignored); the graph on no vertices counts as
-    connected.  Breadth-first search, one numpy step per level."""
-    seen = np.zeros(mask.shape[0], dtype=bool)
-    seen[:1] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = mask[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
+    mask: its spanning forest has one tree, or none on no vertices."""
+    return spanning_forest(mask)[1].count(-1) <= 1
+
+
+def spanning_forest(mask: np.ndarray) -> tuple[list[int], list[int]]:
+    """Breadth-first spanning forest of the graph with vertex i's neighbours in
+    row i of the boolean matrix mask.  order lists each vertex once, parents
+    first; parent[j] is the vertex that reached j, -1 at a root.  A root is
+    its component's smallest vertex; neighbours are taken in increasing order."""
+    packed = np.packbits(mask, axis=1, bitorder="little")  # bitsets made when reached
+    parent = [-1] * len(packed)
+    order: list[int] = []
+    unseen = (1 << len(packed)) - 1
+    head = 0
+    while unseen:
+        if head == len(order):  # the next root: the smallest unseen vertex
+            order.append((unseen & -unseen).bit_length() - 1)
+            unseen &= unseen - 1
+        i = order[head]
+        new = int.from_bytes(packed[i].tobytes(), "little") & unseen
+        unseen ^= new
+        while new:
+            j = (new & -new).bit_length() - 1
+            new &= new - 1
+            parent[j] = i
+            order.append(j)
+        head += 1
+    return order, parent
 
 
 @dataclass(frozen=True)

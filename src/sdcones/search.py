@@ -137,6 +137,8 @@ def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> S
     eigenvalue, psd_margin, is at least -SDP_PSD_TOL.
     """
     n = pattern.n
+    if n == 0:
+        raise PreconditionError("support pattern is empty")
     c = linalg.as_matrix(weights)
     if c.shape != (n, n):
         raise PreconditionError(f"weights must be {n}x{n}")
@@ -480,6 +482,8 @@ def extract_realization(x, d: int) -> Realization:
     first entry yields generators of the form (1, w).
     """
     a = linalg.require_symmetric(x)
+    if a.size == 0:
+        raise PreconditionError("Gram matrix is empty")
     scale = np.abs(a).max()
     if a.min() < -SUPPORT_CLAMP * max(scale, 1e-300):
         raise PreconditionError("matrix must be entrywise nonnegative")

@@ -5,7 +5,7 @@ product exactly when one (equivalently, up to row exchange and positive
 column rescaling, every) slack matrix can be made symmetric positive
 semidefinite.  The certificate search enumerates support-compatible row
 permutations by backtracking, solves the column-scaling equations on a
-spanning tree of the support graph, and verifies the result spectrally.
+spanning forest of the support graph, and verifies the result spectrally.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry, linalg
 from .errors import PreconditionError
-from .patterns import involution_permutations, is_connected, support_of
+from .patterns import involution_permutations, is_connected, spanning_forest, support_of
 
 # Cycle-consistency tolerance for the scaling equations (relative).
 SCALING_CYCLE_TOL = 1e-8
@@ -53,28 +53,16 @@ def _solve_scaling(n_mat: np.ndarray) -> np.ndarray | None:
     """Positive column multipliers making a support-symmetric matrix
     symmetric, or None when some cycle of the support graph is inconsistent.
 
-    The equations N_ij d_j = N_ji d_i determine d up to one factor per
-    connected component; each component is rooted at its smallest index with
-    d = 1 and the remaining equations are checked as cycle conditions.
+    The equations N_ij d_j = N_ji d_i fix d up to one factor per component:
+    d = 1 at each root of patterns.spanning_forest, each child solves the
+    equation with its parent, and the others are checked as cycle conditions.
     """
-    n = n_mat.shape[0]
     mask = support_of(n_mat)
-    d = np.zeros(n)
-    seen = np.zeros(n, dtype=bool)
-    for root in range(n):
-        if seen[root]:
-            continue
-        d[root] = 1.0
-        seen[root] = True
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(mask[i])[0]:
-                if seen[j]:
-                    continue
-                d[j] = d[i] * n_mat[j, i] / n_mat[i, j]
-                seen[j] = True
-                stack.append(int(j))
+    order, parent = spanning_forest(mask)
+    d = np.ones(n_mat.shape[0])
+    for j in order:
+        if parent[j] >= 0:
+            d[j] = d[parent[j]] * n_mat[j, parent[j]] / n_mat[parent[j], j]
     scaled = n_mat * d[None, :]
     gap = np.abs(scaled - scaled.T)
     ref = np.maximum(np.abs(scaled), np.abs(scaled.T))
@@ -96,10 +84,7 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     returned, with the gauge freedom fixed so the PSD matrix's largest
     diagonal entry equals the largest diagonal entry of the input.
     """
-    if isinstance(slack, geometry.SlackMatrix):
-        m = slack.matrix
-    else:
-        m = linalg.as_matrix(slack)
+    m = linalg.as_matrix(slack)
     reasons = geometry.slack_pattern_reasons(m)  # the checks that need no d
     if reasons:
         raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
@@ -144,13 +129,9 @@ def is_self_dual(
 
     True exactly when the PSD-scaling search succeeds on the cone's slack
     matrix, built at tol (PreconditionError when a generator is not an
-    extreme ray); the certificate is attached.  A non-square slack (facet
-    count differs from ray count) settles the question immediately.
+    extreme ray); the certificate is attached.
     """
-    slack = geometry.slack_matrix(cone, tol)
-    if slack.matrix.shape[0] != slack.matrix.shape[1]:
-        return False, None
-    cert = find_psd_scaling(slack)
+    cert = find_psd_scaling(geometry.slack_matrix(cone, tol).matrix)
     return cert is not None, cert
 
 

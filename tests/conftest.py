@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from sdcones import data, geometry, linalg
+from sdcones import data, geometry, linalg, patterns, selfdual
 from sdcones.errors import PreconditionError
 
 # Property tests draw the same examples on every run and keep no example
@@ -98,6 +98,37 @@ def eigen_is_pointed(cone, tol: float = geometry.DEFAULT_FACET_TOL) -> bool:
     basis = eigen_row_space_basis(g)
     normals = geometry._facet_scan(g @ basis, tol)
     return normals.shape[0] > 0 and linalg.numeric_rank(normals) == basis.shape[1]
+
+
+def dfs_solve_scaling(n_mat: np.ndarray) -> np.ndarray | None:
+    """selfdual._solve_scaling as it was before the shared spanning forest:
+    a depth-first search per component, neighbours from np.nonzero, d = 1
+    at each component's smallest vertex, then the same cycle check."""
+    n = n_mat.shape[0]
+    mask = patterns.support_of(n_mat)
+    d = np.zeros(n)
+    seen = np.zeros(n, dtype=bool)
+    for root in range(n):
+        if seen[root]:
+            continue
+        d[root] = 1.0
+        seen[root] = True
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in np.nonzero(mask[i])[0]:
+                if seen[j]:
+                    continue
+                d[j] = d[i] * n_mat[j, i] / n_mat[i, j]
+                seen[j] = True
+                stack.append(int(j))
+    scaled = n_mat * d[None, :]
+    gap = np.abs(scaled - scaled.T)
+    ref = np.maximum(np.abs(scaled), np.abs(scaled.T))
+    bad = gap > selfdual.SCALING_CYCLE_TOL * np.maximum(ref, 1e-300)
+    if np.any(bad & mask):
+        return None
+    return d
 
 
 def support_pattern_of(m: np.ndarray, rel: float = 1e-10) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse import csgraph
 
 from sdcones import data, dnn, geometry, linalg, patterns, search, selfdual
 from sdcones.errors import ConvergenceError, ParseError, PreconditionError
@@ -860,6 +861,80 @@ class TestIsConnected:
         assert not search.is_connected(np.eye(2, dtype=bool))
         path = np.eye(4, k=1, dtype=bool)
         assert search.is_connected(path | path.T)
+
+
+class TestSpanningForest:
+    @settings(max_examples=300, deadline=None)
+    @given(adjacency())
+    def test_matches_csgraph(self, mask):
+        n = mask.shape[0]
+        order, parent = patterns.spanning_forest(mask)
+        # Each vertex once, every parent before its children.
+        assert sorted(order) == list(range(n))
+        position = {v: k for k, v in enumerate(order)}
+        children = [j for j in order if parent[j] >= 0]
+        assert all(position[parent[j]] < position[j] for j in children)
+        assert all(mask[parent[j], j] for j in children)
+        graph = csgraph.csgraph_from_dense(mask.astype(float))
+        _, labels = csgraph.connected_components(graph, directed=False)
+        roots = [j for j in range(n) if parent[j] < 0]
+        assert roots == sorted(int(np.flatnonzero(labels == c)[0]) for c in set(labels))
+        if n:
+            levels = csgraph.shortest_path(
+                graph, directed=False, unweighted=True, indices=roots
+            ).min(axis=0)
+            assert all(levels[j] == levels[parent[j]] + 1 for j in children)
+        # Breadth-first by queue: a vertex's parent is its neighbour that
+        # comes first in order, and siblings join in increasing order.
+        for j in children:
+            first = min(np.flatnonzero(mask[j]), key=position.__getitem__)
+            assert parent[j] == first
+        for a, b in zip(children, children[1:]):
+            if parent[a] == parent[b]:
+                assert a < b
+
+
+EMPTY_INPUTS = {
+    "extract_realization": (
+        lambda: search.extract_realization(np.zeros((0, 0)), 1),
+        "Gram matrix is empty",
+    ),
+    "sdp_feasibility": (
+        lambda: search.sdp_feasibility(
+            search.SupportPattern(np.zeros((0, 0), dtype=np.uint8)),
+            np.zeros((0, 0)),
+            search.SearchParams(target_rank=1),
+        ),
+        "support pattern is empty",
+    ),
+    "congruence_all_empty": (
+        lambda: dnn.verify_congruence(
+            np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))
+        ),
+        "A is empty",
+    ),
+    "congruence_m_0x2": (
+        lambda: dnn.verify_congruence(np.zeros((0, 0)), np.zeros((0, 2)), np.eye(2)),
+        "A is empty",
+    ),
+    "congruence_m_2x0": (
+        lambda: dnn.verify_congruence(np.eye(2), np.zeros((2, 0)), np.zeros((0, 0))),
+        "M is empty",
+    ),
+    "match_generators": (
+        lambda: geometry.match_generators(np.zeros((0, 3)), np.zeros((0, 3)), 1e-9),
+        "no rows",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_INPUTS))
+def test_empty_input_rejected(name):
+    """Empty operands end in a PreconditionError naming them, not in numpy's
+    reduction errors."""
+    call, message = EMPTY_INPUTS[name]
+    with pytest.raises(PreconditionError, match=message):
+        call()
 
 
 class TestSupportIO:

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcones import data, geometry, linalg, selfdual
 from sdcones.errors import PreconditionError
+
+from conftest import dfs_solve_scaling
 
 
 def rescaled(m, scales):
@@ -32,7 +36,7 @@ class TestFindPsdScaling:
             np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         )
         slack = geometry.slack_matrix(square)
-        assert selfdual.find_psd_scaling(slack) is None
+        assert selfdual.find_psd_scaling(slack.matrix) is None
 
     def test_certificate_invariants(self, prism_slack):
         scales = np.array([1.0, 0.5, 2.0, 1.5, 3.0, 0.25, 1.0])
@@ -55,8 +59,50 @@ class TestFindPsdScaling:
             selfdual.find_psd_scaling(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
     def test_non_square_absent(self):
-        sm = geometry.SlackMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), 2)
-        assert selfdual.find_psd_scaling(sm) is None
+        slack = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        assert selfdual.find_psd_scaling(slack) is None
+
+
+@st.composite
+def scaling_systems(draw):
+    """Positive matrices with a symmetric support on 1-9 vertices, sparse
+    (often disconnected) or dense: consistent ones S diag(1/d) with S
+    symmetric, the same with one off-diagonal entry off by 1e-3, and ones
+    with independent entries.  Values span six orders of magnitude."""
+    n = draw(st.integers(1, 9))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    kind = draw(st.sampled_from(["consistent", "one_off", "independent"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.uniform(size=(n, n)) < density, k=1)
+    mask = upper | upper.T | np.eye(n, dtype=bool)
+    values = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, n))
+    if kind == "independent":
+        return np.where(mask, values, 0.0)
+    sym = np.triu(values) + np.triu(values, k=1).T
+    n_mat = np.where(mask, sym, 0.0) / (10.0 ** rng.uniform(-3.0, 3.0, size=n))
+    edges = np.argwhere(upper)
+    if kind == "one_off" and len(edges):
+        i, j = edges[rng.integers(len(edges))]
+        n_mat[i, j] *= 1.0 + 1e-3
+    return n_mat
+
+
+class TestSolveScaling:
+    @settings(max_examples=300, deadline=None)
+    @given(scaling_systems())
+    def test_matches_depth_first_oracle(self, n_mat):
+        d = selfdual._solve_scaling(n_mat)
+        expected = dfs_solve_scaling(n_mat)
+        assert (d is None) is (expected is None)
+        if d is not None:
+            assert np.all(d > 0.0)
+            assert np.all(np.abs(d - expected) <= 1e-12 * expected)
+
+    def test_inconsistent_cycle_refused(self):
+        triangle = np.ones((3, 3))
+        assert selfdual._solve_scaling(triangle) is not None
+        triangle[0, 1] = 1.001
+        assert selfdual._solve_scaling(triangle) is None
 
 
 class TestIsSelfDual:
