@@ -1,10 +1,11 @@
 """Semidefinite search for self-dual realizations of a combinatorial type.
 
-Pipeline: a strongly-involutive support check, a first-order feasibility
-solver for the semidefinite program
+Pipeline: a strongly-involutive support check, a scaled-ADMM solver for the
+semidefinite program
 
     max sum c_ij X_ij   s.t.  X_ij = 0 off support,  X_ii = 1,  X PSD,
 
+whose generic optimum is a low-rank extreme point of the feasible set,
 randomized-objective retries, alternating-projection rank refinement, and
 extraction of cone generators from the refined Gram matrix.  Every success is
 certified end to end; a failure only ever means "no realization found".
@@ -40,10 +41,8 @@ DEFAULT_VERIFY_TOL = 1e-6
 @dataclass
 class SearchParams:
     """The values `sdcones search` sets; the defaults reproduce the bundled
-    examples.  max_iter caps the SDP ascent, the SDP polish and refinement
-    each, so sdp_iterations can reach 2 * max_iter; sdp_converged says only
-    that the polished matrix has smallest eigenvalue >= -SDP_PSD_TOL, not
-    that the ascent reached its plateau."""
+    examples.  max_iter caps the SDP (ADMM and its polish together, so
+    sdp_iterations <= max_iter) and, separately, refinement."""
 
     target_rank: int
     max_iter: int = 2000
@@ -98,11 +97,22 @@ def apply_sisd(s: np.ndarray, sigma: np.ndarray) -> SupportPattern:
 # First-order SDP feasibility.
 # ---------------------------------------------------------------------------
 
+# Scaled ADMM (Boyd et al. 2011, sections 3.1.1 and 3.4.1) on the SDP above.
+# The constants come from a sweep over the bench supports: every attempt
+# starts at penalty ADMM_RHO, and every ADMM_BALANCE_EVERY iterations a
+# residual more than ADMM_BALANCE_RATIO times the other doubles or halves it.
+ADMM_RHO = 2.0
+ADMM_BALANCE_EVERY = 5
+ADMM_BALANCE_RATIO = 10.0
+ADMM_PRIMAL_TOL = 1e-10  # stop when max|X - Z| is below this ...
+ADMM_DUAL_TOL = 1e-8  # ... and rho * max|Z - Z_prev| is below this
+
+
 @dataclass
 class SdpResult:
     matrix: np.ndarray
     objective: float
-    objective_trace: list[float]
+    duality_gap: float
     psd_margin: float
     converged: bool
     iterations: int
@@ -125,16 +135,22 @@ def _objective_weights(on: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> SdpResult:
-    """Projected-gradient ascent on sum c_ij X_ij over the feasible set.
+    """Maximize sum c_ij X_ij over the feasible set by scaled ADMM.
 
-    Each outer iteration takes a gradient step of the base size 1/n, then
-    reprojects through the affine set and the PSD cone.  A step that would
-    lower the monitored objective is rejected and retried at half the size,
-    so the recorded objective trace is non-decreasing by construction.  A
-    pure alternating-projection polish then drives the iterate to
-    feasibility: the returned matrix has an exact unit diagonal and exact
-    zeros off the support, and it has converged when its smallest
-    eigenvalue, psd_margin, is at least -SDP_PSD_TOL.
+    The splitting X = Z puts the affine constraints on X and the PSD cone on
+    Z; an iteration is X = P_aff(Z - U + C/rho), Z = P_psd(X + U),
+    U += X - Z.  It stops when max|X - Z| < ADMM_PRIMAL_TOL and
+    rho * max|Z - Z_prev| < ADMM_DUAL_TOL; rho is rebalanced against the two
+    residuals as it goes.  An alternating-projection polish then lifts the
+    last X to a smallest eigenvalue of at least -SDP_PSD_TOL.  ADMM and the
+    polish share the one params.max_iter cap.
+
+    The returned matrix has an exact unit diagonal and exact zeros off the
+    support; psd_margin is its smallest eigenvalue and objective its
+    sum c_ij X_ij.  duality_gap is |tr(C - rho U) - objective| /
+    max(1, |objective|), the gap to the dual bound that -rho U gives.  The
+    result has converged when the stop rule fired and psd_margin is at least
+    -SDP_PSD_TOL.
     """
     n = pattern.n
     if n == 0:
@@ -153,15 +169,19 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     runs a stack of one.
 
     A stack makes one projection call per iteration for all of its live
-    attempts.  Each attempt keeps its own step, trace and stop rules in
-    Python floats and leaves the stack when it stops, and the projections
-    treat each matrix of a stack as they treat one matrix, so every attempt
-    gets the iterates and the result it would get alone, bit for bit.  The
-    ascent runs until every attempt has stopped; then the polish runs.
+    attempts.  Each attempt keeps its own rho, residuals and stop rule in
+    Python floats and leaves the stack when it stops or reaches max_iter,
+    and the projections treat each matrix of a stack as they treat one
+    matrix, so every attempt gets the iterates and the result it would get
+    alone, bit for bit.  ADMM runs until every attempt has left; then the
+    polish runs, each attempt within what its ADMM left of max_iter.  One
+    more eigendecomposition measures the returned matrix's psd_margin.
     """
     n = on.shape[0]
     k = c.shape[0]
-    final: list = [None] * k  # each attempt's iterate once it has stopped
+    weights = c  # the whole stack; c shrinks with the stack
+    max_iter = params.max_iter
+    final: list = [None] * k  # each attempt's X once it has left the stack
     live = list(range(k))  # the attempts still in the stack, in stack order
 
     def retire(x: np.ndarray, done: list[int], keep: list[int]) -> list[int]:
@@ -170,65 +190,54 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
             final[live[j]] = x[j]
         return [live[j] for j in keep]
 
-    def sums(a: np.ndarray) -> list[float]:
-        # Each member's sum has the bits of that matrix's own a.sum().
-        return a.sum(axis=(-2, -1)).tolist()
-
-    base_step = 1.0 / n
-    steps = [base_step] * k
-    x = np.broadcast_to(np.eye(n), c.shape)
-    traces = [[obj] for obj in sums(c * x)]
-    ascent_iters = [0] * k
-    max_iter = params.max_iter
+    rho = np.full(k, ADMM_RHO)  # each live attempt's penalty
+    bounds = [0.0] * k  # each attempt's dual bound tr(C - rho U) once it has left
+    stopped = [False] * k
+    iterations = [0] * k
+    z = np.broadcast_to(np.eye(n), c.shape)
+    u = np.zeros(c.shape)
     it = 0
     while live:
         it += 1
-        step = np.array([steps[i] for i in live])[:, None, None]
-        y = linalg.psd_project(_affine_project(x + step * c, on))
-        accepted, keep, done = [], [], []
-        for j, obj in enumerate(sums(c * y)):
-            i = live[j]
-            trace = traces[i]
-            if obj < trace[-1] - 1e-12 * max(1.0, abs(trace[-1])):
-                steps[i] *= 0.5
-                accepted.append(False)
-                stop = steps[i] < 1e-6 * base_step
-            else:
-                trace.append(obj)
-                steps[i] = min(steps[i] * 1.5, base_step)
-                accepted.append(True)
-                stop = len(trace) > 60 and trace[-1] - trace[-60] < 1e-10 * max(
-                    1.0, abs(trace[-1])
-                )
-            if stop or it == max_iter:
-                ascent_iters[i] = it
-                done.append(j)
-            else:
+        x = _affine_project(z - u + c / rho[:, None, None], on)
+        z_next = linalg.psd_project(x + u)
+        u = u + x - z_next
+        primal = np.abs(x - z_next).max(axis=(-2, -1)).tolist()
+        change = np.abs(z_next - z).max(axis=(-2, -1)).tolist()
+        z = z_next
+        keep, done = [], []
+        for j, (r, dz, penalty) in enumerate(zip(primal, change, rho.tolist())):
+            s = penalty * dz
+            if r < ADMM_PRIMAL_TOL and s < ADMM_DUAL_TOL:
+                stopped[live[j]] = True
+            elif it < max_iter:
                 keep.append(j)
-        if all(accepted):
-            x = y
-        elif any(accepted):
-            x = np.where(np.array(accepted)[:, None, None], y, x)
+                if it % ADMM_BALANCE_EVERY == 0:
+                    step = 2.0 if r > ADMM_BALANCE_RATIO * s else (
+                        0.5 if s > ADMM_BALANCE_RATIO * r else 1.0)
+                    rho[j] *= step
+                    u[j] /= step
+                continue
+            iterations[live[j]] = it
+            bounds[live[j]] = float(np.trace(c[j] - penalty * u[j]))
+            done.append(j)
         if done:
             live = retire(x, done, keep)
-            if live:
-                x, c = x[keep], c[keep]
+            z, u, c, rho = z[keep], u[keep], c[keep], rho[keep]
 
-    x = _affine_project(np.stack(final), on)
+    x = np.stack(final)
     min_eig = [0.0] * k
-    polish_iters = [0] * k
-    converged = [False] * k
     live = list(range(k))
-    for it in range(1, max_iter + 1):
+    while live:
         z, low = linalg.psd_project_min_eig(x)
         keep, done = [], []
         for j, eig in enumerate(low.tolist()):
             i = live[j]
-            min_eig[i], polish_iters[i] = eig, it
-            if eig >= -SDP_PSD_TOL:
-                converged[i] = True
+            min_eig[i] = eig
+            if eig >= -SDP_PSD_TOL or iterations[i] == max_iter:
                 done.append(j)
             else:
+                iterations[i] += 1
                 keep.append(j)
         if done:
             live = retire(x, done, keep)
@@ -236,19 +245,19 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
                 break
             z = z[keep]
         x = _affine_project(z, on)
-    retire(x, list(range(len(live))), [])
 
-    return [
-        SdpResult(
+    results = []
+    for i in range(k):
+        objective = float((weights[i] * final[i]).sum())
+        results.append(SdpResult(
             matrix=final[i],
-            objective=traces[i][-1],
-            objective_trace=traces[i],
+            objective=objective,
+            duality_gap=abs(bounds[i] - objective) / max(1.0, abs(objective)),
             psd_margin=min_eig[i],
-            converged=converged[i],
-            iterations=ascent_iters[i] + polish_iters[i],
-        )
-        for i in range(k)
-    ]
+            converged=stopped[i] and min_eig[i] >= -SDP_PSD_TOL,
+            iterations=iterations[i],
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +374,7 @@ class AttemptRecord:
     sdp_iterations: int
     objective: float
     psd_margin: float
+    sdp_duality_gap: float
     refine_converged: bool
     refine_iterations: int
     refine_reason: str | None
@@ -395,9 +405,9 @@ def randomized_retry(
     """Run the feasibility solver with random positive weights, retrying with
     fresh weights until rank refinement yields a nonnegative Gram matrix.
 
-    Weights are drawn uniformly from [0.5, 1.5) so the uniform-weight optimum
-    stays in the basin; the stream is owned by this call and seeded from
-    params.seed, so identical inputs give identical transcripts.
+    Weights are drawn uniformly from [0.5, 1.5); the stream is owned by this
+    call and seeded from params.seed, so identical inputs give identical
+    transcripts.
 
     An optional certify(matrix) hook may veto an otherwise successful
     attempt by returning (None, reason); the pipeline uses it to keep
@@ -433,6 +443,7 @@ def randomized_retry(
                 sdp_iterations=sdp.iterations,
                 objective=sdp.objective,
                 psd_margin=sdp.psd_margin,
+                sdp_duality_gap=sdp.duality_gap,
                 refine_converged=bool(refined and refined.converged),
                 refine_iterations=refined.iterations if refined else 0,
                 refine_reason=refined.reason if refined else "sdp did not converge",

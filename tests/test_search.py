@@ -256,8 +256,19 @@ class TestSdpFeasibility:
         off = ~pattern.mask
         assert np.abs(x[off]).max() <= 1e-9
         assert linalg.sym_eigen(x).values[-1] >= -search.SDP_PSD_TOL
-        trace = res.objective_trace
-        assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
+        assert abs(res.duality_gap) <= 1e-8
+
+    def test_pentagon_objective_is_the_regular_pentagon(self, pentagon_slack):
+        # The all-ones optimum is the diagonally normalized regular pentagon
+        # slack, whose entries sum to 5 * sqrt(5); the objective is that of
+        # the returned, feasible matrix.
+        pattern = data.pentagon_support()
+        res = search.sdp_feasibility(pattern, np.ones((5, 5)), search.SearchParams(target_rank=3))
+        scale = np.sqrt(np.diag(pentagon_slack))
+        optimum = (pentagon_slack / np.outer(scale, scale)).sum()
+        assert optimum == pytest.approx(5.0 * np.sqrt(5.0), rel=1e-12)
+        assert res.objective == pytest.approx(optimum, rel=1e-8)
+        assert res.objective == pytest.approx(float(res.matrix.sum()), rel=1e-15)
 
     def test_weights_validated(self):
         pattern = data.pentagon_support()
@@ -266,20 +277,103 @@ class TestSdpFeasibility:
             search.sdp_feasibility(pattern, -np.ones((5, 5)), params)
 
     @pytest.mark.parametrize(
-        "support,seed,max_iter,converged",
-        [(data.prism_support, 3, 2000, True), (data.prism_support, 3, 1, True),
-         (data.pentagon_support, 1, 3, False)],
+        "support,seed,max_iter,converged,psd",
+        [(data.prism_support, 3, 2000, True, True),
+         (data.prism_support, 3, 1, False, False),
+         (data.pentagon_support, 1, 3, False, False),
+         (data.pentagon_support, 1, 1, False, True)],
     )
-    def test_exact_unit_diagonal_and_zeros_off_support(self, support, seed, max_iter, converged):
+    def test_exact_unit_diagonal_and_zeros_off_support(
+        self, support, seed, max_iter, converged, psd
+    ):
         # The returned iterate has been through the affine projection, so the
         # equality constraints hold exactly whether or not the run converged.
+        # A run cut by max_iter has not converged, even when the matrix it
+        # returns passes the PSD test.
         pattern = support()
         params = search.SearchParams(target_rank=3, max_iter=max_iter)
         weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=(pattern.n, pattern.n))
         res = search.sdp_feasibility(pattern, weights, params)
-        assert res.converged == converged == (res.psd_margin >= -search.SDP_PSD_TOL)
+        assert res.converged == converged
+        assert (res.psd_margin >= -search.SDP_PSD_TOL) == psd
+        assert res.iterations <= max_iter
         assert np.all(np.diag(res.matrix) == 1.0)
         assert np.all(res.matrix[~pattern.mask] == 0.0)
+
+
+@st.composite
+def weighted_supports(draw):
+    """A symmetric support with a unit diagonal on n <= 8 points, sparse or
+    dense and so connected or not, with a stack of 1-4 nonnegative weight
+    matrices."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.uniform(size=(n, n)) < draw(st.sampled_from([0.2, 0.5, 0.9])), 1)
+    bits = (upper | upper.T | np.eye(n, dtype=bool)).astype(np.uint8)
+    weights = rng.uniform(0.0, 2.0, size=(draw(st.integers(1, 4)), n, n))
+    return search.SupportPattern(bits), weights
+
+
+class TestAdmmProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_supports(), st.sampled_from([1, 5, 40, 2000]))
+    def test_solver_contract(self, case, max_iter):
+        pattern, weights = case
+        params = search.SearchParams(target_rank=1, max_iter=max_iter)
+        on = pattern.mask
+        stacked = search._sdp_loop(on, search._objective_weights(on, weights), params)
+        assert len(stacked) == len(weights)
+        for res, w in zip(stacked, weights):
+            x = res.matrix
+            assert np.all(np.diag(x) == 1.0) and np.all(x[~on] == 0.0)
+            assert 1 <= res.iterations <= max_iter
+            assert res.psd_margin == pytest.approx(np.linalg.eigvalsh(x)[0], abs=1e-12)
+            if res.converged:
+                assert res.psd_margin >= -search.SDP_PSD_TOL
+                assert abs(res.duality_gap) <= 1e-8
+            alone = search.sdp_feasibility(pattern, w, params)
+            assert bits_of(res.matrix) == bits_of(alone.matrix)
+            assert bits_of(res.objective) == bits_of(alone.objective)
+            assert bits_of(res.duality_gap) == bits_of(alone.duality_gap)
+            assert bits_of(res.psd_margin) == bits_of(alone.psd_margin)
+            assert (res.converged, res.iterations) == (alone.converged, alone.iterations)
+
+
+class TestIterationCounts:
+    """Every attempt of a bench support, all 20 weight draws at three seeds,
+    stays well inside max_iter: a count guard against a slow tail coming
+    back, not a timing test."""
+
+    SUPPORTS = [
+        ("pentagon", lambda: data.pentagon_support().bits, 3),
+        ("prism", lambda: data.prism_support().bits, 4),
+        ("selfpolar10", lambda: data.ten_support().bits, 4),
+        ("gon7", lambda: gon7_support(), 3),
+        ("four-cycle", lambda: data.four_cycle_support().bits, 3),
+    ]
+
+    @pytest.mark.parametrize("name,support,rank", SUPPORTS, ids=[c[0] for c in SUPPORTS])
+    def test_every_attempt_under_300_iterations(self, name, support, rank):
+        bits = support()
+        pattern = search.apply_sisd(bits, search.sisd_check(bits))
+        on = pattern.mask
+        for seed in (0, 1, 5):
+            params = search.SearchParams(target_rank=rank, seed=seed)
+            # The draws randomized_retry makes for all params.retries attempts.
+            weights = np.random.default_rng(seed).uniform(
+                0.5, 1.5, size=(params.retries, pattern.n, pattern.n))
+            results = search._sdp_loop(on, search._objective_weights(on, weights), params)
+            assert all(res.iterations <= 300 for res in results)
+            assert all(res.converged for res in results)
+            assert all(res.iterations < params.max_iter for res in results)
+
+    def test_four_cycle_transcript(self):
+        res = search.run_pipeline(
+            data.four_cycle_support().bits, search.SearchParams(target_rank=3, seed=5))
+        attempts = res.retry.attempts
+        assert len(attempts) == 20
+        assert all(a.sdp_converged and a.sdp_iterations <= 300 for a in attempts)
+        assert all(abs(a.sdp_duality_gap) <= 1e-8 for a in attempts)
 
 
 class TestRankRefine:
@@ -397,6 +491,7 @@ def sequential_retry(pattern, params, certify=None):
             sdp_iterations=sdp.iterations,
             objective=sdp.objective,
             psd_margin=sdp.psd_margin,
+            sdp_duality_gap=sdp.duality_gap,
             refine_converged=bool(refined and refined.converged),
             refine_iterations=refined.iterations if refined else 0,
             refine_reason=refined.reason if refined else "sdp did not converge",
@@ -490,7 +585,8 @@ class TestStackedRetries:
             assert len(stacked) == len(weights)
             for res, w in zip(stacked, weights):
                 alone = search.sdp_feasibility(pattern, w, params)
-                assert bits_of(res.objective_trace) == bits_of(alone.objective_trace)
+                assert bits_of(res.objective) == bits_of(alone.objective)
+                assert bits_of(res.duality_gap) == bits_of(alone.duality_gap)
                 assert bits_of(res.matrix) == bits_of(alone.matrix)
                 assert res.iterations == alone.iterations
                 assert res.converged == alone.converged
@@ -783,7 +879,8 @@ class TestProjectionOracle:
                 mp.setattr(search, "_affine_project", each_member(oracle_affine_project))
                 sdp_o, ref_o = self._run(pattern, weights, params)
             assert sdp.iterations == sdp_o.iterations
-            assert bits_of(sdp.objective_trace) == bits_of(sdp_o.objective_trace)
+            assert bits_of(sdp.objective) == bits_of(sdp_o.objective)
+            assert bits_of(sdp.duality_gap) == bits_of(sdp_o.duality_gap)
             assert bits_of(sdp.matrix) == bits_of(sdp_o.matrix)
             assert sdp.psd_margin == sdp_o.psd_margin
             assert sdp.converged == sdp_o.converged
