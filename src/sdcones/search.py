@@ -33,7 +33,7 @@ from .patterns import (
 MIN_STRUCTURAL_ENTRY = 1e-4
 TRAILING_EIG_TOL = 1e-8
 REFINE_STOP_TOL = 1e-12
-SDP_PSD_TOL = 1e-9  # the SDP polish stops at a smallest eigenvalue >= -this
+SDP_PSD_TOL = 1e-9  # a converged SDP matrix has smallest eigenvalue >= -this
 
 DEFAULT_VERIFY_TOL = 1e-6
 
@@ -41,8 +41,8 @@ DEFAULT_VERIFY_TOL = 1e-6
 @dataclass
 class SearchParams:
     """The values `sdcones search` sets; the defaults reproduce the bundled
-    examples.  max_iter caps the SDP (ADMM and its polish together, so
-    sdp_iterations <= max_iter) and, separately, refinement."""
+    examples.  max_iter caps the SDP (sdp_iterations <= max_iter) and,
+    separately, refinement."""
 
     target_rank: int
     max_iter: int = 2000
@@ -101,6 +101,7 @@ def apply_sisd(s: np.ndarray, sigma: np.ndarray) -> SupportPattern:
 # The constants come from a sweep over the bench supports: every attempt
 # starts at penalty ADMM_RHO, and every ADMM_BALANCE_EVERY iterations a
 # residual more than ADMM_BALANCE_RATIO times the other doubles or halves it.
+# On n points the primal tolerance is min(ADMM_PRIMAL_TOL, SDP_PSD_TOL / n).
 ADMM_RHO = 2.0
 ADMM_BALANCE_EVERY = 5
 ADMM_BALANCE_RATIO = 10.0
@@ -139,16 +140,16 @@ def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> S
 
     The splitting X = Z puts the affine constraints on X and the PSD cone on
     Z; an iteration is X = P_aff(Z - U + C/rho), Z = P_psd(X + U),
-    U += X - Z.  It stops when max|X - Z| < ADMM_PRIMAL_TOL and
-    rho * max|Z - Z_prev| < ADMM_DUAL_TOL; rho is rebalanced against the two
-    residuals as it goes.  An alternating-projection polish then lifts the
-    last X to a smallest eigenvalue of at least -SDP_PSD_TOL.  ADMM and the
-    polish share the one params.max_iter cap.
+    U += X - Z.  It stops when max|X - Z| < min(ADMM_PRIMAL_TOL,
+    SDP_PSD_TOL / n) and rho * max|Z - Z_prev| < ADMM_DUAL_TOL, or after
+    params.max_iter iterations; rho is rebalanced against the two residuals
+    as it goes.  Since Z is PSD, lambda_min(X) >= -n max|X - Z|, so a fired
+    stop rule leaves X passing the SDP_PSD_TOL test.
 
-    The returned matrix has an exact unit diagonal and exact zeros off the
-    support; psd_margin is its smallest eigenvalue and objective its
-    sum c_ij X_ij.  duality_gap is |tr(C - rho U) - objective| /
-    max(1, |objective|), the gap to the dual bound that -rho U gives.  The
+    The returned matrix is the last X: it has an exact unit diagonal and
+    exact zeros off the support; psd_margin is its smallest eigenvalue and
+    objective its sum c_ij X_ij.  duality_gap is |tr(C - rho U) - objective|
+    / max(1, |objective|), the gap to the dual bound that -rho U gives.  The
     result has converged when the stop rule fired and psd_margin is at least
     -SDP_PSD_TOL.
     """
@@ -173,23 +174,17 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     Python floats and leaves the stack when it stops or reaches max_iter,
     and the projections treat each matrix of a stack as they treat one
     matrix, so every attempt gets the iterates and the result it would get
-    alone, bit for bit.  ADMM runs until every attempt has left; then the
-    polish runs, each attempt within what its ADMM left of max_iter.  One
-    more eigendecomposition measures the returned matrix's psd_margin.
+    alone, bit for bit.  Once every attempt has left, one more stacked
+    eigendecomposition, not counted as an iteration, measures each returned
+    matrix's psd_margin.
     """
     n = on.shape[0]
     k = c.shape[0]
     weights = c  # the whole stack; c shrinks with the stack
     max_iter = params.max_iter
+    primal_tol = min(ADMM_PRIMAL_TOL, SDP_PSD_TOL / n)
     final: list = [None] * k  # each attempt's X once it has left the stack
     live = list(range(k))  # the attempts still in the stack, in stack order
-
-    def retire(x: np.ndarray, done: list[int], keep: list[int]) -> list[int]:
-        """Store the iterates of the stack rows in done; the attempts left."""
-        for j in done:
-            final[live[j]] = x[j]
-        return [live[j] for j in keep]
-
     rho = np.full(k, ADMM_RHO)  # each live attempt's penalty
     bounds = [0.0] * k  # each attempt's dual bound tr(C - rho U) once it has left
     stopped = [False] * k
@@ -208,7 +203,7 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
         keep, done = [], []
         for j, (r, dz, penalty) in enumerate(zip(primal, change, rho.tolist())):
             s = penalty * dz
-            if r < ADMM_PRIMAL_TOL and s < ADMM_DUAL_TOL:
+            if r < primal_tol and s < ADMM_DUAL_TOL:
                 stopped[live[j]] = True
             elif it < max_iter:
                 keep.append(j)
@@ -222,39 +217,22 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
             bounds[live[j]] = float(np.trace(c[j] - penalty * u[j]))
             done.append(j)
         if done:
-            live = retire(x, done, keep)
+            for j in done:
+                final[live[j]] = x[j]
+            live = [live[j] for j in keep]
             z, u, c, rho = z[keep], u[keep], c[keep], rho[keep]
 
-    x = np.stack(final)
-    min_eig = [0.0] * k
-    live = list(range(k))
-    while live:
-        z, low = linalg.psd_project_min_eig(x)
-        keep, done = [], []
-        for j, eig in enumerate(low.tolist()):
-            i = live[j]
-            min_eig[i] = eig
-            if eig >= -SDP_PSD_TOL or iterations[i] == max_iter:
-                done.append(j)
-            else:
-                iterations[i] += 1
-                keep.append(j)
-        if done:
-            live = retire(x, done, keep)
-            if not live:
-                break
-            z = z[keep]
-        x = _affine_project(z, on)
-
+    # The matrix returned is the last X, affine-feasible by construction.
+    _, margins = linalg.psd_project_min_eig(np.stack(final))
     results = []
-    for i in range(k):
+    for i, margin in enumerate(margins.tolist()):
         objective = float((weights[i] * final[i]).sum())
         results.append(SdpResult(
             matrix=final[i],
             objective=objective,
             duality_gap=abs(bounds[i] - objective) / max(1.0, abs(objective)),
-            psd_margin=min_eig[i],
-            converged=stopped[i] and min_eig[i] >= -SDP_PSD_TOL,
+            psd_margin=margin,
+            converged=stopped[i] and margin >= -SDP_PSD_TOL,
             iterations=iterations[i],
         ))
     return results
@@ -367,7 +345,7 @@ def _sdp_attempts(pattern: SupportPattern, weights: np.ndarray, params: SearchPa
 @dataclass
 class AttemptRecord:
     """One transcript attempt, all scalars; the refinement residuals are the
-    last half-step residuals, None when refinement did not run."""
+    last half-step residuals."""
 
     index: int
     sdp_converged: bool
@@ -378,8 +356,8 @@ class AttemptRecord:
     refine_converged: bool
     refine_iterations: int
     refine_reason: str | None
-    refine_rank_residual: float | None
-    refine_affine_residual: float | None
+    refine_rank_residual: float
+    refine_affine_residual: float
     nonnegative: bool
     certified: bool | None = None
     certify_reason: str | None = None
@@ -409,6 +387,10 @@ def randomized_retry(
     call and seeded from params.seed, so identical inputs give identical
     transcripts.
 
+    Every attempt's SDP matrix is refined, whether or not the SDP converged:
+    refinement needs no PSD start, and a refined matrix counts only once it
+    passes refinement's own gates, is nonnegative and is certified.
+
     An optional certify(matrix) hook may veto an otherwise successful
     attempt by returning (None, reason); the pipeline uses it to keep
     retrying when a refined matrix extracts to a cone that fails the
@@ -430,13 +412,10 @@ def randomized_retry(
         k = min(_RETRY_STACK, params.retries - index) if index else 1
         weights = rng.uniform(0.5, 1.5, size=(k, n, n))
         for sdp in _sdp_attempts(pattern, weights, params):
-            refined = None
-            nonneg = False
-            if sdp.converged:
-                refined = rank_refine(sdp.matrix, params.target_rank, params, pattern)
-                # A valid slack is entrywise nonnegative; a refined matrix with
-                # negative structural entries is a dead end, not a realization.
-                nonneg = bool(refined.matrix.min() >= -SUPPORT_CLAMP)
+            refined = rank_refine(sdp.matrix, params.target_rank, params, pattern)
+            # A valid slack is entrywise nonnegative; a refined matrix with
+            # negative structural entries is a dead end, not a realization.
+            nonneg = bool(refined.matrix.min() >= -SUPPORT_CLAMP)
             record = AttemptRecord(
                 index=index,
                 sdp_converged=sdp.converged,
@@ -444,16 +423,16 @@ def randomized_retry(
                 objective=sdp.objective,
                 psd_margin=sdp.psd_margin,
                 sdp_duality_gap=sdp.duality_gap,
-                refine_converged=bool(refined and refined.converged),
-                refine_iterations=refined.iterations if refined else 0,
-                refine_reason=refined.reason if refined else "sdp did not converge",
-                refine_rank_residual=refined.rank_residuals[-1] if refined else None,
-                refine_affine_residual=refined.affine_residuals[-1] if refined else None,
+                refine_converged=refined.converged,
+                refine_iterations=refined.iterations,
+                refine_reason=refined.reason,
+                refine_rank_residual=refined.rank_residuals[-1],
+                refine_affine_residual=refined.affine_residuals[-1],
                 nonnegative=nonneg,
             )
             attempts.append(record)
             index += 1
-            if refined is not None and refined.converged and nonneg:
+            if refined.converged and nonneg:
                 if certify is None:
                     return RetryResult(refined.matrix, True, attempts)
                 outcome, reason = certify(refined.matrix)

@@ -397,6 +397,21 @@ class TestSearchCommand:
         cone = geometry.load_cone(workdir / "run" / "pentagon_realization.cone")
         assert cone.n_rays == 5 and cone.dim == 3
 
+    def test_capped_sdp_is_refined_and_certified(self, workdir, capsys):
+        # At --max-iter 50 the pentagon's first SDP is cut before its stop
+        # rule and its matrix fails the PSD test; refinement still runs on
+        # it, and the realization it reaches is certified.
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        code, out, _ = run_cli(
+            capsys, "search", "pentagon.support", "--rank", "3", "--max-iter", "50"
+        )
+        assert code == 0
+        (attempt,) = json.loads(out)["attempts"]
+        assert not attempt["sdp_converged"]
+        assert attempt["sdp_iterations"] == 50
+        assert attempt["psd_margin"] < -search.SDP_PSD_TOL
+        assert attempt["refine_converged"] and attempt["certified"]
+
     def test_four_cycle_exit_3(self, workdir, capsys):
         search.save_support(workdir / "f.support", data.four_cycle_support().bits)
         code, _, err = run_cli(

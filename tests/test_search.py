@@ -303,10 +303,10 @@ class TestSdpFeasibility:
 
 @st.composite
 def weighted_supports(draw):
-    """A symmetric support with a unit diagonal on n <= 8 points, sparse or
+    """A symmetric support with a unit diagonal on n <= 12 points, sparse or
     dense and so connected or not, with a stack of 1-4 nonnegative weight
     matrices."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     upper = np.triu(rng.uniform(size=(n, n)) < draw(st.sampled_from([0.2, 0.5, 0.9])), 1)
     bits = (upper | upper.T | np.eye(n, dtype=bool)).astype(np.uint8)
@@ -328,6 +328,9 @@ class TestAdmmProperties:
             assert np.all(np.diag(x) == 1.0) and np.all(x[~on] == 0.0)
             assert 1 <= res.iterations <= max_iter
             assert res.psd_margin == pytest.approx(np.linalg.eigvalsh(x)[0], abs=1e-12)
+            if res.iterations < max_iter:
+                # The stop rule fired, and it implies the PSD test.
+                assert res.converged
             if res.converged:
                 assert res.psd_margin >= -search.SDP_PSD_TOL
                 assert abs(res.duality_gap) <= 1e-8
@@ -365,15 +368,7 @@ class TestIterationCounts:
             results = search._sdp_loop(on, search._objective_weights(on, weights), params)
             assert all(res.iterations <= 300 for res in results)
             assert all(res.converged for res in results)
-            assert all(res.iterations < params.max_iter for res in results)
-
-    def test_four_cycle_transcript(self):
-        res = search.run_pipeline(
-            data.four_cycle_support().bits, search.SearchParams(target_rank=3, seed=5))
-        attempts = res.retry.attempts
-        assert len(attempts) == 20
-        assert all(a.sdp_converged and a.sdp_iterations <= 300 for a in attempts)
-        assert all(abs(a.sdp_duality_gap) <= 1e-8 for a in attempts)
+            assert all(abs(res.duality_gap) <= 1e-8 for res in results)
 
 
 class TestRankRefine:
@@ -480,11 +475,8 @@ def sequential_retry(pattern, params, certify=None):
     for index in range(params.retries):
         weights = rng.uniform(0.5, 1.5, size=(n, n))
         sdp = search.sdp_feasibility(pattern, weights, params)
-        refined = None
-        nonneg = False
-        if sdp.converged:
-            refined = search.rank_refine(sdp.matrix, params.target_rank, params, pattern)
-            nonneg = bool(refined.matrix.min() >= -patterns.SUPPORT_CLAMP)
+        refined = search.rank_refine(sdp.matrix, params.target_rank, params, pattern)
+        nonneg = bool(refined.matrix.min() >= -patterns.SUPPORT_CLAMP)
         record = search.AttemptRecord(
             index=index,
             sdp_converged=sdp.converged,
@@ -492,15 +484,15 @@ def sequential_retry(pattern, params, certify=None):
             objective=sdp.objective,
             psd_margin=sdp.psd_margin,
             sdp_duality_gap=sdp.duality_gap,
-            refine_converged=bool(refined and refined.converged),
-            refine_iterations=refined.iterations if refined else 0,
-            refine_reason=refined.reason if refined else "sdp did not converge",
-            refine_rank_residual=refined.rank_residuals[-1] if refined else None,
-            refine_affine_residual=refined.affine_residuals[-1] if refined else None,
+            refine_converged=refined.converged,
+            refine_iterations=refined.iterations,
+            refine_reason=refined.reason,
+            refine_rank_residual=refined.rank_residuals[-1],
+            refine_affine_residual=refined.affine_residuals[-1],
             nonnegative=nonneg,
         )
         attempts.append(record)
-        if refined is not None and refined.converged and nonneg:
+        if refined.converged and nonneg:
             if certify is None:
                 return search.RetryResult(refined.matrix, True, attempts)
             outcome, reason = certify(refined.matrix)
