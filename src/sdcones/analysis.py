@@ -1,9 +1,13 @@
 """The analysis pass: every test of the package on one matrix, in one report.
 
-analyze_matrix certifies the matrix's DNN extremality once; the verdicts and
-the 5x5 label read that certificate, through the rules dnn keeps for them.
-Decompositions are not shared: the rank and PSD tests, the extremality test,
-the slack check and the factor-cone round trip each decompose the matrix.
+analyze_matrix takes one eigendecomposition of the matrix and shares it
+with every test: the rank (read from the absolute eigenvalues by linalg's one
+rank rule), the PSD and DNN tests, the slack pattern check (handed that
+rank), the DNN extremality test and the factor cone of the self-duality
+certification.  It certifies the matrix's DNN extremality once; the verdicts
+and the 5x5 label read that certificate, through the rules dnn keeps for
+them.  The report is built from JSON-ready values (Python scalars, strings,
+lists and dicts with string keys), so to_json only dumps it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class AnalysisReport:
     results: dict
 
     def to_json(self) -> str:
-        return to_json(self)
+        """The report as to_json prints it; its fields are JSON-ready."""
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -80,10 +85,10 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     n = m.shape[0]
     results: dict = {}
 
-    rank = linalg.numeric_rank(m)
+    eig = linalg.sym_eigen(m)
+    rank = eig.rank()
     results["rank"] = {"value": rank, "provenance": "numerical"}
 
-    eig = linalg.sym_eigen(m)
     min_eig = float(eig.values[-1])
     scale = float(np.abs(m).max())
     is_psd = min_eig >= -tol * max(scale, 1e-300)
@@ -95,7 +100,8 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     # m >= 0 was checked above, so the matrix is DNN exactly when it is PSD.
     results["dnn"] = {"value": bool(is_psd), "provenance": "numerical"}
 
-    slack_ok, reasons = geometry.slack_necessary_check(m, d)
+    reasons = geometry.slack_pattern_reasons(m, d, rank=rank)
+    slack_ok = not reasons
     results["slack_check"] = {
         "value": bool(slack_ok),
         "reasons": reasons,
@@ -109,10 +115,15 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
 
     certified, detail = False, "matrix is not PSD"
     if is_psd:
-        rep = dnn.dnn_extremality(m, tol)
-        results["extremality"] = dict(vars(rep), provenance="numerical")
+        rep = dnn._extremality(m, eig, tol)
+        borderline = rep.borderline  # JSON object keys are strings
+        if borderline is not None:
+            borderline = {str(k): v for k, v in borderline.items()}
+        results["extremality"] = dict(
+            vars(rep), borderline=borderline, provenance="numerical"
+        )
         if slack_ok:
-            certified, detail = selfdual._factor_cone_round_trip(m, d)
+            certified, detail = selfdual._factor_cone_round_trip(m, eig, d)
         else:
             certified, detail = False, "; ".join(reasons)
     else:
@@ -128,8 +139,7 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     }
 
     if certified:
-        verdicts = dnn._slack_verdicts(rep, irreducible, simplicial)
-        results["verdicts"] = verdicts
+        results["verdicts"] = vars(dnn._slack_verdicts(rep, irreducible, simplicial))
     else:
         results["verdicts"] = {
             "withheld": True,
@@ -144,8 +154,8 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
         }
 
     return AnalysisReport(
-        input={"path": origin, "rows": n, "cols": n},
+        input={"path": str(origin), "rows": n, "cols": n},
         version=__version__,
-        params={"rank": d, "tol": tol},
-        results=_json_ready(results),
+        params={"rank": int(d), "tol": float(tol)},
+        results=results,
     )

@@ -74,7 +74,7 @@ def _intersection_dim(a: np.ndarray, eig: linalg.EigenDecomposition, k: int) -> 
     # Euclidean product of coefficient vectors the Frobenius product; the
     # weights do not change the null space but keep the scaling honest.
     c[rows != cols] *= np.sqrt(2.0)
-    return linalg.null_space(c).shape[1]
+    return c.shape[1] - linalg.numeric_rank(c)
 
 
 def _is_cycle5(a: np.ndarray) -> bool:
@@ -100,7 +100,14 @@ def dnn_extremality(a, tol: float = DEFAULT_DNN_TOL) -> ExtremalityReport:
     instead of silently committing to one reading.
     """
     m = linalg.require_symmetric(a)
-    eig = linalg.sym_eigen(m)
+    return _extremality(m, linalg.sym_eigen(m), tol)
+
+
+def _extremality(
+    m: np.ndarray, eig: linalg.EigenDecomposition, tol: float
+) -> ExtremalityReport:
+    """dnn_extremality of a validated symmetric matrix with this
+    decomposition."""
     if not _is_dnn(m, eig, tol):
         raise PreconditionError("matrix is not doubly nonnegative within tolerance")
     top = float(eig.values[0]) if eig.values.size else 0.0
@@ -135,7 +142,8 @@ def dnn5_classify(a, tol: float = DEFAULT_DNN_TOL) -> str:
     m = linalg.require_symmetric(a)
     if m.shape != (5, 5):
         raise PreconditionError("classification applies to 5x5 matrices")
-    return _dnn5_label(linalg.numeric_rank(m), dnn_extremality(m, tol))
+    eig = linalg.sym_eigen(m)
+    return _dnn5_label(eig.rank(), _extremality(m, eig, tol))
 
 
 def _dnn5_label(rank: int, report: ExtremalityReport) -> str:

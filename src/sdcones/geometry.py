@@ -241,9 +241,10 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
     return SlackMatrix(clamped_slack(gens @ normals.T, cone.dim), cone.dim)
 
 
-def clamped_slack(m: np.ndarray, d: int) -> np.ndarray:
+def clamped_slack(m: np.ndarray, d: int, rank: int | None = None) -> np.ndarray:
     """Generator-by-facet products of a cone in R^d, entries below ZERO_CLAMP
-    set to zero; PreconditionError unless they pass slack_pattern_reasons."""
+    set to zero; PreconditionError unless they pass slack_pattern_reasons,
+    which is handed rank when the caller has m's numeric rank already."""
     if m.min() < -ZERO_CLAMP:
         raise PreconditionError(
             f"negative slack entry {m.min():.3e}; generators are not extreme "
@@ -251,16 +252,20 @@ def clamped_slack(m: np.ndarray, d: int) -> np.ndarray:
         )
     m = m.copy()
     m[m < ZERO_CLAMP] = 0.0
-    reasons = slack_pattern_reasons(m, d)
+    reasons = slack_pattern_reasons(m, d, rank=rank)
     if reasons:
         raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
     return m
 
 
-def slack_pattern_reasons(m: np.ndarray, d: int | None = None) -> list[str]:
+def slack_pattern_reasons(
+    m: np.ndarray, d: int | None = None, *, rank: int | None = None
+) -> list[str]:
     """Why a nonnegative matrix cannot be a slack matrix in R^d (no reasons
     when it passes): the checks of slack_necessary_check, without rank and
-    zeros per row when d is None.  Negative entries raise PreconditionError.
+    zeros per row when d is None.  rank is m's numeric rank when the caller
+    has read it from a decomposition it holds; otherwise an SVD takes it.
+    Negative entries raise PreconditionError.
     """
     if m.size == 0:
         return ["empty matrix"]
@@ -269,7 +274,7 @@ def slack_pattern_reasons(m: np.ndarray, d: int | None = None) -> list[str]:
     nz = support_of(m)
     reasons: list[str] = []
     if d is not None:
-        r = linalg.numeric_rank(m)
+        r = linalg.numeric_rank(m) if rank is None else rank
         if r != d:
             reasons.append(f"rank is {r}, expected {d}")
         zero_counts = (~nz).sum(axis=1)
@@ -323,11 +328,15 @@ def cone_from_factorization(m, d: int) -> PolyhedralCone:
     isomorphic to that cone and is self-dual under the Euclidean inner
     product.
     """
-    a = linalg.require_symmetric(m)
-    r = linalg.numeric_rank(a)
+    return _factor_cone(linalg.sym_eigen(m), d)
+
+
+def _factor_cone(eig: linalg.EigenDecomposition, d: int) -> PolyhedralCone:
+    """cone_from_factorization of the matrix with this decomposition, whose
+    numeric rank it reads from the eigenvalues."""
+    r = eig.rank()
     if r != d:
         raise PreconditionError(f"matrix has numeric rank {r}, expected {d}")
-    eig = linalg.sym_eigen(a)
     if eig.values[d - 1] <= 0.0:
         raise PreconditionError("matrix is not PSD of the requested rank")
     return PolyhedralCone(eig.factor(d))

@@ -9,7 +9,10 @@ as ConvergenceError.  sym_eigen and null_space return bases, so they fix the
 sign of every basis vector.  One rule (_rank) decides every numeric rank.
 The SVD, the padding, the rank rule and the sign rule also take stacks of
 matrices: null_space is the one-matrix case of null_directions, which the
-facet scan calls on a stack of subsets.  The projections psd_project,
+facet scan calls on a stack of subsets.  The rank of a symmetric matrix is
+read from the absolute eigenvalues of its decomposition (its singular
+values) by the same rule, so a caller holding the decomposition needs no
+SVD.  The projections psd_project,
 low_rank_project and psd_project_min_eig return V diag(w) V^T, in which the
 sign of each column of V cancels exactly, so they skip the sign rule; they
 take stacks too, so the SDP search projects a stack of attempts with one
@@ -112,6 +115,11 @@ class EigenDecomposition:
         eigenvalues clipped at 0: X with X X^T the top-k spectral part."""
         return self.vectors[:, :k] * np.sqrt(np.clip(self.values[:k], 0.0, None))
 
+    def rank(self) -> int:
+        """numeric_rank of the decomposed matrix: its singular values are
+        the absolute eigenvalues, sorted descending."""
+        return int(_rank(np.sort(np.abs(self.values))[::-1]))
+
 
 def _positive_leading(vecs: np.ndarray) -> np.ndarray:
     """Negate each column whose first component above 1e-12 in magnitude is
@@ -180,6 +188,18 @@ def _rank(sv: np.ndarray) -> np.ndarray:
 def numeric_rank(a) -> int:
     """Number of singular values above DEFAULT_RANK_TOL * (largest)."""
     return int(_rank(singular_values(a)))
+
+
+def span_rank(a, m) -> int:
+    """numeric_rank of m, whose columns lie in the column span of a (as those
+    of a @ b.T do): the rank of Q^T m, with Q an orthonormal basis of that
+    span from the QR factorization of a, which has m's singular values and
+    only as many rows as a has columns."""
+    try:
+        q = np.linalg.qr(as_matrix(a))[0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"QR did not converge: {exc}") from exc
+    return numeric_rank(q.T @ as_matrix(m))
 
 
 def null_directions(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

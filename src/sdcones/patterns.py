@@ -121,70 +121,116 @@ def involution_permutations(s: np.ndarray):
     Rows placed in that order do not produce the permutations in
     lexicographic order, so the enumeration always runs to the end before
     anything is yielded, and the sorted list comes out afterwards.
+    first_involution finds the first of them without enumerating the rest.
 
     Each column tried counts as one node.  More than INVOLUTION_NODE_BUDGET
     nodes in one enumeration raise ConvergenceError, before the first
     permutation is yielded, instead of running on.
     """
-    n = s.shape[0]
-    nz = s != 0
-    row_counts = np.count_nonzero(nz, axis=1)
-    col_counts = np.count_nonzero(nz, axis=0)
-    # Position j ends up as row j of the permuted matrix; its column in the
-    # symmetric result must have rowcount(j) entries and the same multiset
-    # of degrees, compared as sorted rows padded with -1 per zero.
-    row_profile = np.sort(np.where(nz, col_counts[None, :], -1), axis=1)
-    col_profile = np.sort(np.where(nz.T, row_counts[None, :], -1), axis=1)
-    labels: dict[bytes, int] = {}
-    row_label, col_label = (
-        [labels.setdefault(p.tobytes(), len(labels)) for p in profile]
-        for profile in (row_profile, col_profile)
-    )
-    domain = (s == 1) & np.equal.outer(row_label, col_label)
-    # Bit c of rows_of[j] is S[j, c]; bit r of col_of[c] is S[r, c].
-    rows_of, col_of = _bitsets(nz), _bitsets(nz.T)
-    sigma = [-1] * n
-    found: list[tuple[int, ...]] = []
-    nodes = 0
+    search = _InvolutionSearch(s)
+    every = search.completions(list(range(search.n)), search.domains)
+    for perm in sorted(tuple(sigma) for sigma in every):
+        yield np.array(perm, dtype=int)
 
-    def extend(rows: list[int], doms: list[int]):
-        # rows lists the unplaced rows in increasing order; bit c of doms[k]
-        # is set while column c is open to row rows[k].
-        nonlocal nodes
+
+def first_involution(s: np.ndarray) -> np.ndarray | None:
+    """The first permutation involution_permutations(s) would yield, or None
+    when there is none, found without enumerating the others.
+
+    Row 0 takes the smallest column of its domain from which the MRV search
+    of involution_permutations, stopped at its first completion, completes
+    a permutation; then row 1 does the same with row 0 placed, and so on.
+    Nodes count and are budgeted as in involution_permutations, over all of
+    these searches together.
+    """
+    search = _InvolutionSearch(s)
+    rows, doms = list(range(search.n)), search.domains
+    while rows:
+        # rows[0] is the next row in index order; the others stay unplaced.
+        j, todo = rows[0], doms[0]
+        rows = rows[1:]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            c = low.bit_length() - 1
+            pruned = search.place(j, c, rows, doms[1:])
+            if pruned is None:
+                continue
+            if next(search.completions(rows, pruned), None) is not None:
+                search.sigma[j] = c
+                doms = pruned
+                break
+        else:
+            return None
+    return np.array(search.sigma, dtype=int)
+
+
+class _InvolutionSearch:
+    """The backtracking state of involution_permutations on a 0/1 matrix:
+    each row's initial domain, the rows and columns as bitsets, the partial
+    permutation sigma and the node count."""
+
+    def __init__(self, s: np.ndarray):
+        n = self.n = s.shape[0]
+        nz = s != 0
+        row_counts = np.count_nonzero(nz, axis=1)
+        col_counts = np.count_nonzero(nz, axis=0)
+        # Position j ends up as row j of the permuted matrix; its column in
+        # the symmetric result must have rowcount(j) entries and the same
+        # multiset of degrees, compared as sorted rows padded with -1 per zero.
+        row_profile = np.sort(np.where(nz, col_counts[None, :], -1), axis=1)
+        col_profile = np.sort(np.where(nz.T, row_counts[None, :], -1), axis=1)
+        labels: dict[bytes, int] = {}
+        row_label, col_label = (
+            [labels.setdefault(p.tobytes(), len(labels)) for p in profile]
+            for profile in (row_profile, col_profile)
+        )
+        self.domains = _bitsets((s == 1) & np.equal.outer(row_label, col_label))
+        # Bit c of rows_of[j] is S[j, c]; bit r of col_of[c] is S[r, c].
+        self.rows_of, self.col_of = _bitsets(nz), _bitsets(nz.T)
+        self.sigma = [-1] * n
+        self.nodes = 0
+
+    def place(self, j: int, c: int, rows: list[int], doms: list[int]) -> list[int] | None:
+        """The domains of the unplaced rows (doms[k] is row rows[k]'s) once
+        row j takes column c, or None when one is left empty.  Counts a
+        node."""
+        self.nodes += 1
+        if self.nodes > INVOLUTION_NODE_BUDGET:
+            raise ConvergenceError(
+                f"involution search on {self.n} rows visited {self.nodes} nodes, "
+                f"over the budget of {INVOLUTION_NODE_BUDGET}"
+            )
+        on, off = self.rows_of[j], ~self.rows_of[j]
+        col, keep = self.col_of[c], ~(1 << c)
+        pruned = []
+        for r, dom in zip(rows, doms):
+            dom &= (on if col >> r & 1 else off) & keep
+            if not dom:
+                return None
+            pruned.append(dom)
+        return pruned
+
+    def completions(self, rows: list[int], doms: list[int]):
+        """Yield sigma each time it is completed over the unplaced rows (in
+        increasing order, bit c of doms[k] set while column c is open to row
+        rows[k]), placing the row with the smallest domain first."""
         if not rows:
-            found.append(tuple(sigma))
+            yield self.sigma
             return
         k = min(range(len(rows)), key=lambda i: doms[i].bit_count())
         j = rows[k]
         rest_rows = rows[:k] + rows[k + 1:]
         rest_doms = doms[:k] + doms[k + 1:]
-        on, off = rows_of[j], ~rows_of[j]
         todo = doms[k]
         while todo:
             low = todo & -todo
             todo ^= low
             c = low.bit_length() - 1
-            nodes += 1
-            if nodes > INVOLUTION_NODE_BUDGET:
-                raise ConvergenceError(
-                    f"involution search on {n} rows visited {nodes} nodes, "
-                    f"over the budget of {INVOLUTION_NODE_BUDGET}"
-                )
-            col, keep = col_of[c], ~low
-            pruned = []
-            for r, dom in zip(rest_rows, rest_doms):
-                dom &= (on if col >> r & 1 else off) & keep
-                if not dom:
-                    break
-                pruned.append(dom)
-            else:
-                sigma[j] = c
-                extend(rest_rows, pruned)
-
-    extend(list(range(n)), _bitsets(domain))
-    found.sort()
-    for perm in found:
-        yield np.array(perm, dtype=int)
+            pruned = self.place(j, c, rest_rows, rest_doms)
+            if pruned is not None:
+                self.sigma[j] = c
+                yield from self.completions(rest_rows, pruned)
 
 
 def _bitsets(mask: np.ndarray) -> list[int]:

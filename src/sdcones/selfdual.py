@@ -74,7 +74,9 @@ def _solve_scaling(n_mat: np.ndarray) -> np.ndarray | None:
 
 def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     """Search for a row permutation and positive column scaling making the
-    slack PSD.
+    slack PSD.  slack is a matrix, checked by geometry.slack_pattern_reasons,
+    or a geometry.SlackMatrix from geometry.slack_matrix, which has passed
+    that check at its cone's dimension already and is not checked again.
 
     Absence is returned only after every support-compatible permutation has
     been tried.  The enumeration always finishes before the first permutation
@@ -84,10 +86,13 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     returned, with the gauge freedom fixed so the PSD matrix's largest
     diagonal entry equals the largest diagonal entry of the input.
     """
-    m = linalg.as_matrix(slack)
-    reasons = geometry.slack_pattern_reasons(m)  # the checks that need no d
-    if reasons:
-        raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
+    if isinstance(slack, geometry.SlackMatrix):
+        m = slack.matrix
+    else:
+        m = linalg.as_matrix(slack)
+        reasons = geometry.slack_pattern_reasons(m)  # the checks that need no d
+        if reasons:
+            raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
     if m.shape[0] != m.shape[1]:
         return None
     z = support_of(m).astype(np.uint8)
@@ -131,7 +136,7 @@ def is_self_dual(
     matrix, built at tol (PreconditionError when a generator is not an
     extreme ray); the certificate is attached.
     """
-    cert = find_psd_scaling(geometry.slack_matrix(cone, tol).matrix)
+    cert = find_psd_scaling(geometry.slack_matrix(cone, tol))
     return cert is not None, cert
 
 
@@ -143,18 +148,26 @@ def certify_psd_slack(matrix: np.ndarray, d: int) -> tuple[bool, str]:
     ok, reasons = geometry.slack_necessary_check(matrix, d)
     if not ok:
         return False, "; ".join(reasons)
-    return _factor_cone_round_trip(matrix, d)
-
-
-def _factor_cone_round_trip(matrix: np.ndarray, d: int) -> tuple[bool, str]:
-    """certify_psd_slack on a matrix that has passed
-    geometry.slack_necessary_check at d: the rebuild and the support match."""
     try:
-        cone = geometry.cone_from_factorization(matrix, d)
+        eig = linalg.sym_eigen(matrix)
+    except PreconditionError as exc:
+        return False, str(exc)
+    return _factor_cone_round_trip(matrix, eig, d)
+
+
+def _factor_cone_round_trip(
+    matrix: np.ndarray, eig: linalg.EigenDecomposition, d: int
+) -> tuple[bool, str]:
+    """certify_psd_slack on a matrix with this decomposition that has passed
+    the slack pattern check at d: the rebuild and the support match.  The
+    rebuilt slack's rank is read in the span of the rebuilt generators."""
+    try:
+        cone = geometry._factor_cone(eig, d)
         trip = geometry.dual_round_trip(
             cone, geometry.DEFAULT_FACET_TOL, ROUND_TRIP_MATCH_TOL
         )
-        rebuilt = geometry.clamped_slack(trip.slack, d)
+        rank = linalg.span_rank(cone.generators, trip.slack)
+        rebuilt = geometry.clamped_slack(trip.slack, d, rank)
     except PreconditionError as exc:
         return False, str(exc)
     if rebuilt.shape != matrix.shape:

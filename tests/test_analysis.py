@@ -227,39 +227,52 @@ class TestSameReportAsTheParentPass:
         assume(same_as_parent(shifted(x @ x.T, shift), d, tol))
 
 
-def count_eigh(monkeypatch) -> list:
-    """Record every LAPACK eigendecomposition made from now on."""
-    calls, eigh = [], linalg._eigh
+def count_decompositions(monkeypatch) -> list:
+    """Record ("eigh" or "svd", input shape) for every LAPACK
+    eigendecomposition and SVD made from now on.  A stacked call, such as
+    the facet scan's, has a batch axis in its shape, so whole-matrix calls
+    on an n x n matrix are the entries with shape (n, n)."""
+    calls = []
+    for kind in ("eigh", "svd"):
+        run = getattr(linalg, "_" + kind)
 
-    def counted(w):
-        calls.append(w.shape)
-        return eigh(w)
+        def counted(w, kind=kind, run=run):
+            calls.append((kind, w.shape))
+            return run(w)
 
-    monkeypatch.setattr(linalg, "_eigh", counted)
+        monkeypatch.setattr(linalg, "_" + kind, counted)
     return calls
 
 
 class TestOneDecomposition:
-    def test_analyze_on_the_pentagon(self, tmp_path, monkeypatch, capsys):
-        # One in the pass, one in dnn_extremality, one in the factor cone of
-        # the certification.
-        geometry.save_matrix(tmp_path / "m.mat", data.pentagon_slack())
-        calls = count_eigh(monkeypatch)
-        assert cli.main(["analyze", str(tmp_path / "m.mat"), "--rank", "3"]) == 0
-        assert json.loads(capsys.readouterr().out)["results"]["verdicts"]["dnn_extreme"]
-        assert len(calls) <= 3
+    @pytest.mark.parametrize("name", ["pentagon", "prism"])
+    def test_one_eigh_and_no_whole_matrix_svd(self, monkeypatch, name):
+        # The rank, the PSD test, the slack check, the extremality test and
+        # the factor cone all read one eigendecomposition of the input.  The
+        # rebuilt slack's rank is read in the span of the rebuilt generators.
+        m, d = BUNDLED[name]
+        n = m.shape[0]
+        calls = count_decompositions(monkeypatch)
+        report = analysis.analyze_matrix(m, d, dnn.DEFAULT_DNN_TOL, name)
+        assert report.results["verdicts"]["dnn_extreme"]
+        assert report.results["selfdual_certification"]["certified"]
+        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (n, n))]
+        assert ("svd", (n, n)) not in calls
 
     def test_one_slack_check_per_item(self, tmp_path, monkeypatch, capsys):
-        # The pass runs the necessary slack check once and hands its result
-        # to the certification, which used to run it again.
-        geometry.save_matrix(tmp_path / "m.mat", data.pentagon_slack())
-        calls, check = [], geometry.slack_necessary_check
+        # The pass runs the slack pattern check once on its input, with the
+        # rank it read from its eigendecomposition.  The certification checks
+        # only the rebuilt cone's slack, a different matrix.
+        slack = data.pentagon_slack()
+        geometry.save_matrix(tmp_path / "m.mat", slack)
+        calls, check = [], geometry.slack_pattern_reasons
 
-        def counted(m, d):
-            calls.append(d)
-            return check(m, d)
+        def counted(m, d=None, **kwargs):
+            if np.array_equal(m, slack):
+                calls.append(d)
+            return check(m, d, **kwargs)
 
-        monkeypatch.setattr(geometry, "slack_necessary_check", counted)
+        monkeypatch.setattr(geometry, "slack_pattern_reasons", counted)
         assert cli.main(["analyze", str(tmp_path / "m.mat"), "--rank", "3"]) == 0
         report = json.loads(capsys.readouterr().out)["results"]
         assert report["selfdual_certification"]["certified"]
@@ -267,9 +280,10 @@ class TestOneDecomposition:
 
     @pytest.mark.parametrize("run", [dnn.dnn_extremality, dnn.dnn5_classify])
     def test_dnn_certificates(self, monkeypatch, run):
-        calls = count_eigh(monkeypatch)
+        calls = count_decompositions(monkeypatch)
         run(data.pentagon_slack())
-        assert len(calls) == 1
+        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (5, 5))]
+        assert ("svd", (5, 5)) not in calls
 
 
 def test_empty_matrix_rejected():

@@ -186,13 +186,13 @@ class TestAnalyzeCommand:
     def test_certificate_disagreement_exits_3(self, workdir, capsys, monkeypatch):
         # An extremality certificate that contradicts the support-graph
         # verdict is a numerical inconsistency, reported like non-convergence.
-        exact = dnn.dnn_extremality
+        exact = dnn._extremality
 
         def contradicting(*args, **kwargs):
             rep = exact(*args, **kwargs)
             return dataclasses.replace(rep, intersection_dim=2, extreme=False)
 
-        monkeypatch.setattr(dnn, "dnn_extremality", contradicting)
+        monkeypatch.setattr(dnn, "_extremality", contradicting)
         geometry.save_matrix(workdir / "m.mat", data.pentagon_slack())
         code, out, err = run_cli(capsys, "analyze", "m.mat", "--rank", "3")
         assert code == cli.EXIT_NO_CONVERGENCE
@@ -370,6 +370,31 @@ class TestSingleScan:
         code, _, _ = run_cli(capsys, *argv, "p.cone")
         assert code == 0
         assert len(scans) == 1
+
+    def test_one_slack_pattern_check_per_verify_input(self, workdir, capsys, monkeypatch):
+        # slack_matrix checks the slack's pattern at the cone's dimension
+        # and hands the checked slack to the scaling search, which does not
+        # check it again.
+        cones = {
+            "o.cone": np.eye(3),
+            "p.cone": data.prism_rays(),
+            "g5.cone": data.pentagon_rays(),
+            "g6.cone": geometry.cone_over_polytope(
+                data.regular_polygon_vertices(6)).generators,
+        }
+        for name, gens in cones.items():
+            geometry.save_cone(workdir / name, gens)
+        calls, check = [], geometry.slack_pattern_reasons
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "slack_pattern_reasons", counted)
+        code, out, err = run_cli(capsys, "verify", *cones)
+        assert (code, err) == (0, "")
+        assert out.count('"self_dual": true') == 3
+        assert len(calls) == len(cones)
 
     @pytest.mark.parametrize("name", sorted(SINGLE_SCAN_CONES))
     @pytest.mark.parametrize("argv", [["verify"], ["slack"], ["slack", "--json"]])

@@ -117,13 +117,13 @@ class TestExtremality:
 
     def test_stacked_system_equals_the_loop(self, monkeypatch):
         systems = []
-        null_space = linalg.null_space
+        numeric_rank = linalg.numeric_rank
 
         def capture(c):
             systems.append(c)
-            return null_space(c)
+            return numeric_rank(c)
 
-        monkeypatch.setattr(linalg, "null_space", capture)
+        monkeypatch.setattr(linalg, "numeric_rank", capture)
         rng = np.random.default_rng(61)
         matrices = [data.pentagon_slack(), data.prism_slack(),
                     data.nonslack_extreme_matrix(), np.eye(4), np.ones((3, 3))]

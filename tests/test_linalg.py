@@ -223,6 +223,27 @@ def symmetric_matrices(draw):
     return 0.5 * (a + a.T)
 
 
+@st.composite
+def rank_probes(draw):
+    """Symmetric matrices whose numeric rank analyze reads from eigenvalues:
+    the drawn symmetric_matrices, and Q diag(w) Q^T with a PSD or an
+    indefinite spectrum whose largest |w| is 1 and whose others are drawn
+    from values on both sides of the 1e-8 rank cutoff (1e-6, 1e-7, 1e-9,
+    1e-10) as well as 0 and 0.3; each scaled by 1, 1e-300 or 1e300."""
+    if draw(st.booleans()):
+        a = draw(symmetric_matrices())
+    else:
+        n = draw(st.integers(1, 8))
+        small = st.sampled_from([0.3, 1e-6, 1e-7, 1e-9, 1e-10, 0.0])
+        w = np.array([1.0] + draw(st.lists(small, min_size=n - 1, max_size=n - 1)))
+        if draw(st.booleans()):  # indefinite
+            w *= draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        q = random_orthogonal(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+        a = (q * w) @ q.T
+        a = 0.5 * (a + a.T)
+    return a * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+
+
 def assert_sign_rule(vecs: np.ndarray) -> None:
     for j in range(vecs.shape[1]):
         col = vecs[:, j]
@@ -243,6 +264,13 @@ class TestContract:
         recon = (eig.vectors * eig.values) @ eig.vectors.T
         assert np.abs(a - recon).max(initial=0.0) <= 1e-10 * scale
         assert_sign_rule(eig.vectors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_probes())
+    def test_eigenvalue_rank_is_numeric_rank(self, a):
+        # A symmetric matrix's singular values are its absolute
+        # eigenvalues, so the rank read from its decomposition is the SVD's.
+        assert linalg.sym_eigen(a).rank() == linalg.numeric_rank(a)
 
     @settings(max_examples=300, deadline=None)
     @given(matrices())

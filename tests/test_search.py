@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -168,6 +169,36 @@ class TestSisdCheck:
         sigma = search.sisd_check(np.ones((10, 10), dtype=int))
         assert np.array_equal(sigma, np.arange(10))
 
+    def test_dense_asymmetric_support_within_bounds(self, monkeypatch):
+        # 12! permutations, a few million of them involutive: enumerating
+        # them all ran over the node budget.  Fixing the columns row by row
+        # visits 78 nodes, in about 1 ms on a 2-vCPU host.
+        s = np.ones((12, 12), dtype=np.uint8)
+        s[0, 1] = s[2, 3] = 0
+        monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 100)
+        start = time.perf_counter()
+        sigma = search.sisd_check(s)
+        assert time.perf_counter() - start < 1.0
+        assert sigma.tolist() == [3, 0, 1, 2, *range(4, 12)]
+
+    def test_regular_heptagon_slack_support(self):
+        # The bench's gon7 support; its transcripts record this permutation.
+        cone = geometry.cone_over_polytope(data.regular_polygon_vertices(7))
+        s = search.support_of(geometry.slack_matrix(cone).matrix).astype(np.uint8)
+        assert search.sisd_check(s).tolist() == [4, 5, 6, 1, 0, 2, 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(involution_patterns())
+    def test_first_permutation_of_the_enumeration(self, s):
+        first = next(patterns.involution_permutations(s), None)
+        mine = patterns.first_involution(s)
+        assert (mine is None) == (first is None)
+        assert mine is None or np.array_equal(mine, first)
+        if s.sum(axis=1).all() and s.sum(axis=0).all():
+            sigma = search.sisd_check(s)
+            assert (sigma is None) == (first is None)
+            assert sigma is None or np.array_equal(sigma, first)
+
     def test_four_cycle_pattern_has_permutation(self):
         sigma = search.sisd_check(data.four_cycle_support().bits)
         assert sigma is not None
@@ -195,7 +226,7 @@ class TestSisdCheck:
     @settings(max_examples=300, deadline=None)
     @given(involution_patterns())
     def test_enumeration_matches_brute_force_in_order(self, s):
-        mine = [tuple(int(c) for c in p) for p in search.involution_permutations(s)]
+        mine = [tuple(int(c) for c in p) for p in patterns.involution_permutations(s)]
         assert mine == all_involutions_brute_force(s)
 
     # A dense 8x8 pattern has up to 8! = 40 320 permutations, about 1 s of
@@ -203,7 +234,7 @@ class TestSisdCheck:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(involution_patterns(max_n=8), symmetric_patterns()))
     def test_enumeration_matches_fixed_order(self, s):
-        mine = [tuple(int(c) for c in p) for p in search.involution_permutations(s)]
+        mine = [tuple(int(c) for c in p) for p in patterns.involution_permutations(s)]
         assert mine == fixed_order_involutions(s)
 
     @pytest.mark.parametrize("sizes", [(3, 2), (2, 3, 1), (1, 4, 2)])
@@ -217,7 +248,7 @@ class TestSisdCheck:
             s[start:start + size, start:start + size] = 1
             start += size
         s = s[:, np.random.default_rng(n).permutation(n)]
-        mine = [tuple(int(c) for c in p) for p in search.involution_permutations(s)]
+        mine = [tuple(int(c) for c in p) for p in patterns.involution_permutations(s)]
         assert mine == all_involutions_brute_force(s) == fixed_order_involutions(s)
         assert len(mine) == math.prod(math.factorial(k) for k in sizes)
 
@@ -227,7 +258,7 @@ class TestSisdCheck:
         shuffled = s[:, np.random.default_rng(k).permutation(k)]
         for pattern in (s, shuffled):
             mine = [tuple(int(c) for c in p)
-                    for p in search.involution_permutations(pattern)]
+                    for p in patterns.involution_permutations(pattern)]
             assert mine == fixed_order_involutions(pattern)
             assert len(mine) == k % 2
 
