@@ -261,6 +261,8 @@ class TestSisdCheck:
                     for p in patterns.involution_permutations(pattern)]
             assert mine == fixed_order_involutions(pattern)
             assert len(mine) == k % 2
+            first = patterns.first_involution(pattern)
+            assert mine[:1] == ([] if first is None else [tuple(first.tolist())])
 
     def test_rejects_bad_input(self):
         with pytest.raises(PreconditionError):
