@@ -31,21 +31,21 @@ EXIT_PARSE = 4
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies; each returns (exit_code, stdout text).
+# Subcommand bodies; each returns its stdout text and raises on failure.
 # ---------------------------------------------------------------------------
 
 def _format_matrix_text(m: np.ndarray) -> str:
     return "\n".join(" ".join(f"{x:.12g}" for x in row) for row in m)
 
 
-def cmd_slack(path: str, tol: float, as_json: bool, out: str | None) -> tuple[int, str]:
+def cmd_slack(path: str, tol: float, as_json: bool, out: str | None) -> str:
     cone = geometry.load_cone(path)
     sm = geometry.slack_matrix(cone, tol)
     if out:
         geometry.save_matrix(out, sm.matrix)
     if as_json:
         rows, cols = sm.shape
-        return EXIT_OK, analysis.to_json({
+        return analysis.to_json({
             "cone_dim": sm.cone_dim,
             "row_labels": list(range(rows)),
             "col_labels": list(range(cols)),
@@ -55,23 +55,23 @@ def cmd_slack(path: str, tol: float, as_json: bool, out: str | None) -> tuple[in
         f"slack matrix: {sm.shape[0]} rays x {sm.shape[1]} facets, "
         f"cone dimension {sm.cone_dim}"
     )
-    return EXIT_OK, header + "\n" + _format_matrix_text(sm.matrix)
+    return header + "\n" + _format_matrix_text(sm.matrix)
 
 
-def cmd_dual(path: str, tol: float, out: str | None) -> tuple[int, str]:
+def cmd_dual(path: str, tol: float, out: str | None) -> str:
     cone = geometry.load_cone(path)
     normals = geometry.facet_normals(cone, tol)
     if out:
         geometry.save_cone(out, normals)
-    return EXIT_OK, geometry.cone_text(normals)
+    return geometry.cone_text(normals)
 
 
-def cmd_analyze(path: str, d: int, tol: float) -> tuple[int, str]:
+def cmd_analyze(path: str, d: int, tol: float) -> str:
     matrix = geometry.load_matrix(path)
-    return EXIT_OK, analysis.analyze_matrix(matrix, d, tol, origin=path).to_json()
+    return analysis.analyze_matrix(matrix, d, tol, origin=path).to_json()
 
 
-def cmd_verify(path: str, tol: float) -> tuple[int, str]:
+def cmd_verify(path: str, tol: float) -> str:
     cone = geometry.load_cone(path)
     ok, cert = selfdual.is_self_dual(cone, tol)
     if cert is not None:
@@ -79,7 +79,7 @@ def cmd_verify(path: str, tol: float) -> tuple[int, str]:
                 "min_eigenvalue": cert.min_eigenvalue}
     payload = {"input": path, "self_dual": ok, "version": __version__,
                "certificate": cert}
-    return EXIT_OK, analysis.to_json(payload)
+    return analysis.to_json(payload)
 
 
 def cmd_search(
@@ -87,7 +87,7 @@ def cmd_search(
     params: search.SearchParams,
     outputs: list[Path],
     verify_tol: float,
-) -> tuple[int, str]:
+) -> str:
     bits = search.load_support(path)
     result = search.run_pipeline(bits, params, verify_tol)
     transcript_path, cone_path = outputs
@@ -96,7 +96,7 @@ def cmd_search(
     transcript_path.write_text(transcript_text + "\n", encoding="utf-8")
     if result.success:
         geometry.save_cone(cone_path, result.realization.generators)
-        return EXIT_OK, transcript_text
+        return transcript_text
     if result.sisd_permutation is None:
         raise PreconditionError("support is not strongly involutive")
     raise ConvergenceError(result.failure or "search failed")
@@ -146,7 +146,7 @@ SAVERS = {".cone": geometry.save_cone, ".mat": geometry.save_matrix,
           ".support": search.save_support}
 
 
-def cmd_examples(name: str, out_dir: str) -> tuple[int, str]:
+def cmd_examples(name: str, out_dir: str) -> str:
     if name not in EXAMPLES:
         raise PreconditionError(
             f"unknown example {name!r}; known: {', '.join(sorted(EXAMPLES))}"
@@ -155,7 +155,7 @@ def cmd_examples(name: str, out_dir: str) -> tuple[int, str]:
     out.mkdir(parents=True, exist_ok=True)
     for file_name, make in EXAMPLES[name].items():
         SAVERS[Path(file_name).suffix](out / file_name, make())
-    return EXIT_OK, "\n".join(str(out / f) for f in EXAMPLES[name])
+    return "\n".join(str(out / f) for f in EXAMPLES[name])
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def _check_writable(target: Path, makes_parents: bool) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target))
 
 
-def _run_one(args, path: str) -> tuple[int, str]:
+def _run_one(args, path: str) -> str:
     outputs = _outputs(args, path)
     for target in outputs:
         _check_writable(target, makes_parents=args.command == "search")
@@ -251,7 +251,7 @@ def _settle(run, *args) -> tuple[int, str, bool]:
     """Run one input: its exit code, its text, and whether the text is a
     failure message for stderr rather than output for stdout."""
     try:
-        code, text = run(*args)
+        text = run(*args)
     except ParseError as exc:
         return EXIT_PARSE, f"parse error: {exc}", True
     except OSError as exc:  # inputs are read through ParseError, so a write
@@ -260,7 +260,7 @@ def _settle(run, *args) -> tuple[int, str, bool]:
         return EXIT_PRECONDITION, f"precondition failure: {exc}", True
     except ConvergenceError as exc:
         return EXIT_NO_CONVERGENCE, f"did not converge: {exc}", True
-    return code, text, False
+    return EXIT_OK, text, False
 
 
 def _refusal(args) -> str | None:

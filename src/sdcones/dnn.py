@@ -195,9 +195,10 @@ def classify_psd_slack(a, irreducible: bool, simplicial: bool) -> SlackVerdicts:
     m = linalg.require_symmetric(a)
     if not m.any():
         raise PreconditionError("zero matrix is not a slack matrix")
-    if not is_dnn(m):
+    eig = linalg.sym_eigen(m)
+    if not _is_dnn(m, eig, DEFAULT_DNN_TOL):
         raise PreconditionError("a PSD slack must be doubly nonnegative")
-    return _slack_verdicts(dnn_extremality(m), irreducible, simplicial)
+    return _slack_verdicts(_extremality(m, eig, DEFAULT_DNN_TOL), irreducible, simplicial)
 
 
 def _slack_verdicts(

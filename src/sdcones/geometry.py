@@ -287,12 +287,13 @@ def slack_pattern_reasons(
         reasons.append("matrix has a zero row")
     if np.any(nz.sum(axis=0) == 0):
         reasons.append("matrix has a zero column")
-    seen: dict[tuple, int] = {}
-    for i, row in enumerate(map(tuple, nz)):
-        if row in seen:
-            reasons.append(f"rows {seen[row]} and {i} share the same zero pattern")
+    seen: dict[bytes, int] = {}
+    for i, row in enumerate(nz):
+        key = row.tobytes()
+        if key in seen:
+            reasons.append(f"rows {seen[key]} and {i} share the same zero pattern")
         else:
-            seen[row] = i
+            seen[key] = i
     return reasons
 
 

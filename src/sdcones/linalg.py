@@ -66,7 +66,7 @@ def _symmetric(a, stack: bool = False) -> np.ndarray:
     symmetrized as a single matrix would be.
 
     Exactly symmetric input comes back as is, possibly the caller's own
-    array, since 0.5 * (m + m.T) would equal it bit for bit.  Rejection
+    array, since symmetrizing would equal it bit for bit.  Rejection
     carries the measured asymmetry so callers can report how far the input
     was from symmetric.
     """
@@ -85,12 +85,10 @@ def _symmetric(a, stack: bool = False) -> np.ndarray:
             f"matrix is not symmetric: measured asymmetry {gap.max():.3e} "
             f"exceeds {SYMMETRY_TOL:g} * max(1, |entry|)"
         )
-    if m.ndim == 2:
-        return 0.5 * (m + mt)
-    exact = (m == mt).all(axis=(-2, -1))
-    out = m.copy()
-    out[~exact] = 0.5 * (m[~exact] + mt[~exact])
-    return out
+    # Halving each term first cannot overflow near the largest float;
+    # equal pairs, and so every member of a stack that is exactly
+    # symmetric, keep their bits.
+    return np.where(m == mt, m, 0.5 * m + 0.5 * mt)
 
 
 def require_symmetric(a) -> np.ndarray:

@@ -251,12 +251,7 @@ class RefineResult:
     reason: str | None = None
 
 
-def rank_refine(
-    x,
-    d: int,
-    params: SearchParams,
-    pattern: SupportPattern | None = None,
-) -> RefineResult:
+def rank_refine(x, d: int, params: SearchParams, pattern: SupportPattern) -> RefineResult:
     """Alternate the rank-d spectral truncation with exact reimposition of
     the support zeros and the unit diagonal.
 
@@ -267,8 +262,6 @@ def rank_refine(
     value.
     """
     a = linalg.require_symmetric(x)
-    if pattern is None:
-        pattern = SupportPattern.from_matrix(a)
     on = pattern.mask
     if a.shape[0] != pattern.n:
         raise PreconditionError("matrix and support sizes disagree")
@@ -326,21 +319,6 @@ def rank_refine(
 _RETRY_STACK = 32
 
 
-def _sdp_attempts(pattern: SupportPattern, weights: np.ndarray, params: SearchParams):
-    """SDP results, in index order, of one solve of a (k, n, n) stack of
-    weight matrices.  A stack of one is solved by sdp_feasibility, the entry
-    point that per-call SDP profiles count.  If a larger stack raises, its
-    attempts rerun one at a time through sdp_feasibility, lazily, so an error
-    surfaces at the attempt that raises it and only once every attempt before
-    it has been consumed."""
-    if len(weights) == 1:
-        return [sdp_feasibility(pattern, weights[0], params)]
-    try:
-        return _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
-    except (ConvergenceError, PreconditionError):
-        return (sdp_feasibility(pattern, w, params) for w in weights)
-
-
 @dataclass
 class AttemptRecord:
     """One transcript attempt, all scalars; the refinement residuals are the
@@ -367,7 +345,8 @@ class RetryResult:
     matrix: np.ndarray | None
     success: bool
     attempts: list[AttemptRecord]
-    certificate: object | None = None
+    realization: Realization | None = None
+    verification: VerificationReport | None = None
 
     @property
     def winning_attempt(self) -> int | None:
@@ -377,31 +356,31 @@ class RetryResult:
 def randomized_retry(
     pattern: SupportPattern,
     params: SearchParams,
-    certify=None,
+    verify_tol: float = DEFAULT_VERIFY_TOL,
 ) -> RetryResult:
     """Run the feasibility solver with random positive weights, retrying with
-    fresh weights until rank refinement yields a nonnegative Gram matrix.
+    fresh weights until an attempt yields a certified realization.
 
     Weights are drawn uniformly from [0.5, 1.5); the stream is owned by this
     call and seeded from params.seed, so identical inputs give identical
     transcripts.
 
     Every attempt's SDP matrix is refined, whether or not the SDP converged:
-    refinement needs no PSD start, and a refined matrix counts only once it
-    passes refinement's own gates, is nonnegative and is certified.
+    refinement needs no PSD start.  A refined matrix that passes
+    refinement's own gates and is nonnegative goes through certify, which
+    extracts a cone and verifies it against the pattern at verify_tol; a
+    refined matrix need not be a slack matrix at all, so only a verified
+    cone ends the retries.  The winning attempt's realization and
+    verification report come back with the result.
 
-    An optional certify(matrix) hook may veto an otherwise successful
-    attempt by returning (None, reason); the pipeline uses it to keep
-    retrying when a refined matrix extracts to a cone that fails the
-    self-duality verification (a refined matrix need not be a slack matrix
-    at all, so refinement success alone is not proof of a realization).
-
-    Every attempt runs in a stack (see _sdp_attempts): attempt 1 alone, the
-    rest up to _RETRY_STACK at a time.  A stack's weights are the same draws
-    from the stream as one (n, n) draw per attempt, and its attempts are
-    refined, recorded and certified in index order up to the first certified
-    one, so the transcript is the one a loop of one sdp_feasibility call per
-    attempt writes.
+    Attempt 1 runs alone through sdp_feasibility, the rest in stacks of up
+    to _RETRY_STACK through _sdp_loop; a stack whose solve raises reruns its
+    attempts one at a time through sdp_feasibility, lazily, so an error
+    surfaces at the attempt that raises it.  A stack's weights are the same
+    draws from the stream as one (n, n) draw per attempt, and its attempts
+    are refined, recorded and certified in index order up to the first
+    certified one, so the transcript is the one a loop of one
+    sdp_feasibility call per attempt writes.
     """
     rng = np.random.default_rng(params.seed)
     n = pattern.n
@@ -410,7 +389,14 @@ def randomized_retry(
     while index < params.retries:
         k = min(_RETRY_STACK, params.retries - index) if index else 1
         weights = rng.uniform(0.5, 1.5, size=(k, n, n))
-        for sdp in _sdp_attempts(pattern, weights, params):
+        if k == 1:
+            sdps = [sdp_feasibility(pattern, weights[0], params)]
+        else:
+            try:
+                sdps = _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
+            except (ConvergenceError, PreconditionError):
+                sdps = (sdp_feasibility(pattern, w, params) for w in weights)
+        for sdp in sdps:
             refined = rank_refine(sdp.matrix, params.target_rank, params, pattern)
             # A valid slack is entrywise nonnegative; a refined matrix with
             # negative structural entries is a dead end, not a realization.
@@ -432,15 +418,11 @@ def randomized_retry(
             attempts.append(record)
             index += 1
             if refined.converged and nonneg:
-                if certify is None:
-                    return RetryResult(refined.matrix, True, attempts)
-                outcome, reason = certify(refined.matrix)
-                record.certified = outcome is not None
-                record.certify_reason = reason
-                if outcome is not None:
-                    return RetryResult(
-                        refined.matrix, True, attempts, certificate=outcome
-                    )
+                real, report, record.certify_reason = certify(
+                    refined.matrix, pattern, params.target_rank, verify_tol)
+                record.certified = real is not None
+                if record.certified:
+                    return RetryResult(refined.matrix, True, attempts, real, report)
     return RetryResult(matrix=None, success=False, attempts=attempts)
 
 
@@ -480,10 +462,11 @@ def extract_realization(x, d: int) -> Realization:
     diagonal = not (mask & ~np.eye(mask.shape[0], dtype=bool)).any()
     if not diagonal and not is_connected(mask):
         raise PreconditionError("support graph is not connected")
-    r = linalg.numeric_rank(a)
+    eig = linalg.sym_eigen(a)
+    r = eig.rank()
     if r != d:
         raise PreconditionError(f"matrix has numeric rank {r}, expected {d}")
-    factor = linalg.sym_eigen(a).factor(d)
+    factor = eig.factor(d)
     if diagonal:
         # Diagonal Gram: the factor rows are already mutually orthogonal
         # generators of an orthant image; there is no Perron rescaling.
@@ -589,6 +572,24 @@ def verify_realization(
     )
 
 
+def certify(
+    matrix: np.ndarray, pattern: SupportPattern, d: int, tol: float
+) -> tuple[Realization | None, VerificationReport | None, str | None]:
+    """Extract a rank-d realization from a refined matrix and verify it
+    against the pattern: (realization, report, None) when it passes, else
+    (None, None, why not).  The realization's selfdual_gap residual is
+    1 - the report's worst cosine."""
+    try:
+        real = extract_realization(matrix, d)
+    except PreconditionError as exc:
+        return None, None, f"extraction failed: {exc}"
+    report = verify_realization(real, pattern, tol)
+    real.residuals["selfdual_gap"] = 1.0 - report.worst_cosine
+    if not report.passed:
+        return None, None, "verification failed: " + "; ".join(report.details)
+    return real, report, None
+
+
 # ---------------------------------------------------------------------------
 # End-to-end pipeline.
 # ---------------------------------------------------------------------------
@@ -629,26 +630,15 @@ def run_pipeline(
             f"target rank {params.target_rank} exceeds the support size {len(sigma)}"
         )
     pattern = apply_sisd(np.asarray(support), sigma)
-
-    def certify(matrix):
-        try:
-            real = extract_realization(matrix, params.target_rank)
-        except PreconditionError as exc:
-            return None, f"extraction failed: {exc}"
-        report = verify_realization(real, pattern, verify_tol)
-        real.residuals["selfdual_gap"] = 1.0 - report.worst_cosine
-        if not report.passed:
-            return None, "verification failed: " + "; ".join(report.details)
-        return (real, report), None
-
-    retry = randomized_retry(pattern, params, certify=certify)
+    retry = randomized_retry(pattern, params, verify_tol)
     if not retry.success:
         return PipelineResult(
             params, sigma, pattern, retry, None, None, False,
             failure=f"no realization found in {params.retries} attempts",
         )
-    real, report = retry.certificate
-    return PipelineResult(params, sigma, pattern, retry, real, report, True)
+    return PipelineResult(
+        params, sigma, pattern, retry, retry.realization, retry.verification, True
+    )
 
 
 # ---------------------------------------------------------------------------

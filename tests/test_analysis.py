@@ -278,7 +278,11 @@ class TestOneDecomposition:
         assert report["selfdual_certification"]["certified"]
         assert calls == [3]
 
-    @pytest.mark.parametrize("run", [dnn.dnn_extremality, dnn.dnn5_classify])
+    @pytest.mark.parametrize("run", [
+        dnn.dnn_extremality,
+        dnn.dnn5_classify,
+        lambda m: dnn.classify_psd_slack(m, irreducible=True, simplicial=False),
+    ], ids=["dnn_extremality", "dnn5_classify", "classify_psd_slack"])
     def test_dnn_certificates(self, monkeypatch, run):
         calls = count_decompositions(monkeypatch)
         run(data.pentagon_slack())

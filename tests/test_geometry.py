@@ -530,6 +530,21 @@ class TestSlackNecessaryCheck:
         assert not ok
         assert any("same zero pattern" in r for r in reasons)
 
+    def test_repeated_patterns_name_each_row_against_the_first(self):
+        # Rows 0, 2 and 4 share one zero pattern, rows 1 and 3 another.
+        m = np.array([
+            [1.0, 0.0, 2.0],
+            [0.0, 1.0, 1.0],
+            [3.0, 0.0, 1.0],
+            [0.0, 2.0, 5.0],
+            [1.0, 0.0, 1.0],
+        ])
+        assert geometry.slack_pattern_reasons(m) == [
+            "rows 0 and 2 share the same zero pattern",
+            "rows 1 and 3 share the same zero pattern",
+            "rows 0 and 4 share the same zero pattern",
+        ]
+
 
 class TestConeOverPolytope:
     def test_triangle(self):

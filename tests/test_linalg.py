@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sdcones import data, dnn, geometry, linalg, search, selfdual
+from sdcones import cli, data, dnn, geometry, linalg, search, selfdual
 from sdcones.errors import ConvergenceError, PreconditionError
 
 from conftest import random_orthogonal
@@ -525,6 +527,20 @@ class TestRequireSymmetric:
         a = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
         out = linalg.require_symmetric(a)
         assert out[0, 1] == out[1, 0] == 0.5 * (a[0, 1] + a[1, 0])
+
+    def test_near_the_largest_float(self, tmp_path, capsys):
+        # 0.5 * (m + m.T) would overflow the diagonal sums to inf.
+        a = np.array([[1.5e308, 1.0], [1.0 + 1e-14, 1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = linalg.require_symmetric(a)
+            assert np.isfinite(out).all() and out[0, 0] == out[1, 1] == 1.5e308
+            assert out[0, 1] == out[1, 0] == 0.5 * a[0, 1] + 0.5 * a[1, 0]
+            geometry.save_matrix(tmp_path / "big.mat", a)
+            code = cli.main(["analyze", str(tmp_path / "big.mat"), "--rank", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["results"]["psd"]["value"]
 
 
 # -- downstream results do not depend on the basis of an eigenspace --------

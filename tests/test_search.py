@@ -408,7 +408,7 @@ class TestRankRefine:
     def test_fixed_point(self, pentagon_slack):
         x = pentagon_slack / pentagon_slack[0, 0]
         params = search.SearchParams(target_rank=3)
-        res = search.rank_refine(x, 3, params)
+        res = search.rank_refine(x, 3, params, data.pentagon_support())
         assert res.converged
         assert np.abs(res.matrix - x).max() <= 1e-12
 
@@ -447,7 +447,10 @@ class TestRankRefine:
     def test_stagnation_after_100_flat_iterations(self):
         # Rank 2 cannot hold a unit diagonal with a diagonal support: every
         # iteration returns to the identity with the same residuals.
-        res = search.rank_refine(np.eye(4), 2, search.SearchParams(target_rank=2))
+        res = search.rank_refine(
+            np.eye(4), 2, search.SearchParams(target_rank=2),
+            search.SupportPattern(np.eye(4, dtype=np.uint8)),
+        )
         assert (res.converged, res.reason, res.iterations) == (False, "stagnation", 101)
         assert res.rank_residuals == res.affine_residuals == [1.0] * 101
 
@@ -499,7 +502,7 @@ class TestSearchParams:
 
 # -- the retry loop before attempts ran as stacks, kept as an oracle ---------
 
-def sequential_retry(pattern, params, certify=None):
+def sequential_retry(pattern, params, verify_tol=search.DEFAULT_VERIFY_TOL):
     """One sdp_feasibility call per attempt, each with its own (n, n) weight
     draw, refined, recorded and certified before the next one runs."""
     rng = np.random.default_rng(params.seed)
@@ -526,15 +529,11 @@ def sequential_retry(pattern, params, certify=None):
         )
         attempts.append(record)
         if refined.converged and nonneg:
-            if certify is None:
-                return search.RetryResult(refined.matrix, True, attempts)
-            outcome, reason = certify(refined.matrix)
-            record.certified = outcome is not None
-            record.certify_reason = reason
-            if outcome is not None:
-                return search.RetryResult(
-                    refined.matrix, True, attempts, certificate=outcome
-                )
+            real, report, record.certify_reason = search.certify(
+                refined.matrix, pattern, params.target_rank, verify_tol)
+            record.certified = real is not None
+            if record.certified:
+                return search.RetryResult(refined.matrix, True, attempts, real, report)
     return search.RetryResult(matrix=None, success=False, attempts=attempts)
 
 
