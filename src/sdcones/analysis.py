@@ -40,7 +40,7 @@ class AnalysisReport:
 
     def to_json(self) -> str:
         """The report as to_json prints it; its fields are JSON-ready."""
-        return json.dumps(vars(self), sort_keys=True, indent=2)
+        return _dumps(vars(self))
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -48,8 +48,13 @@ class AnalysisReport:
 
 
 def to_json(obj) -> str:
-    """obj as the JSON text sdcones prints and writes: keys sorted, indent 2."""
-    return json.dumps(_json_ready(obj), sort_keys=True, indent=2)
+    """obj as the JSON text sdcones prints and writes."""
+    return _dumps(_json_ready(obj))
+
+
+def _dumps(ready) -> str:
+    """A JSON-ready value in sdcones' one JSON format: keys sorted, indent 2."""
+    return json.dumps(ready, sort_keys=True, indent=2)
 
 
 def _json_ready(obj):
@@ -89,15 +94,13 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     rank = eig.rank()
     results["rank"] = {"value": rank, "provenance": "numerical"}
 
-    min_eig = float(eig.values[-1])
-    scale = float(np.abs(m).max())
-    is_psd = min_eig >= -tol * max(scale, 1e-300)
+    # m >= 0 was checked above, so dnn's DNN test is the PSD test.
+    is_psd = dnn._is_dnn(m, eig, tol)
     results["psd"] = {
         "value": bool(is_psd),
-        "min_eigenvalue": min_eig,
+        "min_eigenvalue": float(eig.values[-1]),
         "provenance": "numerical",
     }
-    # m >= 0 was checked above, so the matrix is DNN exactly when it is PSD.
     results["dnn"] = {"value": bool(is_psd), "provenance": "numerical"}
 
     reasons = geometry.slack_pattern_reasons(m, d, rank=rank)

@@ -97,9 +97,8 @@ def cmd_search(
     if result.success:
         geometry.save_cone(cone_path, result.realization.generators)
         return transcript_text
-    if result.sisd_permutation is None:
-        raise PreconditionError("support is not strongly involutive")
-    raise ConvergenceError(result.failure or "search failed")
+    error = PreconditionError if result.sisd_permutation is None else ConvergenceError
+    raise error(result.failure)
 
 
 def _transcript_payload(path: str, result: search.PipelineResult) -> dict:

@@ -26,11 +26,6 @@ from .patterns import support_of
 # Two directions count as the same ray when their cosine reaches this.
 DUPLICATE_COSINE = 1.0 - 1e-9
 
-# Absolute clamp for slack entries after unit normalization.  Sits between
-# the magnitudes the numerical pipeline treats as zero (~1e-13) and the
-# smallest structural entries it produces (~1e-4).
-ZERO_CLAMP = 1e-10
-
 # Default orientation tolerance for the facet scan: how far on the wrong side
 # of a candidate hyperplane a generator may sit before the facet is rejected.
 DEFAULT_FACET_TOL = 1e-7
@@ -86,7 +81,7 @@ class PolyhedralCone:
 @dataclass
 class SlackMatrix:
     """Inner products between cone generators (rows) and dual generators
-    (columns), clamped to exact zero below ZERO_CLAMP."""
+    (columns), the entries outside patterns.support_of set to exact zero."""
 
     matrix: np.ndarray
     cone_dim: int
@@ -227,11 +222,12 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
     generator, one column per facet.
 
     Entry (i, j) is the inner product of generator i with dual generator j;
-    entries below ZERO_CLAMP are clamped to exact zero so pattern logic can
-    compare supports without tolerance bookkeeping.  Every generator must be
-    an extreme ray, judged against the one facet scan the slack is built
-    from: PreconditionError for facet_normals' reasons, when no generator is
-    extreme, or with a count of those that are not.
+    clamped_slack sets the entries outside its support_of to exact zero, so
+    pattern logic can compare supports without tolerance bookkeeping.  Every
+    generator must be an extreme ray, judged against the one facet scan the
+    slack is built from: PreconditionError for facet_normals' reasons, when
+    no generator is extreme, with a count of those that are not, or for
+    clamped_slack's reasons.
     """
     gens = cone.generators
     normals = facet_normals(cone, tol)
@@ -242,16 +238,17 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
 
 
 def clamped_slack(m: np.ndarray, d: int, rank: int | None = None) -> np.ndarray:
-    """Generator-by-facet products of a cone in R^d, entries below ZERO_CLAMP
-    set to zero; PreconditionError unless they pass slack_pattern_reasons,
-    which is handed rank when the caller has m's numeric rank already."""
-    if m.min() < -ZERO_CLAMP:
+    """Generator-by-facet products of a cone in R^d with the entries outside
+    support_of(m) set to zero.  PreconditionError when an entry inside it is
+    negative, or unless the result passes slack_pattern_reasons, which is
+    handed rank when the caller has m's numeric rank already."""
+    on = support_of(m)
+    if (m[on] < 0.0).any():
         raise PreconditionError(
             f"negative slack entry {m.min():.3e}; generators are not extreme "
             "rays of a pointed cone at this tolerance"
         )
-    m = m.copy()
-    m[m < ZERO_CLAMP] = 0.0
+    m = np.where(on, m, 0.0)
     reasons = slack_pattern_reasons(m, d, rank=rank)
     if reasons:
         raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
@@ -376,17 +373,17 @@ class RoundTrip(NamedTuple):
     slack: np.ndarray
 
 
-def dual_round_trip(cone: PolyhedralCone, tol: float, match_tol: float) -> RoundTrip:
+def dual_round_trip(cone: PolyhedralCone, tol: float) -> RoundTrip:
     """A cone's unclamped slack against its own Euclidean dual, from one scan.
 
-    The facet normals (at tol) are matched to the generators by cosine, as in
-    match_generators at match_tol, with the worst cosine reported.  When the
-    match exists the cone is self-dual and slack column i is the normal
-    matched to generator i; otherwise the columns follow the scan.
+    The facet normals, found at tol, are matched to the generators by cosine
+    as in match_generators at the same tol, with the worst cosine reported.
+    When the match exists the cone is self-dual and slack column i is the
+    normal matched to generator i; otherwise the columns follow the scan.
     """
     gens = cone.generators
     normals = facet_normals(cone, tol)
-    mapping, worst = _cosine_match(gens, normals, match_tol)
+    mapping, worst = _cosine_match(gens, normals, tol)
     slack = gens @ normals.T
     if mapping is not None:
         aligned = np.zeros_like(slack)

@@ -1,6 +1,9 @@
 """Zero patterns: matrix supports, support graphs and the strongly involutive
 column permutations of a 0/1 matrix.  Every support comparison in the package
-uses the rule defined here."""
+uses support_of but one: search.verify_realization compares a realization's
+slack with its target pattern by ratios to the largest entry at the caller's
+tolerance, since a certified realization's off-support entries need only be
+that small, not below SUPPORT_CLAMP."""
 
 from __future__ import annotations
 
@@ -114,9 +117,9 @@ def involution_permutations(s: np.ndarray):
     index, and it tries its columns in increasing order.  On a polygon's
     circulant support one placement pins the rows next to it, so the search
     walks around the polygon instead of branching at every row: 218 nodes on
-    the regular 17-gon and 2 377 on the 51-gon, where the fixed row order
-    0..n-1 needs 2 162 and 126 483.  Domains are sets of columns held as the
-    bits of Python ints, so a node costs a few integer operations per row.
+    the regular 17-gon and 2 377 on the 51-gon.  Domains are sets of columns
+    held as the bits of Python ints, so a node costs a few integer operations
+    per row.
 
     Rows placed in that order do not produce the permutations in
     lexicographic order, so the enumeration always runs to the end before

@@ -28,10 +28,6 @@ PSD_EIG_TOL = 1e-9
 # Symmetry tolerance of the scaled matrix, relative to its largest entry.
 SCALED_SYMMETRY_TOL = 1e-9
 
-# certify_psd_slack matches the rebuilt cone's facet normals to its
-# generators when their cosine reaches 1 minus this.
-ROUND_TRIP_MATCH_TOL = 1e-7
-
 
 @dataclass
 class PsdSlackCertificate:
@@ -163,9 +159,7 @@ def _factor_cone_round_trip(
     rebuilt slack's rank is read in the span of the rebuilt generators."""
     try:
         cone = geometry._factor_cone(eig, d)
-        trip = geometry.dual_round_trip(
-            cone, geometry.DEFAULT_FACET_TOL, ROUND_TRIP_MATCH_TOL
-        )
+        trip = geometry.dual_round_trip(cone, geometry.DEFAULT_FACET_TOL)
         rank = linalg.span_rank(cone.generators, trip.slack)
         rebuilt = geometry.clamped_slack(trip.slack, d, rank)
     except PreconditionError as exc:

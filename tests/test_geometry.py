@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from sdcones import data, geometry, linalg
+from sdcones import data, geometry, linalg, patterns
 from sdcones.errors import ParseError, PreconditionError
 
 from conftest import (
@@ -476,8 +476,10 @@ class TestSlackMatrix:
             sm = geometry.slack_matrix(cone)
             assert sm.matrix.shape[0] == cone.n_rays
             assert sm.cone_dim == d
-            patterns = {tuple(row) for row in (sm.matrix != 0.0)}
-            assert len(patterns) == sm.matrix.shape[0]
+            zeros = sm.matrix == 0.0
+            assert len({tuple(row) for row in zeros}) == sm.matrix.shape[0]
+            # The exact zeros are the complement of support_of.
+            assert np.array_equal(zeros, ~patterns.support_of(sm.matrix))
 
     def test_non_extreme_generator_rejected(self):
         # The midpoint of an edge lies on one facet of a 3-dimensional cone,
@@ -504,6 +506,29 @@ class TestSlackMatrix:
             )
             assert sigma is not None
             assert equal_up_to_scaling(base, other[:, sigma], 1e-7)
+
+
+class TestZeroRule:
+    """Slack zeros and negative entries follow patterns.support_of, relative
+    to the largest entry, not an absolute threshold."""
+
+    @staticmethod
+    def half_pentagon(entry: float) -> np.ndarray:
+        # Largest entry 0.5, so support_of's threshold is 5e-11; d = 3 needs
+        # two zeros per row, and (0, 2) is one of row 0's two.
+        m = data.pentagon_slack()
+        m = 0.5 * m / m.max()
+        m[0, 2] = entry
+        return m
+
+    def test_small_entry_above_the_relative_threshold_is_not_zero(self):
+        with pytest.raises(PreconditionError,
+                           match="row 0 has only 1 zeros, need at least 2"):
+            geometry.clamped_slack(self.half_pentagon(7e-11), 3)
+
+    def test_small_negative_entry_above_the_relative_threshold_raises(self):
+        with pytest.raises(PreconditionError, match="negative slack entry"):
+            geometry.clamped_slack(self.half_pentagon(-7e-11), 3)
 
 
 class TestSlackNecessaryCheck:
@@ -605,7 +630,7 @@ class TestConeFromFactorization:
 class TestDualRoundTrip:
     def test_self_dual_cone_aligns_columns(self, pentagon_slack):
         cone = geometry.cone_from_factorization(pentagon_slack, 3)
-        trip = geometry.dual_round_trip(cone, geometry.DEFAULT_FACET_TOL, 1e-7)
+        trip = geometry.dual_round_trip(cone, geometry.DEFAULT_FACET_TOL)
         assert trip.mapping is not None and trip.worst_cosine >= 1.0 - 1e-7
         # Column i belongs to the facet matched to generator i, so the
         # aligned slack is symmetric, as the pentagon slack is.
@@ -618,7 +643,7 @@ class TestDualRoundTrip:
         square = geometry.cone_over_polytope(
             np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         )
-        trip = geometry.dual_round_trip(square, geometry.DEFAULT_FACET_TOL, 1e-7)
+        trip = geometry.dual_round_trip(square, geometry.DEFAULT_FACET_TOL)
         assert trip.mapping is None
         assert abs(trip.worst_cosine - np.sqrt(2.0 / 3.0)) <= 1e-12
         assert trip.slack.shape == (4, 4) and trip.slack.min() >= -1e-12
@@ -633,8 +658,7 @@ FACET_SCAN_CALLS = {
     "cone_over_polytope": lambda c: geometry.cone_over_polytope(c.generators[:, 1:]
                                                                 / c.generators[:, :1]),
     "is_pointed": lambda c: geometry.is_pointed(c),
-    "dual_round_trip": lambda c: geometry.dual_round_trip(
-        c, geometry.DEFAULT_FACET_TOL, 1e-7),
+    "dual_round_trip": lambda c: geometry.dual_round_trip(c, geometry.DEFAULT_FACET_TOL),
 }
 
 
