@@ -23,7 +23,6 @@ from .patterns import (
     SUPPORT_CLAMP,
     SupportPattern,
     first_involution,
-    is_connected,
     support_of,
 )
 
@@ -432,8 +431,8 @@ def randomized_retry(
 
 @dataclass
 class Realization:
-    """Numeric self-dual realization: generator rows with first coordinate 1,
-    their Gram matrix, and the residuals of the certification checks."""
+    """Numeric self-dual realization: generator rows, their Gram matrix, and
+    the residuals of the certification checks."""
 
     dim: int
     generators: np.ndarray
@@ -448,9 +447,10 @@ class Realization:
 def extract_realization(x, d: int) -> Realization:
     """Factor a refined Gram matrix into cone generators.
 
-    The top-d spectral factor has a constant-sign leading column whenever the
-    support is irreducible (a Perron argument); dividing each row by its
-    first entry yields generators of the form (1, w).
+    The generators are the rows of the top-d spectral factor V, whose Gram
+    matrix V V^T is X.  Rescaling a row by a positive number would not change
+    the cone they generate, so the rows are taken as they are, on a connected
+    support or not; verify_realization decides whether the cone certifies.
     """
     a = linalg.require_symmetric(x)
     if a.size == 0:
@@ -458,34 +458,12 @@ def extract_realization(x, d: int) -> Realization:
     mask = support_of(a)
     if (a[mask] < 0.0).any():
         raise PreconditionError("matrix must be entrywise nonnegative")
-    diagonal = not (mask & ~np.eye(mask.shape[0], dtype=bool)).any()
-    if not diagonal and not is_connected(mask):
-        raise PreconditionError("support graph is not connected")
     eig = linalg.sym_eigen(a)
     r = eig.rank()
     if r != d:
         raise PreconditionError(f"matrix has numeric rank {r}, expected {d}")
     factor = eig.factor(d)
-    if diagonal:
-        # Diagonal Gram: the factor rows are already mutually orthogonal
-        # generators of an orthant image; there is no Perron rescaling.
-        wbar = factor
-    else:
-        lead = factor[:, 0]
-        lead_scale = np.abs(lead).max()
-        if np.abs(lead).min() <= 1e-10 * lead_scale or (
-            lead.min() < 0.0 < lead.max()
-        ):
-            raise PreconditionError(
-                "leading eigenvector does not have constant sign; support is "
-                "not irreducible enough to extract generators"
-            )
-        if lead[0] < 0.0:
-            # Per-column sign is a gauge freedom of the factorization.
-            factor[:, 0] = -factor[:, 0]
-        wbar = factor / factor[:, :1]
-        wbar[:, 0] = 1.0
-    gram = wbar @ wbar.T
+    gram = factor @ factor.T
     off_zero = ~mask
     residuals = {
         "psd_margin": float(linalg.sym_eigen(gram).values[-1]),
@@ -494,7 +472,7 @@ def extract_realization(x, d: int) -> Realization:
         else 0.0,
         "selfdual_gap": float("nan"),
     }
-    return Realization(dim=d, generators=wbar, gram=gram, residuals=residuals)
+    return Realization(dim=d, generators=factor, gram=gram, residuals=residuals)
 
 
 @dataclass

@@ -4,8 +4,9 @@ A pointed full-dimensional polyhedral cone is self-dual under some inner
 product exactly when one (equivalently, up to row exchange and positive
 column rescaling, every) slack matrix can be made symmetric positive
 semidefinite.  The certificate search enumerates support-compatible row
-permutations by backtracking, solves the column-scaling equations on a
-spanning forest of the support graph, and verifies the result spectrally.
+permutations by backtracking, fits the column scaling to every support pair
+by weighted least squares, accepts it only when it makes the permuted slack
+symmetric, and verifies the result spectrally.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import numpy as np
 from . import geometry, linalg
 from .errors import PreconditionError
 from .patterns import involution_permutations, is_connected, spanning_forest, support_of
-
-# Cycle-consistency tolerance for the scaling equations (relative).
-SCALING_CYCLE_TOL = 1e-8
 
 # A certificate's PSD matrix may dip this far below zero, relative to its
 # largest entry, and still count as positive semidefinite.
@@ -45,25 +43,32 @@ class PsdSlackCertificate:
     min_eigenvalue: float
 
 
-def _solve_scaling(n_mat: np.ndarray) -> np.ndarray | None:
-    """Positive column multipliers making a support-symmetric matrix
-    symmetric, or None when some cycle of the support graph is inconsistent.
+def _solve_scaling(n_mat: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
+    """Positive column multipliers making a matrix with the symmetric support
+    mask symmetric, or None when the best ones leave it asymmetric.
 
-    The equations N_ij d_j = N_ji d_i fix d up to one factor per component:
-    d = 1 at each root of patterns.spanning_forest, each child solves the
-    equation with its parent, and the others are checked as cycle conditions.
+    The equations N_ij d_j = N_ji d_i fix d up to one factor per component.
+    x = log d is fitted by least squares to x_j - x_i = log N_ji - log N_ij,
+    one equation per support pair i < j weighted by min(N_ij, N_ji), with
+    x = 0 at each root of patterns.spanning_forest.  The fit is accepted
+    when the scaled matrix is symmetric to SCALED_SYMMETRY_TOL relative to
+    its largest entry.
     """
-    mask = support_of(n_mat)
-    order, parent = spanning_forest(mask)
-    d = np.ones(n_mat.shape[0])
-    for j in order:
-        if parent[j] >= 0:
-            d[j] = d[parent[j]] * n_mat[j, parent[j]] / n_mat[parent[j], j]
+    _, parent = spanning_forest(mask)
+    free = np.array(parent) >= 0
+    i, j = np.nonzero(np.triu(mask, k=1))
+    w = np.minimum(n_mat[i, j], n_mat[j, i])
+    incidence = np.zeros((len(i), len(free)))
+    incidence[np.arange(len(i)), j] = w
+    incidence[np.arange(len(i)), i] = -w
+    x = np.zeros(len(free))
+    x[free] = np.linalg.lstsq(
+        incidence[:, free], w * (np.log(n_mat[j, i]) - np.log(n_mat[i, j])), rcond=None
+    )[0]
+    d = np.exp(x)
     scaled = n_mat * d[None, :]
-    gap = np.abs(scaled - scaled.T)
-    ref = np.maximum(np.abs(scaled), np.abs(scaled.T))
-    bad = gap > SCALING_CYCLE_TOL * np.maximum(ref, 1e-300)
-    if np.any(bad & mask):
+    # `not <=` also refuses the NaN asymmetry of an overflowed scaling.
+    if not np.abs(scaled - scaled.T).max() <= SCALED_SYMMETRY_TOL * np.abs(scaled).max():
         return None
     return d
 
@@ -91,11 +96,11 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
             raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
     if m.shape[0] != m.shape[1]:
         return None
-    z = support_of(m).astype(np.uint8)
+    z = support_of(m)
     target_diag = float(np.diag(m).max())
     for perm in involution_permutations(z.T):
         n_mat = m[perm, :]
-        d = _solve_scaling(n_mat)
+        d = _solve_scaling(n_mat, z[perm])
         if d is None:
             continue
         scaled = n_mat * d[None, :]
@@ -106,10 +111,7 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
             gauge = target_diag / top
             d = d * gauge
             scaled = scaled * gauge
-        asym = float(np.abs(scaled - scaled.T).max())
         scale = float(np.abs(scaled).max())
-        if asym > SCALED_SYMMETRY_TOL * max(scale, 1e-300):
-            continue
         sym = 0.5 * (scaled + scaled.T)
         min_eig = float(linalg.sym_eigen(sym).values[-1])
         if min_eig < -PSD_EIG_TOL * max(scale, 1e-300):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from sdcones import data, geometry, linalg, patterns, selfdual
+from sdcones import data, geometry, linalg, patterns
 from sdcones.errors import PreconditionError
 
 # Property tests draw the same examples on every run and keep no example
@@ -100,10 +100,15 @@ def eigen_is_pointed(cone, tol: float = geometry.DEFAULT_FACET_TOL) -> bool:
     return normals.shape[0] > 0 and linalg.numeric_rank(normals) == basis.shape[1]
 
 
+# The relative cycle-consistency tolerance of dfs_solve_scaling.
+DFS_CYCLE_TOL = 1e-8
+
+
 def dfs_solve_scaling(n_mat: np.ndarray) -> np.ndarray | None:
-    """selfdual._solve_scaling as it was before the shared spanning forest:
-    a depth-first search per component, neighbours from np.nonzero, d = 1
-    at each component's smallest vertex, then the same cycle check."""
+    """A path-product scaling solve: a depth-first search per component,
+    neighbours from np.nonzero, d = 1 at each component's smallest vertex,
+    each child solving the equation with its parent, then a check of every
+    support pair at DFS_CYCLE_TOL relative to the pair's larger entry."""
     n = n_mat.shape[0]
     mask = patterns.support_of(n_mat)
     d = np.zeros(n)
@@ -125,7 +130,7 @@ def dfs_solve_scaling(n_mat: np.ndarray) -> np.ndarray | None:
     scaled = n_mat * d[None, :]
     gap = np.abs(scaled - scaled.T)
     ref = np.maximum(np.abs(scaled), np.abs(scaled.T))
-    bad = gap > selfdual.SCALING_CYCLE_TOL * np.maximum(ref, 1e-300)
+    bad = gap > DFS_CYCLE_TOL * np.maximum(ref, 1e-300)
     if np.any(bad & mask):
         return None
     return d

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -17,6 +18,9 @@ from conftest import (
     match_columns_by_pattern,
     support_pattern_of,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -284,6 +288,15 @@ class TestVerifyCommand:
         assert code == cli.EXIT_NO_CONVERGENCE
         assert out == ""
         assert "involution search on 17 rows visited 101 nodes" in err
+
+    def test_searched_11gon_realization_true(self, capsys):
+        # A cone that `search --rank 3 --seed 2` certified for the regular
+        # 11-gon's slack support.  Its slack, rows permuted by the
+        # involution, is symmetric to 1.3e-10 relative before any scaling.
+        code, out, _ = run_cli(
+            capsys, "verify", str(FIXTURES / "kgon11_seed2_realization.cone"))
+        assert code == 0
+        assert json.loads(out)["self_dual"] is True
 
     @pytest.mark.parametrize("k", [50, 51])
     def test_polygons_decided_within_5000_nodes(self, workdir, capsys, monkeypatch, k):

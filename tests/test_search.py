@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg import block_diag
 from scipy.sparse import csgraph
 
 from sdcones import data, dnn, geometry, linalg, patterns, search, selfdual
@@ -718,7 +719,7 @@ class TestStackedRetries:
 class TestExtractRealization:
     def test_pentagon_slack(self, pentagon_slack):
         real = search.extract_realization(pentagon_slack, 3)
-        assert np.all(real.generators[:, 0] == 1.0)
+        assert np.abs(real.gram - pentagon_slack).max() <= 1e-12
         assert np.abs(real.gram - real.generators @ real.generators.T).max() == 0.0
         report = search.verify_realization(real, data.pentagon_support(), tol=1e-7)
         assert report.passed
@@ -728,12 +729,13 @@ class TestExtractRealization:
         gram = real.generators @ real.generators.T
         assert np.abs(gram - np.eye(4)).max() <= 1e-12
 
-    def test_disconnected_rejected(self, pentagon_slack):
+    def test_disconnected_support_certifies(self, pentagon_slack):
         block = np.zeros((10, 10))
         block[:5, :5] = pentagon_slack
         block[5:, 5:] = pentagon_slack
-        with pytest.raises(PreconditionError, match="connected"):
-            search.extract_realization(block, 6)
+        real = search.extract_realization(block, 6)
+        pattern = search.SupportPattern.from_matrix(block)
+        assert search.verify_realization(real, pattern).passed
 
     def test_wrong_rank_rejected(self, pentagon_slack):
         with pytest.raises(PreconditionError, match="rank"):
@@ -794,6 +796,25 @@ class TestPipeline:
         t1 = [pickle.dumps(vars(a)) for a in r1.retry.attempts]
         t2 = [pickle.dumps(vars(a)) for a in r2.retry.attempts]
         assert t1 == t2
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("blocks", [(5, 1), (7, 1), (13, 1), (5, 5), (5, 7)],
+                             ids=["pyramid5", "pyramid7", "pyramid13",
+                                  "pentagon+pentagon", "pentagon+heptagon"])
+    def test_reducible_supports_certify(self, blocks, seed):
+        # Direct sums of polygon cones, a 1 standing for a ray: the
+        # support graph of each slack has two components.
+        gens = block_diag(*(
+            geometry.cone_over_polytope(data.regular_polygon_vertices(k)).generators
+            if k > 1 else np.ones((1, 1))
+            for k in blocks
+        ))
+        cone = geometry.PolyhedralCone(gens)
+        bits = patterns.support_of(geometry.slack_matrix(cone).matrix).astype(np.uint8)
+        res = search.run_pipeline(bits, search.SearchParams(target_rank=cone.dim, seed=seed))
+        assert res.success
+        assert search.verify_realization(res.realization, res.pattern, 1e-6).passed
+        assert selfdual.is_self_dual(res.realization.cone)[0]
 
     def test_gauge_relabelled_support(self):
         # Relabelling the support (and the weights with it) produces a
@@ -967,7 +988,7 @@ class TestIsConnected:
     @given(adjacency())
     def test_matches_transitive_closure(self, mask):
         expected = closure_connected(mask)
-        assert search.is_connected(mask) is expected
+        assert patterns.is_connected(mask) is expected
         # The callers see the same graph through a weighted symmetric matrix.
         weighted = np.where(mask, 2.0, 0.0) + np.eye(mask.shape[0])
         assert selfdual.is_irreducible(weighted) is expected
@@ -977,11 +998,11 @@ class TestIsConnected:
             assert dnn._is_cycle5(weighted) is cycle
 
     def test_small_cases(self):
-        assert search.is_connected(np.zeros((0, 0), dtype=bool))
-        assert search.is_connected(np.zeros((1, 1), dtype=bool))
-        assert not search.is_connected(np.eye(2, dtype=bool))
+        assert patterns.is_connected(np.zeros((0, 0), dtype=bool))
+        assert patterns.is_connected(np.zeros((1, 1), dtype=bool))
+        assert not patterns.is_connected(np.eye(2, dtype=bool))
         path = np.eye(4, k=1, dtype=bool)
-        assert search.is_connected(path | path.T)
+        assert patterns.is_connected(path | path.T)
 
 
 class TestSpanningForest:

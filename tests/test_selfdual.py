@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdcones import data, geometry, linalg, selfdual
+from sdcones import data, geometry, linalg, patterns, selfdual
 from sdcones.errors import PreconditionError
 
 from conftest import dfs_solve_scaling
@@ -87,25 +87,58 @@ def scaling_systems(draw):
     return n_mat
 
 
+def relative_asymmetry(n_mat, d):
+    scaled = n_mat * d[None, :]
+    return np.abs(scaled - scaled.T).max() / np.abs(scaled).max()
+
+
 class TestSolveScaling:
     @settings(max_examples=300, deadline=None)
     @given(scaling_systems())
-    def test_matches_depth_first_oracle(self, n_mat):
-        d = selfdual._solve_scaling(n_mat)
-        expected = dfs_solve_scaling(n_mat)
-        assert (d is None) is (expected is None)
+    def test_solves_wherever_the_depth_first_oracle_does(self, n_mat):
+        # find_psd_scaling only hands on symmetric masks.
+        mask = patterns.support_of(n_mat)
+        assume(np.array_equal(mask, mask.T))
+        d = selfdual._solve_scaling(n_mat, mask)
         if d is not None:
             assert np.all(d > 0.0)
-            assert np.all(np.abs(d - expected) <= 1e-12 * expected)
+            assert relative_asymmetry(n_mat, d) <= selfdual.SCALED_SYMMETRY_TOL
+        expected = dfs_solve_scaling(n_mat)
+        if expected is not None and (
+            relative_asymmetry(n_mat, expected) <= selfdual.SCALED_SYMMETRY_TOL
+        ):
+            assert d is not None
 
     def test_inconsistent_cycle_refused(self):
         triangle = np.ones((3, 3))
-        assert selfdual._solve_scaling(triangle) is not None
-        triangle[0, 1] = 1.001
-        assert selfdual._solve_scaling(triangle) is None
+        mask = np.ones((3, 3), dtype=bool)
+        assert selfdual._solve_scaling(triangle, mask) is not None
+        for off in (1.001, 1.0 + 1e-6):
+            triangle[0, 1] = off
+            assert selfdual._solve_scaling(triangle, mask) is None
+
+
+# The structural entries of the regular 11-gon's slack whose scaling by
+# 1 + 1e-6 leaves the slack certifiable: the 11 that the involution puts on
+# the diagonal.  The other 87 off-diagonal structural entries break it.
+KGON11_PERTURBABLE = {(0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 1),
+                      (6, 0), (7, 2), (8, 3), (9, 4), (10, 5)}
 
 
 class TestIsSelfDual:
+    def test_one_entry_perturbed_in_the_11gon_slack(self):
+        cone = geometry.cone_over_polytope(data.regular_polygon_vertices(11))
+        slack = geometry.slack_matrix(cone).matrix
+        entries = np.argwhere(patterns.support_of(slack) & ~np.eye(11, dtype=bool))
+        assert len(entries) == 98
+        certified = set()
+        for i, j in entries:
+            bumped = slack.copy()
+            bumped[i, j] *= 1.0 + 1e-6
+            if selfdual.find_psd_scaling(bumped) is not None:
+                certified.add((int(i), int(j)))
+        assert certified == KGON11_PERTURBABLE
+
     def test_orthants(self):
         for n in range(1, 7):
             ok, cert = selfdual.is_self_dual(geometry.PolyhedralCone(np.eye(n)))
