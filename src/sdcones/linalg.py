@@ -9,7 +9,8 @@ as ConvergenceError.  sym_eigen and null_space return bases, so they fix the
 sign of every basis vector.  One rule (_rank) decides every numeric rank.
 The SVD, the padding, the rank rule and the sign rule also take stacks of
 matrices: null_space is the one-matrix case of null_directions, which the
-facet scan calls on a stack of subsets.  The rank of a symmetric matrix is
+facet scan calls on a stack of subsets; orthogonal_directions, its screen,
+takes one Householder QR per subset.  The rank of a symmetric matrix is
 read from the absolute eigenvalues of its decomposition (its singular
 values) by the same rule, so a caller holding the decomposition needs no
 SVD.  The projections psd_project,
@@ -213,6 +214,32 @@ def null_directions(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     sv, v = _svd(stack)
     return sv.shape[-1] - _rank(sv), _positive_leading(v)
+
+
+def orthogonal_directions(stack: np.ndarray) -> np.ndarray:
+    """One unit vector orthogonal to the rows of each k x d matrix (k < d) of
+    a stack: the last column of the complete Q of the matrix's transpose.
+
+    One Householder QR (LAPACK geqrf) per matrix, without forming Q: the k
+    reflectors are applied to e_d, last first, across the whole stack.  The
+    vector spans the null space when the rows are independent; it has no
+    sign rule and is not a basis when they are not.
+    """
+    try:
+        h, tau = np.linalg.qr(stack.swapaxes(-1, -2), mode="raw")
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"QR did not converge: {exc}") from exc
+    # Row i of each h holds reflector i's vector below entry i; its entry i
+    # is an implicit 1.
+    k, d = stack.shape[-2:]
+    q = np.zeros(stack.shape[:-2] + (d,))
+    q[..., -1] = 1.0
+    for i in range(k - 1, -1, -1):
+        v = h[..., i, :].copy()
+        v[..., :i] = 0.0
+        v[..., i] = 1.0
+        q -= (tau[..., i] * (v * q).sum(axis=-1))[..., None] * v
+    return q
 
 
 def null_space(a) -> np.ndarray:

@@ -77,7 +77,8 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     """Search for a row permutation and positive column scaling making the
     slack PSD.  slack is a matrix, checked by geometry.slack_pattern_reasons,
     or a geometry.SlackMatrix from geometry.slack_matrix, which has passed
-    that check at its cone's dimension already and is not checked again.
+    that check at its cone's dimension already and is not checked again;
+    its entries outside support_of are exact zeros, so its support is m > 0.
 
     Absence is returned only after every support-compatible permutation has
     been tried.  The enumeration always finishes before the first permutation
@@ -89,14 +90,15 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     """
     if isinstance(slack, geometry.SlackMatrix):
         m = slack.matrix
+        z = m > 0.0
     else:
         m = linalg.as_matrix(slack)
-        reasons = geometry.slack_pattern_reasons(m)  # the checks that need no d
+        z = support_of(m)
+        reasons = geometry.slack_pattern_reasons(m, support=z)  # the checks that need no d
         if reasons:
             raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
     if m.shape[0] != m.shape[1]:
         return None
-    z = support_of(m)
     target_diag = float(np.diag(m).max())
     for perm in involution_permutations(z.T):
         n_mat = m[perm, :]

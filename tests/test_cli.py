@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -125,6 +126,45 @@ class TestDualCommand:
         assert out == ""
         assert "did not converge: SVD did not converge" in err
         assert "Traceback" not in err
+
+
+    def test_qr_failure_in_facet_scan_exits_3(self, workdir, capsys, monkeypatch):
+        geometry.save_cone(workdir / "gon12.cone", np.column_stack(
+            [np.ones(12), data.regular_polygon_vertices(12)]))
+        qr = np.linalg.qr
+
+        def fail_on_stacks(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("did not converge")
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", fail_on_stacks)
+        code, out, err = run_cli(capsys, "dual", "gon12.cone")
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert "did not converge: QR did not converge" in err
+        assert "Traceback" not in err
+
+
+class TestFacetSubsetBudget:
+    @pytest.mark.parametrize("argv", [
+        ("dual", "big.cone", "--out", "big_dual.cone"),
+        ("slack", "big.cone", "--out", "big.mat"),
+        ("verify", "big.cone"),
+    ])
+    def test_d10_n60_cone_exits_3_at_once(self, workdir, capsys, argv):
+        # About 1.5e10 subsets of 9 generators.
+        x = np.random.default_rng(0).normal(size=(60, 9))
+        geometry.save_cone(workdir / "big.cone", np.column_stack(
+            [np.ones(60), x / np.linalg.norm(x, axis=1)[:, None]]))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert out == ""
+        assert "over the budget of" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in workdir.iterdir()) == ["big.cone"]
 
 
 class TestAnalyzeCommand:

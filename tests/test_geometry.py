@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from sdcones import data, geometry, linalg, patterns
-from sdcones.errors import ParseError, PreconditionError
+from sdcones.errors import ConvergenceError, ParseError, PreconditionError
 
 from conftest import (
     eigen_is_pointed,
@@ -81,7 +81,7 @@ def loop_facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
             v = -v
         else:
             continue
-        if not geometry._contains_direction(found, v):
+        if not any(float(r @ v) >= geometry.DUPLICATE_COSINE for r in found):
             found.append(v)
     if not found:
         return np.zeros((0, d))
@@ -360,6 +360,140 @@ class TestStackedFacetScan:
             got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
             assert want.shape[0] > 0
             assert np.array_equal(got, want)
+
+
+# Signed distances from a facet hyperplane, per unit of row length, at which
+# near_facet_cones puts generators: on both sides of tol and of the screen's
+# margin.
+NEAR_FACET_OFFSETS = (1e-8, geometry.DEFAULT_FACET_TOL * (1.0 - 1e-3),
+                      geometry.DEFAULT_FACET_TOL * (1.0 + 1e-3), 1e-6, 1e-5, 1e-4)
+
+
+@st.composite
+def near_facet_cones(draw) -> np.ndarray:
+    """Generator rows of a random pointed cone, d = 3..5, plus one to four
+    generators at signed distances +-NEAR_FACET_OFFSETS from one of its facet
+    hyperplanes, plus interior rows until the scan has a chunk the screen
+    takes; all rows unit, or each scaled by 10^U(-3, 3)."""
+    d = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_pointed_cone_generators(rng, d, draw(st.integers(d + 1, 7)))
+    normals = loop_facet_scan(base, geometry.DEFAULT_FACET_TOL)
+    f = normals[draw(st.integers(0, normals.shape[0] - 1))]
+    on = base[np.abs(base @ f) <= geometry.DEFAULT_FACET_TOL]
+    rows = list(base)
+    for offset in draw(st.lists(st.sampled_from(NEAR_FACET_OFFSETS), min_size=1, max_size=4)):
+        p = rng.uniform(0.1, 1.0, size=on.shape[0]) @ on
+        rows.append(p / np.linalg.norm(p) + draw(st.sampled_from([-1.0, 1.0])) * offset * f)
+    while math.comb(len(rows), d - 1) < geometry._SCREEN_MIN_CHUNK:
+        rows.append(rng.uniform(0.1, 1.0, size=base.shape[0]) @ base)
+    g = np.array(rows)
+    g /= np.linalg.norm(g, axis=1)[:, None]
+    if draw(st.booleans()):
+        g *= 10.0 ** rng.uniform(-3.0, 3.0, size=(g.shape[0], 1))
+    return g
+
+
+class TestScreenedFacetScan:
+    @settings(max_examples=200, deadline=None)
+    @given(near_facet_cones())
+    def test_near_facet_generators_equal_per_subset_loop(self, gen):
+        tol = geometry.DEFAULT_FACET_TOL
+        expected = loop_facet_scan(gen, tol)
+        got = geometry._facet_scan(gen, tol)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("chunk", [1024, 73])
+    def test_only_facet_candidates_reach_the_svd(self, monkeypatch, chunk):
+        gen = random_pointed_cone_generators(np.random.default_rng(6), 6, 12)
+        received = []
+        null_directions = linalg.null_directions
+
+        def counted(stack):
+            received.append(stack.shape[0])
+            return null_directions(stack)
+
+        monkeypatch.setattr(linalg, "null_directions", counted)
+        monkeypatch.setattr(geometry, "_SCAN_CHUNK", chunk)
+        facets = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL).shape[0]
+        # C(12, 5) = 792 subsets: one screened chunk, or ten screened chunks
+        # of 73 and a last one of 62, too small to be screened.
+        partial = 792 % chunk if 792 % chunk < geometry._SCREEN_MIN_CHUNK else 0
+        assert facets <= sum(received) <= facets + partial
+
+    def test_chunks_shrink_with_many_generators(self, monkeypatch, prism_rays):
+        # At most _SCAN_ENTRIES subset-generator products per chunk: 3
+        # subsets of the 7-generator prism cone per chunk here.
+        gen = geometry.PolyhedralCone(prism_rays).generators
+        expected = loop_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+        received = []
+        null_directions = linalg.null_directions
+
+        def counted(stack):
+            received.append(stack.shape[0])
+            return null_directions(stack)
+
+        monkeypatch.setattr(linalg, "null_directions", counted)
+        monkeypatch.setattr(geometry, "_SCAN_ENTRIES", 3 * gen.shape[0] + 1)
+        assert np.array_equal(geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL), expected)
+        assert max(received) == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([0, 1, 5, 40]),
+       entries=st.sampled_from([1, 7, 1 << 18]))
+def test_merge_directions_equals_pair_by_pair(seed, k, entries):
+    # Rows turned from earlier ones by angles around the duplicate threshold
+    # (cosine 1 - 1e-9, about 4.5e-5 rad), merged onto k rows already found,
+    # in products of one or more blocks.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    rows = [r / np.linalg.norm(r) for r in rng.normal(size=(k + 3, d))]
+    for _ in range(12):
+        r = rows[rng.integers(len(rows))]
+        t = rng.normal(size=d)
+        t -= (t @ r) * r
+        angle = math.sqrt(2e-9) * rng.choice([0.0, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0])
+        rows.append(np.cos(angle) * r + np.sin(angle) * t / np.linalg.norm(t))
+    found, new = np.array(rows[:k]).reshape(k, d), np.array(rows[k:])
+    expected = list(found)
+    for v in new:
+        if not any(float(r @ v) >= geometry.DUPLICATE_COSINE for r in expected):
+            expected.append(v)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_MERGE_ENTRIES", entries)
+        got = geometry._merge_directions(found, new)
+    assert np.array_equal(got, np.array(expected))
+
+
+class TestFacetSubsetBudget:
+    def test_over_budget_raises_before_any_subset(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(60, 9))
+        cone = geometry.PolyhedralCone(
+            np.column_stack([np.ones(60), x / np.linalg.norm(x, axis=1)[:, None]]))
+
+        def no_subsets(stack):
+            raise AssertionError("a subset reached a kernel")
+
+        monkeypatch.setattr(linalg, "orthogonal_directions", no_subsets)
+        monkeypatch.setattr(linalg, "null_directions", no_subsets)
+        with pytest.raises(ConvergenceError, match=r"60 generators in R\^10 needs "
+                           r"C\(60, 9\) = 14783142660 subsets, over the budget of 1000000"):
+            geometry.facet_normals(cone)
+
+    def test_budget_is_inclusive(self, monkeypatch, prism_rays):
+        gen = geometry.PolyhedralCone(prism_rays).generators
+        count = math.comb(gen.shape[0], gen.shape[1] - 1)
+        monkeypatch.setattr(geometry, "FACET_SUBSET_BUDGET", count)
+        assert geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL).shape == (7, 4)
+        monkeypatch.setattr(geometry, "FACET_SUBSET_BUDGET", count - 1)
+        with pytest.raises(ConvergenceError, match=f"= {count} subsets"):
+            geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+
+    def test_admits_d6_n40(self):
+        assert math.comb(40, 5) <= geometry.FACET_SUBSET_BUDGET
 
 
 class TestDualCone:

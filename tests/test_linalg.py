@@ -506,6 +506,39 @@ class TestLapackFailure:
             linalg.null_directions(np.ones((4, 2, 3)))
 
 
+    def test_qr_stack_in_facet_scan(self, monkeypatch):
+        # Only the facet scan's screen factors a stack by QR; span_rank
+        # factors one matrix.  The 12-gon cone's 66 subsets are screened.
+        qr = np.linalg.qr
+
+        def fail_on_stacks(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("did not converge")
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", fail_on_stacks)
+        cone = geometry.PolyhedralCone(np.column_stack(
+            [np.ones(12), data.regular_polygon_vertices(12)]))
+        with pytest.raises(ConvergenceError, match="QR"):
+            geometry.facet_normals(cone)
+        with pytest.raises(ConvergenceError, match="QR"):
+            linalg.orthogonal_directions(np.ones((4, 2, 3)))
+
+
+class TestOrthogonalDirections:
+    @pytest.mark.parametrize("d", [2, 3, 6, 9])
+    def test_last_column_of_the_complete_q(self, d):
+        rng = np.random.default_rng(d)
+        stack = rng.normal(size=(40, d - 1, d))
+        stack[:5, 0] = 0.0  # rank-deficient members still get a unit vector
+        stack[5:10, -1] = stack[5:10, 0]
+        q = linalg.orthogonal_directions(stack)
+        complete = np.linalg.qr(stack.swapaxes(-1, -2), mode="complete")[0][..., -1]
+        assert np.abs(np.linalg.norm(q, axis=-1) - 1.0).max() <= 1e-14
+        assert np.abs(q - complete).max() <= 1e-13
+        assert np.abs((stack @ q[..., None])[..., 0]).max() <= 1e-13
+
+
 class TestRequireSymmetric:
     def test_exact_input_copied_bitwise(self):
         rng = np.random.default_rng(23)

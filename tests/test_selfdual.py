@@ -139,6 +139,23 @@ class TestIsSelfDual:
                 certified.add((int(i), int(j)))
         assert certified == KGON11_PERTURBABLE
 
+    def test_one_support_mask_per_call(self, monkeypatch):
+        # clamped_slack takes the mask; the pattern check and the scaling
+        # search reuse it.
+        cone = geometry.cone_over_polytope(data.regular_polygon_vertices(11))
+        calls = []
+        support_of = patterns.support_of
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return support_of(a)
+
+        for module in (geometry, selfdual, patterns):
+            monkeypatch.setattr(module, "support_of", counted)
+        ok, _ = selfdual.is_self_dual(cone)
+        assert ok
+        assert calls == [(11, 11)]
+
     def test_orthants(self):
         for n in range(1, 7):
             ok, cert = selfdual.is_self_dual(geometry.PolyhedralCone(np.eye(n)))
