@@ -4,10 +4,11 @@ analyze_matrix takes one eigendecomposition of the matrix and shares it
 with every test: the rank (read from the absolute eigenvalues by linalg's one
 rank rule), the PSD and DNN tests, the slack pattern check (handed that
 rank), the DNN extremality test and the factor cone of the self-duality
-certification.  It certifies the matrix's DNN extremality once; the verdicts
-and the 5x5 label read that certificate, through the rules dnn keeps for
-them.  The report is built from JSON-ready values (Python scalars, strings,
-lists and dicts with string keys), so to_json only dumps it.
+certification; and one support_of mask with every support test.  It
+certifies the matrix's DNN extremality once; the verdicts and the 5x5 label
+read that certificate, through the rules dnn keeps for them.  The report is
+built from JSON-ready values (Python scalars, strings, lists and dicts with
+string keys), so to_json only dumps it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dnn, geometry, linalg, selfdual
+from . import __version__, dnn, geometry, linalg, patterns, selfdual
 from .errors import PreconditionError
 
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "analysis_report.schema.json"
@@ -103,7 +104,8 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     }
     results["dnn"] = {"value": bool(is_psd), "provenance": "numerical"}
 
-    reasons = geometry.slack_pattern_reasons(m, d, rank=rank)
+    support = patterns.support_of(m)
+    reasons = geometry.slack_pattern_reasons(m, d, rank=rank, support=support)
     slack_ok = not reasons
     results["slack_check"] = {
         "value": bool(slack_ok),
@@ -111,14 +113,14 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
         "provenance": "pattern",
     }
 
-    irreducible = selfdual.is_irreducible(m)
-    simplicial = selfdual.is_simplicial(m)
+    irreducible = patterns.is_connected(support)
+    simplicial = selfdual._is_permutation_pattern(support)
     results["irreducible"] = {"value": bool(irreducible), "provenance": "support-graph"}
     results["simplicial"] = {"value": bool(simplicial), "provenance": "pattern"}
 
     certified, detail = False, "matrix is not PSD"
     if is_psd:
-        rep = dnn._extremality(m, eig, tol)
+        rep = dnn._extremality(m, eig, support, tol)
         borderline = rep.borderline  # JSON object keys are strings
         if borderline is not None:
             borderline = {str(k): v for k, v in borderline.items()}
@@ -126,7 +128,7 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
             vars(rep), borderline=borderline, provenance="numerical"
         )
         if slack_ok:
-            certified, detail = selfdual._factor_cone_round_trip(m, eig, d)
+            certified, detail = selfdual._factor_cone_round_trip(m, eig, support, d)
         else:
             certified, detail = False, "; ".join(reasons)
     else:

@@ -55,14 +55,15 @@ class ExtremalityReport:
     borderline: dict[int, int] | None = None
 
 
-def _intersection_dim(a: np.ndarray, eig: linalg.EigenDecomposition, k: int) -> int:
-    """dim(W1 ∩ W2) for the rank-k factor X from the top-k eigenpairs.
+def _intersection_dim(eig: linalg.EigenDecomposition, support: np.ndarray, k: int) -> int:
+    """dim(W1 ∩ W2) for the rank-k factor X from the top-k eigenpairs of a
+    matrix with this support_of.
 
     Column (p, q) of the system holds the image X E X^T of the (p, q) element
     E of an orthonormal basis of symmetric k x k matrices, off-diagonal
-    elements carrying the 1/sqrt(2) weight, at the zero entries of a."""
+    elements carrying the 1/sqrt(2) weight, at the zero entries."""
     x = eig.factor(k)
-    rows, cols = np.nonzero(np.triu(~support_of(a)))
+    rows, cols = np.nonzero(np.triu(~support))
     if rows.size == 0:
         return k * (k + 1) // 2
     p, q = np.triu_indices(k)
@@ -77,13 +78,12 @@ def _intersection_dim(a: np.ndarray, eig: linalg.EigenDecomposition, k: int) -> 
     return c.shape[1] - linalg.numeric_rank(c)
 
 
-def _is_cycle5(a: np.ndarray) -> bool:
-    mask = support_of(a)
-    np.fill_diagonal(mask, False)
-    if a.shape[0] != 5:
+def _is_cycle5(support: np.ndarray) -> bool:
+    """Whether a matrix with this support_of has the 5-cycle as support graph."""
+    if support.shape[0] != 5:
         return False
-    degrees = mask.sum(axis=1)
-    if not np.all(degrees == 2):
+    mask = support & ~np.eye(5, dtype=bool)
+    if not np.all(mask.sum(axis=1) == 2):
         return False
     # Degree-2 everywhere means a disjoint union of cycles; on 5 vertices a
     # single component is the 5-cycle.
@@ -100,32 +100,32 @@ def dnn_extremality(a, tol: float = DEFAULT_DNN_TOL) -> ExtremalityReport:
     instead of silently committing to one reading.
     """
     m = linalg.require_symmetric(a)
-    return _extremality(m, linalg.sym_eigen(m), tol)
+    return _extremality(m, linalg.sym_eigen(m), support_of(m), tol)
 
 
 def _extremality(
-    m: np.ndarray, eig: linalg.EigenDecomposition, tol: float
+    m: np.ndarray, eig: linalg.EigenDecomposition, support: np.ndarray, tol: float
 ) -> ExtremalityReport:
     """dnn_extremality of a validated symmetric matrix with this
-    decomposition."""
+    decomposition and support_of."""
     if not _is_dnn(m, eig, tol):
         raise PreconditionError("matrix is not doubly nonnegative within tolerance")
     top = float(eig.values[0]) if eig.values.size else 0.0
     if top <= 0.0:
         raise PreconditionError("zero matrix has no extreme-ray certificate")
     k = int(np.count_nonzero(eig.values > linalg.DEFAULT_RANK_TOL * top))
-    dim = _intersection_dim(m, eig, k)
+    dim = _intersection_dim(eig, support, k)
     borderline = None
     if eig.values[k - 1] <= 10.0 * linalg.DEFAULT_RANK_TOL * top:
         borderline = {}
         for alt in (k - 1, k + 1):
             if 1 <= alt <= m.shape[0]:
-                borderline[alt] = _intersection_dim(m, eig, alt)
+                borderline[alt] = _intersection_dim(eig, support, alt)
     return ExtremalityReport(
         rank=k,
         intersection_dim=dim,
         extreme=(dim == 1),
-        support_cycle5=_is_cycle5(m),
+        support_cycle5=_is_cycle5(support),
         borderline=borderline,
     )
 
@@ -143,7 +143,7 @@ def dnn5_classify(a, tol: float = DEFAULT_DNN_TOL) -> str:
     if m.shape != (5, 5):
         raise PreconditionError("classification applies to 5x5 matrices")
     eig = linalg.sym_eigen(m)
-    return _dnn5_label(eig.rank(), _extremality(m, eig, tol))
+    return _dnn5_label(eig.rank(), _extremality(m, eig, support_of(m), tol))
 
 
 def _dnn5_label(rank: int, report: ExtremalityReport) -> str:
@@ -198,7 +198,8 @@ def classify_psd_slack(a, irreducible: bool, simplicial: bool) -> SlackVerdicts:
     eig = linalg.sym_eigen(m)
     if not _is_dnn(m, eig, DEFAULT_DNN_TOL):
         raise PreconditionError("a PSD slack must be doubly nonnegative")
-    return _slack_verdicts(_extremality(m, eig, DEFAULT_DNN_TOL), irreducible, simplicial)
+    report = _extremality(m, eig, support_of(m), DEFAULT_DNN_TOL)
+    return _slack_verdicts(report, irreducible, simplicial)
 
 
 def _slack_verdicts(

@@ -248,9 +248,9 @@ def _extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarr
     normals: those whose active facets (|<g, n>| <= tol) have normals of
     rank d-1.  PreconditionError when none is.
 
-    The ranks come from one stacked SVD over the active-normal sets,
-    zero-padded to a common row count: zero rows add only zero singular
-    values, so each rank is what linalg.numeric_rank gives its set.
+    The ranks come from one stacked values-only SVD over the active-normal
+    sets, zero-padded to a common row count: zero rows add only zero
+    singular values, so each rank is what linalg.numeric_rank gives its set.
     """
     d = gens.shape[1]
     active = np.abs(gens @ normals.T) <= tol
@@ -260,7 +260,7 @@ def _extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarr
     order = np.argsort(~active, axis=1, kind="stable")[:, :rows]
     filled = np.arange(rows)[None, :] < counts[:, None]
     stack = np.where(filled[:, :, None], normals[order], 0.0)
-    ranks = linalg._rank(linalg._svd(stack)[0])
+    ranks = linalg._stacked_rank(stack)
     kept = (counts >= d - 1) & (ranks == d - 1)
     if not kept.any():
         raise PreconditionError("no extreme rays found; input cone degenerate")
@@ -299,11 +299,11 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
     return SlackMatrix(clamped_slack(gens @ normals.T, cone.dim), cone.dim)
 
 
-def clamped_slack(m: np.ndarray, d: int, rank: int | None = None) -> np.ndarray:
+def clamped_slack(m: np.ndarray, d: int) -> np.ndarray:
     """Generator-by-facet products of a cone in R^d with the entries outside
-    support_of(m) set to zero.  PreconditionError when an entry inside it is
-    negative, or unless the result passes slack_pattern_reasons, which is
-    handed rank when the caller has m's numeric rank already."""
+    support_of(m) set to zero, so the result > 0 is its support.
+    PreconditionError when an entry inside it is negative, or unless the
+    result passes slack_pattern_reasons."""
     on = support_of(m)
     if (m[on] < 0.0).any():
         raise PreconditionError(
@@ -311,7 +311,7 @@ def clamped_slack(m: np.ndarray, d: int, rank: int | None = None) -> np.ndarray:
             "rays of a pointed cone at this tolerance"
         )
     m = np.where(on, m, 0.0)
-    reasons = slack_pattern_reasons(m, d, rank=rank, support=on)
+    reasons = slack_pattern_reasons(m, d, support=on)
     if reasons:
         raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
     return m

@@ -6,19 +6,19 @@ The factorizations are LAPACK calls through numpy.linalg; this module adds
 the package's contract on top: validated input, eigenvalues in descending
 order, singular values padded to one per column, and LAPACK failures raised
 as ConvergenceError.  sym_eigen and null_space return bases, so they fix the
-sign of every basis vector.  One rule (_rank) decides every numeric rank.
-The SVD, the padding, the rank rule and the sign rule also take stacks of
-matrices: null_space is the one-matrix case of null_directions, which the
-facet scan calls on a stack of subsets; orthogonal_directions, its screen,
-takes one Householder QR per subset.  The rank of a symmetric matrix is
-read from the absolute eigenvalues of its decomposition (its singular
-values) by the same rule, so a caller holding the decomposition needs no
-SVD.  The projections psd_project,
-low_rank_project and psd_project_min_eig return V diag(w) V^T, in which the
-sign of each column of V cancels exactly, so they skip the sign rule; they
-take stacks too, so the SDP search projects a stack of attempts with one
-LAPACK call, and each matrix of a stack gets the bits it would get alone.  All
-functions are pure; there is no shared mutable state.
+sign of every basis vector.  One rule (_rank) decides every numeric rank,
+from a values-only SVD (_singular_values, of one matrix or a stack) or from
+the absolute eigenvalues of a decomposition the caller holds
+(EigenDecomposition.rank).  null_directions is the one SVD that forms
+singular vectors, and reads its nullities off its own singular values:
+null_space is its one-matrix case, and the facet scan calls it on a stack
+of subsets; orthogonal_directions, the scan's screen, takes one Householder
+QR per subset.  The projections psd_project, low_rank_project and
+psd_project_min_eig return V diag(w) V^T, in which the sign of each column
+of V cancels exactly, so they skip the sign rule; they take stacks too, so
+the SDP search projects a stack of attempts with one LAPACK call, and each
+matrix of a stack gets the bits it would get alone.  All functions are
+pure; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -155,26 +155,21 @@ def sym_eigen(a) -> EigenDecomposition:
     return EigenDecomposition(vals, _positive_leading(vecs))
 
 
-def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values descending, padded with zeros to one per column, and
-    the full set of right singular vectors as columns.  m may carry leading
-    batch axes; LAPACK factors each matrix on its own.
-
-    The padding keeps the null directions of a wide matrix (fewer rows than
-    columns) paired with zero singular values.
-    """
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values descending, zero-padded to one per column, of one
+    matrix or each of a stack, from an SVD that forms no singular vectors."""
     try:
-        _, s, vt = np.linalg.svd(m, full_matrices=True)
+        s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     sv = np.zeros(m.shape[:-2] + m.shape[-1:])
     sv[..., : s.shape[-1]] = s
-    return sv, vt.swapaxes(-1, -2)
+    return sv
 
 
 def singular_values(a) -> np.ndarray:
     """Singular values, descending, one per column (zero-padded)."""
-    return _svd(as_matrix(a))[0]
+    return _singular_values(as_matrix(a))
 
 
 def _rank(sv: np.ndarray) -> np.ndarray:
@@ -184,21 +179,14 @@ def _rank(sv: np.ndarray) -> np.ndarray:
     return (sv > DEFAULT_RANK_TOL * sv[..., :1]).sum(axis=-1)
 
 
+def _stacked_rank(stack: np.ndarray) -> np.ndarray:
+    """numeric_rank of each matrix of a finite stack (leading batch axes)."""
+    return _rank(_singular_values(stack))
+
+
 def numeric_rank(a) -> int:
     """Number of singular values above DEFAULT_RANK_TOL * (largest)."""
     return int(_rank(singular_values(a)))
-
-
-def span_rank(a, m) -> int:
-    """numeric_rank of m, whose columns lie in the column span of a (as those
-    of a @ b.T do): the rank of Q^T m, with Q an orthonormal basis of that
-    span from the QR factorization of a, which has m's singular values and
-    only as many rows as a has columns."""
-    try:
-        q = np.linalg.qr(as_matrix(a))[0]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"QR did not converge: {exc}") from exc
-    return numeric_rank(q.T @ as_matrix(m))
 
 
 def null_directions(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,10 +198,15 @@ def null_directions(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orthonormal basis of its row space and the last nullity of its right
     null space.  nullity is columns minus the numeric rank, so the zero
     matrix has the whole space.  Singular values descend, so the null
-    directions are always the trailing columns.
+    directions are always the trailing columns.  Only a wide stack (fewer
+    rows than columns) asks LAPACK for more right singular vectors than rows.
     """
-    sv, v = _svd(stack)
-    return sv.shape[-1] - _rank(sv), _positive_leading(v)
+    rows, cols = stack.shape[-2:]
+    try:
+        _, s, vt = np.linalg.svd(stack, full_matrices=rows < cols)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    return cols - _rank(s), _positive_leading(vt.swapaxes(-1, -2))
 
 
 def orthogonal_directions(stack: np.ndarray) -> np.ndarray:

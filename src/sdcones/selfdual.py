@@ -152,20 +152,19 @@ def certify_psd_slack(matrix: np.ndarray, d: int) -> tuple[bool, str]:
         eig = linalg.sym_eigen(matrix)
     except PreconditionError as exc:
         return False, str(exc)
-    return _factor_cone_round_trip(matrix, eig, d)
+    return _factor_cone_round_trip(matrix, eig, support_of(matrix), d)
 
 
 def _factor_cone_round_trip(
-    matrix: np.ndarray, eig: linalg.EigenDecomposition, d: int
+    matrix: np.ndarray, eig: linalg.EigenDecomposition, support: np.ndarray, d: int
 ) -> tuple[bool, str]:
-    """certify_psd_slack on a matrix with this decomposition that has passed
-    the slack pattern check at d: the rebuild and the support match.  The
-    rebuilt slack's rank is read in the span of the rebuilt generators."""
+    """certify_psd_slack on a matrix with this decomposition and support_of
+    that has passed the slack pattern check at d: the rebuild and the
+    support match."""
     try:
         cone = geometry._factor_cone(eig, d)
         trip = geometry.dual_round_trip(cone, geometry.DEFAULT_FACET_TOL)
-        rank = linalg.span_rank(cone.generators, trip.slack)
-        rebuilt = geometry.clamped_slack(trip.slack, d, rank)
+        rebuilt = geometry.clamped_slack(trip.slack, d)
     except PreconditionError as exc:
         return False, str(exc)
     if rebuilt.shape != matrix.shape:
@@ -175,7 +174,7 @@ def _factor_cone_round_trip(
         )
     if trip.mapping is None:
         return False, "rebuilt dual generators do not match the primal ones"
-    if not np.array_equal(support_of(rebuilt), support_of(matrix)):
+    if not np.array_equal(rebuilt > 0.0, support):
         return False, "rebuilt slack support differs from the input support"
     return True, "factor-cone round trip reproduces the support"
 
@@ -196,7 +195,9 @@ def is_simplicial(obj) -> bool:
     if isinstance(obj, geometry.PolyhedralCone):
         return obj.n_rays == obj.dim and geometry.is_full_dimensional(obj)
     m = linalg.as_matrix(obj)
-    if m.shape[0] != m.shape[1]:
-        return False
-    nz = support_of(m)
+    return m.shape[0] == m.shape[1] and _is_permutation_pattern(support_of(m))
+
+
+def _is_permutation_pattern(nz: np.ndarray) -> bool:
+    """One True per row and per column of the square boolean matrix nz."""
     return bool(np.all(nz.sum(axis=1) == 1) and np.all(nz.sum(axis=0) == 1))

@@ -44,6 +44,27 @@ def random_pointed_cone_generators(
             return gens
 
 
+def full_svd_rank(a: np.ndarray) -> np.ndarray:
+    """The numeric rank of a matrix, or of each matrix of a stack, read the
+    way the package read it before its rank kernel went values-only: from
+    the singular values of a full SVD (full_matrices=True, every singular
+    vector formed), counted above DEFAULT_RANK_TOL times the largest."""
+    s = np.linalg.svd(a, full_matrices=True)[1]
+    return (s > linalg.DEFAULT_RANK_TOL * s[..., :1]).sum(axis=-1)
+
+
+def block_diagonal_dnn() -> np.ndarray:
+    """A 100 x 100 DNN matrix of rank 20: 10 diagonal blocks Y Y^T, each Y
+    10 x 2 uniform in [0.2, 1) from default_rng(0).  Its W1 and W2 meet in
+    the 30 dimensions of the blocks' own 3, so it is not extreme."""
+    m = np.zeros((100, 100))
+    rng = np.random.default_rng(0)
+    for b in range(10):
+        y = rng.uniform(0.2, 1.0, size=(10, 2))
+        m[10 * b:10 * b + 10, 10 * b:10 * b + 10] = y @ y.T
+    return m
+
+
 def loop_extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarray:
     """The per-generator extremality test the stacked one replaced: one
     numeric_rank call on each generator's active facet normals."""

@@ -12,14 +12,17 @@ made it fail, the outputs may differ.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdcones import __version__, analysis, cli, data, dnn, geometry, linalg, selfdual
+from sdcones import __version__, analysis, cli, data, dnn, geometry, linalg, patterns, selfdual
 from sdcones.errors import ConvergenceError, PreconditionError
+
+from conftest import block_diagonal_dnn
 
 # The error the old pass raised when tol admitted a matrix that the default
 # tolerance of its verdict step did not.
@@ -228,36 +231,69 @@ class TestSameReportAsTheParentPass:
 
 
 def count_decompositions(monkeypatch) -> list:
-    """Record ("eigh" or "svd", input shape) for every LAPACK
-    eigendecomposition and SVD made from now on.  A stacked call, such as
-    the facet scan's, has a batch axis in its shape, so whole-matrix calls
-    on an n x n matrix are the entries with shape (n, n)."""
+    """Record (kind, input shape, vectors) for every numpy.linalg eigh and
+    svd call made from now on: kind is "eigh" or "svd", and vectors whether
+    the call forms eigenvectors or singular vectors (eigh always does, svd
+    unless compute_uv is False).  A stacked call, such as the facet scan's,
+    has a batch axis in its shape, so whole-matrix calls on an n x n matrix
+    are the entries with shape (n, n)."""
     calls = []
     for kind in ("eigh", "svd"):
-        run = getattr(linalg, "_" + kind)
+        run = getattr(np.linalg, kind)
 
-        def counted(w, kind=kind, run=run):
-            calls.append((kind, w.shape))
-            return run(w)
+        def counted(a, *args, kind=kind, run=run, **kwargs):
+            vectors = kind == "eigh" or kwargs.get("compute_uv", True)
+            calls.append((kind, np.shape(a), bool(vectors)))
+            return run(a, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "_" + kind, counted)
+        monkeypatch.setattr(np.linalg, kind, counted)
+    return calls
+
+
+def support_calls(monkeypatch) -> list:
+    """Record the shape of every patterns.support_of call made from now on,
+    through each module that binds the name."""
+    calls = []
+    support_of = patterns.support_of
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return support_of(a)
+
+    for module in (dnn, geometry, patterns, selfdual):
+        monkeypatch.setattr(module, "support_of", counted)
     return calls
 
 
 class TestOneDecomposition:
     @pytest.mark.parametrize("name", ["pentagon", "prism"])
-    def test_one_eigh_and_no_whole_matrix_svd(self, monkeypatch, name):
+    def test_one_eigh_and_no_singular_vectors_of_n_rows(self, monkeypatch, name):
         # The rank, the PSD test, the slack check, the extremality test and
         # the factor cone all read one eigendecomposition of the input.  The
-        # rebuilt slack's rank is read in the span of the rebuilt generators.
+        # rebuilt slack's rank comes from a values-only SVD, so the only SVD
+        # that forms singular vectors is the facet scan's stack of
+        # (d - 1) x d subsets.
         m, d = BUNDLED[name]
         n = m.shape[0]
         calls = count_decompositions(monkeypatch)
         report = analysis.analyze_matrix(m, d, dnn.DEFAULT_DNN_TOL, name)
         assert report.results["verdicts"]["dnn_extreme"]
         assert report.results["selfdual_certification"]["certified"]
-        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (n, n))]
-        assert ("svd", (n, n)) not in calls
+        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (n, n), True)]
+        vectors = [shape for kind, shape, uv in calls if kind == "svd" and uv]
+        assert vectors and all(shape[-2:] == (d - 1, d) for shape in vectors)
+
+    @pytest.mark.parametrize("name", ["pentagon", "prism", "nonslack"])
+    def test_one_support_mask_per_matrix(self, monkeypatch, name):
+        # The input's mask serves the slack check, the support-graph tests,
+        # the extremality test and the round trip's support match; the
+        # clamped rebuilt slack takes the only other one.
+        m, d = BUNDLED[name]
+        calls = support_calls(monkeypatch)
+        report = analysis.analyze_matrix(m, d, dnn.DEFAULT_DNN_TOL, name)
+        certified = report.results["selfdual_certification"]["certified"]
+        assert certified == (name != "nonslack")
+        assert calls == [m.shape] * (2 if certified else 1)
 
     def test_one_slack_check_per_item(self, tmp_path, monkeypatch, capsys):
         # The pass runs the slack pattern check once on its input, with the
@@ -286,8 +322,23 @@ class TestOneDecomposition:
     def test_dnn_certificates(self, monkeypatch, run):
         calls = count_decompositions(monkeypatch)
         run(data.pentagon_slack())
-        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (5, 5))]
-        assert ("svd", (5, 5)) not in calls
+        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (5, 5), True)]
+        assert not [c for c in calls if c[0] == "svd" and (c[1] == (5, 5) or c[2])]
+
+
+def test_block_diagonal_dnn_stays_small():
+    # The W1 ∩ W2 system has 4 500 rows (the zeros of the upper triangle)
+    # and 210 columns; its rank must not form a 4 500 x 4 500 U (162 MB).
+    m = block_diagonal_dnn()
+    tracemalloc.start()
+    try:
+        report = analysis.analyze_matrix(m, 20, dnn.DEFAULT_DNN_TOL, "blocks")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.results["irreducible"]["value"] is False
+    assert report.results["extremality"]["intersection_dim"] == 30
+    assert peak < 100 * 2**20
 
 
 def test_empty_matrix_rejected():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdcones import data, dnn, linalg, search
+from sdcones import data, dnn, linalg, patterns, search
 from sdcones.errors import ConvergenceError, PreconditionError
 
 from conftest import random_orthogonal
@@ -132,7 +132,7 @@ class TestExtremality:
             eig = linalg.sym_eigen(a)
             for k in range(1, a.shape[0] + 1):
                 systems.clear()
-                dim = dnn._intersection_dim(a, eig, k)
+                dim = dnn._intersection_dim(eig, patterns.support_of(a), k)
                 expected = loop_system(a, eig, k)
                 if expected is None:
                     assert systems == [] and dim == k * (k + 1) // 2

@@ -4,6 +4,7 @@ import ast
 import inspect
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -495,6 +496,23 @@ class TestFacetSubsetBudget:
     def test_admits_d6_n40(self):
         assert math.comb(40, 5) <= geometry.FACET_SUBSET_BUDGET
 
+    def test_many_generators_in_the_plane_stay_small(self):
+        # 10 000 subsets are within the budget; the rank checks around the
+        # scan, and the row space is_pointed takes, must not form a
+        # 10 000 x 10 000 U (800 MB) either.
+        t = np.linspace(0.1, 1.4, 10_000)
+        cone = geometry.PolyhedralCone(np.column_stack([np.cos(t), np.sin(t)]))
+        assert cone.n_rays == 10_000
+        tracemalloc.start()
+        try:
+            normals = geometry.facet_normals(cone)
+            assert geometry.is_pointed(cone)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert normals.shape == (2, 2)
+        assert peak < 64 * 2**20
+
 
 class TestDualCone:
     def test_orthant_self(self):
@@ -558,6 +576,25 @@ class TestExtremeRays:
         assert np.array_equal(geometry._extreme_mask(g, normals, tol),
                               loop_extreme_mask(g, normals, tol))
         assert _outcome(geometry.extreme_rays, g) == _outcome(loop_extreme_rays, g)
+
+    def test_stacked_ranks_match_loop_on_bundled_and_random_cones(self):
+        tol = geometry.DEFAULT_FACET_TOL
+        cones = [data.pentagon_rays(), data.prism_rays(), np.eye(4)]
+        cones += [geometry.cone_over_polytope(v).generators for v in (
+            data.regular_polygon_vertices(4), data.regular_polygon_vertices(11),
+            data.ten_w_transpose().T)]
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            d = int(rng.integers(2, 7))
+            g = random_pointed_cone_generators(rng, d, int(rng.integers(d, 13)))
+            # Sums of generator pairs lie inside the cone or on a face of it.
+            pairs = rng.integers(g.shape[0], size=(3, 2))
+            cones.append(np.concatenate([g, g[pairs[:, 0]] + g[pairs[:, 1]]]))
+        for gens in cones:
+            g = geometry.PolyhedralCone(gens).generators
+            normals = geometry.facet_normals(geometry.PolyhedralCone(g), tol)
+            assert np.array_equal(geometry._extreme_mask(g, normals, tol),
+                                  loop_extreme_mask(g, normals, tol))
 
     def test_near_flat_vertex_kept(self):
         # The vertex (0, 1e-4) sits just off the segment between its

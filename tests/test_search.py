@@ -995,7 +995,7 @@ class TestIsConnected:
         if mask.shape[0] == 5:
             off = mask & ~np.eye(5, dtype=bool)
             cycle = bool((off.sum(axis=1) == 2).all()) and expected
-            assert dnn._is_cycle5(weighted) is cycle
+            assert dnn._is_cycle5(patterns.support_of(weighted)) is cycle
 
     def test_small_cases(self):
         assert patterns.is_connected(np.zeros((0, 0), dtype=bool))
