@@ -18,8 +18,9 @@ from .errors import ConvergenceError, PreconditionError
 SUPPORT_CLAMP = 1e-10
 
 # Nodes (columns tried) one involution_permutations enumeration may visit.
-# The smallest-domain-first search needs 218 on the regular 17-gon, 2 277 on
-# the 50-gon, 2 377 on the 51-gon and 9 752 on the 101-gon.
+# The first permutation of the regular 17-, 51- and 101-gon takes 136,
+# 1 275 and 5 050; all of them (the one and the proof there is no other)
+# 286, 3 023 and 12 298.
 INVOLUTION_NODE_BUDGET = 1_000_000
 
 
@@ -102,70 +103,32 @@ class SupportPattern:
 
 def involution_permutations(s: np.ndarray):
     """Yield all column permutations sigma with S[i, sigma(j)] == S[j, sigma(i)]
-    for all i, j and S[i, sigma(i)] == 1, in lexicographic order.
+    for all i, j and S[i, sigma(i)] == 1, in lexicographic order, each as
+    soon as it is found.
 
-    Backtracking with forward checking and smallest-domain-first row order
-    (MRV, "minimum remaining values"; Haralick & Elliott, 1980).  Each row
-    starts with a domain of candidate columns: a nonzero of its own, with
-    matching nonzero count and matching degree multiset of its support (the
-    same invariants a graph-isomorphism search would use).  Placing
-    sigma[j] = c leaves every unplaced row r only the columns c' with
-    S[j, c'] == S[r, c], minus c itself, and the search backtracks as soon as
-    some unplaced row has no column left; so every column tried is
-    consistent with all rows placed before it.  The row placed next is the
-    unplaced row with the fewest open columns, ties going to the lowest
-    index, and it tries its columns in increasing order.  On a polygon's
-    circulant support one placement pins the rows next to it, so the search
-    walks around the polygon instead of branching at every row: 218 nodes on
-    the regular 17-gon and 2 377 on the 51-gon.  Domains are sets of columns
-    held as the bits of Python ints, so a node costs a few integer operations
-    per row.
+    Backtracking with forward checking.  Each row starts with a domain of
+    candidate columns: a nonzero of its own, with matching nonzero count and
+    matching degree multiset of its support (the same invariants a
+    graph-isomorphism search would use).  Placing sigma[j] = c leaves every
+    unplaced row r only the columns c' with S[j, c'] == S[r, c], minus c
+    itself; a placement that empties a domain is dropped.  Rows are fixed
+    in index order, each trying its columns in increasing order, and a
+    column is kept only when the smallest-domain-first search (MRV, "minimum
+    remaining values"; Haralick & Elliott, 1980), stopped at its first
+    completion, completes a permutation from it.  That completion is kept,
+    so the column it gives the next row needs no second lookahead.  On a
+    polygon's circulant support one placement pins the rows next to it, so
+    a lookahead walks around the polygon instead of branching at every row:
+    the first permutation takes 136 nodes on the regular 17-gon and 1 275
+    on the 51-gon.  Domains are held as the bits of Python ints.
 
-    Rows placed in that order do not produce the permutations in
-    lexicographic order, so the enumeration always runs to the end before
-    anything is yielded, and the sorted list comes out afterwards.
-    first_involution finds the first of them without enumerating the rest.
-
-    Each column tried counts as one node.  More than INVOLUTION_NODE_BUDGET
-    nodes in one enumeration raise ConvergenceError, before the first
-    permutation is yielded, instead of running on.
+    Each column tried counts as one node, over the life of one enumeration;
+    the next() that takes the count over INVOLUTION_NODE_BUDGET raises
+    ConvergenceError.
     """
     search = _InvolutionSearch(s)
-    every = search.completions(list(range(search.n)), search.domains)
-    for perm in sorted(tuple(sigma) for sigma in every):
-        yield np.array(perm, dtype=int)
-
-
-def first_involution(s: np.ndarray) -> np.ndarray | None:
-    """The first permutation involution_permutations(s) would yield, or None
-    when there is none, found without enumerating the others.
-
-    Row 0 takes the smallest column of its domain from which the MRV search
-    of involution_permutations, stopped at its first completion, completes
-    a permutation; then row 1 does the same with row 0 placed, and so on.
-    Nodes count and are budgeted as in involution_permutations, over all of
-    these searches together.
-    """
-    search = _InvolutionSearch(s)
-    rows, doms = list(range(search.n)), search.domains
-    while rows:
-        # rows[0] is the next row in index order; the others stay unplaced.
-        j, todo = rows[0], doms[0]
-        rows = rows[1:]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            c = low.bit_length() - 1
-            pruned = search.place(j, c, rows, doms[1:])
-            if pruned is None:
-                continue
-            if next(search.completions(rows, pruned), None) is not None:
-                search.sigma[j] = c
-                doms = pruned
-                break
-        else:
-            return None
-    return np.array(search.sigma, dtype=int)
+    for sigma in search.in_order(list(range(search.n)), search.domains, [-1] * search.n):
+        yield np.array(sigma, dtype=int)
 
 
 class _InvolutionSearch:
@@ -213,6 +176,30 @@ class _InvolutionSearch:
                 return None
             pruned.append(dom)
         return pruned
+
+    def in_order(self, rows: list[int], doms: list[int], known: list[int]):
+        """completions in lexicographic order: rows[0] is placed next, at
+        each column from which completions completes sigma.  known is a
+        completion of the rows placed so far, or all -1."""
+        if not rows:
+            yield self.sigma
+            return
+        j, rest_rows = rows[0], rows[1:]
+        todo = doms[0]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            c = low.bit_length() - 1
+            pruned = self.place(j, c, rest_rows, doms[1:])
+            if pruned is None:
+                continue
+            self.sigma[j] = c
+            found = known
+            if known[j] != c:
+                if next(self.completions(rest_rows, pruned), None) is None:
+                    continue
+                found = list(self.sigma)
+            yield from self.in_order(rest_rows, pruned, found)
 
     def completions(self, rows: list[int], doms: list[int]):
         """Yield sigma each time it is completed over the unplaced rows (in

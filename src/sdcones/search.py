@@ -22,7 +22,7 @@ from .errors import ConvergenceError, ParseError, PreconditionError
 from .patterns import (
     SUPPORT_CLAMP,
     SupportPattern,
-    first_involution,
+    involution_permutations,
     support_of,
 )
 
@@ -67,11 +67,10 @@ def sisd_check(s) -> np.ndarray | None:
     """First column permutation, in lexicographic order, making the support
     symmetric with a nonzero diagonal, or None when the pruned search finds
     none.  A support that is already symmetric with a unit diagonal returns
-    the identity, the first permutation, at once.  Any other support goes to
-    patterns.first_involution, which fixes the columns row by row, each the
-    smallest from which the search completes a permutation, so it does not
-    enumerate the other permutations; over patterns.INVOLUTION_NODE_BUDGET
-    nodes it raises ConvergenceError."""
+    the identity, the first permutation, at once.  Any other support takes
+    the first permutation patterns.involution_permutations yields, which
+    enumerates no other; over patterns.INVOLUTION_NODE_BUDGET nodes it
+    raises ConvergenceError."""
     a = np.asarray(s)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError("support must be a square matrix")
@@ -82,7 +81,7 @@ def sisd_check(s) -> np.ndarray | None:
         raise PreconditionError("support must have no zero rows or columns")
     if np.array_equal(a, a.T) and a.diagonal().all():
         return np.arange(a.shape[0])
-    return first_involution(a)
+    return next(involution_permutations(a), None)
 
 
 def apply_sisd(s: np.ndarray, sigma: np.ndarray) -> SupportPattern:

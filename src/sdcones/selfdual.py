@@ -3,10 +3,12 @@
 A pointed full-dimensional polyhedral cone is self-dual under some inner
 product exactly when one (equivalently, up to row exchange and positive
 column rescaling, every) slack matrix can be made symmetric positive
-semidefinite.  The certificate search enumerates support-compatible row
-permutations by backtracking, fits the column scaling to every support pair
-by weighted least squares, accepts it only when it makes the permuted slack
-symmetric, and verifies the result spectrally.
+semidefinite.  The certificate search tries support-compatible row
+permutations in lexicographic order, as a backtracking search finds them.
+For each it fits the column scaling to every support pair by weighted least
+squares, accepts it only when it makes the permuted slack symmetric, and
+verifies the result spectrally; the first permutation that passes is the
+certificate.
 """
 
 from __future__ import annotations
@@ -80,13 +82,14 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     that check at its cone's dimension already and is not checked again;
     its entries outside support_of are exact zeros, so its support is m > 0.
 
-    Absence is returned only after every support-compatible permutation has
-    been tried.  The enumeration always finishes before the first permutation
-    is tried, so one that would exceed patterns.INVOLUTION_NODE_BUDGET raises
-    ConvergenceError even when an early permutation would have certified the
-    slack.  The first certificate in lexicographic permutation order is
-    returned, with the gauge freedom fixed so the PSD matrix's largest
-    diagonal entry equals the largest diagonal entry of the input.
+    Permutations are tried as patterns.involution_permutations yields them,
+    in lexicographic order, and the search stops at the first certificate,
+    returned with the gauge freedom fixed so the PSD matrix's largest
+    diagonal entry equals the largest diagonal entry of the input.  Absence
+    is returned only after every support-compatible permutation has been
+    tried.  The enumeration raises ConvergenceError from the next() that
+    takes it over patterns.INVOLUTION_NODE_BUDGET nodes, so only a search
+    that has certified no permutation by then fails.
     """
     if isinstance(slack, geometry.SlackMatrix):
         m = slack.matrix
@@ -140,11 +143,13 @@ def is_self_dual(
     return cert is not None, cert
 
 
-def certify_psd_slack(matrix: np.ndarray, d: int) -> tuple[bool, str]:
-    """Certify that a symmetric PSD matrix is a slack matrix of a self-dual
-    cone by rebuilding the cone from its spectral factor and matching the
-    rebuilt slack's support back to the input.
+def certify_psd_slack(matrix, d: int) -> tuple[bool, str]:
+    """Certify that a symmetric PSD matrix (anything linalg.as_matrix takes)
+    is a slack matrix of a self-dual cone by rebuilding the cone from its
+    spectral factor and matching the rebuilt slack's support back to the
+    input.
     """
+    matrix = linalg.as_matrix(matrix)
     ok, reasons = geometry.slack_necessary_check(matrix, d)
     if not ok:
         return False, "; ".join(reasons)

@@ -338,6 +338,16 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["self_dual"] is True
 
+    def test_51gon_certified_before_2000_nodes(self, workdir, capsys, monkeypatch):
+        # Enumerating all of the 51-gon's involutions takes more nodes than
+        # this; verify stops at the first, which certifies.
+        monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 2_000)
+        cone = geometry.cone_over_polytope(data.regular_polygon_vertices(51))
+        geometry.save_cone(workdir / "g51.cone", cone.generators)
+        code, out, err = run_cli(capsys, "verify", "g51.cone")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["self_dual"] is True
+
     @pytest.mark.parametrize("k", [50, 51])
     def test_polygons_decided_within_5000_nodes(self, workdir, capsys, monkeypatch, k):
         monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 5_000)

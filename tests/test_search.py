@@ -172,8 +172,8 @@ class TestSisdCheck:
 
     def test_dense_asymmetric_support_within_bounds(self, monkeypatch):
         # 12! permutations, a few million of them involutive: enumerating
-        # them all ran over the node budget.  Fixing the columns row by row
-        # visits 78 nodes, in about 1 ms on a 2-vCPU host.
+        # them all runs over the node budget.  The first permutation is
+        # yielded after 23 nodes, in about 1 ms on a 2-vCPU host.
         s = np.ones((12, 12), dtype=np.uint8)
         s[0, 1] = s[2, 3] = 0
         monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 100)
@@ -191,14 +191,13 @@ class TestSisdCheck:
     @settings(max_examples=300, deadline=None)
     @given(involution_patterns())
     def test_first_permutation_of_the_enumeration(self, s):
+        oracle = all_involutions_brute_force(s)[:1]
+        assert fixed_order_involutions(s)[:1] == oracle
         first = next(patterns.involution_permutations(s), None)
-        mine = patterns.first_involution(s)
-        assert (mine is None) == (first is None)
-        assert mine is None or np.array_equal(mine, first)
+        assert ([] if first is None else [tuple(first.tolist())]) == oracle
         if s.sum(axis=1).all() and s.sum(axis=0).all():
             sigma = search.sisd_check(s)
-            assert (sigma is None) == (first is None)
-            assert sigma is None or np.array_equal(sigma, first)
+            assert ([] if sigma is None else [tuple(sigma.tolist())]) == oracle
 
     def test_four_cycle_pattern_has_permutation(self):
         sigma = search.sisd_check(data.four_cycle_support().bits)
@@ -262,8 +261,37 @@ class TestSisdCheck:
                     for p in patterns.involution_permutations(pattern)]
             assert mine == fixed_order_involutions(pattern)
             assert len(mine) == k % 2
-            first = patterns.first_involution(pattern)
-            assert mine[:1] == ([] if first is None else [tuple(first.tolist())])
+            sigma = search.sisd_check(pattern)
+            assert mine == ([] if sigma is None else [tuple(sigma.tolist())])
+
+    @pytest.mark.parametrize("name", ["pentagon", "prism", "ten", "four_cycle"])
+    def test_bundled_supports_match_both_oracles(self, name):
+        s = getattr(data, f"{name}_support")().bits
+        shuffled = s[:, np.random.default_rng(len(name)).permutation(len(s))]
+        for pattern in (s, shuffled):
+            mine = [tuple(int(c) for c in p)
+                    for p in patterns.involution_permutations(pattern)]
+            assert mine == fixed_order_involutions(pattern)
+            if len(pattern) <= 8:
+                assert mine == all_involutions_brute_force(pattern)
+
+    def test_all_ones_support_yields_the_identity_first(self):
+        # Every one of the 10! permutations is involutive, far over the node
+        # budget; the first one is yielded before the others are searched.
+        first = next(patterns.involution_permutations(np.ones((10, 10), np.uint8)))
+        assert first.tolist() == list(range(10))
+
+    def test_budget_error_comes_from_the_next_that_crosses_it(self, monkeypatch):
+        # Nodes count over the life of one enumeration: the first
+        # permutations of the all-ones support fit in the budget, and a
+        # later next() raises.
+        monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 100)
+        perms = patterns.involution_permutations(np.ones((10, 10), np.uint8))
+        assert next(perms).tolist() == list(range(10))
+        assert next(perms).tolist() == [*range(8), 9, 8]
+        with pytest.raises(ConvergenceError, match="visited 101 nodes"):
+            for _ in perms:
+                pass
 
     def test_rejects_bad_input(self):
         with pytest.raises(PreconditionError):

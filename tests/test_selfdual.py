@@ -296,6 +296,11 @@ class TestCertifyPsdSlack:
         assert ok, detail
         assert len(scans) == 1
 
+    def test_nested_list_same_as_array(self, pentagon_slack):
+        as_list = selfdual.certify_psd_slack(pentagon_slack.tolist(), 3)
+        assert as_list == selfdual.certify_psd_slack(pentagon_slack, 3)
+        assert as_list[0], as_list[1]
+
     def test_nonslack_reasons(self, nonslack_extreme):
         ok, detail = selfdual.certify_psd_slack(nonslack_extreme, 4)
         assert not ok and "only 2 zeros" in detail
