@@ -97,6 +97,7 @@ def cmd_search(
     if result.success:
         geometry.save_cone(cone_path, result.realization.generators)
         return transcript_text
+    cone_path.unlink(missing_ok=True)  # an earlier run's cone would outlive this failure
     error = PreconditionError if result.sisd_permutation is None else ConvergenceError
     raise error(result.failure)
 

@@ -7,8 +7,9 @@ semidefinite program
 
 whose generic optimum is a low-rank extreme point of the feasible set,
 randomized-objective retries, alternating-projection rank refinement, and
-extraction of cone generators from the refined Gram matrix.  Every success is
-certified end to end; a failure only ever means "no realization found".
+extraction of cone generators from the refined Gram matrix.  certify is the
+one gate a converged refinement passes: it extracts a cone and verifies it
+end to end, so a failure only ever means "no realization found".
 """
 
 from __future__ import annotations
@@ -19,18 +20,9 @@ import numpy as np
 
 from . import geometry, linalg
 from .errors import ConvergenceError, ParseError, PreconditionError
-from .patterns import (
-    SUPPORT_CLAMP,
-    SupportPattern,
-    involution_permutations,
-    support_of,
-)
+from .patterns import SupportPattern, involution_permutations, support_of
 
-# Success gates for the refined Gram matrix, matching the magnitudes the
-# numerical experiments produce: structural entries clear 1e-4, trailing
-# eigenvalues drop below 1e-8.
-MIN_STRUCTURAL_ENTRY = 1e-4
-TRAILING_EIG_TOL = 1e-8
+MIN_STRUCTURAL_ENTRY = 1e-4  # smallest on-support ratio of a verified slack
 REFINE_STOP_TOL = 1e-12
 SDP_PSD_TOL = 1e-9  # a converged SDP matrix has smallest eigenvalue >= -this
 
@@ -253,11 +245,14 @@ def rank_refine(x, d: int, params: SearchParams, pattern: SupportPattern) -> Ref
     """Alternate the rank-d spectral truncation with exact reimposition of
     the support zeros and the unit diagonal.
 
-    Stops when both half-step residuals fall below 1e-12; declares stagnation
-    when the residual has not improved by 1e-16 over 100 iterations.  On
-    success the returned matrix has an exact diagonal and support, trailing
-    eigenvalues below 1e-8 and structural entries clearing 1e-4 in absolute
-    value.
+    Converges when both half-step residuals fall below REFINE_STOP_TOL;
+    otherwise the reason is "stagnation" (the residual has not improved by
+    1e-16 over 100 iterations) or "max_iter".  The returned matrix is the
+    last affine projection, with an exact unit diagonal and exact zeros off
+    the support.  Refinement judges nothing else: certify decides whether
+    the matrix realizes the pattern.  A converged matrix equals L + E with L
+    PSD of rank <= d and max|E| < REFINE_STOP_TOL, so by Weyl's inequality
+    every eigenvalue past the d-th is within n * REFINE_STOP_TOL of 0.
     """
     a = linalg.require_symmetric(x)
     on = pattern.mask
@@ -267,10 +262,7 @@ def rank_refine(x, d: int, params: SearchParams, pattern: SupportPattern) -> Ref
     y = _affine_project(a, on)
     rank_res: list[float] = []
     aff_res: list[float] = []
-    converged = False
-    iterations = 0
     for it in range(1, params.max_iter + 1):
-        iterations = it
         low = linalg.low_rank_project(y, d)
         r_rank = float(np.abs(y - low).max())
         z = _affine_project(low, on)
@@ -279,32 +271,10 @@ def rank_refine(x, d: int, params: SearchParams, pattern: SupportPattern) -> Ref
         aff_res.append(r_aff)
         y = z
         if r_rank < REFINE_STOP_TOL and r_aff < REFINE_STOP_TOL:
-            converged = True
-            break
+            return RefineResult(y, True, it, rank_res, aff_res)
         if it > 100 and max(rank_res[-101], aff_res[-101]) - max(r_rank, r_aff) < 1e-16:
-            return RefineResult(
-                y, False, it, rank_res, aff_res, reason="stagnation"
-            )
-
-    if not converged:
-        return RefineResult(
-            y, False, iterations, rank_res, aff_res, reason="max_iter"
-        )
-
-    eig = linalg.sym_eigen(y)
-    trailing = float(np.abs(eig.values[d:]).max()) if pattern.n > d else 0.0
-    if trailing >= TRAILING_EIG_TOL:
-        return RefineResult(
-            y, False, iterations, rank_res, aff_res,
-            reason=f"trailing eigenvalue {trailing:.3e}",
-        )
-    off = on & ~np.eye(pattern.n, dtype=bool)
-    if off.any() and float(np.abs(y[off]).min()) < MIN_STRUCTURAL_ENTRY:
-        return RefineResult(
-            y, False, iterations, rank_res, aff_res,
-            reason="structural entry below 1e-4",
-        )
-    return RefineResult(y, True, iterations, rank_res, aff_res)
+            return RefineResult(y, False, it, rank_res, aff_res, reason="stagnation")
+    return RefineResult(y, False, params.max_iter, rank_res, aff_res, reason="max_iter")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +290,8 @@ _RETRY_STACK = 32
 @dataclass
 class AttemptRecord:
     """One transcript attempt, all scalars; the refinement residuals are the
-    last half-step residuals."""
+    last half-step residuals.  certified and certify_reason stay None unless
+    refinement converged, since only a converged refinement is certified."""
 
     index: int
     sdp_converged: bool
@@ -333,7 +304,6 @@ class AttemptRecord:
     refine_reason: str | None
     refine_rank_residual: float
     refine_affine_residual: float
-    nonnegative: bool
     certified: bool | None = None
     certify_reason: str | None = None
 
@@ -364,12 +334,11 @@ def randomized_retry(
     transcripts.
 
     Every attempt's SDP matrix is refined, whether or not the SDP converged:
-    refinement needs no PSD start.  A refined matrix that passes
-    refinement's own gates and is nonnegative goes through certify, which
-    extracts a cone and verifies it against the pattern at verify_tol; a
-    refined matrix need not be a slack matrix at all, so only a verified
-    cone ends the retries.  The winning attempt's realization and
-    verification report come back with the result.
+    refinement needs no PSD start.  Every converged refinement goes through
+    certify, the one gate, which extracts a cone and verifies it against the
+    pattern at verify_tol; a refined matrix need not be a slack matrix at
+    all, so only a verified cone ends the retries.  The winning attempt's
+    realization and verification report come back with the result.
 
     Attempt 1 runs alone through sdp_feasibility, the rest in stacks of up
     to _RETRY_STACK through _sdp_loop; a stack whose solve raises reruns its
@@ -396,9 +365,6 @@ def randomized_retry(
                 sdps = (sdp_feasibility(pattern, w, params) for w in weights)
         for sdp in sdps:
             refined = rank_refine(sdp.matrix, params.target_rank, params, pattern)
-            # A valid slack is entrywise nonnegative; a refined matrix with
-            # negative structural entries is a dead end, not a realization.
-            nonneg = bool(refined.matrix.min() >= -SUPPORT_CLAMP)
             record = AttemptRecord(
                 index=index,
                 sdp_converged=sdp.converged,
@@ -411,11 +377,10 @@ def randomized_retry(
                 refine_reason=refined.reason,
                 refine_rank_residual=refined.rank_residuals[-1],
                 refine_affine_residual=refined.affine_residuals[-1],
-                nonnegative=nonneg,
             )
             attempts.append(record)
             index += 1
-            if refined.converged and nonneg:
+            if refined.converged:
                 real, report, record.certify_reason = certify(
                     refined.matrix, pattern, params.target_rank, verify_tol)
                 record.certified = real is not None

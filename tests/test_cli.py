@@ -508,6 +508,38 @@ class TestSearchCommand:
         assert code == cli.EXIT_NO_CONVERGENCE
         assert "no realization" in err
 
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    def test_four_cycle_transcript(self, workdir, capsys, seed):
+        # Every four-cycle refinement converges to a matrix with a negative
+        # entry, and certify alone refuses each one at extraction.
+        search.save_support(workdir / "f.support", data.four_cycle_support().bits)
+        code, _, _ = run_cli(
+            capsys, "search", "f.support", "--rank", "3", "--seed", seed, "--out", "run"
+        )
+        assert code == cli.EXIT_NO_CONVERGENCE
+        transcript = json.loads((workdir / "run" / "f_transcript.json").read_text())
+        assert transcript["success"] is False
+        assert len(transcript["attempts"]) == 20
+        for attempt in transcript["attempts"]:
+            assert "nonnegative" not in attempt
+            assert attempt["refine_converged"] is True
+            assert attempt["certified"] is False
+            assert attempt["certify_reason"] == (
+                "extraction failed: matrix must be entrywise nonnegative")
+
+    def test_failed_search_removes_stale_realization(self, workdir, capsys):
+        search.save_support(workdir / "p.support", data.pentagon_support().bits)
+        code, _, _ = run_cli(capsys, "search", "p.support", "--rank", "3", "--out", "o")
+        assert code == 0 and (workdir / "o" / "p_realization.cone").exists()
+        code, _, _ = run_cli(
+            capsys, "search", "p.support", "--rank", "3", "--retries", "1",
+            "--max-iter", "1", "--out", "o",
+        )
+        assert code == cli.EXIT_NO_CONVERGENCE
+        transcript = json.loads((workdir / "o" / "p_transcript.json").read_text())
+        assert transcript["success"] is False
+        assert not (workdir / "o" / "p_realization.cone").exists()
+
     def test_not_involutive_exit_2(self, workdir, capsys):
         (workdir / "bad.support").write_text("2\n11\n01\n")
         code, _, err = run_cli(capsys, "search", "bad.support", "--rank", "2")

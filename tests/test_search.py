@@ -483,6 +483,20 @@ class TestRankRefine:
         assert (res.converged, res.reason, res.iterations) == (False, "stagnation", 101)
         assert res.rank_residuals == res.affine_residuals == [1.0] * 101
 
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_supports(), st.data())
+    def test_converged_refinement_has_no_trailing_eigenvalue(self, case, draw):
+        # A converged matrix is a rank-<= d PSD matrix plus an entrywise
+        # error below REFINE_STOP_TOL, so by Weyl's inequality its
+        # eigenvalues past the d-th lie within n * REFINE_STOP_TOL of 0.
+        pattern, weights = case
+        d = draw.draw(st.integers(1, pattern.n))
+        start = weights[0] + weights[0].T - 2.0  # symmetric, entries of both signs
+        res = search.rank_refine(start, d, search.SearchParams(target_rank=d), pattern)
+        if res.converged:
+            trailing = np.sort(np.abs(np.linalg.eigvalsh(res.matrix)))[::-1][d:]
+            assert trailing.size == 0 or trailing.max() <= 1e-10
+
     def test_four_cycle_refinement_is_not_a_realization(self):
         # With uniform weights the four-cycle support refines to a perfectly
         # valid rank-3 circulant, but that matrix is not a slack matrix (one
@@ -492,7 +506,7 @@ class TestRankRefine:
         params = search.SearchParams(target_rank=3, seed=0)
         sdp = search.sdp_feasibility(pattern, np.ones((4, 4)), params)
         res = search.rank_refine(sdp.matrix, 3, params, pattern)
-        assert res.converged and res.matrix.min() >= -search.SUPPORT_CLAMP
+        assert res.converged and res.matrix.min() >= -patterns.SUPPORT_CLAMP
         ok, _ = geometry.slack_necessary_check(np.abs(res.matrix), 3)
         assert not ok
         real = search.extract_realization(res.matrix, 3)
@@ -541,7 +555,6 @@ def sequential_retry(pattern, params, verify_tol=search.DEFAULT_VERIFY_TOL):
         weights = rng.uniform(0.5, 1.5, size=(n, n))
         sdp = search.sdp_feasibility(pattern, weights, params)
         refined = search.rank_refine(sdp.matrix, params.target_rank, params, pattern)
-        nonneg = bool(refined.matrix.min() >= -patterns.SUPPORT_CLAMP)
         record = search.AttemptRecord(
             index=index,
             sdp_converged=sdp.converged,
@@ -554,10 +567,9 @@ def sequential_retry(pattern, params, verify_tol=search.DEFAULT_VERIFY_TOL):
             refine_reason=refined.reason,
             refine_rank_residual=refined.rank_residuals[-1],
             refine_affine_residual=refined.affine_residuals[-1],
-            nonnegative=nonneg,
         )
         attempts.append(record)
-        if refined.converged and nonneg:
+        if refined.converged:
             real, report, record.certify_reason = search.certify(
                 refined.matrix, pattern, params.target_rank, verify_tol)
             record.certified = real is not None
@@ -800,6 +812,22 @@ class TestPipeline:
         assert res.success
         assert res.verification.passed
         assert res.realization.residuals["selfdual_gap"] <= 1e-6
+
+    @pytest.mark.parametrize("name,support,rank", TestStackedRetries.SUPPORTS[:4],
+                             ids=[c[0] for c in TestStackedRetries.SUPPORTS[:4]])
+    def test_certified_refinement_keeps_criterion_6_magnitudes(self, name, support, rank):
+        # certify is the only gate on a refined matrix; every winner must
+        # still show acceptance criterion 6's magnitudes.
+        bits = support()
+        for seed in range(10):
+            res = search.run_pipeline(bits, search.SearchParams(target_rank=rank, seed=seed))
+            assert res.success
+            x = res.retry.matrix
+            off = res.pattern.mask & ~np.eye(res.pattern.n, dtype=bool)
+            assert np.abs(x[off]).min() >= search.MIN_STRUCTURAL_ENTRY
+            assert np.abs(np.diag(x) - 1.0).max() <= 1e-10
+            trailing = np.sort(np.abs(np.linalg.eigvalsh(x)))[::-1][rank:]
+            assert trailing.max() < 1e-8
 
     def test_not_involutive_fails_fast(self):
         s = np.array([[1, 1], [0, 1]], dtype=np.uint8)
