@@ -128,7 +128,7 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
             vars(rep), borderline=borderline, provenance="numerical"
         )
         if slack_ok:
-            certified, detail = selfdual._factor_cone_round_trip(m, eig, support, d)
+            certified, detail = selfdual._factor_cone_verdict(eig, support, d)
         else:
             certified, detail = False, "; ".join(reasons)
     else:

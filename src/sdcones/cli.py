@@ -88,6 +88,8 @@ def cmd_search(
     outputs: list[Path],
     verify_tol: float,
 ) -> str:
+    for stale in outputs:  # an earlier run's files would outlive a failure
+        stale.unlink(missing_ok=True)
     bits = search.load_support(path)
     result = search.run_pipeline(bits, params, verify_tol)
     transcript_path, cone_path = outputs
@@ -97,7 +99,6 @@ def cmd_search(
     if result.success:
         geometry.save_cone(cone_path, result.realization.generators)
         return transcript_text
-    cone_path.unlink(missing_ok=True)  # an earlier run's cone would outlive this failure
     error = PreconditionError if result.sisd_permutation is None else ConvergenceError
     raise error(result.failure)
 

@@ -393,18 +393,20 @@ def cone_from_factorization(m, d: int) -> PolyhedralCone:
     isomorphic to that cone and is self-dual under the Euclidean inner
     product.
     """
-    return _factor_cone(linalg.sym_eigen(m), d)
+    return PolyhedralCone(_spectral_factor(linalg.sym_eigen(m), d))
 
 
-def _factor_cone(eig: linalg.EigenDecomposition, d: int) -> PolyhedralCone:
-    """cone_from_factorization of the matrix with this decomposition, whose
-    numeric rank it reads from the eigenvalues."""
+def _spectral_factor(eig: linalg.EigenDecomposition, d: int) -> np.ndarray:
+    """The top-d spectral factor of the matrix with this decomposition, the
+    generators of cone_from_factorization before normalization.  The one
+    rank rule of a factorization: PreconditionError unless the numeric rank
+    read from the eigenvalues is d and the d-th eigenvalue is positive."""
     r = eig.rank()
     if r != d:
         raise PreconditionError(f"matrix has numeric rank {r}, expected {d}")
     if eig.values[d - 1] <= 0.0:
         raise PreconditionError("matrix is not PSD of the requested rank")
-    return PolyhedralCone(eig.factor(d))
+    return eig.factor(d)
 
 
 def _cosine_match(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray | None, float]:

@@ -1,9 +1,9 @@
 """Zero patterns: matrix supports, support graphs and the strongly involutive
 column permutations of a 0/1 matrix.  Every support comparison in the package
-uses support_of but one: search.verify_realization compares a realization's
-slack with its target pattern by ratios to the largest entry at the caller's
-tolerance, since a certified realization's off-support entries need only be
-that small, not below SUPPORT_CLAMP."""
+uses support_of but one: selfdual.certify_slack compares a cone's aligned
+slack with its target support by ratios to the largest entry at the caller's
+tolerance, since a certified slack's off-support entries need only be that
+small, not below SUPPORT_CLAMP."""
 
 from __future__ import annotations
 

@@ -8,21 +8,21 @@ semidefinite program
 whose generic optimum is a low-rank extreme point of the feasible set,
 randomized-objective retries, alternating-projection rank refinement, and
 extraction of cone generators from the refined Gram matrix.  certify is the
-one gate a converged refinement passes: it extracts a cone and verifies it
-end to end, so a failure only ever means "no realization found".
+one gate a converged refinement passes: it extracts a cone and judges it by
+selfdual.certify_slack, the rule analyze and certify_psd_slack apply too, so
+a failure only ever means "no realization found".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, linalg
+from . import geometry, linalg, selfdual
 from .errors import ConvergenceError, ParseError, PreconditionError
 from .patterns import SupportPattern, involution_permutations, support_of
 
-MIN_STRUCTURAL_ENTRY = 1e-4  # smallest on-support ratio of a verified slack
 REFINE_STOP_TOL = 1e-12
 SDP_PSD_TOL = 1e-9  # a converged SDP matrix has smallest eigenvalue >= -this
 
@@ -314,7 +314,7 @@ class RetryResult:
     success: bool
     attempts: list[AttemptRecord]
     realization: Realization | None = None
-    verification: VerificationReport | None = None
+    verification: selfdual.SlackReport | None = None
 
     @property
     def winning_attempt(self) -> int | None:
@@ -412,7 +412,8 @@ def extract_realization(x, d: int) -> Realization:
     """Factor a refined Gram matrix into cone generators.
 
     The generators are the rows of the top-d spectral factor V, whose Gram
-    matrix V V^T is X.  Rescaling a row by a positive number would not change
+    matrix V V^T is X; geometry's rank rule refuses a matrix whose numeric
+    rank is not d.  Rescaling a row by a positive number would not change
     the cone they generate, so the rows are taken as they are, on a connected
     support or not; verify_realization decides whether the cone certifies.
     """
@@ -422,11 +423,7 @@ def extract_realization(x, d: int) -> Realization:
     mask = support_of(a)
     if (a[mask] < 0.0).any():
         raise PreconditionError("matrix must be entrywise nonnegative")
-    eig = linalg.sym_eigen(a)
-    r = eig.rank()
-    if r != d:
-        raise PreconditionError(f"matrix has numeric rank {r}, expected {d}")
-    factor = eig.factor(d)
+    factor = geometry._spectral_factor(linalg.sym_eigen(a), d)
     gram = factor @ factor.T
     off_zero = ~mask
     residuals = {
@@ -439,83 +436,19 @@ def extract_realization(x, d: int) -> Realization:
     return Realization(dim=d, generators=factor, gram=gram, residuals=residuals)
 
 
-@dataclass
-class VerificationReport:
-    generator_match: bool
-    support_match: bool
-    entries_positive: bool
-    worst_cosine: float
-    min_structural_ratio: float
-    max_off_support_ratio: float
-    details: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.generator_match and self.support_match and self.entries_positive
-
-
 def verify_realization(
     real: Realization,
     pattern: SupportPattern,
     tol: float = DEFAULT_VERIFY_TOL,
-) -> VerificationReport:
-    """Certify a realization against its target support.
-
-    (a) the Euclidean dual's generators must match the primal generators
-    bijectively with cosine >= 1 - tol; (b) the slack support, with columns
-    aligned through that matching, must equal the pattern; (c) structural
-    slack entries must clear 1e-4 of the largest entry.
-    """
-    details: list[str] = []
-    cone = real.cone
-    if cone.n_rays != pattern.n:
-        return VerificationReport(
-            False, False, False, 0.0, 0.0, 1.0,
-            [f"{cone.n_rays} generators for a {pattern.n}-point support"],
-        )
-    try:
-        trip = geometry.dual_round_trip(cone, tol)
-    except PreconditionError as exc:
-        return VerificationReport(False, False, False, 0.0, 0.0, 1.0, [str(exc)])
-    worst = trip.worst_cosine
-    if trip.mapping is None:
-        details.append(
-            f"dual generators do not match primal generators bijectively "
-            f"({trip.slack.shape[1]} facets, worst cosine {worst:.12f})"
-        )
-        return VerificationReport(False, False, False, worst, 0.0, 1.0, details)
-
-    aligned = trip.slack
-    scale = aligned.max()
-    on = pattern.mask
-    off_max = float(np.abs(aligned[~on]).max() / scale) if (~on).any() else 0.0
-    on_min = float(aligned[on].min() / scale)
-    support_ok = off_max <= tol and on_min > tol
-    if not support_ok:
-        details.append(
-            f"slack support mismatch: off-support ratio {off_max:.3e}, "
-            f"smallest on-support ratio {on_min:.3e}"
-        )
-    positive_ok = on_min >= MIN_STRUCTURAL_ENTRY
-    if not positive_ok:
-        details.append(
-            f"smallest structural slack ratio {on_min:.3e} below "
-            f"{MIN_STRUCTURAL_ENTRY:g}"
-        )
-    return VerificationReport(
-        generator_match=True,
-        support_match=support_ok,
-        entries_positive=positive_ok,
-        worst_cosine=worst,
-        min_structural_ratio=on_min,
-        max_off_support_ratio=off_max,
-        details=details,
-    )
+) -> selfdual.SlackReport:
+    """Certify a realization's cone against its target support by
+    selfdual.certify_slack at tol."""
+    return selfdual.certify_slack(real.cone, pattern.mask, tol)
 
 
 def certify(
     matrix: np.ndarray, pattern: SupportPattern, d: int, tol: float
-) -> tuple[Realization | None, VerificationReport | None, str | None]:
+) -> tuple[Realization | None, selfdual.SlackReport | None, str | None]:
     """Extract a rank-d realization from a refined matrix and verify it
     against the pattern: (realization, report, None) when it passes, else
     (None, None, why not).  The realization's selfdual_gap residual is
@@ -542,7 +475,7 @@ class PipelineResult:
     pattern: SupportPattern | None
     retry: RetryResult | None
     realization: Realization | None
-    verification: VerificationReport | None
+    verification: selfdual.SlackReport | None
     success: bool
     failure: str | None = None
 

@@ -9,11 +9,15 @@ For each it fits the column scaling to every support pair by weighted least
 squares, accepts it only when it makes the permuted slack symmetric, and
 verifies the result spectrally; the first permutation that passes is the
 certificate.
+
+certify_slack is the other direction's one rule: whether a cone, such as
+the cone of a PSD matrix's spectral factor, is self-dual with a slack of a
+target support.  search, analyze and certify_psd_slack all judge by it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,44 +147,93 @@ def is_self_dual(
     return cert is not None, cert
 
 
+@dataclass
+class SlackReport:
+    """certify_slack's verdict on a cone against a target support.
+
+    min_structural_ratio and max_off_support_ratio are the aligned slack's
+    smallest on-support entry and largest off-support |entry|, each over its
+    largest entry; details say why a failed check failed."""
+
+    generator_match: bool
+    support_match: bool
+    worst_cosine: float
+    min_structural_ratio: float
+    max_off_support_ratio: float
+    details: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return self.generator_match and self.support_match
+
+
+def certify_slack(cone: geometry.PolyhedralCone, support, tol: float) -> SlackReport:
+    """Whether a cone is self-dual with a slack of this support: the one rule
+    by which search, analyze and certify_psd_slack judge a PSD matrix.
+
+    One dual_round_trip at tol matches the facets to the generators
+    bijectively at cosine >= 1 - tol.  The slack, its columns aligned through
+    that match, must then have every off-support |entry| at most tol and
+    every on-support entry above tol, as ratios to its largest entry, so a
+    negative entry on the support fails too.  The smallest on-support ratio
+    is a reported margin, not a further test.
+    """
+    mask = np.asarray(support, dtype=bool)
+    if cone.n_rays != mask.shape[0]:
+        return SlackReport(False, False, 0.0, 0.0, 1.0, [
+            f"{cone.n_rays} generators for a {mask.shape[0]}-point support"])
+    try:
+        trip = geometry.dual_round_trip(cone, tol)
+    except PreconditionError as exc:
+        return SlackReport(False, False, 0.0, 0.0, 1.0, [str(exc)])
+    worst = trip.worst_cosine
+    if trip.mapping is None:
+        return SlackReport(False, False, worst, 0.0, 1.0, [
+            f"dual generators do not match primal generators bijectively "
+            f"({trip.slack.shape[1]} facets, worst cosine {worst:.12f})"])
+    ratios = trip.slack / trip.slack.max()
+    off_max = float(np.abs(ratios[~mask]).max(initial=0.0))
+    on_min = float(ratios[mask].min())
+    support_ok = off_max <= tol and on_min > tol
+    details = [] if support_ok else [
+        f"slack support mismatch: off-support ratio {off_max:.3e}, "
+        f"smallest on-support ratio {on_min:.3e}"]
+    return SlackReport(True, support_ok, worst, on_min, off_max, details)
+
+
 def certify_psd_slack(matrix, d: int) -> tuple[bool, str]:
     """Certify that a symmetric PSD matrix (anything linalg.as_matrix takes)
-    is a slack matrix of a self-dual cone by rebuilding the cone from its
-    spectral factor and matching the rebuilt slack's support back to the
-    input.
+    is a slack matrix of a self-dual cone in R^d: the matrix must pass the
+    slack pattern check at d, and certify_slack must certify the cone of its
+    top-d spectral factor against its support.  A matrix that is not
+    symmetric or has a negative entry gets (False, why) like any other.
     """
     matrix = linalg.as_matrix(matrix)
-    ok, reasons = geometry.slack_necessary_check(matrix, d)
-    if not ok:
-        return False, "; ".join(reasons)
+    support = support_of(matrix)
     try:
         eig = linalg.sym_eigen(matrix)
+        reasons = geometry.slack_pattern_reasons(
+            matrix, d, rank=eig.rank(), support=support)
     except PreconditionError as exc:
         return False, str(exc)
-    return _factor_cone_round_trip(matrix, eig, support_of(matrix), d)
+    if reasons:
+        return False, "; ".join(reasons)
+    return _factor_cone_verdict(eig, support, d)
 
 
-def _factor_cone_round_trip(
-    matrix: np.ndarray, eig: linalg.EigenDecomposition, support: np.ndarray, d: int
+def _factor_cone_verdict(
+    eig: linalg.EigenDecomposition, support: np.ndarray, d: int
 ) -> tuple[bool, str]:
     """certify_psd_slack on a matrix with this decomposition and support_of
-    that has passed the slack pattern check at d: the rebuild and the
-    support match."""
+    that has passed the slack pattern check at d: certify_slack at
+    DEFAULT_FACET_TOL on the cone of its top-d spectral factor."""
     try:
-        cone = geometry._factor_cone(eig, d)
-        trip = geometry.dual_round_trip(cone, geometry.DEFAULT_FACET_TOL)
-        rebuilt = geometry.clamped_slack(trip.slack, d)
+        cone = geometry.PolyhedralCone(geometry._spectral_factor(eig, d))
     except PreconditionError as exc:
         return False, str(exc)
-    if rebuilt.shape != matrix.shape:
-        return False, (
-            f"rebuilt cone has {rebuilt.shape[1]} facets for {rebuilt.shape[0]} "
-            "rays; not self-dual"
-        )
-    if trip.mapping is None:
-        return False, "rebuilt dual generators do not match the primal ones"
-    if not np.array_equal(rebuilt > 0.0, support):
-        return False, "rebuilt slack support differs from the input support"
+    report = certify_slack(cone, support, geometry.DEFAULT_FACET_TOL)
+    if not report.passed:
+        return False, "; ".join(report.details)
     return True, "factor-cone round trip reproduces the support"
 
 

@@ -270,8 +270,7 @@ class TestOneDecomposition:
     def test_one_eigh_and_no_singular_vectors_of_n_rows(self, monkeypatch, name):
         # The rank, the PSD test, the slack check, the extremality test and
         # the factor cone all read one eigendecomposition of the input.  The
-        # rebuilt slack's rank comes from a values-only SVD, so the only SVD
-        # that forms singular vectors is the facet scan's stack of
+        # only SVD that forms singular vectors is the facet scan's stack of
         # (d - 1) x d subsets.
         m, d = BUNDLED[name]
         n = m.shape[0]
@@ -286,19 +285,18 @@ class TestOneDecomposition:
     @pytest.mark.parametrize("name", ["pentagon", "prism", "nonslack"])
     def test_one_support_mask_per_matrix(self, monkeypatch, name):
         # The input's mask serves the slack check, the support-graph tests,
-        # the extremality test and the round trip's support match; the
-        # clamped rebuilt slack takes the only other one.
+        # the extremality test and the certifier's support test; no other
+        # mask is taken.
         m, d = BUNDLED[name]
         calls = support_calls(monkeypatch)
         report = analysis.analyze_matrix(m, d, dnn.DEFAULT_DNN_TOL, name)
         certified = report.results["selfdual_certification"]["certified"]
         assert certified == (name != "nonslack")
-        assert calls == [m.shape] * (2 if certified else 1)
+        assert calls == [m.shape]
 
     def test_one_slack_check_per_item(self, tmp_path, monkeypatch, capsys):
         # The pass runs the slack pattern check once on its input, with the
-        # rank it read from its eigendecomposition.  The certification checks
-        # only the rebuilt cone's slack, a different matrix.
+        # rank it read from its eigendecomposition.
         slack = data.pentagon_slack()
         geometry.save_matrix(tmp_path / "m.mat", slack)
         calls, check = [], geometry.slack_pattern_reasons

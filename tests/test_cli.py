@@ -540,6 +540,17 @@ class TestSearchCommand:
         assert transcript["success"] is False
         assert not (workdir / "o" / "p_realization.cone").exists()
 
+    def test_raising_search_removes_earlier_outputs(self, workdir, capsys):
+        # A target rank above the support size raises inside run_pipeline,
+        # before a transcript is written; the earlier success must not stay.
+        search.save_support(workdir / "p.support", data.pentagon_support().bits)
+        code, _, _ = run_cli(capsys, "search", "p.support", "--rank", "3", "--out", "o")
+        assert code == 0 and (workdir / "o" / "p_transcript.json").exists()
+        code, _, err = run_cli(capsys, "search", "p.support", "--rank", "9", "--out", "o")
+        assert code == cli.EXIT_PRECONDITION and "exceeds the support size" in err
+        assert not (workdir / "o" / "p_transcript.json").exists()
+        assert not (workdir / "o" / "p_realization.cone").exists()
+
     def test_not_involutive_exit_2(self, workdir, capsys):
         (workdir / "bad.support").write_text("2\n11\n01\n")
         code, _, err = run_cli(capsys, "search", "bad.support", "--rank", "2")

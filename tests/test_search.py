@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import block_diag
 from scipy.sparse import csgraph
 
-from sdcones import data, dnn, geometry, linalg, patterns, search, selfdual
+from sdcones import analysis, data, dnn, geometry, linalg, patterns, search, selfdual
 from sdcones.errors import ConvergenceError, ParseError, PreconditionError
 
 from conftest import equal_up_to_scaling
@@ -413,7 +413,7 @@ class TestIterationCounts:
         ("pentagon", lambda: data.pentagon_support().bits, 3),
         ("prism", lambda: data.prism_support().bits, 4),
         ("selfpolar10", lambda: data.ten_support().bits, 4),
-        ("gon7", lambda: gon7_support(), 3),
+        ("gon7", lambda: gon_support(7), 3),
         ("four-cycle", lambda: data.four_cycle_support().bits, 3),
     ]
 
@@ -578,8 +578,8 @@ def sequential_retry(pattern, params, verify_tol=search.DEFAULT_VERIFY_TOL):
     return search.RetryResult(matrix=None, success=False, attempts=attempts)
 
 
-def gon7_support() -> np.ndarray:
-    cone = geometry.cone_over_polytope(data.regular_polygon_vertices(7))
+def gon_support(k: int) -> np.ndarray:
+    cone = geometry.cone_over_polytope(data.regular_polygon_vertices(k))
     return patterns.support_of(geometry.slack_matrix(cone).matrix).astype(np.uint8)
 
 
@@ -605,7 +605,7 @@ class TestStackedRetries:
         ("pentagon", lambda: data.pentagon_support().bits, 3),
         ("prism", lambda: data.prism_support().bits, 4),
         ("selfpolar10", lambda: data.ten_support().bits, 4),
-        ("gon7", gon7_support, 3),
+        ("gon7", functools.partial(gon_support, 7), 3),
         ("four-cycle", lambda: data.four_cycle_support().bits, 3),
     ]
 
@@ -824,7 +824,7 @@ class TestPipeline:
             assert res.success
             x = res.retry.matrix
             off = res.pattern.mask & ~np.eye(res.pattern.n, dtype=bool)
-            assert np.abs(x[off]).min() >= search.MIN_STRUCTURAL_ENTRY
+            assert np.abs(x[off]).min() >= 1e-4
             assert np.abs(np.diag(x) - 1.0).max() <= 1e-10
             trailing = np.sort(np.abs(np.linalg.eigvalsh(x)))[::-1][rank:]
             assert trailing.max() < 1e-8
@@ -892,6 +892,44 @@ class TestPipeline:
         assert ref1.converged and ref2.converged
         back = ref2.matrix[np.ix_(np.argsort(tau), np.argsort(tau))]
         assert equal_up_to_scaling(ref1.matrix, back, tol=1e-5)
+
+
+class TestOneCertifier:
+    """search, analyze and certify_psd_slack judge a refined matrix by one
+    rule, so they give one verdict on it."""
+
+    CASES = [("gon17", functools.partial(gon_support, 17), 3, 6)] + [
+        (name, support, rank, seed)
+        for name, support, rank in TestStackedRetries.SUPPORTS[:4]
+        for seed in range(3)
+    ]
+
+    @pytest.mark.parametrize("name,support,rank,seed", CASES,
+                             ids=[f"{c[0]}-seed{c[3]}" for c in CASES])
+    def test_callers_agree_on_every_refined_matrix(self, monkeypatch, name, support,
+                                                   rank, seed):
+        seen = []
+        certify = search.certify
+
+        def recorded(matrix, pattern, d, tol):
+            result = certify(matrix, pattern, d, tol)
+            seen.append((matrix, result[0] is not None))
+            return result
+
+        monkeypatch.setattr(search, "certify", recorded)
+        res = search.run_pipeline(support(), search.SearchParams(target_rank=rank, seed=seed))
+        assert res.success and seen
+        for matrix, searched in seen:
+            report = analysis.analyze_matrix(matrix, rank, dnn.DEFAULT_DNN_TOL, name)
+            analyzed = report.results["selfdual_certification"]["certified"]
+            assert searched == analyzed == selfdual.certify_psd_slack(matrix, rank)[0]
+
+    def test_small_structural_margin_is_reported_not_refused(self):
+        # The 17-gon's first refined matrix has a smallest on-support slack
+        # ratio near 3e-5; it certifies, and the margin stays in the report.
+        res = search.run_pipeline(gon_support(17), search.SearchParams(target_rank=3, seed=6))
+        assert res.retry.winning_attempt == 0
+        assert 1e-5 < res.verification.min_structural_ratio < 1e-4
 
 
 # -- the projection path the SDP and refinement loops used before the lean

@@ -304,3 +304,9 @@ class TestCertifyPsdSlack:
     def test_nonslack_reasons(self, nonslack_extreme):
         ok, detail = selfdual.certify_psd_slack(nonslack_extreme, 4)
         assert not ok and "only 2 zeros" in detail
+
+    def test_negative_entry_is_a_verdict(self, pentagon_slack):
+        m = pentagon_slack.copy()
+        m[0, 2] = m[2, 0] = -0.1
+        ok, detail = selfdual.certify_psd_slack(m, 3)
+        assert not ok and "nonnegative" in detail
