@@ -16,9 +16,9 @@ of subsets; orthogonal_directions, the scan's screen, takes one Householder
 QR per subset.  The projections psd_project, low_rank_project and
 psd_project_min_eig return V diag(w) V^T, in which the sign of each column
 of V cancels exactly, so they skip the sign rule; they take stacks too, so
-the SDP search projects a stack of attempts with one LAPACK call, and each
-matrix of a stack gets the bits it would get alone.  All functions are
-pure; there is no shared mutable state.
+the SDP search and its rank refinement project a stack of attempts with one
+LAPACK call per iteration, and each matrix of a stack gets the bits it would
+get alone.  All functions are pure; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -246,11 +246,12 @@ def null_space(a) -> np.ndarray:
 
 
 def _reconstruct(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """V diag(weights) V^T, symmetrized exactly, for one matrix or a stack.
-    Negating a column of V negates both factors of each of its terms, so the
-    result does not depend on the column signs, bit for bit."""
+    """B = V diag(weights) V^T, symmetrized exactly as 0.5 (B + B^T) into B's
+    own buffer, for one matrix or a stack.  Negating a column of V
+    negates both factors of each of its terms, so the result does not
+    depend on the column signs, bit for bit."""
     b = (vecs * weights[..., None, :]) @ vecs.swapaxes(-1, -2)
-    return 0.5 * (b + b.swapaxes(-1, -2))
+    return np.multiply(0.5, b + b.swapaxes(-1, -2), out=b)
 
 
 def psd_project(a) -> np.ndarray:
@@ -283,6 +284,6 @@ def low_rank_project(a, d: int) -> np.ndarray:
     if d > n:
         raise PreconditionError(f"target rank {d} exceeds matrix size {n}")
     vals, vecs = _eigh(w)
-    kept = np.zeros(vals.shape)
-    kept[..., :d] = np.maximum(vals[..., :d], 0.0)
+    kept = np.maximum(vals, 0.0)
+    kept[..., d:] = 0.0
     return _reconstruct(vecs, kept)

@@ -15,6 +15,7 @@ a failure only ever means "no realization found".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,14 +109,14 @@ class SdpResult:
     iterations: int
 
 
+_identity = functools.cache(lambda n: np.broadcast_to(np.eye(n), (n, n)))  # read-only
+
+
 def _affine_project(x: np.ndarray, on: np.ndarray) -> np.ndarray:
     """Closed-form projection onto {X_ij = 0 off support, X_ii = 1}, of one
-    matrix or of each matrix of a stack."""
-    y = np.zeros(x.shape)
-    np.copyto(y, x, where=on)
-    n = on.shape[0]
-    y.reshape(*y.shape[:-2], n * n)[..., :: n + 1] = 1.0  # a view: y is C-contiguous
-    return y
+    matrix or of each matrix of a stack, as one np.where pass: on marks the
+    free entries, the support off the diagonal, which the loops build once."""
+    return np.where(on, x, _identity(on.shape[-1]))
 
 
 def _objective_weights(on: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -163,18 +164,22 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     Python floats and leaves the stack when it stops or reaches max_iter,
     and the projections treat each matrix of a stack as they treat one
     matrix, so every attempt gets the iterates and the result it would get
-    alone, bit for bit.  Once every attempt has left, one more stacked
-    eigendecomposition, not counted as an iteration, measures each returned
-    matrix's psd_margin.
+    alone, bit for bit.  C / rho is kept until rho changes, and the dual
+    residual is measured only where it is read: on a balancing iteration or
+    once a primal residual is below tolerance.  Once every attempt has left,
+    one more stacked eigendecomposition, not counted as an iteration,
+    measures each returned matrix's psd_margin.
     """
     n = on.shape[0]
     k = c.shape[0]
     weights = c  # the whole stack; c shrinks with the stack
+    free = on > _identity(n)  # the support off the diagonal
     max_iter = params.max_iter
     primal_tol = min(ADMM_PRIMAL_TOL, SDP_PSD_TOL / n)
     final: list = [None] * k  # each attempt's X once it has left the stack
     live = list(range(k))  # the attempts still in the stack, in stack order
-    rho = np.full(k, ADMM_RHO)  # each live attempt's penalty
+    rho = [ADMM_RHO] * k  # each live attempt's penalty
+    c_rho = c / ADMM_RHO  # each live attempt's C / rho
     bounds = [0.0] * k  # each attempt's dual bound tr(C - rho U) once it has left
     stopped = [False] * k
     iterations = [0] * k
@@ -183,33 +188,37 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     it = 0
     while live:
         it += 1
-        x = _affine_project(z - u + c / rho[:, None, None], on)
-        z_next = linalg.psd_project(x + u)
-        u = u + x - z_next
+        x = _affine_project(z - u + c_rho, free)
+        u += x  # U + X, the projection's input
+        z_next = linalg.psd_project(u)
+        u -= z_next
         primal = np.abs(x - z_next).max(axis=(-2, -1)).tolist()
-        change = np.abs(z_next - z).max(axis=(-2, -1)).tolist()
+        balance = it % ADMM_BALANCE_EVERY == 0
+        if balance or min(primal) < primal_tol:
+            change = np.abs(z_next - z).max(axis=(-2, -1)).tolist()
         z = z_next
-        keep, done = [], []
-        for j, (r, dz, penalty) in enumerate(zip(primal, change, rho.tolist())):
-            s = penalty * dz
-            if r < primal_tol and s < ADMM_DUAL_TOL:
+        keep = []
+        for j, r in enumerate(primal):
+            if r < primal_tol and rho[j] * change[j] < ADMM_DUAL_TOL:
                 stopped[live[j]] = True
             elif it < max_iter:
                 keep.append(j)
-                if it % ADMM_BALANCE_EVERY == 0:
+                if balance:
+                    s = rho[j] * change[j]
                     step = 2.0 if r > ADMM_BALANCE_RATIO * s else (
                         0.5 if s > ADMM_BALANCE_RATIO * r else 1.0)
-                    rho[j] *= step
-                    u[j] /= step
+                    if step != 1.0:
+                        rho[j] *= step
+                        u[j] /= step
+                        c_rho[j] = c[j] / rho[j]
                 continue
             iterations[live[j]] = it
-            bounds[live[j]] = float(np.trace(c[j] - penalty * u[j]))
-            done.append(j)
-        if done:
-            for j in done:
-                final[live[j]] = x[j]
+            bounds[live[j]] = float(np.trace(c[j] - rho[j] * u[j]))
+            final[live[j]] = x[j]
+        if len(keep) < len(live):
             live = [live[j] for j in keep]
-            z, u, c, rho = z[keep], u[keep], c[keep], rho[keep]
+            z, u, c, c_rho = z[keep], u[keep], c[keep], c_rho[keep]
+            rho = [rho[j] for j in keep]
 
     # The matrix returned is the last X, affine-feasible by construction.
     _, margins = linalg.psd_project_min_eig(np.stack(final))
@@ -243,7 +252,7 @@ class RefineResult:
 
 def rank_refine(x, d: int, params: SearchParams, pattern: SupportPattern) -> RefineResult:
     """Alternate the rank-d spectral truncation with exact reimposition of
-    the support zeros and the unit diagonal.
+    the support zeros and the unit diagonal: _refine_loop on a stack of one.
 
     Converges when both half-step residuals fall below REFINE_STOP_TOL;
     otherwise the reason is "stagnation" (the residual has not improved by
@@ -255,26 +264,46 @@ def rank_refine(x, d: int, params: SearchParams, pattern: SupportPattern) -> Ref
     every eigenvalue past the d-th is within n * REFINE_STOP_TOL of 0.
     """
     a = linalg.require_symmetric(x)
-    on = pattern.mask
     if a.shape[0] != pattern.n:
         raise PreconditionError("matrix and support sizes disagree")
+    return _refine_loop(a[None], d, params, pattern)[0]
 
-    y = _affine_project(a, on)
-    rank_res: list[float] = []
-    aff_res: list[float] = []
-    for it in range(1, params.max_iter + 1):
+
+def _refine_loop(stack: np.ndarray, d: int, params: SearchParams, pattern: SupportPattern) -> list:
+    """rank_refine on each matrix of a (k, n, n) stack of symmetric matrices
+    in lockstep, one low_rank_project call per iteration; each member leaves
+    the stack on its own stop rule and gets the iterates it would get alone,
+    bit for bit."""
+    free = pattern.mask > _identity(pattern.n)  # the support off the diagonal
+    results: list = [None] * len(stack)
+    live = list(range(len(stack)))  # the members still in the stack, in stack order
+    rank_res, aff_res = [[] for _ in live], [[] for _ in live]
+    y = _affine_project(stack, free)
+    it = 0
+    while live:
+        it += 1
         low = linalg.low_rank_project(y, d)
-        r_rank = float(np.abs(y - low).max())
-        z = _affine_project(low, on)
-        r_aff = float(np.abs(z - low).max())
-        rank_res.append(r_rank)
-        aff_res.append(r_aff)
-        y = z
-        if r_rank < REFINE_STOP_TOL and r_aff < REFINE_STOP_TOL:
-            return RefineResult(y, True, it, rank_res, aff_res)
-        if it > 100 and max(rank_res[-101], aff_res[-101]) - max(r_rank, r_aff) < 1e-16:
-            return RefineResult(y, False, it, rank_res, aff_res, reason="stagnation")
-    return RefineResult(y, False, params.max_iter, rank_res, aff_res, reason="max_iter")
+        r_ranks = np.abs(y - low).max(axis=(-2, -1)).tolist()
+        y = _affine_project(low, free)
+        r_affs = np.abs(y - low).max(axis=(-2, -1)).tolist()
+        keep = []
+        for j, (r_rank, r_aff) in enumerate(zip(r_ranks, r_affs)):
+            i = live[j]
+            ranks, affs = rank_res[i], aff_res[i]
+            ranks.append(r_rank)
+            affs.append(r_aff)
+            if r_rank < REFINE_STOP_TOL and r_aff < REFINE_STOP_TOL:
+                results[i] = RefineResult(y[j], True, it, ranks, affs)
+            elif it > 100 and max(ranks[-101], affs[-101]) - max(r_rank, r_aff) < 1e-16:
+                results[i] = RefineResult(y[j], False, it, ranks, affs, reason="stagnation")
+            elif it == params.max_iter:
+                results[i] = RefineResult(y[j], False, it, ranks, affs, reason="max_iter")
+            else:
+                keep.append(j)
+        if len(keep) < len(live):
+            live = [live[j] for j in keep]
+            y = y[keep]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +369,12 @@ def randomized_retry(
     all, so only a verified cone ends the retries.  The winning attempt's
     realization and verification report come back with the result.
 
-    Attempt 1 runs alone through sdp_feasibility, the rest in stacks of up
-    to _RETRY_STACK through _sdp_loop; a stack whose solve raises reruns its
-    attempts one at a time through sdp_feasibility, lazily, so an error
-    surfaces at the attempt that raises it.  A stack's weights are the same
-    draws from the stream as one (n, n) draw per attempt, and its attempts
-    are refined, recorded and certified in index order up to the first
-    certified one, so the transcript is the one a loop of one
-    sdp_feasibility call per attempt writes.
+    Attempt 1 runs alone, the rest in stacks of up to _RETRY_STACK that are
+    solved and refined in lockstep (_solve_stack).  A stack's weights are the
+    same draws from the stream as one (n, n) draw per attempt, and its
+    attempts are recorded and certified in index order up to the first
+    certified one, so the transcript is the one a loop of one sdp_feasibility
+    and one rank_refine call per attempt writes.
     """
     rng = np.random.default_rng(params.seed)
     n = pattern.n
@@ -356,15 +383,7 @@ def randomized_retry(
     while index < params.retries:
         k = min(_RETRY_STACK, params.retries - index) if index else 1
         weights = rng.uniform(0.5, 1.5, size=(k, n, n))
-        if k == 1:
-            sdps = [sdp_feasibility(pattern, weights[0], params)]
-        else:
-            try:
-                sdps = _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
-            except (ConvergenceError, PreconditionError):
-                sdps = (sdp_feasibility(pattern, w, params) for w in weights)
-        for sdp in sdps:
-            refined = rank_refine(sdp.matrix, params.target_rank, params, pattern)
+        for sdp, refined in _solve_stack(pattern, weights, params):
             record = AttemptRecord(
                 index=index,
                 sdp_converged=sdp.converged,
@@ -387,6 +406,26 @@ def randomized_retry(
                 if record.certified:
                     return RetryResult(refined.matrix, True, attempts, real, report)
     return RetryResult(matrix=None, success=False, attempts=attempts)
+
+
+def _solve_stack(pattern: SupportPattern, weights: np.ndarray, params: SearchParams):
+    """(SDP result, refinement) per attempt of a (k, n, n) stack of weight
+    draws, in index order, from _sdp_loop and _refine_loop.  A stack of one,
+    or a step that raises on a stack, runs lazily one attempt at a time."""
+    d = params.target_rank
+    if len(weights) > 1:
+        try:
+            sdps = _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
+        except (ConvergenceError, PreconditionError):
+            pass
+        else:
+            try:
+                refined = _refine_loop(np.stack([s.matrix for s in sdps]), d, params, pattern)
+            except (ConvergenceError, PreconditionError):
+                refined = (rank_refine(s.matrix, d, params, pattern) for s in sdps)
+            return zip(sdps, refined)
+    sdps = (sdp_feasibility(pattern, w, params) for w in weights)
+    return ((s, rank_refine(s.matrix, d, params, pattern)) for s in sdps)
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,132 @@ class TestAdmmProperties:
             assert (res.converged, res.iterations) == (alone.converged, alone.iterations)
 
 
+# -- the ADMM and refinement loops before lean iterations and lockstep
+# -- refinement, kept as oracles ---------------------------------------------
+
+def oracle_stacked_affine_project(x, on):
+    y = np.zeros(x.shape)
+    np.copyto(y, x, where=on)
+    n = on.shape[0]
+    y.reshape(*y.shape[:-2], n * n)[..., :: n + 1] = 1.0
+    return y
+
+
+def oracle_sdp_loop(on, c, params):
+    """search._sdp_loop as it was: c / rho and the dual residual on every
+    iteration, rho as an array, U rescaled by every balancing step."""
+    n = on.shape[0]
+    k = c.shape[0]
+    weights = c
+    max_iter = params.max_iter
+    primal_tol = min(search.ADMM_PRIMAL_TOL, search.SDP_PSD_TOL / n)
+    final = [None] * k
+    live = list(range(k))
+    rho = np.full(k, search.ADMM_RHO)
+    bounds = [0.0] * k
+    stopped = [False] * k
+    iterations = [0] * k
+    z = np.broadcast_to(np.eye(n), c.shape)
+    u = np.zeros(c.shape)
+    it = 0
+    while live:
+        it += 1
+        x = oracle_stacked_affine_project(z - u + c / rho[:, None, None], on)
+        z_next = linalg.psd_project(x + u)
+        u = u + x - z_next
+        primal = np.abs(x - z_next).max(axis=(-2, -1)).tolist()
+        change = np.abs(z_next - z).max(axis=(-2, -1)).tolist()
+        z = z_next
+        keep, done = [], []
+        for j, (r, dz, penalty) in enumerate(zip(primal, change, rho.tolist())):
+            s = penalty * dz
+            if r < primal_tol and s < search.ADMM_DUAL_TOL:
+                stopped[live[j]] = True
+            elif it < max_iter:
+                keep.append(j)
+                if it % search.ADMM_BALANCE_EVERY == 0:
+                    step = 2.0 if r > search.ADMM_BALANCE_RATIO * s else (
+                        0.5 if s > search.ADMM_BALANCE_RATIO * r else 1.0)
+                    rho[j] *= step
+                    u[j] /= step
+                continue
+            iterations[live[j]] = it
+            bounds[live[j]] = float(np.trace(c[j] - penalty * u[j]))
+            done.append(j)
+        if done:
+            for j in done:
+                final[live[j]] = x[j]
+            live = [live[j] for j in keep]
+            z, u, c, rho = z[keep], u[keep], c[keep], rho[keep]
+    _, margins = linalg.psd_project_min_eig(np.stack(final))
+    results = []
+    for i, margin in enumerate(margins.tolist()):
+        objective = float((weights[i] * final[i]).sum())
+        results.append(search.SdpResult(
+            matrix=final[i],
+            objective=objective,
+            duality_gap=abs(bounds[i] - objective) / max(1.0, abs(objective)),
+            psd_margin=margin,
+            converged=stopped[i] and margin >= -search.SDP_PSD_TOL,
+            iterations=iterations[i],
+        ))
+    return results
+
+
+def oracle_rank_refine(x, d, params, pattern):
+    """search.rank_refine as it was: one matrix at a time."""
+    a = linalg.require_symmetric(x)
+    on = pattern.mask
+    y = oracle_stacked_affine_project(a, on)
+    rank_res, aff_res = [], []
+    for it in range(1, params.max_iter + 1):
+        low = linalg.low_rank_project(y, d)
+        r_rank = float(np.abs(y - low).max())
+        z = oracle_stacked_affine_project(low, on)
+        r_aff = float(np.abs(z - low).max())
+        rank_res.append(r_rank)
+        aff_res.append(r_aff)
+        y = z
+        if r_rank < search.REFINE_STOP_TOL and r_aff < search.REFINE_STOP_TOL:
+            return search.RefineResult(y, True, it, rank_res, aff_res)
+        if it > 100 and max(rank_res[-101], aff_res[-101]) - max(r_rank, r_aff) < 1e-16:
+            return search.RefineResult(y, False, it, rank_res, aff_res, reason="stagnation")
+    return search.RefineResult(y, False, params.max_iter, rank_res, aff_res, reason="max_iter")
+
+
+def sdp_bits(res) -> tuple:
+    return (bits_of(res.matrix), bits_of(res.objective), bits_of(res.duality_gap),
+            bits_of(res.psd_margin), res.iterations, res.converged)
+
+
+def refine_bits(res) -> tuple:
+    return (bits_of(res.matrix), bits_of(res.rank_residuals), bits_of(res.affine_residuals),
+            res.reason, res.iterations, res.converged)
+
+
+class TestLeanLoops:
+    """The lean ADMM iterations and the lockstep refinement give the
+    iterates of the loops they replace, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_supports(), st.sampled_from([1, 5, 40, 2000]), st.data())
+    def test_bitwise_equal_to_the_oracles(self, case, max_iter, draw):
+        pattern, weights = case
+        on = pattern.mask
+        d = draw.draw(st.integers(1, pattern.n))
+        params = search.SearchParams(target_rank=d, max_iter=max_iter)
+        c = search._objective_weights(on, weights)
+        sdps = search._sdp_loop(on, c, params)
+        expected = oracle_sdp_loop(on, c.copy(), params)
+        assert [sdp_bits(r) for r in sdps] == [sdp_bits(r) for r in expected]
+        stack = np.stack([r.matrix for r in sdps])
+        refined = search._refine_loop(stack, d, params, pattern)
+        alone = [search.rank_refine(m, d, params, pattern) for m in stack]
+        oracle = [oracle_rank_refine(m, d, params, pattern) for m in stack]
+        assert ([refine_bits(r) for r in refined] == [refine_bits(r) for r in alone]
+                == [refine_bits(r) for r in oracle])
+
+
 class TestIterationCounts:
     """Every attempt of a bench support, all 20 weight draws at three seeds,
     stays well inside max_iter: a count guard against a slow tail coming
@@ -746,6 +872,105 @@ class TestStackedRetries:
                 data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5)
             )
         assert calls["weights"] == 3
+
+    @staticmethod
+    def _counted_projections(monkeypatch):
+        """Record the leading shape of every psd_project and low_rank_project
+        call, by name."""
+        shapes = {"psd_project": [], "low_rank_project": []}
+
+        def counted(name, fn):
+            def wrapper(a, *args):
+                shapes[name].append(np.shape(a)[0])
+                return fn(a, *args)
+            return wrapper
+
+        for name in shapes:
+            monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+        return shapes
+
+    def test_one_refinement_projection_per_lockstep_iteration(self, monkeypatch):
+        # Four-cycle, seed 5: attempt 1 refines alone in 7 iterations, then
+        # the other 19 refine as one stack that shrinks as members stop, one
+        # low_rank_project call per iteration of the slowest (8), where one
+        # attempt at a time makes one per attempt iteration (94).
+        shapes = self._counted_projections(monkeypatch)
+        res = search.randomized_retry(
+            data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5))
+        iterations = [a.refine_iterations for a in res.attempts]
+        assert len(iterations) == 20 and iterations[0] == 7
+        assert shapes["low_rank_project"] == [1] * 7 + [19, 15, 14, 13, 12, 11, 6, 4]
+        assert len(shapes["low_rank_project"]) - 7 == max(iterations[1:]) == 8
+        assert sum(iterations[1:]) == 94
+        # The pentagon wins at attempt 1: 65 SDP iterations, 9 refinements.
+        shapes = self._counted_projections(monkeypatch)
+        res = search.randomized_retry(
+            data.pentagon_support(), search.SearchParams(target_rank=3, seed=5))
+        assert res.winning_attempt == 0
+        assert (len(shapes["psd_project"]), len(shapes["low_rank_project"])) == (65, 9)
+
+    def test_refinement_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
+        # Every refinement stack of more than one attempt fails; the stacked
+        # SDP results are refined one at a time instead, one rank_refine call
+        # per recorded attempt, and the transcript does not change.
+        low_rank_project = linalg.low_rank_project
+        refine = search.rank_refine
+        stacks = []
+
+        def fail_on_stacks(a, d):
+            if np.ndim(a) > 2 and len(a) > 1:
+                stacks.append(np.shape(a))
+                raise ConvergenceError("eigh did not converge")
+            return low_rank_project(a, d)
+
+        def counted_refine(x, d, params, pattern):
+            refines.append(np.shape(x))
+            return refine(x, d, params, pattern)
+
+        for name, support, rank in self.SUPPORTS:
+            bits = support()
+            for seed in (0, 5):
+                params = search.SearchParams(target_rank=rank, seed=seed)
+                expected = pipeline_bits(search.run_pipeline(bits, params))
+                refines = []
+                with monkeypatch.context() as mp:
+                    mp.setattr(linalg, "low_rank_project", fail_on_stacks)
+                    mp.setattr(search, "rank_refine", counted_refine)
+                    result = search.run_pipeline(bits, params)
+                assert pipeline_bits(result) == expected
+                assert len(refines) == len(result.retry.attempts)
+        assert stacks
+
+    def test_refinement_error_surfaces_at_its_attempt(self, monkeypatch):
+        # The refinement stack fails, and so does every refinement from the
+        # third attempt on: attempts 1 and 2 are recorded and certified
+        # before the error of attempt 3 surfaces, as in the sequential loop.
+        low_rank_project = linalg.low_rank_project
+        refine = search.rank_refine
+        certify = search.certify
+        calls = {"refine": 0, "certify": 0}
+
+        def counted_refine(x, d, params, pattern):
+            calls["refine"] += 1
+            return refine(x, d, params, pattern)
+
+        def counted_certify(*args):
+            calls["certify"] += 1
+            return certify(*args)
+
+        def failing(a, d):
+            if (np.ndim(a) > 2 and len(a) > 1) or calls["refine"] >= 3:
+                raise ConvergenceError("eigh did not converge")
+            return low_rank_project(a, d)
+
+        monkeypatch.setattr(search, "rank_refine", counted_refine)
+        monkeypatch.setattr(search, "certify", counted_certify)
+        monkeypatch.setattr(linalg, "low_rank_project", failing)
+        with pytest.raises(ConvergenceError, match="eigh"):
+            search.randomized_retry(
+                data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5)
+            )
+        assert calls == {"refine": 3, "certify": 2}
 
     def test_stacked_draws_are_the_sequential_draws(self):
         for k in range(1, 33):
