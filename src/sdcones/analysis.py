@@ -4,7 +4,7 @@ analyze_matrix takes one eigendecomposition of the matrix and shares it
 with every test: the rank (read from the absolute eigenvalues by linalg's one
 rank rule), the PSD and DNN tests, the slack pattern check (handed that
 rank), the DNN extremality test and the factor cone of the self-duality
-certification; and one support_of mask with every support test.  It
+certification; and one patterns.slack_support mask with every support test.  It
 certifies the matrix's DNN extremality once; the verdicts and the 5x5 label
 read that certificate, through the rules dnn keeps for them.  The report is
 built from JSON-ready values (Python scalars, strings, lists and dicts with
@@ -75,10 +75,10 @@ def _json_ready(obj):
 
 
 def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> AnalysisReport:
-    """Report on a nonnegative symmetric matrix as a candidate PSD slack of a
-    self-dual cone in R^d, judged at relative tolerance tol.  An empty
-    matrix, a d below 1 or a tol that is not finite and positive raises
-    PreconditionError."""
+    """Report on a symmetric matrix as a candidate PSD slack of a self-dual
+    cone in R^d, judged at relative tolerance tol.  An empty matrix, a
+    negative entry on its patterns.slack_support, a d below 1 or a tol that
+    is not finite and positive raises PreconditionError."""
     if d < 1:
         raise PreconditionError(f"rank must be >= 1, got {d}")
     if not (math.isfinite(tol) and tol > 0.0):
@@ -86,8 +86,9 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     m = linalg.require_symmetric(matrix)
     if m.size == 0:
         raise PreconditionError("analyze expects a nonempty matrix")
-    if m.min() < 0.0:
-        raise PreconditionError("analyze expects a nonnegative matrix")
+    support = patterns.slack_support(m)
+    # Entries off the support count as zeros, so the DNN test is the PSD test.
+    nonneg = np.where(support, m, 0.0)
     n = m.shape[0]
     results: dict = {}
 
@@ -95,8 +96,7 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     rank = eig.rank()
     results["rank"] = {"value": rank, "provenance": "numerical"}
 
-    # m >= 0 was checked above, so dnn's DNN test is the PSD test.
-    is_psd = dnn._is_dnn(m, eig, tol)
+    is_psd = dnn._is_dnn(nonneg, eig, tol)
     results["psd"] = {
         "value": bool(is_psd),
         "min_eigenvalue": float(eig.values[-1]),
@@ -104,7 +104,6 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     }
     results["dnn"] = {"value": bool(is_psd), "provenance": "numerical"}
 
-    support = patterns.support_of(m)
     reasons = geometry.slack_pattern_reasons(m, d, rank=rank, support=support)
     slack_ok = not reasons
     results["slack_check"] = {
@@ -120,7 +119,7 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
 
     certified, detail = False, "matrix is not PSD"
     if is_psd:
-        rep = dnn._extremality(m, eig, support, tol)
+        rep = dnn._extremality(nonneg, eig, support, tol)
         borderline = rep.borderline  # JSON object keys are strings
         if borderline is not None:
             borderline = {str(k): v for k, v in borderline.items()}

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConvergenceError, ParseError, PreconditionError
-from .patterns import support_of
+from .patterns import slack_support
 
 # Two directions count as the same ray when their cosine reaches this.
 DUPLICATE_COSINE = 1.0 - 1e-9
@@ -100,7 +100,7 @@ class PolyhedralCone:
 @dataclass
 class SlackMatrix:
     """Inner products between cone generators (rows) and dual generators
-    (columns), the entries outside patterns.support_of set to exact zero."""
+    (columns), the entries outside patterns.slack_support set to exact zero."""
 
     matrix: np.ndarray
     cone_dim: int
@@ -283,38 +283,26 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
     """Slack matrix of a pointed full-dimensional cone: one row per
     generator, one column per facet.
 
-    Entry (i, j) is the inner product of generator i with dual generator j;
-    clamped_slack sets the entries outside its support_of to exact zero, so
-    pattern logic can compare supports without tolerance bookkeeping.  Every
-    generator must be an extreme ray, judged against the one facet scan the
-    slack is built from: PreconditionError for facet_normals' reasons, when
-    no generator is extreme, with a count of those that are not, or for
-    clamped_slack's reasons.
+    Entry (i, j) is the inner product of generator i with dual generator j,
+    set to exact zero outside patterns.slack_support, so pattern logic can
+    compare supports without tolerance bookkeeping.  Every generator must be
+    an extreme ray, judged against the one facet scan the slack is built
+    from: PreconditionError for facet_normals' reasons, when no generator is
+    extreme, with a count of those that are not, or for the reasons of
+    slack_support and slack_pattern_reasons.
     """
     gens = cone.generators
     normals = facet_normals(cone, tol)
     dropped = int((~_extreme_mask(gens, normals, tol)).sum())
     if dropped:
         raise PreconditionError(f"{dropped} generator(s) are not extreme rays")
-    return SlackMatrix(clamped_slack(gens @ normals.T, cone.dim), cone.dim)
-
-
-def clamped_slack(m: np.ndarray, d: int) -> np.ndarray:
-    """Generator-by-facet products of a cone in R^d with the entries outside
-    support_of(m) set to zero, so the result > 0 is its support.
-    PreconditionError when an entry inside it is negative, or unless the
-    result passes slack_pattern_reasons."""
-    on = support_of(m)
-    if (m[on] < 0.0).any():
-        raise PreconditionError(
-            f"negative slack entry {m.min():.3e}; generators are not extreme "
-            "rays of a pointed cone at this tolerance"
-        )
+    m = gens @ normals.T
+    on = slack_support(m)
     m = np.where(on, m, 0.0)
-    reasons = slack_pattern_reasons(m, d, support=on)
+    reasons = slack_pattern_reasons(m, cone.dim, support=on)
     if reasons:
         raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
-    return m
+    return SlackMatrix(m, cone.dim)
 
 
 def slack_pattern_reasons(
@@ -324,18 +312,16 @@ def slack_pattern_reasons(
     rank: int | None = None,
     support: np.ndarray | None = None,
 ) -> list[str]:
-    """Why a nonnegative matrix cannot be a slack matrix in R^d (no reasons
-    when it passes): the checks of slack_necessary_check, without rank and
-    zeros per row when d is None.  rank is m's numeric rank when the caller
-    has read it from a decomposition it holds; otherwise an SVD takes it.
-    support is support_of(m) when the caller has taken it already.
-    Negative entries raise PreconditionError.
+    """Why a candidate slack matrix cannot be a slack matrix in R^d (no
+    reasons when it passes): the checks of slack_necessary_check, without
+    rank and zeros per row when d is None.  rank is m's numeric rank when the
+    caller has read it from a decomposition it holds; otherwise an SVD takes
+    it.  support is patterns.slack_support(m), taken here (and raising its
+    PreconditionError) unless the caller has taken it already.
     """
     if m.size == 0:
         return ["empty matrix"]
-    if m.min() < 0.0:
-        raise PreconditionError("slack candidates must be nonnegative")
-    nz = support_of(m) if support is None else support
+    nz = slack_support(m) if support is None else support
     reasons: list[str] = []
     if d is not None:
         r = linalg.numeric_rank(m) if rank is None else rank
@@ -525,6 +511,8 @@ def _load_numeric(path, kind: str) -> np.ndarray:
         raise ParseError(
             f"{kind} file {path}: expected {count} rows, found {len(raw) - 1}"
         )
+    if width < 0:
+        raise ParseError(f"{kind} file {path}: bad header {raw[0]!r}")
     rows = []
     for ln in raw[1:]:
         parts = ln.split()
@@ -537,4 +525,4 @@ def _load_numeric(path, kind: str) -> np.ndarray:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{kind} file {path}: bad value in {ln!r}") from exc
-    return np.asarray(rows, dtype=float)
+    return np.asarray(rows, dtype=float).reshape(count, width)

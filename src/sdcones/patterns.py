@@ -3,7 +3,9 @@ column permutations of a 0/1 matrix.  Every support comparison in the package
 uses support_of but one: selfdual.certify_slack compares a cone's aligned
 slack with its target support by ratios to the largest entry at the caller's
 tolerance, since a certified slack's off-support entries need only be that
-small, not below SUPPORT_CLAMP."""
+small, not below SUPPORT_CLAMP.  slack_support is the one sign rule for a
+candidate slack; every check of one takes its mask from it.  A SlackMatrix
+is zero off that mask and positive on it, so find_psd_scaling reads m > 0."""
 
 from __future__ import annotations
 
@@ -31,6 +33,16 @@ def support_of(a) -> np.ndarray:
     if scale <= 0.0:
         return np.zeros(m.shape, dtype=bool)
     return m > SUPPORT_CLAMP * scale
+
+
+def slack_support(a) -> np.ndarray:
+    """support_of(a) of a candidate slack matrix; PreconditionError when an
+    entry on it is negative.  Entries off it count as zeros whatever their
+    sign."""
+    on = support_of(a)  # coerces a and refuses non-finite entries
+    if (np.asarray(a, dtype=float)[on] < 0.0).any():
+        raise PreconditionError("matrix must be entrywise nonnegative")
+    return on
 
 
 def is_connected(mask: np.ndarray) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry, linalg, selfdual
 from .errors import ConvergenceError, ParseError, PreconditionError
-from .patterns import SupportPattern, involution_permutations, support_of
+from .patterns import SupportPattern, involution_permutations, slack_support, support_of
 
 REFINE_STOP_TOL = 1e-12
 SDP_PSD_TOL = 1e-9  # a converged SDP matrix has smallest eigenvalue >= -this
@@ -459,9 +459,7 @@ def extract_realization(x, d: int) -> Realization:
     a = linalg.require_symmetric(x)
     if a.size == 0:
         raise PreconditionError("Gram matrix is empty")
-    mask = support_of(a)
-    if (a[mask] < 0.0).any():
-        raise PreconditionError("matrix must be entrywise nonnegative")
+    mask = slack_support(a)
     factor = geometry._spectral_factor(linalg.sym_eigen(a), d)
     gram = factor @ factor.T
     off_zero = ~mask
@@ -581,4 +579,4 @@ def load_support(path) -> np.ndarray:
                 f"support file {path}: rows must be {n} characters of 0/1"
             )
         rows.append([int(ch) for ch in ln])
-    return np.asarray(rows, dtype=np.uint8)
+    return np.asarray(rows, dtype=np.uint8).reshape(n, n)

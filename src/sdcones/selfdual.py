@@ -23,7 +23,8 @@ import numpy as np
 
 from . import geometry, linalg
 from .errors import PreconditionError
-from .patterns import involution_permutations, is_connected, spanning_forest, support_of
+from .patterns import (
+    involution_permutations, is_connected, slack_support, spanning_forest, support_of)
 
 # A certificate's PSD matrix may dip this far below zero, relative to its
 # largest entry, and still count as positive semidefinite.
@@ -81,10 +82,10 @@ def _solve_scaling(n_mat: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
 
 def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     """Search for a row permutation and positive column scaling making the
-    slack PSD.  slack is a matrix, checked by geometry.slack_pattern_reasons,
-    or a geometry.SlackMatrix from geometry.slack_matrix, which has passed
-    that check at its cone's dimension already and is not checked again;
-    its entries outside support_of are exact zeros, so its support is m > 0.
+    slack PSD.  slack is a matrix, checked by slack_support and
+    geometry.slack_pattern_reasons, or a geometry.SlackMatrix, which
+    geometry.slack_matrix has checked at its cone's dimension already; its
+    support is m > 0, as the patterns module explains.
 
     Permutations are tried as patterns.involution_permutations yields them,
     in lexicographic order, and the search stops at the first certificate,
@@ -100,7 +101,7 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
         z = m > 0.0
     else:
         m = linalg.as_matrix(slack)
-        z = support_of(m)
+        z = slack_support(m)
         reasons = geometry.slack_pattern_reasons(m, support=z)  # the checks that need no d
         if reasons:
             raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
@@ -206,11 +207,11 @@ def certify_psd_slack(matrix, d: int) -> tuple[bool, str]:
     is a slack matrix of a self-dual cone in R^d: the matrix must pass the
     slack pattern check at d, and certify_slack must certify the cone of its
     top-d spectral factor against its support.  A matrix that is not
-    symmetric or has a negative entry gets (False, why) like any other.
+    symmetric or has a negative entry on its support gets (False, why).
     """
     matrix = linalg.as_matrix(matrix)
-    support = support_of(matrix)
     try:
+        support = slack_support(matrix)
         eig = linalg.sym_eigen(matrix)
         reasons = geometry.slack_pattern_reasons(
             matrix, d, rank=eig.rank(), support=support)
@@ -224,7 +225,7 @@ def certify_psd_slack(matrix, d: int) -> tuple[bool, str]:
 def _factor_cone_verdict(
     eig: linalg.EigenDecomposition, support: np.ndarray, d: int
 ) -> tuple[bool, str]:
-    """certify_psd_slack on a matrix with this decomposition and support_of
+    """certify_psd_slack on a matrix with this decomposition and slack_support
     that has passed the slack pattern check at d: certify_slack at
     DEFAULT_FACET_TOL on the cone of its top-d spectral factor."""
     try:

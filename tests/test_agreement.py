@@ -1,0 +1,78 @@
+"""Modules that judge the same candidate slack must agree on it.
+
+Every entry point that takes a candidate slack matrix reads its signs by one
+rule, patterns.slack_support: an entry at most SUPPORT_CLAMP times the
+largest counts as a zero whatever its sign, and a negative entry beyond that
+refuses the matrix, with one message.  Each bundled PSD slack below gets one
+symmetric pair of its zeros set to -c times its largest entry, and five
+callers from four modules must accept it exactly when c is at most
+SUPPORT_CLAMP.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from sdcones import analysis, data, dnn, geometry, patterns, search, selfdual
+from sdcones.errors import PreconditionError
+
+REFUSAL = "matrix must be entrywise nonnegative"
+
+SLACKS = {
+    "pentagon": (data.pentagon_slack(), 3),
+    "prism": (data.prism_slack(), 4),
+    "congruence_b": (data.congruence_triple()[1], 4),
+}
+# Below, near and above SUPPORT_CLAMP = 1e-10, and far above it.
+RATIOS = [1e-17, 1e-12, 5e-11, 2e-10, 1e-3]
+
+
+def realizes(m: np.ndarray, d: int, pattern: patterns.SupportPattern) -> bool:
+    return search.verify_realization(search.extract_realization(m, d), pattern).passed
+
+
+CALLERS = {
+    "slack_necessary_check": lambda m, d, _: geometry.slack_necessary_check(m, d)[0],
+    "find_psd_scaling": lambda m, d, _: selfdual.find_psd_scaling(m) is not None,
+    "certify_psd_slack": lambda m, d, _: selfdual.certify_psd_slack(m, d)[0],
+    "analyze_matrix": lambda m, d, _: analysis.analyze_matrix(
+        m, d, dnn.DEFAULT_DNN_TOL, "m.mat").results["selfdual_certification"]["certified"],
+    "extract_and_verify": realizes,
+}
+
+
+def perturbed(name: str, c: float) -> tuple[np.ndarray, int, patterns.SupportPattern]:
+    """The named slack with its first upper-triangle zero and its mirror set
+    to -c times the largest entry, its rank and its unperturbed support."""
+    m, d = SLACKS[name]
+    i, j = np.argwhere(np.triu(m == 0.0))[0]
+    x = m.copy()
+    x[i, j] = x[j, i] = -c * m.max()
+    return x, d, patterns.SupportPattern.from_matrix(m)
+
+
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+@pytest.mark.parametrize("c", RATIOS)
+@pytest.mark.parametrize("name", sorted(SLACKS))
+def test_one_sign_rule(name, c, caller):
+    m, d, pattern = perturbed(name, c)
+    run = CALLERS[caller]
+    if c <= patterns.SUPPORT_CLAMP:
+        assert run(m, d, pattern)
+    elif caller == "certify_psd_slack":
+        assert selfdual.certify_psd_slack(m, d) == (False, REFUSAL)
+    else:
+        with pytest.raises(PreconditionError) as info:
+            run(m, d, pattern)
+        assert str(info.value) == REFUSAL
+
+
+def test_analyze_counts_entries_off_the_support_as_zeros_at_any_tol():
+    # The orthant's slack with one pair of zeros at -5e-11: off the support,
+    # so a zero, even at a tol below SUPPORT_CLAMP.
+    m = np.eye(4)
+    m[0, 1] = m[1, 0] = -5e-11
+    results = analysis.analyze_matrix(m, 4, 1e-12, "m.mat").results
+    assert results["psd"]["value"] and results["dnn"]["value"]
+    assert results["selfdual_certification"]["certified"]

@@ -51,8 +51,10 @@ def _parent_json_ready(obj):
 def parent_analyze_json(matrix: np.ndarray, d: int, tol: float, origin: str) -> str:
     """The old CLI analysis pass, returning its report's to_json() text."""
     m = linalg.require_symmetric(matrix)
-    if m.min() < 0.0:
-        raise PreconditionError("analyze expects a nonnegative matrix")
+    # Entries at most SUPPORT_CLAMP times the largest are zeros whatever
+    # their sign; a negative entry beyond that refuses the matrix.
+    if (m < -patterns.SUPPORT_CLAMP * np.abs(m).max(initial=0.0)).any():
+        raise PreconditionError("matrix must be entrywise nonnegative")
     n = m.shape[0]
     results: dict = {}
 
@@ -260,7 +262,7 @@ def support_calls(monkeypatch) -> list:
         calls.append(np.shape(a))
         return support_of(a)
 
-    for module in (dnn, geometry, patterns, selfdual):
+    for module in (dnn, patterns, selfdual):
         monkeypatch.setattr(module, "support_of", counted)
     return calls
 

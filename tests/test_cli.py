@@ -759,6 +759,32 @@ class TestUnreadableInputs:
         assert out == ""
         assert ("is empty" if empty else "cannot read") in err
 
+    @pytest.mark.parametrize("name, text, argv, message", [
+        ("c.cone", "3 0", ["verify"], "a cone needs at least one generator"),
+        ("c.cone", "3 0", ["dual"], "a cone needs at least one generator"),
+        ("c.cone", "3 0", ["slack"], "a cone needs at least one generator"),
+        ("m.mat", "0 0", ["analyze", "--rank", "3"], "analyze expects a nonempty matrix"),
+        ("p.support", "0", ["search", "--rank", "3"],
+         "target rank 3 exceeds the support size 0"),
+    ])
+    def test_header_without_rows_reaches_the_command_exit_2(
+        self, workdir, capsys, name, text, argv, message
+    ):
+        (workdir / name).write_text(text + "\n")
+        code, out, err = run_cli(capsys, argv[0], name, *argv[1:])
+        assert code == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert err == f"precondition failure: {message}\n"
+
+    @pytest.mark.parametrize("name, text", [("c.cone", "-1 0"), ("m.mat", "0 -1")])
+    def test_negative_width_without_rows_exit_4(self, workdir, capsys, name, text):
+        (workdir / name).write_text(text + "\n")
+        cmd = ["verify"] if name.endswith(".cone") else ["analyze", "--rank", "3"]
+        code, out, err = run_cli(capsys, cmd[0], name, *cmd[1:])
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert f"bad header {text!r}" in err
+
 
 def scaled_pentagon(how: str) -> np.ndarray:
     rays = data.pentagon_rays()

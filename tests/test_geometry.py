@@ -680,8 +680,8 @@ class TestSlackMatrix:
 
 
 class TestZeroRule:
-    """Slack zeros and negative entries follow patterns.support_of, relative
-    to the largest entry, not an absolute threshold."""
+    """Slack zeros and negative entries follow patterns.slack_support,
+    relative to the largest entry, not an absolute threshold."""
 
     @staticmethod
     def half_pentagon(entry: float) -> np.ndarray:
@@ -693,13 +693,13 @@ class TestZeroRule:
         return m
 
     def test_small_entry_above_the_relative_threshold_is_not_zero(self):
-        with pytest.raises(PreconditionError,
-                           match="row 0 has only 1 zeros, need at least 2"):
-            geometry.clamped_slack(self.half_pentagon(7e-11), 3)
+        ok, reasons = geometry.slack_necessary_check(self.half_pentagon(7e-11), 3)
+        assert not ok
+        assert "row 0 has only 1 zeros, need at least 2" in reasons
 
     def test_small_negative_entry_above_the_relative_threshold_raises(self):
-        with pytest.raises(PreconditionError, match="negative slack entry"):
-            geometry.clamped_slack(self.half_pentagon(-7e-11), 3)
+        with pytest.raises(PreconditionError, match="must be entrywise nonnegative"):
+            geometry.slack_necessary_check(self.half_pentagon(-7e-11), 3)
 
 
 class TestSlackNecessaryCheck:

@@ -140,8 +140,8 @@ class TestIsSelfDual:
         assert certified == KGON11_PERTURBABLE
 
     def test_one_support_mask_per_call(self, monkeypatch):
-        # clamped_slack takes the mask; the pattern check and the scaling
-        # search reuse it.
+        # slack_matrix takes the mask from patterns.slack_support; the
+        # pattern check and the scaling search reuse it.
         cone = geometry.cone_over_polytope(data.regular_polygon_vertices(11))
         calls = []
         support_of = patterns.support_of
@@ -150,7 +150,7 @@ class TestIsSelfDual:
             calls.append(np.shape(a))
             return support_of(a)
 
-        for module in (geometry, selfdual, patterns):
+        for module in (selfdual, patterns):
             monkeypatch.setattr(module, "support_of", counted)
         ok, _ = selfdual.is_self_dual(cone)
         assert ok
