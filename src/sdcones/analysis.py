@@ -2,9 +2,10 @@
 
 analyze_matrix takes one eigendecomposition of the matrix and shares it
 with every test: the rank (read from the absolute eigenvalues by linalg's one
-rank rule), the PSD and DNN tests, the slack pattern check (handed that
-rank), the DNN extremality test and the factor cone of the self-duality
-certification; and one patterns.slack_support mask with every support test.  It
+rank rule), the PSD test (EigenDecomposition.is_psd), the slack pattern
+check (handed that rank), the DNN extremality test and the factor cone of the
+self-duality verdict, selfdual._psd_slack_verdict, which certify_psd_slack
+gives too; and one patterns.slack_support mask with every support test.  It
 certifies the matrix's DNN extremality once; the verdicts and the 5x5 label
 read that certificate, through the rules dnn keeps for them.  The report is
 built from JSON-ready values (Python scalars, strings, lists and dicts with
@@ -87,8 +88,6 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     if m.size == 0:
         raise PreconditionError("analyze expects a nonempty matrix")
     support = patterns.slack_support(m)
-    # Entries off the support count as zeros, so the DNN test is the PSD test.
-    nonneg = np.where(support, m, 0.0)
     n = m.shape[0]
     results: dict = {}
 
@@ -96,7 +95,8 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     rank = eig.rank()
     results["rank"] = {"value": rank, "provenance": "numerical"}
 
-    is_psd = dnn._is_dnn(nonneg, eig, tol)
+    # slack_support refused every entry is_dnn's sign test would: DNN is PSD.
+    is_psd = eig.is_psd(float(np.abs(m).max()), tol)
     results["psd"] = {
         "value": bool(is_psd),
         "min_eigenvalue": float(eig.values[-1]),
@@ -105,9 +105,8 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     results["dnn"] = {"value": bool(is_psd), "provenance": "numerical"}
 
     reasons = geometry.slack_pattern_reasons(m, d, rank=rank, support=support)
-    slack_ok = not reasons
     results["slack_check"] = {
-        "value": bool(slack_ok),
+        "value": not reasons,
         "reasons": reasons,
         "provenance": "pattern",
     }
@@ -117,25 +116,21 @@ def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> Analy
     results["irreducible"] = {"value": bool(irreducible), "provenance": "support-graph"}
     results["simplicial"] = {"value": bool(simplicial), "provenance": "pattern"}
 
-    certified, detail = False, "matrix is not PSD"
     if is_psd:
-        rep = dnn._extremality(nonneg, eig, support, tol)
+        rep = dnn._extremality(m, eig, support, tol)
         borderline = rep.borderline  # JSON object keys are strings
         if borderline is not None:
             borderline = {str(k): v for k, v in borderline.items()}
         results["extremality"] = dict(
             vars(rep), borderline=borderline, provenance="numerical"
         )
-        if slack_ok:
-            certified, detail = selfdual._factor_cone_verdict(eig, support, d)
-        else:
-            certified, detail = False, "; ".join(reasons)
     else:
         results["extremality"] = {
             "extreme": None,
             "reason": "matrix is not doubly nonnegative",
             "provenance": "numerical",
         }
+    certified, detail = selfdual._psd_slack_verdict(is_psd, reasons, eig, support, d)
     results["selfdual_certification"] = {
         "certified": bool(certified),
         "detail": detail,

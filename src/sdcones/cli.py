@@ -190,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = files("search", "self-dual realization search",
                      search.DEFAULT_VERIFY_TOL)
     p_search.add_argument("--rank", type=int, required=True, help="target rank d")
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--retries", type=int, default=20)
-    p_search.add_argument("--max-iter", type=int, default=2000)
+    p_search.add_argument("--seed", type=int, default=search.SearchParams.seed)
+    p_search.add_argument("--retries", type=int, default=search.SearchParams.retries)
+    p_search.add_argument("--max-iter", type=int, default=search.SearchParams.max_iter)
     p_search.add_argument("--out", default=".", help="output directory")
     p_examples = sub.add_parser("examples", help="write bundled example data")
     p_examples.add_argument("names", nargs="+", help="example name(s)")

@@ -17,25 +17,24 @@ import numpy as np
 
 from . import linalg
 from .errors import ConvergenceError, PreconditionError
-from .patterns import is_connected, support_of
+from .patterns import SUPPORT_CLAMP, is_connected, support_of
 
-DEFAULT_DNN_TOL = 1e-9
+DEFAULT_DNN_TOL = linalg.PSD_TOL
 
 
 def is_dnn(a, tol: float = DEFAULT_DNN_TOL) -> bool:
-    """PSD and entrywise nonnegative, both within tol * max|entry|."""
+    """PSD by EigenDecomposition.is_psd at tol, and no entry below
+    -max(tol, SUPPORT_CLAMP) * max|entry|, so a zero of support_of passes."""
     m = linalg.require_symmetric(a)
     return _is_dnn(m, linalg.sym_eigen(m), tol)
 
 
 def _is_dnn(m: np.ndarray, eig: linalg.EigenDecomposition, tol: float) -> bool:
     """is_dnn of a validated symmetric matrix, read from its eigenvalues."""
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if scale == 0.0:
-        return True
-    if m.min() < -tol * scale:
+    scale = float(np.abs(m).max(initial=0.0))
+    if m.min(initial=0.0) < -max(tol, SUPPORT_CLAMP) * scale:
         return False
-    return float(eig.values[-1]) >= -tol * scale
+    return eig.is_psd(scale, tol)
 
 
 @dataclass

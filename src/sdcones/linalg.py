@@ -9,11 +9,12 @@ as ConvergenceError.  sym_eigen and null_space return bases, so they fix the
 sign of every basis vector.  One rule (_rank) decides every numeric rank,
 from a values-only SVD (_singular_values, of one matrix or a stack) or from
 the absolute eigenvalues of a decomposition the caller holds
-(EigenDecomposition.rank).  null_directions is the one SVD that forms
+(EigenDecomposition.rank); EigenDecomposition.is_psd is the one PSD test of
+a candidate slack or DNN matrix.  null_directions is the one SVD that forms
 singular vectors, and reads its nullities off its own singular values:
-null_space is its one-matrix case, and the facet scan calls it on a stack
-of subsets; orthogonal_directions, the scan's screen, takes one Householder
-QR per subset.  The projections psd_project, low_rank_project and
+null_space is its one-matrix case, and the facet scan calls it on a stack of
+subsets; orthogonal_directions, the scan's screen, takes one Householder QR
+per subset.  The projections psd_project, low_rank_project and
 psd_project_min_eig return V diag(w) V^T, in which the sign of each column
 of V cancels exactly, so they skip the sign rule; they take stacks too, so
 the SDP search and its rank refinement project a stack of attempts with one
@@ -35,6 +36,8 @@ SYMMETRY_TOL = 1e-12
 
 # Default relative cutoff separating numerical zeros from structural values.
 DEFAULT_RANK_TOL = 1e-8
+
+PSD_TOL = 1e-9  # relative PSD tolerance: is_psd's, dnn's and analyze's default
 
 
 def as_matrix(a) -> np.ndarray:
@@ -118,6 +121,11 @@ class EigenDecomposition:
         """numeric_rank of the decomposed matrix: its singular values are
         the absolute eigenvalues, sorted descending."""
         return int(_rank(np.sort(np.abs(self.values))[::-1]))
+
+    def is_psd(self, scale: float, tol: float = PSD_TOL) -> bool:
+        """Smallest eigenvalue >= -tol * scale, scale being the decomposed
+        matrix's largest |entry|; a matrix without eigenvalues passes."""
+        return not self.values.size or float(self.values[-1]) >= -tol * scale
 
 
 def _positive_leading(vecs: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ certificate.
 
 certify_slack is the other direction's one rule: whether a cone, such as
 the cone of a PSD matrix's spectral factor, is self-dual with a slack of a
-target support.  search, analyze and certify_psd_slack all judge by it.
+target support.  search, analyze and certify_psd_slack all judge by it, the
+last two through one verdict on a candidate PSD slack, _psd_slack_verdict.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .errors import PreconditionError
 from .patterns import (
     involution_permutations, is_connected, slack_support, spanning_forest, support_of)
 
-# A certificate's PSD matrix may dip this far below zero, relative to its
-# largest entry, and still count as positive semidefinite.
-PSD_EIG_TOL = 1e-9
-
 # Symmetry tolerance of the scaled matrix, relative to its largest entry.
 SCALED_SYMMETRY_TOL = 1e-9
 
@@ -41,7 +38,7 @@ class PsdSlackCertificate:
 
     Row i of psd_matrix is row permutation[i] of the slack, columns scaled by
     the positive entries of scaling; min_eigenvalue is its smallest
-    eigenvalue, re-verified by an independent eigendecomposition.
+    eigenvalue, the one linalg.EigenDecomposition.is_psd judged.
     """
 
     permutation: np.ndarray
@@ -114,23 +111,19 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
         if d is None:
             continue
         scaled = n_mat * d[None, :]
-        top = float(np.diag(scaled).max())
-        if top <= 0.0:
-            continue
         if target_diag > 0.0:
-            gauge = target_diag / top
+            gauge = target_diag / float(np.diag(scaled).max())
             d = d * gauge
             scaled = scaled * gauge
-        scale = float(np.abs(scaled).max())
         sym = 0.5 * (scaled + scaled.T)
-        min_eig = float(linalg.sym_eigen(sym).values[-1])
-        if min_eig < -PSD_EIG_TOL * max(scale, 1e-300):
+        eig = linalg.sym_eigen(sym)
+        if not eig.is_psd(float(np.abs(scaled).max())):
             continue
         return PsdSlackCertificate(
             permutation=np.asarray(perm, dtype=int),
             scaling=d,
             psd_matrix=sym,
-            min_eigenvalue=min_eig,
+            min_eigenvalue=float(eig.values[-1]),
         )
     return None
 
@@ -203,31 +196,35 @@ def certify_slack(cone: geometry.PolyhedralCone, support, tol: float) -> SlackRe
 
 
 def certify_psd_slack(matrix, d: int) -> tuple[bool, str]:
-    """Certify that a symmetric PSD matrix (anything linalg.as_matrix takes)
-    is a slack matrix of a self-dual cone in R^d: the matrix must pass the
-    slack pattern check at d, and certify_slack must certify the cone of its
-    top-d spectral factor against its support.  A matrix that is not
-    symmetric or has a negative entry on its support gets (False, why).
-    """
+    """Certify that a symmetric matrix (anything linalg.as_matrix takes) is a
+    PSD slack matrix of a self-dual cone in R^d: analyze's verdict at its
+    default tol, _psd_slack_verdict with the PSD test at linalg.PSD_TOL.  A
+    matrix that is not symmetric or has a negative entry on its support gets
+    (False, why)."""
     matrix = linalg.as_matrix(matrix)
     try:
         support = slack_support(matrix)
         eig = linalg.sym_eigen(matrix)
-        reasons = geometry.slack_pattern_reasons(
-            matrix, d, rank=eig.rank(), support=support)
     except PreconditionError as exc:
         return False, str(exc)
+    return _psd_slack_verdict(
+        eig.is_psd(float(np.abs(matrix).max(initial=0.0))),
+        geometry.slack_pattern_reasons(matrix, d, rank=eig.rank(), support=support),
+        eig, support, d)
+
+
+def _psd_slack_verdict(
+    psd: bool, reasons: list[str], eig: linalg.EigenDecomposition,
+    support: np.ndarray, d: int,
+) -> tuple[bool, str]:
+    """Verdict on a candidate PSD slack in R^d, given its PSD test, its slack
+    pattern reasons at d, its decomposition and its slack_support: refused if
+    not PSD, else by those reasons, else by certify_slack at DEFAULT_FACET_TOL
+    on the cone of its top-d spectral factor."""
+    if not psd:
+        return False, "matrix is not PSD"
     if reasons:
         return False, "; ".join(reasons)
-    return _factor_cone_verdict(eig, support, d)
-
-
-def _factor_cone_verdict(
-    eig: linalg.EigenDecomposition, support: np.ndarray, d: int
-) -> tuple[bool, str]:
-    """certify_psd_slack on a matrix with this decomposition and slack_support
-    that has passed the slack pattern check at d: certify_slack at
-    DEFAULT_FACET_TOL on the cone of its top-d spectral factor."""
     try:
         cone = geometry.PolyhedralCone(geometry._spectral_factor(eig, d))
     except PreconditionError as exc:

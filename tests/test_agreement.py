@@ -7,6 +7,10 @@ refuses the matrix, with one message.  Each bundled PSD slack below gets one
 symmetric pair of its zeros set to -c times its largest entry, and five
 callers from four modules must accept it exactly when c is at most
 SUPPORT_CLAMP.
+
+They must also agree on whether a candidate is PSD, and so on the verdict:
+certify_psd_slack is analyze's certification at its default tol, and
+dnn.is_dnn is analyze's DNN test at every tol.
 """
 
 from __future__ import annotations
@@ -70,9 +74,30 @@ def test_one_sign_rule(name, c, caller):
 
 def test_analyze_counts_entries_off_the_support_as_zeros_at_any_tol():
     # The orthant's slack with one pair of zeros at -5e-11: off the support,
-    # so a zero, even at a tol below SUPPORT_CLAMP.
+    # so a zero, even at a tol below SUPPORT_CLAMP, for dnn.is_dnn too.
     m = np.eye(4)
     m[0, 1] = m[1, 0] = -5e-11
-    results = analysis.analyze_matrix(m, 4, 1e-12, "m.mat").results
-    assert results["psd"]["value"] and results["dnn"]["value"]
-    assert results["selfdual_certification"]["certified"]
+    for tol in (1e-12, 1e-9):
+        results = analysis.analyze_matrix(m, 4, tol, "m.mat").results
+        assert results["psd"]["value"] and results["dnn"]["value"]
+        assert dnn.is_dnn(m, tol) == results["dnn"]["value"]
+        assert results["selfdual_certification"]["certified"]
+
+
+def indefinite(name: str, eps: float) -> tuple[np.ndarray, int]:
+    """The named slack minus eps * max * (support o u u^T), u its smallest
+    eigenvector: the same support, and a smallest eigenvalue near
+    -eps * max, so PSD at DEFAULT_DNN_TOL for the smallest eps only."""
+    m, d = SLACKS[name]
+    u = np.linalg.eigh(m)[1][:, 0]
+    return m - eps * m.max() * (patterns.support_of(m) * np.outer(u, u)), d
+
+
+@pytest.mark.parametrize("eps", [1e-9, 5e-9, 2e-8, 1e-7])
+@pytest.mark.parametrize("name", sorted(SLACKS))
+def test_one_psd_verdict(name, eps):
+    m, d = indefinite(name, eps)
+    results = analysis.analyze_matrix(m, d, dnn.DEFAULT_DNN_TOL, "m.mat").results
+    cert = results["selfdual_certification"]
+    assert selfdual.certify_psd_slack(m, d) == (cert["certified"], cert["detail"])
+    assert dnn.is_dnn(m) == results["dnn"]["value"] == (eps == 1e-9)

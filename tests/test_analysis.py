@@ -101,10 +101,23 @@ def parent_analyze_json(matrix: np.ndarray, d: int, tol: float, origin: str) -> 
             "provenance": "numerical",
         }
 
+    # The old pass certified a PSD matrix without a PSD test of its own:
+    # the slack pattern reasons, then the factor cone's round trip.
     certified = False
     detail = "matrix is not PSD"
-    if is_psd:
-        certified, detail = selfdual.certify_psd_slack(m, d)
+    if is_psd and reasons:
+        detail = "; ".join(reasons)
+    elif is_psd:
+        try:
+            cone = geometry.cone_from_factorization(m, d)
+        except PreconditionError as exc:
+            detail = str(exc)
+        else:
+            trip = selfdual.certify_slack(
+                cone, patterns.support_of(m), geometry.DEFAULT_FACET_TOL)
+            certified = trip.passed
+            detail = ("factor-cone round trip reproduces the support" if certified
+                      else "; ".join(trip.details))
     results["selfdual_certification"] = {
         "certified": bool(certified),
         "detail": detail,

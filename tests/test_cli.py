@@ -628,6 +628,12 @@ class TestParser:
         assert seen[0].command == "analyze" and seen[0].rank == 3
         assert seen[1].command == "verify" and not hasattr(seen[1], "rank")
 
+    def test_search_defaults_are_search_params_defaults(self):
+        args = cli.build_parser().parse_args(["search", "s.support", "--rank", "3"])
+        params = search.SearchParams(target_rank=3)
+        assert (args.seed, args.retries, args.max_iter) == (
+            params.seed, params.retries, params.max_iter)
+
 
 class TestBatch:
     def test_jobs_preserve_order(self, workdir, capsys):

@@ -76,6 +76,12 @@ class TestSymEigen:
             assert np.abs(eig.vectors.T @ eig.vectors - np.eye(n)).max() <= 1e-10
             assert abs(np.trace(a) - eig.values.sum()) <= 1e-10 * scale * n
 
+    def test_is_psd_relative_to_the_scale_given(self):
+        eig = linalg.sym_eigen(np.diag([2.0, -2e-9]))
+        assert eig.is_psd(2.0) and not eig.is_psd(1.0)
+        assert eig.is_psd(1.0, tol=2e-9) and not eig.is_psd(2.0, tol=1e-10)
+        assert linalg.sym_eigen(np.zeros((0, 0))).is_psd(0.0)
+
 
 class TestNumericRank:
     def test_pentagon(self, pentagon_slack):

@@ -243,7 +243,7 @@ class TestIsSelfDual:
         assert ok == (k % 2 == 1)
         if ok:
             scale = np.abs(cert.psd_matrix).max()
-            assert cert.min_eigenvalue >= -selfdual.PSD_EIG_TOL * scale
+            assert cert.min_eigenvalue >= -linalg.PSD_TOL * scale
 
 
 class TestIrreducible:
@@ -304,6 +304,10 @@ class TestCertifyPsdSlack:
     def test_nonslack_reasons(self, nonslack_extreme):
         ok, detail = selfdual.certify_psd_slack(nonslack_extreme, 4)
         assert not ok and "only 2 zeros" in detail
+
+    def test_not_psd_comes_before_pattern_reasons(self, nonslack_extreme):
+        m = nonslack_extreme - 1e-3 * nonslack_extreme.max() * np.eye(len(nonslack_extreme))
+        assert selfdual.certify_psd_slack(m, 4) == (False, "matrix is not PSD")
 
     def test_negative_entry_is_a_verdict(self, pentagon_slack):
         m = pentagon_slack.copy()
