@@ -197,7 +197,8 @@ def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
         prods = (gen @ normals[:, :, None])[:, :, 0]
         inward = prods.min(axis=1) >= -tol
         outward = ~inward & (prods.max(axis=1) <= tol)
-        normals = np.where(outward[:, None], -normals, normals)[inward | outward]
+        # + 0.0 turns the -0.0 that negating an exact zero gives into 0.0.
+        normals = np.where(outward[:, None], -normals, normals)[inward | outward] + 0.0
         found = _merge_directions(found, normals)
     return found
 

@@ -14,12 +14,13 @@ a candidate slack or DNN matrix.  null_directions is the one SVD that forms
 singular vectors, and reads its nullities off its own singular values:
 null_space is its one-matrix case, and the facet scan calls it on a stack of
 subsets; orthogonal_directions, the scan's screen, takes one Householder QR
-per subset.  The projections psd_project, low_rank_project and
-psd_project_min_eig return V diag(w) V^T, in which the sign of each column
-of V cancels exactly, so they skip the sign rule; they take stacks too, so
-the SDP search and its rank refinement project a stack of attempts with one
-LAPACK call per iteration, and each matrix of a stack gets the bits it would
-get alone.  All functions are pure; there is no shared mutable state.
+per subset.  psd_project and low_rank_project share one body: clip the
+eigenvalues at 0, keep the d largest (d = n for psd_project) and return
+V diag(w) V^T, in which the sign of each column of V cancels exactly, so
+they skip the sign rule.  They take stacks too, so the SDP search and its
+rank refinement project a stack of attempts with one LAPACK call per
+iteration, each matrix getting the bits it would get alone.  All functions
+are pure; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ SYMMETRY_TOL = 1e-12
 # Default relative cutoff separating numerical zeros from structural values.
 DEFAULT_RANK_TOL = 1e-8
 
-PSD_TOL = 1e-9  # relative PSD tolerance: is_psd's, dnn's and analyze's default
+PSD_TOL = 1e-9  # relative PSD tolerance: is_psd's, dnn's, analyze's and the SDP's
 
 
 def as_matrix(a) -> np.ndarray:
@@ -262,20 +263,21 @@ def _reconstruct(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.multiply(0.5, b + b.swapaxes(-1, -2), out=b)
 
 
+def _clip_project(w: np.ndarray, d: int) -> np.ndarray:
+    """V diag(kept) V^T of a validated symmetric matrix or stack w: kept is
+    its d largest eigenvalues clipped at 0, the rest zeroed."""
+    vals, vecs = _eigh(w)
+    kept = np.maximum(vals, 0.0)
+    kept[..., d:] = 0.0
+    return _reconstruct(vecs, kept)
+
+
 def psd_project(a) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix: eigenvalues clipped at
     0.  a may be a stack of matrices (leading batch axes); each is projected
     as on its own, bit for bit."""
-    return psd_project_min_eig(a)[0]
-
-
-def psd_project_min_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """psd_project(a) and the smallest eigenvalue of a (inf for an empty
-    matrix), from one eigendecomposition.  The smallest eigenvalues come as
-    an array with a's leading shape: 0-d for one matrix, (k,) for a stack."""
-    vals, vecs = _eigh(_symmetric(a, stack=True))
-    low = vals[..., -1] if vals.shape[-1] else np.full(vals.shape[:-1], np.inf)
-    return _reconstruct(vecs, np.maximum(vals, 0.0)), low
+    w = _symmetric(a, stack=True)
+    return _clip_project(w, w.shape[-1])
 
 
 def low_rank_project(a, d: int) -> np.ndarray:
@@ -291,7 +293,4 @@ def low_rank_project(a, d: int) -> np.ndarray:
         raise PreconditionError(f"target rank must be >= 1, got {d}")
     if d > n:
         raise PreconditionError(f"target rank {d} exceeds matrix size {n}")
-    vals, vecs = _eigh(w)
-    kept = np.maximum(vals, 0.0)
-    kept[..., d:] = 0.0
-    return _reconstruct(vecs, kept)
+    return _clip_project(w, d)

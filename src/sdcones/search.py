@@ -7,10 +7,11 @@ semidefinite program
 
 whose generic optimum is a low-rank extreme point of the feasible set,
 randomized-objective retries, alternating-projection rank refinement, and
-extraction of cone generators from the refined Gram matrix.  certify is the
-one gate a converged refinement passes: it extracts a cone and judges it by
-selfdual.certify_slack, the rule analyze and certify_psd_slack apply too, so
-a failure only ever means "no realization found".
+extraction of cone generators from the refined Gram matrix; the SDP's PSD
+test reads linalg.PSD_TOL, and a stack that raises reruns one attempt at a
+time.  certify, the one gate a converged refinement passes, extracts a cone
+and judges it by selfdual.certify_slack, as analyze and certify_psd_slack
+do, so a failure only ever means "no realization found".
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import ConvergenceError, ParseError, PreconditionError
 from .patterns import SupportPattern, involution_permutations, slack_support, support_of
 
 REFINE_STOP_TOL = 1e-12
-SDP_PSD_TOL = 1e-9  # a converged SDP matrix has smallest eigenvalue >= -this
 
 DEFAULT_VERIFY_TOL = 1e-6
 
@@ -91,7 +91,7 @@ def apply_sisd(s: np.ndarray, sigma: np.ndarray) -> SupportPattern:
 # The constants come from a sweep over the bench supports: every attempt
 # starts at penalty ADMM_RHO, and every ADMM_BALANCE_EVERY iterations a
 # residual more than ADMM_BALANCE_RATIO times the other doubles or halves it.
-# On n points the primal tolerance is min(ADMM_PRIMAL_TOL, SDP_PSD_TOL / n).
+# On n points the primal tolerance is min(ADMM_PRIMAL_TOL, linalg.PSD_TOL / n).
 ADMM_RHO = 2.0
 ADMM_BALANCE_EVERY = 5
 ADMM_BALANCE_RATIO = 10.0
@@ -131,17 +131,17 @@ def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> S
     The splitting X = Z puts the affine constraints on X and the PSD cone on
     Z; an iteration is X = P_aff(Z - U + C/rho), Z = P_psd(X + U),
     U += X - Z.  It stops when max|X - Z| < min(ADMM_PRIMAL_TOL,
-    SDP_PSD_TOL / n) and rho * max|Z - Z_prev| < ADMM_DUAL_TOL, or after
+    linalg.PSD_TOL / n) and rho * max|Z - Z_prev| < ADMM_DUAL_TOL, or after
     params.max_iter iterations; rho is rebalanced against the two residuals
     as it goes.  Since Z is PSD, lambda_min(X) >= -n max|X - Z|, so a fired
-    stop rule leaves X passing the SDP_PSD_TOL test.
+    stop rule leaves X passing the PSD test at scale 1 (a unit diagonal).
 
     The returned matrix is the last X: it has an exact unit diagonal and
     exact zeros off the support; psd_margin is its smallest eigenvalue and
     objective its sum c_ij X_ij.  duality_gap is |tr(C - rho U) - objective|
     / max(1, |objective|), the gap to the dual bound that -rho U gives.  The
     result has converged when the stop rule fired and psd_margin is at least
-    -SDP_PSD_TOL.
+    -linalg.PSD_TOL.
     """
     n = pattern.n
     if n == 0:
@@ -167,15 +167,15 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     alone, bit for bit.  C / rho is kept until rho changes, and the dual
     residual is measured only where it is read: on a balancing iteration or
     once a primal residual is below tolerance.  Once every attempt has left,
-    one more stacked eigendecomposition, not counted as an iteration,
-    measures each returned matrix's psd_margin.
+    one more stacked eigenvalue read, not counted as an iteration, measures
+    each returned matrix's psd_margin.
     """
     n = on.shape[0]
     k = c.shape[0]
     weights = c  # the whole stack; c shrinks with the stack
     free = on > _identity(n)  # the support off the diagonal
     max_iter = params.max_iter
-    primal_tol = min(ADMM_PRIMAL_TOL, SDP_PSD_TOL / n)
+    primal_tol = min(ADMM_PRIMAL_TOL, linalg.PSD_TOL / n)
     final: list = [None] * k  # each attempt's X once it has left the stack
     live = list(range(k))  # the attempts still in the stack, in stack order
     rho = [ADMM_RHO] * k  # each live attempt's penalty
@@ -221,16 +221,16 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
             rho = [rho[j] for j in keep]
 
     # The matrix returned is the last X, affine-feasible by construction.
-    _, margins = linalg.psd_project_min_eig(np.stack(final))
+    margins = linalg._eigh(np.stack(final))[0][:, -1].tolist()
     results = []
-    for i, margin in enumerate(margins.tolist()):
+    for i, margin in enumerate(margins):
         objective = float((weights[i] * final[i]).sum())
         results.append(SdpResult(
             matrix=final[i],
             objective=objective,
             duality_gap=abs(bounds[i] - objective) / max(1.0, abs(objective)),
             psd_margin=margin,
-            converged=stopped[i] and margin >= -SDP_PSD_TOL,
+            converged=stopped[i] and margin >= -linalg.PSD_TOL,
             iterations=iterations[i],
         ))
     return results
@@ -411,19 +411,14 @@ def randomized_retry(
 def _solve_stack(pattern: SupportPattern, weights: np.ndarray, params: SearchParams):
     """(SDP result, refinement) per attempt of a (k, n, n) stack of weight
     draws, in index order, from _sdp_loop and _refine_loop.  A stack of one,
-    or a step that raises on a stack, runs lazily one attempt at a time."""
+    or one that raises in either step, runs lazily one attempt at a time."""
     d = params.target_rank
     if len(weights) > 1:
         try:
             sdps = _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
+            return zip(sdps, _refine_loop(np.stack([s.matrix for s in sdps]), d, params, pattern))
         except (ConvergenceError, PreconditionError):
             pass
-        else:
-            try:
-                refined = _refine_loop(np.stack([s.matrix for s in sdps]), d, params, pattern)
-            except (ConvergenceError, PreconditionError):
-                refined = (rank_refine(s.matrix, d, params, pattern) for s in sdps)
-            return zip(sdps, refined)
     sdps = (sdp_feasibility(pattern, w, params) for w in weights)
     return ((s, rank_refine(s.matrix, d, params, pattern)) for s in sdps)
 

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sdcones import analysis, cli, data, dnn, geometry, patterns, search
+from sdcones import analysis, cli, data, dnn, geometry, linalg, patterns, search
 from sdcones import __version__, selfdual
 from sdcones.errors import PreconditionError
 
@@ -110,6 +110,17 @@ class TestDualCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "4 4"
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_orthant_prints_no_negative_zero(self, workdir, capsys, d):
+        # The dual of the d-orthant is the d-orthant: its normals have exact
+        # zeros, and flipping one to inward must not print them as -0.
+        geometry.save_cone(workdir / "orthant.cone", np.eye(d))
+        code, out, _ = run_cli(capsys, "dual", "orthant.cone")
+        assert code == 0
+        fields = [f for line in out.splitlines()[1:] for f in line.split()]
+        assert len(fields) == d * d and "-0" not in fields
+        assert sorted(fields) == sorted(["0"] * (d * d - d) + ["1"] * d)
 
     def test_svd_failure_in_facet_scan_exits_3(self, workdir, capsys, monkeypatch):
         geometry.save_cone(workdir / "orthant.cone", np.eye(4))
@@ -497,7 +508,7 @@ class TestSearchCommand:
         (attempt,) = json.loads(out)["attempts"]
         assert not attempt["sdp_converged"]
         assert attempt["sdp_iterations"] == 50
-        assert attempt["psd_margin"] < -search.SDP_PSD_TOL
+        assert attempt["psd_margin"] < -linalg.PSD_TOL
         assert attempt["refine_converged"] and attempt["certified"]
 
     def test_four_cycle_exit_3(self, workdir, capsys):

@@ -415,7 +415,6 @@ def perturbed(a: np.ndarray, rel: float) -> np.ndarray:
 PROJECTIONS = {
     "psd_project": linalg.psd_project,
     "low_rank_project": lambda a: linalg.low_rank_project(a, max(1, a.shape[0] - 1)),
-    "psd_project_min_eig": lambda a: linalg.psd_project_min_eig(a)[0],
 }
 
 
@@ -452,23 +451,12 @@ class TestProjectionContract:
             with pytest.raises(PreconditionError, match="not symmetric"):
                 project(perturbed(a, 100 * linalg.SYMMETRY_TOL))
 
-    def test_min_eig_is_the_smallest_eigenvalue(self):
-        rng = np.random.default_rng(31)
-        for n in range(1, 8):
-            a = rng.normal(size=(n, n))
-            a = a + a.T
-            out, min_eig = linalg.psd_project_min_eig(a)
-            assert min_eig == linalg.sym_eigen(a).values[-1]
-            assert np.array_equal(out, linalg.psd_project(a))
-        assert linalg.psd_project_min_eig(np.zeros((0, 0)))[1] == np.inf
-
     def test_input_not_modified(self):
         a = np.diag([2.0, -1.0, 0.5])
         a[0, 2] = a[2, 0] = 0.3
         before = a.copy()
         linalg.psd_project(a)
         linalg.low_rank_project(a, 1)
-        linalg.psd_project_min_eig(a)
         assert np.array_equal(a, before)
 
 
@@ -501,17 +489,12 @@ class TestStackedProjections:
             stack[k // 2] = perturbed(stack[k // 2], 0.25 * linalg.SYMMETRY_TOL)
         before = stack.copy()
         out = linalg.psd_project(stack)
-        out_min, low = linalg.psd_project_min_eig(stack)
-        assert out.shape == out_min.shape == (k, n, n) and low.shape == (k,)
+        assert out.shape == (k, n, n)
         ranks = sorted({1, max(1, n // 2), n})
         low_rank = {d: linalg.low_rank_project(stack, d) for d in ranks}
         for i in range(k):
             one = stack[i].copy()
             assert bits_of(out[i]) == bits_of(linalg.psd_project(one))
-            single, single_low = linalg.psd_project_min_eig(one)
-            assert bits_of(out_min[i]) == bits_of(single)
-            assert np.shape(single_low) == ()
-            assert bits_of(low[i]) == bits_of(single_low)
             for d in ranks:
                 assert bits_of(low_rank[d][i]) == bits_of(linalg.low_rank_project(one, d))
         assert bits_of(stack) == bits_of(before)
@@ -529,7 +512,6 @@ class TestStackedProjections:
 
     PROJECT_STACK = {
         "psd_project": linalg.psd_project,
-        "psd_project_min_eig": lambda a: linalg.psd_project_min_eig(a)[0],
         "low_rank_project": lambda a: linalg.low_rank_project(a, 2),
     }
 
@@ -571,8 +553,7 @@ class TestLapackFailure:
 
     def test_eigh_in_projections(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigh", self._fail)
-        for fn in (linalg.psd_project, linalg.psd_project_min_eig,
-                   lambda a: linalg.low_rank_project(a, 1)):
+        for fn in (linalg.psd_project, lambda a: linalg.low_rank_project(a, 1)):
             with pytest.raises(ConvergenceError, match="eigh"):
                 fn(np.eye(2))
 

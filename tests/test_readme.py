@@ -1,0 +1,42 @@
+"""The README's quick starts run as written."""
+
+from __future__ import annotations
+
+import re
+import shlex
+from pathlib import Path
+
+from sdcones import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def code_block(heading: str, lang: str) -> str:
+    """The first ```lang block under the README section `## heading`."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    match = re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL)
+    assert match, f"no {lang} block under {heading!r}"
+    return match.group(1)
+
+
+def test_library_quick_start(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ns: dict = {}
+    exec(compile(code_block("Library quick start", "python"), "README.md", "exec"), ns)
+    # The values its comments promise.
+    assert ns["ok"] and (ns["report"].extreme, ns["report"].intersection_dim) == (True, 1)
+    assert ns["full"].results["verdicts"]["cp_member"] is False
+    assert ns["result"].success
+
+
+def test_cli_quick_start(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line, comments=True)
+                for line in code_block("CLI quick start", "sh").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 6 and all(argv[0] == "sdcones" for argv in commands)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+        capsys.readouterr()
+    assert (tmp_path / "run" / "pentagon_realization.cone").is_file()

@@ -317,7 +317,7 @@ class TestSdpFeasibility:
         assert np.abs(np.diag(x) - 1.0).max() <= 1e-9
         off = ~pattern.mask
         assert np.abs(x[off]).max() <= 1e-9
-        assert linalg.sym_eigen(x).values[-1] >= -search.SDP_PSD_TOL
+        assert linalg.sym_eigen(x).values[-1] >= -linalg.PSD_TOL
         assert abs(res.duality_gap) <= 1e-8
 
     def test_pentagon_objective_is_the_regular_pentagon(self, pentagon_slack):
@@ -357,7 +357,7 @@ class TestSdpFeasibility:
         weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=(pattern.n, pattern.n))
         res = search.sdp_feasibility(pattern, weights, params)
         assert res.converged == converged
-        assert (res.psd_margin >= -search.SDP_PSD_TOL) == psd
+        assert (res.psd_margin >= -linalg.PSD_TOL) == psd
         assert res.iterations <= max_iter
         assert np.all(np.diag(res.matrix) == 1.0)
         assert np.all(res.matrix[~pattern.mask] == 0.0)
@@ -389,12 +389,12 @@ class TestAdmmProperties:
             x = res.matrix
             assert np.all(np.diag(x) == 1.0) and np.all(x[~on] == 0.0)
             assert 1 <= res.iterations <= max_iter
-            assert res.psd_margin == pytest.approx(np.linalg.eigvalsh(x)[0], abs=1e-12)
+            assert bits_of(res.psd_margin) == bits_of(linalg.sym_eigen(x).values[-1])
             if res.iterations < max_iter:
                 # The stop rule fired, and it implies the PSD test.
                 assert res.converged
             if res.converged:
-                assert res.psd_margin >= -search.SDP_PSD_TOL
+                assert res.psd_margin >= -linalg.PSD_TOL
                 assert abs(res.duality_gap) <= 1e-8
             alone = search.sdp_feasibility(pattern, w, params)
             assert bits_of(res.matrix) == bits_of(alone.matrix)
@@ -422,7 +422,7 @@ def oracle_sdp_loop(on, c, params):
     k = c.shape[0]
     weights = c
     max_iter = params.max_iter
-    primal_tol = min(search.ADMM_PRIMAL_TOL, search.SDP_PSD_TOL / n)
+    primal_tol = min(search.ADMM_PRIMAL_TOL, linalg.PSD_TOL / n)
     final = [None] * k
     live = list(range(k))
     rho = np.full(k, search.ADMM_RHO)
@@ -461,16 +461,16 @@ def oracle_sdp_loop(on, c, params):
                 final[live[j]] = x[j]
             live = [live[j] for j in keep]
             z, u, c, rho = z[keep], u[keep], c[keep], rho[keep]
-    _, margins = linalg.psd_project_min_eig(np.stack(final))
+    margins = linalg._eigh(np.stack(final))[0][:, -1].tolist()
     results = []
-    for i, margin in enumerate(margins.tolist()):
+    for i, margin in enumerate(margins):
         objective = float((weights[i] * final[i]).sum())
         results.append(search.SdpResult(
             matrix=final[i],
             objective=objective,
             duality_gap=abs(bounds[i] - objective) / max(1.0, abs(objective)),
             psd_margin=margin,
-            converged=stopped[i] and margin >= -search.SDP_PSD_TOL,
+            converged=stopped[i] and margin >= -linalg.PSD_TOL,
             iterations=iterations[i],
         ))
     return results
@@ -803,9 +803,6 @@ class TestStackedRetries:
 
         monkeypatch.setattr(np.linalg, "eigh", recorded)
         monkeypatch.setattr(linalg, "psd_project", projection(linalg.psd_project))
-        monkeypatch.setattr(
-            linalg, "psd_project_min_eig", projection(linalg.psd_project_min_eig)
-        )
         for support, attempts in ((data.pentagon_support, 1), (data.four_cycle_support, 20)):
             pattern = support()
             n = pattern.n
@@ -910,9 +907,10 @@ class TestStackedRetries:
         assert (len(shapes["psd_project"]), len(shapes["low_rank_project"])) == (65, 9)
 
     def test_refinement_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
-        # Every refinement stack of more than one attempt fails; the stacked
-        # SDP results are refined one at a time instead, one rank_refine call
-        # per recorded attempt, and the transcript does not change.
+        # Every refinement stack of more than one attempt fails; the stack
+        # reruns one attempt at a time, one sdp_feasibility and one
+        # rank_refine call per recorded attempt, and the transcript does not
+        # change.
         low_rank_project = linalg.low_rank_project
         refine = search.rank_refine
         stacks = []
@@ -942,9 +940,10 @@ class TestStackedRetries:
         assert stacks
 
     def test_refinement_error_surfaces_at_its_attempt(self, monkeypatch):
-        # The refinement stack fails, and so does every refinement from the
-        # third attempt on: attempts 1 and 2 are recorded and certified
-        # before the error of attempt 3 surfaces, as in the sequential loop.
+        # The refinement stack fails, so the stack reruns one attempt at a
+        # time, and every refinement from the third attempt on fails too:
+        # attempts 1 and 2 are recorded and certified before the error of
+        # attempt 3 surfaces, as in the sequential loop.
         low_rank_project = linalg.low_rank_project
         refine = search.rank_refine
         certify = search.certify
@@ -1170,11 +1169,6 @@ def oracle_psd_project(a):
     return oracle_reconstruct(eig, np.clip(eig.values, 0.0, None))
 
 
-def oracle_psd_project_min_eig(a):
-    eig = linalg.sym_eigen(a)
-    return oracle_reconstruct(eig, np.clip(eig.values, 0.0, None)), float(eig.values[-1])
-
-
 def oracle_low_rank_project(a, d):
     eig = linalg.sym_eigen(a)
     kept = np.zeros(eig.values.shape[0])
@@ -1195,18 +1189,13 @@ def bits_of(x) -> bytes:
 
 def each_member(oracle):
     """oracle, written for one matrix, applied to one matrix or to each
-    matrix of a stack (its first argument); a stack's results are stacked,
-    field by field for a tuple, so psd_project_min_eig gives the array of
-    smallest eigenvalues."""
+    matrix of a stack (its first argument); a stack's results are stacked."""
 
     @functools.wraps(oracle)
     def apply(a, *args):
         if np.ndim(a) == 2:
             return oracle(a, *args)
-        results = [oracle(m, *args) for m in a]
-        if isinstance(results[0], tuple):
-            return tuple(np.array(field) for field in zip(*results))
-        return np.stack(results)
+        return np.stack([oracle(m, *args) for m in a])
 
     return apply
 
@@ -1237,8 +1226,6 @@ class TestProjectionOracle:
             sdp, ref = self._run(pattern, weights, params)
             with monkeypatch.context() as mp:
                 mp.setattr(linalg, "psd_project", each_member(oracle_psd_project))
-                mp.setattr(linalg, "psd_project_min_eig",
-                           each_member(oracle_psd_project_min_eig))
                 mp.setattr(linalg, "low_rank_project", each_member(oracle_low_rank_project))
                 mp.setattr(search, "_affine_project", each_member(oracle_affine_project))
                 sdp_o, ref_o = self._run(pattern, weights, params)
@@ -1265,16 +1252,12 @@ class TestProjectionOracle:
             return wrapper
 
         monkeypatch.setattr(linalg, "psd_project", counted(each_member(oracle_psd_project)))
-        monkeypatch.setattr(linalg, "psd_project_min_eig",
-                            counted(each_member(oracle_psd_project_min_eig)))
         monkeypatch.setattr(linalg, "low_rank_project",
                             counted(each_member(oracle_low_rank_project)))
         pattern = data.pentagon_support()
         params = search.SearchParams(target_rank=3)
         self._run(pattern, np.ones((5, 5)), params)
-        assert set(calls) == {
-            "oracle_psd_project", "oracle_psd_project_min_eig", "oracle_low_rank_project"
-        }
+        assert set(calls) == {"oracle_psd_project", "oracle_low_rank_project"}
 
 
 # -- one connectivity helper -------------------------------------------------
