@@ -1,14 +1,14 @@
 """V-representation polyhedral cone calculus at desk scale.
 
-Cones are stored as unit-normalized generator rows, duplicate directions
-merged through one product of cosines.  Facets are enumerated by a scan over
-the C(n, d-1) subsets of generators in lexicographic order, a chunk of
-subsets at a time.  A Householder QR screen drops the subsets whose
-complement direction sees generators clearly on both sides; only the
-survivors, in practice the facets, take the exact path: one stacked LAPACK
-SVD with vectorized rank, sign and orientation tests, then the merge.  A
-random d=6, n=24 cone takes about 0.09 s and d=6, n=40 about 1.8 s (2-vCPU
-host); more than FACET_SUBSET_BUDGET subsets raise ConvergenceError before
+Cones are stored as unit-normalized generator rows, in input order.  One
+incidence key at tol tells rays and facets apart: a facet is named by the
+generators tight on it, an extreme ray by the facets tight at it.  Facets
+are enumerated by a scan over the C(n, d-1) subsets of generators in
+lexicographic order, a chunk of subsets at a time.  A Householder QR screen
+drops the subsets whose complement direction sees generators clearly on
+both sides; only the survivors, in practice the facets, take the exact
+path: one stacked LAPACK SVD with vectorized rank, sign and orientation
+tests.  More than FACET_SUBSET_BUDGET subsets raise ConvergenceError before
 any is formed.  Facet normals are unit vectors rather than a canonical
 scaling, so slack matrices are defined up to positive row/column scaling,
 and every pattern comparison in this package is scale-free.
@@ -28,11 +28,8 @@ from . import linalg
 from .errors import ConvergenceError, ParseError, PreconditionError
 from .patterns import slack_support
 
-# Two directions count as the same ray when their cosine reaches this.
-DUPLICATE_COSINE = 1.0 - 1e-9
-
-# Default orientation tolerance for the facet scan: how far on the wrong side
-# of a candidate hyperplane a generator may sit before the facet is rejected.
+# Default facet tolerance: how far on the wrong side of a candidate hyperplane
+# a generator may sit before the facet is rejected, and how near it is tight.
 DEFAULT_FACET_TOL = 1e-7
 
 # Generator subsets per chunk of the facet scan, and at most _SCAN_ENTRIES
@@ -54,16 +51,14 @@ FACET_SUBSET_BUDGET = 1_000_000
 SCREEN_MARGIN = 1e-4
 _SCREEN_MIN_CHUNK = 64
 
-# Cosines per matrix product when merging directions.
-_MERGE_ENTRIES = 1 << 18
-
 
 class PolyhedralCone:
-    """Cone in R^d given by generator rows, unit-normalized and deduplicated.
+    """Cone in R^d given by generator rows, unit-normalized, in input order.
 
-    Generators that are positive multiples of an earlier one are merged;
-    antipodal directions are kept (the cone may legitimately contain a line,
-    and pointedness is a queried property, not a constructor invariant).
+    A ray given twice stays twice here; extreme_rays and slack_matrix keep
+    one generator per ray, told apart by the facets tight at it.  Antipodal
+    directions are kept too (the cone may legitimately contain a line, and
+    pointedness is a queried property, not a constructor invariant).
     """
 
     def __init__(self, generators):
@@ -81,9 +76,7 @@ class PolyhedralCone:
         odd = ~((squares > 1e-290) & (squares < np.inf))
         g = np.where(odd[:, None], g / peak[:, None], g)
         squares[odd] = (g[odd] * g[odd]).sum(axis=1)
-        norms = np.sqrt(squares)
-        self.generators = _merge_directions(np.zeros((0, g.shape[1])),
-                                            g / norms[:, None])
+        self.generators = g / np.sqrt(squares)[:, None]
 
     @property
     def dim(self) -> int:
@@ -110,28 +103,17 @@ class SlackMatrix:
         return self.matrix.shape
 
 
-def _merge_directions(found: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """found, then each row of new whose cosine with every row kept before it
-    stays below DUPLICATE_COSINE, in order; found's rows are not compared
-    with each other.
-
-    The cosines come from matrix products of at most about _MERGE_ENTRIES
-    entries each.  Only a pair whose product reaches DUPLICATE_COSINE - 1e-12
-    (a margin far above the rounding gap between a product and a per-pair
-    dot) is then judged by its own dot, float(r @ v), so the kept rows are
-    those a pair-by-pair merge keeps.
-    """
-    rows = np.concatenate([found, new])
-    keep = np.ones(rows.shape[0], dtype=bool)
-    step = max(1, _MERGE_ENTRIES // max(1, rows.shape[0]))
-    for start in range(found.shape[0], rows.shape[0], step):
-        # Row i of the block is row start + i; tril keeps the rows before it.
-        cos = np.tril(rows[start:start + step] @ rows[:start + step].T, start - 1)
-        # Pairs come row by row, so row j's fate is settled before it is read.
-        for i, j in zip(*np.nonzero(cos >= DUPLICATE_COSINE - 1e-12)):
-            if keep[j] and float(rows[j] @ rows[start + i]) >= DUPLICATE_COSINE:
-                keep[start + i] = False
-    return rows[keep]
+def _first_per_key(tight: np.ndarray, seen: set[bytes]) -> np.ndarray:
+    """Indices of the rows of the boolean matrix tight whose pattern is not in
+    seen, the first row of each pattern; their patterns join seen.  The one
+    incidence key of facets and rays."""
+    first = []
+    for i, row in enumerate(np.packbits(tight, axis=1)):
+        key = row.tobytes()
+        if key not in seen:
+            seen.add(key)
+            first.append(i)
+    return np.array(first, dtype=np.intp)
 
 
 def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
@@ -149,8 +131,9 @@ def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
     and the subset is dropped when generators lie beyond
     tol + SCREEN_MARGIN * |g| on both sides of q.  The rest, in order, take
     the exact path: one stack of SVDs (linalg.null_directions), the
-    nullity-1 test, the orientation test at tol, and the merge by direction
-    in subset order.
+    nullity-1 test and the orientation test at tol.  A kept normal is new
+    when its tight set {i : |g_i . n| <= tol} differs from that of every
+    normal kept before it, in subset order.
 
     The screen drops no normal the exact path keeps.  A dropped subset of
     nullity other than 1 is dropped by the exact path too.  At nullity 1 the
@@ -175,7 +158,7 @@ def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
             f"{count} subsets, over the budget of {FACET_SUBSET_BUDGET}"
         )
     size = max(1, min(_SCAN_CHUNK, _SCAN_ENTRIES // n))
-    found = np.zeros((0, d))
+    found, seen = [np.zeros((0, d))], set()
     combos = itertools.chain.from_iterable(itertools.combinations(range(n), d - 1))
     while True:
         # The reshape gives (0, d-1) once no subsets are left.
@@ -197,10 +180,11 @@ def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
         prods = (gen @ normals[:, :, None])[:, :, 0]
         inward = prods.min(axis=1) >= -tol
         outward = ~inward & (prods.max(axis=1) <= tol)
+        keep = inward | outward
         # + 0.0 turns the -0.0 that negating an exact zero gives into 0.0.
-        normals = np.where(outward[:, None], -normals, normals)[inward | outward] + 0.0
-        found = _merge_directions(found, normals)
-    return found
+        normals = np.where(outward[:, None], -normals, normals)[keep] + 0.0
+        found.append(normals[_first_per_key(np.abs(prods[keep]) <= tol, seen)])
+    return np.concatenate(found)
 
 
 def is_full_dimensional(cone: PolyhedralCone) -> bool:
@@ -226,10 +210,11 @@ def is_pointed(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> bool:
 def facet_normals(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> np.ndarray:
     """Unit inward normals of all facets of a pointed full-dimensional cone.
 
-    Found by the stacked-SVD scan over all (d-1)-subsets of generators.  Rows
-    are returned in enumeration order (lexicographic over generator subsets),
-    deduplicated by cosine similarity.  PreconditionError when the generators
-    do not span R^d or the cone is not pointed.
+    Found by the stacked-SVD scan over all (d-1)-subsets of generators, one
+    normal per set of generators tight on it at tol: the first, in
+    enumeration order (lexicographic over generator subsets).
+    PreconditionError when the generators do not span R^d or the cone is not
+    pointed.
     """
     if not is_full_dimensional(cone):
         raise PreconditionError("generators do not span the ambient space")
@@ -244,10 +229,13 @@ def dual_cone(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> Polyhedra
     return PolyhedralCone(facet_normals(cone, tol))
 
 
-def _extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarray:
-    """Which generators are extreme rays of the cone with these facet
-    normals: those whose active facets (|<g, n>| <= tol) have normals of
-    rank d-1.  PreconditionError when none is.
+def _extreme_mask(gens: np.ndarray, normals: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(extreme, rays): which generators are extreme rays of the cone with
+    these facet normals, those whose active facets (|<g, n>| <= tol) have
+    normals of rank d-1, and the indices of the first extreme generator with
+    each set of active facets, one per ray.  PreconditionError when no
+    generator is extreme.
 
     The ranks come from one stacked values-only SVD over the active-normal
     sets, zero-padded to a common row count: zero rows add only zero
@@ -262,42 +250,43 @@ def _extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarr
     filled = np.arange(rows)[None, :] < counts[:, None]
     stack = np.where(filled[:, :, None], normals[order], 0.0)
     ranks = linalg._stacked_rank(stack)
-    kept = (counts >= d - 1) & (ranks == d - 1)
-    if not kept.any():
+    extreme = (counts >= d - 1) & (ranks == d - 1)
+    if not extreme.any():
         raise PreconditionError("no extreme rays found; input cone degenerate")
-    return kept
+    index = np.flatnonzero(extreme)
+    return extreme, index[_first_per_key(active[index], set())]
 
 
 def extreme_rays(generators, tol: float = DEFAULT_FACET_TOL) -> PolyhedralCone:
     """Reduce a generating set to the extreme rays of its cone.
 
     A generator is extreme exactly when the facets it lies on have normals of
-    rank d-1.  Duplicate directions are merged by the constructor.  The
-    checks and messages are facet_normals'.
+    rank d-1; of extreme generators on the same facets, the first stands for
+    their ray.  The checks and messages are facet_normals'.
     """
     cone = PolyhedralCone(generators)
-    kept = _extreme_mask(cone.generators, facet_normals(cone, tol), tol)
-    return PolyhedralCone(cone.generators[kept])
+    _, rays = _extreme_mask(cone.generators, facet_normals(cone, tol), tol)
+    return PolyhedralCone(cone.generators[rays])
 
 
 def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackMatrix:
-    """Slack matrix of a pointed full-dimensional cone: one row per
-    generator, one column per facet.
+    """Slack matrix of a pointed full-dimensional cone: one row per ray, one
+    column per facet.
 
-    Entry (i, j) is the inner product of generator i with dual generator j,
-    set to exact zero outside patterns.slack_support, so pattern logic can
-    compare supports without tolerance bookkeeping.  Every generator must be
-    an extreme ray, judged against the one facet scan the slack is built
-    from: PreconditionError for facet_normals' reasons, when no generator is
-    extreme, with a count of those that are not, or for the reasons of
-    slack_support and slack_pattern_reasons.
+    Entry (i, j) is the inner product of ray i (its first generator) with
+    dual generator j, set to exact zero outside patterns.slack_support, so
+    pattern logic can compare supports without tolerance bookkeeping.  Every
+    generator must be an extreme ray, judged against the one facet scan the
+    slack is built from: PreconditionError for facet_normals' reasons, when
+    no generator is extreme, with a count of those that are not, or for the
+    reasons of slack_support and slack_pattern_reasons.
     """
-    gens = cone.generators
     normals = facet_normals(cone, tol)
-    dropped = int((~_extreme_mask(gens, normals, tol)).sum())
+    extreme, rays = _extreme_mask(cone.generators, normals, tol)
+    dropped = int((~extreme).sum())
     if dropped:
         raise PreconditionError(f"{dropped} generator(s) are not extreme rays")
-    m = gens @ normals.T
+    m = cone.generators[rays] @ normals.T
     on = slack_support(m)
     m = np.where(on, m, 0.0)
     reasons = slack_pattern_reasons(m, cone.dim, support=on)

@@ -244,12 +244,15 @@ def is_irreducible(a) -> bool:
 def is_simplicial(obj) -> bool:
     """True when the cone is linearly isomorphic to a nonnegative orthant.
 
-    Accepts a PolyhedralCone (as many generators as dimensions, spanning) or
-    a slack matrix (square with a permutation zero pattern, the only patterns
-    diagonal representatives can have).
+    Accepts a PolyhedralCone (pointed, spanning, as many extreme_rays as
+    dimensions) or a slack matrix (square with a permutation zero pattern,
+    the only patterns diagonal representatives can have).
     """
     if isinstance(obj, geometry.PolyhedralCone):
-        return obj.n_rays == obj.dim and geometry.is_full_dimensional(obj)
+        try:
+            return geometry.extreme_rays(obj.generators).n_rays == obj.dim
+        except PreconditionError:
+            return False
     m = linalg.as_matrix(obj)
     return m.shape[0] == m.shape[1] and _is_permutation_pattern(support_of(m))
 

@@ -44,6 +44,17 @@ def random_pointed_cone_generators(
             return gens
 
 
+def split_hexagon_rays() -> np.ndarray:
+    """Generators (1, x, y) of a hexagonal cone: the regular pentagon's
+    vertex 0 split into two vertices +-2e-5 along its tangent, about 4e-5
+    rad apart.  It has 6 rays and 6 facets, and no even polygon cone is
+    self-dual."""
+    v = data.regular_polygon_vertices(5)
+    t = np.array([-v[0, 1], v[0, 0]]) / np.linalg.norm(v[0])
+    split = np.vstack([v[0] + 2e-5 * t, v[0] - 2e-5 * t, v[1:]])
+    return np.column_stack([np.ones(6), split])
+
+
 def full_svd_rank(a: np.ndarray) -> np.ndarray:
     """The numeric rank of a matrix, or of each matrix of a stack, read the
     way the package read it before its rank kernel went values-only: from
@@ -77,8 +88,24 @@ def loop_extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.n
     return kept
 
 
+def loop_ray_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarray:
+    """The extreme generators that stand for their ray, one loop step per
+    generator: extreme by loop_extreme_mask, and on a set of facets that no
+    earlier extreme generator lies on."""
+    extreme = loop_extreme_mask(gens, normals, tol)
+    seen: list[list[int]] = []
+    rays = np.zeros(gens.shape[0], dtype=bool)
+    for i in np.flatnonzero(extreme):
+        active = [j for j in range(normals.shape[0]) if abs(gens[i] @ normals[j]) <= tol]
+        if active not in seen:
+            seen.append(active)
+            rays[i] = True
+    return rays
+
+
 def loop_extreme_rays(generators, tol: float = geometry.DEFAULT_FACET_TOL):
-    """extreme_rays with the per-generator rank loop (loop_extreme_mask)."""
+    """extreme_rays with the per-generator rank loop (loop_extreme_mask) and
+    one generator per ray (loop_ray_mask)."""
     cone = geometry.PolyhedralCone(generators)
     d = cone.dim
     if linalg.numeric_rank(cone.generators) < d:
@@ -90,10 +117,9 @@ def loop_extreme_rays(generators, tol: float = geometry.DEFAULT_FACET_TOL):
     normals = geometry._facet_scan(cone.generators, tol)
     if normals.shape[0] == 0 or linalg.numeric_rank(normals) < d:
         raise PreconditionError("cone is not pointed")
-    kept = loop_extreme_mask(cone.generators, normals, tol)
-    if not kept.any():
+    if not loop_extreme_mask(cone.generators, normals, tol).any():
         raise PreconditionError("no extreme rays found; input cone degenerate")
-    return geometry.PolyhedralCone(cone.generators[kept])
+    return geometry.PolyhedralCone(cone.generators[loop_ray_mask(cone.generators, normals, tol)])
 
 
 def eigen_row_space_basis(g: np.ndarray) -> np.ndarray:

@@ -15,8 +15,10 @@ from sdcones.errors import PreconditionError
 
 from conftest import (
     equal_up_to_scaling,
+    loop_extreme_mask,
     loop_extreme_rays,
     match_columns_by_pattern,
+    split_hexagon_rays,
     support_pattern_of,
 )
 
@@ -121,6 +123,15 @@ class TestDualCommand:
         fields = [f for line in out.splitlines()[1:] for f in line.split()]
         assert len(fields) == d * d and "-0" not in fields
         assert sorted(fields) == sorted(["0"] * (d * d - d) + ["1"] * d)
+
+    def test_split_hexagon_has_six_facets(self, workdir, capsys):
+        geometry.save_cone(workdir / "hex.cone", split_hexagon_rays())
+        code, out, _ = run_cli(capsys, "dual", "hex.cone")
+        assert code == 0
+        assert out.splitlines()[0] == "3 6"
+        code, out, _ = run_cli(capsys, "verify", "hex.cone")
+        assert code == 0
+        assert json.loads(out)["self_dual"] is False
 
     def test_svd_failure_in_facet_scan_exits_3(self, workdir, capsys, monkeypatch):
         geometry.save_cone(workdir / "orthant.cone", np.eye(4))
@@ -376,18 +387,22 @@ LIBRARY_SLACK_MATRIX = geometry.slack_matrix
 def two_scan_slack_matrix(cone, tol=geometry.DEFAULT_FACET_TOL):
     """The slack of verify and slack before they shared one facet scan:
     extreme_rays (with the per-generator rank loop) scans the generators,
+    a scan counts those that are not extreme (a repeated ray is extreme),
     then slack_matrix scans them again."""
-    reduced = loop_extreme_rays(cone.generators, tol)
-    if reduced.n_rays != cone.n_rays:
-        raise PreconditionError(
-            f"{cone.n_rays - reduced.n_rays} generator(s) are not extreme rays"
-        )
+    loop_extreme_rays(cone.generators, tol)
+    normals = geometry._facet_scan(cone.generators, tol)
+    dropped = int((~loop_extreme_mask(cone.generators, normals, tol)).sum())
+    if dropped:
+        raise PreconditionError(f"{dropped} generator(s) are not extreme rays")
     return LIBRARY_SLACK_MATRIX(cone, tol)
 
 # Cone files for the single-scan tests, with the --tol each runs at (None:
-# the default).  The three at a coarse tol come from a seeded random search
+# the default).  The three at a coarse tol come from seeded random searches
 # for cones whose one scan finds no extreme ray, gives a negative slack
-# entry, or gives a slack row with too few zeros.
+# entry, or gives a slack row with too few zeros: points (1, x), x normal
+# with standard deviation 0.7, for the first, and lattice points (1, a, b),
+# |a|, |b| <= 2, moved by normal noise of standard deviation 1e-4, for the
+# other two.
 SINGLE_SCAN_CONES = {
     "prism": (data.prism_rays(), None),
     "pentagon": (data.pentagon_rays(), None),
@@ -405,26 +420,27 @@ SINGLE_SCAN_CONES = {
     "duplicates": (np.vstack([data.prism_rays(), 3.0 * data.prism_rays()[:2]]), None),
     "near-flat-vertex": ([[1, -1, 0], [1, 0, 1e-4], [1, 1, 0], [1, 0, -1]], None),
     "no-extreme-ray": ([
-        [1.0, -0.5062916583143148, 0.5937480717858228, 0.8911669542823284],
-        [1.0, 0.3208483045665637, -0.818230227390307, 0.7316522837854408],
-        [1.0, -0.5014400184670523, 0.8791606182879853, -1.0717874168774442],
-        [1.0, 0.9144672031287812, -0.02006345461548042, -1.2487488903344155],
-        [1.0, -0.31389947196684775, 0.05410227877154389, 0.27279133916445375],
-        [1.0, -0.9821881249409777, -1.107373047165193, 0.19958453284708083],
-        [1.0, -0.46674961687980204, 0.23550561173022522, 0.7595195224783792],
+        [1.0, 0.95652442938478, -0.46563627144062947, 0.24605704906511378],
+        [1.0, 0.632429127156266, 0.06580860843261219, -0.5204494745476659],
+        [1.0, -0.6452077633808936, -0.3204080779671374, 0.15413658642903458],
+        [1.0, -0.7067327284771151, -0.14642290241019915, -0.1114575069401344],
+        [1.0, 0.37859190928006536, 0.15026138575443862, 0.24876089632794496],
+        [1.0, -0.4576800265928376, -0.09072954358493862, 0.5487828290429306],
+        [1.0, 1.0454018016545323, -0.8813458724728841, 1.0597466423173438],
     ], 0.3),
     "negative-slack": ([
-        [0.9997845245056822, -2.0000520875825156, -1.0000954149223154],
-        [0.9999347373047459, 0.9999725446024847, -0.00012436070752310066],
-        [0.9998889489578273, -1.0000100317064449, -0.999988422947735],
-        [0.9999344001722085, -0.9999501714931235, -1.0000219454712354],
-        [0.9998980086912452, -1.9999959269332075, -0.9998117586415014],
+        [0.9998518714903913, -2.0000224711710657, 0.00016927059985819918],
+        [1.0001609236863414, 0.9999526913847713, 3.081152003549975e-05],
+        [1.000061274574003, -2.0001479165153473, -5.329224853622906e-05],
+        [0.9999594586621496, 2.0000404052186687, 0.9999489698676332],
+        [0.9998602613003479, 1.0000324206813132, 0.9999357992641003],
     ], 1e-4),
     "too-few-zeros": ([
-        [1.0000263663090456, -2.0000919598758613, 0.00013954346085892104],
-        [1.0000319135948323, 0.00020440029383495881, -1.999983435240681],
-        [1.0000410487591764, -1.249355218362942e-05, -1.9999926564395805],
-        [1.0001212675317959, -1.9998718017467207, -2.000004169793223],
+        [0.9999854190723485, 1.9999118349882934, -2.0001872048975726],
+        [0.9999419034521961, -0.9999646848751278, -0.9999698405232879],
+        [0.9999365399205526, -0.9999585226660193, -0.9999205042128568],
+        [1.000053779066588, -0.9999583106932364, -0.9997679138110886],
+        [1.0001558407386089, 1.0001688065902987, -0.9999979823142567],
     ], 1e-4),
 }
 

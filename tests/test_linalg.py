@@ -390,7 +390,7 @@ class TestRankPath:
         assume(np.array_equal(active, owner[None, :] == np.arange(len(blocks))[:, None]))
         expected = np.array([full_svd_rank(b) == d - 1 for b in blocks])
         if expected.any():
-            assert np.array_equal(geometry._extreme_mask(gens, normals, tol), expected)
+            assert np.array_equal(geometry._extreme_mask(gens, normals, tol)[0], expected)
         else:
             with pytest.raises(PreconditionError, match="no extreme rays"):
                 geometry._extreme_mask(gens, normals, tol)

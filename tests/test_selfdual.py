@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sdcones import data, geometry, linalg, patterns, selfdual
 from sdcones.errors import PreconditionError
 
-from conftest import dfs_solve_scaling
+from conftest import dfs_solve_scaling, split_hexagon_rays
 
 
 def rescaled(m, scales):
@@ -174,6 +174,12 @@ class TestIsSelfDual:
         ok, cert = selfdual.is_self_dual(square)
         assert not ok and cert is None
 
+    def test_split_hexagon_not_self_dual(self):
+        # Two of its rays lie 4e-5 rad apart; merged into one, they gave the
+        # self-dual pentagon cone.
+        ok, cert = selfdual.is_self_dual(geometry.PolyhedralCone(split_hexagon_rays()))
+        assert not ok and cert is None
+
     def test_redundant_generator_rejected(self, pentagon_rays):
         # pentagon x R+ x R+ is self-dual.  e4 + e5 lies in the relative
         # interior of its face cone(e4, e5), so with it listed the generators
@@ -266,6 +272,16 @@ class TestSimplicial:
     def test_orthant(self):
         assert selfdual.is_simplicial(geometry.PolyhedralCone(np.eye(5)))
         assert selfdual.is_simplicial(np.eye(4))
+
+    def test_repeated_ray_counts_once(self):
+        # The constructor keeps both copies of a ray; they are one ray.
+        assert selfdual.is_simplicial(geometry.PolyhedralCone([[2, 0], [4, 0], [0, 3]]))
+        orthant = np.vstack([np.eye(3), 2.5 * np.eye(3)[1]])
+        assert selfdual.is_simplicial(geometry.PolyhedralCone(orthant))
+
+    def test_not_spanning_or_not_pointed(self):
+        assert not selfdual.is_simplicial(geometry.PolyhedralCone([[1, 0, 0], [0, 1, 0]]))
+        assert not selfdual.is_simplicial(geometry.PolyhedralCone([[1, 0], [-1, 0], [0, 1]]))
 
     def test_pentagon_not(self, pentagon_rays, pentagon_slack):
         assert not selfdual.is_simplicial(geometry.PolyhedralCone(pentagon_rays))
