@@ -187,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = files("analyze", "full matrix analysis report", dnn.DEFAULT_DNN_TOL)
     p_analyze.add_argument("--rank", type=int, required=True, help="cone dimension d")
     files("verify", "self-duality decision for a cone file", facet_tol)
-    p_search = files("search", "self-dual realization search",
-                     search.DEFAULT_VERIFY_TOL)
+    p_search = files("search", "self-dual realization search", facet_tol)
     p_search.add_argument("--rank", type=int, required=True, help="target rank d")
     p_search.add_argument("--seed", type=int, default=search.SearchParams.seed)
     p_search.add_argument("--retries", type=int, default=search.SearchParams.retries)
@@ -299,8 +298,16 @@ def main(argv=None) -> int:
             print(f"precondition failure: {refusal}", file=sys.stderr)
             return EXIT_PRECONDITION
         outcomes = [_settle(_run_one, args, p) for p in args.inputs]
-    for _, text, failed in outcomes:
-        print(text, file=sys.stderr if failed else sys.stdout)
+    try:
+        for _, text, failed in outcomes:
+            print(text, file=sys.stderr if failed else sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The interpreter flushes stdout again at exit; pointing it at
+        # devnull first keeps that flush from raising too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return max(code for code, _, _ in outcomes)
 
 

@@ -4,14 +4,14 @@ Cones are stored as unit-normalized generator rows, in input order.  One
 incidence key at tol tells rays and facets apart: a facet is named by the
 generators tight on it, an extreme ray by the facets tight at it.  Facets
 are enumerated by a scan over the C(n, d-1) subsets of generators in
-lexicographic order, a chunk of subsets at a time.  A Householder QR screen
-drops the subsets whose complement direction sees generators clearly on
-both sides; only the survivors, in practice the facets, take the exact
-path: one stacked LAPACK SVD with vectorized rank, sign and orientation
-tests.  More than FACET_SUBSET_BUDGET subsets raise ConvergenceError before
-any is formed.  Facet normals are unit vectors rather than a canonical
-scaling, so slack matrices are defined up to positive row/column scaling,
-and every pattern comparison in this package is scale-free.
+lexicographic order, a chunk of subsets at a time: one stacked Householder
+QR gives each subset a unit normal, the orientation test at tol keeps the
+normals with every generator on one side, and a values-only SVD keeps those
+whose subset has rank d-1.  More than FACET_SUBSET_BUDGET subsets raise
+ConvergenceError before any is formed.  Facet normals are unit vectors
+rather than a canonical scaling, so slack matrices are defined up to
+positive row/column scaling, and every pattern comparison in this package is
+scale-free.
 """
 
 from __future__ import annotations
@@ -34,22 +34,16 @@ DEFAULT_FACET_TOL = 1e-7
 
 # Generator subsets per chunk of the facet scan, and at most _SCAN_ENTRIES
 # subset-generator products per chunk, which bounds the scan's memory at any
-# C(n, d-1) and n.  With the screen, chunks of 1024 subsets scan d=5..7
-# cones with 12 to 24 generators up to 20 % faster than chunks of 256.
+# C(n, d-1) and n.  Chunks of 1024 subsets scan d=5..7 cones with 12 to 24
+# generators from 5 % slower to 25 % faster than chunks of 256.
 _SCAN_CHUNK = 1024
 _SCAN_ENTRIES = 1 << 20
 
 # The facet scan's work budget: more (d-1)-subsets than this raise
 # ConvergenceError before any is formed.  A scan at the budget takes about
-# 2.7 s at d=6, 4.7 s at d=3, 6.2 s at d=12 and 12 s at d=16 (2-vCPU host,
+# 3 s at d=6, 5.5 s at d=3, 6.5 s at d=12 and 12 s at d=16 (2-vCPU host,
 # random cones); it admits d=6, n=40 (658 008 subsets).
 FACET_SUBSET_BUDGET = 1_000_000
-
-# Screen margin of the facet scan, per unit of generator norm, above tol,
-# and the fewest subsets a chunk needs to be screened: on smaller ones the
-# screen costs more than the SVDs it saves.
-SCREEN_MARGIN = 1e-4
-_SCREEN_MIN_CHUNK = 64
 
 
 class PolyhedralCone:
@@ -119,29 +113,16 @@ def _first_per_key(tight: np.ndarray, seen: set[bytes]) -> np.ndarray:
 def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
     """Unit facet normals of cone(gen rows), assuming gen spans its space.
 
-    A (d-1)-subset of generators with one-dimensional null space proposes a
-    hyperplane; the normal is kept, oriented inward, when every generator
-    sits on its nonnegative side up to tol.  Subsets are taken in
-    lexicographic order, _SCAN_CHUNK at a time (fewer when n is large).
-    ConvergenceError, before any subset is formed, when there are more than
-    FACET_SUBSET_BUDGET.
-
-    A chunk of at least _SCREEN_MIN_CHUNK subsets is screened first:
-    linalg.orthogonal_directions gives a unit q orthogonal to each subset,
-    and the subset is dropped when generators lie beyond
-    tol + SCREEN_MARGIN * |g| on both sides of q.  The rest, in order, take
-    the exact path: one stack of SVDs (linalg.null_directions), the
-    nullity-1 test and the orientation test at tol.  A kept normal is new
-    when its tight set {i : |g_i . n| <= tol} differs from that of every
-    normal kept before it, in subset order.
-
-    The screen drops no normal the exact path keeps.  A dropped subset of
-    nullity other than 1 is dropped by the exact path too.  At nullity 1 the
-    rank rule bounds sigma_1 / sigma_(d-1) by 1 / DEFAULT_RANK_TOL = 1e8, so
-    the SVD normal v and q, both backward stable, lie within an angle of
-    about eps * 1e8 (eps = 2.2e-16, machine epsilon) of the exact null
-    direction, and so of +-each other.  SCREEN_MARGIN is far above that
-    angle: v, too, sees generators beyond tol on both sides.
+    Each (d-1)-subset proposes the unit normal q of its hyperplane from one
+    Householder QR (linalg.orthogonal_directions).  q is kept, oriented
+    inward, when every generator sits on its nonnegative side up to tol and
+    the subset has numeric rank d-1 (linalg's one rank rule, from a
+    values-only SVD of the orientation survivors only).  A kept normal is
+    new when its tight set {i : |g_i . q| <= tol} differs from that of every
+    normal kept before it.  Subsets are taken in lexicographic order,
+    _SCAN_CHUNK at a time (fewer when n is large), and each is judged as it
+    would be alone, bit for bit.  ConvergenceError, before any subset is
+    formed, when there are more than FACET_SUBSET_BUDGET.
     """
     n, d = gen.shape
     if d == 1:
@@ -166,21 +147,16 @@ def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
                             dtype=np.intp).reshape(-1, d - 1)
         if chunk.shape[0] == 0:
             break
-        if chunk.shape[0] >= _SCREEN_MIN_CHUNK:
-            reach = tol + SCREEN_MARGIN * np.linalg.norm(gen, axis=1)
-            sides = linalg.orthogonal_directions(gen[chunk]) @ gen.T
-            chunk = chunk[~((sides > reach).any(axis=1) & (sides < -reach).any(axis=1))]
-            if chunk.shape[0] == 0:
-                continue
-        nullity, vecs = linalg.null_directions(gen[chunk])
-        normals = vecs[nullity == 1, :, -1]
-        # A stack of matrix-vector products rounds exactly as gen @ v does
+        subsets = gen[chunk]
+        normals = linalg.orthogonal_directions(subsets)
+        # A stack of matrix-vector products rounds exactly as gen @ q does
         # for one normal; one matrix product may round differently and move
         # a generator across tol.
         prods = (gen @ normals[:, :, None])[:, :, 0]
         inward = prods.min(axis=1) >= -tol
         outward = ~inward & (prods.max(axis=1) <= tol)
         keep = inward | outward
+        keep[keep] = linalg._stacked_rank(subsets[keep]) == d - 1
         # + 0.0 turns the -0.0 that negating an exact zero gives into 0.0.
         normals = np.where(outward[:, None], -normals, normals)[keep] + 0.0
         found.append(normals[_first_per_key(np.abs(prods[keep]) <= tol, seen)])
@@ -210,9 +186,9 @@ def is_pointed(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> bool:
 def facet_normals(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> np.ndarray:
     """Unit inward normals of all facets of a pointed full-dimensional cone.
 
-    Found by the stacked-SVD scan over all (d-1)-subsets of generators, one
-    normal per set of generators tight on it at tol: the first, in
-    enumeration order (lexicographic over generator subsets).
+    Found by the stacked Householder scan over all (d-1)-subsets of
+    generators, one normal per set of generators tight on it at tol: the
+    first, in enumeration order (lexicographic over generator subsets).
     PreconditionError when the generators do not span R^d or the cone is not
     pointed.
     """

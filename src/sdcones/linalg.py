@@ -11,16 +11,16 @@ from a values-only SVD (_singular_values, of one matrix or a stack) or from
 the absolute eigenvalues of a decomposition the caller holds
 (EigenDecomposition.rank); EigenDecomposition.is_psd is the one PSD test of
 a candidate slack or DNN matrix.  null_directions is the one SVD that forms
-singular vectors, and reads its nullities off its own singular values:
-null_space is its one-matrix case, and the facet scan calls it on a stack of
-subsets; orthogonal_directions, the scan's screen, takes one Householder QR
-per subset.  psd_project and low_rank_project share one body: clip the
-eigenvalues at 0, keep the d largest (d = n for psd_project) and return
-V diag(w) V^T, in which the sign of each column of V cancels exactly, so
-they skip the sign rule.  They take stacks too, so the SDP search and its
-rank refinement project a stack of attempts with one LAPACK call per
-iteration, each matrix getting the bits it would get alone.  All functions
-are pure; there is no shared mutable state.
+singular vectors, and reads its nullities off its own singular values;
+null_space is its one-matrix case.  orthogonal_directions gives the facet
+scan one candidate normal per subset of a stack, from one Householder QR
+each, and the scan ranks its candidates by _stacked_rank.  psd_project and
+low_rank_project share one body: clip the eigenvalues at 0, keep the d
+largest (d = n for psd_project) and return V diag(w) V^T, in which the sign
+of each column of V cancels exactly, so they skip the sign rule.  They take
+stacks too, so the SDP search and its rank refinement project a stack of
+attempts with one LAPACK call per iteration, each matrix getting the bits it
+would get alone.  All functions are pure; there is no shared mutable state.
 """
 
 from __future__ import annotations

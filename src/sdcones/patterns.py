@@ -5,7 +5,14 @@ slack with its target support by ratios to the largest entry at the caller's
 tolerance, since a certified slack's off-support entries need only be that
 small, not below SUPPORT_CLAMP.  slack_support is the one sign rule for a
 candidate slack; every check of one takes its mask from it.  A SlackMatrix
-is zero off that mask and positive on it, so find_psd_scaling reads m > 0."""
+is zero off that mask and positive on it, so find_psd_scaling reads m > 0.
+
+A negative entry on the support ends a candidate with one message, "matrix
+must be entrywise nonnegative", in one of two ways.  The callers that judge
+a user's matrix raise it as PreconditionError (analyze exits 2).  The two
+certifiers return it as a refusal: selfdual.certify_psd_slack gives
+(False, message), and search.certify gives "extraction failed: " + message,
+so the search goes on to its next attempt."""
 
 from __future__ import annotations
 

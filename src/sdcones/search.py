@@ -27,8 +27,6 @@ from .patterns import SupportPattern, involution_permutations, slack_support, su
 
 REFINE_STOP_TOL = 1e-12
 
-DEFAULT_VERIFY_TOL = 1e-6
-
 
 @dataclass
 class SearchParams:
@@ -353,7 +351,7 @@ class RetryResult:
 def randomized_retry(
     pattern: SupportPattern,
     params: SearchParams,
-    verify_tol: float = DEFAULT_VERIFY_TOL,
+    verify_tol: float = geometry.DEFAULT_FACET_TOL,
 ) -> RetryResult:
     """Run the feasibility solver with random positive weights, retrying with
     fresh weights until an attempt yields a certified realization.
@@ -471,7 +469,7 @@ def extract_realization(x, d: int) -> Realization:
 def verify_realization(
     real: Realization,
     pattern: SupportPattern,
-    tol: float = DEFAULT_VERIFY_TOL,
+    tol: float = geometry.DEFAULT_FACET_TOL,
 ) -> selfdual.SlackReport:
     """Certify a realization's cone against its target support by
     selfdual.certify_slack at tol."""
@@ -515,7 +513,7 @@ class PipelineResult:
 def run_pipeline(
     support,
     params: SearchParams,
-    verify_tol: float = DEFAULT_VERIFY_TOL,
+    verify_tol: float = geometry.DEFAULT_FACET_TOL,
 ) -> PipelineResult:
     """Full search: involution check, randomized SDP retries with refinement,
     extraction, verification.

@@ -157,9 +157,10 @@ def test_criterion_6_pipeline_magnitudes(tmp_path):
             assert np.abs(np.diag(x) - 1.0).max() <= 1e-10
             vals = linalg.sym_eigen(x).values
             assert np.abs(vals[d:]).max() < 1e-8
-            # Verification ran at tolerance 1e-6 inside the pipeline.
+            # Verification ran at geometry.DEFAULT_FACET_TOL inside the
+            # pipeline, and passes again at 1e-6 below.
             assert transcript["verification"]["passed"] is True
-            assert transcript["verification"]["worst_cosine"] >= 1.0 - 1e-6
+            assert transcript["verification"]["worst_cosine"] >= 1.0 - geometry.DEFAULT_FACET_TOL
             cone = geometry.load_cone(tmp_path / name / f"{name}_realization.cone")
             real = search.Realization(
                 dim=d,

@@ -4,9 +4,11 @@ Every entry point that takes a candidate slack matrix reads its signs by one
 rule, patterns.slack_support: an entry at most SUPPORT_CLAMP times the
 largest counts as a zero whatever its sign, and a negative entry beyond that
 refuses the matrix, with one message.  Each bundled PSD slack below gets one
-symmetric pair of its zeros set to -c times its largest entry, and five
+symmetric pair of its zeros set to -c times its largest entry, and six
 callers from four modules must accept it exactly when c is at most
-SUPPORT_CLAMP.
+SUPPORT_CLAMP, and otherwise refuse it as the patterns module docstring
+says: certify_psd_slack and search.certify return the message, the others
+raise it.
 
 They must also agree on whether a candidate is PSD, and so on the verdict:
 certify_psd_slack is analyze's certification at its default tol, and
@@ -43,6 +45,8 @@ CALLERS = {
     "analyze_matrix": lambda m, d, _: analysis.analyze_matrix(
         m, d, dnn.DEFAULT_DNN_TOL, "m.mat").results["selfdual_certification"]["certified"],
     "extract_and_verify": realizes,
+    "search_certify": lambda m, d, pattern: search.certify(
+        m, pattern, d, geometry.DEFAULT_FACET_TOL)[0] is not None,
 }
 
 
@@ -66,6 +70,9 @@ def test_one_sign_rule(name, c, caller):
         assert run(m, d, pattern)
     elif caller == "certify_psd_slack":
         assert selfdual.certify_psd_slack(m, d) == (False, REFUSAL)
+    elif caller == "search_certify":
+        assert search.certify(m, pattern, d, geometry.DEFAULT_FACET_TOL) == (
+            None, None, "extraction failed: " + REFUSAL)
     else:
         with pytest.raises(PreconditionError) as info:
             run(m, d, pattern)

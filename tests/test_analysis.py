@@ -12,6 +12,7 @@ made it fail, the outputs may differ.
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -246,18 +247,18 @@ class TestSameReportAsTheParentPass:
 
 
 def count_decompositions(monkeypatch) -> list:
-    """Record (kind, input shape, vectors) for every numpy.linalg eigh and
-    svd call made from now on: kind is "eigh" or "svd", and vectors whether
-    the call forms eigenvectors or singular vectors (eigh always does, svd
-    unless compute_uv is False).  A stacked call, such as the facet scan's,
-    has a batch axis in its shape, so whole-matrix calls on an n x n matrix
-    are the entries with shape (n, n)."""
+    """Record (kind, input shape, vectors) for every numpy.linalg eigh, svd
+    and qr call made from now on: kind is "eigh", "svd" or "qr", and vectors
+    whether the call forms eigenvectors, singular vectors or reflectors (eigh
+    and qr always do, svd unless compute_uv is False).  A stacked call, such
+    as the facet scan's, has a batch axis in its shape, so whole-matrix calls
+    on an n x n matrix are the entries with shape (n, n)."""
     calls = []
-    for kind in ("eigh", "svd"):
+    for kind in ("eigh", "svd", "qr"):
         run = getattr(np.linalg, kind)
 
         def counted(a, *args, kind=kind, run=run, **kwargs):
-            vectors = kind == "eigh" or kwargs.get("compute_uv", True)
+            vectors = kind != "svd" or kwargs.get("compute_uv", True)
             calls.append((kind, np.shape(a), bool(vectors)))
             return run(a, *args, **kwargs)
 
@@ -284,9 +285,9 @@ class TestOneDecomposition:
     @pytest.mark.parametrize("name", ["pentagon", "prism"])
     def test_one_eigh_and_no_singular_vectors_of_n_rows(self, monkeypatch, name):
         # The rank, the PSD test, the slack check, the extremality test and
-        # the factor cone all read one eigendecomposition of the input.  The
-        # only SVD that forms singular vectors is the facet scan's stack of
-        # (d - 1) x d subsets.
+        # the factor cone all read one eigendecomposition of the input.  No
+        # SVD forms singular vectors: the facet scan's normals come from
+        # one stacked QR, and its ranks from values-only SVDs.
         m, d = BUNDLED[name]
         n = m.shape[0]
         calls = count_decompositions(monkeypatch)
@@ -294,8 +295,9 @@ class TestOneDecomposition:
         assert report.results["verdicts"]["dnn_extreme"]
         assert report.results["selfdual_certification"]["certified"]
         assert [c for c in calls if c[0] == "eigh"] == [("eigh", (n, n), True)]
-        vectors = [shape for kind, shape, uv in calls if kind == "svd" and uv]
-        assert vectors and all(shape[-2:] == (d - 1, d) for shape in vectors)
+        subsets = math.comb(n, d - 1)
+        assert [c for c in calls if c[0] == "qr"] == [("qr", (subsets, d, d - 1), True)]
+        assert [uv for kind, _, uv in calls if kind == "svd"] == [False] * 4
 
     @pytest.mark.parametrize("name", ["pentagon", "prism", "nonslack"])
     def test_one_support_mask_per_matrix(self, monkeypatch, name):

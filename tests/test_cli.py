@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -879,6 +882,34 @@ class TestUnwritableOutputs:
         assert err.startswith("cannot write output:") and "a_" in err
         assert "Traceback" not in err
         assert (workdir / "a_file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+    def test_stdout_that_cannot_be_written(self, workdir, capsys, sink):
+        # A pipe whose read end is closed before the command writes (EPIPE),
+        # or a full device (ENOSPC): one message, no traceback, and nothing
+        # left for the interpreter's own flush at exit.
+        if sink == "/dev/full" and not Path(sink).exists():
+            pytest.skip("no /dev/full")
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "sdcones.cli", "dual", "pentagon_rays.cone"]
+        if sink == "/dev/full":
+            with open(sink, "w") as full:
+                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                      text=True, env=env, timeout=120)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE,
+                                      text=True, env=env, timeout=120)
+            finally:
+                os.close(write)
+        assert proc.returncode == cli.EXIT_PARSE, proc.stderr
+        assert proc.stderr.startswith("cannot write output:")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 # The conversion slack --json, verify and search used before the one JSON

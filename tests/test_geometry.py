@@ -60,11 +60,13 @@ def oracle_facet_normals(gens: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.asarray(found)
 
 
-def loop_facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
-    """The per-subset facet scan the stacked one replaced: one null_space
-    call and orientation test per (d-1)-subset, in lexicographic order,
-    keeping a normal whose tight set {i : |g_i . v| <= tol} no kept normal
-    has.  The stacked scan must reproduce it bit for bit."""
+def _loop_scan(gen: np.ndarray, tol: float, normal, subsets=None) -> np.ndarray:
+    """A per-subset facet scan: normal(subset) gives each (d-1)-subset's
+    unit normal, or None when the subset does not have rank d-1; in
+    lexicographic order, the normal is oriented inward when every generator
+    is on one side of it up to tol, and kept when its tight set
+    {i : |g_i . v| <= tol} no kept normal has.  The subset of each kept
+    normal is appended to the list subsets, when one is given."""
     n, d = gen.shape
     if d == 1:
         col = gen[:, 0]
@@ -76,10 +78,9 @@ def loop_facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
     found: list[np.ndarray] = []
     tight_sets: list[list[int]] = []
     for combo in itertools.combinations(range(n), d - 1):
-        basis = linalg.null_space(gen[list(combo)])
-        if basis.shape[1] != 1:
+        v = normal(gen[list(combo)])
+        if v is None:
             continue
-        v = basis[:, 0]
         prods = gen @ v
         if prods.min() >= -tol:
             pass
@@ -91,9 +92,57 @@ def loop_facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
         if tight not in tight_sets:
             tight_sets.append(tight)
             found.append(v)
+            if subsets is not None:
+                subsets.append(list(combo))
     if not found:
         return np.zeros((0, d))
     return np.vstack(found)
+
+
+def loop_facet_scan(gen: np.ndarray, tol: float, subsets=None) -> np.ndarray:
+    """The cross-kernel oracle: one SVD per (d-1)-subset (linalg.null_space),
+    kept at nullity 1.  The stacked scan must find the same tight sets in
+    the same order, with nearby normals (same_facets)."""
+    def normal(sub):
+        basis = linalg.null_space(sub)
+        return basis[:, 0] if basis.shape[1] == 1 else None
+
+    return _loop_scan(gen, tol, normal, subsets)
+
+
+def householder_facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
+    """The stacked scan's per-subset reference: one Householder normal
+    (linalg.orthogonal_directions) and one linalg.numeric_rank per
+    (d-1)-subset.  The stacked scan must reproduce it bit for bit."""
+    d = gen.shape[1]
+
+    def normal(sub):
+        return linalg.orthogonal_directions(sub) if linalg.numeric_rank(sub) == d - 1 else None
+
+    return _loop_scan(gen, tol, normal)
+
+
+def same_facets(got: np.ndarray, gen: np.ndarray, tol: float) -> bool:
+    """Whether the normals got are loop_facet_scan's up to rounding: the same
+    tight sets in the same order, and each normal within 1e-12, or within
+    eps * cond(S) for an ill-conditioned subset S, the forward error bound
+    of two backward-stable null directions of S.  A normal whose hyperplane
+    holds every generator has no inward side, so its sign is free."""
+    subsets: list[list[int]] = []
+    oracle = loop_facet_scan(gen, tol, subsets)
+    if got.shape != oracle.shape:
+        return False
+    for u, v, sub in zip(got, oracle, subsets):
+        tight = np.abs(gen @ u) <= tol
+        if not np.array_equal(tight, np.abs(gen @ v) <= tol):
+            return False
+        gap = np.abs(u - v).max()
+        if tight.all():
+            gap = min(gap, np.abs(u + v).max())
+        sv = np.linalg.svd(gen[sub], compute_uv=False)
+        if gap > max(1e-12, np.finfo(float).eps * sv[0] / sv[-1]):
+            return False
+    return True
 
 
 @st.composite
@@ -394,17 +443,18 @@ class TestStackedFacetScan:
     @given(scan_generators())
     def test_equals_per_subset_loop(self, gen):
         tol = geometry.DEFAULT_FACET_TOL
-        expected = loop_facet_scan(gen, tol)
+        expected = householder_facet_scan(gen, tol)
         got = geometry._facet_scan(gen, tol)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+        assert same_facets(got, gen, tol)
 
     @pytest.mark.parametrize("d, n", [(3, 1), (4, 2), (6, 4), (2, 1), (4, 3), (6, 5)])
     def test_no_or_one_subset(self, d, n):
         # n < d-1 gives no subset at all; n = d-1 exactly one, whose
         # hyperplane holds every generator.
         gen = np.eye(d)[:n]
-        expected = loop_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+        expected = householder_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
         got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
         assert got.shape == expected.shape == ((0, d) if n < d - 1 else (1, d))
         assert np.array_equal(got, expected)
@@ -412,7 +462,7 @@ class TestStackedFacetScan:
     def test_cone_with_line(self):
         gen = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                         [0.0, 0.6, 0.8]])
-        expected = loop_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+        expected = householder_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
         got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
         assert expected.shape == (2, 3)
         assert np.array_equal(got, expected)
@@ -423,7 +473,7 @@ class TestStackedFacetScan:
         cones = [geometry.PolyhedralCone(prism_rays).generators,
                  random_pointed_cone_generators(rng, 4, 11),
                  random_pointed_cone_generators(rng, 5, 11)]
-        expected = [loop_facet_scan(g, geometry.DEFAULT_FACET_TOL) for g in cones]
+        expected = [householder_facet_scan(g, geometry.DEFAULT_FACET_TOL) for g in cones]
         monkeypatch.setattr(geometry, "_SCAN_CHUNK", chunk)
         for gen, want in zip(cones, expected):
             # C(7, 3) = 35 subsets fill whole chunks of 7; C(11, 3) = 165
@@ -434,8 +484,8 @@ class TestStackedFacetScan:
 
 
 # Signed distances from a facet hyperplane, per unit of row length, at which
-# near_facet_cones puts generators: on both sides of tol and of the screen's
-# margin.
+# near_facet_cones puts generators: on both sides of tol, and up to 1000
+# times beyond it.
 NEAR_FACET_OFFSETS = (1e-8, geometry.DEFAULT_FACET_TOL * (1.0 - 1e-3),
                       geometry.DEFAULT_FACET_TOL * (1.0 + 1e-3), 1e-6, 1e-5, 1e-4)
 
@@ -444,8 +494,8 @@ NEAR_FACET_OFFSETS = (1e-8, geometry.DEFAULT_FACET_TOL * (1.0 - 1e-3),
 def near_facet_cones(draw) -> np.ndarray:
     """Generator rows of a random pointed cone, d = 3..5, plus one to four
     generators at signed distances +-NEAR_FACET_OFFSETS from one of its facet
-    hyperplanes, plus interior rows until the scan has a chunk the screen
-    takes; all rows unit, or each scaled by 10^U(-3, 3)."""
+    hyperplanes, plus interior rows until the scan has at least 64 subsets;
+    all rows unit, or each scaled by 10^U(-3, 3)."""
     d = draw(st.integers(3, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = random_pointed_cone_generators(rng, d, draw(st.integers(d + 1, 7)))
@@ -456,7 +506,7 @@ def near_facet_cones(draw) -> np.ndarray:
     for offset in draw(st.lists(st.sampled_from(NEAR_FACET_OFFSETS), min_size=1, max_size=4)):
         p = rng.uniform(0.1, 1.0, size=on.shape[0]) @ on
         rows.append(p / np.linalg.norm(p) + draw(st.sampled_from([-1.0, 1.0])) * offset * f)
-    while math.comb(len(rows), d - 1) < geometry._SCREEN_MIN_CHUNK:
+    while math.comb(len(rows), d - 1) < 64:
         rows.append(rng.uniform(0.1, 1.0, size=base.shape[0]) @ base)
     g = np.array(rows)
     g /= np.linalg.norm(g, axis=1)[:, None]
@@ -466,14 +516,18 @@ def near_facet_cones(draw) -> np.ndarray:
 
 
 class TestScreenedFacetScan:
+    """The orientation test screens each chunk's Householder normals; only
+    its survivors reach the rank test."""
+
     @settings(max_examples=200, deadline=None)
     @given(near_facet_cones())
     def test_near_facet_generators_equal_per_subset_loop(self, gen):
         tol = geometry.DEFAULT_FACET_TOL
-        expected = loop_facet_scan(gen, tol)
+        expected = householder_facet_scan(gen, tol)
         got = geometry._facet_scan(gen, tol)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+        assert same_facets(got, gen, tol)
 
     @settings(max_examples=200, deadline=None)
     @given(near_facet_cones())
@@ -488,38 +542,44 @@ class TestScreenedFacetScan:
 
     @pytest.mark.parametrize("chunk", [1024, 73])
     def test_only_facet_candidates_reach_the_svd(self, monkeypatch, chunk):
+        # Only orientation survivors reach the rank test's values-only SVD:
+        # one stack per chunk, C(12, 5) = 792 subsets in one chunk, or in
+        # ten chunks of 73 and a last one of 62.
         gen = random_pointed_cone_generators(np.random.default_rng(6), 6, 12)
+        tol = geometry.DEFAULT_FACET_TOL
+        survivors = 0
+        for combo in itertools.combinations(range(12), 5):
+            prods = gen @ linalg.orthogonal_directions(gen[list(combo)])
+            survivors += bool(prods.min() >= -tol or prods.max() <= tol)
         received = []
-        null_directions = linalg.null_directions
+        stacked_rank = linalg._stacked_rank
 
         def counted(stack):
             received.append(stack.shape[0])
-            return null_directions(stack)
+            return stacked_rank(stack)
 
-        monkeypatch.setattr(linalg, "null_directions", counted)
+        monkeypatch.setattr(linalg, "_stacked_rank", counted)
         monkeypatch.setattr(geometry, "_SCAN_CHUNK", chunk)
-        facets = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL).shape[0]
-        # C(12, 5) = 792 subsets: one screened chunk, or ten screened chunks
-        # of 73 and a last one of 62, too small to be screened.
-        partial = 792 % chunk if 792 % chunk < geometry._SCREEN_MIN_CHUNK else 0
-        assert facets <= sum(received) <= facets + partial
+        facets = geometry._facet_scan(gen, tol).shape[0]
+        assert len(received) == math.ceil(792 / chunk)
+        assert 0 < facets <= sum(received) == survivors < 792
 
     def test_chunks_shrink_with_many_generators(self, monkeypatch, prism_rays):
         # At most _SCAN_ENTRIES subset-generator products per chunk: 3
         # subsets of the 7-generator prism cone per chunk here.
         gen = geometry.PolyhedralCone(prism_rays).generators
-        expected = loop_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+        expected = householder_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
         received = []
-        null_directions = linalg.null_directions
+        orthogonal_directions = linalg.orthogonal_directions
 
         def counted(stack):
             received.append(stack.shape[0])
-            return null_directions(stack)
+            return orthogonal_directions(stack)
 
-        monkeypatch.setattr(linalg, "null_directions", counted)
+        monkeypatch.setattr(linalg, "orthogonal_directions", counted)
         monkeypatch.setattr(geometry, "_SCAN_ENTRIES", 3 * gen.shape[0] + 1)
         assert np.array_equal(geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL), expected)
-        assert max(received) == 3
+        assert max(received) == 3 and sum(received) == math.comb(7, 3)
 
 
 class TestFacetSubsetBudget:
@@ -533,7 +593,7 @@ class TestFacetSubsetBudget:
             raise AssertionError("a subset reached a kernel")
 
         monkeypatch.setattr(linalg, "orthogonal_directions", no_subsets)
-        monkeypatch.setattr(linalg, "null_directions", no_subsets)
+        monkeypatch.setattr(linalg, "_stacked_rank", no_subsets)
         with pytest.raises(ConvergenceError, match=r"60 generators in R\^10 needs "
                            r"C\(60, 9\) = 14783142660 subsets, over the budget of 1000000"):
             geometry.facet_normals(cone)

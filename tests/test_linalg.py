@@ -566,8 +566,9 @@ class TestLapackFailure:
             geometry.facet_normals(geometry.PolyhedralCone(np.eye(3)))
 
     def test_svd_stack_in_facet_scan(self, monkeypatch):
-        # Only the facet scan factors a stack of matrices, so this failure
-        # comes from its SVD and not from the rank checks around it.
+        # Only the facet scan's rank test factors a stack of matrices, so
+        # this failure comes from its SVD and not from the rank checks
+        # around it.
         svd = np.linalg.svd
 
         def fail_on_stacks(a, *args, **kwargs):
@@ -583,8 +584,8 @@ class TestLapackFailure:
 
 
     def test_qr_stack_in_facet_scan(self, monkeypatch):
-        # The facet scan's screen is the package's one QR, and it factors
-        # a stack.  The 12-gon cone's 66 subsets are screened.
+        # The facet scan's normals come from the package's one QR, one
+        # stack per chunk: here the 12-gon cone's 66 subsets.
         qr = np.linalg.qr
 
         def fail_on_stacks(a, *args, **kwargs):

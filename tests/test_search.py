@@ -671,7 +671,7 @@ class TestSearchParams:
 
 # -- the retry loop before attempts ran as stacks, kept as an oracle ---------
 
-def sequential_retry(pattern, params, verify_tol=search.DEFAULT_VERIFY_TOL):
+def sequential_retry(pattern, params, verify_tol=geometry.DEFAULT_FACET_TOL):
     """One sdp_feasibility call per attempt, each with its own (n, n) weight
     draw, refined, recorded and certified before the next one runs."""
     rng = np.random.default_rng(params.seed)
@@ -1120,7 +1120,8 @@ class TestPipeline:
 
 class TestOneCertifier:
     """search, analyze and certify_psd_slack judge a refined matrix by one
-    rule, so they give one verdict on it."""
+    rule at one tolerance, geometry.DEFAULT_FACET_TOL, so they give one
+    verdict on it."""
 
     CASES = [("gon17", functools.partial(gon_support, 17), 3, 6)] + [
         (name, support, rank, seed)
@@ -1136,6 +1137,7 @@ class TestOneCertifier:
         certify = search.certify
 
         def recorded(matrix, pattern, d, tol):
+            assert tol == geometry.DEFAULT_FACET_TOL
             result = certify(matrix, pattern, d, tol)
             seen.append((matrix, result[0] is not None))
             return result
