@@ -10,8 +10,7 @@ normals with every generator on one side, and a values-only SVD keeps those
 whose subset has rank d-1.  More than FACET_SUBSET_BUDGET subsets raise
 ConvergenceError before any is formed.  Facet normals are unit vectors
 rather than a canonical scaling, so slack matrices are defined up to
-positive row/column scaling, and every pattern comparison in this package is
-scale-free.
+positive row/column scaling; their zeros are the tight entries at tol.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ class PolyhedralCone:
 @dataclass
 class SlackMatrix:
     """Inner products between cone generators (rows) and dual generators
-    (columns), the entries outside patterns.slack_support set to exact zero."""
+    (columns), exact zeros where the generator is tight on the facet."""
 
     matrix: np.ndarray
     cone_dim: int
@@ -189,13 +188,16 @@ def facet_normals(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> np.nd
     Found by the stacked Householder scan over all (d-1)-subsets of
     generators, one normal per set of generators tight on it at tol: the
     first, in enumeration order (lexicographic over generator subsets).
-    PreconditionError when the generators do not span R^d or the cone is not
+    PreconditionError when the generators do not span R^d, the scan keeps
+    no facet at tol (d >= 2; at d = 1 that is a line), or the cone is not
     pointed.
     """
     if not is_full_dimensional(cone):
         raise PreconditionError("generators do not span the ambient space")
     normals = _facet_scan(cone.generators, tol)
-    if normals.shape[0] == 0 or linalg.numeric_rank(normals) < cone.dim:
+    if normals.shape[0] == 0 and cone.dim > 1:
+        raise PreconditionError(f"no facet found at tol {tol:g}")
+    if linalg.numeric_rank(normals) < cone.dim:
         raise PreconditionError("cone is not pointed")
     return normals
 
@@ -206,12 +208,12 @@ def dual_cone(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> Polyhedra
 
 
 def _extreme_mask(gens: np.ndarray, normals: np.ndarray,
-                  tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(extreme, rays): which generators are extreme rays of the cone with
-    these facet normals, those whose active facets (|<g, n>| <= tol) have
-    normals of rank d-1, and the indices of the first extreme generator with
-    each set of active facets, one per ray.  PreconditionError when no
-    generator is extreme.
+                  tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(extreme, rays, active): which generators are extreme rays of the
+    cone with these facet normals, those whose active facets (active[i, j]
+    is |<g_i, n_j>| <= tol) have normals of rank d-1, and the indices of the
+    first extreme generator with each set of active facets, one per ray.
+    PreconditionError when no generator is extreme.
 
     The ranks come from one stacked values-only SVD over the active-normal
     sets, zero-padded to a common row count: zero rows add only zero
@@ -230,7 +232,7 @@ def _extreme_mask(gens: np.ndarray, normals: np.ndarray,
     if not extreme.any():
         raise PreconditionError("no extreme rays found; input cone degenerate")
     index = np.flatnonzero(extreme)
-    return extreme, index[_first_per_key(active[index], set())]
+    return extreme, index[_first_per_key(active[index], set())], active
 
 
 def extreme_rays(generators, tol: float = DEFAULT_FACET_TOL) -> PolyhedralCone:
@@ -241,7 +243,7 @@ def extreme_rays(generators, tol: float = DEFAULT_FACET_TOL) -> PolyhedralCone:
     their ray.  The checks and messages are facet_normals'.
     """
     cone = PolyhedralCone(generators)
-    _, rays = _extreme_mask(cone.generators, facet_normals(cone, tol), tol)
+    _, rays, _ = _extreme_mask(cone.generators, facet_normals(cone, tol), tol)
     return PolyhedralCone(cone.generators[rays])
 
 
@@ -250,24 +252,24 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
     column per facet.
 
     Entry (i, j) is the inner product of ray i (its first generator) with
-    dual generator j, set to exact zero outside patterns.slack_support, so
-    pattern logic can compare supports without tolerance bookkeeping.  Every
-    generator must be an extreme ray, judged against the one facet scan the
-    slack is built from: PreconditionError for facet_normals' reasons, when
-    no generator is extreme, with a count of those that are not, or for the
-    reasons of slack_support and slack_pattern_reasons.
+    dual generator j, set to exact zero where _extreme_mask finds the ray
+    active on the facet, so each row has d-1 zeros or more and no two rows
+    the same zeros.  Every generator must be an extreme ray, judged against
+    the one facet scan the slack is built from: PreconditionError for
+    facet_normals' reasons, when no generator is extreme, with a count of
+    those that are not, for a zero column (a cone flat at tol) or for an
+    entry below -tol (the scan's matrix-vector product put it at -tol).
     """
     normals = facet_normals(cone, tol)
-    extreme, rays = _extreme_mask(cone.generators, normals, tol)
+    extreme, rays, active = _extreme_mask(cone.generators, normals, tol)
     dropped = int((~extreme).sum())
     if dropped:
         raise PreconditionError(f"{dropped} generator(s) are not extreme rays")
-    m = cone.generators[rays] @ normals.T
-    on = slack_support(m)
-    m = np.where(on, m, 0.0)
-    reasons = slack_pattern_reasons(m, cone.dim, support=on)
-    if reasons:
-        raise PreconditionError("not a slack matrix: " + "; ".join(reasons))
+    m = np.where(active[rays], 0.0, cone.generators[rays] @ normals.T)
+    if (m < 0.0).any():
+        raise PreconditionError("matrix must be entrywise nonnegative")
+    if active[rays].all(axis=0).any():
+        raise PreconditionError("not a slack matrix: matrix has a zero column")
     return SlackMatrix(m, cone.dim)
 
 
@@ -392,14 +394,16 @@ class RoundTrip(NamedTuple):
     mapping: np.ndarray | None
     worst_cosine: float
     slack: np.ndarray
+    incidence: np.ndarray
 
 
 def dual_round_trip(cone: PolyhedralCone, tol: float) -> RoundTrip:
-    """A cone's unclamped slack against its own Euclidean dual, from one scan.
+    """A cone's unclamped slack against its own Euclidean dual, and its
+    incidence at tol as _extreme_mask takes it, from one scan.
 
     The facet normals, found at tol, are matched to the generators by cosine
     as in match_generators at the same tol, with the worst cosine reported.
-    When the match exists the cone is self-dual and slack column i is the
+    When the match exists the cone is self-dual and column i of both is the
     normal matched to generator i; otherwise the columns follow the scan.
     """
     gens = cone.generators
@@ -407,10 +411,8 @@ def dual_round_trip(cone: PolyhedralCone, tol: float) -> RoundTrip:
     mapping, worst = _cosine_match(gens, normals, tol)
     slack = gens @ normals.T
     if mapping is not None:
-        aligned = np.zeros_like(slack)
-        aligned[:, mapping] = slack
-        slack = aligned
-    return RoundTrip(mapping, worst, slack)
+        slack = slack[:, np.argsort(mapping)]
+    return RoundTrip(mapping, worst, slack, np.abs(slack) <= tol)
 
 
 # ---------------------------------------------------------------------------

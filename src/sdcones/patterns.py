@@ -1,11 +1,9 @@
 """Zero patterns: matrix supports, support graphs and the strongly involutive
-column permutations of a 0/1 matrix.  Every support comparison in the package
-uses support_of but one: selfdual.certify_slack compares a cone's aligned
-slack with its target support by ratios to the largest entry at the caller's
-tolerance, since a certified slack's off-support entries need only be that
-small, not below SUPPORT_CLAMP.  slack_support is the one sign rule for a
-candidate slack; every check of one takes its mask from it.  A SlackMatrix
-is zero off that mask and positive on it, so find_psd_scaling reads m > 0.
+column permutations of a 0/1 matrix.  support_of is the support of a matrix
+handed in, and slack_support the one sign rule for a candidate slack handed
+in; every check of one takes its mask from it.  A slack built from a cone
+has its cone's incidence at tol as zeros (geometry) and is positive off
+them, so find_psd_scaling reads a SlackMatrix's support as m > 0.
 
 A negative entry on the support ends a candidate with one message, "matrix
 must be entrywise nonnegative", in one of two ways.  The callers that judge

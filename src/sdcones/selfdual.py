@@ -80,9 +80,9 @@ def _solve_scaling(n_mat: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
 def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     """Search for a row permutation and positive column scaling making the
     slack PSD.  slack is a matrix, checked by slack_support and
-    geometry.slack_pattern_reasons, or a geometry.SlackMatrix, which
-    geometry.slack_matrix has checked at its cone's dimension already; its
-    support is m > 0, as the patterns module explains.
+    geometry.slack_pattern_reasons, or a geometry.SlackMatrix, whose zeros
+    are its cone's incidence and whose other entries are positive, so its
+    support is m > 0.
 
     Permutations are tried as patterns.involution_permutations yields them,
     in lexicographic order, and the search stops at the first certificate,
@@ -166,11 +166,10 @@ def certify_slack(cone: geometry.PolyhedralCone, support, tol: float) -> SlackRe
     by which search, analyze and certify_psd_slack judge a PSD matrix.
 
     One dual_round_trip at tol matches the facets to the generators
-    bijectively at cosine >= 1 - tol.  The slack, its columns aligned through
-    that match, must then have every off-support |entry| at most tol and
-    every on-support entry above tol, as ratios to its largest entry, so a
-    negative entry on the support fails too.  The smallest on-support ratio
-    is a reported margin, not a further test.
+    bijectively at cosine >= 1 - tol.  Its incidence at tol, aligned through
+    that match, must then be the complement of the support: the zeros
+    geometry.slack_matrix gives the cone.  The aligned slack's smallest
+    on-support and largest off-support ratios are margins, not tests.
     """
     mask = np.asarray(support, dtype=bool)
     if cone.n_rays != mask.shape[0]:
@@ -188,7 +187,7 @@ def certify_slack(cone: geometry.PolyhedralCone, support, tol: float) -> SlackRe
     ratios = trip.slack / trip.slack.max()
     off_max = float(np.abs(ratios[~mask]).max(initial=0.0))
     on_min = float(ratios[mask].min())
-    support_ok = off_max <= tol and on_min > tol
+    support_ok = np.array_equal(trip.incidence, ~mask)
     details = [] if support_ok else [
         f"slack support mismatch: off-support ratio {off_max:.3e}, "
         f"smallest on-support ratio {on_min:.3e}"]

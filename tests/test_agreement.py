@@ -13,6 +13,12 @@ raise it.
 They must also agree on whether a candidate is PSD, and so on the verdict:
 certify_psd_slack is analyze's certification at its default tol, and
 dnn.is_dnn is analyze's DNN test at every tol.
+
+A slack built from a cone takes its zeros from the cone's incidence at tol
+instead, and certify_slack compares that incidence with the target support.
+It must give the verdict of the rule it replaced, ratios to the slack's
+largest entry at tol, on the cones the benchmark's searches certify and on
+perturbed factor cones.
 """
 
 from __future__ import annotations
@@ -108,3 +114,79 @@ def test_one_psd_verdict(name, eps):
     cert = results["selfdual_certification"]
     assert selfdual.certify_psd_slack(m, d) == (cert["certified"], cert["detail"])
     assert dnn.is_dnn(m) == results["dnn"]["value"] == (eps == 1e-9)
+
+
+# The supports the search benchmark runs, with their ranks; the four-cycle
+# has no rank-3 realization, and every attempt at it is refused before
+# certify_slack.
+BENCH_SUPPORTS = {
+    "pentagon": (data.pentagon_support().bits, 3),
+    "prism": (data.prism_support().bits, 4),
+    "selfpolar10": (data.ten_support().bits, 4),
+    "gon7": (patterns.support_of(geometry.slack_matrix(geometry.cone_over_polytope(
+        data.regular_polygon_vertices(7))).matrix).astype(np.uint8), 3),
+    "fourcycle": (data.four_cycle_support().bits, 3),
+}
+
+
+def ratio_rule(cone: geometry.PolyhedralCone, mask: np.ndarray, tol: float) -> bool:
+    """certify_slack's verdict when it judged the aligned slack by ratios to
+    its largest entry: every off-support |ratio| at most tol and every
+    on-support ratio above tol."""
+    trip = geometry.dual_round_trip(cone, tol)
+    if trip.mapping is None:
+        return False
+    ratios = trip.slack / trip.slack.max()
+    return bool(np.abs(ratios[~mask]).max(initial=0.0) <= tol and ratios[mask].min() > tol)
+
+
+def judged_cones(monkeypatch) -> list:
+    """The (cone, support mask, tol, report) of every certify_slack call
+    the bench supports' searches make at seeds 0 to 3."""
+    calls = []
+    certify_slack = selfdual.certify_slack
+
+    def recorded(cone, support, tol):
+        report = certify_slack(cone, support, tol)
+        calls.append((cone, np.asarray(support, dtype=bool), tol, report))
+        return report
+
+    monkeypatch.setattr(selfdual, "certify_slack", recorded)
+    for bits, rank in BENCH_SUPPORTS.values():
+        for seed in range(4):
+            search.run_pipeline(bits, search.SearchParams(target_rank=rank, seed=seed))
+    return calls
+
+
+def test_incidence_rule_agrees_with_the_ratio_rule_on_search_realizations(monkeypatch):
+    calls = judged_cones(monkeypatch)
+    # One certified realization per realizable support and seed.
+    assert sum(report.passed for *_, report in calls) == 16
+    for cone, mask, tol, report in calls:
+        assert report.passed == ratio_rule(cone, mask, tol)
+        if report.passed:
+            # Columns aligned through the round trip's match, the zeros of
+            # the realization's slack are the target support's.
+            sm = geometry.slack_matrix(cone, tol)
+            trip = geometry.dual_round_trip(cone, tol)
+            aligned = np.zeros_like(sm.matrix)
+            aligned[:, trip.mapping] = sm.matrix
+            assert np.array_equal(aligned == 0.0, ~mask)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "prism"])
+def test_incidence_rule_agrees_with_the_ratio_rule_on_perturbed_factor_cones(name):
+    m, d = SLACKS[name]
+    mask = patterns.support_of(m)
+    cone = geometry.cone_from_factorization(m, d)
+    rng = np.random.default_rng(41)
+    tol = geometry.DEFAULT_FACET_TOL
+    verdicts = []
+    for scale in (1e-12, 1e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 1e-3):
+        for _ in range(5):
+            moved = geometry.PolyhedralCone(
+                cone.generators + scale * rng.normal(size=cone.generators.shape))
+            report = selfdual.certify_slack(moved, mask, tol)
+            assert report.passed == ratio_rule(moved, mask, tol)
+            verdicts.append(report.passed)
+    assert any(verdicts) and not all(verdicts)

@@ -400,12 +400,13 @@ def two_scan_slack_matrix(cone, tol=geometry.DEFAULT_FACET_TOL):
     return LIBRARY_SLACK_MATRIX(cone, tol)
 
 # Cone files for the single-scan tests, with the --tol each runs at (None:
-# the default).  The three at a coarse tol come from seeded random searches
-# for cones whose one scan finds no extreme ray, gives a negative slack
-# entry, or gives a slack row with too few zeros: points (1, x), x normal
-# with standard deviation 0.7, for the first, and lattice points (1, a, b),
-# |a|, |b| <= 2, moved by normal noise of standard deviation 1e-4, for the
-# other two.
+# the default).  The three at a coarse tol come from seeded random searches:
+# points (1, x), x normal with standard deviation 0.7, for a cone whose one
+# scan finds no extreme ray, and lattice points (1, a, b), |a|, |b| <= 2,
+# moved by normal noise of standard deviation 1e-4, for two cones with slack
+# entries between 1e-5 and 1e-4 in size, so tight at 1e-4: one of them
+# negative, and one that is a row's second zero.  When slack zeros were
+# entries below 1e-10 of the largest, both gave no slack.
 SINGLE_SCAN_CONES = {
     "prism": (data.prism_rays(), None),
     "pentagon": (data.pentagon_rays(), None),
@@ -465,9 +466,9 @@ class TestSingleScan:
         assert len(scans) == 1
 
     def test_one_slack_pattern_check_per_verify_input(self, workdir, capsys, monkeypatch):
-        # slack_matrix checks the slack's pattern at the cone's dimension
-        # and hands the checked slack to the scaling search, which does not
-        # check it again.
+        # slack_matrix takes its zeros from the cone's incidence, which
+        # gives the pattern's properties by construction, and the scaling
+        # search trusts a SlackMatrix: verify checks no pattern.
         cones = {
             "o.cone": np.eye(3),
             "p.cone": data.prism_rays(),
@@ -487,7 +488,41 @@ class TestSingleScan:
         code, out, err = run_cli(capsys, "verify", *cones)
         assert (code, err) == (0, "")
         assert out.count('"self_dual": true') == 3
-        assert len(calls) == len(cones)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["negative-slack", "too-few-zeros"])
+    def test_slack_zeros_are_the_tight_entries(self, workdir, capsys, name):
+        gens, tol = SINGLE_SCAN_CONES[name]
+        geometry.save_cone(workdir / "c.cone", np.asarray(gens, float))
+        code, out, err = run_cli(capsys, "slack", "--json", "--tol", str(tol), "c.cone")
+        assert (code, err) == (0, "")
+        m = np.array(json.loads(out)["matrix"])
+        cone = geometry.load_cone(workdir / "c.cone")
+        tight = np.abs(cone.generators @ geometry.facet_normals(cone, tol).T) <= tol
+        # One row per set of tight facets, its first generator.
+        rays = np.sort(np.unique(tight, axis=0, return_index=True)[1])
+        assert np.array_equal(m == 0.0, tight[rays])
+        assert (m[m != 0.0] > tol).all()
+        code, out, err = run_cli(capsys, "verify", "--tol", str(tol), "c.cone")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["self_dual"] is False
+
+    def test_no_facet_at_tol_is_not_called_unpointed(self, workdir, capsys):
+        # At tol 1e-300 no generator subset's normal is tight on its own
+        # members, so the scan finds no facet of this pointed image of the
+        # pentagon cone.  (The pentagon cone itself has exact zeros: the
+        # scan keeps one facet at 1e-300, a normal that spans less than R^3.)
+        t = np.array([[1.0, 0.2, -0.1], [0.3, 1.1, 0.2], [-0.2, 0.1, 0.9]])
+        geometry.save_cone(workdir / "p.cone", data.pentagon_rays() @ t.T)
+        code, _, err = run_cli(capsys, "verify", "--tol", "1e-300", "p.cone")
+        assert code == cli.EXIT_PRECONDITION
+        assert "no facet found at tol 1e-300" in err
+        assert "pointed" not in err
+        # Facets whose normals span less than R^d still mean not pointed.
+        geometry.save_cone(workdir / "h.cone", [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        code, _, err = run_cli(capsys, "verify", "h.cone")
+        assert code == cli.EXIT_PRECONDITION
+        assert "cone is not pointed" in err
 
     @pytest.mark.parametrize("name", sorted(SINGLE_SCAN_CONES))
     @pytest.mark.parametrize("argv", [["verify"], ["slack"], ["slack", "--json"]])

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
@@ -687,7 +687,7 @@ class TestExtremeRays:
     def test_stacked_ranks_match_loop(self, g):
         tol = geometry.DEFAULT_FACET_TOL
         normals = geometry._facet_scan(g, tol)
-        extreme, rays = geometry._extreme_mask(g, normals, tol)
+        extreme, rays, _ = geometry._extreme_mask(g, normals, tol)
         assert np.array_equal(extreme, loop_extreme_mask(g, normals, tol))
         assert np.array_equal(rays, np.flatnonzero(loop_ray_mask(g, normals, tol)))
         assert _outcome(geometry.extreme_rays, g) == _outcome(loop_extreme_rays, g)
@@ -708,7 +708,7 @@ class TestExtremeRays:
         for gens in cones:
             g = geometry.PolyhedralCone(gens).generators
             normals = geometry.facet_normals(geometry.PolyhedralCone(g), tol)
-            extreme, rays = geometry._extreme_mask(g, normals, tol)
+            extreme, rays, _ = geometry._extreme_mask(g, normals, tol)
             assert np.array_equal(extreme, loop_extreme_mask(g, normals, tol))
             assert np.array_equal(rays, np.flatnonzero(loop_ray_mask(g, normals, tol)))
 
@@ -753,8 +753,9 @@ class TestSlackMatrix:
         assert sigma is not None
 
     def test_random_cones_produce_valid_slacks(self):
-        # Construction-time validation enforces the slack invariants, so it
-        # suffices that these calls do not raise and shapes are consistent.
+        # The slack's zeros are its cone's incidence at tol, which gives the
+        # slack invariants, so it suffices that these calls do not raise and
+        # shapes are consistent.
         rng = np.random.default_rng(83)
         for _ in range(20):
             d = int(rng.integers(2, 5))
@@ -765,7 +766,8 @@ class TestSlackMatrix:
             assert sm.cone_dim == d
             zeros = sm.matrix == 0.0
             assert len({tuple(row) for row in zeros}) == sm.matrix.shape[0]
-            # The exact zeros are the complement of support_of.
+            # No entry is near tol here, so the zeros are also the
+            # complement of support_of.
             assert np.array_equal(zeros, ~patterns.support_of(sm.matrix))
 
     def test_non_extreme_generator_rejected(self):
@@ -795,9 +797,81 @@ class TestSlackMatrix:
             assert equal_up_to_scaling(base, other[:, sigma], 1e-7)
 
 
+def assert_slack_is_the_incidence(cone: geometry.PolyhedralCone, tol: float) -> None:
+    """slack_matrix's zeros are the tight sets at tol of its rays, the first
+    generator of each set of tight facets, taken from facet_normals here;
+    its other entries are above tol; and the pattern properties a slack of
+    a cone in R^d needs hold."""
+    sm = geometry.slack_matrix(cone, tol)
+    tight = np.abs(cone.generators @ geometry.facet_normals(cone, tol).T) <= tol
+    rays = np.sort(np.unique(tight, axis=0, return_index=True)[1])
+    zeros = sm.matrix == 0.0
+    assert np.array_equal(zeros, tight[rays])
+    assert (sm.matrix[~zeros] > tol).all()
+    assert (zeros.sum(axis=1) >= cone.dim - 1).all()
+    assert np.unique(zeros, axis=0).shape[0] == zeros.shape[0]
+    assert (~zeros).any(axis=1).all() and (~zeros).any(axis=0).all()
+
+
+class TestSlackZerosAreTheIncidence:
+    @settings(max_examples=100, deadline=None)
+    @given(near_facet_cones())
+    def test_near_facet_cones(self, gen):
+        tol = geometry.DEFAULT_FACET_TOL
+        try:
+            assert_slack_is_the_incidence(geometry.extreme_rays(gen, tol), tol)
+        except PreconditionError:
+            # A few of these cones' extreme rays, scanned again, are not
+            # all extreme or do not span; such a cone gives no slack.
+            reject()
+
+    @pytest.mark.parametrize("tol", [geometry.DEFAULT_FACET_TOL, 1e-4])
+    def test_sphere_cones(self, tol):
+        for seed in range(40):
+            d = 3 + seed % 4
+            assert_slack_is_the_incidence(
+                geometry.PolyhedralCone(sphere_cone(seed, d, d + 1 + seed % 6)), tol)
+
+    def test_cone_flat_at_tol_has_a_zero_column(self):
+        # A wedge 0.02 thick: at tol 0.05 its top and bottom facets are one
+        # facet, tight at every generator, and the two generators at each
+        # end of the wedge are one ray.
+        t = 0.8
+        wedge = [[1, 0, 0.01], [1, 0, -0.01],
+                 [np.cos(t), np.sin(t), 0.01], [np.cos(t), np.sin(t), -0.01]]
+        cone = geometry.PolyhedralCone(wedge)
+        assert_slack_is_the_incidence(cone, geometry.DEFAULT_FACET_TOL)
+        with pytest.raises(PreconditionError,
+                           match="^not a slack matrix: matrix has a zero column$"):
+            geometry.slack_matrix(cone, 0.05)
+
+    def test_entry_rounded_below_minus_tol_refused(self):
+        # Found by a seeded search over lattice cones (1, a, b), |a|, |b| <=
+        # 2, moved by noise of standard deviation 1e-4: generator 2 sits
+        # 9.09e-5 outside facet 2, and tol is the scan's product there, so
+        # the scan keeps the facet.  The slack's matrix product rounds it
+        # below -tol: off the incidence, and negative.
+        cone = geometry.PolyhedralCone([
+            [1.0001392138400544, -2.000008099695141, 1.9999358042275304],
+            [0.9999091661881716, -1.0000384430474207, 1.999977692053157],
+            [0.9998955489034389, -2.0000919795093823, 0.9999812824994938],
+            [0.9999479216252204, 2.0000939213103677, -1.9998862129625754],
+            [1.00000160212036, -1.9999526400427945, -1.0001335188373626],
+        ])
+        tol = 9.091377275153103e-05
+        normals = geometry.facet_normals(cone, tol)
+        scan = (cone.generators @ normals[:, :, None])[:, :, 0]
+        assert scan[2, 2] == -tol
+        if (cone.generators @ normals.T)[2, 2] >= -tol:
+            pytest.skip("this BLAS rounds the two products alike here")
+        with pytest.raises(PreconditionError, match="^matrix must be entrywise nonnegative$"):
+            geometry.slack_matrix(cone, tol)
+
+
 class TestZeroRule:
-    """Slack zeros and negative entries follow patterns.slack_support,
-    relative to the largest entry, not an absolute threshold."""
+    """The zeros and negative entries of a matrix handed in follow
+    patterns.slack_support, relative to the largest entry, not an absolute
+    threshold."""
 
     @staticmethod
     def half_pentagon(entry: float) -> np.ndarray:
