@@ -3,14 +3,12 @@
 Cones are stored as unit-normalized generator rows, in input order.  One
 incidence key at tol tells rays and facets apart: a facet is named by the
 generators tight on it, an extreme ray by the facets tight at it.  Facets
-are enumerated by a scan over the C(n, d-1) subsets of generators in
-lexicographic order, a chunk of subsets at a time: one stacked Householder
-QR gives each subset a unit normal, the orientation test at tol keeps the
-normals with every generator on one side, and a values-only SVD keeps those
-whose subset has rank d-1.  More than FACET_SUBSET_BUDGET subsets raise
-ConvergenceError before any is formed.  Facet normals are unit vectors
-rather than a canonical scaling, so slack matrices are defined up to
-positive row/column scaling; their zeros are the tight entries at tol.
+are enumerated by one scan over the C(n, d-1) subsets of generators
+(_facet_scan), and the products g . n that judged them are the only ones
+formed: the incidence, extremality, the slack and the self-dual match all
+read them.  Facet normals are unit vectors rather than a canonical scaling,
+so slack matrices are defined up to positive row/column scaling; their
+zeros are the tight entries at tol.
 """
 
 from __future__ import annotations
@@ -109,8 +107,9 @@ def _first_per_key(tight: np.ndarray, seen: set[bytes]) -> np.ndarray:
     return np.array(first, dtype=np.intp)
 
 
-def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
-    """Unit facet normals of cone(gen rows), assuming gen spans its space.
+def _facet_scan(gen: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(normals, products) of cone(gen rows), assuming gen spans its space:
+    unit facet normals, and the n x m products g_i . n_j that judged them.
 
     Each (d-1)-subset proposes the unit normal q of its hyperplane from one
     Householder QR (linalg.orthogonal_directions).  q is kept, oriented
@@ -120,17 +119,15 @@ def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
     new when its tight set {i : |g_i . q| <= tol} differs from that of every
     normal kept before it.  Subsets are taken in lexicographic order,
     _SCAN_CHUNK at a time (fewer when n is large), and each is judged as it
-    would be alone, bit for bit.  ConvergenceError, before any subset is
-    formed, when there are more than FACET_SUBSET_BUDGET.
+    would be alone, bit for bit; a flipped normal's products are negated.
+    ConvergenceError, before any subset is formed, past FACET_SUBSET_BUDGET.
     """
     n, d = gen.shape
     if d == 1:
-        col = gen[:, 0]
-        if col.min() > 0.0:
-            return np.array([[1.0]])
-        if col.max() < 0.0:
-            return np.array([[-1.0]])
-        return np.zeros((0, 1))
+        # The sign every generator shares is the one facet; a line has none.
+        sides = np.unique(np.sign(gen))
+        normals = sides[:, None] if sides.size == 1 and sides[0] else np.zeros((0, 1))
+        return normals, gen * normals.T
     count = math.comb(n, d - 1)
     if count > FACET_SUBSET_BUDGET:
         raise ConvergenceError(
@@ -138,7 +135,7 @@ def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
             f"{count} subsets, over the budget of {FACET_SUBSET_BUDGET}"
         )
     size = max(1, min(_SCAN_CHUNK, _SCAN_ENTRIES // n))
-    found, seen = [np.zeros((0, d))], set()
+    found, products, seen = [np.zeros((0, d))], [np.zeros((0, n))], set()
     combos = itertools.chain.from_iterable(itertools.combinations(range(n), d - 1))
     while True:
         # The reshape gives (0, d-1) once no subsets are left.
@@ -148,18 +145,19 @@ def _facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
             break
         subsets = gen[chunk]
         normals = linalg.orthogonal_directions(subsets)
-        # A stack of matrix-vector products rounds exactly as gen @ q does
-        # for one normal; one matrix product may round differently and move
-        # a generator across tol.
+        # A stack of matrix-vector products rounds as gen @ q does for one
+        # normal, so each subset is judged as it would be alone.
         prods = (gen @ normals[:, :, None])[:, :, 0]
         inward = prods.min(axis=1) >= -tol
         outward = ~inward & (prods.max(axis=1) <= tol)
         keep = inward | outward
         keep[keep] = linalg._stacked_rank(subsets[keep]) == d - 1
+        new = np.flatnonzero(keep)[_first_per_key(np.abs(prods[keep]) <= tol, seen)]
         # + 0.0 turns the -0.0 that negating an exact zero gives into 0.0.
-        normals = np.where(outward[:, None], -normals, normals)[keep] + 0.0
-        found.append(normals[_first_per_key(np.abs(prods[keep]) <= tol, seen)])
-    return np.concatenate(found)
+        sign = np.where(outward[new], -1.0, 1.0)[:, None]
+        found.append(sign * normals[new] + 0.0)
+        products.append(sign * prods[new] + 0.0)
+    return np.concatenate(found), np.concatenate(products).T
 
 
 def is_full_dimensional(cone: PolyhedralCone) -> bool:
@@ -182,6 +180,21 @@ def is_pointed(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> bool:
     return True
 
 
+def _facets(cone: PolyhedralCone, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """facet_normals' normals, after its three checks, and their products."""
+    if not is_full_dimensional(cone):
+        raise PreconditionError("generators do not span the ambient space")
+    normals, products = _facet_scan(cone.generators, tol)
+    d, r = cone.dim, linalg.numeric_rank(normals)
+    if normals.shape[0] == 0 and d > 1:
+        raise PreconditionError(f"no facet found at tol {tol:g}")
+    if r < d:
+        raise PreconditionError("cone is not pointed" if d == 1 else (
+            f"facet normals at tol {tol:g} span R^{r}, not R^{d}: the cone is "
+            "not pointed, or tol is below the rounding of its products"))
+    return normals, products
+
+
 def facet_normals(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> np.ndarray:
     """Unit inward normals of all facets of a pointed full-dimensional cone.
 
@@ -189,17 +202,10 @@ def facet_normals(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> np.nd
     generators, one normal per set of generators tight on it at tol: the
     first, in enumeration order (lexicographic over generator subsets).
     PreconditionError when the generators do not span R^d, the scan keeps
-    no facet at tol (d >= 2; at d = 1 that is a line), or the cone is not
-    pointed.
+    no facet at tol (d >= 2), or its normals span less than R^d: a line at
+    d = 1, a cone not pointed or a tol below its products' rounding at d >= 2.
     """
-    if not is_full_dimensional(cone):
-        raise PreconditionError("generators do not span the ambient space")
-    normals = _facet_scan(cone.generators, tol)
-    if normals.shape[0] == 0 and cone.dim > 1:
-        raise PreconditionError(f"no facet found at tol {tol:g}")
-    if linalg.numeric_rank(normals) < cone.dim:
-        raise PreconditionError("cone is not pointed")
-    return normals
+    return _facets(cone, tol)[0]
 
 
 def dual_cone(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> PolyhedralCone:
@@ -207,20 +213,20 @@ def dual_cone(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> Polyhedra
     return PolyhedralCone(facet_normals(cone, tol))
 
 
-def _extreme_mask(gens: np.ndarray, normals: np.ndarray,
+def _extreme_mask(normals: np.ndarray, products: np.ndarray,
                   tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(extreme, rays, active): which generators are extreme rays of the
-    cone with these facet normals, those whose active facets (active[i, j]
-    is |<g_i, n_j>| <= tol) have normals of rank d-1, and the indices of the
-    first extreme generator with each set of active facets, one per ray.
+    """(extreme, rays, active) from a scan's normals and products: which
+    generators are extreme rays, those whose active facets (active[i, j] is
+    |products[i, j]| <= tol) have normals of rank d-1, and the indices of
+    the first extreme generator with each set of active facets, one per ray.
     PreconditionError when no generator is extreme.
 
     The ranks come from one stacked values-only SVD over the active-normal
     sets, zero-padded to a common row count: zero rows add only zero
     singular values, so each rank is what linalg.numeric_rank gives its set.
     """
-    d = gens.shape[1]
-    active = np.abs(gens @ normals.T) <= tol
+    d = normals.shape[1]
+    active = np.abs(products) <= tol
     counts = active.sum(axis=1)
     rows = max(1, int(counts.max()))
     # Each generator's active normals first, in facet order, then zeros.
@@ -243,7 +249,7 @@ def extreme_rays(generators, tol: float = DEFAULT_FACET_TOL) -> PolyhedralCone:
     their ray.  The checks and messages are facet_normals'.
     """
     cone = PolyhedralCone(generators)
-    _, rays, _ = _extreme_mask(cone.generators, facet_normals(cone, tol), tol)
+    _, rays, _ = _extreme_mask(*_facets(cone, tol), tol)
     return PolyhedralCone(cone.generators[rays])
 
 
@@ -251,26 +257,22 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
     """Slack matrix of a pointed full-dimensional cone: one row per ray, one
     column per facet.
 
-    Entry (i, j) is the inner product of ray i (its first generator) with
+    Entry (i, j) is the scan's product of ray i (its first generator) with
     dual generator j, set to exact zero where _extreme_mask finds the ray
     active on the facet, so each row has d-1 zeros or more and no two rows
-    the same zeros.  Every generator must be an extreme ray, judged against
-    the one facet scan the slack is built from: PreconditionError for
-    facet_normals' reasons, when no generator is extreme, with a count of
-    those that are not, for a zero column (a cone flat at tol) or for an
-    entry below -tol (the scan's matrix-vector product put it at -tol).
+    the same zeros.  Every other entry is above tol, by the scan's
+    orientation test.  Every generator must be an extreme ray, judged
+    against the one facet scan the slack is built from: PreconditionError
+    for facet_normals' reasons, when no generator is extreme, with a count
+    of those that are not, or for a zero column (a cone flat at tol).
     """
-    normals = facet_normals(cone, tol)
-    extreme, rays, active = _extreme_mask(cone.generators, normals, tol)
-    dropped = int((~extreme).sum())
-    if dropped:
-        raise PreconditionError(f"{dropped} generator(s) are not extreme rays")
-    m = np.where(active[rays], 0.0, cone.generators[rays] @ normals.T)
-    if (m < 0.0).any():
-        raise PreconditionError("matrix must be entrywise nonnegative")
+    normals, products = _facets(cone, tol)
+    extreme, rays, active = _extreme_mask(normals, products, tol)
+    if not extreme.all():
+        raise PreconditionError(f"{(~extreme).sum()} generator(s) are not extreme rays")
     if active[rays].all(axis=0).any():
         raise PreconditionError("not a slack matrix: matrix has a zero column")
-    return SlackMatrix(m, cone.dim)
+    return SlackMatrix(np.where(active[rays], 0.0, products[rays]), cone.dim)
 
 
 def slack_pattern_reasons(
@@ -363,15 +365,14 @@ def _spectral_factor(eig: linalg.EigenDecomposition, d: int) -> np.ndarray:
     return eig.factor(d)
 
 
-def _cosine_match(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray | None, float]:
-    """match_generators' mapping (or None) and the worst cosine of each row
-    of b with its most similar row of a (0.0 when the shapes differ)."""
-    if a.shape != b.shape:
+def _cosine_match(cos: np.ndarray, tol: float) -> tuple[np.ndarray | None, float]:
+    """match_generators' mapping (or None) from the cosines cos[j, i] of rows
+    j of b and i of a, and the least row maximum (0.0 unless cos is square)."""
+    if cos.shape[0] != cos.shape[1]:
         return None, 0.0
-    cos = b @ a.T
     mapping = np.argmax(cos, axis=1)
-    worst = float(cos[np.arange(b.shape[0]), mapping].min())
-    if len(set(mapping.tolist())) != a.shape[0] or worst < 1.0 - tol:
+    worst = float(cos[np.arange(cos.shape[0]), mapping].min())
+    if len(set(mapping.tolist())) != cos.shape[0] or worst < 1.0 - tol:
         return None, worst
     return mapping, worst
 
@@ -387,7 +388,7 @@ def match_generators(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | N
         raise PreconditionError(
             f"cannot match generators with no rows: shapes {a.shape} and {b.shape}"
         )
-    return _cosine_match(a, b, tol)[0]
+    return _cosine_match(b @ a.T, tol)[0] if a.shape[1] == b.shape[1] else None
 
 
 class RoundTrip(NamedTuple):
@@ -398,18 +399,16 @@ class RoundTrip(NamedTuple):
 
 
 def dual_round_trip(cone: PolyhedralCone, tol: float) -> RoundTrip:
-    """A cone's unclamped slack against its own Euclidean dual, and its
-    incidence at tol as _extreme_mask takes it, from one scan.
+    """A cone's unclamped slack against its own Euclidean dual, the scan's
+    products, and its incidence at tol as _extreme_mask takes it.
 
-    The facet normals, found at tol, are matched to the generators by cosine
-    as in match_generators at the same tol, with the worst cosine reported.
+    The normals are matched to the generators as in match_generators at the
+    same tol, the products read as cosines, with the worst cosine reported.
     When the match exists the cone is self-dual and column i of both is the
     normal matched to generator i; otherwise the columns follow the scan.
     """
-    gens = cone.generators
-    normals = facet_normals(cone, tol)
-    mapping, worst = _cosine_match(gens, normals, tol)
-    slack = gens @ normals.T
+    slack = _facets(cone, tol)[1]
+    mapping, worst = _cosine_match(slack.T, tol)
     if mapping is not None:
         slack = slack[:, np.argsort(mapping)]
     return RoundTrip(mapping, worst, slack, np.abs(slack) <= tol)

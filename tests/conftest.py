@@ -76,6 +76,13 @@ def block_diagonal_dnn() -> np.ndarray:
     return m
 
 
+def stacked_products(gens: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """The facet scan's products g_i . n_j, one matrix-vector product per
+    normal, as an n x m matrix.  One matrix product gens @ normals.T may
+    round some of them differently."""
+    return (gens @ normals[:, :, None])[:, :, 0].T
+
+
 def loop_extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarray:
     """The per-generator extremality test the stacked one replaced: one
     numeric_rank call on each generator's active facet normals."""
@@ -105,18 +112,11 @@ def loop_ray_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarr
 
 def loop_extreme_rays(generators, tol: float = geometry.DEFAULT_FACET_TOL):
     """extreme_rays with the per-generator rank loop (loop_extreme_mask) and
-    one generator per ray (loop_ray_mask)."""
+    one generator per ray (loop_ray_mask), after facet_normals' checks."""
     cone = geometry.PolyhedralCone(generators)
-    d = cone.dim
-    if linalg.numeric_rank(cone.generators) < d:
-        raise PreconditionError("generators do not span the ambient space")
-    if d == 1:
-        if not geometry.is_pointed(cone, tol):
-            raise PreconditionError("cone is not pointed")
+    normals = geometry.facet_normals(cone, tol)
+    if cone.dim == 1:
         return cone
-    normals = geometry._facet_scan(cone.generators, tol)
-    if normals.shape[0] == 0 or linalg.numeric_rank(normals) < d:
-        raise PreconditionError("cone is not pointed")
     if not loop_extreme_mask(cone.generators, normals, tol).any():
         raise PreconditionError("no extreme rays found; input cone degenerate")
     return geometry.PolyhedralCone(cone.generators[loop_ray_mask(cone.generators, normals, tol)])
@@ -143,7 +143,7 @@ def eigen_is_pointed(cone, tol: float = geometry.DEFAULT_FACET_TOL) -> bool:
     normals it finds."""
     g = cone.generators
     basis = eigen_row_space_basis(g)
-    normals = geometry._facet_scan(g @ basis, tol)
+    normals = geometry._facet_scan(g @ basis, tol)[0]
     return normals.shape[0] > 0 and linalg.numeric_rank(normals) == basis.shape[1]
 
 

@@ -22,6 +22,7 @@ from conftest import (
     loop_extreme_rays,
     match_columns_by_pattern,
     split_hexagon_rays,
+    stacked_products,
     support_pattern_of,
 )
 
@@ -393,7 +394,7 @@ def two_scan_slack_matrix(cone, tol=geometry.DEFAULT_FACET_TOL):
     a scan counts those that are not extreme (a repeated ray is extreme),
     then slack_matrix scans them again."""
     loop_extreme_rays(cone.generators, tol)
-    normals = geometry._facet_scan(cone.generators, tol)
+    normals = geometry._facet_scan(cone.generators, tol)[0]
     dropped = int((~loop_extreme_mask(cone.generators, normals, tol)).sum())
     if dropped:
         raise PreconditionError(f"{dropped} generator(s) are not extreme rays")
@@ -498,7 +499,8 @@ class TestSingleScan:
         assert (code, err) == (0, "")
         m = np.array(json.loads(out)["matrix"])
         cone = geometry.load_cone(workdir / "c.cone")
-        tight = np.abs(cone.generators @ geometry.facet_normals(cone, tol).T) <= tol
+        normals = geometry.facet_normals(cone, tol)
+        tight = np.abs(stacked_products(cone.generators, normals)) <= tol
         # One row per set of tight facets, its first generator.
         rays = np.sort(np.unique(tight, axis=0, return_index=True)[1])
         assert np.array_equal(m == 0.0, tight[rays])
@@ -523,6 +525,15 @@ class TestSingleScan:
         code, _, err = run_cli(capsys, "verify", "h.cone")
         assert code == cli.EXIT_PRECONDITION
         assert "cone is not pointed" in err
+        # Or a tol below the rounding of the products: there the pentagon
+        # and prism cones keep only the facets with exact zeros.
+        for gens, r, d in ((data.pentagon_rays(), 1, 3), (data.prism_rays(), 2, 4)):
+            geometry.save_cone(workdir / "c.cone", gens)
+            for tol in ("1e-300", "1e-20", "1e-17"):
+                code, _, err = run_cli(capsys, "verify", "--tol", tol, "c.cone")
+                assert code == cli.EXIT_PRECONDITION
+                assert (f"facet normals at tol {tol} span R^{r}, not R^{d}: the cone is "
+                        "not pointed, or tol is below the rounding of its products") in err
 
     @pytest.mark.parametrize("name", sorted(SINGLE_SCAN_CONES))
     @pytest.mark.parametrize("argv", [["verify"], ["slack"], ["slack", "--json"]])

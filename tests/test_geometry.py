@@ -28,6 +28,7 @@ from conftest import (
     random_orthogonal,
     random_pointed_cone_generators,
     split_hexagon_rays,
+    stacked_products,
     support_pattern_of,
 )
 
@@ -197,7 +198,7 @@ def extremality_generators(draw) -> np.ndarray:
             if np.linalg.matrix_rank(base) == d:
                 break
         base /= np.linalg.norm(base, axis=1)[:, None]
-    normals = geometry._facet_scan(base, geometry.DEFAULT_FACET_TOL)
+    normals = geometry._facet_scan(base, geometry.DEFAULT_FACET_TOL)[0]
     rows = list(base)
     for op in draw(st.lists(st.sampled_from(["interior", "facet", "edge", "duplicate"]),
                             min_size=1, max_size=4)):
@@ -342,7 +343,7 @@ def test_facet_scan_has_one_caller():
     users = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
              for node in ast.walk(fn)
              if isinstance(node, ast.Name) and node.id == "_facet_scan"]
-    assert users == ["facet_normals"]
+    assert users == ["_facets"]
 
 
 class TestFacetNormals:
@@ -444,7 +445,7 @@ class TestStackedFacetScan:
     def test_equals_per_subset_loop(self, gen):
         tol = geometry.DEFAULT_FACET_TOL
         expected = householder_facet_scan(gen, tol)
-        got = geometry._facet_scan(gen, tol)
+        got = geometry._facet_scan(gen, tol)[0]
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
         assert same_facets(got, gen, tol)
@@ -455,7 +456,7 @@ class TestStackedFacetScan:
         # hyperplane holds every generator.
         gen = np.eye(d)[:n]
         expected = householder_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
-        got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+        got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)[0]
         assert got.shape == expected.shape == ((0, d) if n < d - 1 else (1, d))
         assert np.array_equal(got, expected)
 
@@ -463,7 +464,7 @@ class TestStackedFacetScan:
         gen = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                         [0.0, 0.6, 0.8]])
         expected = householder_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
-        got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+        got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)[0]
         assert expected.shape == (2, 3)
         assert np.array_equal(got, expected)
 
@@ -478,7 +479,7 @@ class TestStackedFacetScan:
         for gen, want in zip(cones, expected):
             # C(7, 3) = 35 subsets fill whole chunks of 7; C(11, 3) = 165
             # and C(11, 4) = 330 leave a partial last chunk.
-            got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
+            got = geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)[0]
             assert want.shape[0] > 0
             assert np.array_equal(got, want)
 
@@ -524,7 +525,7 @@ class TestScreenedFacetScan:
     def test_near_facet_generators_equal_per_subset_loop(self, gen):
         tol = geometry.DEFAULT_FACET_TOL
         expected = householder_facet_scan(gen, tol)
-        got = geometry._facet_scan(gen, tol)
+        got = geometry._facet_scan(gen, tol)[0]
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
         assert same_facets(got, gen, tol)
@@ -560,7 +561,7 @@ class TestScreenedFacetScan:
 
         monkeypatch.setattr(linalg, "_stacked_rank", counted)
         monkeypatch.setattr(geometry, "_SCAN_CHUNK", chunk)
-        facets = geometry._facet_scan(gen, tol).shape[0]
+        facets = geometry._facet_scan(gen, tol)[0].shape[0]
         assert len(received) == math.ceil(792 / chunk)
         assert 0 < facets <= sum(received) == survivors < 792
 
@@ -578,7 +579,7 @@ class TestScreenedFacetScan:
 
         monkeypatch.setattr(linalg, "orthogonal_directions", counted)
         monkeypatch.setattr(geometry, "_SCAN_ENTRIES", 3 * gen.shape[0] + 1)
-        assert np.array_equal(geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL), expected)
+        assert np.array_equal(geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)[0], expected)
         assert max(received) == 3 and sum(received) == math.comb(7, 3)
 
 
@@ -602,7 +603,7 @@ class TestFacetSubsetBudget:
         gen = geometry.PolyhedralCone(prism_rays).generators
         count = math.comb(gen.shape[0], gen.shape[1] - 1)
         monkeypatch.setattr(geometry, "FACET_SUBSET_BUDGET", count)
-        assert geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL).shape == (7, 4)
+        assert geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)[0].shape == (7, 4)
         monkeypatch.setattr(geometry, "FACET_SUBSET_BUDGET", count - 1)
         with pytest.raises(ConvergenceError, match=f"= {count} subsets"):
             geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)
@@ -686,8 +687,8 @@ class TestExtremeRays:
     @given(extremality_generators())
     def test_stacked_ranks_match_loop(self, g):
         tol = geometry.DEFAULT_FACET_TOL
-        normals = geometry._facet_scan(g, tol)
-        extreme, rays, _ = geometry._extreme_mask(g, normals, tol)
+        normals, products = geometry._facet_scan(g, tol)
+        extreme, rays, _ = geometry._extreme_mask(normals, products, tol)
         assert np.array_equal(extreme, loop_extreme_mask(g, normals, tol))
         assert np.array_equal(rays, np.flatnonzero(loop_ray_mask(g, normals, tol)))
         assert _outcome(geometry.extreme_rays, g) == _outcome(loop_extreme_rays, g)
@@ -707,8 +708,8 @@ class TestExtremeRays:
             cones.append(np.concatenate([g, g[pairs[:, 0]] + g[pairs[:, 1]]]))
         for gens in cones:
             g = geometry.PolyhedralCone(gens).generators
-            normals = geometry.facet_normals(geometry.PolyhedralCone(g), tol)
-            extreme, rays, _ = geometry._extreme_mask(g, normals, tol)
+            normals, products = geometry._facets(geometry.PolyhedralCone(g), tol)
+            extreme, rays, _ = geometry._extreme_mask(normals, products, tol)
             assert np.array_equal(extreme, loop_extreme_mask(g, normals, tol))
             assert np.array_equal(rays, np.flatnonzero(loop_ray_mask(g, normals, tol)))
 
@@ -799,18 +800,26 @@ class TestSlackMatrix:
 
 def assert_slack_is_the_incidence(cone: geometry.PolyhedralCone, tol: float) -> None:
     """slack_matrix's zeros are the tight sets at tol of its rays, the first
-    generator of each set of tight facets, taken from facet_normals here;
-    its other entries are above tol; and the pattern properties a slack of
-    a cone in R^d needs hold."""
+    generator of each set of tight facets, and its other entries are, bit
+    for bit, the scan's stacked products, each above tol (facets from
+    facet_normals here); the pattern properties a slack of a cone in R^d
+    needs hold; and dual_round_trip's slack is the same products, its
+    columns aligned through the round trip's mapping."""
     sm = geometry.slack_matrix(cone, tol)
-    tight = np.abs(cone.generators @ geometry.facet_normals(cone, tol).T) <= tol
+    products = stacked_products(cone.generators, geometry.facet_normals(cone, tol))
+    tight = np.abs(products) <= tol
     rays = np.sort(np.unique(tight, axis=0, return_index=True)[1])
     zeros = sm.matrix == 0.0
     assert np.array_equal(zeros, tight[rays])
+    assert np.array_equal(sm.matrix[~zeros], products[rays][~zeros])
     assert (sm.matrix[~zeros] > tol).all()
     assert (zeros.sum(axis=1) >= cone.dim - 1).all()
     assert np.unique(zeros, axis=0).shape[0] == zeros.shape[0]
     assert (~zeros).any(axis=1).all() and (~zeros).any(axis=0).all()
+    trip = geometry.dual_round_trip(cone, tol)
+    if trip.mapping is not None:
+        products = products[:, np.argsort(trip.mapping)]
+    assert np.array_equal(trip.slack, products)
 
 
 class TestSlackZerosAreTheIncidence:
@@ -832,6 +841,14 @@ class TestSlackZerosAreTheIncidence:
             assert_slack_is_the_incidence(
                 geometry.PolyhedralCone(sphere_cone(seed, d, d + 1 + seed % 6)), tol)
 
+    def test_self_dual_factor_cones(self, pentagon_slack, prism_slack):
+        # The round trip matches these cones' facets to their generators.
+        tol = geometry.DEFAULT_FACET_TOL
+        for m, d in ((pentagon_slack, 3), (prism_slack, 4)):
+            cone = geometry.cone_from_factorization(m, d)
+            assert geometry.dual_round_trip(cone, tol).mapping is not None
+            assert_slack_is_the_incidence(cone, tol)
+
     def test_cone_flat_at_tol_has_a_zero_column(self):
         # A wedge 0.02 thick: at tol 0.05 its top and bottom facets are one
         # facet, tight at every generator, and the two generators at each
@@ -845,12 +862,14 @@ class TestSlackZerosAreTheIncidence:
                            match="^not a slack matrix: matrix has a zero column$"):
             geometry.slack_matrix(cone, 0.05)
 
-    def test_entry_rounded_below_minus_tol_refused(self):
+    def test_generator_the_scan_puts_at_minus_tol_is_tight(self):
         # Found by a seeded search over lattice cones (1, a, b), |a|, |b| <=
         # 2, moved by noise of standard deviation 1e-4: generator 2 sits
         # 9.09e-5 outside facet 2, and tol is the scan's product there, so
-        # the scan keeps the facet.  The slack's matrix product rounds it
-        # below -tol: off the incidence, and negative.
+        # the scan keeps the facet with generator 2 tight on it.  The slack
+        # reads the same product, so generator 2 is active on facets 1, 2
+        # and 4, whose normals have rank 3: it is not an extreme ray.  One
+        # matrix product gens @ normals.T may round that entry below -tol.
         cone = geometry.PolyhedralCone([
             [1.0001392138400544, -2.000008099695141, 1.9999358042275304],
             [0.9999091661881716, -1.0000384430474207, 1.999977692053157],
@@ -860,11 +879,9 @@ class TestSlackZerosAreTheIncidence:
         ])
         tol = 9.091377275153103e-05
         normals = geometry.facet_normals(cone, tol)
-        scan = (cone.generators @ normals[:, :, None])[:, :, 0]
-        assert scan[2, 2] == -tol
-        if (cone.generators @ normals.T)[2, 2] >= -tol:
-            pytest.skip("this BLAS rounds the two products alike here")
-        with pytest.raises(PreconditionError, match="^matrix must be entrywise nonnegative$"):
+        assert stacked_products(cone.generators, normals)[2, 2] == -tol
+        with pytest.raises(PreconditionError,
+                           match=r"^1 generator\(s\) are not extreme rays$"):
             geometry.slack_matrix(cone, tol)
 
 
@@ -1008,6 +1025,8 @@ class TestDualRoundTrip:
         assert trip.mapping is None
         assert abs(trip.worst_cosine - np.sqrt(2.0 / 3.0)) <= 1e-12
         assert trip.slack.shape == (4, 4) and trip.slack.min() >= -1e-12
+        # Rows of another length match nothing either.
+        assert geometry.match_generators(np.eye(3), np.eye(4)[:3], 1e-7) is None
 
 
 # Every public function that needs a cone's facets, on the prism.

@@ -386,14 +386,15 @@ class TestRankPath:
         normals = np.concatenate(blocks)
         d = normals.shape[1]
         owner = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
-        active = np.abs(gens @ normals.T) <= tol
+        products = gens @ normals.T
+        active = np.abs(products) <= tol
         assume(np.array_equal(active, owner[None, :] == np.arange(len(blocks))[:, None]))
         expected = np.array([full_svd_rank(b) == d - 1 for b in blocks])
         if expected.any():
-            assert np.array_equal(geometry._extreme_mask(gens, normals, tol)[0], expected)
+            assert np.array_equal(geometry._extreme_mask(normals, products, tol)[0], expected)
         else:
             with pytest.raises(PreconditionError, match="no extreme rays"):
-                geometry._extreme_mask(gens, normals, tol)
+                geometry._extreme_mask(normals, products, tol)
 
     @pytest.mark.parametrize("fn", [linalg.numeric_rank, linalg.singular_values])
     def test_stack_rejected(self, fn):
