@@ -1,9 +1,11 @@
 """V-representation polyhedral cone calculus at desk scale.
 
 Cones are stored as unit-normalized generator rows, in input order.  One
-incidence key at tol tells rays and facets apart: a facet is named by the
-generators tight on it, an extreme ray by the facets tight at it.  Facets
-are enumerated by one scan over the C(n, d-1) subsets of generators
+incidence at tol decides every face, by containment (_inside): a facet is a
+maximal set of generators tight on a supporting hyperplane, and an extreme
+ray a generator whose set of tight facets no generator's strictly contains;
+each is named by its set, and no rank test decides either.  Facets are
+enumerated by one scan over the C(n, d-1) subsets of generators
 (_facet_scan), and the products g . n that judged them are the only ones
 formed: the incidence, extremality, the slack and the self-dual match all
 read them.  Facet normals are unit vectors rather than a canonical scaling,
@@ -107,6 +109,15 @@ def _first_per_key(tight: np.ndarray, seen: set[bytes]) -> np.ndarray:
     return np.array(first, dtype=np.intp)
 
 
+def _inside(tight: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Which rows of the boolean matrix tight lie strictly inside some row of
+    sets: each of their members is one of its members, and it has more.  The
+    counts come from one float product, exact at any size."""
+    size = tight.sum(axis=1)[:, None]
+    common = tight.astype(float) @ sets.T.astype(float)
+    return ((common == size) & (sets.sum(axis=1) > size)).any(axis=1)
+
+
 def _facet_scan(gen: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(normals, products) of cone(gen rows), assuming gen spans its space:
     unit facet normals, and the n x m products g_i . n_j that judged them.
@@ -114,19 +125,22 @@ def _facet_scan(gen: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     Each (d-1)-subset proposes the unit normal q of its hyperplane from one
     Householder QR (linalg.orthogonal_directions).  q is kept, oriented
     inward, when every generator sits on its nonnegative side up to tol and
-    the subset has numeric rank d-1 (linalg's one rank rule, from a
-    values-only SVD of the orientation survivors only).  A kept normal is
-    new when its tight set {i : |g_i . q| <= tol} differs from that of every
-    normal kept before it.  Subsets are taken in lexicographic order,
-    _SCAN_CHUNK at a time (fewer when n is large), and each is judged as it
-    would be alone, bit for bit; a flipped normal's products are negated.
-    ConvergenceError, before any subset is formed, past FACET_SUBSET_BUDGET.
+    its tight set {i : |g_i . q| <= tol} differs from that of every normal
+    kept before it.  After the scan, a normal whose tight set lies strictly
+    inside another's is dropped with its products: a facet is a maximal
+    tight set, so no rank test is needed.  Subsets are taken in
+    lexicographic order, _SCAN_CHUNK at a time (fewer when n is large), and
+    each is judged as it would be alone, bit for bit; a flipped normal's
+    products are negated.  ConvergenceError, before any subset is formed,
+    past FACET_SUBSET_BUDGET.
     """
     n, d = gen.shape
     if d == 1:
-        # The sign every generator shares is the one facet; a line has none.
+        # The sign every generator shares is the one facet, tight at none of
+        # them; a line has none, and neither has a cone flat at tol.
         sides = np.unique(np.sign(gen))
-        normals = sides[:, None] if sides.size == 1 and sides[0] else np.zeros((0, 1))
+        one = sides.size == 1 and sides[0] and (np.abs(gen) > tol).all()
+        normals = sides[:, None] if one else np.zeros((0, 1))
         return normals, gen * normals.T
     count = math.comb(n, d - 1)
     if count > FACET_SUBSET_BUDGET:
@@ -143,21 +157,22 @@ def _facet_scan(gen: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
                             dtype=np.intp).reshape(-1, d - 1)
         if chunk.shape[0] == 0:
             break
-        subsets = gen[chunk]
-        normals = linalg.orthogonal_directions(subsets)
+        normals = linalg.orthogonal_directions(gen[chunk])
         # A stack of matrix-vector products rounds as gen @ q does for one
         # normal, so each subset is judged as it would be alone.
         prods = (gen @ normals[:, :, None])[:, :, 0]
         inward = prods.min(axis=1) >= -tol
         outward = ~inward & (prods.max(axis=1) <= tol)
-        keep = inward | outward
-        keep[keep] = linalg._stacked_rank(subsets[keep]) == d - 1
-        new = np.flatnonzero(keep)[_first_per_key(np.abs(prods[keep]) <= tol, seen)]
+        keep = np.flatnonzero(inward | outward)
+        new = keep[_first_per_key(np.abs(prods[keep]) <= tol, seen)]
         # + 0.0 turns the -0.0 that negating an exact zero gives into 0.0.
         sign = np.where(outward[new], -1.0, 1.0)[:, None]
         found.append(sign * normals[new] + 0.0)
         products.append(sign * prods[new] + 0.0)
-    return np.concatenate(found), np.concatenate(products).T
+    products = np.concatenate(products)
+    tight = np.abs(products) <= tol
+    maximal = ~_inside(tight, tight)
+    return np.concatenate(found)[maximal], products[maximal].T
 
 
 def is_full_dimensional(cone: PolyhedralCone) -> bool:
@@ -167,9 +182,9 @@ def is_full_dimensional(cone: PolyhedralCone) -> bool:
 
 def is_pointed(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> bool:
     """True when the cone contains no line, that is when its facet normals
-    span its span.  facet_normals decides that in the coordinates of the
-    generators' row space (their leading right singular vectors), so
-    generators need not span R^d.
+    at tol span its span (a cone flat at tol fails too).  facet_normals
+    decides that in the coordinates of the generators' row space (their
+    leading right singular vectors), so generators need not span R^d.
     """
     g = cone.generators
     nullity, v = linalg.null_directions(g)
@@ -189,9 +204,10 @@ def _facets(cone: PolyhedralCone, tol: float) -> tuple[np.ndarray, np.ndarray]:
     if normals.shape[0] == 0 and d > 1:
         raise PreconditionError(f"no facet found at tol {tol:g}")
     if r < d:
-        raise PreconditionError("cone is not pointed" if d == 1 else (
+        raise PreconditionError(
             f"facet normals at tol {tol:g} span R^{r}, not R^{d}: the cone is "
-            "not pointed, or tol is below the rounding of its products"))
+            "not pointed or is flat at tol, or tol is below the rounding of its "
+            "products")
     return normals, products
 
 
@@ -199,11 +215,13 @@ def facet_normals(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> np.nd
     """Unit inward normals of all facets of a pointed full-dimensional cone.
 
     Found by the stacked Householder scan over all (d-1)-subsets of
-    generators, one normal per set of generators tight on it at tol: the
-    first, in enumeration order (lexicographic over generator subsets).
+    generators, one normal per maximal set of generators tight on it at tol:
+    the first, in enumeration order (lexicographic over generator subsets).
     PreconditionError when the generators do not span R^d, the scan keeps
-    no facet at tol (d >= 2), or its normals span less than R^d: a line at
-    d = 1, a cone not pointed or a tol below its products' rounding at d >= 2.
+    no facet at tol (d >= 2), or its normals span less than R^d: a cone not
+    pointed, one within tol of a hyperplane (flat at tol: its normal is
+    tight at every generator, so it is the one maximal set), or a tol below
+    its products' rounding.
     """
     return _facets(cone, tol)[0]
 
@@ -213,43 +231,32 @@ def dual_cone(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> Polyhedra
     return PolyhedralCone(facet_normals(cone, tol))
 
 
-def _extreme_mask(normals: np.ndarray, products: np.ndarray,
+def _extreme_mask(products: np.ndarray,
                   tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(extreme, rays, active) from a scan's normals and products: which
-    generators are extreme rays, those whose active facets (active[i, j] is
-    |products[i, j]| <= tol) have normals of rank d-1, and the indices of
-    the first extreme generator with each set of active facets, one per ray.
-    PreconditionError when no generator is extreme.
-
-    The ranks come from one stacked values-only SVD over the active-normal
-    sets, zero-padded to a common row count: zero rows add only zero
-    singular values, so each rank is what linalg.numeric_rank gives its set.
+    """(extreme, rays, active) from a scan's products: which generators are
+    extreme rays, those whose active facets (active[i, j] is
+    |products[i, j]| <= tol) no generator's active facets strictly contain,
+    and the indices of the first generator with each extreme set, one per
+    ray.  Each set is compared with one generator per distinct set, so the
+    work and memory follow n times the number of faces, not n^2; the
+    largest set is maximal, so some generator is always extreme.
     """
-    d = normals.shape[1]
     active = np.abs(products) <= tol
-    counts = active.sum(axis=1)
-    rows = max(1, int(counts.max()))
-    # Each generator's active normals first, in facet order, then zeros.
-    order = np.argsort(~active, axis=1, kind="stable")[:, :rows]
-    filled = np.arange(rows)[None, :] < counts[:, None]
-    stack = np.where(filled[:, :, None], normals[order], 0.0)
-    ranks = linalg._stacked_rank(stack)
-    extreme = (counts >= d - 1) & (ranks == d - 1)
-    if not extreme.any():
-        raise PreconditionError("no extreme rays found; input cone degenerate")
-    index = np.flatnonzero(extreme)
-    return extreme, index[_first_per_key(active[index], set())], active
+    first = _first_per_key(active, set())
+    extreme = ~_inside(active, active[first])
+    return extreme, first[extreme[first]], active
 
 
 def extreme_rays(generators, tol: float = DEFAULT_FACET_TOL) -> PolyhedralCone:
     """Reduce a generating set to the extreme rays of its cone.
 
-    A generator is extreme exactly when the facets it lies on have normals of
-    rank d-1; of extreme generators on the same facets, the first stands for
-    their ray.  The checks and messages are facet_normals'.
+    A generator is extreme exactly when no generator lies on a strictly
+    larger set of facets (the minimal face above it is a ray); of extreme
+    generators on the same facets, the first stands for their ray.  The
+    checks and messages are facet_normals'.
     """
     cone = PolyhedralCone(generators)
-    _, rays, _ = _extreme_mask(*_facets(cone, tol), tol)
+    _, rays, _ = _extreme_mask(_facets(cone, tol)[1], tol)
     return PolyhedralCone(cone.generators[rays])
 
 
@@ -259,19 +266,18 @@ def slack_matrix(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> SlackM
 
     Entry (i, j) is the scan's product of ray i (its first generator) with
     dual generator j, set to exact zero where _extreme_mask finds the ray
-    active on the facet, so each row has d-1 zeros or more and no two rows
-    the same zeros.  Every other entry is above tol, by the scan's
-    orientation test.  Every generator must be an extreme ray, judged
-    against the one facet scan the slack is built from: PreconditionError
-    for facet_normals' reasons, when no generator is extreme, with a count
-    of those that are not, or for a zero column (a cone flat at tol).
+    active on the facet, so no two rows have the same zeros.  Every other
+    entry is above tol, by the scan's orientation test.  No column is all
+    zeros: a facet tight at every ray would hold every other tight set, so
+    facet_normals' span check refuses the cone first.  Every generator must
+    be an extreme ray, judged against the one facet scan the slack is built
+    from: PreconditionError for facet_normals' reasons, or with a count of
+    the generators that are not.
     """
-    normals, products = _facets(cone, tol)
-    extreme, rays, active = _extreme_mask(normals, products, tol)
+    products = _facets(cone, tol)[1]
+    extreme, rays, active = _extreme_mask(products, tol)
     if not extreme.all():
         raise PreconditionError(f"{(~extreme).sum()} generator(s) are not extreme rays")
-    if active[rays].all(axis=0).any():
-        raise PreconditionError("not a slack matrix: matrix has a zero column")
     return SlackMatrix(np.where(active[rays], 0.0, products[rays]), cone.dim)
 
 

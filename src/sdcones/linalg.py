@@ -7,20 +7,21 @@ the package's contract on top: validated input, eigenvalues in descending
 order, singular values padded to one per column, and LAPACK failures raised
 as ConvergenceError.  sym_eigen and null_space return bases, so they fix the
 sign of every basis vector.  One rule (_rank) decides every numeric rank,
-from a values-only SVD (_singular_values, of one matrix or a stack) or from
-the absolute eigenvalues of a decomposition the caller holds
-(EigenDecomposition.rank); EigenDecomposition.is_psd is the one PSD test of
-a candidate slack or DNN matrix.  null_directions is the one SVD that forms
-singular vectors, and reads its nullities off its own singular values;
-null_space is its one-matrix case.  orthogonal_directions gives the facet
-scan one candidate normal per subset of a stack, from one Householder QR
-each, and the scan ranks its candidates by _stacked_rank.  psd_project and
-low_rank_project share one body: clip the eigenvalues at 0, keep the d
-largest (d = n for psd_project) and return V diag(w) V^T, in which the sign
-of each column of V cancels exactly, so they skip the sign rule.  They take
-stacks too, so the SDP search and its rank refinement project a stack of
-attempts with one LAPACK call per iteration, each matrix getting the bits it
-would get alone.  All functions are pure; there is no shared mutable state.
+from a values-only SVD (singular_values) or from the absolute eigenvalues of
+a decomposition the caller holds (EigenDecomposition.rank);
+EigenDecomposition.is_psd is the one PSD test of a candidate slack or DNN
+matrix.  null_directions is the one SVD that forms singular vectors, and
+reads its nullities off its own singular values; null_space is its
+one-matrix case.  orthogonal_directions gives the facet scan one candidate
+normal per subset of a stack, from one Householder QR each; no rank test
+judges the candidates, which the scan keeps by their tight sets alone.
+psd_project and low_rank_project share one body: clip the eigenvalues at 0,
+keep the d largest (d = n for psd_project) and return V diag(w) V^T, in
+which the sign of each column of V cancels exactly, so they skip the sign
+rule.  They take stacks too, so the SDP search and its rank refinement
+project a stack of attempts with one LAPACK call per iteration, each matrix
+getting the bits it would get alone.  All functions are pure; there is no
+shared mutable state.
 """
 
 from __future__ import annotations
@@ -164,21 +165,15 @@ def sym_eigen(a) -> EigenDecomposition:
     return EigenDecomposition(vals, _positive_leading(vecs))
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values descending, zero-padded to one per column, of one
-    matrix or each of a stack, from an SVD that forms no singular vectors."""
+def singular_values(a) -> np.ndarray:
+    """Singular values, descending, one per column (zero-padded), from an
+    SVD that forms no singular vectors."""
+    m = as_matrix(a)
     try:
         s = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    sv = np.zeros(m.shape[:-2] + m.shape[-1:])
-    sv[..., : s.shape[-1]] = s
-    return sv
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values, descending, one per column (zero-padded)."""
-    return _singular_values(as_matrix(a))
+    return np.concatenate([s, np.zeros(m.shape[1] - s.size)])
 
 
 def _rank(sv: np.ndarray) -> np.ndarray:
@@ -186,11 +181,6 @@ def _rank(sv: np.ndarray) -> np.ndarray:
     each matrix of a stack: the count above DEFAULT_RANK_TOL * (largest),
     so 0 for a zero matrix or one without columns."""
     return (sv > DEFAULT_RANK_TOL * sv[..., :1]).sum(axis=-1)
-
-
-def _stacked_rank(stack: np.ndarray) -> np.ndarray:
-    """numeric_rank of each matrix of a finite stack (leading batch axes)."""
-    return _rank(_singular_values(stack))
 
 
 def numeric_rank(a) -> int:

@@ -84,8 +84,17 @@ def stacked_products(gens: np.ndarray, normals: np.ndarray) -> np.ndarray:
 
 
 def loop_extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarray:
-    """The per-generator extremality test the stacked one replaced: one
-    numeric_rank call on each generator's active facet normals."""
+    """The extremality test by containment, one loop step per pair of
+    generators: a generator is extreme when no generator's set of active
+    facets (|g . n| <= tol) strictly contains its own."""
+    active = [set(np.flatnonzero(np.abs(row) <= tol)) for row in gens @ normals.T]
+    return np.array([not any(a < b for b in active) for a in active], dtype=bool)
+
+
+def rank_extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarray:
+    """The rank rule extremality took before the containment rule: one
+    numeric_rank call on each generator's active facet normals, extreme at
+    rank d-1.  On generic cones the two rules agree."""
     d = gens.shape[1]
     prods = gens @ normals.T
     kept = np.zeros(gens.shape[0], dtype=bool)
@@ -95,11 +104,12 @@ def loop_extreme_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.n
     return kept
 
 
-def loop_ray_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarray:
+def loop_ray_mask(gens: np.ndarray, normals: np.ndarray, tol: float,
+                  rule=loop_extreme_mask) -> np.ndarray:
     """The extreme generators that stand for their ray, one loop step per
-    generator: extreme by loop_extreme_mask, and on a set of facets that no
-    earlier extreme generator lies on."""
-    extreme = loop_extreme_mask(gens, normals, tol)
+    generator: extreme by rule, and on a set of facets that no earlier
+    extreme generator lies on."""
+    extreme = rule(gens, normals, tol)
     seen: list[list[int]] = []
     rays = np.zeros(gens.shape[0], dtype=bool)
     for i in np.flatnonzero(extreme):
@@ -110,16 +120,16 @@ def loop_ray_mask(gens: np.ndarray, normals: np.ndarray, tol: float) -> np.ndarr
     return rays
 
 
-def loop_extreme_rays(generators, tol: float = geometry.DEFAULT_FACET_TOL):
-    """extreme_rays with the per-generator rank loop (loop_extreme_mask) and
-    one generator per ray (loop_ray_mask), after facet_normals' checks."""
+def loop_extreme_rays(generators, tol: float = geometry.DEFAULT_FACET_TOL,
+                      rule=loop_extreme_mask):
+    """extreme_rays with a per-generator extremality loop (rule) and one
+    generator per ray (loop_ray_mask), after facet_normals' checks."""
     cone = geometry.PolyhedralCone(generators)
     normals = geometry.facet_normals(cone, tol)
-    if cone.dim == 1:
-        return cone
-    if not loop_extreme_mask(cone.generators, normals, tol).any():
+    rays = loop_ray_mask(cone.generators, normals, tol, rule)
+    if not rays.any():
         raise PreconditionError("no extreme rays found; input cone degenerate")
-    return geometry.PolyhedralCone(cone.generators[loop_ray_mask(cone.generators, normals, tol)])
+    return geometry.PolyhedralCone(cone.generators[rays])
 
 
 def eigen_row_space_basis(g: np.ndarray) -> np.ndarray:

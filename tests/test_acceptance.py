@@ -19,8 +19,10 @@ from sdcones import cli, data, dnn, geometry, linalg, search, selfdual
 import conftest
 from conftest import (
     equal_up_to_scaling,
+    loop_extreme_rays,
     match_columns_by_pattern,
     random_pointed_cone_generators,
+    rank_extreme_mask,
     support_pattern_of,
 )
 
@@ -180,7 +182,12 @@ def test_criterion_7a_double_dual_round_trip():
         for _ in range(200):
             d = int(rng.integers(2, 5))
             n = int(rng.integers(d, 9))
-            cone = geometry.extreme_rays(random_pointed_cone_generators(rng, d, n))
+            gens = random_pointed_cone_generators(rng, d, n)
+            cone = geometry.extreme_rays(gens)
+            # Generic cones: the rank rule extremality took before the
+            # containment rule keeps the same rays.
+            rank_rule = loop_extreme_rays(gens, rule=rank_extreme_mask)
+            assert np.array_equal(cone.generators, rank_rule.generators)
             dd = geometry.dual_cone(geometry.dual_cone(cone))
             match = geometry.match_generators(cone.generators, dd.generators, 1e-8)
             assert match is not None

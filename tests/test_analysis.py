@@ -287,7 +287,7 @@ class TestOneDecomposition:
         # The rank, the PSD test, the slack check, the extremality test and
         # the factor cone all read one eigendecomposition of the input.  No
         # SVD forms singular vectors: the facet scan's normals come from
-        # one stacked QR, and its ranks from values-only SVDs.
+        # one stacked QR, and the ranks around it from values-only SVDs.
         m, d = BUNDLED[name]
         n = m.shape[0]
         calls = count_decompositions(monkeypatch)
@@ -297,7 +297,7 @@ class TestOneDecomposition:
         assert [c for c in calls if c[0] == "eigh"] == [("eigh", (n, n), True)]
         subsets = math.comb(n, d - 1)
         assert [c for c in calls if c[0] == "qr"] == [("qr", (subsets, d, d - 1), True)]
-        assert [uv for kind, _, uv in calls if kind == "svd"] == [False] * 4
+        assert [uv for kind, _, uv in calls if kind == "svd"] == [False] * 3
 
     @pytest.mark.parametrize("name", ["pentagon", "prism", "nonslack"])
     def test_one_support_mask_per_matrix(self, monkeypatch, name):

@@ -4,6 +4,7 @@ import ast
 import inspect
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -27,6 +28,7 @@ from conftest import (
     match_columns_by_pattern,
     random_orthogonal,
     random_pointed_cone_generators,
+    rank_extreme_mask,
     split_hexagon_rays,
     stacked_products,
     support_pattern_of,
@@ -61,13 +63,15 @@ def oracle_facet_normals(gens: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.asarray(found)
 
 
-def _loop_scan(gen: np.ndarray, tol: float, normal, subsets=None) -> np.ndarray:
+def _loop_scan(gen: np.ndarray, tol: float, normal, subsets=None,
+               maximal=True) -> np.ndarray:
     """A per-subset facet scan: normal(subset) gives each (d-1)-subset's
-    unit normal, or None when the subset does not have rank d-1; in
-    lexicographic order, the normal is oriented inward when every generator
-    is on one side of it up to tol, and kept when its tight set
-    {i : |g_i . v| <= tol} no kept normal has.  The subset of each kept
-    normal is appended to the list subsets, when one is given."""
+    unit normal, or None when it proposes none; in lexicographic order, the
+    normal is oriented inward when every generator is on one side of it up
+    to tol, and kept when its tight set {i : |g_i . v| <= tol} no kept
+    normal has.  With maximal, a kept normal whose tight set lies strictly
+    inside another's is then dropped.  The subset of each normal left is
+    appended to the list subsets, when one is given."""
     n, d = gen.shape
     if d == 1:
         col = gen[:, 0]
@@ -76,8 +80,8 @@ def _loop_scan(gen: np.ndarray, tol: float, normal, subsets=None) -> np.ndarray:
         if col.max() < 0.0:
             return np.array([[-1.0]])
         return np.zeros((0, 1))
-    found: list[np.ndarray] = []
-    tight_sets: list[list[int]] = []
+    found: list[tuple[np.ndarray, list[int]]] = []
+    tight_sets: list[set[int]] = []
     for combo in itertools.combinations(range(n), d - 1):
         v = normal(gen[list(combo)])
         if v is None:
@@ -89,21 +93,24 @@ def _loop_scan(gen: np.ndarray, tol: float, normal, subsets=None) -> np.ndarray:
             v = -v
         else:
             continue
-        tight = [i for i in range(n) if abs(prods[i]) <= tol]
+        tight = {i for i in range(n) if abs(prods[i]) <= tol}
         if tight not in tight_sets:
             tight_sets.append(tight)
-            found.append(v)
-            if subsets is not None:
-                subsets.append(list(combo))
-    if not found:
+            found.append((v, list(combo)))
+    kept = [(v, combo) for (v, combo), tight in zip(found, tight_sets)
+            if not (maximal and any(tight < other for other in tight_sets))]
+    if subsets is not None:
+        subsets.extend(combo for _, combo in kept)
+    if not kept:
         return np.zeros((0, d))
-    return np.vstack(found)
+    return np.vstack([v for v, _ in kept])
 
 
 def loop_facet_scan(gen: np.ndarray, tol: float, subsets=None) -> np.ndarray:
     """The cross-kernel oracle: one SVD per (d-1)-subset (linalg.null_space),
-    kept at nullity 1.  The stacked scan must find the same tight sets in
-    the same order, with nearby normals (same_facets)."""
+    a normal at nullity 1, and the maximal tight sets kept.  The stacked
+    scan must find the same tight sets in the same order, with nearby
+    normals (same_facets)."""
     def normal(sub):
         basis = linalg.null_space(sub)
         return basis[:, 0] if basis.shape[1] == 1 else None
@@ -111,16 +118,20 @@ def loop_facet_scan(gen: np.ndarray, tol: float, subsets=None) -> np.ndarray:
     return _loop_scan(gen, tol, normal, subsets)
 
 
-def householder_facet_scan(gen: np.ndarray, tol: float) -> np.ndarray:
+def householder_facet_scan(gen: np.ndarray, tol: float, rank_rule: bool = False) -> np.ndarray:
     """The stacked scan's per-subset reference: one Householder normal
-    (linalg.orthogonal_directions) and one linalg.numeric_rank per
-    (d-1)-subset.  The stacked scan must reproduce it bit for bit."""
+    (linalg.orthogonal_directions) per (d-1)-subset, and the maximal tight
+    sets kept.  The stacked scan must reproduce it bit for bit.  With
+    rank_rule, the scan's rule before a facet was a maximal tight set: a
+    subset needs linalg.numeric_rank d-1, and no tight set is dropped."""
     d = gen.shape[1]
 
     def normal(sub):
-        return linalg.orthogonal_directions(sub) if linalg.numeric_rank(sub) == d - 1 else None
+        if rank_rule and linalg.numeric_rank(sub) != d - 1:
+            return None
+        return linalg.orthogonal_directions(sub)
 
-    return _loop_scan(gen, tol, normal)
+    return _loop_scan(gen, tol, normal, maximal=not rank_rule)
 
 
 def same_facets(got: np.ndarray, gen: np.ndarray, tol: float) -> bool:
@@ -215,6 +226,32 @@ def extremality_generators(draw) -> np.ndarray:
         rows.append(rng.integers(1, 3, size=pick.size) @ base[pick])
     g = np.array(rows)
     return g / np.linalg.norm(g, axis=1)[:, None]
+
+
+@st.composite
+def incidences(draw) -> np.ndarray:
+    """Products of 1 to 10 generators with 1 to 6 facets at tol 1e-6: a
+    random incidence, small enough that sets repeat and nest, its tight
+    entries within tol on either side of zero and the others above tol."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = rng.random((n, m)) < draw(st.floats(0.1, 0.9))
+    return np.where(active, rng.uniform(-1e-6, 1e-6, (n, m)), rng.uniform(2e-6, 1.0, (n, m)))
+
+
+def twin_outside_rays(gen: np.ndarray, tol: float = geometry.DEFAULT_FACET_TOL) -> bool:
+    """Whether a generator tight on the same facets as one of extreme_rays'
+    rays lies more than tol outside the facet hyperplanes of those rays.
+    extreme_rays keeps the first of such twins; when the kept one lies
+    within tol of the hyperplane through its neighbours and its twin just
+    beyond, that hyperplane is a facet of the rays alone, and the kept ray
+    is a face inside it when the rays are scanned again."""
+    cone = geometry.PolyhedralCone(gen)
+    _, rays, active = geometry._extreme_mask(geometry._facets(cone, tol)[1], tol)
+    normals = geometry.facet_normals(geometry.PolyhedralCone(cone.generators[rays]), tol)
+    outside = (cone.generators @ normals.T).min(axis=1) < -tol
+    twin = (active[:, None, :] == active[rays][None, :, :]).all(axis=2).any(axis=1)
+    return bool((outside & twin).any())
 
 
 def _outcome(fn, *args):
@@ -448,7 +485,25 @@ class TestStackedFacetScan:
         got = geometry._facet_scan(gen, tol)[0]
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
-        assert same_facets(got, gen, tol)
+        # The SVD oracle proposes no normal for a subset of rank below d-1.
+        # Generators of rank below d make every subset one, and the scan's
+        # maximal tight set there has a normal the oracle lacks; _facets
+        # scans only generators that span R^d.
+        if linalg.numeric_rank(gen) == gen.shape[1]:
+            assert same_facets(got, gen, tol)
+
+    def test_rank_rule_agrees_on_seeded_cones(self):
+        # In general position no subset has rank below d-1 and no tight
+        # set lies inside another, so the rule the scan took before facets
+        # were maximal tight sets gives the same normals, bit for bit.
+        tol = geometry.DEFAULT_FACET_TOL
+        cones = [sphere_cone(seed, 3 + seed % 4, 4 + seed % 4 + seed % 6)
+                 for seed in range(40)]
+        cones += [sphere_cone(seed) for seed in TestIncidenceKey.CLOSE_FACET_SEEDS]
+        for gen in cones:
+            gen = geometry.PolyhedralCone(gen).generators
+            expected = householder_facet_scan(gen, tol, rank_rule=True)
+            assert np.array_equal(geometry._facet_scan(gen, tol)[0], expected)
 
     @pytest.mark.parametrize("d, n", [(3, 1), (4, 2), (6, 4), (2, 1), (4, 3), (6, 5)])
     def test_no_or_one_subset(self, d, n):
@@ -517,8 +572,8 @@ def near_facet_cones(draw) -> np.ndarray:
 
 
 class TestScreenedFacetScan:
-    """The orientation test screens each chunk's Householder normals; only
-    its survivors reach the rank test."""
+    """The orientation test and the tight sets alone judge each chunk's
+    Householder normals, near a facet hyperplane too."""
 
     @settings(max_examples=200, deadline=None)
     @given(near_facet_cones())
@@ -540,30 +595,6 @@ class TestScreenedFacetScan:
         assert cos.max(axis=1).min() >= 1.0 - 1e-10
         tight = np.abs(cone.generators @ normals.T) <= tol
         assert np.unique(tight, axis=1).shape[1] == normals.shape[0]
-
-    @pytest.mark.parametrize("chunk", [1024, 73])
-    def test_only_facet_candidates_reach_the_svd(self, monkeypatch, chunk):
-        # Only orientation survivors reach the rank test's values-only SVD:
-        # one stack per chunk, C(12, 5) = 792 subsets in one chunk, or in
-        # ten chunks of 73 and a last one of 62.
-        gen = random_pointed_cone_generators(np.random.default_rng(6), 6, 12)
-        tol = geometry.DEFAULT_FACET_TOL
-        survivors = 0
-        for combo in itertools.combinations(range(12), 5):
-            prods = gen @ linalg.orthogonal_directions(gen[list(combo)])
-            survivors += bool(prods.min() >= -tol or prods.max() <= tol)
-        received = []
-        stacked_rank = linalg._stacked_rank
-
-        def counted(stack):
-            received.append(stack.shape[0])
-            return stacked_rank(stack)
-
-        monkeypatch.setattr(linalg, "_stacked_rank", counted)
-        monkeypatch.setattr(geometry, "_SCAN_CHUNK", chunk)
-        facets = geometry._facet_scan(gen, tol)[0].shape[0]
-        assert len(received) == math.ceil(792 / chunk)
-        assert 0 < facets <= sum(received) == survivors < 792
 
     def test_chunks_shrink_with_many_generators(self, monkeypatch, prism_rays):
         # At most _SCAN_ENTRIES subset-generator products per chunk: 3
@@ -594,7 +625,6 @@ class TestFacetSubsetBudget:
             raise AssertionError("a subset reached a kernel")
 
         monkeypatch.setattr(linalg, "orthogonal_directions", no_subsets)
-        monkeypatch.setattr(linalg, "_stacked_rank", no_subsets)
         with pytest.raises(ConvergenceError, match=r"60 generators in R\^10 needs "
                            r"C\(60, 9\) = 14783142660 subsets, over the budget of 1000000"):
             geometry.facet_normals(cone)
@@ -626,6 +656,21 @@ class TestFacetSubsetBudget:
         finally:
             tracemalloc.stop()
         assert normals.shape == (2, 2)
+        assert peak < 64 * 2**20
+
+    def test_extreme_rays_of_many_plane_generators_stay_small(self):
+        # Each generator's active facets are compared with those of one
+        # generator per distinct set, three here: a 10 000 x 10 000
+        # containment product alone would take 800 MB.
+        t = np.linspace(0.1, 1.4, 10_000)
+        gens = np.column_stack([np.cos(t), np.sin(t)])
+        tracemalloc.start()
+        try:
+            rays = geometry.extreme_rays(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rays.generators, geometry.PolyhedralCone(gens[[0, -1]]).generators)
         assert peak < 64 * 2**20
 
 
@@ -688,7 +733,7 @@ class TestExtremeRays:
     def test_stacked_ranks_match_loop(self, g):
         tol = geometry.DEFAULT_FACET_TOL
         normals, products = geometry._facet_scan(g, tol)
-        extreme, rays, _ = geometry._extreme_mask(normals, products, tol)
+        extreme, rays, _ = geometry._extreme_mask(products, tol)
         assert np.array_equal(extreme, loop_extreme_mask(g, normals, tol))
         assert np.array_equal(rays, np.flatnonzero(loop_ray_mask(g, normals, tol)))
         assert _outcome(geometry.extreme_rays, g) == _outcome(loop_extreme_rays, g)
@@ -709,9 +754,37 @@ class TestExtremeRays:
         for gens in cones:
             g = geometry.PolyhedralCone(gens).generators
             normals, products = geometry._facets(geometry.PolyhedralCone(g), tol)
-            extreme, rays, _ = geometry._extreme_mask(normals, products, tol)
+            extreme, rays, _ = geometry._extreme_mask(products, tol)
             assert np.array_equal(extreme, loop_extreme_mask(g, normals, tol))
             assert np.array_equal(rays, np.flatnonzero(loop_ray_mask(g, normals, tol)))
+            # These cones are generic, so the rank rule agrees.
+            assert np.array_equal(extreme, rank_extreme_mask(g, normals, tol))
+
+    @settings(max_examples=300, deadline=None)
+    @given(incidences())
+    def test_extreme_mask_is_the_containment_of_active_sets(self, products):
+        # Extreme: no generator's active set strictly contains its own; a
+        # ray: the first generator of each extreme set.  Some set is largest,
+        # so some generator is extreme.
+        extreme, rays, _ = geometry._extreme_mask(products, 1e-6)
+        sets = [set(np.flatnonzero(row)) for row in np.abs(products) <= 1e-6]
+        assert extreme.tolist() == [not any(a < b for b in sets) for a in sets]
+        first = [i for i, a in enumerate(sets) if a not in sets[:i]]
+        assert rays.tolist() == [i for i in first if extreme[i]]
+        assert extreme.any()
+
+    @settings(max_examples=500, deadline=None)
+    @given(near_facet_cones())
+    def test_extreme_rays_are_a_fixed_point(self, gen):
+        # Scanned again, the extreme rays are all extreme and span R^d.  A
+        # facet is a maximal tight set, so a second normal within tol of a
+        # facet, tight on fewer generators, cannot make a true ray look
+        # like a face above it.  The one known exception is a ray whose
+        # twin lies just beyond tol (twin_outside_rays).
+        rays = geometry.extreme_rays(gen).generators
+        again = geometry.extreme_rays(rays).generators
+        assert linalg.numeric_rank(again) == gen.shape[1]
+        assert again.shape[0] == rays.shape[0] or twin_outside_rays(gen)
 
     def test_near_flat_vertex_kept(self):
         # The vertex (0, 1e-4) sits just off the segment between its
@@ -726,6 +799,9 @@ class TestExtremeRays:
         assert geometry.extreme_rays([[2.0], [3.0]]).n_rays == 1
         with pytest.raises(PreconditionError, match="not pointed"):
             geometry.extreme_rays([[2.0], [-3.0]])
+        # At tol 1 the unit generators are tight on the facet {0}: flat.
+        with pytest.raises(PreconditionError, match=r"span R\^0, not R\^1: .* flat at tol"):
+            geometry.slack_matrix(geometry.PolyhedralCone([[2.0], [3.0]]), 1.0)
 
 
 class TestSlackMatrix:
@@ -830,8 +906,9 @@ class TestSlackZerosAreTheIncidence:
         try:
             assert_slack_is_the_incidence(geometry.extreme_rays(gen, tol), tol)
         except PreconditionError:
-            # A few of these cones' extreme rays, scanned again, are not
-            # all extreme or do not span; such a cone gives no slack.
+            # Extreme rays with a twin just beyond tol, scanned again, are
+            # not all extreme; such a cone gives no slack.
+            assert twin_outside_rays(gen, tol)
             reject()
 
     @pytest.mark.parametrize("tol", [geometry.DEFAULT_FACET_TOL, 1e-4])
@@ -849,27 +926,31 @@ class TestSlackZerosAreTheIncidence:
             assert geometry.dual_round_trip(cone, tol).mapping is not None
             assert_slack_is_the_incidence(cone, tol)
 
-    def test_cone_flat_at_tol_has_a_zero_column(self):
-        # A wedge 0.02 thick: at tol 0.05 its top and bottom facets are one
-        # facet, tight at every generator, and the two generators at each
-        # end of the wedge are one ray.
+    def test_cone_flat_at_tol_is_refused(self):
+        # A wedge 0.02 thick: at tol 0.05 one hyperplane is tight at every
+        # generator, so its tight set holds every other and is the one
+        # maximal set, and the facet normals span R^1.
         t = 0.8
         wedge = [[1, 0, 0.01], [1, 0, -0.01],
                  [np.cos(t), np.sin(t), 0.01], [np.cos(t), np.sin(t), -0.01]]
         cone = geometry.PolyhedralCone(wedge)
         assert_slack_is_the_incidence(cone, geometry.DEFAULT_FACET_TOL)
-        with pytest.raises(PreconditionError,
-                           match="^not a slack matrix: matrix has a zero column$"):
-            geometry.slack_matrix(cone, 0.05)
+        message = ("facet normals at tol 0.05 span R^1, not R^3: the cone is not "
+                   "pointed or is flat at tol, or tol is below the rounding of its "
+                   "products")
+        for fn in (geometry.slack_matrix, geometry.facet_normals):
+            with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+                fn(cone, 0.05)
+        assert not geometry.is_pointed(cone, 0.05)
 
     def test_generator_the_scan_puts_at_minus_tol_is_tight(self):
         # Found by a seeded search over lattice cones (1, a, b), |a|, |b| <=
         # 2, moved by noise of standard deviation 1e-4: generator 2 sits
-        # 9.09e-5 outside facet 2, and tol is the scan's product there, so
+        # 9.09e-5 outside facet 1, and tol is the scan's product there, so
         # the scan keeps the facet with generator 2 tight on it.  The slack
-        # reads the same product, so generator 2 is active on facets 1, 2
-        # and 4, whose normals have rank 3: it is not an extreme ray.  One
-        # matrix product gens @ normals.T may round that entry below -tol.
+        # reads the same product, so generator 2 is active on facet 1 alone,
+        # a set inside generator 0's: it is not an extreme ray.  One matrix
+        # product gens @ normals.T may round that entry below -tol.
         cone = geometry.PolyhedralCone([
             [1.0001392138400544, -2.000008099695141, 1.9999358042275304],
             [0.9999091661881716, -1.0000384430474207, 1.999977692053157],
@@ -879,7 +960,7 @@ class TestSlackZerosAreTheIncidence:
         ])
         tol = 9.091377275153103e-05
         normals = geometry.facet_normals(cone, tol)
-        assert stacked_products(cone.generators, normals)[2, 2] == -tol
+        assert stacked_products(cone.generators, normals)[2, 1] == -tol
         with pytest.raises(PreconditionError,
                            match=r"^1 generator\(s\) are not extreme rays$"):
             geometry.slack_matrix(cone, tol)
