@@ -476,6 +476,8 @@ def _load_numeric(path, kind: str) -> np.ndarray:
         a, b = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ParseError(f"{kind} file {path}: bad header {raw[0]!r}") from exc
+    if min(a, b) < 0:
+        raise ParseError(f"{kind} file {path}: bad header {raw[0]!r}")
     if kind == "cone":
         width, count = a, b
     else:
@@ -484,8 +486,6 @@ def _load_numeric(path, kind: str) -> np.ndarray:
         raise ParseError(
             f"{kind} file {path}: expected {count} rows, found {len(raw) - 1}"
         )
-    if width < 0:
-        raise ParseError(f"{kind} file {path}: bad header {raw[0]!r}")
     rows = []
     for ln in raw[1:]:
         parts = ln.split()

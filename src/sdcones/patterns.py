@@ -25,9 +25,9 @@ from .errors import ConvergenceError, PreconditionError
 SUPPORT_CLAMP = 1e-10
 
 # Nodes (columns tried) one involution_permutations enumeration may visit.
-# The first permutation of the regular 17-, 51- and 101-gon takes 136,
-# 1 275 and 5 050; all of them (the one and the proof there is no other)
-# 286, 3 023 and 12 298.
+# The first permutation of the regular 17-, 51- and 101-gon takes 93, 926
+# and 3 726; all of them (the one and the proof there is no other) 218,
+# 2 377 and 9 752.
 INVOLUTION_NODE_BUDGET = 1_000_000
 
 
@@ -119,32 +119,30 @@ class SupportPattern:
 
 
 def involution_permutations(s: np.ndarray):
-    """Yield all column permutations sigma with S[i, sigma(j)] == S[j, sigma(i)]
-    for all i, j and S[i, sigma(i)] == 1, in lexicographic order, each as
-    soon as it is found.
+    """Yield every column permutation sigma with S[i, sigma(j)] == S[j, sigma(i)]
+    for all i, j and S[i, sigma(i)] == 1, each once and as soon as it is
+    found, in an order the pattern fixes (not lexicographic).
 
     Backtracking with forward checking.  Each row starts with a domain of
     candidate columns: a nonzero of its own, with matching nonzero count and
     matching degree multiset of its support (the same invariants a
     graph-isomorphism search would use).  Placing sigma[j] = c leaves every
     unplaced row r only the columns c' with S[j, c'] == S[r, c], minus c
-    itself; a placement that empties a domain is dropped.  Rows are fixed
-    in index order, each trying its columns in increasing order, and a
-    column is kept only when the smallest-domain-first search (MRV, "minimum
-    remaining values"; Haralick & Elliott, 1980), stopped at its first
-    completion, completes a permutation from it.  That completion is kept,
-    so the column it gives the next row needs no second lookahead.  On a
-    polygon's circulant support one placement pins the rows next to it, so
-    a lookahead walks around the polygon instead of branching at every row:
-    the first permutation takes 136 nodes on the regular 17-gon and 1 275
-    on the 51-gon.  Domains are held as the bits of Python ints.
+    itself; a placement that empties a domain is dropped.  The row with the
+    smallest domain is placed next (MRV, "minimum remaining values";
+    Haralick & Elliott, 1980), ties going to the lowest row index, and it
+    tries its columns in increasing order.  On a polygon's circulant support
+    one placement pins the rows next to it, so the search walks around the
+    polygon instead of branching at every row: the first permutation takes
+    93 nodes on the regular 17-gon and 926 on the 51-gon.  Domains are held
+    as the bits of Python ints.
 
     Each column tried counts as one node, over the life of one enumeration;
     the next() that takes the count over INVOLUTION_NODE_BUDGET raises
     ConvergenceError.
     """
     search = _InvolutionSearch(s)
-    for sigma in search.in_order(list(range(search.n)), search.domains, [-1] * search.n):
+    for sigma in search.completions(list(range(search.n)), search.domains):
         yield np.array(sigma, dtype=int)
 
 
@@ -193,30 +191,6 @@ class _InvolutionSearch:
                 return None
             pruned.append(dom)
         return pruned
-
-    def in_order(self, rows: list[int], doms: list[int], known: list[int]):
-        """completions in lexicographic order: rows[0] is placed next, at
-        each column from which completions completes sigma.  known is a
-        completion of the rows placed so far, or all -1."""
-        if not rows:
-            yield self.sigma
-            return
-        j, rest_rows = rows[0], rows[1:]
-        todo = doms[0]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            c = low.bit_length() - 1
-            pruned = self.place(j, c, rest_rows, doms[1:])
-            if pruned is None:
-                continue
-            self.sigma[j] = c
-            found = known
-            if known[j] != c:
-                if next(self.completions(rest_rows, pruned), None) is None:
-                    continue
-                found = list(self.sigma)
-            yield from self.in_order(rest_rows, pruned, found)
 
     def completions(self, rows: list[int], doms: list[int]):
         """Yield sigma each time it is completed over the unplaced rows (in

@@ -55,13 +55,12 @@ class SearchParams:
 # ---------------------------------------------------------------------------
 
 def sisd_check(s) -> np.ndarray | None:
-    """First column permutation, in lexicographic order, making the support
-    symmetric with a nonzero diagonal, or None when the pruned search finds
-    none.  A support that is already symmetric with a unit diagonal returns
-    the identity, the first permutation, at once.  Any other support takes
-    the first permutation patterns.involution_permutations yields, which
-    enumerates no other; over patterns.INVOLUTION_NODE_BUDGET nodes it
-    raises ConvergenceError."""
+    """A column permutation making the support symmetric with a nonzero
+    diagonal, or None when the pruned search finds none.  A support that is
+    already symmetric with a unit diagonal returns the identity at once.
+    Any other support takes the first permutation
+    patterns.involution_permutations yields, which enumerates no other;
+    over patterns.INVOLUTION_NODE_BUDGET nodes it raises ConvergenceError."""
     a = np.asarray(s)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError("support must be a square matrix")
@@ -563,6 +562,8 @@ def load_support(path) -> np.ndarray:
         n = int(raw[0])
     except ValueError as exc:
         raise ParseError(f"support file {path}: bad header {raw[0]!r}") from exc
+    if n < 0:
+        raise ParseError(f"support file {path}: bad header {raw[0]!r}")
     if len(raw) - 1 != n:
         raise ParseError(f"support file {path}: expected {n} rows")
     rows = []

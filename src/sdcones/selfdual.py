@@ -4,7 +4,7 @@ A pointed full-dimensional polyhedral cone is self-dual under some inner
 product exactly when one (equivalently, up to row exchange and positive
 column rescaling, every) slack matrix can be made symmetric positive
 semidefinite.  The certificate search tries support-compatible row
-permutations in lexicographic order, as a backtracking search finds them.
+permutations in the order a backtracking search finds them.
 For each it fits the column scaling to every support pair by weighted least
 squares, accepts it only when it makes the permuted slack symmetric, and
 verifies the result spectrally; the first permutation that passes is the
@@ -84,8 +84,8 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     are its cone's incidence and whose other entries are positive, so its
     support is m > 0.
 
-    Permutations are tried as patterns.involution_permutations yields them,
-    in lexicographic order, and the search stops at the first certificate,
+    Permutations are tried in the order patterns.involution_permutations
+    yields them, each once, and the search stops at the first certificate,
     returned with the gauge freedom fixed so the PSD matrix's largest
     diagonal entry equals the largest diagonal entry of the input.  Absence
     is returned only after every support-compatible permutation has been

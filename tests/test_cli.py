@@ -330,13 +330,22 @@ class TestVerifyCommand:
         assert payload["certificate"]["min_eigenvalue"] >= -1e-9
 
     def test_node_budget_exits_3(self, workdir, capsys, monkeypatch):
-        monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 100)
+        # The 17-gon's first involution takes 93 nodes.
+        monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 50)
         cone = geometry.cone_over_polytope(data.regular_polygon_vertices(17))
         geometry.save_cone(workdir / "g17.cone", cone.generators)
         code, out, err = run_cli(capsys, "verify", "g17.cone")
         assert code == cli.EXIT_NO_CONVERGENCE
         assert out == ""
-        assert "involution search on 17 rows visited 101 nodes" in err
+        assert "involution search on 17 rows visited 51 nodes" in err
+
+    def test_17gon_certified_within_100_nodes(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 100)
+        cone = geometry.cone_over_polytope(data.regular_polygon_vertices(17))
+        geometry.save_cone(workdir / "g17.cone", cone.generators)
+        code, out, err = run_cli(capsys, "verify", "g17.cone")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["self_dual"] is True
 
     def test_searched_11gon_realization_true(self, capsys):
         # A cone that `search --rank 3 --seed 2` certified for the regular
@@ -855,10 +864,16 @@ class TestUnreadableInputs:
         assert out == ""
         assert err == f"precondition failure: {message}\n"
 
-    @pytest.mark.parametrize("name, text", [("c.cone", "-1 0"), ("m.mat", "0 -1")])
+    # A negative row count is refused as a bad header too, before any row
+    # is counted.
+    @pytest.mark.parametrize("name, text", [
+        ("c.cone", "-1 0"), ("m.mat", "0 -1"),
+        ("c.cone", "2 -1"), ("m.mat", "2 -3"), ("p.support", "-3"),
+    ])
     def test_negative_width_without_rows_exit_4(self, workdir, capsys, name, text):
         (workdir / name).write_text(text + "\n")
-        cmd = ["verify"] if name.endswith(".cone") else ["analyze", "--rank", "3"]
+        cmd = {".cone": ["verify"], ".mat": ["analyze", "--rank", "3"],
+               ".support": ["search", "--rank", "3"]}[Path(name).suffix]
         code, out, err = run_cli(capsys, cmd[0], name, *cmd[1:])
         assert code == cli.EXIT_PARSE
         assert out == ""

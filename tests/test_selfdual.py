@@ -252,6 +252,37 @@ class TestIsSelfDual:
             assert cert.min_eigenvalue >= -linalg.PSD_TOL * scale
 
 
+def relabelled_cones():
+    """(id, generators, self-dual) for the generator-order test: regular
+    k-gon cones, the bundled cones, orthants and pentagon + pentagon."""
+    pentagon = data.pentagon_rays()
+    cases = [(f"gon{k}", geometry.cone_over_polytope(
+        data.regular_polygon_vertices(k)).generators, k % 2 == 1) for k in range(3, 18)]
+    cases += [("pentagon", pentagon, True), ("prism", data.prism_rays(), True)]
+    cases += [(f"orthant{n}", np.eye(n), True) for n in range(2, 7)]
+    twice = np.zeros((10, 6))
+    twice[:5, :3] = twice[5:, 3:] = pentagon
+    return cases + [("pentagon+pentagon", twice, True)]
+
+
+@pytest.mark.parametrize("gens, expected", [
+    pytest.param(gens, expected, id=name) for name, gens, expected in relabelled_cones()])
+def test_verdict_does_not_depend_on_generator_order(gens, expected):
+    # The involution search's order is its own, so a relabelling may change
+    # which permutation certifies, but never the verdict or the certificate's
+    # validity.
+    for seed in range(5):
+        cone = geometry.PolyhedralCone(gens[np.random.default_rng(seed).permutation(len(gens))])
+        ok, cert = selfdual.is_self_dual(cone)
+        assert ok is expected
+        if ok:
+            slack = geometry.slack_matrix(cone).matrix
+            scaled = slack[cert.permutation] * cert.scaling[None, :]
+            scale = np.abs(scaled).max()
+            assert np.abs(scaled - scaled.T).max() <= selfdual.SCALED_SYMMETRY_TOL * scale
+            assert linalg.sym_eigen(0.5 * (scaled + scaled.T)).is_psd(scale)
+
+
 class TestIrreducible:
     def test_pentagon_cycle_connected(self, pentagon_slack):
         assert selfdual.is_irreducible(pentagon_slack)
