@@ -2,26 +2,26 @@
 rank, null spaces, and the two spectral projections used by the rest of the
 package.
 
-The factorizations are LAPACK calls through numpy.linalg; this module adds
-the package's contract on top: validated input, eigenvalues in descending
-order, singular values padded to one per column, and LAPACK failures raised
-as ConvergenceError.  sym_eigen and null_space return bases, so they fix the
-sign of every basis vector.  One rule (_rank) decides every numeric rank,
-from a values-only SVD (singular_values) or from the absolute eigenvalues of
-a decomposition the caller holds (EigenDecomposition.rank);
+The factorizations are LAPACK calls through numpy.linalg, every eig the
+gufunc numpy.linalg.eigh calls, under eigh's floating-point policy; this
+module adds the package's contract on top: validated input, eigenvalues
+descending, singular values padded to one per column, and LAPACK failures
+raised as ConvergenceError.  sym_eigen and null_space return bases, so they
+fix the sign of every basis vector.  One rule (_rank) decides every numeric
+rank, from a values-only SVD (singular_values) or from the absolute
+eigenvalues of a decomposition the caller holds (EigenDecomposition.rank);
 EigenDecomposition.is_psd is the one PSD test of a candidate slack or DNN
 matrix.  null_directions is the one SVD that forms singular vectors, and
 reads its nullities off its own singular values; null_space is its
 one-matrix case.  orthogonal_directions gives the facet scan one candidate
 normal per subset of a stack, from one Householder QR each; no rank test
 judges the candidates, which the scan keeps by their tight sets alone.
-psd_project and low_rank_project share one body: clip the eigenvalues at 0,
-keep the d largest (d = n for psd_project) and return V diag(w) V^T, in
-which the sign of each column of V cancels exactly, so they skip the sign
-rule.  They take stacks too, so the SDP search and its rank refinement
-project a stack of attempts with one LAPACK call per iteration, each matrix
-getting the bits it would get alone.  All functions are pure; there is no
-shared mutable state.
+psd_project and low_rank_project validate their input and share one body,
+_clip_project: clip the eigenvalues at 0, keep the d largest (d = n for
+psd_project) and return V diag(w) V^T, in which the sign of each column of V
+cancels exactly, so it skips the sign rule.  It takes stacks, each matrix
+getting the bits it would get alone, and the search loops call it
+unvalidated.  All functions are pure; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo  # numpy.linalg.eigh's kernel
 
 from .errors import ConvergenceError, PreconditionError
 
@@ -140,13 +141,14 @@ def _positive_leading(vecs: np.ndarray) -> np.ndarray:
     return np.where(lead < 0.0, -vecs, vecs)
 
 
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 def _eigh(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigenpairs of a validated symmetric matrix, or of each matrix
-    of a stack, eigenvalues descending, as reversed views of eigh's
-    ascending output.  The column signs are whatever LAPACK returns."""
+    """LAPACK eigenpairs of a validated symmetric float matrix or stack,
+    eigenvalues descending (reversed views), column signs LAPACK's; as in
+    eigh, only the invalid flag, LAPACK's failure signal, raises."""
     try:
-        vals, vecs = np.linalg.eigh(w)
-    except np.linalg.LinAlgError as exc:
+        vals, vecs = _eigh_lo(w, signature="d->dd")
+    except FloatingPointError as exc:
         raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     return vals[..., ::-1], vecs[..., ::-1]
 
@@ -254,11 +256,12 @@ def _reconstruct(vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _clip_project(w: np.ndarray, d: int) -> np.ndarray:
-    """V diag(kept) V^T of a validated symmetric matrix or stack w: kept is
-    its d largest eigenvalues clipped at 0, the rest zeroed."""
+    """V diag(kept) V^T, unchecked, of a finite exactly symmetric matrix or
+    stack w: kept is its d largest eigenvalues clipped at 0, the rest zeroed."""
     vals, vecs = _eigh(w)
     kept = np.maximum(vals, 0.0)
-    kept[..., d:] = 0.0
+    if d < w.shape[-1]:
+        kept[..., d:] = 0.0
     return _reconstruct(vecs, kept)
 
 
@@ -272,15 +275,15 @@ def psd_project(a) -> np.ndarray:
 
 def low_rank_project(a, d: int) -> np.ndarray:
     """Keep the d largest nonnegative eigenvalues, zero the rest; of each
-    matrix when a is a stack.
-
-    This is the projection used inside the alternating rank-refinement loop;
-    its use here is restricted to (near-)PSD iterates, hence the clipping.
-    """
+    matrix when a is a stack."""
     w = _symmetric(a, stack=True)
-    n = w.shape[-1]
+    return _clip_project(w, _target_rank(d, w.shape[-1]))
+
+
+def _target_rank(d: int, n: int) -> int:
+    """d, refused unless 1 <= d <= n."""
     if d < 1:
         raise PreconditionError(f"target rank must be >= 1, got {d}")
     if d > n:
         raise PreconditionError(f"target rank {d} exceeds matrix size {n}")
-    return _clip_project(w, d)
+    return d

@@ -92,7 +92,7 @@ class SupportPattern:
         b = np.asarray(self.bits)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise PreconditionError("support pattern must be square")
-        if not np.isin(b, (0, 1)).all():
+        if not ((b == 0) | (b == 1)).all():
             raise PreconditionError("support pattern entries must be 0 or 1")
         b = b.astype(np.uint8)
         if np.any(b != b.T):

@@ -8,15 +8,17 @@ semidefinite program
 whose generic optimum is a low-rank extreme point of the feasible set,
 randomized-objective retries, alternating-projection rank refinement, and
 extraction of cone generators from the refined Gram matrix; the SDP's PSD
-test reads linalg.PSD_TOL, and a stack that raises reruns one attempt at a
-time.  certify, the one gate a converged refinement passes, extracts a cone
-and judges it by selfdual.certify_slack, as analyze and certify_psd_slack
-do, so a failure only ever means "no realization found".
+test reads linalg.PSD_TOL, the loops project with linalg._clip_project, and
+a stack that raises reruns one attempt at a time.  certify, the one gate a
+converged refinement passes, extracts a cone and judges it by
+selfdual.certify_slack, as analyze and certify_psd_slack do, so a failure
+only ever means "no realization found".
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +66,7 @@ def sisd_check(s) -> np.ndarray | None:
     a = np.asarray(s)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError("support must be a square matrix")
-    if not np.isin(a, (0, 1)).all():
+    if not ((a == 0) | (a == 1)).all():
         raise PreconditionError("support entries must be 0 or 1")
     a = a.astype(np.uint8)
     if np.any(a.sum(axis=1) == 0) or np.any(a.sum(axis=0) == 0):
@@ -156,16 +158,16 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     weights, one per attempt, with one result per attempt; sdp_feasibility
     runs a stack of one.
 
-    A stack makes one projection call per iteration for all of its live
-    attempts.  Each attempt keeps its own rho, residuals and stop rule in
-    Python floats and leaves the stack when it stops or reaches max_iter,
-    and the projections treat each matrix of a stack as they treat one
-    matrix, so every attempt gets the iterates and the result it would get
-    alone, bit for bit.  C / rho is kept until rho changes, and the dual
-    residual is measured only where it is read: on a balancing iteration or
-    once a primal residual is below tolerance.  Once every attempt has left,
-    one more stacked eigenvalue read, not counted as an iteration, measures
-    each returned matrix's psd_margin.
+    A stack makes one linalg._clip_project call per iteration for all of its
+    live attempts.  Each attempt keeps its own rho, residuals (a non-finite
+    one raises) and stop rule in Python floats and leaves the stack when it
+    stops or reaches max_iter, and the projections treat each matrix of a
+    stack as they treat one matrix, so every attempt gets the iterates and
+    the result it would get alone, bit for bit.  C / rho is kept until rho
+    changes, and the dual residual is measured only where it is read: on a
+    balancing iteration or once a primal residual is below tolerance.  Once
+    every attempt has left, one more stacked eigenvalue read, not counted as
+    an iteration, measures each returned matrix's psd_margin.
     """
     n = on.shape[0]
     k = c.shape[0]
@@ -187,9 +189,11 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
         it += 1
         x = _affine_project(z - u + c_rho, free)
         u += x  # U + X, the projection's input
-        z_next = linalg.psd_project(u)
+        z_next = linalg._clip_project(u, n)
         u -= z_next
         primal = np.abs(x - z_next).max(axis=(-2, -1)).tolist()
+        if not all(map(math.isfinite, primal)):
+            raise PreconditionError("matrix entries must be finite")
         balance = it % ADMM_BALANCE_EVERY == 0
         if balance or min(primal) < primal_tol:
             change = np.abs(z_next - z).max(axis=(-2, -1)).tolist()
@@ -268,9 +272,10 @@ def rank_refine(x, d: int, params: SearchParams, pattern: SupportPattern) -> Ref
 
 def _refine_loop(stack: np.ndarray, d: int, params: SearchParams, pattern: SupportPattern) -> list:
     """rank_refine on each matrix of a (k, n, n) stack of symmetric matrices
-    in lockstep, one low_rank_project call per iteration; each member leaves
-    the stack on its own stop rule and gets the iterates it would get alone,
-    bit for bit."""
+    in lockstep, one linalg._clip_project call per iteration after one check
+    of d; each member leaves the stack on its own stop rule and gets the
+    iterates it would get alone, bit for bit."""
+    linalg._target_rank(d, pattern.n)
     free = pattern.mask > _identity(pattern.n)  # the support off the diagonal
     results: list = [None] * len(stack)
     live = list(range(len(stack)))  # the members still in the stack, in stack order
@@ -279,8 +284,10 @@ def _refine_loop(stack: np.ndarray, d: int, params: SearchParams, pattern: Suppo
     it = 0
     while live:
         it += 1
-        low = linalg.low_rank_project(y, d)
+        low = linalg._clip_project(y, d)
         r_ranks = np.abs(y - low).max(axis=(-2, -1)).tolist()
+        if not all(map(math.isfinite, r_ranks)):
+            raise PreconditionError("matrix entries must be finite")
         y = _affine_project(low, free)
         r_affs = np.abs(y - low).max(axis=(-2, -1)).tolist()
         keep = []

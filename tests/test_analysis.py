@@ -247,22 +247,24 @@ class TestSameReportAsTheParentPass:
 
 
 def count_decompositions(monkeypatch) -> list:
-    """Record (kind, input shape, vectors) for every numpy.linalg eigh, svd
-    and qr call made from now on: kind is "eigh", "svd" or "qr", and vectors
-    whether the call forms eigenvectors, singular vectors or reflectors (eigh
-    and qr always do, svd unless compute_uv is False).  A stacked call, such
-    as the facet scan's, has a batch axis in its shape, so whole-matrix calls
-    on an n x n matrix are the entries with shape (n, n)."""
+    """Record (kind, input shape, vectors) for every eigh, svd and qr call
+    made from now on: kind is "eigh", "svd" or "qr", and vectors whether the
+    call forms eigenvectors, singular vectors or reflectors (eigh and qr
+    always do, svd unless compute_uv is False).  svd and qr are numpy.linalg's;
+    eigh is numpy's eigh kernel, which linalg calls directly.  A stacked call,
+    such as the facet scan's, has a batch axis in its shape, so whole-matrix
+    calls on an n x n matrix are the entries with shape (n, n)."""
     calls = []
-    for kind in ("eigh", "svd", "qr"):
-        run = getattr(np.linalg, kind)
+    for module, kind, name in ((linalg, "eigh", "_eigh_lo"), (np.linalg, "svd", "svd"),
+                               (np.linalg, "qr", "qr")):
+        run = getattr(module, name)
 
         def counted(a, *args, kind=kind, run=run, **kwargs):
             vectors = kind != "svd" or kwargs.get("compute_uv", True)
             calls.append((kind, np.shape(a), bool(vectors)))
             return run(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, kind, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -501,20 +501,46 @@ class TestStackedProjections:
                 fn(stack)
 
 
+EIGH_KERNEL = linalg._eigh_lo
+
+
+def kernel_raising(op):
+    """A stand-in for numpy's eigh kernel that first runs op, whose
+    floating-point flags are then raised under the caller's errstate, and
+    then returns the real kernel's output."""
+
+    def kernel(w, signature):
+        op()
+        return EIGH_KERNEL(w, signature=signature)
+
+    return kernel
+
+
+# One op per floating-point flag, keyed by its np.errstate name.  LAPACK's
+# failure is the kernel's invalid flag, as 0/0 raises it.
+FLAG_OPS = {
+    "invalid": lambda: np.zeros(1) / np.zeros(1),
+    "over": lambda: np.full(1, 1e308) * 10.0,
+    "divide": lambda: np.ones(1) / np.zeros(1),
+    "under": lambda: np.full(1, 1e-308) * 1e-300,
+}
+
+
 class TestLapackFailure:
     @staticmethod
     def _fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
     def test_eigh(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigh", self._fail)
-        with pytest.raises(ConvergenceError, match="eigh"):
+        monkeypatch.setattr(linalg, "_eigh_lo", kernel_raising(FLAG_OPS["invalid"]))
+        with pytest.raises(ConvergenceError, match="eigh did not converge"):
             linalg.sym_eigen(np.eye(2))
 
     def test_eigh_in_projections(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigh", self._fail)
-        for fn in (linalg.psd_project, lambda a: linalg.low_rank_project(a, 1)):
-            with pytest.raises(ConvergenceError, match="eigh"):
+        monkeypatch.setattr(linalg, "_eigh_lo", kernel_raising(FLAG_OPS["invalid"]))
+        for fn in (linalg.psd_project, lambda a: linalg.low_rank_project(a, 1),
+                   lambda a: linalg._clip_project(a, 1)):
+            with pytest.raises(ConvergenceError, match="eigh did not converge"):
                 fn(np.eye(2))
 
     def test_svd(self, monkeypatch):
@@ -542,6 +568,51 @@ class TestLapackFailure:
             geometry.facet_normals(cone)
         with pytest.raises(ConvergenceError, match="QR"):
             linalg.orthogonal_directions(np.ones((4, 2, 3)))
+
+
+class TestEighKernel:
+    """_eigh calls numpy.linalg.eigh's own gufunc: this guards the private
+    kernel, and the floating-point policy around it, against numpy
+    changing underneath."""
+
+    @pytest.mark.parametrize("shape", [(n, n) for n in range(1, 13)]
+                             + [(k, 4, 4) for k in (1, 2, 5, 19)] + [(3, 7, 7), (2, 3, 1, 1)])
+    def test_bitwise_equal_to_numpy_eigh(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.normal(size=shape)
+        inputs = [scale * (a + a.swapaxes(-1, -2)) for scale in (1e-3, 1.0, 1e5)]
+        if len(shape) == 3:  # every third member has a repeated eigenvalue
+            inputs.append(symmetric_stack(rng, *shape[:2]))
+        for w in inputs:
+            vals, vecs = linalg._eigh(w)
+            expected = np.linalg.eigh(w)
+            assert bits_of(vals) == bits_of(expected.eigenvalues[..., ::-1])
+            assert bits_of(vecs) == bits_of(expected.eigenvectors[..., ::-1])
+
+    def test_invalid_flag_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_eigh_lo", kernel_raising(FLAG_OPS["invalid"]))
+        with pytest.raises(ConvergenceError, match="eigh did not converge: invalid"):
+            linalg._eigh(np.eye(3))
+
+    @pytest.mark.parametrize("flag", ["over", "divide", "under"])
+    def test_other_flags_are_ignored(self, monkeypatch, flag):
+        # Under pytest's filterwarnings = error a leaked RuntimeWarning
+        # fails this test; so would a raise.
+        a = np.diag([3.0, -1.0, 2.0])
+        expected = linalg._eigh(a)
+        monkeypatch.setattr(linalg, "_eigh_lo", kernel_raising(FLAG_OPS[flag]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, vecs = linalg._eigh(a)
+        assert bits_of(vals) == bits_of(expected[0])
+        assert bits_of(vecs) == bits_of(expected[1])
+
+    def test_flag_ops_raise_their_flags(self):
+        # Guards the stand-ins above: each op raises its own flag.
+        for flag, op in FLAG_OPS.items():
+            with np.errstate(all="ignore", **{flag: "raise"}):
+                with pytest.raises(FloatingPointError, match=flag):
+                    op()
 
 
 class TestOrthogonalDirections:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import sys
 import time
 
 import numpy as np
@@ -135,6 +136,17 @@ def random_01_pattern(rng: np.random.Generator, n: int) -> np.ndarray:
             return s
 
 
+# Square arrays whose entries are not all 0 or 1: strings, NaN, objects, 2
+# and -1.  A bool array is a 0/1 array.
+NOT_ZERO_ONE = [
+    np.array([["1", "0"], ["0", "1"]]),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[1, None], [None, 1]], dtype=object),
+    np.array([[1, 2], [2, 1]]),
+    np.array([[1, -1], [-1, 1]]),
+]
+
+
 class TestSupportPattern:
     def test_validation(self):
         with pytest.raises(PreconditionError):
@@ -143,6 +155,11 @@ class TestSupportPattern:
             search.SupportPattern(np.array([[0, 1], [1, 0]]))
         with pytest.raises(PreconditionError):
             search.SupportPattern(np.array([[1, 2], [2, 1]]))
+        for bad in NOT_ZERO_ONE:
+            with pytest.raises(PreconditionError, match="entries must be 0 or 1"):
+                search.SupportPattern(bad)
+        p = search.SupportPattern(np.array([[True, False], [False, True]]))
+        assert p.bits.dtype == np.uint8 and p.bits.tolist() == [[1, 0], [0, 1]]
 
     def test_from_matrix(self, pentagon_slack):
         p = search.SupportPattern.from_matrix(pentagon_slack)
@@ -315,6 +332,11 @@ class TestSisdCheck:
             search.sisd_check(np.array([[1, 0], [0, 0]]))
         with pytest.raises(PreconditionError):
             search.sisd_check(np.array([[2, 1], [1, 1]]))
+        for bad in NOT_ZERO_ONE:
+            with pytest.raises(PreconditionError, match="entries must be 0 or 1"):
+                search.sisd_check(bad)
+        flipped = np.array([[False, True], [True, False]])
+        assert search.sisd_check(flipped).tolist() == [1, 0]
 
 
 class TestSdpFeasibility:
@@ -547,6 +569,98 @@ class TestLeanLoops:
                 == [refine_bits(r) for r in oracle])
 
 
+def each_projection(monkeypatch, check):
+    """Run check(input, output, d) on every linalg._clip_project call from
+    now on, and count the calls."""
+    calls = []
+    clip_project = linalg._clip_project
+
+    def checked(a, d):
+        out = clip_project(a, d)
+        calls.append(len(a))
+        return check(a, out, d) if check else out
+
+    monkeypatch.setattr(linalg, "_clip_project", checked)
+    return calls
+
+
+def nonfinite_at(call: int, bad: float):
+    """A check that spoils one symmetric pair of the first member of the
+    call-th projection's output with bad."""
+    count = [0]
+
+    def check(a, out, d):
+        count[0] += 1
+        if count[0] == call:
+            out[0, 0, 1] = out[0, 1, 0] = bad
+        return out
+
+    return check
+
+
+class TestLoopsProjectUnvalidated:
+    """The loops call linalg._clip_project, which checks nothing: their
+    iterates are exactly symmetric and finite by construction, and a
+    residual that is not finite stops them with the projections' error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_supports(), st.sampled_from([1, 5, 40, 2000]), st.data())
+    def test_iterates_exactly_symmetric(self, case, max_iter, draw):
+        pattern, weights = case
+        on = pattern.mask
+        d = draw.draw(st.integers(1, pattern.n))
+        params = search.SearchParams(target_rank=d, max_iter=max_iter)
+
+        def symmetric(a, out, d):
+            assert np.isfinite(a).all()
+            assert bits_of(a) == bits_of(a.swapaxes(-1, -2))
+            assert bits_of(out) == bits_of(out.swapaxes(-1, -2))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            calls = each_projection(mp, symmetric)
+            sdps = search._sdp_loop(on, search._objective_weights(on, weights), params)
+            search._refine_loop(np.stack([r.matrix for r in sdps]), d, params, pattern)
+        assert len(calls) >= 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [1, 3])
+    def test_nonfinite_projection_stops_the_sdp(self, monkeypatch, bad, call):
+        pattern = data.pentagon_support()
+        on = pattern.mask
+        weights = np.random.default_rng(0).uniform(0.5, 1.5, size=(3, 5, 5))
+        calls = each_projection(monkeypatch, nonfinite_at(call, bad))
+        with pytest.raises(PreconditionError, match="matrix entries must be finite"):
+            search._sdp_loop(on, search._objective_weights(on, weights),
+                             search.SearchParams(target_rank=3))
+        assert calls == [3] * call
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [1, 3])
+    def test_nonfinite_projection_stops_refinement(self, monkeypatch, bad, call):
+        pattern = data.four_cycle_support()
+        params = search.SearchParams(target_rank=3, seed=5)
+        weights = np.random.default_rng(5).uniform(0.5, 1.5, size=(4, 4, 4))
+        sdps = search._sdp_loop(pattern.mask, search._objective_weights(pattern.mask, weights),
+                                params)
+        calls = each_projection(monkeypatch, nonfinite_at(call, bad))
+        with pytest.raises(PreconditionError, match="matrix entries must be finite"):
+            search._refine_loop(np.stack([r.matrix for r in sdps]), 3, params, pattern)
+        assert len(calls) == call
+
+    @pytest.mark.parametrize("d,message", [(0, "target rank must be >= 1, got 0"),
+                                           (6, "target rank 6 exceeds matrix size 5")])
+    def test_refine_refuses_rank_before_its_first_iteration(self, monkeypatch, d, message):
+        pattern = data.pentagon_support()
+        params = search.SearchParams(target_rank=3)
+        calls = each_projection(monkeypatch, None)
+        with pytest.raises(PreconditionError, match=message):
+            search.rank_refine(np.eye(5), d, params, pattern)
+        with pytest.raises(PreconditionError, match=message):
+            search._refine_loop(np.stack([np.eye(5)] * 2), d, params, pattern)
+        assert calls == []
+
+
 class TestIterationCounts:
     """Every attempt of a bench support, all 20 weight draws at three seeds,
     stays well inside max_iter: a count guard against a slow tail coming
@@ -740,6 +854,22 @@ def pipeline_bits(result) -> tuple:
     )
 
 
+def caller() -> str:
+    """The innermost search function on the stack: for a projection
+    stand-in, the loop that called it, _sdp_loop or _refine_loop."""
+    frame = sys._getframe(1)
+    while frame.f_globals["__name__"] != search.__name__:
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+def lapack_failure():
+    """What numpy's eigh kernel does when LAPACK fails: it raises the invalid
+    floating-point flag, here from 0/0, which linalg._eigh turns into a
+    ConvergenceError."""
+    return np.zeros(1) / np.zeros(1)
+
+
 class TestStackedRetries:
     """Attempts after the first run as stacks; the transcript has to be the
     one the sequential loop writes, bit for bit."""
@@ -806,20 +936,21 @@ class TestStackedRetries:
         # is a stack of one, so no SDP projection sees a lone (n, n) matrix;
         # the pentagon succeeds at attempt 1 and runs no other stack.
         shapes = []
-        eigh = np.linalg.eigh
+        eigh = linalg._eigh_lo
 
         def recorded(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return eigh(a, *args, **kwargs)
 
         def projection(fn):
-            def wrapper(a):
-                sdp_shapes.append(np.shape(a))
-                return fn(a)
+            def wrapper(a, d):
+                if caller() == "_sdp_loop":
+                    sdp_shapes.append(np.shape(a))
+                return fn(a, d)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigh", recorded)
-        monkeypatch.setattr(linalg, "psd_project", projection(linalg.psd_project))
+        monkeypatch.setattr(linalg, "_eigh_lo", recorded)
+        monkeypatch.setattr(linalg, "_clip_project", projection(linalg._clip_project))
         for support, attempts in ((data.pentagon_support, 1), (data.four_cycle_support, 20)):
             pattern = support()
             n = pattern.n
@@ -834,14 +965,14 @@ class TestStackedRetries:
     def test_stack_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
         # Every stack of more than one attempt fails; attempt 1 and each
         # rerun are one sdp_feasibility call, one per recorded attempt.
-        eigh = np.linalg.eigh
+        eigh = linalg._eigh_lo
         stacks = []
         sdp = search.sdp_feasibility
 
         def fail_on_stacks(a, *args, **kwargs):
             if np.ndim(a) > 2 and len(a) > 1:
                 stacks.append(np.shape(a))
-                raise np.linalg.LinAlgError("did not converge")
+                return lapack_failure()
             return eigh(a, *args, **kwargs)
 
         def counted_sdp(pattern, weights, params):
@@ -854,7 +985,7 @@ class TestStackedRetries:
             expected = pipeline_bits(search.run_pipeline(bits, params))
             solves = []
             with monkeypatch.context() as mp:
-                mp.setattr(np.linalg, "eigh", fail_on_stacks)
+                mp.setattr(linalg, "_eigh_lo", fail_on_stacks)
                 mp.setattr(search, "_RETRY_STACK", 5)
                 mp.setattr(search, "sdp_feasibility", counted_sdp)
                 result = search.run_pipeline(bits, params)
@@ -866,7 +997,7 @@ class TestStackedRetries:
         # Every eigh call from the third attempt on fails: the stacked solve
         # fails, the rerun records attempt 2 and raises in attempt 3, as the
         # sequential loop does.
-        eigh = np.linalg.eigh
+        eigh = linalg._eigh_lo
         calls = {"weights": 0}
         sdp = search.sdp_feasibility
 
@@ -876,12 +1007,12 @@ class TestStackedRetries:
 
         def failing(a, *args, **kwargs):
             if (np.ndim(a) > 2 and len(a) > 1) or calls["weights"] >= 3:
-                raise np.linalg.LinAlgError("did not converge")
+                return lapack_failure()
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(search, "sdp_feasibility", counted_sdp)
-        monkeypatch.setattr(np.linalg, "eigh", failing)
-        with pytest.raises(ConvergenceError, match="eigh"):
+        monkeypatch.setattr(linalg, "_eigh_lo", failing)
+        with pytest.raises(ConvergenceError, match="eigh did not converge"):
             search.randomized_retry(
                 data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5)
             )
@@ -889,54 +1020,52 @@ class TestStackedRetries:
 
     @staticmethod
     def _counted_projections(monkeypatch):
-        """Record the leading shape of every psd_project and low_rank_project
-        call, by name."""
-        shapes = {"psd_project": [], "low_rank_project": []}
+        """Record the leading shape of every linalg._clip_project call, by
+        the loop that makes it."""
+        shapes = {"_sdp_loop": [], "_refine_loop": []}
+        clip_project = linalg._clip_project
 
-        def counted(name, fn):
-            def wrapper(a, *args):
-                shapes[name].append(np.shape(a)[0])
-                return fn(a, *args)
-            return wrapper
+        def counted(a, d):
+            shapes[caller()].append(np.shape(a)[0])
+            return clip_project(a, d)
 
-        for name in shapes:
-            monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+        monkeypatch.setattr(linalg, "_clip_project", counted)
         return shapes
 
     def test_one_refinement_projection_per_lockstep_iteration(self, monkeypatch):
         # Four-cycle, seed 5: attempt 1 refines alone in 7 iterations, then
         # the other 19 refine as one stack that shrinks as members stop, one
-        # low_rank_project call per iteration of the slowest (8), where one
+        # projection call per iteration of the slowest (8), where one
         # attempt at a time makes one per attempt iteration (94).
         shapes = self._counted_projections(monkeypatch)
         res = search.randomized_retry(
             data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5))
         iterations = [a.refine_iterations for a in res.attempts]
         assert len(iterations) == 20 and iterations[0] == 7
-        assert shapes["low_rank_project"] == [1] * 7 + [19, 15, 14, 13, 12, 11, 6, 4]
-        assert len(shapes["low_rank_project"]) - 7 == max(iterations[1:]) == 8
+        assert shapes["_refine_loop"] == [1] * 7 + [19, 15, 14, 13, 12, 11, 6, 4]
+        assert len(shapes["_refine_loop"]) - 7 == max(iterations[1:]) == 8
         assert sum(iterations[1:]) == 94
         # The pentagon wins at attempt 1: 65 SDP iterations, 9 refinements.
         shapes = self._counted_projections(monkeypatch)
         res = search.randomized_retry(
             data.pentagon_support(), search.SearchParams(target_rank=3, seed=5))
         assert res.winning_attempt == 0
-        assert (len(shapes["psd_project"]), len(shapes["low_rank_project"])) == (65, 9)
+        assert (len(shapes["_sdp_loop"]), len(shapes["_refine_loop"])) == (65, 9)
 
     def test_refinement_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
         # Every refinement stack of more than one attempt fails; the stack
         # reruns one attempt at a time, one sdp_feasibility and one
         # rank_refine call per recorded attempt, and the transcript does not
         # change.
-        low_rank_project = linalg.low_rank_project
+        clip_project = linalg._clip_project
         refine = search.rank_refine
         stacks = []
 
         def fail_on_stacks(a, d):
-            if np.ndim(a) > 2 and len(a) > 1:
+            if caller() == "_refine_loop" and len(a) > 1:
                 stacks.append(np.shape(a))
                 raise ConvergenceError("eigh did not converge")
-            return low_rank_project(a, d)
+            return clip_project(a, d)
 
         def counted_refine(x, d, params, pattern):
             refines.append(np.shape(x))
@@ -949,7 +1078,7 @@ class TestStackedRetries:
                 expected = pipeline_bits(search.run_pipeline(bits, params))
                 refines = []
                 with monkeypatch.context() as mp:
-                    mp.setattr(linalg, "low_rank_project", fail_on_stacks)
+                    mp.setattr(linalg, "_clip_project", fail_on_stacks)
                     mp.setattr(search, "rank_refine", counted_refine)
                     result = search.run_pipeline(bits, params)
                 assert pipeline_bits(result) == expected
@@ -961,7 +1090,7 @@ class TestStackedRetries:
         # time, and every refinement from the third attempt on fails too:
         # attempts 1 and 2 are recorded and certified before the error of
         # attempt 3 surfaces, as in the sequential loop.
-        low_rank_project = linalg.low_rank_project
+        clip_project = linalg._clip_project
         refine = search.rank_refine
         certify = search.certify
         calls = {"refine": 0, "certify": 0}
@@ -975,13 +1104,13 @@ class TestStackedRetries:
             return certify(*args)
 
         def failing(a, d):
-            if (np.ndim(a) > 2 and len(a) > 1) or calls["refine"] >= 3:
+            if caller() == "_refine_loop" and (len(a) > 1 or calls["refine"] >= 3):
                 raise ConvergenceError("eigh did not converge")
-            return low_rank_project(a, d)
+            return clip_project(a, d)
 
         monkeypatch.setattr(search, "rank_refine", counted_refine)
         monkeypatch.setattr(search, "certify", counted_certify)
-        monkeypatch.setattr(linalg, "low_rank_project", failing)
+        monkeypatch.setattr(linalg, "_clip_project", failing)
         with pytest.raises(ConvergenceError, match="eigh"):
             search.randomized_retry(
                 data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5)
@@ -1195,6 +1324,15 @@ def oracle_low_rank_project(a, d):
     return oracle_reconstruct(eig, kept)
 
 
+def oracle_clip_project(a, d):
+    """linalg._clip_project, which both loops call, through the oracles:
+    psd_project's when d keeps every eigenvalue (the SDP), low_rank_project's
+    otherwise (refinement)."""
+    if d == a.shape[-1]:
+        return oracle_psd_project(a)
+    return oracle_low_rank_project(a, d)
+
+
 def oracle_affine_project(x, on):
     y = x.copy()
     y[~on] = 0.0
@@ -1244,8 +1382,7 @@ class TestProjectionOracle:
             weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=(pattern.n,) * 2)
             sdp, ref = self._run(pattern, weights, params)
             with monkeypatch.context() as mp:
-                mp.setattr(linalg, "psd_project", each_member(oracle_psd_project))
-                mp.setattr(linalg, "low_rank_project", each_member(oracle_low_rank_project))
+                mp.setattr(linalg, "_clip_project", each_member(oracle_clip_project))
                 mp.setattr(search, "_affine_project", each_member(oracle_affine_project))
                 sdp_o, ref_o = self._run(pattern, weights, params)
             assert sdp.iterations == sdp_o.iterations
@@ -1270,9 +1407,11 @@ class TestProjectionOracle:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(linalg, "psd_project", counted(each_member(oracle_psd_project)))
-        monkeypatch.setattr(linalg, "low_rank_project",
-                            counted(each_member(oracle_low_rank_project)))
+        monkeypatch.setitem(globals(), "oracle_psd_project", counted(oracle_psd_project))
+        monkeypatch.setitem(globals(), "oracle_low_rank_project",
+                            counted(oracle_low_rank_project))
+        monkeypatch.setattr(linalg, "_clip_project", each_member(oracle_clip_project))
+        monkeypatch.setattr(search, "_affine_project", each_member(oracle_affine_project))
         pattern = data.pentagon_support()
         params = search.SearchParams(target_rank=3)
         self._run(pattern, np.ones((5, 5)), params)
