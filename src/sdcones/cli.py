@@ -236,9 +236,7 @@ def _run_one(args, path: str) -> str:
     if args.command == "verify":
         return cmd_verify(path, tol)
     if args.command == "search":
-        params = search.SearchParams(target_rank=args.rank, max_iter=args.max_iter,
-                                     seed=args.seed, retries=args.retries)
-        return cmd_search(path, params, outputs, tol)
+        return cmd_search(path, args.params, outputs, tol)
     raise AssertionError(f"unhandled command {args.command}")
 
 
@@ -265,10 +263,19 @@ def _settle(run, *args) -> tuple[int, str, bool]:
 
 def _refusal(args) -> str | None:
     """Why none of the inputs can run: a --tol that is not finite and
-    positive, two inputs that would write the same output path, or an output
-    path that is one of the inputs; None when they can all run."""
+    positive, search flags that SearchParams refuses, two inputs that would
+    write the same output path, or an output path that is one of the inputs;
+    None when they can all run.  For search it sets args.params, the one
+    SearchParams every input runs with."""
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         return f"--tol must be finite and positive, got {args.tol}"
+    if args.command == "search":
+        try:
+            args.params = search.SearchParams(
+                target_rank=args.rank, max_iter=args.max_iter, seed=args.seed,
+                retries=args.retries)
+        except PreconditionError as exc:
+            return str(exc)
     targets = Counter(t for p in args.inputs for t in _outputs(args, p))
     inputs = {Path(p).resolve() for p in args.inputs} if targets else set()
     for target, count in targets.items():

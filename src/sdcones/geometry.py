@@ -455,12 +455,13 @@ def load_matrix(path) -> np.ndarray:
 
 
 def read_lines(path, kind: str) -> list[str]:
-    """The stripped nonblank lines of a text file; ParseError when it cannot
-    be read or holds none.  kind names the format in messages."""
+    """The stripped nonblank lines of a UTF-8 text file; ParseError when it
+    cannot be read or decoded, or holds none.  kind names the format in
+    messages."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
     if not raw:
         raise ParseError(f"{kind} file {path} is empty")

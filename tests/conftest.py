@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,6 +27,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+# The tree's own src, which a child interpreter imports sdcones from.
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python args` in a child of this interpreter (sys.executable),
+    with the tree's src first on PYTHONPATH, as text, killed after 60 s.
+    stdout and stderr are captured unless kwargs redirect them."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, text=True,
+                          timeout=60, **kwargs)
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

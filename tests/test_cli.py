@@ -3,8 +3,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -21,6 +19,7 @@ from conftest import (
     loop_extreme_mask,
     loop_extreme_rays,
     match_columns_by_pattern,
+    run_python,
     split_hexagon_rays,
     stacked_products,
     support_pattern_of,
@@ -130,11 +129,11 @@ class TestDualCommand:
 
     def test_split_hexagon_has_six_facets(self, workdir, capsys):
         geometry.save_cone(workdir / "hex.cone", split_hexagon_rays())
-        code, out, _ = run_cli(capsys, "dual", "hex.cone")
-        assert code == 0
+        code, out, err = run_cli(capsys, "dual", "hex.cone")
+        assert (code, err) == (0, "")
         assert out.splitlines()[0] == "3 6"
-        code, out, _ = run_cli(capsys, "verify", "hex.cone")
-        assert code == 0
+        code, out, err = run_cli(capsys, "verify", "hex.cone")
+        assert (code, err) == (0, "")
         assert json.loads(out)["self_dual"] is False
 
     def test_qr_failure_in_facet_scan_exits_3(self, workdir, capsys, monkeypatch):
@@ -366,9 +365,14 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["self_dual"] is True
 
-    @pytest.mark.parametrize("k", [50, 51])
+    # The node budget each regular k-gon cone is decided within.  verify
+    # stops at the 101-gon's first certificate; the 100-gon has no
+    # involution, and the search visits 9 552 nodes to prove it.
+    POLYGON_BUDGETS = {50: 5_000, 51: 5_000, 101: 5_000, 100: 10_000}
+
+    @pytest.mark.parametrize("k", sorted(POLYGON_BUDGETS))
     def test_polygons_decided_within_5000_nodes(self, workdir, capsys, monkeypatch, k):
-        monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 5_000)
+        monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", self.POLYGON_BUDGETS[k])
         cone = geometry.cone_over_polytope(data.regular_polygon_vertices(k))
         geometry.save_cone(workdir / "gon.cone", cone.generators)
         code, out, err = run_cli(capsys, "verify", "gon.cone")
@@ -499,8 +503,12 @@ class TestSingleScan:
         normals = geometry.facet_normals(cone, tol)
         dropped = int((~loop_extreme_mask(cone.generators, normals, tol)).sum())
         if dropped:
-            assert (code, out) == (cli.EXIT_PRECONDITION, "")
-            assert err == f"precondition failure: {dropped} generator(s) are not extreme rays\n"
+            # slack, with or without --json, and verify refuse alike.
+            refusal = (cli.EXIT_PRECONDITION, "",
+                       f"precondition failure: {dropped} generator(s) are not extreme rays\n")
+            assert (code, out, err) == refusal
+            for argv in (["slack"], ["verify"]):
+                assert run_cli(capsys, *argv, "--tol", str(tol), "c.cone") == refusal
             assert name == "negative-slack" and dropped == 1
             return
         assert (code, err) == (0, "")
@@ -593,12 +601,16 @@ class TestSearchCommand:
     @pytest.mark.parametrize("seed", ["0", "5"])
     def test_four_cycle_transcript(self, workdir, capsys, seed):
         # Every four-cycle refinement converges to a matrix with a negative
-        # entry, and certify alone refuses each one at extraction.
+        # entry, and certify alone refuses each one at extraction.  The
+        # failed run leaves no realization, not even an earlier run's.
         search.save_support(workdir / "f.support", data.four_cycle_support().bits)
+        (workdir / "run").mkdir()
+        (workdir / "run" / "f_realization.cone").write_text("stale\n")
         code, _, _ = run_cli(
             capsys, "search", "f.support", "--rank", "3", "--seed", seed, "--out", "run"
         )
         assert code == cli.EXIT_NO_CONVERGENCE
+        assert not (workdir / "run" / "f_realization.cone").exists()
         transcript = json.loads((workdir / "run" / "f_transcript.json").read_text())
         assert transcript["success"] is False
         assert len(transcript["attempts"]) == 20
@@ -627,7 +639,8 @@ class TestSearchCommand:
         # before a transcript is written; the earlier success must not stay.
         search.save_support(workdir / "p.support", data.pentagon_support().bits)
         code, _, _ = run_cli(capsys, "search", "p.support", "--rank", "3", "--out", "o")
-        assert code == 0 and (workdir / "o" / "p_transcript.json").exists()
+        assert code == 0 and (workdir / "o" / "p_realization.cone").exists()
+        assert json.loads((workdir / "o" / "p_transcript.json").read_text())["success"]
         code, _, err = run_cli(capsys, "search", "p.support", "--rank", "9", "--out", "o")
         assert code == cli.EXIT_PRECONDITION and "exceeds the support size" in err
         assert not (workdir / "o" / "p_transcript.json").exists()
@@ -654,6 +667,29 @@ class TestSearchCommand:
         assert out == ""
         assert err == "precondition failure: seed must be >= 0\n"
         assert sorted(workdir.iterdir()) == before
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--rank", "0"], "target_rank must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--retries", "0"], "retries must be >= 1"),
+        (["--max-iter", "0"], "max_iter must be >= 1"),
+    ], ids=["rank", "seed", "retries", "max-iter"])
+    def test_bad_flag_refused_once_keeping_earlier_outputs(self, workdir, capsys,
+                                                           flag, message):
+        # A flag SearchParams refuses is one refusal for the whole command,
+        # before any input runs, so no input removes its earlier outputs.
+        for stem in ("p", "q"):
+            search.save_support(workdir / f"{stem}.support", data.pentagon_support().bits)
+        code, _, _ = run_cli(capsys, "search", "p.support", "q.support", "--rank", "3",
+                             "--out", "o")
+        assert code == 0
+        before = {f.name: f.read_bytes() for f in (workdir / "o").iterdir()}
+        assert len(before) == 4
+        code, out, err = run_cli(capsys, "search", "p.support", "q.support", "--rank", "3",
+                                 *flag, "--out", "o")
+        assert (code, out, err) == (cli.EXIT_PRECONDITION, "",
+                                    f"precondition failure: {message}\n")
+        assert {f.name: f.read_bytes() for f in (workdir / "o").iterdir()} == before
 
     def test_rank_above_support_size_exit_2_before_any_sdp(self, workdir, capsys, monkeypatch):
         def no_sdp(*args):
@@ -847,6 +883,18 @@ class TestUnreadableInputs:
         assert out == ""
         assert ("is empty" if empty else "cannot read") in err
 
+    @pytest.mark.parametrize("name, kind, argv", [
+        ("c.cone", "cone", ["verify"]),
+        ("m.mat", "matrix", ["analyze", "--rank", "3"]),
+        ("p.support", "support", ["search", "--rank", "3"]),
+    ])
+    def test_file_that_is_not_utf8_exit_4(self, workdir, capsys, name, kind, argv):
+        (workdir / name).write_bytes(b"3 1\n1 0 \xff\n")
+        code, out, err = run_cli(capsys, argv[0], name, *argv[1:])
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == (f"parse error: cannot read {kind} file {name}: 'utf-8' codec "
+                       "can't decode byte 0xff in position 8: invalid start byte\n")
+
     @pytest.mark.parametrize("name, text, argv, message", [
         ("c.cone", "3 0", ["verify"], "a cone needs at least one generator"),
         ("c.cone", "3 0", ["dual"], "a cone needs at least one generator"),
@@ -949,20 +997,15 @@ class TestUnwritableOutputs:
         if sink == "/dev/full" and not Path(sink).exists():
             pytest.skip("no /dev/full")
         run_cli(capsys, "examples", "pentagon", "--out", ".")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = [sys.executable, "-m", "sdcones.cli", "dual", "pentagon_rays.cone"]
+        argv = ["-m", "sdcones.cli", "dual", "pentagon_rays.cone"]
         if sink == "/dev/full":
             with open(sink, "w") as full:
-                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
-                                      text=True, env=env, timeout=120)
+                proc = run_python(*argv, stdout=full)
         else:
             read, write = os.pipe()
             os.close(read)
             try:
-                proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE,
-                                      text=True, env=env, timeout=120)
+                proc = run_python(*argv, stdout=write)
             finally:
                 os.close(write)
         assert proc.returncode == cli.EXIT_PARSE, proc.stderr
