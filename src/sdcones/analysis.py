@@ -7,9 +7,18 @@ check (handed that rank), the DNN extremality test and the factor cone of the
 self-duality verdict, selfdual._psd_slack_verdict, which certify_psd_slack
 gives too; and one patterns.slack_support mask with every support test.  It
 certifies the matrix's DNN extremality once; the verdicts and the 5x5 label
-read that certificate, through the rules dnn keeps for them.  The report is
-built from JSON-ready values (Python scalars, strings, lists and dicts with
-string keys), so to_json only dumps it.
+read that certificate, through the rules dnn keeps for them.  No step forms
+the singular vectors of a matrix: the facet scan of the factor cone takes one
+stacked QR, and every rank around it reads singular values only.
+
+The public dnn_extremality, classify_psd_slack, cone_from_factorization and
+certify_psd_slack each take one decomposition of their own input, and run
+the pass's code where they judge the same question: dnn.is_dnn agrees with
+the report's "dnn" at every tol on a matrix analyze accepts, and
+certify_psd_slack with its "selfdual_certification" at the default tol.
+
+to_json is the package's one JSON writer: every report, transcript and
+payload the CLI prints or writes goes through it.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +51,8 @@ class AnalysisReport:
     results: dict
 
     def to_json(self) -> str:
-        """The report as to_json prints it; its fields are JSON-ready."""
-        return _dumps(vars(self))
+        """The report as `sdcones analyze` prints it."""
+        return to_json(self)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -51,28 +61,48 @@ class AnalysisReport:
 
 def to_json(obj) -> str:
     """obj as the JSON text sdcones prints and writes."""
-    return _dumps(_json_ready(obj))
+    return _dumps(obj, "\n")
 
 
-def _dumps(ready) -> str:
-    """A JSON-ready value in sdcones' one JSON format: keys sorted, indent 2."""
-    return json.dumps(ready, sort_keys=True, indent=2)
-
-
-def _json_ready(obj):
-    """Recursively convert dataclasses (as their fields) and numpy containers
-    for json.dumps."""
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return _json_ready(obj.tolist())
+def _dumps(obj, newline: str) -> str:
+    """obj as json.dumps(sort_keys=True, indent=2) writes it, with numpy values
+    as their tolist(), dataclasses as dicts of their fields, dict keys as
+    str(key) and NaN as null; newline breaks the line and indents to obj's
+    own depth.  TypeError for any other type, as json.dumps raises."""
     if isinstance(obj, float):
-        return None if obj != obj else obj  # NaN has no JSON spelling
+        if obj != obj:
+            return "null"  # NaN has no JSON spelling
+        if math.isinf(obj):
+            return "Infinity" if obj > 0.0 else "-Infinity"
+        return float.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        named = {str(k): v for k, v in obj.items()}
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _dumps(named[k], inner)
+            for k in sorted(named)) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(
+            _dumps(v, inner) for v in obj) + newline + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _dumps(obj.tolist(), newline)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _json_ready({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
-    return obj
+        return _dumps({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
+                      newline)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def analyze_matrix(matrix: np.ndarray, d: int, tol: float, origin: str) -> AnalysisReport:

@@ -263,12 +263,15 @@ def _settle(run, *args) -> tuple[int, str, bool]:
 
 def _refusal(args) -> str | None:
     """Why none of the inputs can run: a --tol that is not finite and
-    positive, search flags that SearchParams refuses, two inputs that would
+    positive, an analyze --rank below 1 (a rank its report's schema does not
+    admit), search flags that SearchParams refuses, two inputs that would
     write the same output path, or an output path that is one of the inputs;
     None when they can all run.  For search it sets args.params, the one
     SearchParams every input runs with."""
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         return f"--tol must be finite and positive, got {args.tol}"
+    if args.command == "analyze" and args.rank < 1:
+        return f"rank must be >= 1, got {args.rank}"
     if args.command == "search":
         try:
             args.params = search.SearchParams(
@@ -292,7 +295,9 @@ def _refusal(args) -> str | None:
 def main(argv=None) -> int:
     """Run one subcommand.  Every input gets its own result: outputs are
     printed in input order, each failure's message goes to stderr, and the
-    exit code is the largest of the inputs' codes."""
+    exit code is the largest of the inputs' codes.  An output that cannot be
+    written, a stdout that is a closed pipe or a full device included, is one
+    "cannot write output" line on stderr and exit 4."""
     global _parser
     if _parser is None:
         _parser = build_parser()

@@ -8,9 +8,11 @@ each is named by its set, and no rank test decides either.  Facets are
 enumerated by one scan over the C(n, d-1) subsets of generators
 (_facet_scan), and the products g . n that judged them are the only ones
 formed: the incidence, extremality, the slack and the self-dual match all
-read them.  Facet normals are unit vectors rather than a canonical scaling,
-so slack matrices are defined up to positive row/column scaling; their
-zeros are the tight entries at tol.
+read them.  No direction is merged by angle: two facet normals are one
+facet, and two extreme generators one ray, exactly when their tight sets
+are the same, however close the directions.  Facet normals are unit vectors
+rather than a canonical scaling, so slack matrices are defined up to
+positive row/column scaling; their zeros are the tight entries at tol.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ FACET_SUBSET_BUDGET = 1_000_000
 
 class PolyhedralCone:
     """Cone in R^d given by generator rows, unit-normalized, in input order.
+    A row whose sum of squares would overflow or underflow is scaled by its
+    largest |entry| first, so rows of any finite magnitude normalize.
 
     A ray given twice stays twice here; extreme_rays and slack_matrix keep
     one generator per ray, told apart by the facets tight at it.  Antipodal
@@ -130,9 +134,9 @@ def _facet_scan(gen: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     inside another's is dropped with its products: a facet is a maximal
     tight set, so no rank test is needed.  Subsets are taken in
     lexicographic order, _SCAN_CHUNK at a time (fewer when n is large), and
-    each is judged as it would be alone, bit for bit; a flipped normal's
-    products are negated.  ConvergenceError, before any subset is formed,
-    past FACET_SUBSET_BUDGET.
+    each is judged as it would be alone, bit for bit, so the chunk size
+    moves no facet; a flipped normal's products are negated.
+    ConvergenceError, before any subset is formed, past FACET_SUBSET_BUDGET.
     """
     n, d = gen.shape
     if d == 1:
@@ -196,7 +200,8 @@ def is_pointed(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> bool:
 
 
 def _facets(cone: PolyhedralCone, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """facet_normals' normals, after its three checks, and their products."""
+    """facet_normals' normals, after its three checks, and their products:
+    the facet scan's one caller."""
     if not is_full_dimensional(cone):
         raise PreconditionError("generators do not span the ambient space")
     normals, products = _facet_scan(cone.generators, tol)
@@ -221,7 +226,8 @@ def facet_normals(cone: PolyhedralCone, tol: float = DEFAULT_FACET_TOL) -> np.nd
     no facet at tol (d >= 2), or its normals span less than R^d: a cone not
     pointed, one within tol of a hyperplane (flat at tol: its normal is
     tight at every generator, so it is the one maximal set), or a tol below
-    its products' rounding.
+    its products' rounding, where a pointed cone keeps only the facets its
+    exact zeros make.
     """
     return _facets(cone, tol)[0]
 

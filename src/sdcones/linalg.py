@@ -3,19 +3,20 @@ rank, null spaces, and the two spectral projections used by the rest of the
 package.
 
 The factorizations are LAPACK calls through numpy.linalg, every eig the
-gufunc numpy.linalg.eigh calls, under eigh's floating-point policy; this
-module adds the package's contract on top: validated input, eigenvalues
-descending, singular values padded to one per column, and LAPACK failures
-raised as ConvergenceError.  sym_eigen and null_space return bases, so they
-fix the sign of every basis vector.  One rule (_rank) decides every numeric
-rank, from a values-only SVD (singular_values) or from the absolute
-eigenvalues of a decomposition the caller holds (EigenDecomposition.rank);
-EigenDecomposition.is_psd is the one PSD test of a candidate slack or DNN
-matrix.  null_directions is the one SVD that forms singular vectors, and
-reads its nullities off its own singular values; null_space is its
-one-matrix case.  orthogonal_directions gives the facet scan one candidate
-normal per subset of a stack, from one Householder QR each; no rank test
-judges the candidates, which the scan keeps by their tight sets alone.
+gufunc numpy.linalg.eigh calls, under eigh's floating-point policy, so it has
+eigh's bits without eigh's Python layer; this module adds the package's
+contract on top: validated input, eigenvalues descending, singular values
+padded to one per column, and LAPACK failures raised as ConvergenceError.
+sym_eigen and null_space return bases, so they fix the sign of every basis
+vector.  One rule (_rank) decides every numeric rank, from a values-only SVD
+(singular_values) or from the absolute eigenvalues of a decomposition the
+caller holds (EigenDecomposition.rank); no rank test takes a per-call
+tolerance.  EigenDecomposition.is_psd is the one PSD test of a candidate
+slack or DNN matrix.  null_directions is the one SVD that forms singular
+vectors, and reads its nullities off its own singular values; null_space is
+its one-matrix case.  orthogonal_directions gives the facet scan one
+candidate normal per subset of a stack, from one Householder QR each; no rank
+test judges the candidates, which the scan keeps by their tight sets alone.
 psd_project and low_rank_project validate their input and share one body,
 _clip_project: clip the eigenvalues at 0, keep the d largest (d = n for
 psd_project) and return V diag(w) V^T, in which the sign of each column of V

@@ -32,7 +32,8 @@ INVOLUTION_NODE_BUDGET = 1_000_000
 
 
 def support_of(a) -> np.ndarray:
-    """Boolean support: entries above SUPPORT_CLAMP times the largest one."""
+    """Boolean support: entries above SUPPORT_CLAMP times the largest one.
+    No caller passes a threshold of its own."""
     m = np.abs(linalg.as_matrix(a))
     scale = m.max() if m.size else 0.0
     if scale <= 0.0:
@@ -142,7 +143,7 @@ def involution_permutations(s: np.ndarray):
     ConvergenceError.
     """
     search = _InvolutionSearch(s)
-    for sigma in search.completions(list(range(search.n)), search.domains):
+    for sigma in search.completions():
         yield np.array(sigma, dtype=int)
 
 
@@ -192,26 +193,38 @@ class _InvolutionSearch:
             pruned.append(dom)
         return pruned
 
-    def completions(self, rows: list[int], doms: list[int]):
-        """Yield sigma each time it is completed over the unplaced rows (in
-        increasing order, bit c of doms[k] set while column c is open to row
-        rows[k]), placing the row with the smallest domain first."""
-        if not rows:
-            yield self.sigma
-            return
-        k = min(range(len(rows)), key=lambda i: doms[i].bit_count())
-        j = rows[k]
-        rest_rows = rows[:k] + rows[k + 1:]
-        rest_doms = doms[:k] + doms[k + 1:]
-        todo = doms[k]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            c = low.bit_length() - 1
-            pruned = self.place(j, c, rest_rows, rest_doms)
-            if pruned is not None:
-                self.sigma[j] = c
-                yield from self.completions(rest_rows, pruned)
+    def completions(self):
+        """Yield sigma each time it is completed, placing the row with the
+        smallest domain first.  Each frame of an explicit stack holds a
+        placed row, the other unplaced rows with their domains as they were
+        before its placement, and the row's untried columns (bit c set while
+        column c is open), so a search of any depth makes no recursive call."""
+        frames: list[list] = []
+        rows, doms = list(range(self.n)), self.domains  # unplaced, increasing
+        while True:
+            if rows:
+                k = min(range(len(rows)), key=lambda i: doms[i].bit_count())
+                frames.append([rows[k], rows[:k] + rows[k + 1:],
+                               doms[:k] + doms[k + 1:], doms[k]])
+            else:
+                yield self.sigma
+            # The next placement: the deepest frame's lowest untried column.
+            while frames:
+                frame = frames[-1]
+                j, rest_rows, rest_doms, todo = frame
+                if not todo:
+                    frames.pop()
+                    continue
+                low = todo & -todo
+                frame[3] = todo ^ low
+                c = low.bit_length() - 1
+                pruned = self.place(j, c, rest_rows, rest_doms)
+                if pruned is not None:
+                    self.sigma[j] = c
+                    rows, doms = rest_rows, pruned
+                    break
+            else:
+                return
 
 
 def _bitsets(mask: np.ndarray) -> list[int]:

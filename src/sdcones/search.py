@@ -322,9 +322,10 @@ _RETRY_STACK = 32
 
 @dataclass
 class AttemptRecord:
-    """One transcript attempt, all scalars; the refinement residuals are the
-    last half-step residuals.  certified and certify_reason stay None unless
-    refinement converged, since only a converged refinement is certified."""
+    """One transcript attempt, all scalars, so a transcript does not grow
+    with max_iter; the refinement residuals are the last half-step
+    residuals.  certified and certify_reason stay None unless refinement
+    converged, since only a converged refinement is certified."""
 
     index: int
     sdp_converged: bool
@@ -367,10 +368,11 @@ def randomized_retry(
     transcripts.
 
     Every attempt's SDP matrix is refined, whether or not the SDP converged:
-    refinement needs no PSD start.  Every converged refinement goes through
-    certify, the one gate, which extracts a cone and verifies it against the
-    pattern at verify_tol; a refined matrix need not be a slack matrix at
-    all, so only a verified cone ends the retries.  The winning attempt's
+    refinement needs no PSD start, so a max_iter that cuts the SDP short can
+    still certify.  Every converged refinement goes through certify, the one
+    gate, which extracts a cone and verifies it against the pattern at
+    verify_tol; a refined matrix need not be a slack matrix at all, so only a
+    verified cone ends the retries.  The winning attempt's
     realization and verification report come back with the result.
 
     Attempt 1 runs alone, the rest in stacks of up to _RETRY_STACK that are
@@ -415,7 +417,9 @@ def randomized_retry(
 def _solve_stack(pattern: SupportPattern, weights: np.ndarray, params: SearchParams):
     """(SDP result, refinement) per attempt of a (k, n, n) stack of weight
     draws, in index order, from _sdp_loop and _refine_loop.  A stack of one,
-    or one that raises in either step, runs lazily one attempt at a time."""
+    or one that raises in either step, runs lazily one attempt at a time, so
+    an error surfaces at its own attempt and every other attempt gets the
+    bits the stack would have given it."""
     d = params.target_rank
     if len(weights) > 1:
         try:

@@ -84,10 +84,12 @@ def find_psd_scaling(slack) -> PsdSlackCertificate | None:
     are its cone's incidence and whose other entries are positive, so its
     support is m > 0.
 
-    Permutations are tried in the order patterns.involution_permutations
-    yields them, each once, and the search stops at the first certificate,
-    returned with the gauge freedom fixed so the PSD matrix's largest
-    diagonal entry equals the largest diagonal entry of the input.  Absence
+    Each scaled candidate is judged by linalg.EigenDecomposition.is_psd at
+    linalg.PSD_TOL, the package's one PSD test.  Permutations are tried in
+    the order patterns.involution_permutations yields them, each once, and
+    the search stops at the first certificate, returned with the gauge
+    freedom fixed so the PSD matrix's largest diagonal entry equals the
+    largest diagonal entry of the input.  Absence
     is returned only after every support-compatible permutation has been
     tried.  The enumeration raises ConvergenceError from the next() that
     takes it over patterns.INVOLUTION_NODE_BUDGET nodes, so only a search

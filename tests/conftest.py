@@ -97,6 +97,16 @@ def block_diagonal_dnn() -> np.ndarray:
     return m
 
 
+def shuffled_cycle_complement(n: int) -> np.ndarray:
+    """The n x n all-ones support minus a symmetric n-cycle, its columns
+    shuffled by default_rng(0): every involution search of it places all n
+    rows before its first permutation."""
+    s = np.ones((n, n), dtype=np.uint8)
+    i = np.arange(n)
+    s[i, (i + 1) % n] = s[(i + 1) % n, i] = 0
+    return s[:, np.random.default_rng(0).permutation(n)]
+
+
 def stacked_products(gens: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """The facet scan's products g_i . n_j, one matrix-vector product per
     normal, as an n x m matrix.  One matrix product gens @ normals.T may

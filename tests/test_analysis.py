@@ -11,6 +11,7 @@ made it fail, the outputs may differ.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -361,3 +362,28 @@ def test_block_diagonal_dnn_stays_small():
 def test_empty_matrix_rejected():
     with pytest.raises(PreconditionError, match="nonempty matrix"):
         analysis.analyze_matrix(np.zeros((0, 0)), 1, dnn.DEFAULT_DNN_TOL, "empty")
+
+
+@dataclasses.dataclass
+class _Record:
+    name: str
+    values: tuple
+
+
+@pytest.mark.parametrize("obj, plain", [
+    ({"b": [1, 2.5, None], "a": {}, 3: "é\n\"", True: []},
+     {"b": [1, 2.5, None], "a": {}, "3": "é\n\"", "True": []}),
+    ([np.float64(0.1), np.int64(-7), np.bool_(False), np.arange(2.0), np.zeros((2, 0)),
+      (), [math.inf, -math.inf, -0.0, 1e-300, 2**70]],
+     [0.1, -7, False, [0.0, 1.0], [[], []], [], [math.inf, -math.inf, -0.0, 1e-300, 2**70]]),
+    (float("nan"), None),
+    ({"nan": np.array([1.0, np.nan])}, {"nan": [1.0, None]}),
+    (_Record("r", (1, np.float32(0.5))), {"name": "r", "values": [1, 0.5]}),
+], ids=["dict", "numbers", "nan", "numpy-nan", "dataclass"])
+def test_one_writer_gives_the_bytes_of_json_dumps(obj, plain):
+    assert analysis.to_json(obj) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+def test_writer_refuses_other_types():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        analysis.to_json({"a": [object()]})

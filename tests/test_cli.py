@@ -20,6 +20,7 @@ from conftest import (
     loop_extreme_rays,
     match_columns_by_pattern,
     run_python,
+    shuffled_cycle_complement,
     split_hexagon_rays,
     stacked_products,
     support_pattern_of,
@@ -281,6 +282,18 @@ class TestAnalyzeCommand:
         assert out == ""
         assert err.startswith("precondition failure:")
         assert "Traceback" not in err
+
+    def test_rank_below_1_refused_once_before_any_input_runs(self, workdir, capsys,
+                                                             monkeypatch):
+        geometry.save_matrix(workdir / "m.mat", data.pentagon_slack())
+
+        def no_load(path):
+            raise AssertionError(f"input {path} ran")
+
+        monkeypatch.setattr(geometry, "load_matrix", no_load)
+        code, out, err = run_cli(capsys, "analyze", "m.mat", "m.mat", "--rank", "0")
+        assert (code, out, err) == (cli.EXIT_PRECONDITION, "",
+                                    "precondition failure: rank must be >= 1, got 0\n")
 
 
 class TestTolChecked:
@@ -589,6 +602,15 @@ class TestSearchCommand:
         assert attempt["sdp_iterations"] == 50
         assert attempt["psd_margin"] < -linalg.PSD_TOL
         assert attempt["refine_converged"] and attempt["certified"]
+
+    def test_1000_point_support_ends_without_traceback(self, workdir, capsys):
+        # Its involution search places 1 000 rows, past Python's default
+        # recursion limit; one short attempt keeps the n = 1 000 SDP brief.
+        search.save_support(workdir / "c.support", shuffled_cycle_complement(1000))
+        code, _, err = run_cli(capsys, "search", "c.support", "--rank", "3",
+                               "--max-iter", "1", "--retries", "1")
+        assert code in (cli.EXIT_PRECONDITION, cli.EXIT_NO_CONVERGENCE)
+        assert "Traceback" not in err
 
     def test_four_cycle_exit_3(self, workdir, capsys):
         search.save_support(workdir / "f.support", data.four_cycle_support().bits)

@@ -1,7 +1,8 @@
-"""The README's quick starts run as written."""
+"""The README's quick starts run as written, and its numbers hold."""
 
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -40,3 +41,19 @@ def test_cli_quick_start(tmp_path, monkeypatch, capsys):
         assert cli.main(argv[1:]) == 0, argv
         capsys.readouterr()
     assert (tmp_path / "run" / "pentagon_realization.cone").is_file()
+
+
+def test_readme_states_the_contract_in_150_lines():
+    assert len(README.read_text(encoding="utf-8").splitlines()) <= 150
+
+
+def test_tolerance_table_values_are_the_module_constants():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n### Tolerances\n", 1)[1].split("\n### ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split(" | ")]
+            for line in table.splitlines() if line.startswith("| `")]
+    assert len(rows) >= 10
+    for name, module, value, _ in rows:
+        constant = getattr(importlib.import_module(f"sdcones.{module.strip('`')}"),
+                           name.strip("`"))
+        assert float(value) == constant, name

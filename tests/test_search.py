@@ -19,7 +19,7 @@ from scipy.sparse import csgraph
 from sdcones import analysis, data, dnn, geometry, linalg, patterns, search, selfdual
 from sdcones.errors import ConvergenceError, ParseError, PreconditionError
 
-from conftest import equal_up_to_scaling
+from conftest import equal_up_to_scaling, shuffled_cycle_complement
 
 
 def brute_force_sisd(s: np.ndarray):
@@ -134,6 +134,37 @@ def random_01_pattern(rng: np.random.Generator, n: int) -> np.ndarray:
         s = (rng.uniform(size=(n, n)) < rng.uniform(0.3, 0.8)).astype(np.uint8)
         if s.sum(axis=1).min() > 0 and s.sum(axis=0).min() > 0:
             return s
+
+
+def recursive_completions(state, rows: list[int], doms: list[int]):
+    """The involution search as it was before it kept its own stack, one
+    generator level per placed row: the oracle of the search's order and
+    node count.  Past about 1 000 rows it exceeds the recursion limit."""
+    if not rows:
+        yield state.sigma
+        return
+    k = min(range(len(rows)), key=lambda i: doms[i].bit_count())
+    j = rows[k]
+    rest_rows, rest_doms = rows[:k] + rows[k + 1:], doms[:k] + doms[k + 1:]
+    todo = doms[k]
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        c = low.bit_length() - 1
+        pruned = state.place(j, c, rest_rows, rest_doms)
+        if pruned is not None:
+            state.sigma[j] = c
+            yield from recursive_completions(state, rest_rows, pruned)
+
+
+def search_trace(state, completions, limit: int = 200) -> list:
+    """The first limit permutations of an enumeration of the search state,
+    each with the node count when it was yielded, then the node count when
+    the enumeration ended or was cut."""
+    trace = []
+    for sigma in itertools.islice(completions, limit):
+        trace.append((tuple(sigma), state.nodes))
+    return trace + [state.nodes]
 
 
 # Square arrays whose entries are not all 0 or 1: strings, NaN, objects, 2
@@ -326,6 +357,34 @@ class TestSisdCheck:
         monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 1_600)
         s = block_diag(np.ones((4, 4)), np.ones((4, 4))).astype(np.uint8)
         assert sum(1 for _ in patterns.involution_permutations(s)) == 576
+
+    @pytest.mark.parametrize("s", [np.ones((1000, 1000), np.uint8),
+                                   shuffled_cycle_complement(1000)],
+                             ids=["all-ones", "shuffled-cycle-complement"])
+    def test_first_permutation_of_1000_rows(self, s):
+        # One placed row is one frame of the search's own stack, not one
+        # level of Python recursion (whose default limit is 1 000).
+        first = next(patterns.involution_permutations(s))
+        fixed = s[:, first]
+        assert np.array_equal(fixed, fixed.T) and fixed.diagonal().all()
+
+    def test_same_order_and_nodes_as_the_recursive_search(self):
+        rng = np.random.default_rng(71)
+        randoms = []
+        for t in range(400):
+            s = random_01_pattern(rng, int(rng.integers(1, 9)))
+            if t % 2:  # symmetric with a unit diagonal, columns shuffled
+                s = np.triu(s, 1) | np.triu(s, 1).T | np.eye(len(s), dtype=np.uint8)
+                s = s[:, rng.permutation(len(s))]
+            randoms.append(s)
+        bundled = [getattr(data, f"{name}_support")().bits
+                   for name in ("pentagon", "prism", "ten", "four_cycle")]
+        for s in [polygon_support(k) for k in range(3, 52)] + bundled + randoms:
+            iterative = patterns._InvolutionSearch(s)
+            recursive = patterns._InvolutionSearch(s)
+            assert (search_trace(iterative, iterative.completions())
+                    == search_trace(recursive, recursive_completions(
+                        recursive, list(range(len(s))), recursive.domains)))
 
     def test_rejects_bad_input(self):
         with pytest.raises(PreconditionError):
