@@ -30,8 +30,10 @@ from .geometry import (
     is_pointed,
     load_cone,
     load_matrix,
+    load_support,
     save_cone,
     save_matrix,
+    save_support,
     slack_matrix,
     slack_necessary_check,
 )
@@ -57,11 +59,9 @@ from .search import (
     Realization,
     SearchParams,
     extract_realization,
-    load_support,
     randomized_retry,
     rank_refine,
     run_pipeline,
-    save_support,
     sdp_feasibility,
     sisd_check,
     verify_realization,
@@ -93,6 +93,8 @@ __all__ = [
     "load_cone",
     "save_matrix",
     "load_matrix",
+    "save_support",
+    "load_support",
     "PsdSlackCertificate",
     "find_psd_scaling",
     "is_self_dual",
@@ -116,6 +118,4 @@ __all__ = [
     "extract_realization",
     "verify_realization",
     "run_pipeline",
-    "save_support",
-    "load_support",
 ]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, data, dnn, geometry, search, selfdual
+from . import __version__, analysis, data, geometry, linalg, search, selfdual
 from .errors import ConvergenceError, ParseError, PreconditionError
 
 EXIT_OK = 0
@@ -90,7 +90,7 @@ def cmd_search(
 ) -> str:
     for stale in outputs:  # an earlier run's files would outlive a failure
         stale.unlink(missing_ok=True)
-    bits = search.load_support(path)
+    bits = geometry.load_support(path)
     result = search.run_pipeline(bits, params, verify_tol)
     transcript_path, cone_path = outputs
     transcript_path.parent.mkdir(parents=True, exist_ok=True)
@@ -144,7 +144,7 @@ EXAMPLES = {
                     "selfpolar10.support": data.ten_support},
 }
 SAVERS = {".cone": geometry.save_cone, ".mat": geometry.save_matrix,
-          ".support": search.save_support}
+          ".support": geometry.save_support}
 
 
 def cmd_examples(name: str, out_dir: str) -> str:
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_slack.add_argument("--out", default=None, help="also write the matrix here")
     p_dual = files("dual", "Euclidean dual cone of a cone file", facet_tol)
     p_dual.add_argument("--out", default=None, help="also write the dual cone here")
-    p_analyze = files("analyze", "full matrix analysis report", dnn.DEFAULT_DNN_TOL)
+    p_analyze = files("analyze", "full matrix analysis report", linalg.PSD_TOL)
     p_analyze.add_argument("--rank", type=int, required=True, help="cone dimension d")
     files("verify", "self-duality decision for a cone file", facet_tol)
     p_search = files("search", "self-dual realization search", facet_tol)
@@ -235,9 +235,7 @@ def _run_one(args, path: str) -> str:
         return cmd_analyze(path, args.rank, tol)
     if args.command == "verify":
         return cmd_verify(path, tol)
-    if args.command == "search":
-        return cmd_search(path, args.params, outputs, tol)
-    raise AssertionError(f"unhandled command {args.command}")
+    return cmd_search(path, args.params, outputs, tol)
 
 
 # Built by the first main call and reused: building the argparse tree costs

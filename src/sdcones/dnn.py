@@ -19,10 +19,8 @@ from . import linalg
 from .errors import ConvergenceError, PreconditionError
 from .patterns import SUPPORT_CLAMP, is_connected, support_of
 
-DEFAULT_DNN_TOL = linalg.PSD_TOL
 
-
-def is_dnn(a, tol: float = DEFAULT_DNN_TOL) -> bool:
+def is_dnn(a, tol: float = linalg.PSD_TOL) -> bool:
     """PSD by EigenDecomposition.is_psd at tol, and no entry below
     -max(tol, SUPPORT_CLAMP) * max|entry|, so a zero of support_of passes."""
     m = linalg.require_symmetric(a)
@@ -89,7 +87,7 @@ def _is_cycle5(support: np.ndarray) -> bool:
     return is_connected(mask)
 
 
-def dnn_extremality(a, tol: float = DEFAULT_DNN_TOL) -> ExtremalityReport:
+def dnn_extremality(a, tol: float = linalg.PSD_TOL) -> ExtremalityReport:
     """Certify whether a DNN matrix generates an extreme ray of the DNN cone.
 
     The rank k counts eigenvalues above DEFAULT_RANK_TOL times the largest;
@@ -129,7 +127,7 @@ def _extremality(
     )
 
 
-def dnn5_classify(a, tol: float = DEFAULT_DNN_TOL) -> str:
+def dnn5_classify(a, tol: float = linalg.PSD_TOL) -> str:
     """Classify a 5x5 DNN matrix: 'rank1', 'pentagon_slack' (rank 3 with a
     5-cycle support, hence an extreme ray coming from a self-dual pentagon
     cone) or 'not_extreme'.
@@ -195,9 +193,9 @@ def classify_psd_slack(a, irreducible: bool, simplicial: bool) -> SlackVerdicts:
     if not m.any():
         raise PreconditionError("zero matrix is not a slack matrix")
     eig = linalg.sym_eigen(m)
-    if not _is_dnn(m, eig, DEFAULT_DNN_TOL):
+    if not _is_dnn(m, eig, linalg.PSD_TOL):
         raise PreconditionError("a PSD slack must be doubly nonnegative")
-    report = _extremality(m, eig, support_of(m), DEFAULT_DNN_TOL)
+    report = _extremality(m, eig, support_of(m), linalg.PSD_TOL)
     return _slack_verdicts(report, irreducible, simplicial)
 
 

@@ -13,6 +13,12 @@ facet, and two extreme generators one ray, exactly when their tight sets
 are the same, however close the directions.  Facet normals are unit vectors
 rather than a canonical scaling, so slack matrices are defined up to
 positive row/column scaling; their zeros are the tight entries at tol.
+
+The package's three text formats live here too: cone files (generator
+rows), matrix files and support files (0/1 rows, the input of search).
+Each is a header of non-negative integers and one row per line; one
+framing function, _read_rows, reads the header and counts the rows of all
+three, and each format keeps only its row parser.
 """
 
 from __future__ import annotations
@@ -427,9 +433,15 @@ def dual_round_trip(cone: PolyhedralCone, tol: float) -> RoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Text formats.  Cone file: "d n" header then n generator rows.  Matrix file:
-# "rows cols" header then the rows.  17 significant digits round-trip floats.
+# Text formats.  Cone file: "d n" header then n generator rows of d decimals.
+# Matrix file: "rows cols" header then the rows.  Support file: "n" header
+# then n rows of n 0/1 characters.  17 significant digits round-trip floats.
 # ---------------------------------------------------------------------------
+
+# Per file kind: how many integers its header holds, and which of them give
+# the row count and the row width.
+_HEADERS = {"cone": (2, 1, 0), "matrix": (2, 0, 1), "support": (1, 0, 0)}
+
 
 def _rows_text(header: str, rows: np.ndarray) -> str:
     return "\n".join([header] + [" ".join(f"{x:.17g}" for x in row) for row in rows])
@@ -446,8 +458,7 @@ def save_cone(path, generators) -> None:
 
 
 def load_cone(path) -> PolyhedralCone:
-    rows = _load_numeric(path, kind="cone")
-    return PolyhedralCone(rows)
+    return PolyhedralCone(_float_rows(path, "cone"))
 
 
 def save_matrix(path, matrix) -> None:
@@ -457,52 +468,62 @@ def save_matrix(path, matrix) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    return _load_numeric(path, kind="matrix")
+    return _float_rows(path, "matrix")
 
 
-def read_lines(path, kind: str) -> list[str]:
-    """The stripped nonblank lines of a UTF-8 text file; ParseError when it
-    cannot be read or decoded, or holds none.  kind names the format in
-    messages."""
+def save_support(path, bits) -> None:
+    b = np.asarray(bits).astype(np.uint8)
+    lines = [str(b.shape[0])] + ["".join(str(int(x)) for x in row) for row in b]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def load_support(path) -> np.ndarray:
+    n, lines = _read_rows(path, "support")
+    for ln in lines:
+        if len(ln) != n or any(ch not in "01" for ch in ln):
+            raise ParseError(f"support file {path}: rows must be {n} characters of 0/1")
+    return np.asarray([[int(ch) for ch in ln] for ln in lines],
+                      dtype=np.uint8).reshape(n, n)
+
+
+def _read_rows(path, kind: str) -> tuple[int, list[str]]:
+    """(width, rows) of a file of this kind: the row width its header gives,
+    and its stripped nonblank lines after the header, as many as the header
+    counts.  ParseError when the file cannot be read or decoded as UTF-8,
+    holds no nonblank line, has a header other than _HEADERS' number of
+    non-negative integers, or has another number of rows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln.strip() for ln in fh if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
-    if not raw:
+    if not lines:
         raise ParseError(f"{kind} file {path} is empty")
-    return raw
-
-
-def _load_numeric(path, kind: str) -> np.ndarray:
-    raw = read_lines(path, kind)
-    head = raw[0].split()
-    if len(head) != 2:
-        raise ParseError(f"{kind} file {path}: header must hold two integers")
+    fields, count_at, width_at = _HEADERS[kind]
     try:
-        a, b = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ParseError(f"{kind} file {path}: bad header {raw[0]!r}") from exc
-    if min(a, b) < 0:
-        raise ParseError(f"{kind} file {path}: bad header {raw[0]!r}")
-    if kind == "cone":
-        width, count = a, b
-    else:
-        count, width = a, b
-    if len(raw) - 1 != count:
-        raise ParseError(
-            f"{kind} file {path}: expected {count} rows, found {len(raw) - 1}"
-        )
+        sizes = [int(field) for field in lines[0].split()]
+    except ValueError:
+        sizes = []
+    if len(sizes) != fields or min(sizes) < 0:
+        raise ParseError(f"{kind} file {path}: bad header {lines[0]!r}")
+    count, rows = sizes[count_at], lines[1:]
+    if len(rows) != count:
+        raise ParseError(f"{kind} file {path}: expected {count} rows, found {len(rows)}")
+    return sizes[width_at], rows
+
+
+def _float_rows(path, kind: str) -> np.ndarray:
+    """The rows of a cone or matrix file as a float matrix; ParseError for
+    _read_rows' reasons, a row of another width or a value float refuses."""
+    width, lines = _read_rows(path, kind)
     rows = []
-    for ln in raw[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != width:
             raise ParseError(
-                f"{kind} file {path}: expected {width} values per row, "
-                f"found {len(parts)}"
-            )
+                f"{kind} file {path}: expected {width} values per row, found {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{kind} file {path}: bad value in {ln!r}") from exc
-    return np.asarray(rows, dtype=float).reshape(count, width)
+    return np.asarray(rows, dtype=float).reshape(len(rows), width)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, linalg, selfdual
-from .errors import ConvergenceError, ParseError, PreconditionError
+from .errors import ConvergenceError, PreconditionError
+from .geometry import load_support, save_support  # the support file I/O, re-exported
 from .patterns import SupportPattern, involution_permutations, slack_support, support_of
 
 REFINE_STOP_TOL = 1e-12
@@ -553,35 +554,3 @@ def run_pipeline(
     return PipelineResult(
         params, sigma, pattern, retry, retry.realization, retry.verification, True
     )
-
-
-# ---------------------------------------------------------------------------
-# Support-pattern text format: "n" header then n lines of n characters.
-# ---------------------------------------------------------------------------
-
-def save_support(path, bits) -> None:
-    b = np.asarray(bits).astype(np.uint8)
-    lines = [str(b.shape[0])]
-    lines += ["".join(str(int(x)) for x in row) for row in b]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_support(path) -> np.ndarray:
-    raw = geometry.read_lines(path, "support")
-    try:
-        n = int(raw[0])
-    except ValueError as exc:
-        raise ParseError(f"support file {path}: bad header {raw[0]!r}") from exc
-    if n < 0:
-        raise ParseError(f"support file {path}: bad header {raw[0]!r}")
-    if len(raw) - 1 != n:
-        raise ParseError(f"support file {path}: expected {n} rows")
-    rows = []
-    for ln in raw[1:]:
-        if len(ln) != n or any(ch not in "01" for ch in ln):
-            raise ParseError(
-                f"support file {path}: rows must be {n} characters of 0/1"
-            )
-        rows.append([int(ch) for ch in ln])
-    return np.asarray(rows, dtype=np.uint8).reshape(n, n)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdcones import analysis, data, dnn, geometry, patterns, search, selfdual
+from sdcones import analysis, data, dnn, geometry, linalg, patterns, search, selfdual
 from sdcones.errors import PreconditionError
 
 REFUSAL = "matrix must be entrywise nonnegative"
@@ -49,7 +49,7 @@ CALLERS = {
     "find_psd_scaling": lambda m, d, _: selfdual.find_psd_scaling(m) is not None,
     "certify_psd_slack": lambda m, d, _: selfdual.certify_psd_slack(m, d)[0],
     "analyze_matrix": lambda m, d, _: analysis.analyze_matrix(
-        m, d, dnn.DEFAULT_DNN_TOL, "m.mat").results["selfdual_certification"]["certified"],
+        m, d, linalg.PSD_TOL, "m.mat").results["selfdual_certification"]["certified"],
     "extract_and_verify": realizes,
     "search_certify": lambda m, d, pattern: search.certify(
         m, pattern, d, geometry.DEFAULT_FACET_TOL)[0] is not None,
@@ -100,7 +100,7 @@ def test_analyze_counts_entries_off_the_support_as_zeros_at_any_tol():
 def indefinite(name: str, eps: float) -> tuple[np.ndarray, int]:
     """The named slack minus eps * max * (support o u u^T), u its smallest
     eigenvector: the same support, and a smallest eigenvalue near
-    -eps * max, so PSD at DEFAULT_DNN_TOL for the smallest eps only."""
+    -eps * max, so PSD at PSD_TOL for the smallest eps only."""
     m, d = SLACKS[name]
     u = np.linalg.eigh(m)[1][:, 0]
     return m - eps * m.max() * (patterns.support_of(m) * np.outer(u, u)), d
@@ -110,7 +110,7 @@ def indefinite(name: str, eps: float) -> tuple[np.ndarray, int]:
 @pytest.mark.parametrize("name", sorted(SLACKS))
 def test_one_psd_verdict(name, eps):
     m, d = indefinite(name, eps)
-    results = analysis.analyze_matrix(m, d, dnn.DEFAULT_DNN_TOL, "m.mat").results
+    results = analysis.analyze_matrix(m, d, linalg.PSD_TOL, "m.mat").results
     cert = results["selfdual_certification"]
     assert selfdual.certify_psd_slack(m, d) == (cert["certified"], cert["detail"])
     assert dnn.is_dnn(m) == results["dnn"]["value"] == (eps == 1e-9)

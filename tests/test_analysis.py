@@ -294,7 +294,7 @@ class TestOneDecomposition:
         m, d = BUNDLED[name]
         n = m.shape[0]
         calls = count_decompositions(monkeypatch)
-        report = analysis.analyze_matrix(m, d, dnn.DEFAULT_DNN_TOL, name)
+        report = analysis.analyze_matrix(m, d, linalg.PSD_TOL, name)
         assert report.results["verdicts"]["dnn_extreme"]
         assert report.results["selfdual_certification"]["certified"]
         assert [c for c in calls if c[0] == "eigh"] == [("eigh", (n, n), True)]
@@ -309,7 +309,7 @@ class TestOneDecomposition:
         # mask is taken.
         m, d = BUNDLED[name]
         calls = support_calls(monkeypatch)
-        report = analysis.analyze_matrix(m, d, dnn.DEFAULT_DNN_TOL, name)
+        report = analysis.analyze_matrix(m, d, linalg.PSD_TOL, name)
         certified = report.results["selfdual_certification"]["certified"]
         assert certified == (name != "nonslack")
         assert calls == [m.shape]
@@ -350,7 +350,7 @@ def test_block_diagonal_dnn_stays_small():
     m = block_diagonal_dnn()
     tracemalloc.start()
     try:
-        report = analysis.analyze_matrix(m, 20, dnn.DEFAULT_DNN_TOL, "blocks")
+        report = analysis.analyze_matrix(m, 20, linalg.PSD_TOL, "blocks")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,7 +361,7 @@ def test_block_diagonal_dnn_stays_small():
 
 def test_empty_matrix_rejected():
     with pytest.raises(PreconditionError, match="nonempty matrix"):
-        analysis.analyze_matrix(np.zeros((0, 0)), 1, dnn.DEFAULT_DNN_TOL, "empty")
+        analysis.analyze_matrix(np.zeros((0, 0)), 1, linalg.PSD_TOL, "empty")
 
 
 @dataclasses.dataclass

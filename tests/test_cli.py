@@ -950,6 +950,77 @@ class TestUnreadableInputs:
         assert f"bad header {text!r}" in err
 
 
+# A valid two-row file of each kind: its name, the command line that reads
+# it (writing its output under the work directory, were it to get that far),
+# its header and its rows.
+PARSE_KINDS = {
+    "cone": ("c.cone", ["slack", "c.cone", "--out", "s.mat"], "2 2", ["1 0", "0 1"]),
+    "matrix": ("m.mat", ["analyze", "m.mat", "--rank", "2"], "2 2", ["1 0", "0 1"]),
+    "support": ("p.support", ["search", "p.support", "--rank", "2", "--out", "o"],
+                "2", ["11", "11"]),
+}
+# Per kind: a row one entry too wide, a row with a bad entry, and the
+# refusal of each.
+PARSE_ROWS = {
+    "cone": ("1 0 0", "1 x", "expected 2 values per row, found 3", "bad value in '1 x'"),
+    "matrix": ("1 0 0", "1 x", "expected 2 values per row, found 3", "bad value in '1 x'"),
+    "support": ("111", "12", "rows must be 2 characters of 0/1",
+                "rows must be 2 characters of 0/1"),
+}
+
+
+def parse_faults():
+    """(kind, file bytes or None for no file, its stderr line) for every kind
+    and every way its file can be refused, with a pytest id."""
+    def lines(*rows):
+        return ("\n".join(rows) + "\n").encode()
+
+    for kind, (name, _, head, rows) in PARSE_KINDS.items():
+        wide, bad, wide_why, bad_why = PARSE_ROWS[kind]
+        at = f"{kind} file {name}"
+        cases = {
+            "unreadable": (None, f"cannot read {at}: [Errno 2] No such file or "
+                                 f"directory: '{name}'"),
+            "not-utf8": (b"\xff\n", f"cannot read {at}: 'utf-8' codec can't decode "
+                                   "byte 0xff in position 0: invalid start byte"),
+            "empty": (b"", f"{at} is empty"),
+        }
+        for fault, header in [("header-fields", head + " 2"),
+                              ("header-not-integer", "2.0" + head[1:]),
+                              ("header-negative", "-" + head)]:
+            cases[fault] = (lines(header, *rows), f"{at}: bad header {header!r}")
+        cases.update({
+            "too-few-rows": (lines(head, rows[0]), f"{at}: expected 2 rows, found 1"),
+            "too-many-rows": (lines(head, *rows, rows[0]),
+                              f"{at}: expected 2 rows, found 3"),
+            "row-width": (lines(head, rows[0], wide), f"{at}: {wide_why}"),
+            "bad-value": (lines(head, rows[0], bad), f"{at}: {bad_why}"),
+        })
+        for fault, (content, message) in cases.items():
+            yield pytest.param(kind, content, message, id=f"{kind}-{fault}")
+
+
+class TestParseRefusals:
+    @pytest.mark.parametrize("kind, content, message", list(parse_faults()))
+    def test_refused_with_one_line_exit_4(self, workdir, capsys, kind, content, message):
+        name, argv, _, _ = PARSE_KINDS[kind]
+        if content is not None:
+            (workdir / name).write_bytes(content)
+        before = sorted(workdir.rglob("*"))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == f"parse error: {message}\n"
+        assert sorted(workdir.rglob("*")) == before
+
+    @pytest.mark.parametrize("kind", sorted(PARSE_KINDS))
+    def test_valid_file_passes_the_reader(self, workdir, capsys, kind):
+        # The faults above are each one change away from a file that parses.
+        name, argv, head, rows = PARSE_KINDS[kind]
+        (workdir / name).write_text("\n".join([head, *rows]) + "\n")
+        _, _, err = run_cli(capsys, *argv)
+        assert "parse error" not in err
+
+
 def scaled_pentagon(how: str) -> np.ndarray:
     rays = data.pentagon_rays()
     if how == "one row x 1e200":

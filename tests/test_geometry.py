@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
-from sdcones import data, geometry, linalg, patterns
+import sdcones
+from sdcones import data, geometry, linalg, patterns, search
 from sdcones.errors import ConvergenceError, ParseError, PreconditionError
 
 from conftest import (
@@ -1168,3 +1169,8 @@ class TestFileFormats:
         nohead.write_text("x y\n")
         with pytest.raises(ParseError):
             geometry.load_cone(nohead)
+
+    def test_support_io_lives_in_geometry(self):
+        # search and the package re-export the one support reader and writer.
+        assert search.load_support is sdcones.load_support is geometry.load_support
+        assert search.save_support is sdcones.save_support is geometry.save_support

@@ -1,11 +1,16 @@
-"""The repository's pytest configuration reports a failing property test:
-its falsifying example is printed and the other tests still run."""
+"""The repository's pyproject.toml: its pytest configuration reports a
+failing property test (its falsifying example is printed and the other tests
+still run), and it names the distribution after the package."""
 
 from __future__ import annotations
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import sdcones
 
 CONFIG = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -36,3 +41,9 @@ def test_failing_property_test_is_reported(tmp_path):
     assert "INTERNALERROR" not in out, out[-3000:]
     assert "Falsifying example" in out, out[-3000:]
     assert "1 failed, 1 passed" in out, out[-3000:]
+
+
+def test_distribution_is_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(CONFIG.read_text(encoding="utf-8"))["project"]
+    assert (project["name"], project["version"]) == ("sdcones", sdcones.__version__)

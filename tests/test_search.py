@@ -1351,7 +1351,7 @@ class TestOneCertifier:
         res = search.run_pipeline(support(), search.SearchParams(target_rank=rank, seed=seed))
         assert res.success and seen
         for matrix, searched in seen:
-            report = analysis.analyze_matrix(matrix, rank, dnn.DEFAULT_DNN_TOL, name)
+            report = analysis.analyze_matrix(matrix, rank, linalg.PSD_TOL, name)
             analyzed = report.results["selfdual_certification"]["certified"]
             assert searched == analyzed == selfdual.certify_psd_slack(matrix, rank)[0]
 
@@ -1596,6 +1596,77 @@ def test_empty_input_rejected(name):
     call, message = EMPTY_INPUTS[name]
     with pytest.raises(PreconditionError, match=message):
         call()
+
+
+def refusal(call, *args) -> str:
+    """The message of the PreconditionError that call(*args) raises."""
+    with pytest.raises(PreconditionError) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+PATTERN3 = search.SupportPattern(np.eye(3, dtype=np.uint8))
+PARAMS3 = search.SearchParams(target_rank=1)
+
+# Each public function's refusal of a malformed argument, as a call that
+# returns the refusal (a raised message, or a returned verdict) and its value.
+PUBLIC_REFUSALS = {
+    "analyze_matrix-rank-0": (
+        lambda: refusal(analysis.analyze_matrix, np.eye(2), 0, linalg.PSD_TOL, "m"),
+        "rank must be >= 1, got 0"),
+    "analyze_matrix-tol-nan": (
+        lambda: refusal(analysis.analyze_matrix, np.eye(2), 2, math.nan, "m"),
+        "tol must be finite and positive, got nan"),
+    "SupportPattern-not-square": (
+        lambda: refusal(search.SupportPattern, np.ones((2, 3), dtype=np.uint8)),
+        "support pattern must be square"),
+    "sisd_check-not-square": (
+        lambda: refusal(search.sisd_check, np.ones((2, 3), dtype=np.uint8)),
+        "support must be a square matrix"),
+    "sdp_feasibility-weights-shape": (
+        lambda: refusal(search.sdp_feasibility, PATTERN3, np.ones((2, 2)), PARAMS3),
+        "weights must be 3x3"),
+    "rank_refine-sizes": (
+        lambda: refusal(search.rank_refine, np.eye(2), 1, PARAMS3, PATTERN3),
+        "matrix and support sizes disagree"),
+    "classify_psd_slack-zero": (
+        lambda: refusal(dnn.classify_psd_slack, np.zeros((3, 3)), True, False),
+        "zero matrix is not a slack matrix"),
+    "slack_necessary_check-empty": (
+        lambda: geometry.slack_necessary_check(np.zeros((0, 0)), 3),
+        (False, ["empty matrix"])),
+    "certify_slack-count": (
+        lambda: selfdual.certify_slack(geometry.PolyhedralCone(np.eye(3)),
+                                       np.eye(2, dtype=bool), 1e-7).details,
+        ["3 generators for a 2-point support"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_REFUSALS))
+def test_public_refusal(name):
+    call, expected = PUBLIC_REFUSALS[name]
+    assert call() == expected
+
+
+def test_congruence_with_a_negative_m_is_false():
+    # A = M B M^T holds exactly; only M's sign refuses it.
+    assert not dnn.verify_congruence(np.eye(2), -np.eye(2), np.eye(2))
+
+
+def test_full_support_has_no_support_violation():
+    real = search.extract_realization(np.ones((3, 3)), 1)
+    assert real.residuals["support_violation"] == 0.0
+
+
+def test_certify_refuses_a_cone_of_another_support():
+    # The pentagon slack against its support relabelled by i -> 2i mod 5:
+    # the factor cone is the pentagon, whose zeros are not that support's.
+    order = [2 * i % 5 for i in range(5)]
+    bits = data.pentagon_support().bits[np.ix_(order, order)]
+    real, report, why = search.certify(data.pentagon_slack(), search.SupportPattern(bits),
+                                       3, geometry.DEFAULT_FACET_TOL)
+    assert real is None and report is None
+    assert why.startswith("verification failed: slack support mismatch")
 
 
 class TestSupportIO:

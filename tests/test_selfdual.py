@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdcones import data, geometry, linalg, patterns, selfdual
+from sdcones import analysis, data, geometry, linalg, patterns, selfdual
 from sdcones.errors import PreconditionError
 
 from conftest import dfs_solve_scaling, split_hexagon_rays
@@ -361,3 +361,55 @@ class TestCertifyPsdSlack:
         m[0, 2] = m[2, 0] = -0.1
         ok, detail = selfdual.certify_psd_slack(m, 3)
         assert not ok and "nonnegative" in detail
+
+
+class TestCertifierNo:
+    """Each way the certifier refuses a candidate, on an input that takes it."""
+
+    def test_round_trip_that_raises_is_a_failed_report(self):
+        cone = geometry.PolyhedralCone([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        report = selfdual.certify_slack(cone, np.eye(2, dtype=bool),
+                                        geometry.DEFAULT_FACET_TOL)
+        assert not report.passed
+        assert report.details == ["generators do not span the ambient space"]
+
+    def test_symmetric_scaling_that_is_not_psd_is_skipped(self, monkeypatch):
+        # Diagonal 0.1, ones next to it: already symmetric, so the identity
+        # scaling solves it, and its smallest eigenvalue is 0.1 - 2 cos(pi/5).
+        m = 0.1 * np.eye(5) + np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1)
+        assert np.linalg.eigvalsh(m)[0] == pytest.approx(0.1 - 2 * np.cos(np.pi / 5))
+        solved = []
+        solve = selfdual._solve_scaling
+
+        def recorded(n_mat, mask):
+            solved.append(solve(n_mat, mask))
+            return solved[-1]
+
+        monkeypatch.setattr(selfdual, "_solve_scaling", recorded)
+        assert selfdual.find_psd_scaling(m) is None
+        assert any(d is not None for d in solved)
+
+    def test_factor_not_psd_of_the_rank(self):
+        # PSD at tol 1 (smallest eigenvalue -1), but its second eigenvalue is
+        # not positive, so it has no rank-2 spectral factor.
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(PreconditionError, match="matrix is not PSD of the requested rank"):
+            geometry._spectral_factor(linalg.sym_eigen(m), 2)
+        verdict = analysis.analyze_matrix(m, 2, 1.0, "m").results["selfdual_certification"]
+        assert verdict["certified"] is False
+        assert verdict["detail"] == "matrix is not PSD of the requested rank"
+
+    def test_factor_cone_with_redundant_generators_fails_the_round_trip(self):
+        # The orthant's generators and two more inside its faces: the Gram
+        # matrix passes every slack pattern check at d = 4, and its factor
+        # cone has 4 facets for 6 generators.
+        e = np.eye(4)
+        gens = np.vstack([e, e[1] + e[2], e[0] + e[3]])
+        m = gens @ gens.T
+        assert geometry.slack_pattern_reasons(m, 4) == []
+        ok, detail = selfdual.certify_psd_slack(m, 4)
+        assert not ok
+        assert detail.startswith("dual generators do not match primal generators "
+                                 "bijectively (4 facets")
+        verdict = analysis.analyze_matrix(m, 4, linalg.PSD_TOL, "m").results
+        assert verdict["selfdual_certification"]["detail"] == detail
