@@ -489,23 +489,21 @@ def load_support(path) -> np.ndarray:
 def _read_rows(path, kind: str) -> tuple[int, list[str]]:
     """(width, rows) of a file of this kind: the row width its header gives,
     and its stripped nonblank lines after the header, as many as the header
-    counts.  ParseError when the file cannot be read or decoded as UTF-8,
-    holds no nonblank line, has a header other than _HEADERS' number of
-    non-negative integers, or has another number of rows."""
+    counts.  ParseError when the file cannot be read or decoded as UTF-8 (a
+    byte-order mark is skipped), holds no nonblank line, has a header other
+    than _HEADERS' number of ASCII digit strings, or another number of rows."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
     if not lines:
         raise ParseError(f"{kind} file {path} is empty")
     fields, count_at, width_at = _HEADERS[kind]
-    try:
-        sizes = [int(field) for field in lines[0].split()]
-    except ValueError:
-        sizes = []
-    if len(sizes) != fields or min(sizes) < 0:
+    head = lines[0].split()
+    if len(head) != fields or not all(f.isascii() and f.isdigit() for f in head):
         raise ParseError(f"{kind} file {path}: bad header {lines[0]!r}")
+    sizes = [int(f) for f in head]
     count, rows = sizes[count_at], lines[1:]
     if len(rows) != count:
         raise ParseError(f"{kind} file {path}: expected {count} rows, found {len(rows)}")
@@ -514,7 +512,8 @@ def _read_rows(path, kind: str) -> tuple[int, list[str]]:
 
 def _float_rows(path, kind: str) -> np.ndarray:
     """The rows of a cone or matrix file as a float matrix; ParseError for
-    _read_rows' reasons, a row of another width or a value float refuses."""
+    _read_rows' reasons, a row of another width, or a value float refuses or
+    that holds a character past ASCII or the digit-group underscore float takes."""
     width, lines = _read_rows(path, kind)
     rows = []
     for ln in lines:
@@ -523,6 +522,8 @@ def _float_rows(path, kind: str) -> np.ndarray:
             raise ParseError(
                 f"{kind} file {path}: expected {width} values per row, found {len(parts)}")
         try:
+            if not all(p.isascii() and "_" not in p for p in parts):
+                raise ValueError(ln)
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"{kind} file {path}: bad value in {ln!r}") from exc

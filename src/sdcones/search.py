@@ -1,7 +1,8 @@
 """Semidefinite search for self-dual realizations of a combinatorial type.
 
-Pipeline: a strongly-involutive support check, a scaled-ADMM solver for the
-semidefinite program
+Pipeline: a strongly-involutive support check, a scaled-ADMM solver, which a
+Newton polish on the optimal face finishes when it can, for the semidefinite
+program
 
     max sum c_ij X_ij   s.t.  X_ij = 0 off support,  X_ii = 1,  X PSD,
 
@@ -97,6 +98,8 @@ ADMM_BALANCE_EVERY = 5
 ADMM_BALANCE_RATIO = 10.0
 ADMM_PRIMAL_TOL = 1e-10  # stop when max|X - Z| is below this ...
 ADMM_DUAL_TOL = 1e-8  # ... and rho * max|Z - Z_prev| is below this
+POLISH_AT = 1e-3  # both residuals below this: one Newton polish (_polish)
+POLISH_STEPS = 6  # the most Newton steps one polish takes
 
 
 @dataclass
@@ -107,6 +110,7 @@ class SdpResult:
     psd_margin: float
     converged: bool
     iterations: int
+    newton_steps: int = 0
 
 
 _identity = functools.cache(lambda n: np.broadcast_to(np.eye(n), (n, n)))  # read-only
@@ -135,13 +139,16 @@ def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> S
     params.max_iter iterations; rho is rebalanced against the two residuals
     as it goes.  Since Z is PSD, lambda_min(X) >= -n max|X - Z|, so a fired
     stop rule leaves X passing the PSD test at scale 1 (a unit diagonal).
+    Once both residuals are below POLISH_AT, one _polish tries to finish by
+    Newton's method; its X stops the attempt only with _polish's certificate,
+    else ADMM goes on as if no polish had run.
 
     The returned matrix is the last X: it has an exact unit diagonal and
     exact zeros off the support; psd_margin is its smallest eigenvalue and
-    objective its sum c_ij X_ij.  duality_gap is |tr(C - rho U) - objective|
-    / max(1, |objective|), the gap to the dual bound that -rho U gives.  The
-    result has converged when the stop rule fired and psd_margin is at least
-    -linalg.PSD_TOL.
+    objective its sum c_ij X_ij.  duality_gap is |bound - objective| /
+    max(1, |objective|), the bound being tr(C - rho U), the one -rho U gives,
+    or the polish's sum y.  The result has converged when the stop rule
+    fired or the polish passed and psd_margin is at least -linalg.PSD_TOL.
     """
     n = pattern.n
     if n == 0:
@@ -161,14 +168,14 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
 
     A stack makes one linalg._clip_project call per iteration for all of its
     live attempts.  Each attempt keeps its own rho, residuals (a non-finite
-    one raises) and stop rule in Python floats and leaves the stack when it
-    stops or reaches max_iter, and the projections treat each matrix of a
-    stack as they treat one matrix, so every attempt gets the iterates and
-    the result it would get alone, bit for bit.  C / rho is kept until rho
-    changes, and the dual residual is measured only where it is read: on a
-    balancing iteration or once a primal residual is below tolerance.  Once
-    every attempt has left, one more stacked eigenvalue read, not counted as
-    an iteration, measures each returned matrix's psd_margin.
+    one raises), stop rule and polish, which reads only its own matrices, and
+    leaves the stack when it stops or reaches max_iter; the projections treat
+    each matrix of a stack as they treat one matrix, so every attempt gets
+    the iterates and the result it would get alone, bit for bit.  C / rho is
+    kept until rho changes, and the dual residual is measured only where it
+    is read: on a balancing iteration or once a primal residual is below
+    POLISH_AT.  Once every attempt has left, one more stacked eigenvalue
+    read, not counted as an iteration, measures each returned psd_margin.
     """
     n = on.shape[0]
     k = c.shape[0]
@@ -180,9 +187,11 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     live = list(range(k))  # the attempts still in the stack, in stack order
     rho = [ADMM_RHO] * k  # each live attempt's penalty
     c_rho = c / ADMM_RHO  # each live attempt's C / rho
-    bounds = [0.0] * k  # each attempt's dual bound tr(C - rho U) once it has left
+    bounds = [0.0] * k  # each attempt's dual bound once it has left
     stopped = [False] * k
     iterations = [0] * k
+    polish: dict = {}  # each attempt's _polish result once it ran, None if it declined
+    kkt: dict = {}  # _polish's index arrays, by rank
     z = np.broadcast_to(np.eye(n), c.shape)
     u = np.zeros(c.shape)
     it = 0
@@ -196,14 +205,18 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
         if not all(map(math.isfinite, primal)):
             raise PreconditionError("matrix entries must be finite")
         balance = it % ADMM_BALANCE_EVERY == 0
-        if balance or min(primal) < primal_tol:
+        if balance or min(primal) < POLISH_AT:
             change = np.abs(z_next - z).max(axis=(-2, -1)).tolist()
         z = z_next
         keep = []
         for j, r in enumerate(primal):
-            if r < primal_tol and rho[j] * change[j] < ADMM_DUAL_TOL:
-                stopped[live[j]] = True
-            elif it < max_iter:
+            i = live[j]
+            stopped[i] = r < primal_tol and rho[j] * change[j] < ADMM_DUAL_TOL
+            if (not stopped[i] and r < POLISH_AT and rho[j] * change[j] < POLISH_AT
+                    and i not in polish):
+                polish[i] = _polish(z[j], u[j], c[j], rho[j], free, primal_tol, kkt)
+                stopped[i] = polish[i] is not None
+            if not stopped[i] and it < max_iter:
                 keep.append(j)
                 if balance:
                     s = rho[j] * change[j]
@@ -214,9 +227,10 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
                         u[j] /= step
                         c_rho[j] = c[j] / rho[j]
                 continue
-            iterations[live[j]] = it
-            bounds[live[j]] = float(np.trace(c[j] - rho[j] * u[j]))
-            final[live[j]] = x[j]
+            iterations[i] = it
+            final[i], bounds[i] = x[j], float(np.trace(c[j] - rho[j] * u[j]))
+            if polish.get(i):
+                final[i], bounds[i] = polish[i][0], float(polish[i][1].sum())
         if len(keep) < len(live):
             live = [live[j] for j in keep]
             z, u, c, c_rho = z[keep], u[keep], c[keep], c_rho[keep]
@@ -234,8 +248,69 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
             psd_margin=margin,
             converged=stopped[i] and margin >= -linalg.PSD_TOL,
             iterations=iterations[i],
+            newton_steps=polish[i][3] if polish.get(i) else 0,
         ))
     return results
+
+
+def _polish(z, u, c, rho: float, free: np.ndarray, primal_tol: float, kkt: dict):
+    """(X, y, w, steps) from Newton's method on the KKT system of the face of
+    ADMM's Z, or None: diag(V V^T) = 1, (V V^T)_pq = 0 off the support and
+    S V = 0, S = Diag(y) + sum w_pq (E_pq + E_qp) - C, in V (n x r, r = rank
+    Z), y and w, from Z's top-r factor and C - rho U.  X = P_aff(V V^T)
+    passes when max|X - V V^T| < primal_tol (so lambda_min(X) >= -PSD_TOL),
+    S is PSD and |sum y - <C, X>| / max(1, |<C, X>|) <= ADMM_DUAL_TOL."""
+    n = len(z)
+    try:
+        vals, vecs = linalg._eigh(z)
+        r = int(linalg._rank(np.abs(vals)))
+        if r not in kkt:  # index arrays, once per rank and loop
+            # Constraint c fixes (V V^T)_ij, the diagonal then the pairs off the
+            # support, halved on the diagonal so that the Jacobian is symmetric:
+            # S on the blocks of V's columns blk, sign * V^T[gather] at (at, to)
+            # and (to, at), the columns (E_ij + E_ji) V, the gauge rows V^T dV = dV^T V.
+            p, q = np.nonzero(np.triu(~free, 1))
+            i, j = np.concatenate([np.arange(n), p]), np.concatenate([np.arange(n), q])
+            cc = np.tile(np.arange(len(i)), 2)
+            blk = np.arange(r * n).reshape(r, n)
+            ga, gb = np.triu_indices(r, 1)
+            gauge = np.repeat(blk.size + len(i) + np.arange(len(ga)), n)
+            gather = np.concatenate([blk[:, np.concatenate([j, i])].ravel(),
+                                     blk[ga].ravel(), blk[gb].ravel()])
+            at = np.concatenate([blk[:, np.concatenate([i, j])].ravel(), gauge, gauge])
+            to = np.concatenate([np.tile(blk.size + cc, r), blk[gb].ravel(), blk[ga].ravel()])
+            sign = np.repeat([1.0, -1.0], [len(gather) - len(gauge), len(gauge)])
+            kkt[r] = (blk, at, to, gather, sign, i * n + j, np.concatenate([i * n + j, j * n + i]),
+                      cc, i == j, 1.0 - 0.5 * (i == j))
+        blk, at, to, gather, sign, mu_at, s_at, s_mu, eq, half = kkt[r]
+        v = vecs[:, :r] * np.sqrt(vals[:r])
+        mu = (c - rho * u).reshape(-1)[mu_at]  # y, then w
+        with np.errstate(all="ignore"):  # a step that is not finite fails the checks
+            for steps in range(POLISH_STEPS + 1):
+                g = v @ v.T
+                g = 0.5 * (g + g.T)
+                s = np.zeros(n * n)
+                s[s_at] = mu[s_mu]
+                s = s.reshape(n, n) - c
+                f = np.concatenate([(s @ v).T.ravel(), half * (g.reshape(-1)[mu_at] - eq),
+                                    np.zeros(r * (r - 1) // 2)])  # and the gauge rows'
+                if steps == POLISH_STEPS or np.abs(f).max() < REFINE_STOP_TOL:
+                    break
+                jac = np.zeros((len(f), len(f)))
+                jac[blk[:, :, None], blk[:, None, :]] = s
+                jac[at, to] = jac[to, at] = sign * v.T.ravel()[gather]
+                step = np.linalg.solve(jac, -f)
+                v += step[:v.size].reshape(r, n).T
+                mu += step[v.size:v.size + len(mu)]
+            x = _affine_project(g, free)
+            objective = float((c * x).sum())
+            if (np.abs(x - g).max() < primal_tol
+                    and abs(mu[:n].sum() - objective) / max(1.0, abs(objective)) <= ADMM_DUAL_TOL
+                    and linalg.EigenDecomposition(*linalg._eigh(s)).is_psd(np.abs(s).max())):
+                return x, mu[:n], mu[n:], steps
+    except (np.linalg.LinAlgError, ConvergenceError):
+        pass
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +399,15 @@ _RETRY_STACK = 32
 @dataclass
 class AttemptRecord:
     """One transcript attempt, all scalars, so a transcript does not grow
-    with max_iter; the refinement residuals are the last half-step
-    residuals.  certified and certify_reason stay None unless refinement
-    converged, since only a converged refinement is certified."""
+    with max_iter; sdp_newton_steps is 0 unless the SDP's polish passed, and
+    the refinement residuals are the last half-step residuals.  certified
+    and certify_reason stay None unless refinement converged, since only a
+    converged refinement is certified."""
 
     index: int
     sdp_converged: bool
     sdp_iterations: int
+    sdp_newton_steps: int
     objective: float
     psd_margin: float
     sdp_duality_gap: float
@@ -395,6 +472,7 @@ def randomized_retry(
                 index=index,
                 sdp_converged=sdp.converged,
                 sdp_iterations=sdp.iterations,
+                sdp_newton_steps=sdp.newton_steps,
                 objective=sdp.objective,
                 psd_margin=sdp.psd_margin,
                 sdp_duality_gap=sdp.duality_gap,

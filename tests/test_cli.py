@@ -588,10 +588,13 @@ class TestSearchCommand:
         cone = geometry.load_cone(workdir / "run" / "pentagon_realization.cone")
         assert cone.n_rays == 5 and cone.dim == 3
 
-    def test_capped_sdp_is_refined_and_certified(self, workdir, capsys):
-        # At --max-iter 50 the pentagon's first SDP is cut before its stop
-        # rule and its matrix fails the PSD test; refinement still runs on
-        # it, and the realization it reaches is certified.
+    def test_capped_sdp_is_refined_and_certified(self, workdir, capsys, monkeypatch):
+        # With ADMM alone (the polish declines), at --max-iter 50 the
+        # pentagon's first SDP is cut before its stop rule and its matrix
+        # fails the PSD test; refinement still runs on it, and the
+        # realization it reaches is certified.  (Polished, that SDP stops
+        # at iteration 19; a cap below that also cuts refinement short.)
+        monkeypatch.setattr(search, "_polish", lambda *args: None)
         run_cli(capsys, "examples", "pentagon", "--out", ".")
         code, out, _ = run_cli(
             capsys, "search", "pentagon.support", "--rank", "3", "--max-iter", "50"
@@ -602,6 +605,14 @@ class TestSearchCommand:
         assert attempt["sdp_iterations"] == 50
         assert attempt["psd_margin"] < -linalg.PSD_TOL
         assert attempt["refine_converged"] and attempt["certified"]
+
+    def test_polished_sdp_refines_in_one_iteration(self, workdir, capsys):
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        code, out, _ = run_cli(capsys, "search", "pentagon.support", "--rank", "3")
+        assert code == 0
+        (attempt,) = json.loads(out)["attempts"]
+        assert attempt["sdp_converged"] and attempt["sdp_newton_steps"] >= 1
+        assert attempt["refine_iterations"] == 1 and attempt["certified"]
 
     def test_1000_point_support_ends_without_traceback(self, workdir, capsys):
         # Its involution search places 1 000 rows, past Python's default
@@ -987,7 +998,9 @@ def parse_faults():
         }
         for fault, header in [("header-fields", head + " 2"),
                               ("header-not-integer", "2.0" + head[1:]),
-                              ("header-negative", "-" + head)]:
+                              ("header-negative", "-" + head),
+                              ("header-underscore", "0_2" + head[1:]),
+                              ("header-arabic-indic", "\u0662" + head[1:])]:
             cases[fault] = (lines(header, *rows), f"{at}: bad header {header!r}")
         cases.update({
             "too-few-rows": (lines(head, rows[0]), f"{at}: expected 2 rows, found 1"),
@@ -996,6 +1009,10 @@ def parse_faults():
             "row-width": (lines(head, rows[0], wide), f"{at}: {wide_why}"),
             "bad-value": (lines(head, rows[0], bad), f"{at}: {bad_why}"),
         })
+        for fault, value in [("value-underscore", "1_0"), ("value-arabic-indic", "\u0661")]:
+            row = value + rows[1][1:] if kind == "support" else value + " 1"
+            why = bad_why if kind == "support" else f"bad value in {row!r}"
+            cases[fault] = (lines(head, rows[0], row), f"{at}: {why}")
         for fault, (content, message) in cases.items():
             yield pytest.param(kind, content, message, id=f"{kind}-{fault}")
 
@@ -1011,6 +1028,21 @@ class TestParseRefusals:
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert err == f"parse error: {message}\n"
         assert sorted(workdir.rglob("*")) == before
+
+    @pytest.mark.parametrize("kind", sorted(PARSE_KINDS))
+    def test_byte_order_mark_is_skipped(self, workdir, capsys, kind):
+        # A UTF-8 byte-order mark, as some editors write it, reads as the
+        # file without it.
+        name, argv, head, rows = PARSE_KINDS[kind]
+        text = "\n".join([head, *rows]) + "\n"
+        load = {"cone": lambda p: geometry.load_cone(p).generators,
+                "matrix": geometry.load_matrix, "support": geometry.load_support}[kind]
+        (workdir / name).write_text(text)
+        plain = load(workdir / name)
+        (workdir / name).write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert np.array_equal(load(workdir / name), plain)
+        _, _, err = run_cli(capsys, *argv)
+        assert "parse error" not in err
 
     @pytest.mark.parametrize("kind", sorted(PARSE_KINDS))
     def test_valid_file_passes_the_reader(self, workdir, capsys, kind):

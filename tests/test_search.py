@@ -605,9 +605,15 @@ def refine_bits(res) -> tuple:
             res.reason, res.iterations, res.converged)
 
 
+def declined(*args):
+    """A stand-in for search._polish that always declines."""
+    return None
+
+
 class TestLeanLoops:
     """The lean ADMM iterations and the lockstep refinement give the
-    iterates of the loops they replace, bit for bit."""
+    iterates of the loops they replace, bit for bit; with the polish
+    declining, the ADMM path is the oracle's."""
 
     @settings(max_examples=100, deadline=None)
     @given(weighted_supports(), st.sampled_from([1, 5, 40, 2000]), st.data())
@@ -617,8 +623,11 @@ class TestLeanLoops:
         d = draw.draw(st.integers(1, pattern.n))
         params = search.SearchParams(target_rank=d, max_iter=max_iter)
         c = search._objective_weights(on, weights)
-        sdps = search._sdp_loop(on, c, params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_polish", declined)
+            sdps = search._sdp_loop(on, c, params)
         expected = oracle_sdp_loop(on, c.copy(), params)
+        assert all(r.newton_steps == 0 for r in sdps)
         assert [sdp_bits(r) for r in sdps] == [sdp_bits(r) for r in expected]
         stack = np.stack([r.matrix for r in sdps])
         refined = search._refine_loop(stack, d, params, pattern)
@@ -626,6 +635,57 @@ class TestLeanLoops:
         oracle = [oracle_rank_refine(m, d, params, pattern) for m in stack]
         assert ([refine_bits(r) for r in refined] == [refine_bits(r) for r in alone]
                 == [refine_bits(r) for r in oracle])
+
+
+class TestPolish:
+    """A polished SDP result is certified by its own multipliers, which this
+    test checks without the package, and it agrees with ADMM where ADMM
+    alone converges too."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_supports())
+    def test_polished_result_is_certified(self, case):
+        pattern, weights = case
+        on = pattern.mask
+        params = search.SearchParams(target_rank=1)
+        polish = search._polish
+        for w in weights:
+            ran = []
+
+            def recorded(*args):
+                ran.append(polish(*args))
+                return ran[-1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_polish", recorded)
+                res = search.sdp_feasibility(pattern, w, params)
+            assert len(ran) <= 1
+            if not ran or ran[0] is None:
+                assert res.newton_steps == 0
+                continue
+            x, y, mult, steps = ran[0]
+            assert bits_of(res.matrix) == bits_of(x) and res.newton_steps == steps
+            assert res.converged and res.iterations <= params.max_iter
+            # Exact affine structure, and the primal bound the stop rule gives.
+            assert np.all(np.diag(x) == 1.0) and np.all(x[~on] == 0.0)
+            assert bits_of(x) == bits_of(x.T)
+            assert np.linalg.eigvalsh(x)[0] >= -linalg.PSD_TOL
+            # The dual slack S = Diag(y) + sum w_pq (E_pq + E_qp) - C is PSD, so
+            # sum y bounds <C, X'> for every feasible X', and X attains it.
+            c = np.where(on, 0.5 * (w + w.T), 0.0)
+            p, q = np.nonzero(np.triu(~on, 1))
+            slack = np.diag(y)
+            slack[p, q] = slack[q, p] = mult
+            slack -= c
+            assert np.linalg.eigvalsh(slack)[0] >= -linalg.PSD_TOL * np.abs(slack).max()
+            objective = float((c * x).sum())
+            gap = abs(float(y.sum()) - objective) / max(1.0, abs(objective))
+            assert gap <= 1e-8 and res.duality_gap == pytest.approx(gap, abs=1e-15)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "_polish", declined)
+                alone = search.sdp_feasibility(pattern, w, params)
+            if alone.converged:
+                assert np.abs(alone.matrix - x).max() <= 1e-7
 
 
 def each_projection(monkeypatch, check):
@@ -697,11 +757,15 @@ class TestLoopsProjectUnvalidated:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("call", [1, 3])
     def test_nonfinite_projection_stops_refinement(self, monkeypatch, bad, call):
+        # A polished SDP matrix refines in one iteration; the ADMM-only ones
+        # take several, so the third projection is still a refinement's.
         pattern = data.four_cycle_support()
         params = search.SearchParams(target_rank=3, seed=5)
         weights = np.random.default_rng(5).uniform(0.5, 1.5, size=(4, 4, 4))
-        sdps = search._sdp_loop(pattern.mask, search._objective_weights(pattern.mask, weights),
-                                params)
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "_polish", declined)
+            sdps = search._sdp_loop(pattern.mask,
+                                    search._objective_weights(pattern.mask, weights), params)
         calls = each_projection(monkeypatch, nonfinite_at(call, bad))
         with pytest.raises(PreconditionError, match="matrix entries must be finite"):
             search._refine_loop(np.stack([r.matrix for r in sdps]), 3, params, pattern)
@@ -875,6 +939,7 @@ def sequential_retry(pattern, params, verify_tol=geometry.DEFAULT_FACET_TOL):
             index=index,
             sdp_converged=sdp.converged,
             sdp_iterations=sdp.iterations,
+            sdp_newton_steps=sdp.newton_steps,
             objective=sdp.objective,
             psd_margin=sdp.psd_margin,
             sdp_duality_gap=sdp.duality_gap,
@@ -1092,24 +1157,37 @@ class TestStackedRetries:
         return shapes
 
     def test_one_refinement_projection_per_lockstep_iteration(self, monkeypatch):
-        # Four-cycle, seed 5: attempt 1 refines alone in 7 iterations, then
-        # the other 19 refine as one stack that shrinks as members stop, one
-        # projection call per iteration of the slowest (8), where one
-        # attempt at a time makes one per attempt iteration (94).
-        shapes = self._counted_projections(monkeypatch)
-        res = search.randomized_retry(
-            data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5))
+        # Four-cycle, seed 5, ADMM alone (the polish declines): attempt 1
+        # refines alone in 7 iterations, then the other 19 refine as one
+        # stack that shrinks as members stop, one projection call per
+        # iteration of the slowest (8), where one attempt at a time makes one
+        # per attempt iteration (94).
+        params = search.SearchParams(target_rank=3, seed=5)
+        with monkeypatch.context() as mp:
+            mp.setattr(search, "_polish", declined)
+            shapes = self._counted_projections(mp)
+            res = search.randomized_retry(data.four_cycle_support(), params)
         iterations = [a.refine_iterations for a in res.attempts]
         assert len(iterations) == 20 and iterations[0] == 7
         assert shapes["_refine_loop"] == [1] * 7 + [19, 15, 14, 13, 12, 11, 6, 4]
         assert len(shapes["_refine_loop"]) - 7 == max(iterations[1:]) == 8
         assert sum(iterations[1:]) == 94
-        # The pentagon wins at attempt 1: 65 SDP iterations, 9 refinements.
+        # Polished, every attempt refines in one iteration: one call for
+        # attempt 1, one for the stack of 19.
         shapes = self._counted_projections(monkeypatch)
-        res = search.randomized_retry(
-            data.pentagon_support(), search.SearchParams(target_rank=3, seed=5))
-        assert res.winning_attempt == 0
-        assert (len(shapes["_sdp_loop"]), len(shapes["_refine_loop"])) == (65, 9)
+        res = search.randomized_retry(data.four_cycle_support(), params)
+        assert [a.refine_iterations for a in res.attempts] == [1] * 20
+        assert all(a.sdp_newton_steps >= 1 for a in res.attempts)
+        assert shapes["_refine_loop"] == [1, 19]
+        # The pentagon wins at attempt 1: 65 SDP iterations and 9
+        # refinements with ADMM alone, 22 and 1 with the polish.
+        for polish, counts in ((declined, (65, 9)), (search._polish, (22, 1))):
+            with monkeypatch.context() as mp:
+                mp.setattr(search, "_polish", polish)
+                shapes = self._counted_projections(mp)
+                res = search.randomized_retry(data.pentagon_support(), params)
+            assert res.winning_attempt == 0
+            assert (len(shapes["_sdp_loop"]), len(shapes["_refine_loop"])) == counts
 
     def test_refinement_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
         # Every refinement stack of more than one attempt fails; the stack
