@@ -3,8 +3,8 @@
 Builds slack matrices of V-represented cones, decides self-duality through
 PSD slack scalings, certifies extreme rays of the doubly nonnegative cone,
 applies the structural completely-positive(-semidefinite) exclusions, and
-searches for self-dual realizations of combinatorial supports by first-order
-semidefinite feasibility plus alternating-projection rank refinement.
+searches for self-dual realizations of combinatorial supports by spectral and
+semidefinite starts, each finished by Gauss-Newton rank refinement.
 """
 
 __version__ = "0.1.0"

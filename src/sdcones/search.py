@@ -1,19 +1,17 @@
 """Semidefinite search for self-dual realizations of a combinatorial type.
 
-Pipeline: a strongly-involutive support check, a scaled-ADMM solver, which a
-Newton polish on the optimal face finishes when it can, for the semidefinite
-program
+Pipeline: a strongly-involutive support check, then attempts, each refined
+to rank d by Gauss-Newton and judged by certify, which extracts cone
+generators from the refined Gram matrix.  Attempt 0 starts from the
+support's spectral embedding and reads no seed; the later ones from a
+scaled-ADMM solution, which a Newton polish on the optimal face finishes
+when it can, of the semidefinite program at a random objective
 
     max sum c_ij X_ij   s.t.  X_ij = 0 off support,  X_ii = 1,  X PSD,
 
-whose generic optimum is a low-rank extreme point of the feasible set,
-randomized-objective retries, alternating-projection rank refinement, and
-extraction of cone generators from the refined Gram matrix; the SDP's PSD
-test reads linalg.PSD_TOL, the loops project with linalg._clip_project, and
-a stack that raises reruns one attempt at a time.  certify, the one gate a
-converged refinement passes, extracts a cone and judges it by
-selfdual.certify_slack, as analyze and certify_psd_slack do, so a failure
-only ever means "no realization found".
+whose generic optimum is a low-rank extreme point of the feasible set.
+certify, the one gate, judges a cone by selfdual.certify_slack, as analyze
+and certify_psd_slack do, so a failure only means "no realization found".
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ REFINE_STOP_TOL = 1e-12
 @dataclass
 class SearchParams:
     """The values `sdcones search` sets; the defaults reproduce the bundled
-    examples.  max_iter caps the SDP (sdp_iterations <= max_iter) and,
-    separately, refinement."""
+    examples.  max_iter caps only the SDP (sdp_iterations <= max_iter); the
+    spectral attempt 0 runs no SDP and reads neither max_iter nor seed."""
 
     target_rank: int
     max_iter: int = 2000
@@ -126,7 +124,7 @@ def _affine_project(x: np.ndarray, on: np.ndarray) -> np.ndarray:
 def _objective_weights(on: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weights symmetrized and restricted to the support, of one weight
     matrix or of each matrix of a stack."""
-    return np.where(on, 0.5 * (weights + weights.swapaxes(-1, -2)), 0.0)
+    return np.where(on, 0.5 * weights + 0.5 * weights.swapaxes(-1, -2), 0.0)
 
 
 def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> SdpResult:
@@ -174,8 +172,8 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     the iterates and the result it would get alone, bit for bit.  C / rho is
     kept until rho changes, and the dual residual is measured only where it
     is read: on a balancing iteration or once a primal residual is below
-    POLISH_AT.  Once every attempt has left, one more stacked eigenvalue
-    read, not counted as an iteration, measures each returned psd_margin.
+    POLISH_AT or primal_tol.  Once every attempt has left, one more stacked
+    eigenvalue read, not counted as an iteration, measures each psd_margin.
     """
     n = on.shape[0]
     k = c.shape[0]
@@ -205,7 +203,7 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
         if not all(map(math.isfinite, primal)):
             raise PreconditionError("matrix entries must be finite")
         balance = it % ADMM_BALANCE_EVERY == 0
-        if balance or min(primal) < POLISH_AT:
+        if balance or min(primal) < max(POLISH_AT, primal_tol):
             change = np.abs(z_next - z).max(axis=(-2, -1)).tolist()
         z = z_next
         keep = []
@@ -269,8 +267,7 @@ def _polish(z, u, c, rho: float, free: np.ndarray, primal_tol: float, kkt: dict)
             # support, halved on the diagonal so that the Jacobian is symmetric:
             # S on the blocks of V's columns blk, sign * V^T[gather] at (at, to)
             # and (to, at), the columns (E_ij + E_ji) V, the gauge rows V^T dV = dV^T V.
-            p, q = np.nonzero(np.triu(~free, 1))
-            i, j = np.concatenate([np.arange(n), p]), np.concatenate([np.arange(n), q])
+            i, j = _equations(free)
             cc = np.tile(np.arange(len(i)), 2)
             blk = np.arange(r * n).reshape(r, n)
             ga, gb = np.triu_indices(r, 1)
@@ -314,95 +311,111 @@ def _polish(z, u, c, rho: float, free: np.ndarray, primal_tol: float, kkt: dict)
 
 
 # ---------------------------------------------------------------------------
-# Rank refinement by alternating projections.
+# Rank refinement by Gauss-Newton on the rank-d factor.
 # ---------------------------------------------------------------------------
+
+# The odd 201-gon's spectral start raises max|F| for two steps (0.49 -> 3.9
+# -> 0.87 -> 0.14), so a patience of 2 fails it; no converged refinement in
+# the sweep of CHANGES.md took more than 9 steps.
+REFINE_STEPS = 20
+REFINE_PATIENCE = 3
+
+
+def _equations(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the equations (V V^T)_ij = [i == j] of a realization's
+    factor V: the diagonal, then the pairs off the support (free, the
+    support off the diagonal), i < j."""
+    n = len(free)
+    p, q = np.nonzero(np.triu(~free, 1))
+    return np.concatenate([np.arange(n), p]), np.concatenate([np.arange(n), q])
+
 
 @dataclass
 class RefineResult:
     matrix: np.ndarray
     converged: bool
     iterations: int
-    rank_residuals: list[float]
-    affine_residuals: list[float]
+    residuals: list[float]
     reason: str | None = None
 
 
-def rank_refine(x, d: int, params: SearchParams, pattern: SupportPattern) -> RefineResult:
-    """Alternate the rank-d spectral truncation with exact reimposition of
-    the support zeros and the unit diagonal: _refine_loop on a stack of one.
-
-    Converges when both half-step residuals fall below REFINE_STOP_TOL;
-    otherwise the reason is "stagnation" (the residual has not improved by
-    1e-16 over 100 iterations) or "max_iter".  The returned matrix is the
-    last affine projection, with an exact unit diagonal and exact zeros off
-    the support.  Refinement judges nothing else: certify decides whether
-    the matrix realizes the pattern.  A converged matrix equals L + E with L
-    PSD of rank <= d and max|E| < REFINE_STOP_TOL, so by Weyl's inequality
-    every eigenvalue past the d-th is within n * REFINE_STOP_TOL of 0.
+def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
+    """Gauss-Newton (Nocedal & Wright 2006, section 10.3) on the equations
+    F(V) = 0 of _equations, from x's top-d factor V (n x d): each step is the
+    minimum-norm solution of J dV = -F, through the smaller of J J^T and
+    J^T J, assembled from J's nonzeros.  It converges once max|F| <
+    REFINE_STOP_TOL, else stops on "stagnation" (REFINE_PATIENCE steps
+    without a new minimum of max|F|, a step that is not finite, or a singular
+    J J^T) or "step cap" (REFINE_STEPS steps); residuals holds max|F| before
+    each step and after the last.  The returned P_aff(V V^T) has an exact
+    unit diagonal and zeros off the support, and is V V^T + E, max|E| =
+    max|F|: converged, its eigenvalues past the d-th are within
+    n * REFINE_STOP_TOL of 0 (Weyl).  certify alone judges it.
     """
-    a = linalg.require_symmetric(x)
-    if a.shape[0] != pattern.n:
+    a = linalg._symmetric(x)
+    n = pattern.n
+    if a.shape[0] != n:
         raise PreconditionError("matrix and support sizes disagree")
-    return _refine_loop(a[None], d, params, pattern)[0]
-
-
-def _refine_loop(stack: np.ndarray, d: int, params: SearchParams, pattern: SupportPattern) -> list:
-    """rank_refine on each matrix of a (k, n, n) stack of symmetric matrices
-    in lockstep, one linalg._clip_project call per iteration after one check
-    of d; each member leaves the stack on its own stop rule and gets the
-    iterates it would get alone, bit for bit."""
-    linalg._target_rank(d, pattern.n)
-    free = pattern.mask > _identity(pattern.n)  # the support off the diagonal
-    results: list = [None] * len(stack)
-    live = list(range(len(stack)))  # the members still in the stack, in stack order
-    rank_res, aff_res = [[] for _ in live], [[] for _ in live]
-    y = _affine_project(stack, free)
-    it = 0
-    while live:
-        it += 1
-        low = linalg._clip_project(y, d)
-        r_ranks = np.abs(y - low).max(axis=(-2, -1)).tolist()
-        if not all(map(math.isfinite, r_ranks)):
-            raise PreconditionError("matrix entries must be finite")
-        y = _affine_project(low, free)
-        r_affs = np.abs(y - low).max(axis=(-2, -1)).tolist()
-        keep = []
-        for j, (r_rank, r_aff) in enumerate(zip(r_ranks, r_affs)):
-            i = live[j]
-            ranks, affs = rank_res[i], aff_res[i]
-            ranks.append(r_rank)
-            affs.append(r_aff)
-            if r_rank < REFINE_STOP_TOL and r_aff < REFINE_STOP_TOL:
-                results[i] = RefineResult(y[j], True, it, ranks, affs)
-            elif it > 100 and max(ranks[-101], affs[-101]) - max(r_rank, r_aff) < 1e-16:
-                results[i] = RefineResult(y[j], False, it, ranks, affs, reason="stagnation")
-            elif it == params.max_iter:
-                results[i] = RefineResult(y[j], False, it, ranks, affs, reason="max_iter")
-            else:
-                keep.append(j)
-        if len(keep) < len(live):
-            live = [live[j] for j in keep]
-            y = y[keep]
-    return results
+    d = linalg._target_rank(d, n)
+    v = linalg.EigenDecomposition(*linalg._eigh(a)).factor(d)
+    free = pattern.mask > _identity(n)
+    i, j = _equations(free)
+    m = len(i)
+    # Row (i, j) of J holds V_j in node i's block and V_i in node j's: slot s
+    # of the 2m is one of the two, in row eq[s], at node ends[s], V[other[s]].
+    ends, other, eq = np.concatenate([i, j]), np.concatenate([j, i]), np.tile(np.arange(m), 2)
+    residuals, reason, pairs = [], None, None
+    with np.errstate(all="ignore"):  # a step that is not finite stagnates
+        for step in range(REFINE_STEPS + 1):
+            g = v @ v.T
+            f = g[i, j] - (i == j)
+            residuals.append(float(np.abs(f).max()))
+            if residuals[-1] < REFINE_STOP_TOL:
+                break
+            stalled = step - int(np.argmin(residuals)) >= REFINE_PATIENCE
+            if stalled or not math.isfinite(residuals[-1]):
+                reason = "stagnation"
+                break
+            if step == REFINE_STEPS:
+                reason = "step cap"
+                break
+            try:
+                if m <= n * d:  # J J^T: <V_other[s], V_other[t]> of the slot pairs at a node
+                    s, t = pairs = pairs or np.nonzero(ends[:, None] == ends)
+                    jjt = np.bincount(eq[s] * m + eq[t], g[other[s], other[t]], m * m)
+                    y = np.linalg.solve(jjt.reshape(m, m), f)
+                    dv = np.zeros((n, d))
+                    np.add.at(dv, ends, y[eq, None] * v[other])  # J^T y
+                else:  # J^T J from J itself, which has fewer columns than rows
+                    jac = np.zeros((m, n * d))
+                    np.add.at(jac, (eq[:, None], ends[:, None] * d + np.arange(d)), v[other])
+                    dv = np.linalg.lstsq(jac.T @ jac, jac.T @ f)[0].reshape(n, d)
+            except np.linalg.LinAlgError:
+                reason = "stagnation"
+                break
+            v = v - dv
+    matrix = _affine_project(0.5 * (g + g.T), free)
+    return RefineResult(matrix, reason is None, len(residuals) - 1, residuals, reason)
 
 
 # ---------------------------------------------------------------------------
 # Randomized retries.
 # ---------------------------------------------------------------------------
 
-# Attempts after the first run in stacks of at most this many: each SDP
-# iteration then makes one eigendecomposition call for the whole stack, and
-# a large retry count never allocates one (n, n) array per attempt at once.
+# The SDP attempts run in stacks of at most this many: each SDP iteration
+# then makes one eigendecomposition call for the whole stack, and a large
+# retry count never allocates one (n, n) array per attempt at once.
 _RETRY_STACK = 32
 
 
 @dataclass
 class AttemptRecord:
     """One transcript attempt, all scalars, so a transcript does not grow
-    with max_iter; sdp_newton_steps is 0 unless the SDP's polish passed, and
-    the refinement residuals are the last half-step residuals.  certified
-    and certify_reason stay None unless refinement converged, since only a
-    converged refinement is certified."""
+    with max_iter.  sdp_newton_steps is 0 unless the polish passed; the
+    spectral attempt 0 runs no SDP (0 iterations, sdp_converged false, NaN
+    or JSON null objective, psd_margin and sdp_duality_gap).  Refinement
+    leaves refine_rank_residual 0 and refine_affine_residual its last max|F|;
+    certified and certify_reason stay None unless it converged."""
 
     index: int
     sdp_converged: bool
@@ -438,76 +451,64 @@ def randomized_retry(
     params: SearchParams,
     verify_tol: float = geometry.DEFAULT_FACET_TOL,
 ) -> RetryResult:
-    """Run the feasibility solver with random positive weights, retrying with
-    fresh weights until an attempt yields a certified realization.
+    """Refine a spectral start, then SDP results with random objectives,
+    until an attempt yields a certified realization.
 
-    Weights are drawn uniformly from [0.5, 1.5); the stream is owned by this
-    call and seeded from params.seed, so identical inputs give identical
-    transcripts.
+    Attempt 0 refines X0 = I + A / 2 (A the support off the diagonal; one
+    ADMM iteration from Z = I at all-ones weights), whose top-d eigenvectors
+    embed the support (Koren 2005): a cycle-like support's embedding is the
+    regular polygon.  It draws nothing, so it does not depend on params.seed.
+    The later attempts solve the SDP at weights drawn uniformly from
+    [0.5, 1.5), from a stream seeded by params.seed (_starts).
 
-    Every attempt's SDP matrix is refined, whether or not the SDP converged:
-    refinement needs no PSD start, so a max_iter that cuts the SDP short can
-    still certify.  Every converged refinement goes through certify, the one
-    gate, which extracts a cone and verifies it against the pattern at
-    verify_tol; a refined matrix need not be a slack matrix at all, so only a
-    verified cone ends the retries.  The winning attempt's
-    realization and verification report come back with the result.
-
-    Attempt 1 runs alone, the rest in stacks of up to _RETRY_STACK that are
-    solved and refined in lockstep (_solve_stack).  A stack's weights are the
-    same draws from the stream as one (n, n) draw per attempt, and its
-    attempts are recorded and certified in index order up to the first
-    certified one, so the transcript is the one a loop of one sdp_feasibility
-    and one rank_refine call per attempt writes.
+    Every attempt is refined through rank_refine, whether or not its SDP
+    converged: refinement needs no PSD start and max_iter does not cap it.
+    Every converged refinement goes through certify, the one gate, at
+    verify_tol; only a verified cone ends the retries, and its realization
+    and report come back with the result.
     """
-    rng = np.random.default_rng(params.seed)
-    n = pattern.n
     attempts: list[AttemptRecord] = []
-    index = 0
-    while index < params.retries:
-        k = min(_RETRY_STACK, params.retries - index) if index else 1
-        weights = rng.uniform(0.5, 1.5, size=(k, n, n))
-        for sdp, refined in _solve_stack(pattern, weights, params):
-            record = AttemptRecord(
-                index=index,
-                sdp_converged=sdp.converged,
-                sdp_iterations=sdp.iterations,
-                sdp_newton_steps=sdp.newton_steps,
-                objective=sdp.objective,
-                psd_margin=sdp.psd_margin,
-                sdp_duality_gap=sdp.duality_gap,
-                refine_converged=refined.converged,
-                refine_iterations=refined.iterations,
-                refine_reason=refined.reason,
-                refine_rank_residual=refined.rank_residuals[-1],
-                refine_affine_residual=refined.affine_residuals[-1],
-            )
-            attempts.append(record)
-            index += 1
-            if refined.converged:
-                real, report, record.certify_reason = certify(
-                    refined.matrix, pattern, params.target_rank, verify_tol)
-                record.certified = real is not None
-                if record.certified:
-                    return RetryResult(refined.matrix, True, attempts, real, report)
+    for index, sdp in enumerate(_starts(pattern, params)):
+        refined = rank_refine(sdp.matrix, params.target_rank, pattern)
+        record = AttemptRecord(
+            index=index,
+            sdp_converged=sdp.converged,
+            sdp_iterations=sdp.iterations,
+            sdp_newton_steps=sdp.newton_steps,
+            objective=sdp.objective,
+            psd_margin=sdp.psd_margin,
+            sdp_duality_gap=sdp.duality_gap,
+            refine_converged=refined.converged,
+            refine_iterations=refined.iterations,
+            refine_reason=refined.reason,
+            refine_rank_residual=0.0,
+            refine_affine_residual=refined.residuals[-1],
+        )
+        attempts.append(record)
+        if refined.converged:
+            real, report, record.certify_reason = certify(
+                refined.matrix, pattern, params.target_rank, verify_tol)
+            record.certified = real is not None
+            if record.certified:
+                return RetryResult(refined.matrix, True, attempts, real, report)
     return RetryResult(matrix=None, success=False, attempts=attempts)
 
 
-def _solve_stack(pattern: SupportPattern, weights: np.ndarray, params: SearchParams):
-    """(SDP result, refinement) per attempt of a (k, n, n) stack of weight
-    draws, in index order, from _sdp_loop and _refine_loop.  A stack of one,
-    or one that raises in either step, runs lazily one attempt at a time, so
-    an error surfaces at its own attempt and every other attempt gets the
-    bits the stack would have given it."""
-    d = params.target_rank
-    if len(weights) > 1:
+def _starts(pattern: SupportPattern, params: SearchParams):
+    """randomized_retry's starts, lazily, as SDP results: X0, then one per
+    weight draw, in stacks of up to _RETRY_STACK draws (the same draws as one
+    (n, n) draw per attempt).  A stack that raises reruns one attempt at a
+    time, so an error surfaces at its own attempt, every other bit unchanged."""
+    n = pattern.n
+    x0 = _affine_project(np.full((n, n), 0.5), pattern.mask > _identity(n))
+    yield SdpResult(x0, math.nan, math.nan, math.nan, False, 0)
+    rng = np.random.default_rng(params.seed)
+    for index in range(1, params.retries, _RETRY_STACK):
+        weights = rng.uniform(0.5, 1.5, size=(min(_RETRY_STACK, params.retries - index), n, n))
         try:
-            sdps = _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
-            return zip(sdps, _refine_loop(np.stack([s.matrix for s in sdps]), d, params, pattern))
+            yield from _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
         except (ConvergenceError, PreconditionError):
-            pass
-    sdps = (sdp_feasibility(pattern, w, params) for w in weights)
-    return ((s, rank_refine(s.matrix, d, params, pattern)) for s in sdps)
+            yield from (sdp_feasibility(pattern, w, params) for w in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +605,12 @@ def run_pipeline(
     params: SearchParams,
     verify_tol: float = geometry.DEFAULT_FACET_TOL,
 ) -> PipelineResult:
-    """Full search: involution check, randomized SDP retries with refinement,
-    extraction, verification.
+    """Full search: involution check, then randomized_retry's attempts.
 
     An attempt only counts as a success once its realization passes
     verification, so a reported failure always means "no certified
-    realization found", never a silent acceptance.  A target rank above the
-    support size raises PreconditionError before any SDP runs.
+    realization found".  A target rank above the support size raises
+    PreconditionError before any attempt runs.
     """
     sigma = sisd_check(support)
     if sigma is None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from sdcones import data, geometry, linalg, patterns
+from sdcones import data, geometry, linalg, patterns, search
 from sdcones.errors import PreconditionError
 
 # Property tests draw the same examples on every run and keep no example
@@ -105,6 +105,25 @@ def shuffled_cycle_complement(n: int) -> np.ndarray:
     i = np.arange(n)
     s[i, (i + 1) % n] = s[(i + 1) % n, i] = 0
     return s[:, np.random.default_rng(0).permutation(n)]
+
+
+def spectral_start(pattern) -> np.ndarray:
+    """X0 = I + A / 2, A the support off the diagonal: the matrix the
+    spectral attempt of a search refines."""
+    return np.eye(pattern.n) + 0.5 * (pattern.mask & ~np.eye(pattern.n, dtype=bool))
+
+
+def decline_spectral_attempt(monkeypatch) -> None:
+    """Make rank_refine report no convergence on the spectral start, so a
+    search's attempt 0 fails and its SDP attempts run."""
+    refine = search.rank_refine
+
+    def declined(x, d, pattern):
+        res = refine(x, d, pattern)
+        res.converged = res.converged and not np.array_equal(x, spectral_start(pattern))
+        return res
+
+    monkeypatch.setattr(search, "rank_refine", declined)
 
 
 def stacked_products(gens: np.ndarray, normals: np.ndarray) -> np.ndarray:

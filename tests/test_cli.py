@@ -15,6 +15,7 @@ from sdcones import __version__, selfdual
 from sdcones.errors import PreconditionError
 
 from conftest import (
+    decline_spectral_attempt,
     equal_up_to_scaling,
     loop_extreme_mask,
     loop_extreme_rays,
@@ -589,37 +590,100 @@ class TestSearchCommand:
         assert cone.n_rays == 5 and cone.dim == 3
 
     def test_capped_sdp_is_refined_and_certified(self, workdir, capsys, monkeypatch):
-        # With ADMM alone (the polish declines), at --max-iter 50 the
-        # pentagon's first SDP is cut before its stop rule and its matrix
-        # fails the PSD test; refinement still runs on it, and the
-        # realization it reaches is certified.  (Polished, that SDP stops
-        # at iteration 19; a cap below that also cuts refinement short.)
+        # With the spectral attempt declined and ADMM alone (the polish
+        # declines), at --max-iter 50 the pentagon's first SDP is cut before
+        # its stop rule and its matrix fails the PSD test; refinement still
+        # runs on it, and the realization it reaches is certified.
+        decline_spectral_attempt(monkeypatch)
         monkeypatch.setattr(search, "_polish", lambda *args: None)
         run_cli(capsys, "examples", "pentagon", "--out", ".")
         code, out, _ = run_cli(
             capsys, "search", "pentagon.support", "--rank", "3", "--max-iter", "50"
         )
         assert code == 0
-        (attempt,) = json.loads(out)["attempts"]
+        spectral, attempt = json.loads(out)["attempts"]
+        assert spectral["sdp_iterations"] == 0 and not spectral["refine_converged"]
         assert not attempt["sdp_converged"]
         assert attempt["sdp_iterations"] == 50
         assert attempt["psd_margin"] < -linalg.PSD_TOL
         assert attempt["refine_converged"] and attempt["certified"]
 
-    def test_polished_sdp_refines_in_one_iteration(self, workdir, capsys):
+    def test_capped_retry_refines_after_the_spectral_attempt_fails(self, workdir, capsys,
+                                                                   monkeypatch):
+        # --max-iter 18 cuts the pentagon's first SDP one iteration before
+        # its polish (seed 0); refinement does not read the cap, so the
+        # retry still refines and certifies.
+        decline_spectral_attempt(monkeypatch)
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        code, out, _ = run_cli(capsys, "search", "pentagon.support", "--rank", "3",
+                               "--seed", "0", "--max-iter", "18")
+        assert code == 0
+        _, attempt = json.loads(out)["attempts"]
+        assert (attempt["sdp_converged"], attempt["sdp_iterations"]) == (False, 18)
+        assert attempt["refine_converged"] and attempt["certified"]
+
+    def test_max_iter_does_not_cap_refinement(self, workdir, capsys):
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        code, out, _ = run_cli(capsys, "search", "pentagon.support", "--rank", "3",
+                               "--seed", "0", "--max-iter", "18")
+        assert code == 0
+        (attempt,) = json.loads(out)["attempts"]
+        assert attempt["certified"]
+
+    def test_polished_sdp_needs_no_refinement_step(self, workdir, capsys, monkeypatch):
+        # A polished SDP result is already rank d and feasible to rounding.
+        decline_spectral_attempt(monkeypatch)
         run_cli(capsys, "examples", "pentagon", "--out", ".")
         code, out, _ = run_cli(capsys, "search", "pentagon.support", "--rank", "3")
         assert code == 0
-        (attempt,) = json.loads(out)["attempts"]
+        _, attempt = json.loads(out)["attempts"]
         assert attempt["sdp_converged"] and attempt["sdp_newton_steps"] >= 1
-        assert attempt["refine_iterations"] == 1 and attempt["certified"]
+        assert attempt["refine_iterations"] == 0 and attempt["certified"]
+
+    def test_spectral_attempt_reads_no_seed(self, workdir, capsys):
+        # Attempt 0 draws nothing from the stream: every seed writes the same
+        # transcript apart from its params.
+        run_cli(capsys, "examples", "prism", "--out", ".")
+        transcripts = []
+        for seed in ("0", "7", "123456789"):
+            code, out, _ = run_cli(capsys, "search", "prism.support", "--rank", "4",
+                                   "--seed", seed)
+            assert code == 0
+            transcript = json.loads(out)
+            assert transcript.pop("params")["seed"] == int(seed)
+            transcripts.append(transcript)
+        assert transcripts[0] == transcripts[1] == transcripts[2]
+        (attempt,) = transcripts[0]["attempts"]
+        assert (attempt["index"], attempt["sdp_iterations"], attempt["sdp_converged"]) == (
+            0, 0, False)
+        assert attempt["objective"] is attempt["psd_margin"] is None
+        assert attempt["refine_rank_residual"] == 0.0
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    @pytest.mark.parametrize("k", [25, 27, 31, 51, 101])
+    def test_large_odd_gon_wins_at_the_spectral_attempt(self, workdir, capsys, k, seed):
+        # Each call took 3-60 ms on a 2-vCPU host; the SDP attempts alone
+        # lost the 25-gon at every seed 0-9 after 20 attempts (about 1.2 s).
+        polygon = geometry.cone_over_polytope(data.regular_polygon_vertices(k))
+        bits = patterns.support_of(geometry.slack_matrix(polygon).matrix).astype(np.uint8)
+        search.save_support(workdir / "g.support", bits)
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "search", "g.support", "--rank", "3", "--seed", seed)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        (attempt,) = json.loads(out)["attempts"]
+        assert attempt["index"] == 0 and attempt["certified"]
 
     def test_1000_point_support_ends_without_traceback(self, workdir, capsys):
         # Its involution search places 1 000 rows, past Python's default
-        # recursion limit; one short attempt keeps the n = 1 000 SDP brief.
+        # recursion limit; its one attempt, the spectral start, stops after
+        # REFINE_PATIENCE Gauss-Newton steps that raise max|F|.  The call took
+        # 0.6 s on a 2-vCPU host.
         search.save_support(workdir / "c.support", shuffled_cycle_complement(1000))
+        start = time.perf_counter()
         code, _, err = run_cli(capsys, "search", "c.support", "--rank", "3",
                                "--max-iter", "1", "--retries", "1")
+        assert time.perf_counter() - start <= 2.0
         assert code in (cli.EXIT_PRECONDITION, cli.EXIT_NO_CONVERGENCE)
         assert "Traceback" not in err
 
@@ -651,6 +715,13 @@ class TestSearchCommand:
             assert "nonnegative" not in attempt
             assert attempt["refine_converged"] is True
             assert attempt["certified"] is False
+        # The spectral start I + A / 2 is nonnegative and already rank 3, but
+        # its cone is not self-dual; every SDP attempt refines to a matrix
+        # with a negative entry.
+        spectral, *retries = transcript["attempts"]
+        assert spectral["certify_reason"].startswith(
+            "verification failed: dual generators do not match primal generators")
+        for attempt in retries:
             assert attempt["certify_reason"] == (
                 "extraction failed: matrix must be entrywise nonnegative")
 
@@ -658,6 +729,8 @@ class TestSearchCommand:
         search.save_support(workdir / "p.support", data.pentagon_support().bits)
         code, _, _ = run_cli(capsys, "search", "p.support", "--rank", "3", "--out", "o")
         assert code == 0 and (workdir / "o" / "p_realization.cone").exists()
+        # The same stem, now a support with no rank-3 realization.
+        search.save_support(workdir / "p.support", data.four_cycle_support().bits)
         code, _, _ = run_cli(
             capsys, "search", "p.support", "--rank", "3", "--retries", "1",
             "--max-iter", "1", "--out", "o",

@@ -7,6 +7,7 @@ import math
 import pickle
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from scipy.sparse import csgraph
 from sdcones import analysis, data, dnn, geometry, linalg, patterns, search, selfdual
 from sdcones.errors import ConvergenceError, ParseError, PreconditionError
 
-from conftest import equal_up_to_scaling, shuffled_cycle_complement
+from conftest import (
+    decline_spectral_attempt,
+    equal_up_to_scaling,
+    shuffled_cycle_complement,
+    spectral_start,
+)
 
 
 def brute_force_sisd(s: np.ndarray):
@@ -430,6 +436,20 @@ class TestSdpFeasibility:
         assert res.objective == pytest.approx(optimum, rel=1e-8)
         assert res.objective == pytest.approx(float(res.matrix.sum()), rel=1e-15)
 
+    @pytest.mark.parametrize("bits,weights", [
+        (np.ones((1, 1)), np.full((1, 1), 9e307)),
+        (np.eye(3), np.diag([9e307, 1.0, 1.0]) + 1.0 - np.eye(3)),
+    ], ids=["one-point", "diagonal"])
+    def test_huge_weights_do_not_overflow(self, bits, weights):
+        # Symmetrizing halves before it adds, so w + w^T no longer overflows
+        # to inf for weights of 9e307; the objective is finite here, so the
+        # run raises nothing and warns of nothing.
+        pattern = search.SupportPattern(bits.astype(np.uint8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = search.sdp_feasibility(pattern, weights, search.SearchParams(target_rank=1))
+        assert res.converged and res.objective == pytest.approx(weights.trace())
+
     def test_weights_validated(self):
         pattern = data.pentagon_support()
         params = search.SearchParams(target_rank=3)
@@ -502,8 +522,8 @@ class TestAdmmProperties:
             assert (res.converged, res.iterations) == (alone.converged, alone.iterations)
 
 
-# -- the ADMM and refinement loops before lean iterations and lockstep
-# -- refinement, kept as oracles ---------------------------------------------
+# -- the ADMM loop before lean iterations, and rank refinement by alternating
+# -- projections before Gauss-Newton, kept as oracles -------------------------
 
 def oracle_stacked_affine_project(x, on):
     y = np.zeros(x.shape)
@@ -574,35 +594,30 @@ def oracle_sdp_loop(on, c, params):
     return results
 
 
-def oracle_rank_refine(x, d, params, pattern):
-    """search.rank_refine as it was: one matrix at a time."""
+def oracle_rank_refine(x, d, pattern, max_iter=2000):
+    """Rank refinement by alternating projections, as search.rank_refine was:
+    the rank-d truncation alternated with the affine projection until both
+    half-step residuals are below REFINE_STOP_TOL, 100 iterations gain less
+    than 1e-16, or max_iter.  Returns (matrix, converged)."""
     a = linalg.require_symmetric(x)
     on = pattern.mask
     y = oracle_stacked_affine_project(a, on)
-    rank_res, aff_res = [], []
-    for it in range(1, params.max_iter + 1):
+    history = []
+    for it in range(1, max_iter + 1):
         low = linalg.low_rank_project(y, d)
         r_rank = float(np.abs(y - low).max())
-        z = oracle_stacked_affine_project(low, on)
-        r_aff = float(np.abs(z - low).max())
-        rank_res.append(r_rank)
-        aff_res.append(r_aff)
-        y = z
-        if r_rank < search.REFINE_STOP_TOL and r_aff < search.REFINE_STOP_TOL:
-            return search.RefineResult(y, True, it, rank_res, aff_res)
-        if it > 100 and max(rank_res[-101], aff_res[-101]) - max(r_rank, r_aff) < 1e-16:
-            return search.RefineResult(y, False, it, rank_res, aff_res, reason="stagnation")
-    return search.RefineResult(y, False, params.max_iter, rank_res, aff_res, reason="max_iter")
+        y = oracle_stacked_affine_project(low, on)
+        history.append(max(r_rank, float(np.abs(y - low).max())))
+        if history[-1] < search.REFINE_STOP_TOL:
+            return y, True
+        if it > 100 and history[-101] - history[-1] < 1e-16:
+            break
+    return y, False
 
 
 def sdp_bits(res) -> tuple:
     return (bits_of(res.matrix), bits_of(res.objective), bits_of(res.duality_gap),
             bits_of(res.psd_margin), res.iterations, res.converged)
-
-
-def refine_bits(res) -> tuple:
-    return (bits_of(res.matrix), bits_of(res.rank_residuals), bits_of(res.affine_residuals),
-            res.reason, res.iterations, res.converged)
 
 
 def declined(*args):
@@ -611,17 +626,15 @@ def declined(*args):
 
 
 class TestLeanLoops:
-    """The lean ADMM iterations and the lockstep refinement give the
-    iterates of the loops they replace, bit for bit; with the polish
-    declining, the ADMM path is the oracle's."""
+    """The lean ADMM iterations give the iterates of the loop they replace,
+    bit for bit, with the polish declining or never triggered."""
 
     @settings(max_examples=100, deadline=None)
-    @given(weighted_supports(), st.sampled_from([1, 5, 40, 2000]), st.data())
-    def test_bitwise_equal_to_the_oracles(self, case, max_iter, draw):
+    @given(weighted_supports(), st.sampled_from([1, 5, 40, 2000]))
+    def test_bitwise_equal_to_the_oracles(self, case, max_iter):
         pattern, weights = case
         on = pattern.mask
-        d = draw.draw(st.integers(1, pattern.n))
-        params = search.SearchParams(target_rank=d, max_iter=max_iter)
+        params = search.SearchParams(target_rank=1, max_iter=max_iter)
         c = search._objective_weights(on, weights)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_polish", declined)
@@ -629,12 +642,21 @@ class TestLeanLoops:
         expected = oracle_sdp_loop(on, c.copy(), params)
         assert all(r.newton_steps == 0 for r in sdps)
         assert [sdp_bits(r) for r in sdps] == [sdp_bits(r) for r in expected]
-        stack = np.stack([r.matrix for r in sdps])
-        refined = search._refine_loop(stack, d, params, pattern)
-        alone = [search.rank_refine(m, d, params, pattern) for m in stack]
-        oracle = [oracle_rank_refine(m, d, params, pattern) for m in stack]
-        assert ([refine_bits(r) for r in refined] == [refine_bits(r) for r in alone]
-                == [refine_bits(r) for r in oracle])
+
+    @settings(max_examples=50, deadline=None)
+    @given(weighted_supports(), st.sampled_from([1, 5, 40, 2000]))
+    def test_polish_at_zero_is_the_oracle(self, case, max_iter):
+        # With POLISH_AT at 0 no polish triggers and the dual residual is
+        # measured only where the stop test or a balancing step reads it.
+        pattern, weights = case
+        on = pattern.mask
+        params = search.SearchParams(target_rank=1, max_iter=max_iter)
+        c = search._objective_weights(on, weights)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "POLISH_AT", 0.0)
+            sdps = search._sdp_loop(on, c, params)
+        expected = oracle_sdp_loop(on, c.copy(), params)
+        assert [sdp_bits(r) for r in sdps] == [sdp_bits(r) for r in expected]
 
 
 class TestPolish:
@@ -718,9 +740,10 @@ def nonfinite_at(call: int, bad: float):
 
 
 class TestLoopsProjectUnvalidated:
-    """The loops call linalg._clip_project, which checks nothing: their
-    iterates are exactly symmetric and finite by construction, and a
-    residual that is not finite stops them with the projections' error."""
+    """ADMM calls linalg._clip_project, which checks nothing: its iterates
+    are exactly symmetric and finite by construction, and a residual that is
+    not finite stops it with the projections' error.  Refinement's matrices
+    are exactly symmetric too, and a step that is not finite stops it."""
 
     @settings(max_examples=60, deadline=None)
     @given(weighted_supports(), st.sampled_from([1, 5, 40, 2000]), st.data())
@@ -739,8 +762,11 @@ class TestLoopsProjectUnvalidated:
         with pytest.MonkeyPatch.context() as mp:
             calls = each_projection(mp, symmetric)
             sdps = search._sdp_loop(on, search._objective_weights(on, weights), params)
-            search._refine_loop(np.stack([r.matrix for r in sdps]), d, params, pattern)
-        assert len(calls) >= 2
+        assert len(calls) >= 1
+        for sdp in sdps:
+            refined = search.rank_refine(sdp.matrix, d, pattern).matrix
+            assert np.isfinite(refined).all()
+            assert bits_of(refined) == bits_of(refined.T)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("call", [1, 3])
@@ -757,30 +783,35 @@ class TestLoopsProjectUnvalidated:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("call", [1, 3])
     def test_nonfinite_projection_stops_refinement(self, monkeypatch, bad, call):
-        # A polished SDP matrix refines in one iteration; the ADMM-only ones
-        # take several, so the third projection is still a refinement's.
-        pattern = data.four_cycle_support()
-        params = search.SearchParams(target_rank=3, seed=5)
-        weights = np.random.default_rng(5).uniform(0.5, 1.5, size=(4, 4, 4))
-        with monkeypatch.context() as mp:
-            mp.setattr(search, "_polish", declined)
-            sdps = search._sdp_loop(pattern.mask,
-                                    search._objective_weights(pattern.mask, weights), params)
-        calls = each_projection(monkeypatch, nonfinite_at(call, bad))
-        with pytest.raises(PreconditionError, match="matrix entries must be finite"):
-            search._refine_loop(np.stack([r.matrix for r in sdps]), 3, params, pattern)
-        assert len(calls) == call
+        # The pentagon's spectral start converges in three Gauss-Newton steps;
+        # a step that is not finite stops refinement there, unconverged.
+        pattern = data.pentagon_support()
+        start = spectral_start(pattern)
+        assert search.rank_refine(start, 3, pattern).iterations == 3
+        solve = np.linalg.solve
+        calls = []
+
+        def spoiled(a, b):
+            calls.append(len(a))
+            out = solve(a, b)
+            if len(calls) == call:
+                out[0] = bad
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", spoiled)
+        res = search.rank_refine(start, 3, pattern)
+        assert (res.converged, res.reason, res.iterations) == (False, "stagnation", call)
+        assert len(calls) == call and not math.isfinite(res.residuals[-1])
 
     @pytest.mark.parametrize("d,message", [(0, "target rank must be >= 1, got 0"),
                                            (6, "target rank 6 exceeds matrix size 5")])
     def test_refine_refuses_rank_before_its_first_iteration(self, monkeypatch, d, message):
         pattern = data.pentagon_support()
-        params = search.SearchParams(target_rank=3)
-        calls = each_projection(monkeypatch, None)
+        calls = []
+        eigh = linalg._eigh_lo
+        monkeypatch.setattr(linalg, "_eigh_lo", lambda *a, **k: calls.append(1) or eigh(*a, **k))
         with pytest.raises(PreconditionError, match=message):
-            search.rank_refine(np.eye(5), d, params, pattern)
-        with pytest.raises(PreconditionError, match=message):
-            search._refine_loop(np.stack([np.eye(5)] * 2), d, params, pattern)
+            search.rank_refine(np.eye(5), d, pattern)
         assert calls == []
 
 
@@ -816,9 +847,8 @@ class TestIterationCounts:
 class TestRankRefine:
     def test_fixed_point(self, pentagon_slack):
         x = pentagon_slack / pentagon_slack[0, 0]
-        params = search.SearchParams(target_rank=3)
-        res = search.rank_refine(x, 3, params, data.pentagon_support())
-        assert res.converged
+        res = search.rank_refine(x, 3, data.pentagon_support())
+        assert res.converged and res.iterations == 0
         assert np.abs(res.matrix - x).max() <= 1e-12
 
     def test_uniform_weights_recover_regular_pentagon(self, pentagon_slack):
@@ -828,7 +858,7 @@ class TestRankRefine:
         pattern = data.pentagon_support()
         params = search.SearchParams(target_rank=3)
         sdp = search.sdp_feasibility(pattern, np.ones((5, 5)), params)
-        res = search.rank_refine(sdp.matrix, 3, params, pattern)
+        res = search.rank_refine(sdp.matrix, 3, pattern)
         assert res.converged
         assert equal_up_to_scaling(pentagon_slack, res.matrix, 1e-8)
 
@@ -838,30 +868,83 @@ class TestRankRefine:
         sdp = search.sdp_feasibility(
             pattern, np.ones((7, 7)), params
         )
-        res = search.rank_refine(sdp.matrix, 4, params, pattern)
+        res = search.rank_refine(sdp.matrix, 4, pattern)
         assert res.converged
         vals = linalg.sym_eigen(res.matrix).values
         assert np.all(vals[:4] >= 0.5) and np.all(vals[:4] <= 9.0)
         assert np.abs(vals[4:]).max() < 1e-8
 
     def test_residuals_monotone(self):
+        # Near a realization Gauss-Newton converges quadratically: from the
+        # pentagon's all-ones SDP optimum and from its spectral start every
+        # step lowers max|F|.
         pattern = data.pentagon_support()
-        params = search.SearchParams(target_rank=3)
-        sdp = search.sdp_feasibility(pattern, np.ones((5, 5)), params)
-        res = search.rank_refine(sdp.matrix, 3, params, pattern)
-        for series in (res.rank_residuals, res.affine_residuals):
-            for a, b in zip(series, series[1:]):
-                assert b <= a + 1e-12
+        sdp = search.sdp_feasibility(pattern, np.ones((5, 5)), search.SearchParams(target_rank=3))
+        for start in (sdp.matrix, spectral_start(pattern)):
+            res = search.rank_refine(start, 3, pattern)
+            assert res.converged and len(res.residuals) == res.iterations + 1
+            for a, b in zip(res.residuals, res.residuals[1:]):
+                assert b < a
+        assert res.iterations == 3 and res.residuals[-1] < search.REFINE_STOP_TOL
 
-    def test_stagnation_after_100_flat_iterations(self):
-        # Rank 2 cannot hold a unit diagonal with a diagonal support: every
-        # iteration returns to the identity with the same residuals.
+    def test_stagnation_after_patience_flat_steps(self):
+        # Rank 2 cannot hold four orthogonal unit vectors (a diagonal support):
+        # no step finds a new minimum of max|F|, so refinement stops after
+        # REFINE_PATIENCE steps.
         res = search.rank_refine(
-            np.eye(4), 2, search.SearchParams(target_rank=2),
-            search.SupportPattern(np.eye(4, dtype=np.uint8)),
+            np.eye(4), 2, search.SupportPattern(np.eye(4, dtype=np.uint8)),
         )
-        assert (res.converged, res.reason, res.iterations) == (False, "stagnation", 101)
-        assert res.rank_residuals == res.affine_residuals == [1.0] * 101
+        assert (res.converged, res.reason) == (False, "stagnation")
+        assert res.iterations == search.REFINE_PATIENCE
+        assert res.residuals == [1.0] * (search.REFINE_PATIENCE + 1)
+
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(search, "REFINE_STEPS", 2)
+        pattern = data.pentagon_support()
+        res = search.rank_refine(spectral_start(pattern), 3, pattern)
+        assert (res.converged, res.reason, res.iterations) == (False, "step cap", 2)
+        assert np.all(np.diag(res.matrix) == 1.0) and np.all(res.matrix[~pattern.mask] == 0.0)
+
+    @pytest.mark.parametrize("k", [51, 201])
+    def test_spectral_start_converges_through_a_rise(self, k):
+        # From the spectral start of a large odd k-gon the first steps raise
+        # max|F| (0.49 -> 3.9 -> 0.87 at the 201-gon) before Gauss-Newton
+        # converges; a stop at the first rise would fail it.
+        bits = gon_support(k)
+        pattern = search.apply_sisd(bits, search.sisd_check(bits))
+        res = search.rank_refine(spectral_start(pattern), 3, pattern)
+        assert res.residuals[1] > res.residuals[0]
+        assert res.converged and res.iterations <= 8
+        assert search.certify(res.matrix, pattern, 3, geometry.DEFAULT_FACET_TOL)[0] is not None
+
+    @pytest.mark.parametrize("name,support,rank", [
+        ("pentagon", lambda: data.pentagon_support().bits, 3),
+        ("prism", lambda: data.prism_support().bits, 4),
+        ("selfpolar10", lambda: data.ten_support().bits, 4),
+        ("gon7", lambda: gon_support(7), 3),
+        ("four-cycle", lambda: data.four_cycle_support().bits, 3),
+    ], ids=["pentagon", "prism", "selfpolar10", "gon7", "four-cycle"])
+    def test_certifies_wherever_alternating_projections_do(self, name, support, rank):
+        # Every SDP attempt of seeds 0-2, cut at 40 iterations or not: where
+        # the alternating-projection oracle's matrix certifies, Gauss-Newton's
+        # does too.  From a converged SDP, both land on the same matrix.
+        bits = support()
+        pattern = search.apply_sisd(bits, search.sisd_check(bits))
+        n = pattern.n
+        for seed, max_iter in itertools.product(range(3), (2000, 40)):
+            weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=(19, n, n))
+            params = search.SearchParams(target_rank=rank, max_iter=max_iter)
+            for sdp in search._sdp_loop(pattern.mask,
+                                        search._objective_weights(pattern.mask, weights), params):
+                oracle, converged = oracle_rank_refine(sdp.matrix, rank, pattern)
+                res = search.rank_refine(sdp.matrix, rank, pattern)
+                tol = geometry.DEFAULT_FACET_TOL
+                if converged and search.certify(oracle, pattern, rank, tol)[0] is not None:
+                    assert res.converged
+                    assert search.certify(res.matrix, pattern, rank, tol)[0] is not None
+                if sdp.converged:
+                    assert converged and res.converged
+                    assert np.abs(oracle - res.matrix).max() <= 1e-10
 
     @settings(max_examples=100, deadline=None)
     @given(weighted_supports(), st.data())
@@ -872,7 +955,7 @@ class TestRankRefine:
         pattern, weights = case
         d = draw.draw(st.integers(1, pattern.n))
         start = weights[0] + weights[0].T - 2.0  # symmetric, entries of both signs
-        res = search.rank_refine(start, d, search.SearchParams(target_rank=d), pattern)
+        res = search.rank_refine(start, d, pattern)
         if res.converged:
             trailing = np.sort(np.abs(np.linalg.eigvalsh(res.matrix)))[::-1][d:]
             assert trailing.size == 0 or trailing.max() <= 1e-10
@@ -885,7 +968,7 @@ class TestRankRefine:
         pattern = data.four_cycle_support()
         params = search.SearchParams(target_rank=3, seed=0)
         sdp = search.sdp_feasibility(pattern, np.ones((4, 4)), params)
-        res = search.rank_refine(sdp.matrix, 3, params, pattern)
+        res = search.rank_refine(sdp.matrix, 3, pattern)
         assert res.converged and res.matrix.min() >= -patterns.SUPPORT_CLAMP
         ok, _ = geometry.slack_necessary_check(np.abs(res.matrix), 3)
         assert not ok
@@ -926,15 +1009,19 @@ class TestSearchParams:
 # -- the retry loop before attempts ran as stacks, kept as an oracle ---------
 
 def sequential_retry(pattern, params, verify_tol=geometry.DEFAULT_FACET_TOL):
-    """One sdp_feasibility call per attempt, each with its own (n, n) weight
-    draw, refined, recorded and certified before the next one runs."""
+    """The spectral start, then one sdp_feasibility call per attempt, each
+    with its own (n, n) weight draw; each attempt refined, recorded and
+    certified before the next one runs."""
     rng = np.random.default_rng(params.seed)
     n = pattern.n
+    nan = float("nan")
     attempts = []
     for index in range(params.retries):
-        weights = rng.uniform(0.5, 1.5, size=(n, n))
-        sdp = search.sdp_feasibility(pattern, weights, params)
-        refined = search.rank_refine(sdp.matrix, params.target_rank, params, pattern)
+        if index == 0:
+            sdp = search.SdpResult(spectral_start(pattern), nan, nan, nan, False, 0)
+        else:
+            sdp = search.sdp_feasibility(pattern, rng.uniform(0.5, 1.5, size=(n, n)), params)
+        refined = search.rank_refine(sdp.matrix, params.target_rank, pattern)
         record = search.AttemptRecord(
             index=index,
             sdp_converged=sdp.converged,
@@ -946,8 +1033,8 @@ def sequential_retry(pattern, params, verify_tol=geometry.DEFAULT_FACET_TOL):
             refine_converged=refined.converged,
             refine_iterations=refined.iterations,
             refine_reason=refined.reason,
-            refine_rank_residual=refined.rank_residuals[-1],
-            refine_affine_residual=refined.affine_residuals[-1],
+            refine_rank_residual=0.0,
+            refine_affine_residual=refined.residuals[-1],
         )
         attempts.append(record)
         if refined.converged:
@@ -979,8 +1066,9 @@ def pipeline_bits(result) -> tuple:
 
 
 def caller() -> str:
-    """The innermost search function on the stack: for a projection
-    stand-in, the loop that called it, _sdp_loop or _refine_loop."""
+    """The innermost search function on the stack: for an eigh or
+    projection stand-in, the function that called it, such as _sdp_loop or
+    rank_refine."""
     frame = sys._getframe(1)
     while frame.f_globals["__name__"] != search.__name__:
         frame = frame.f_back
@@ -1056,9 +1144,10 @@ class TestStackedRetries:
 
     def test_four_cycle_runs_stacks(self, monkeypatch):
         # Guards the test above: a failing support must reach the stacked
-        # solver, one eigh call per iteration for the whole stack.  Attempt 1
-        # is a stack of one, so no SDP projection sees a lone (n, n) matrix;
-        # the pentagon succeeds at attempt 1 and runs no other stack.
+        # solver, one eigh call per iteration for the whole stack.  The
+        # spectral attempt runs no SDP, so attempts 1-19 are one stack of 19
+        # and no SDP projection sees a lone matrix until the stack shrinks;
+        # the pentagon wins at the spectral attempt and runs no SDP at all.
         shapes = []
         eigh = linalg._eigh_lo
 
@@ -1081,14 +1170,13 @@ class TestStackedRetries:
             shapes, sdp_shapes = [], []
             res = search.randomized_retry(pattern, search.SearchParams(target_rank=3, seed=5))
             assert len(res.attempts) == attempts and res.success == (attempts == 1)
-            assert sdp_shapes and all(len(s) == 3 and s[1:] == (n, n) for s in sdp_shapes)
-            first = sdp_shapes[: sdp_shapes.index((19, n, n))] if attempts > 1 else sdp_shapes
-            assert first and set(first) == {(1, n, n)}
+            assert all(len(s) == 3 and s[1:] == (n, n) for s in sdp_shapes)
+            assert (sdp_shapes[0] if sdp_shapes else None) == ((19, n, n) if attempts > 1 else None)
         assert (19, 4, 4) in shapes
 
     def test_stack_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
-        # Every stack of more than one attempt fails; attempt 1 and each
-        # rerun are one sdp_feasibility call, one per recorded attempt.
+        # Every stack of more than one attempt fails; each rerun is one
+        # sdp_feasibility call, one per recorded attempt after the spectral one.
         eigh = linalg._eigh_lo
         stacks = []
         sdp = search.sdp_feasibility
@@ -1114,7 +1202,7 @@ class TestStackedRetries:
                 mp.setattr(search, "sdp_feasibility", counted_sdp)
                 result = search.run_pipeline(bits, params)
             assert pipeline_bits(result) == expected
-            assert len(solves) == len(result.retry.attempts)
+            assert len(solves) == len(result.retry.attempts) - 1
         assert stacks
 
     def test_error_surfaces_at_its_attempt(self, monkeypatch):
@@ -1142,112 +1230,50 @@ class TestStackedRetries:
             )
         assert calls["weights"] == 3
 
-    @staticmethod
-    def _counted_projections(monkeypatch):
-        """Record the leading shape of every linalg._clip_project call, by
-        the loop that makes it."""
-        shapes = {"_sdp_loop": [], "_refine_loop": []}
-        clip_project = linalg._clip_project
-
-        def counted(a, d):
-            shapes[caller()].append(np.shape(a)[0])
-            return clip_project(a, d)
-
-        monkeypatch.setattr(linalg, "_clip_project", counted)
-        return shapes
-
-    def test_one_refinement_projection_per_lockstep_iteration(self, monkeypatch):
-        # Four-cycle, seed 5, ADMM alone (the polish declines): attempt 1
-        # refines alone in 7 iterations, then the other 19 refine as one
-        # stack that shrinks as members stop, one projection call per
-        # iteration of the slowest (8), where one attempt at a time makes one
-        # per attempt iteration (94).
-        params = search.SearchParams(target_rank=3, seed=5)
-        with monkeypatch.context() as mp:
-            mp.setattr(search, "_polish", declined)
-            shapes = self._counted_projections(mp)
-            res = search.randomized_retry(data.four_cycle_support(), params)
-        iterations = [a.refine_iterations for a in res.attempts]
-        assert len(iterations) == 20 and iterations[0] == 7
-        assert shapes["_refine_loop"] == [1] * 7 + [19, 15, 14, 13, 12, 11, 6, 4]
-        assert len(shapes["_refine_loop"]) - 7 == max(iterations[1:]) == 8
-        assert sum(iterations[1:]) == 94
-        # Polished, every attempt refines in one iteration: one call for
-        # attempt 1, one for the stack of 19.
-        shapes = self._counted_projections(monkeypatch)
-        res = search.randomized_retry(data.four_cycle_support(), params)
-        assert [a.refine_iterations for a in res.attempts] == [1] * 20
-        assert all(a.sdp_newton_steps >= 1 for a in res.attempts)
-        assert shapes["_refine_loop"] == [1, 19]
-        # The pentagon wins at attempt 1: 65 SDP iterations and 9
-        # refinements with ADMM alone, 22 and 1 with the polish.
-        for polish, counts in ((declined, (65, 9)), (search._polish, (22, 1))):
-            with monkeypatch.context() as mp:
-                mp.setattr(search, "_polish", polish)
-                shapes = self._counted_projections(mp)
-                res = search.randomized_retry(data.pentagon_support(), params)
-            assert res.winning_attempt == 0
-            assert (len(shapes["_sdp_loop"]), len(shapes["_refine_loop"])) == counts
-
-    def test_refinement_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
-        # Every refinement stack of more than one attempt fails; the stack
-        # reruns one attempt at a time, one sdp_feasibility and one
-        # rank_refine call per recorded attempt, and the transcript does not
-        # change.
-        clip_project = linalg._clip_project
+    def test_one_rank_refine_call_per_attempt(self, monkeypatch):
+        # Every attempt, the spectral one and each stacked SDP result, is
+        # refined by its own rank_refine call, the function the bench counts.
         refine = search.rank_refine
-        stacks = []
+        calls = []
 
-        def fail_on_stacks(a, d):
-            if caller() == "_refine_loop" and len(a) > 1:
-                stacks.append(np.shape(a))
-                raise ConvergenceError("eigh did not converge")
-            return clip_project(a, d)
+        def counted(x, d, pattern):
+            calls.append(np.shape(x))
+            return refine(x, d, pattern)
 
-        def counted_refine(x, d, params, pattern):
-            refines.append(np.shape(x))
-            return refine(x, d, params, pattern)
-
-        for name, support, rank in self.SUPPORTS:
-            bits = support()
-            for seed in (0, 5):
-                params = search.SearchParams(target_rank=rank, seed=seed)
-                expected = pipeline_bits(search.run_pipeline(bits, params))
-                refines = []
-                with monkeypatch.context() as mp:
-                    mp.setattr(linalg, "_clip_project", fail_on_stacks)
-                    mp.setattr(search, "rank_refine", counted_refine)
-                    result = search.run_pipeline(bits, params)
-                assert pipeline_bits(result) == expected
-                assert len(refines) == len(result.retry.attempts)
-        assert stacks
+        monkeypatch.setattr(search, "rank_refine", counted)
+        for seed in (0, 5):
+            calls = []
+            res = search.randomized_retry(data.four_cycle_support(),
+                                          search.SearchParams(target_rank=3, seed=seed))
+            assert len(res.attempts) == 20 and calls == [(4, 4)] * 20
+            assert res.attempts[0].sdp_iterations == 0
+            assert all(a.sdp_iterations > 0 for a in res.attempts[1:])
 
     def test_refinement_error_surfaces_at_its_attempt(self, monkeypatch):
-        # The refinement stack fails, so the stack reruns one attempt at a
-        # time, and every refinement from the third attempt on fails too:
-        # attempts 1 and 2 are recorded and certified before the error of
-        # attempt 3 surfaces, as in the sequential loop.
-        clip_project = linalg._clip_project
+        # Every refinement from the third attempt on fails: attempts 1 and 2
+        # are recorded and certified before the error of attempt 3 surfaces,
+        # as in the sequential loop.
+        eigh = linalg._eigh
         refine = search.rank_refine
         certify = search.certify
         calls = {"refine": 0, "certify": 0}
 
-        def counted_refine(x, d, params, pattern):
+        def counted_refine(x, d, pattern):
             calls["refine"] += 1
-            return refine(x, d, params, pattern)
+            return refine(x, d, pattern)
 
         def counted_certify(*args):
             calls["certify"] += 1
             return certify(*args)
 
-        def failing(a, d):
-            if caller() == "_refine_loop" and (len(a) > 1 or calls["refine"] >= 3):
+        def failing(a):
+            if caller() == "rank_refine" and calls["refine"] >= 3:
                 raise ConvergenceError("eigh did not converge")
-            return clip_project(a, d)
+            return eigh(a)
 
         monkeypatch.setattr(search, "rank_refine", counted_refine)
         monkeypatch.setattr(search, "certify", counted_certify)
-        monkeypatch.setattr(linalg, "_clip_project", failing)
+        monkeypatch.setattr(linalg, "_eigh", failing)
         with pytest.raises(ConvergenceError, match="eigh"):
             search.randomized_retry(
                 data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5)
@@ -1391,11 +1417,11 @@ class TestPipeline:
         weights = 0.5 * (weights + weights.T)
         params = search.SearchParams(target_rank=3)
         sdp1 = search.sdp_feasibility(pattern, weights, params)
-        ref1 = search.rank_refine(sdp1.matrix, 3, params, pattern)
+        ref1 = search.rank_refine(sdp1.matrix, 3, pattern)
         sdp2 = search.sdp_feasibility(
             relabelled, weights[np.ix_(tau, tau)], params
         )
-        ref2 = search.rank_refine(sdp2.matrix, 3, params, relabelled)
+        ref2 = search.rank_refine(sdp2.matrix, 3, relabelled)
         assert ref1.converged and ref2.converged
         back = ref2.matrix[np.ix_(np.argsort(tau), np.argsort(tau))]
         assert equal_up_to_scaling(ref1.matrix, back, tol=1e-5)
@@ -1433,11 +1459,13 @@ class TestOneCertifier:
             analyzed = report.results["selfdual_certification"]["certified"]
             assert searched == analyzed == selfdual.certify_psd_slack(matrix, rank)[0]
 
-    def test_small_structural_margin_is_reported_not_refused(self):
-        # The 17-gon's first refined matrix has a smallest on-support slack
-        # ratio near 3e-5; it certifies, and the margin stays in the report.
+    def test_small_structural_margin_is_reported_not_refused(self, monkeypatch):
+        # With the spectral attempt declined, the 17-gon's first SDP attempt
+        # at seed 6 refines to a matrix whose smallest on-support slack ratio
+        # is near 3e-5; it certifies, and the margin stays in the report.
+        decline_spectral_attempt(monkeypatch)
         res = search.run_pipeline(gon_support(17), search.SearchParams(target_rank=3, seed=6))
-        assert res.retry.winning_attempt == 0
+        assert res.retry.winning_attempt == 1
         assert 1e-5 < res.verification.min_structural_ratio < 1e-4
 
 
@@ -1454,20 +1482,11 @@ def oracle_psd_project(a):
     return oracle_reconstruct(eig, np.clip(eig.values, 0.0, None))
 
 
-def oracle_low_rank_project(a, d):
-    eig = linalg.sym_eigen(a)
-    kept = np.zeros(eig.values.shape[0])
-    kept[:d] = np.clip(eig.values[:d], 0.0, None)
-    return oracle_reconstruct(eig, kept)
-
-
 def oracle_clip_project(a, d):
-    """linalg._clip_project, which both loops call, through the oracles:
-    psd_project's when d keeps every eigenvalue (the SDP), low_rank_project's
-    otherwise (refinement)."""
-    if d == a.shape[-1]:
-        return oracle_psd_project(a)
-    return oracle_low_rank_project(a, d)
+    """linalg._clip_project as ADMM calls it, keeping every eigenvalue:
+    psd_project's oracle."""
+    assert d == a.shape[-1]
+    return oracle_psd_project(a)
 
 
 def oracle_affine_project(x, on):
@@ -1508,7 +1527,7 @@ class TestProjectionOracle:
     @staticmethod
     def _run(pattern, weights, params):
         sdp = search.sdp_feasibility(pattern, weights, params)
-        ref = search.rank_refine(sdp.matrix, params.target_rank, params, pattern)
+        ref = search.rank_refine(sdp.matrix, params.target_rank, pattern)
         return sdp, ref
 
     @pytest.mark.parametrize("name,support,rank", CASES, ids=[c[0] for c in CASES])
@@ -1530,8 +1549,7 @@ class TestProjectionOracle:
             assert sdp.converged == sdp_o.converged
             assert ref.iterations == ref_o.iterations
             assert bits_of(ref.matrix) == bits_of(ref_o.matrix)
-            assert bits_of(ref.rank_residuals) == bits_of(ref_o.rank_residuals)
-            assert bits_of(ref.affine_residuals) == bits_of(ref_o.affine_residuals)
+            assert bits_of(ref.residuals) == bits_of(ref_o.residuals)
             assert (ref.converged, ref.reason) == (ref_o.converged, ref_o.reason)
 
     def test_oracle_was_called(self, monkeypatch):
@@ -1545,14 +1563,15 @@ class TestProjectionOracle:
             return wrapper
 
         monkeypatch.setitem(globals(), "oracle_psd_project", counted(oracle_psd_project))
-        monkeypatch.setitem(globals(), "oracle_low_rank_project",
-                            counted(oracle_low_rank_project))
         monkeypatch.setattr(linalg, "_clip_project", each_member(oracle_clip_project))
-        monkeypatch.setattr(search, "_affine_project", each_member(oracle_affine_project))
+        monkeypatch.setattr(search, "_affine_project",
+                            each_member(counted(oracle_affine_project)))
         pattern = data.pentagon_support()
         params = search.SearchParams(target_rank=3)
         self._run(pattern, np.ones((5, 5)), params)
-        assert set(calls) == {"oracle_psd_project", "oracle_low_rank_project"}
+        # ADMM projects on the PSD cone and the affine set; refinement's
+        # result is its one affine projection.
+        assert set(calls) == {"oracle_psd_project", "oracle_affine_project"}
 
 
 # -- one connectivity helper -------------------------------------------------
@@ -1705,7 +1724,7 @@ PUBLIC_REFUSALS = {
         lambda: refusal(search.sdp_feasibility, PATTERN3, np.ones((2, 2)), PARAMS3),
         "weights must be 3x3"),
     "rank_refine-sizes": (
-        lambda: refusal(search.rank_refine, np.eye(2), 1, PARAMS3, PATTERN3),
+        lambda: refusal(search.rank_refine, np.eye(2), 1, PATTERN3),
         "matrix and support sizes disagree"),
     "classify_psd_slack-zero": (
         lambda: refusal(dnn.classify_psd_slack, np.zeros((3, 3)), True, False),
