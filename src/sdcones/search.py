@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ REFINE_STOP_TOL = 1e-12
 class SearchParams:
     """The values `sdcones search` sets; the defaults reproduce the bundled
     examples.  max_iter caps only the SDP (sdp_iterations <= max_iter); the
-    spectral attempt 0 runs no SDP and reads neither max_iter nor seed."""
+    spectral attempt 0 runs one SDP iteration, whatever max_iter and seed."""
 
     target_rank: int
     max_iter: int = 2000
@@ -122,8 +122,7 @@ def _affine_project(x: np.ndarray, on: np.ndarray) -> np.ndarray:
 
 
 def _objective_weights(on: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weights symmetrized and restricted to the support, of one weight
-    matrix or of each matrix of a stack."""
+    """Weights symmetrized and restricted to the support, of one matrix or a stack."""
     return np.where(on, 0.5 * weights + 0.5 * weights.swapaxes(-1, -2), 0.0)
 
 
@@ -343,14 +342,16 @@ def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
     """Gauss-Newton (Nocedal & Wright 2006, section 10.3) on the equations
     F(V) = 0 of _equations, from x's top-d factor V (n x d): each step is the
     minimum-norm solution of J dV = -F, through the smaller of J J^T and
-    J^T J, assembled from J's nonzeros.  It converges once max|F| <
-    REFINE_STOP_TOL, else stops on "stagnation" (REFINE_PATIENCE steps
-    without a new minimum of max|F|, a step that is not finite, or a singular
-    J J^T) or "step cap" (REFINE_STEPS steps); residuals holds max|F| before
-    each step and after the last.  The returned P_aff(V V^T) has an exact
-    unit diagonal and zeros off the support, and is V V^T + E, max|E| =
-    max|F|: converged, its eigenvalues past the d-th are within
-    n * REFINE_STOP_TOL of 0 (Weyl).  certify alone judges it.
+    J^T J (m equations, nd unknowns), assembled from J's nonzeros: a step
+    costs O(min(m, nd)^3) time and O(min(m, nd)^2) memory.  It converges
+    once max|F| < REFINE_STOP_TOL, else stops on "stagnation"
+    (REFINE_PATIENCE steps without a new minimum of max|F|, a step that is
+    not finite, or a singular J J^T) or "step cap" (REFINE_STEPS steps);
+    residuals holds max|F| before each step and after the last.  The
+    returned P_aff(V V^T) has an exact unit diagonal and zeros off the
+    support, and is V V^T + E, max|E| = max|F|: converged, its eigenvalues
+    past the d-th are within n * REFINE_STOP_TOL of 0 (Weyl).  certify
+    alone judges it.
     """
     a = linalg._symmetric(x)
     n = pattern.n
@@ -361,9 +362,6 @@ def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
     free = pattern.mask > _identity(n)
     i, j = _equations(free)
     m = len(i)
-    # Row (i, j) of J holds V_j in node i's block and V_i in node j's: slot s
-    # of the 2m is one of the two, in row eq[s], at node ends[s], V[other[s]].
-    ends, other, eq = np.concatenate([i, j]), np.concatenate([j, i]), np.tile(np.arange(m), 2)
     residuals, reason, pairs = [], None, None
     with np.errstate(all="ignore"):  # a step that is not finite stagnates
         for step in range(REFINE_STEPS + 1):
@@ -373,23 +371,30 @@ def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
             if residuals[-1] < REFINE_STOP_TOL:
                 break
             stalled = step - int(np.argmin(residuals)) >= REFINE_PATIENCE
-            if stalled or not math.isfinite(residuals[-1]):
-                reason = "stagnation"
+            reason = "stagnation" if stalled or not math.isfinite(residuals[-1]) else (
+                "step cap" if step == REFINE_STEPS else None)
+            if reason:
                 break
-            if step == REFINE_STEPS:
-                reason = "step cap"
-                break
+            # Row (i, j) of J holds V_j in node i's block and V_i in node j's,
+            # so J^T y is (W + W^T) V with W_ij = y_ij.
+            w = np.zeros((n, n))
             try:
-                if m <= n * d:  # J J^T: <V_other[s], V_other[t]> of the slot pairs at a node
-                    s, t = pairs = pairs or np.nonzero(ends[:, None] == ends)
+                if m <= n * d:  # J J^T: <V_other[s], V_other[t]> of the slots s, t at a node
+                    if pairs is None:  # slot s of the 2m: row eq[s], node ends[s], V[other[s]]
+                        ends, other = np.concatenate([i, j]), np.concatenate([j, i])
+                        eq, pairs = np.tile(np.arange(m), 2), np.nonzero(ends[:, None] == ends)
+                    s, t = pairs
                     jjt = np.bincount(eq[s] * m + eq[t], g[other[s], other[t]], m * m)
-                    y = np.linalg.solve(jjt.reshape(m, m), f)
-                    dv = np.zeros((n, d))
-                    np.add.at(dv, ends, y[eq, None] * v[other])  # J^T y
-                else:  # J^T J from J itself, which has fewer columns than rows
-                    jac = np.zeros((m, n * d))
-                    np.add.at(jac, (eq[:, None], ends[:, None] * d + np.arange(d)), v[other])
-                    dv = np.linalg.lstsq(jac.T @ jac, jac.T @ f)[0].reshape(n, d)
+                    w[i, j] = np.linalg.solve(jjt.reshape(m, m), f)
+                    dv = (w + w.T) @ v
+                else:  # J^T J: E_pq V_q V_p^T in block (p, q), sum_q (E+4I)_pq V_q V_q^T in (p, p)
+                    e = (~pattern.mask).astype(float)  # E = 1 off the support
+                    jtj = np.einsum("pq,qa,pb->paqb", e, v, v)
+                    diag = np.einsum("pq,qa,qb->pab", e + 4.0 * _identity(n), v, v)
+                    jtj[range(n), :, range(n), :] += diag
+                    w[i, j] = f
+                    jtf = ((w + w.T) @ v).ravel()
+                    dv = np.linalg.lstsq(jtj.reshape(n * d, -1), jtf)[0].reshape(n, d)
             except np.linalg.LinAlgError:
                 reason = "stagnation"
                 break
@@ -412,9 +417,9 @@ _RETRY_STACK = 32
 class AttemptRecord:
     """One transcript attempt, all scalars, so a transcript does not grow
     with max_iter.  sdp_newton_steps is 0 unless the polish passed; the
-    spectral attempt 0 runs no SDP (0 iterations, sdp_converged false, NaN
-    or JSON null objective, psd_margin and sdp_duality_gap).  Refinement
-    leaves refine_rank_residual 0 and refine_affine_residual its last max|F|;
+    spectral attempt 0 records the SDP at all-ones weights after its one
+    iteration, whose X is X0 (1 iteration, not converged unless the support
+    is diagonal).  refine_affine_residual is refinement's last max|F|;
     certified and certify_reason stay None unless it converged."""
 
     index: int
@@ -427,7 +432,6 @@ class AttemptRecord:
     refine_converged: bool
     refine_iterations: int
     refine_reason: str | None
-    refine_rank_residual: float
     refine_affine_residual: float
     certified: bool | None = None
     certify_reason: str | None = None
@@ -454,8 +458,8 @@ def randomized_retry(
     """Refine a spectral start, then SDP results with random objectives,
     until an attempt yields a certified realization.
 
-    Attempt 0 refines X0 = I + A / 2 (A the support off the diagonal; one
-    ADMM iteration from Z = I at all-ones weights), whose top-d eigenvectors
+    Attempt 0 refines X0 = I + A / 2 (A the support off the diagonal; the
+    first ADMM iterate at all-ones weights), whose top-d eigenvectors
     embed the support (Koren 2005): a cycle-like support's embedding is the
     regular polygon.  It draws nothing, so it does not depend on params.seed.
     The later attempts solve the SDP at weights drawn uniformly from
@@ -481,7 +485,6 @@ def randomized_retry(
             refine_converged=refined.converged,
             refine_iterations=refined.iterations,
             refine_reason=refined.reason,
-            refine_rank_residual=0.0,
             refine_affine_residual=refined.residuals[-1],
         )
         attempts.append(record)
@@ -498,10 +501,10 @@ def _starts(pattern: SupportPattern, params: SearchParams):
     """randomized_retry's starts, lazily, as SDP results: X0, then one per
     weight draw, in stacks of up to _RETRY_STACK draws (the same draws as one
     (n, n) draw per attempt).  A stack that raises reruns one attempt at a
-    time, so an error surfaces at its own attempt, every other bit unchanged."""
+    time, so an error surfaces at its own attempt, every other bit unchanged.
+    X0 = P_aff(I + C / ADMM_RHO) is the all-ones SDP's first ADMM iterate."""
     n = pattern.n
-    x0 = _affine_project(np.full((n, n), 0.5), pattern.mask > _identity(n))
-    yield SdpResult(x0, math.nan, math.nan, math.nan, False, 0)
+    yield sdp_feasibility(pattern, np.ones((n, n)), replace(params, max_iter=1))
     rng = np.random.default_rng(params.seed)
     for index in range(1, params.retries, _RETRY_STACK):
         weights = rng.uniform(0.5, 1.5, size=(min(_RETRY_STACK, params.retries - index), n, n))
@@ -542,15 +545,12 @@ def extract_realization(x, d: int) -> Realization:
     a = linalg.require_symmetric(x)
     if a.size == 0:
         raise PreconditionError("Gram matrix is empty")
-    mask = slack_support(a)
+    mask = slack_support(a)  # refuses a negative entry before the rank rule runs
     factor = geometry._spectral_factor(linalg.sym_eigen(a), d)
     gram = factor @ factor.T
-    off_zero = ~mask
     residuals = {
         "psd_margin": float(linalg.sym_eigen(gram).values[-1]),
-        "support_violation": float(np.abs(gram[off_zero]).max())
-        if off_zero.any()
-        else 0.0,
+        "support_violation": float(np.abs(gram[~mask]).max(initial=0.0)),
         "selfdual_gap": float("nan"),
     }
     return Realization(dim=d, generators=factor, gram=gram, residuals=residuals)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -7,6 +8,7 @@ import math
 import pickle
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -905,6 +907,48 @@ class TestRankRefine:
         assert (res.converged, res.reason, res.iterations) == (False, "step cap", 2)
         assert np.all(np.diag(res.matrix) == 1.0) and np.all(res.matrix[~pattern.mask] == 0.0)
 
+    @pytest.mark.parametrize("n,d,density", [(12, 3, 0.6), (12, 3, 0.15), (9, 2, 0.0)])
+    def test_step_is_the_dense_jacobians_minimum_norm_step(self, monkeypatch, n, d, density):
+        # One step through J J^T (dense supports: m <= nd) or J^T J (sparse
+        # ones) equals V - J^+ F with J built entry by entry.
+        rng = np.random.default_rng(n + d)
+        bits = rng.random((n, n)) < density
+        bits = (bits | bits.T | np.eye(n, dtype=bool)).astype(np.uint8)
+        pattern = search.SupportPattern(bits)
+        x = rng.standard_normal((n, n))
+        x = x @ x.T
+        v = linalg.EigenDecomposition(*linalg._eigh(x)).factor(d)
+        i, j = np.nonzero(np.triu(~pattern.mask, 1))
+        i, j = np.concatenate([np.arange(n), i]), np.concatenate([np.arange(n), j])
+        jac = np.zeros((len(i), n, d))
+        for row, (p, q) in enumerate(zip(i, j)):
+            jac[row, p] += v[q]
+            jac[row, q] += v[p]
+        f = (v @ v.T)[i, j] - (i == j)
+        v1 = v - (np.linalg.pinv(jac.reshape(len(i), n * d)) @ f).reshape(n, d)
+        want = np.where(pattern.mask, v1 @ v1.T, 0.0)
+        np.fill_diagonal(want, 1.0)
+        monkeypatch.setattr(search, "REFINE_STEPS", 1)
+        res = search.rank_refine(x, d, pattern)
+        assert res.iterations == 1
+        assert np.abs(res.matrix - want).max() < 1e-9
+
+    def test_large_sparse_support_bounds_memory(self):
+        # A 300-point diagonal support at rank 3 has 45 150 equations and 900
+        # unknowns: J^T J has 810 000 entries, where J itself would have
+        # 40 635 000 (325 MB).
+        pattern = search.SupportPattern(np.eye(300, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            res = search.rank_refine(np.eye(300), 3, pattern)
+            wall = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.converged, res.reason) == (False, "stagnation")
+        assert peak < 64e6 and wall < 5.0
+
     @pytest.mark.parametrize("k", [51, 201])
     def test_spectral_start_converges_through_a_rise(self, k):
         # From the spectral start of a large odd k-gon the first steps raise
@@ -1009,16 +1053,17 @@ class TestSearchParams:
 # -- the retry loop before attempts ran as stacks, kept as an oracle ---------
 
 def sequential_retry(pattern, params, verify_tol=geometry.DEFAULT_FACET_TOL):
-    """The spectral start, then one sdp_feasibility call per attempt, each
-    with its own (n, n) weight draw; each attempt refined, recorded and
-    certified before the next one runs."""
+    """The spectral start, the all-ones SDP after one iteration, then one
+    sdp_feasibility call per attempt, each with its own (n, n) weight draw;
+    each attempt refined, recorded and certified before the next one runs."""
     rng = np.random.default_rng(params.seed)
     n = pattern.n
-    nan = float("nan")
     attempts = []
     for index in range(params.retries):
         if index == 0:
-            sdp = search.SdpResult(spectral_start(pattern), nan, nan, nan, False, 0)
+            sdp = search.sdp_feasibility(pattern, np.ones((n, n)),
+                                         dataclasses.replace(params, max_iter=1))
+            assert np.array_equal(sdp.matrix, spectral_start(pattern))
         else:
             sdp = search.sdp_feasibility(pattern, rng.uniform(0.5, 1.5, size=(n, n)), params)
         refined = search.rank_refine(sdp.matrix, params.target_rank, pattern)
@@ -1033,7 +1078,6 @@ def sequential_retry(pattern, params, verify_tol=geometry.DEFAULT_FACET_TOL):
             refine_converged=refined.converged,
             refine_iterations=refined.iterations,
             refine_reason=refined.reason,
-            refine_rank_residual=0.0,
             refine_affine_residual=refined.residuals[-1],
         )
         attempts.append(record)
@@ -1145,9 +1189,10 @@ class TestStackedRetries:
     def test_four_cycle_runs_stacks(self, monkeypatch):
         # Guards the test above: a failing support must reach the stacked
         # solver, one eigh call per iteration for the whole stack.  The
-        # spectral attempt runs no SDP, so attempts 1-19 are one stack of 19
-        # and no SDP projection sees a lone matrix until the stack shrinks;
-        # the pentagon wins at the spectral attempt and runs no SDP at all.
+        # spectral attempt runs one SDP iteration as a stack of one, then
+        # attempts 1-19 are one stack of 19 and no SDP projection sees a lone
+        # matrix until the stack shrinks; the pentagon wins at the spectral
+        # attempt and runs no other SDP.
         shapes = []
         eigh = linalg._eigh_lo
 
@@ -1171,12 +1216,14 @@ class TestStackedRetries:
             res = search.randomized_retry(pattern, search.SearchParams(target_rank=3, seed=5))
             assert len(res.attempts) == attempts and res.success == (attempts == 1)
             assert all(len(s) == 3 and s[1:] == (n, n) for s in sdp_shapes)
-            assert (sdp_shapes[0] if sdp_shapes else None) == ((19, n, n) if attempts > 1 else None)
+            assert sdp_shapes[0] == (1, n, n)
+            assert sdp_shapes[1:2] == ([(19, n, n)] if attempts > 1 else [])
         assert (19, 4, 4) in shapes
 
     def test_stack_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
         # Every stack of more than one attempt fails; each rerun is one
-        # sdp_feasibility call, one per recorded attempt after the spectral one.
+        # sdp_feasibility call, one per recorded attempt, as is the spectral
+        # attempt's one iteration.
         eigh = linalg._eigh_lo
         stacks = []
         sdp = search.sdp_feasibility
@@ -1202,11 +1249,12 @@ class TestStackedRetries:
                 mp.setattr(search, "sdp_feasibility", counted_sdp)
                 result = search.run_pipeline(bits, params)
             assert pipeline_bits(result) == expected
-            assert len(solves) == len(result.retry.attempts) - 1
+            assert len(solves) == len(result.retry.attempts)
         assert stacks
 
     def test_error_surfaces_at_its_attempt(self, monkeypatch):
-        # Every eigh call from the third attempt on fails: the stacked solve
+        # Every eigh call from attempt 3 on (the fourth sdp_feasibility call,
+        # the spectral attempt's being the first) fails: the stacked solve
         # fails, the rerun records attempt 2 and raises in attempt 3, as the
         # sequential loop does.
         eigh = linalg._eigh_lo
@@ -1218,7 +1266,7 @@ class TestStackedRetries:
             return sdp(pattern, weights, params)
 
         def failing(a, *args, **kwargs):
-            if (np.ndim(a) > 2 and len(a) > 1) or calls["weights"] >= 3:
+            if (np.ndim(a) > 2 and len(a) > 1) or calls["weights"] >= 4:
                 return lapack_failure()
             return eigh(a, *args, **kwargs)
 
@@ -1228,7 +1276,7 @@ class TestStackedRetries:
             search.randomized_retry(
                 data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5)
             )
-        assert calls["weights"] == 3
+        assert calls["weights"] == 4
 
     def test_one_rank_refine_call_per_attempt(self, monkeypatch):
         # Every attempt, the spectral one and each stacked SDP result, is
@@ -1246,8 +1294,8 @@ class TestStackedRetries:
             res = search.randomized_retry(data.four_cycle_support(),
                                           search.SearchParams(target_rank=3, seed=seed))
             assert len(res.attempts) == 20 and calls == [(4, 4)] * 20
-            assert res.attempts[0].sdp_iterations == 0
-            assert all(a.sdp_iterations > 0 for a in res.attempts[1:])
+            assert res.attempts[0].sdp_iterations == 1
+            assert all(a.sdp_iterations > 1 for a in res.attempts[1:])
 
     def test_refinement_error_surfaces_at_its_attempt(self, monkeypatch):
         # Every refinement from the third attempt on fails: attempts 1 and 2
