@@ -590,29 +590,28 @@ class TestSearchCommand:
         assert cone.n_rays == 5 and cone.dim == 3
 
     def test_capped_sdp_is_refined_and_certified(self, workdir, capsys, monkeypatch):
-        # With the spectral attempt declined and ADMM alone (the polish
-        # declines), at --max-iter 50 the pentagon's first SDP is cut before
-        # its stop rule and its matrix fails the PSD test; refinement still
-        # runs on it, and the realization it reaches is certified.
+        # With the spectral attempt declined, at --max-iter 12 the pentagon's
+        # first SDP is cut before its stop rule (iteration 19 at seed 0) and
+        # its matrix fails the PSD test; refinement still runs on it, and
+        # the realization it reaches is certified.
         decline_spectral_attempt(monkeypatch)
-        monkeypatch.setattr(search, "_polish", lambda *args: None)
         run_cli(capsys, "examples", "pentagon", "--out", ".")
         code, out, _ = run_cli(
-            capsys, "search", "pentagon.support", "--rank", "3", "--max-iter", "50"
+            capsys, "search", "pentagon.support", "--rank", "3", "--max-iter", "12"
         )
         assert code == 0
         spectral, attempt = json.loads(out)["attempts"]
         assert spectral["sdp_iterations"] == 1 and not spectral["refine_converged"]
         assert not attempt["sdp_converged"]
-        assert attempt["sdp_iterations"] == 50
+        assert attempt["sdp_iterations"] == 12
         assert attempt["psd_margin"] < -linalg.PSD_TOL
         assert attempt["refine_converged"] and attempt["certified"]
 
     def test_capped_retry_refines_after_the_spectral_attempt_fails(self, workdir, capsys,
                                                                    monkeypatch):
         # --max-iter 18 cuts the pentagon's first SDP one iteration before
-        # its polish (seed 0); refinement does not read the cap, so the
-        # retry still refines and certifies.
+        # its stop rule fires (seed 0); refinement does not read the cap, so
+        # the retry still refines and certifies.
         decline_spectral_attempt(monkeypatch)
         run_cli(capsys, "examples", "pentagon", "--out", ".")
         code, out, _ = run_cli(capsys, "search", "pentagon.support", "--rank", "3",
@@ -629,16 +628,6 @@ class TestSearchCommand:
         assert code == 0
         (attempt,) = json.loads(out)["attempts"]
         assert attempt["certified"]
-
-    def test_polished_sdp_needs_no_refinement_step(self, workdir, capsys, monkeypatch):
-        # A polished SDP result is already rank d and feasible to rounding.
-        decline_spectral_attempt(monkeypatch)
-        run_cli(capsys, "examples", "pentagon", "--out", ".")
-        code, out, _ = run_cli(capsys, "search", "pentagon.support", "--rank", "3")
-        assert code == 0
-        _, attempt = json.loads(out)["attempts"]
-        assert attempt["sdp_converged"] and attempt["sdp_newton_steps"] >= 1
-        assert attempt["refine_iterations"] == 0 and attempt["certified"]
 
     def test_spectral_attempt_reads_no_seed(self, workdir, capsys):
         # Attempt 0 draws nothing from the stream: every seed writes the same

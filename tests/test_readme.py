@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import numbers
 import re
 import shlex
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 from sdcones import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TOLERANCE_MODULES = ("linalg", "patterns", "geometry", "selfdual", "search")
 
 
 def code_block(heading: str, lang: str) -> str:
@@ -48,12 +50,21 @@ def test_readme_states_the_contract_in_150_lines():
 
 
 def test_tolerance_table_values_are_the_module_constants():
+    # Both ways: every row names a live constant with its value, and every
+    # public numeric constant of the tolerance-holding modules has a row.
     text = README.read_text(encoding="utf-8")
     table = text.split("\n### Tolerances\n", 1)[1].split("\n### ", 1)[0]
-    rows = [[cell.strip() for cell in line.strip("|").split(" | ")]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split(" | ")]
             for line in table.splitlines() if line.startswith("| `")]
     assert len(rows) >= 10
+    constants = {}
+    for module in TOLERANCE_MODULES:
+        for name, value in vars(importlib.import_module(f"sdcones.{module}")).items():
+            if (name.isupper() and not name.startswith("_")
+                    and isinstance(value, numbers.Real) and not isinstance(value, bool)):
+                constants[name] = value
     for name, module, value, _ in rows:
-        constant = getattr(importlib.import_module(f"sdcones.{module.strip('`')}"),
-                           name.strip("`"))
+        assert module in TOLERANCE_MODULES, name
+        constant = getattr(importlib.import_module(f"sdcones.{module}"), name)
         assert float(value) == constant, name
+    assert sorted(name for name, *_ in rows) == sorted(constants)

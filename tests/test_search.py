@@ -414,28 +414,41 @@ class TestSdpFeasibility:
         assert res.converged
         assert np.abs(res.matrix - np.eye(4)).max() <= 1e-12
 
-    def test_pentagon_support_feasible(self):
+    def test_pentagon_support_feasible(self, monkeypatch):
+        # The package stops at ADMM_STOP_TOL: exact affine constraints, and a
+        # last X within ADMM_STOP_TOL of the PSD Z, so within n times it of
+        # the PSD cone.  The tight oracle reaches the optimum's PSD test and gap.
         pattern = data.pentagon_support()
         params = search.SearchParams(target_rank=3)
-        res = search.sdp_feasibility(pattern, np.ones((5, 5)), params)
+        ones = np.ones((1, 5, 5))
+        zs = []
+        each_projection(monkeypatch, lambda a, out, d: zs.append(out[0]) or out)
+        res = search.sdp_feasibility(pattern, ones[0], params)
         assert res.converged
         x = res.matrix
-        assert np.abs(np.diag(x) - 1.0).max() <= 1e-9
-        off = ~pattern.mask
-        assert np.abs(x[off]).max() <= 1e-9
-        assert linalg.sym_eigen(x).values[-1] >= -linalg.PSD_TOL
-        assert abs(res.duality_gap) <= 1e-8
+        assert np.all(np.diag(x) == 1.0) and np.all(x[~pattern.mask] == 0.0)
+        assert np.abs(x - zs[-1]).max() < search.ADMM_STOP_TOL
+        assert res.psd_margin >= -pattern.n * search.ADMM_STOP_TOL
+        c = search._objective_weights(pattern.mask, ones)
+        (tight,) = oracle_sdp_loop(pattern.mask, c, params)
+        assert tight.converged
+        assert linalg.sym_eigen(tight.matrix).values[-1] >= -linalg.PSD_TOL
+        assert abs(tight.duality_gap) <= 1e-8
 
     def test_pentagon_objective_is_the_regular_pentagon(self, pentagon_slack):
         # The all-ones optimum is the diagonally normalized regular pentagon
-        # slack, whose entries sum to 5 * sqrt(5); the objective is that of
-        # the returned, feasible matrix.
+        # slack, whose entries sum to 5 * sqrt(5): the tight oracle reaches
+        # it; the package's objective is that of its returned, feasible matrix.
         pattern = data.pentagon_support()
-        res = search.sdp_feasibility(pattern, np.ones((5, 5)), search.SearchParams(target_rank=3))
+        params = search.SearchParams(target_rank=3)
+        ones = np.ones((1, 5, 5))
+        res = search.sdp_feasibility(pattern, ones[0], params)
         scale = np.sqrt(np.diag(pentagon_slack))
         optimum = (pentagon_slack / np.outer(scale, scale)).sum()
         assert optimum == pytest.approx(5.0 * np.sqrt(5.0), rel=1e-12)
-        assert res.objective == pytest.approx(optimum, rel=1e-8)
+        c = search._objective_weights(pattern.mask, ones)
+        (tight,) = oracle_sdp_loop(pattern.mask, c, params)
+        assert tight.objective == pytest.approx(optimum, rel=1e-8)
         assert res.objective == pytest.approx(float(res.matrix.sum()), rel=1e-15)
 
     @pytest.mark.parametrize("bits,weights", [
@@ -459,25 +472,26 @@ class TestSdpFeasibility:
             search.sdp_feasibility(pattern, -np.ones((5, 5)), params)
 
     @pytest.mark.parametrize(
-        "support,seed,max_iter,converged,psd",
+        "support,seed,max_iter,converged,near_psd",
         [(data.prism_support, 3, 2000, True, True),
          (data.prism_support, 3, 1, False, False),
          (data.pentagon_support, 1, 3, False, False),
          (data.pentagon_support, 1, 1, False, True)],
     )
     def test_exact_unit_diagonal_and_zeros_off_support(
-        self, support, seed, max_iter, converged, psd
+        self, support, seed, max_iter, converged, near_psd
     ):
         # The returned iterate has been through the affine projection, so the
         # equality constraints hold exactly whether or not the run converged.
-        # A run cut by max_iter has not converged, even when the matrix it
-        # returns passes the PSD test.
+        # A fired stop rule leaves X within n * ADMM_STOP_TOL of the PSD cone
+        # (near_psd); a run cut by max_iter has not converged, even when the
+        # matrix it returns is that near, or inside.
         pattern = support()
         params = search.SearchParams(target_rank=3, max_iter=max_iter)
         weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=(pattern.n, pattern.n))
         res = search.sdp_feasibility(pattern, weights, params)
         assert res.converged == converged
-        assert (res.psd_margin >= -linalg.PSD_TOL) == psd
+        assert (res.psd_margin >= -pattern.n * search.ADMM_STOP_TOL) == near_psd
         assert res.iterations <= max_iter
         assert np.all(np.diag(res.matrix) == 1.0)
         assert np.all(res.matrix[~pattern.mask] == 0.0)
@@ -511,17 +525,21 @@ class TestAdmmProperties:
             assert 1 <= res.iterations <= max_iter
             assert bits_of(res.psd_margin) == bits_of(linalg.sym_eigen(x).values[-1])
             if res.iterations < max_iter:
-                # The stop rule fired, and it implies the PSD test.
+                # The stop rule fired, and X is within n * ADMM_STOP_TOL of the PSD cone.
                 assert res.converged
             if res.converged:
-                assert res.psd_margin >= -linalg.PSD_TOL
-                assert abs(res.duality_gap) <= 1e-8
+                assert res.psd_margin >= -pattern.n * search.ADMM_STOP_TOL
             alone = search.sdp_feasibility(pattern, w, params)
             assert bits_of(res.matrix) == bits_of(alone.matrix)
             assert bits_of(res.objective) == bits_of(alone.objective)
             assert bits_of(res.duality_gap) == bits_of(alone.duality_gap)
             assert bits_of(res.psd_margin) == bits_of(alone.psd_margin)
             assert (res.converged, res.iterations) == (alone.converged, alone.iterations)
+        # The tight oracle's converged results are optima: PSD, and a small gap.
+        for tight in oracle_sdp_loop(on, search._objective_weights(on, weights), params):
+            if tight.converged:
+                assert tight.psd_margin >= -linalg.PSD_TOL
+                assert abs(tight.duality_gap) <= 1e-8
 
 
 # -- the ADMM loop before lean iterations, and rank refinement by alternating
@@ -535,20 +553,36 @@ def oracle_stacked_affine_project(x, on):
     return y
 
 
-def oracle_sdp_loop(on, c, params):
+# The stop rule before ADMM_STOP_TOL: max|X - Z| below min(TIGHT_PRIMAL_TOL,
+# PSD_TOL / n) and rho * max|Z - Z_prev| below TIGHT_DUAL_TOL, the point of an
+# optimum, where a converged X passes the PSD test.
+TIGHT_PRIMAL_TOL = 1e-10
+TIGHT_DUAL_TOL = 1e-8
+
+
+def oracle_sdp_loop(on, c, params, tight=True):
     """search._sdp_loop as it was: c / rho and the dual residual on every
-    iteration, rho as an array, U rescaled by every balancing step."""
+    iteration, rho as an array, U rescaled by every balancing step.  tight,
+    it stops at the tight stop rule, and an attempt has converged when it
+    stopped and its X passes the PSD test; else it stops once both
+    residuals are below search.ADMM_STOP_TOL, and converged means stopped.
+    Each result's stop_residuals holds its two residuals at its last
+    iteration."""
     n = on.shape[0]
     k = c.shape[0]
     weights = c
     max_iter = params.max_iter
-    primal_tol = min(search.ADMM_PRIMAL_TOL, linalg.PSD_TOL / n)
+    if tight:
+        primal_tol, dual_tol = min(TIGHT_PRIMAL_TOL, linalg.PSD_TOL / n), TIGHT_DUAL_TOL
+    else:
+        primal_tol = dual_tol = search.ADMM_STOP_TOL
     final = [None] * k
     live = list(range(k))
     rho = np.full(k, search.ADMM_RHO)
     bounds = [0.0] * k
     stopped = [False] * k
     iterations = [0] * k
+    residuals = [None] * k
     z = np.broadcast_to(np.eye(n), c.shape)
     u = np.zeros(c.shape)
     it = 0
@@ -563,7 +597,7 @@ def oracle_sdp_loop(on, c, params):
         keep, done = [], []
         for j, (r, dz, penalty) in enumerate(zip(primal, change, rho.tolist())):
             s = penalty * dz
-            if r < primal_tol and s < search.ADMM_DUAL_TOL:
+            if r < primal_tol and s < dual_tol:
                 stopped[live[j]] = True
             elif it < max_iter:
                 keep.append(j)
@@ -574,6 +608,7 @@ def oracle_sdp_loop(on, c, params):
                     u[j] /= step
                 continue
             iterations[live[j]] = it
+            residuals[live[j]] = (r, s)
             bounds[live[j]] = float(np.trace(c[j] - penalty * u[j]))
             done.append(j)
         if done:
@@ -590,9 +625,10 @@ def oracle_sdp_loop(on, c, params):
             objective=objective,
             duality_gap=abs(bounds[i] - objective) / max(1.0, abs(objective)),
             psd_margin=margin,
-            converged=stopped[i] and margin >= -linalg.PSD_TOL,
+            converged=stopped[i] and (margin >= -linalg.PSD_TOL or not tight),
             iterations=iterations[i],
         ))
+        results[-1].stop_residuals = residuals[i]
     return results
 
 
@@ -622,14 +658,10 @@ def sdp_bits(res) -> tuple:
             bits_of(res.psd_margin), res.iterations, res.converged)
 
 
-def declined(*args):
-    """A stand-in for search._polish that always declines."""
-    return None
-
-
 class TestLeanLoops:
     """The lean ADMM iterations give the iterates of the loop they replace,
-    bit for bit, with the polish declining or never triggered."""
+    bit for bit, at ADMM_STOP_TOL's stop rule: an attempt has converged
+    exactly when both of its residuals fell below ADMM_STOP_TOL."""
 
     @settings(max_examples=100, deadline=None)
     @given(weighted_supports(), st.sampled_from([1, 5, 40, 2000]))
@@ -638,78 +670,11 @@ class TestLeanLoops:
         on = pattern.mask
         params = search.SearchParams(target_rank=1, max_iter=max_iter)
         c = search._objective_weights(on, weights)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_polish", declined)
-            sdps = search._sdp_loop(on, c, params)
-        expected = oracle_sdp_loop(on, c.copy(), params)
-        assert all(r.newton_steps == 0 for r in sdps)
+        sdps = search._sdp_loop(on, c, params)
+        expected = oracle_sdp_loop(on, c.copy(), params, tight=False)
         assert [sdp_bits(r) for r in sdps] == [sdp_bits(r) for r in expected]
-
-    @settings(max_examples=50, deadline=None)
-    @given(weighted_supports(), st.sampled_from([1, 5, 40, 2000]))
-    def test_polish_at_zero_is_the_oracle(self, case, max_iter):
-        # With POLISH_AT at 0 no polish triggers and the dual residual is
-        # measured only where the stop test or a balancing step reads it.
-        pattern, weights = case
-        on = pattern.mask
-        params = search.SearchParams(target_rank=1, max_iter=max_iter)
-        c = search._objective_weights(on, weights)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "POLISH_AT", 0.0)
-            sdps = search._sdp_loop(on, c, params)
-        expected = oracle_sdp_loop(on, c.copy(), params)
-        assert [sdp_bits(r) for r in sdps] == [sdp_bits(r) for r in expected]
-
-
-class TestPolish:
-    """A polished SDP result is certified by its own multipliers, which this
-    test checks without the package, and it agrees with ADMM where ADMM
-    alone converges too."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(weighted_supports())
-    def test_polished_result_is_certified(self, case):
-        pattern, weights = case
-        on = pattern.mask
-        params = search.SearchParams(target_rank=1)
-        polish = search._polish
-        for w in weights:
-            ran = []
-
-            def recorded(*args):
-                ran.append(polish(*args))
-                return ran[-1]
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(search, "_polish", recorded)
-                res = search.sdp_feasibility(pattern, w, params)
-            assert len(ran) <= 1
-            if not ran or ran[0] is None:
-                assert res.newton_steps == 0
-                continue
-            x, y, mult, steps = ran[0]
-            assert bits_of(res.matrix) == bits_of(x) and res.newton_steps == steps
-            assert res.converged and res.iterations <= params.max_iter
-            # Exact affine structure, and the primal bound the stop rule gives.
-            assert np.all(np.diag(x) == 1.0) and np.all(x[~on] == 0.0)
-            assert bits_of(x) == bits_of(x.T)
-            assert np.linalg.eigvalsh(x)[0] >= -linalg.PSD_TOL
-            # The dual slack S = Diag(y) + sum w_pq (E_pq + E_qp) - C is PSD, so
-            # sum y bounds <C, X'> for every feasible X', and X attains it.
-            c = np.where(on, 0.5 * (w + w.T), 0.0)
-            p, q = np.nonzero(np.triu(~on, 1))
-            slack = np.diag(y)
-            slack[p, q] = slack[q, p] = mult
-            slack -= c
-            assert np.linalg.eigvalsh(slack)[0] >= -linalg.PSD_TOL * np.abs(slack).max()
-            objective = float((c * x).sum())
-            gap = abs(float(y.sum()) - objective) / max(1.0, abs(objective))
-            assert gap <= 1e-8 and res.duality_gap == pytest.approx(gap, abs=1e-15)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(search, "_polish", declined)
-                alone = search.sdp_feasibility(pattern, w, params)
-            if alone.converged:
-                assert np.abs(alone.matrix - x).max() <= 1e-7
+        for res in expected:
+            assert res.converged == (max(res.stop_residuals) < search.ADMM_STOP_TOL)
 
 
 def each_projection(monkeypatch, check):
@@ -840,10 +805,27 @@ class TestIterationCounts:
             # The draws randomized_retry makes for all params.retries attempts.
             weights = np.random.default_rng(seed).uniform(
                 0.5, 1.5, size=(params.retries, pattern.n, pattern.n))
-            results = search._sdp_loop(on, search._objective_weights(on, weights), params)
+            c = search._objective_weights(on, weights)
+            results = search._sdp_loop(on, c, params)
             assert all(res.iterations <= 300 for res in results)
             assert all(res.converged for res in results)
-            assert all(abs(res.duality_gap) <= 1e-8 for res in results)
+            tight = oracle_sdp_loop(on, c, params)
+            assert all(res.converged and abs(res.duality_gap) <= 1e-8 for res in tight)
+
+    def test_degenerate_supports_stop_within_500_iterations(self):
+        # Random symmetric supports on 3-8 points with a unit diagonal, three
+        # weight draws each: every attempt stops well inside max_iter.  Under
+        # the tight stop, trial 182's first attempt (n = 8) ran to 2000.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(3, 9))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.3, 0.9), 1)
+            bits = upper | upper.T | np.eye(n, dtype=bool)
+            pattern = search.SupportPattern(bits.astype(np.uint8))
+            params = search.SearchParams(target_rank=min(3, n))
+            for _ in range(3):
+                res = search.sdp_feasibility(pattern, rng.uniform(0, 2, (n, n)), params)
+                assert res.converged and res.iterations <= 500
 
 
 class TestRankRefine:
@@ -971,22 +953,26 @@ class TestRankRefine:
     def test_certifies_wherever_alternating_projections_do(self, name, support, rank):
         # Every SDP attempt of seeds 0-2, cut at 40 iterations or not: where
         # the alternating-projection oracle's matrix certifies, Gauss-Newton's
-        # does too.  From a converged SDP, both land on the same matrix.
+        # does too.  From an SDP optimum (the tight oracle's converged
+        # results), both land on the same matrix.
         bits = support()
         pattern = search.apply_sisd(bits, search.sisd_check(bits))
         n = pattern.n
+        tol = geometry.DEFAULT_FACET_TOL
         for seed, max_iter in itertools.product(range(3), (2000, 40)):
             weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=(19, n, n))
             params = search.SearchParams(target_rank=rank, max_iter=max_iter)
-            for sdp in search._sdp_loop(pattern.mask,
-                                        search._objective_weights(pattern.mask, weights), params):
+            c = search._objective_weights(pattern.mask, weights)
+            for sdp in search._sdp_loop(pattern.mask, c, params):
                 oracle, converged = oracle_rank_refine(sdp.matrix, rank, pattern)
                 res = search.rank_refine(sdp.matrix, rank, pattern)
-                tol = geometry.DEFAULT_FACET_TOL
                 if converged and search.certify(oracle, pattern, rank, tol)[0] is not None:
                     assert res.converged
                     assert search.certify(res.matrix, pattern, rank, tol)[0] is not None
+            for sdp in oracle_sdp_loop(pattern.mask, c, params):
                 if sdp.converged:
+                    oracle, converged = oracle_rank_refine(sdp.matrix, rank, pattern)
+                    res = search.rank_refine(sdp.matrix, rank, pattern)
                     assert converged and res.converged
                     assert np.abs(oracle - res.matrix).max() <= 1e-10
 
@@ -1071,7 +1057,6 @@ def sequential_retry(pattern, params, verify_tol=geometry.DEFAULT_FACET_TOL):
             index=index,
             sdp_converged=sdp.converged,
             sdp_iterations=sdp.iterations,
-            sdp_newton_steps=sdp.newton_steps,
             objective=sdp.objective,
             psd_margin=sdp.psd_margin,
             sdp_duality_gap=sdp.duality_gap,
@@ -1383,6 +1368,56 @@ class TestVerifyRealization:
         )
         report = search.verify_realization(perturbed, data.pentagon_support(), tol=1e-6)
         assert not report.passed
+
+
+def corpus() -> list[tuple[str, np.ndarray, int, range]]:
+    """(name, support, rank, seeds) of the search corpus: the bench supports
+    at seeds 0-19, the odd 9- to 31-gons at seeds 0-9, and direct sums at
+    seeds 0-2, their rows then columns shuffled by a fresh default_rng(1)
+    (a ray's support is [[1]]; a pyramid over a polygon is its sum with a ray)."""
+    pentagon, prism = data.pentagon_support().bits, data.prism_support().bits
+    ten, gon7, ray = data.ten_support().bits, gon_support(7), np.ones((1, 1), np.uint8)
+    items = [("pentagon", pentagon, 3, range(20)), ("prism", prism, 4, range(20)),
+             ("selfpolar10", ten, 4, range(20)), ("gon7", gon7, 3, range(20)),
+             ("four-cycle", data.four_cycle_support().bits, 3, range(20))]
+    items += [(f"gon{k}", gon_support(k), 3, range(10)) for k in range(9, 32, 2)]
+    sums = [("pentagon+pentagon", (pentagon, pentagon), 6), ("pentagon+gon7", (pentagon, gon7), 6),
+            ("3 pentagons", (pentagon,) * 3, 9), ("selfpolar10+pentagon", (ten, pentagon), 7),
+            ("prism+ray", (prism, ray), 5), ("pyramid7", (gon7, ray), 4),
+            ("pyramid25", (gon_support(25), ray), 4)]
+    for name, blocks, rank in sums:
+        rng = np.random.default_rng(1)
+        bits = block_diag(*blocks).astype(np.uint8)
+        bits = bits[np.ix_(rng.permutation(len(bits)), rng.permutation(len(bits)))]
+        items.append((name, bits, rank, range(3)))
+    return items
+
+
+class TestCorpus:
+    """A regression net over 241 (support, seed) pairs of run_pipeline at
+    the default params: which pairs certify, and where the SDP attempts
+    win once the spectral attempt is declined."""
+
+    def test_every_pair_certifies_but_the_known_failures(self):
+        items = corpus()
+        assert sum(len(seeds) for *_, seeds in items) == 241
+        failed = []
+        for name, bits, rank, seeds in items:
+            for seed in seeds:
+                res = search.run_pipeline(bits, search.SearchParams(target_rank=rank, seed=seed))
+                if not res.success:
+                    failed.append((name, seed))
+        assert failed == [("four-cycle", seed) for seed in range(20)] + [
+            ("pyramid25", 0), ("pyramid25", 2)]
+
+    @pytest.mark.parametrize("name,support,rank", TestIterationCounts.SUPPORTS[:4],
+                             ids=[c[0] for c in TestIterationCounts.SUPPORTS[:4]])
+    def test_sdp_attempts_win_at_once(self, name, support, rank, monkeypatch):
+        decline_spectral_attempt(monkeypatch)
+        bits = support()
+        for seed in range(10):
+            res = search.run_pipeline(bits, search.SearchParams(target_rank=rank, seed=seed))
+            assert res.retry.winning_attempt == 1
 
 
 class TestPipeline:
