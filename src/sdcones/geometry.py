@@ -480,10 +480,9 @@ def save_support(path, bits) -> None:
 def load_support(path) -> np.ndarray:
     n, lines = _read_rows(path, "support")
     for ln in lines:
-        if len(ln) != n or any(ch not in "01" for ch in ln):
+        if len(ln) != n or ln.strip("01"):
             raise ParseError(f"support file {path}: rows must be {n} characters of 0/1")
-    return np.asarray([[int(ch) for ch in ln] for ln in lines],
-                      dtype=np.uint8).reshape(n, n)
+    return (np.frombuffer("".join(lines).encode(), np.uint8) - ord("0")).reshape(n, n)
 
 
 def _read_rows(path, kind: str) -> tuple[int, list[str]]:

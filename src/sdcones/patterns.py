@@ -173,10 +173,10 @@ class _InvolutionSearch:
         self.sigma = [-1] * n
         self.nodes = 0
 
-    def place(self, j: int, c: int, rows: list[int], doms: list[int]) -> list[int] | None:
+    def place(self, j: int, c: int, rows: list[int], doms: list[int]) -> tuple | None:
         """The domains of the unplaced rows (doms[k] is row rows[k]'s) once
-        row j takes column c, or None when one is left empty.  Counts a
-        node."""
+        row j takes column c, with the index of the first smallest of them,
+        or None when one is left empty.  Counts a node."""
         self.nodes += 1
         if self.nodes > INVOLUTION_NODE_BUDGET:
             raise ConvergenceError(
@@ -185,13 +185,16 @@ class _InvolutionSearch:
             )
         on, off = self.rows_of[j], ~self.rows_of[j]
         col, keep = self.col_of[c], ~(1 << c)
-        pruned = []
+        pruned, smallest, size = [], 0, self.n + 1
         for r, dom in zip(rows, doms):
             dom &= (on if col >> r & 1 else off) & keep
             if not dom:
                 return None
+            count = dom.bit_count()
+            if count < size:
+                smallest, size = len(pruned), count
             pruned.append(dom)
-        return pruned
+        return pruned, smallest
 
     def completions(self):
         """Yield sigma each time it is completed, placing the row with the
@@ -201,9 +204,9 @@ class _InvolutionSearch:
         column c is open), so a search of any depth makes no recursive call."""
         frames: list[list] = []
         rows, doms = list(range(self.n)), self.domains  # unplaced, increasing
+        k = min(range(self.n), key=lambda i: doms[i].bit_count(), default=0)
         while True:
             if rows:
-                k = min(range(len(rows)), key=lambda i: doms[i].bit_count())
                 frames.append([rows[k], rows[:k] + rows[k + 1:],
                                doms[:k] + doms[k + 1:], doms[k]])
             else:
@@ -218,10 +221,10 @@ class _InvolutionSearch:
                 low = todo & -todo
                 frame[3] = todo ^ low
                 c = low.bit_length() - 1
-                pruned = self.place(j, c, rest_rows, rest_doms)
-                if pruned is not None:
+                placed = self.place(j, c, rest_rows, rest_doms)
+                if placed is not None:
                     self.sigma[j] = c
-                    rows, doms = rest_rows, pruned
+                    rows, (doms, k) = rest_rows, placed
                     break
             else:
                 return

@@ -9,7 +9,8 @@ close enough for refinement, not at an optimum:
 
     max sum c_ij X_ij   s.t.  X_ij = 0 off support,  X_ii = 1,  X PSD,
 
-whose generic optimum is a low-rank extreme point of the feasible set.
+whose generic optimum is a low-rank extreme point of the feasible set; an
+attempt keeps only its start's matrix, stop flag and iteration count.
 certify, the one gate, judges a cone by selfdual.certify_slack, as analyze
 and certify_psd_slack do, so a failure only means "no realization found".
 """
@@ -102,10 +103,9 @@ ADMM_STOP_TOL = 1e-3  # stop once max|X - Z| and rho * max|Z - Z_prev| are below
 
 @dataclass
 class SdpResult:
+    """ADMM's last X, whether its stop rule fired, and its iteration count."""
+
     matrix: np.ndarray
-    objective: float
-    duality_gap: float
-    psd_margin: float
     converged: bool
     iterations: int
 
@@ -137,11 +137,9 @@ def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> S
     lambda_min(X) >= -n max|X - Z| > -n ADMM_STOP_TOL once the rule fires.
 
     The returned matrix is the last X: it has an exact unit diagonal and
-    exact zeros off the support; psd_margin is its smallest eigenvalue and
-    objective its sum c_ij X_ij.  duality_gap is |bound - objective| /
-    max(1, |objective|), the bound being tr(C - rho U), the one -rho U gives.
-    The result has converged when the stop rule fired; it is no certificate
-    of an optimum, and certify alone judges what refinement makes of it.
+    exact zeros off the support.  The result has converged when the stop
+    rule fired; it is no certificate of an optimum, and certify alone judges
+    what refinement makes of it.
     """
     n = pattern.n
     if n == 0:
@@ -164,22 +162,19 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     one raises) and stop rule, and leaves the stack when it stops or reaches
     max_iter; the projections treat each matrix of a stack as they treat one
     matrix, so every attempt gets the iterates and the result it would get
-    alone, bit for bit.  C / rho is kept until rho changes.  Once every
-    attempt has left, one more stacked eigenvalue read, not counted as an
-    iteration, measures each psd_margin.
+    alone, bit for bit.  C / rho is kept until rho changes.  C's diagonal is
+    zeroed first: the affine step resets X's diagonal whatever C / rho holds
+    there, and a huge diagonal weight would overflow the division.
     """
     n = on.shape[0]
     k = c.shape[0]
-    weights = c  # the whole stack; c shrinks with the stack
     free = on > _identity(n)  # the support off the diagonal
+    c = np.where(free, c, 0.0)
     max_iter = params.max_iter
-    final: list = [None] * k  # each attempt's X once it has left the stack
+    results: list = [None] * k  # each attempt's result once it has left the stack
     live = list(range(k))  # the attempts still in the stack, in stack order
     rho = [ADMM_RHO] * k  # each live attempt's penalty
     c_rho = c / ADMM_RHO  # each live attempt's C / rho
-    bounds = [0.0] * k  # each attempt's dual bound once it has left
-    stopped = [False] * k
-    iterations = [0] * k
     z = np.broadcast_to(np.eye(n), c.shape)
     u = np.zeros(c.shape)
     it = 0
@@ -197,10 +192,9 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
         balance = it % ADMM_BALANCE_EVERY == 0
         keep = []
         for j, (r, s) in enumerate(zip(primal, change)):
-            i = live[j]
             s *= rho[j]  # the dual residual
-            stopped[i] = r < ADMM_STOP_TOL and s < ADMM_STOP_TOL
-            if not stopped[i] and it < max_iter:
+            stopped = r < ADMM_STOP_TOL and s < ADMM_STOP_TOL
+            if not stopped and it < max_iter:
                 keep.append(j)
                 if balance:
                     step = 2.0 if r > ADMM_BALANCE_RATIO * s else (
@@ -210,26 +204,11 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
                         u[j] /= step
                         c_rho[j] = c[j] / rho[j]
                 continue
-            iterations[i] = it
-            final[i], bounds[i] = x[j], float(np.trace(c[j] - rho[j] * u[j]))
+            results[live[j]] = SdpResult(x[j], stopped, it)
         if len(keep) < len(live):
             live = [live[j] for j in keep]
             z, u, c, c_rho = z[keep], u[keep], c[keep], c_rho[keep]
             rho = [rho[j] for j in keep]
-
-    # The matrix returned is the last X, affine-feasible by construction.
-    margins = linalg._eigh(np.stack(final))[0][:, -1].tolist()
-    results = []
-    for i, margin in enumerate(margins):
-        objective = float((weights[i] * final[i]).sum())
-        results.append(SdpResult(
-            matrix=final[i],
-            objective=objective,
-            duality_gap=abs(bounds[i] - objective) / max(1.0, abs(objective)),
-            psd_margin=margin,
-            converged=stopped[i],
-            iterations=iterations[i],
-        ))
     return results
 
 
@@ -340,8 +319,7 @@ _RETRY_STACK = 32
 @dataclass
 class AttemptRecord:
     """One transcript attempt, all scalars, so a transcript does not grow
-    with max_iter.  sdp_converged means the SDP's stop rule fired, and
-    psd_margin and sdp_duality_gap are read where it fired, at
+    with max_iter.  sdp_converged means the SDP's stop rule fired, at
     ADMM_STOP_TOL, not at an optimum.  The spectral attempt 0 records the
     SDP at all-ones weights after its one iteration, whose X is X0 (1
     iteration, not converged unless the support is diagonal).
@@ -351,9 +329,6 @@ class AttemptRecord:
     index: int
     sdp_converged: bool
     sdp_iterations: int
-    objective: float
-    psd_margin: float
-    sdp_duality_gap: float
     refine_converged: bool
     refine_iterations: int
     refine_reason: str | None
@@ -403,9 +378,6 @@ def randomized_retry(
             index=index,
             sdp_converged=sdp.converged,
             sdp_iterations=sdp.iterations,
-            objective=sdp.objective,
-            psd_margin=sdp.psd_margin,
-            sdp_duality_gap=sdp.duality_gap,
             refine_converged=refined.converged,
             refine_iterations=refined.iterations,
             refine_reason=refined.reason,
@@ -465,6 +437,8 @@ def extract_realization(x, d: int) -> Realization:
     rank is not d.  Rescaling a row by a positive number would not change
     the cone they generate, so the rows are taken as they are, on a connected
     support or not; verify_realization decides whether the cone certifies.
+    Its residuals: support_violation, max |(V V^T)_ij| off the support, and
+    selfdual_gap, NaN until certify sets it; V V^T is PSD by construction.
     """
     a = linalg.require_symmetric(x)
     if a.size == 0:
@@ -473,7 +447,6 @@ def extract_realization(x, d: int) -> Realization:
     factor = geometry._spectral_factor(linalg.sym_eigen(a), d)
     gram = factor @ factor.T
     residuals = {
-        "psd_margin": float(linalg.sym_eigen(gram).values[-1]),
         "support_violation": float(np.abs(gram[~mask]).max(initial=0.0)),
         "selfdual_gap": float("nan"),
     }

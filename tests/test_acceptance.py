@@ -54,7 +54,7 @@ def test_criterion_1_pentagon_golden(pentagon_rays, pentagon_slack):
         cone = geometry.PolyhedralCone(pentagon_rays)
         sm = geometry.slack_matrix(cone)
         elapsed = time.perf_counter() - t0
-        assert elapsed < 1.0
+        assert elapsed < 1.0, f"took {elapsed:.2f} s"
 
         sigma = match_columns_by_pattern(
             support_pattern_of(pentagon_slack), support_pattern_of(sm.matrix)
@@ -80,12 +80,14 @@ def test_criterion_2_extremality_certificates(pentagon_slack, prism_slack, nonsl
         for m in (pentagon_slack, prism_slack, nonslack_extreme):
             t0 = time.perf_counter()
             rep = dnn.dnn_extremality(m)
-            assert time.perf_counter() - t0 < 1.0
+            wall = time.perf_counter() - t0
+            assert wall < 1.0, f"took {wall:.2f} s"
             assert rep.extreme and rep.intersection_dim == 1
         for n in range(2, 9):
             t0 = time.perf_counter()
             rep = dnn.dnn_extremality(np.eye(n))
-            assert time.perf_counter() - t0 < 1.0
+            wall = time.perf_counter() - t0
+            assert wall < 1.0, f"took {wall:.2f} s"
             assert not rep.extreme and rep.intersection_dim == n
 
 
@@ -118,7 +120,8 @@ def test_criterion_5_self_duality_decisions(pentagon_rays, prism_rays):
         for k in (4, 6, 8, 10):
             cone = geometry.cone_over_polytope(data.regular_polygon_vertices(k))
             assert not selfdual.is_self_dual(cone)[0]
-        assert time.perf_counter() - t0 < 10.0
+        wall = time.perf_counter() - t0
+        assert wall < 10.0, f"took {wall:.2f} s"
 
 
 def test_criterion_6_pipeline_magnitudes(tmp_path):
@@ -173,7 +176,8 @@ def test_criterion_6_pipeline_magnitudes(tmp_path):
             rep = search.verify_realization(real, pattern, tol=1e-6)
             assert rep.passed
             assert cone.n_rays == pattern.n
-        assert time.perf_counter() - t0 < 60.0
+        wall = time.perf_counter() - t0
+        assert wall < 60.0, f"took {wall:.2f} s"
 
 
 def test_criterion_7a_double_dual_round_trip():

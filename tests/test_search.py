@@ -159,10 +159,10 @@ def recursive_completions(state, rows: list[int], doms: list[int]):
         low = todo & -todo
         todo ^= low
         c = low.bit_length() - 1
-        pruned = state.place(j, c, rest_rows, rest_doms)
-        if pruned is not None:
+        placed = state.place(j, c, rest_rows, rest_doms)
+        if placed is not None:
             state.sigma[j] = c
-            yield from recursive_completions(state, rest_rows, pruned)
+            yield from recursive_completions(state, rest_rows, placed[0])
 
 
 def search_trace(state, completions, limit: int = 200) -> list:
@@ -241,7 +241,8 @@ class TestSisdCheck:
         monkeypatch.setattr(patterns, "INVOLUTION_NODE_BUDGET", 100)
         start = time.perf_counter()
         sigma = search.sisd_check(s)
-        assert time.perf_counter() - start < 1.0
+        wall = time.perf_counter() - start
+        assert wall < 1.0, f"took {wall:.2f} s"
         assert sigma.tolist() == [3, 0, 1, 2, *range(4, 12)]
 
     def test_regular_heptagon_slack_support(self):
@@ -406,6 +407,12 @@ class TestSisdCheck:
         assert search.sisd_check(flipped).tolist() == [1, 0]
 
 
+def huge_corner(w: np.ndarray) -> np.ndarray:
+    """w with its first diagonal weight set to 9e307."""
+    w[0, 0] = 9e307
+    return w
+
+
 class TestSdpFeasibility:
     def test_identity_support(self):
         pattern = search.SupportPattern(np.eye(4, dtype=np.uint8))
@@ -428,7 +435,7 @@ class TestSdpFeasibility:
         x = res.matrix
         assert np.all(np.diag(x) == 1.0) and np.all(x[~pattern.mask] == 0.0)
         assert np.abs(x - zs[-1]).max() < search.ADMM_STOP_TOL
-        assert res.psd_margin >= -pattern.n * search.ADMM_STOP_TOL
+        assert smallest_eigenvalue(x) >= -pattern.n * search.ADMM_STOP_TOL
         c = search._objective_weights(pattern.mask, ones)
         (tight,) = oracle_sdp_loop(pattern.mask, c, params)
         assert tight.converged
@@ -437,33 +444,43 @@ class TestSdpFeasibility:
 
     def test_pentagon_objective_is_the_regular_pentagon(self, pentagon_slack):
         # The all-ones optimum is the diagonally normalized regular pentagon
-        # slack, whose entries sum to 5 * sqrt(5): the tight oracle reaches
-        # it; the package's objective is that of its returned, feasible matrix.
+        # slack, whose entries sum to 5 * sqrt(5): the tight oracle reaches it.
         pattern = data.pentagon_support()
         params = search.SearchParams(target_rank=3)
         ones = np.ones((1, 5, 5))
-        res = search.sdp_feasibility(pattern, ones[0], params)
         scale = np.sqrt(np.diag(pentagon_slack))
         optimum = (pentagon_slack / np.outer(scale, scale)).sum()
         assert optimum == pytest.approx(5.0 * np.sqrt(5.0), rel=1e-12)
         c = search._objective_weights(pattern.mask, ones)
         (tight,) = oracle_sdp_loop(pattern.mask, c, params)
         assert tight.objective == pytest.approx(optimum, rel=1e-8)
-        assert res.objective == pytest.approx(float(res.matrix.sum()), rel=1e-15)
 
-    @pytest.mark.parametrize("bits,weights", [
-        (np.ones((1, 1)), np.full((1, 1), 9e307)),
-        (np.eye(3), np.diag([9e307, 1.0, 1.0]) + 1.0 - np.eye(3)),
-    ], ids=["one-point", "diagonal"])
-    def test_huge_weights_do_not_overflow(self, bits, weights):
-        # Symmetrizing halves before it adds, so w + w^T no longer overflows
-        # to inf for weights of 9e307; the objective is finite here, so the
-        # run raises nothing and warns of nothing.
-        pattern = search.SupportPattern(bits.astype(np.uint8))
+    @pytest.mark.parametrize("pattern,weights,rank", [
+        (search.SupportPattern(np.ones((1, 1), np.uint8)), np.full((1, 1), 9e307), 1),
+        (search.SupportPattern(np.eye(3, dtype=np.uint8)),
+         np.diag([9e307, 1.0, 1.0]) + 1.0 - np.eye(3), 1),
+        (data.four_cycle_support(),
+         huge_corner(np.random.default_rng(3).uniform(0.5, 1.5, (4, 4))), 3),
+        (data.pentagon_support(), np.full((5, 5), 9e307), 3),
+    ], ids=["one-point", "diagonal", "four-cycle", "pentagon"])
+    def test_huge_weights_do_not_overflow(self, pattern, weights, rank):
+        # Symmetrizing halves before it adds, so w + w^T does not overflow
+        # for weights of 9e307, and the loop zeroes C's diagonal before it
+        # divides by rho, so a halved rho does not overflow C / rho either.
+        # The run raises nothing and warns of nothing; a run its stop rule
+        # ends is within n * ADMM_STOP_TOL of the PSD cone, and on a
+        # diagonal support that is the identity.
+        params = search.SearchParams(target_rank=rank)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = search.sdp_feasibility(pattern, weights, search.SearchParams(target_rank=1))
-        assert res.converged and res.objective == pytest.approx(weights.trace())
+            res = search.sdp_feasibility(pattern, weights, params)
+        x = res.matrix
+        assert np.all(np.diag(x) == 1.0) and np.all(x[~pattern.mask] == 0.0)
+        assert res.converged or res.iterations == params.max_iter
+        if res.converged:
+            assert smallest_eigenvalue(x) >= -pattern.n * search.ADMM_STOP_TOL
+        if pattern.mask.sum() == pattern.n:
+            assert res.converged and np.array_equal(x, np.eye(pattern.n))
 
     def test_weights_validated(self):
         pattern = data.pentagon_support()
@@ -491,7 +508,7 @@ class TestSdpFeasibility:
         weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=(pattern.n, pattern.n))
         res = search.sdp_feasibility(pattern, weights, params)
         assert res.converged == converged
-        assert (res.psd_margin >= -pattern.n * search.ADMM_STOP_TOL) == near_psd
+        assert (smallest_eigenvalue(res.matrix) >= -pattern.n * search.ADMM_STOP_TOL) == near_psd
         assert res.iterations <= max_iter
         assert np.all(np.diag(res.matrix) == 1.0)
         assert np.all(res.matrix[~pattern.mask] == 0.0)
@@ -523,17 +540,13 @@ class TestAdmmProperties:
             x = res.matrix
             assert np.all(np.diag(x) == 1.0) and np.all(x[~on] == 0.0)
             assert 1 <= res.iterations <= max_iter
-            assert bits_of(res.psd_margin) == bits_of(linalg.sym_eigen(x).values[-1])
             if res.iterations < max_iter:
                 # The stop rule fired, and X is within n * ADMM_STOP_TOL of the PSD cone.
                 assert res.converged
             if res.converged:
-                assert res.psd_margin >= -pattern.n * search.ADMM_STOP_TOL
+                assert smallest_eigenvalue(x) >= -pattern.n * search.ADMM_STOP_TOL
             alone = search.sdp_feasibility(pattern, w, params)
             assert bits_of(res.matrix) == bits_of(alone.matrix)
-            assert bits_of(res.objective) == bits_of(alone.objective)
-            assert bits_of(res.duality_gap) == bits_of(alone.duality_gap)
-            assert bits_of(res.psd_margin) == bits_of(alone.psd_margin)
             assert (res.converged, res.iterations) == (alone.converged, alone.iterations)
         # The tight oracle's converged results are optima: PSD, and a small gap.
         for tight in oracle_sdp_loop(on, search._objective_weights(on, weights), params):
@@ -560,14 +573,30 @@ TIGHT_PRIMAL_TOL = 1e-10
 TIGHT_DUAL_TOL = 1e-8
 
 
+@dataclasses.dataclass
+class OracleSdp:
+    """An oracle_sdp_loop result: search.SdpResult's fields, plus what the
+    package does not report of the last X: its objective sum c_ij X_ij,
+    the relative gap |bound - objective| / max(1, |objective|) to the dual
+    bound tr(C - rho U), its smallest eigenvalue, and the two residuals at
+    its last iteration."""
+
+    matrix: np.ndarray
+    converged: bool
+    iterations: int
+    objective: float
+    duality_gap: float
+    psd_margin: float
+    stop_residuals: tuple
+
+
 def oracle_sdp_loop(on, c, params, tight=True):
     """search._sdp_loop as it was: c / rho and the dual residual on every
-    iteration, rho as an array, U rescaled by every balancing step.  tight,
-    it stops at the tight stop rule, and an attempt has converged when it
+    iteration, rho as an array, U rescaled by every balancing step, and an
+    objective, dual bound and PSD margin read for each attempt.  tight, it
+    stops at the tight stop rule, and an attempt has converged when it
     stopped and its X passes the PSD test; else it stops once both
-    residuals are below search.ADMM_STOP_TOL, and converged means stopped.
-    Each result's stop_residuals holds its two residuals at its last
-    iteration."""
+    residuals are below search.ADMM_STOP_TOL, and converged means stopped."""
     n = on.shape[0]
     k = c.shape[0]
     weights = c
@@ -620,15 +649,15 @@ def oracle_sdp_loop(on, c, params, tight=True):
     results = []
     for i, margin in enumerate(margins):
         objective = float((weights[i] * final[i]).sum())
-        results.append(search.SdpResult(
+        results.append(OracleSdp(
             matrix=final[i],
+            converged=stopped[i] and (margin >= -linalg.PSD_TOL or not tight),
+            iterations=iterations[i],
             objective=objective,
             duality_gap=abs(bounds[i] - objective) / max(1.0, abs(objective)),
             psd_margin=margin,
-            converged=stopped[i] and (margin >= -linalg.PSD_TOL or not tight),
-            iterations=iterations[i],
+            stop_residuals=residuals[i],
         ))
-        results[-1].stop_residuals = residuals[i]
     return results
 
 
@@ -654,8 +683,7 @@ def oracle_rank_refine(x, d, pattern, max_iter=2000):
 
 
 def sdp_bits(res) -> tuple:
-    return (bits_of(res.matrix), bits_of(res.objective), bits_of(res.duality_gap),
-            bits_of(res.psd_margin), res.iterations, res.converged)
+    return bits_of(res.matrix), res.iterations, res.converged
 
 
 class TestLeanLoops:
@@ -929,7 +957,8 @@ class TestRankRefine:
         finally:
             tracemalloc.stop()
         assert (res.converged, res.reason) == (False, "stagnation")
-        assert peak < 64e6 and wall < 5.0
+        assert peak < 64e6
+        assert wall < 5.0, f"took {wall:.2f} s"
 
     @pytest.mark.parametrize("k", [51, 201])
     def test_spectral_start_converges_through_a_rise(self, k):
@@ -1057,9 +1086,6 @@ def sequential_retry(pattern, params, verify_tol=geometry.DEFAULT_FACET_TOL):
             index=index,
             sdp_converged=sdp.converged,
             sdp_iterations=sdp.iterations,
-            objective=sdp.objective,
-            psd_margin=sdp.psd_margin,
-            sdp_duality_gap=sdp.duality_gap,
             refine_converged=refined.converged,
             refine_iterations=refined.iterations,
             refine_reason=refined.reason,
@@ -1164,12 +1190,9 @@ class TestStackedRetries:
             assert len(stacked) == len(weights)
             for res, w in zip(stacked, weights):
                 alone = search.sdp_feasibility(pattern, w, params)
-                assert bits_of(res.objective) == bits_of(alone.objective)
-                assert bits_of(res.duality_gap) == bits_of(alone.duality_gap)
                 assert bits_of(res.matrix) == bits_of(alone.matrix)
                 assert res.iterations == alone.iterations
                 assert res.converged == alone.converged
-                assert bits_of(res.psd_margin) == bits_of(alone.psd_margin)
 
     def test_four_cycle_runs_stacks(self, monkeypatch):
         # Guards the test above: a failing support must reach the stacked
@@ -1583,6 +1606,10 @@ def bits_of(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def smallest_eigenvalue(x) -> float:
+    return float(linalg.sym_eigen(x).values[-1])
+
+
 def each_member(oracle):
     """oracle, written for one matrix, applied to one matrix or to each
     matrix of a stack (its first argument); a stack's results are stacked."""
@@ -1625,10 +1652,7 @@ class TestProjectionOracle:
                 mp.setattr(search, "_affine_project", each_member(oracle_affine_project))
                 sdp_o, ref_o = self._run(pattern, weights, params)
             assert sdp.iterations == sdp_o.iterations
-            assert bits_of(sdp.objective) == bits_of(sdp_o.objective)
-            assert bits_of(sdp.duality_gap) == bits_of(sdp_o.duality_gap)
             assert bits_of(sdp.matrix) == bits_of(sdp_o.matrix)
-            assert sdp.psd_margin == sdp_o.psd_margin
             assert sdp.converged == sdp_o.converged
             assert ref.iterations == ref_o.iterations
             assert bits_of(ref.matrix) == bits_of(ref_o.matrix)
