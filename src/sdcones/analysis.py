@@ -24,7 +24,6 @@ payload the CLI prints or writes goes through it.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -53,10 +52,6 @@ class AnalysisReport:
     def to_json(self) -> str:
         """The report as `sdcones analyze` prints it."""
         return to_json(self)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls(**json.loads(text))
 
 
 def to_json(obj) -> str:

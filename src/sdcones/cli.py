@@ -263,9 +263,9 @@ def _refusal(args) -> str | None:
     """Why none of the inputs can run: a --tol that is not finite and
     positive, an analyze --rank below 1 (a rank its report's schema does not
     admit), search flags that SearchParams refuses, two inputs that would
-    write the same output path, or an output path that is one of the inputs;
-    None when they can all run.  For search it sets args.params, the one
-    SearchParams every input runs with."""
+    write the same output path, or an output path that is one of the inputs
+    or a link to one; None when they can all run.  For search it sets
+    args.params, the one SearchParams every input runs with."""
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         return f"--tol must be finite and positive, got {args.tol}"
     if args.command == "analyze" and args.rank < 1:
@@ -278,16 +278,27 @@ def _refusal(args) -> str | None:
         except PreconditionError as exc:
             return str(exc)
     targets = Counter(t for p in args.inputs for t in _outputs(args, p))
-    inputs = {Path(p).resolve() for p in args.inputs} if targets else set()
+    inputs = {_file_key(p): p for p in args.inputs} if targets else {}
     for target, count in targets.items():
         if count > 1:
             return (
                 f"{count} inputs would write {target} (--out {args.out}); "
                 "each would overwrite the one before"
             )
-        if target.resolve() in inputs:
-            return f"--out {args.out} would overwrite the input {target}"
+        source = inputs.get(_file_key(target))
+        if source is not None:
+            return f"--out {args.out} would overwrite the input {source}"
     return None
+
+
+def _file_key(path) -> tuple[int, int] | str:
+    """What two paths to one file share: the file's (device, inode) when it
+    exists, which links do not change, else the path's absolute spelling."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return os.path.abspath(path)
+    return info.st_dev, info.st_ino
 
 
 def main(argv=None) -> int:

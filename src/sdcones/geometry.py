@@ -39,12 +39,10 @@ from .patterns import slack_support
 # a generator may sit before the facet is rejected, and how near it is tight.
 DEFAULT_FACET_TOL = 1e-7
 
-# Generator subsets per chunk of the facet scan, and at most _SCAN_ENTRIES
-# subset-generator products per chunk, which bounds the scan's memory at any
-# C(n, d-1) and n.  Chunks of 1024 subsets scan d=5..7 cones with 12 to 24
-# generators from 5 % slower to 25 % faster than chunks of 256.
+# Generator subsets per chunk of the facet scan, fewer when their products
+# would pass linalg._STACK_ENTRIES.  Chunks of 1024 subsets scan d=5..7 cones
+# with 12 to 24 generators from 5 % slower to 25 % faster than chunks of 256.
 _SCAN_CHUNK = 1024
-_SCAN_ENTRIES = 1 << 20
 
 # The facet scan's work budget: more (d-1)-subsets than this raise
 # ConvergenceError before any is formed.  A scan at the budget takes about
@@ -158,7 +156,7 @@ def _facet_scan(gen: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
             f"facet scan of {n} generators in R^{d} needs C({n}, {d - 1}) = "
             f"{count} subsets, over the budget of {FACET_SUBSET_BUDGET}"
         )
-    size = max(1, min(_SCAN_CHUNK, _SCAN_ENTRIES // n))
+    size = max(1, min(_SCAN_CHUNK, linalg._STACK_ENTRIES // n))
     found, products, seen = [np.zeros((0, d))], [np.zeros((0, n))], set()
     combos = itertools.chain.from_iterable(itertools.combinations(range(n), d - 1))
     while True:
@@ -473,8 +471,9 @@ def load_matrix(path) -> np.ndarray:
 
 def save_support(path, bits) -> None:
     b = np.asarray(bits).astype(np.uint8)
-    lines = [str(b.shape[0])] + ["".join(str(int(x)) for x in row) for row in b]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = np.full((b.shape[0], b.shape[1] + 1), ord("\n"), np.uint8)  # each row, then "\n"
+    rows[:, :-1] = b + ord("0")
+    Path(path).write_bytes(f"{b.shape[0]}\n".encode() + rows.tobytes())
 
 
 def load_support(path) -> np.ndarray:

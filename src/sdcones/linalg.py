@@ -22,7 +22,9 @@ _clip_project: clip the eigenvalues at 0, keep the d largest (d = n for
 psd_project) and return V diag(w) V^T, in which the sign of each column of V
 cancels exactly, so it skips the sign rule.  It takes stacks, each matrix
 getting the bits it would get alone, and the search loops call it
-unvalidated.  All functions are pure; there is no shared mutable state.
+unvalidated.  _STACK_ENTRIES bounds the entries of the stacks the package
+builds, facet-scan chunks and search SDP stacks, down to one member.
+All functions are pure; there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ SYMMETRY_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-8
 
 PSD_TOL = 1e-9  # relative PSD tolerance: is_psd's, dnn's, analyze's and the SDP's
+_STACK_ENTRIES = 1 << 20  # the stack bound above, read by its users at call time
 
 
 def as_matrix(a) -> np.ndarray:

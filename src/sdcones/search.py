@@ -158,57 +158,46 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     runs a stack of one.
 
     A stack makes one linalg._clip_project call per iteration for all of its
-    live attempts.  Each attempt keeps its own rho, residuals (a non-finite
-    one raises) and stop rule, and leaves the stack when it stops or reaches
-    max_iter; the projections treat each matrix of a stack as they treat one
-    matrix, so every attempt gets the iterates and the result it would get
-    alone, bit for bit.  C / rho is kept until rho changes.  C's diagonal is
-    zeroed first: the affine step resets X's diagonal whatever C / rho holds
-    there, and a huge diagonal weight would overflow the division.
+    live attempts.  Each attempt's rho, residuals (a non-finite one raises)
+    and stop rule are entries of arrays, and an attempt leaves the stack when
+    it stops or reaches max_iter; the projections treat each matrix of a
+    stack as they treat one matrix, so every attempt gets the iterates and
+    the result it would get alone, bit for bit.  C's diagonal is zeroed
+    first: the affine step resets X's diagonal whatever C / rho holds there,
+    and a huge diagonal weight would overflow the division.
     """
     n = on.shape[0]
     k = c.shape[0]
     free = on > _identity(n)  # the support off the diagonal
     c = np.where(free, c, 0.0)
-    max_iter = params.max_iter
     results: list = [None] * k  # each attempt's result once it has left the stack
-    live = list(range(k))  # the attempts still in the stack, in stack order
-    rho = [ADMM_RHO] * k  # each live attempt's penalty
-    c_rho = c / ADMM_RHO  # each live attempt's C / rho
+    live = np.arange(k)  # the attempts still in the stack, in stack order
+    rho = np.full(k, ADMM_RHO)  # each live attempt's penalty
     z = np.broadcast_to(np.eye(n), c.shape)
     u = np.zeros(c.shape)
-    it = 0
-    while live:
-        it += 1
-        x = _affine_project(z - u + c_rho, free)
+    for it in range(1, params.max_iter + 1):
+        x = _affine_project(z - u + c / rho[:, None, None], free)
         u += x  # U + X, the projection's input
         z_next = linalg._clip_project(u, n)
         u -= z_next
-        primal = np.abs(x - z_next).max(axis=(-2, -1)).tolist()
-        if not all(map(math.isfinite, primal)):
+        primal = np.abs(x - z_next).max(axis=(-2, -1))
+        if not np.isfinite(primal).all():
             raise PreconditionError("matrix entries must be finite")
-        change = np.abs(z_next - z).max(axis=(-2, -1)).tolist()
+        dual = rho * np.abs(z_next - z).max(axis=(-2, -1))
         z = z_next
-        balance = it % ADMM_BALANCE_EVERY == 0
-        keep = []
-        for j, (r, s) in enumerate(zip(primal, change)):
-            s *= rho[j]  # the dual residual
-            stopped = r < ADMM_STOP_TOL and s < ADMM_STOP_TOL
-            if not stopped and it < max_iter:
-                keep.append(j)
-                if balance:
-                    step = 2.0 if r > ADMM_BALANCE_RATIO * s else (
-                        0.5 if s > ADMM_BALANCE_RATIO * r else 1.0)
-                    if step != 1.0:
-                        rho[j] *= step
-                        u[j] /= step
-                        c_rho[j] = c[j] / rho[j]
-                continue
-            results[live[j]] = SdpResult(x[j], stopped, it)
-        if len(keep) < len(live):
-            live = [live[j] for j in keep]
-            z, u, c, c_rho = z[keep], u[keep], c[keep], c_rho[keep]
-            rho = [rho[j] for j in keep]
+        if it % ADMM_BALANCE_EVERY == 0:
+            step = np.where(primal > ADMM_BALANCE_RATIO * dual, 2.0,
+                            np.where(dual > ADMM_BALANCE_RATIO * primal, 0.5, 1.0))
+            rho *= step
+            u /= step[:, None, None]
+        stopped = np.maximum(primal, dual) < ADMM_STOP_TOL
+        done = stopped | (it == params.max_iter)
+        if done.any():
+            for j in np.flatnonzero(done):  # a copy: a view would keep all of x alive
+                results[live[j]] = SdpResult(x[j].copy(), bool(stopped[j]), it)
+            live, z, u, c, rho = live[~done], z[~done], u[~done], c[~done], rho[~done]
+            if not live.size:
+                break
     return results
 
 
@@ -310,12 +299,6 @@ def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
 # Randomized retries.
 # ---------------------------------------------------------------------------
 
-# The SDP attempts run in stacks of at most this many: each SDP iteration
-# then makes one eigendecomposition call for the whole stack, and a large
-# retry count never allocates one (n, n) array per attempt at once.
-_RETRY_STACK = 32
-
-
 @dataclass
 class AttemptRecord:
     """One transcript attempt, all scalars, so a transcript does not grow
@@ -395,15 +378,19 @@ def randomized_retry(
 
 def _starts(pattern: SupportPattern, params: SearchParams):
     """randomized_retry's starts, lazily, as SDP results: X0, then one per
-    weight draw, in stacks of up to _RETRY_STACK draws (the same draws as one
-    (n, n) draw per attempt).  A stack that raises reruns one attempt at a
-    time, so an error surfaces at its own attempt, every other bit unchanged.
-    X0 = P_aff(I + C / ADMM_RHO) is the all-ones SDP's first ADMM iterate."""
+    weight draw, in stacks of max(1, linalg._STACK_ENTRIES // n**2) draws
+    (the same draws as one (n, n) draw per attempt): each SDP iteration makes
+    one eigendecomposition call per stack, and no array of a stack passes
+    the bound unless one attempt does.  A stack that raises reruns one
+    attempt at a time, so an error surfaces at its own attempt, every other
+    bit unchanged.  X0 = P_aff(I + C / ADMM_RHO) is the all-ones SDP's first
+    ADMM iterate."""
     n = pattern.n
     yield sdp_feasibility(pattern, np.ones((n, n)), replace(params, max_iter=1))
     rng = np.random.default_rng(params.seed)
-    for index in range(1, params.retries, _RETRY_STACK):
-        weights = rng.uniform(0.5, 1.5, size=(min(_RETRY_STACK, params.retries - index), n, n))
+    stack = max(1, linalg._STACK_ENTRIES // n**2)
+    for index in range(1, params.retries, stack):
+        weights = rng.uniform(0.5, 1.5, size=(min(stack, params.retries - index), n, n))
         try:
             yield from _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
         except (ConvergenceError, PreconditionError):

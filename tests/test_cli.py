@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -225,7 +226,7 @@ class TestAnalyzeCommand:
             rep = self._analyze(capsys, workdir, matrix, rank)
             jsonschema.validate(rep, schema)
             report = analysis.AnalysisReport(**rep)
-            again = analysis.AnalysisReport.from_json(report.to_json())
+            again = analysis.AnalysisReport(**json.loads(report.to_json()))
             assert again == report
 
     def test_every_result_has_provenance(self, workdir, capsys):
@@ -746,6 +747,32 @@ class TestSearchCommand:
         transcript = json.loads((workdir / "o" / "p_transcript.json").read_text())
         assert transcript["success"] is False
         assert not (workdir / "o" / "p_realization.cone").exists()
+
+    @pytest.mark.parametrize("spoil", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refinement_is_null_in_the_transcript(
+            self, workdir, capsys, monkeypatch, spoil):
+        # The first Gauss-Newton step of the spectral attempt comes back
+        # non-finite: refinement stagnates at a NaN max|F|, which the
+        # transcript holds as null, and a later attempt still wins.
+        solve, calls = np.linalg.solve, []
+
+        def spoiled(a, b):
+            calls.append(a.shape)
+            return np.full(np.shape(b), spoil) if len(calls) == 1 else solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spoiled)
+        search.save_support(workdir / "p.support", data.pentagon_support().bits)
+        code, _, _ = run_cli(capsys, "search", "p.support", "--rank", "3")
+        assert code == 0 and calls
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        text = (workdir / "p_transcript.json").read_text()
+        attempts = json.loads(text, parse_constant=refuse)["attempts"]
+        assert attempts[0]["refine_affine_residual"] is None
+        assert attempts[0]["refine_reason"] == "stagnation"
+        assert attempts[-1]["certified"] and len(attempts) > 1
 
     def test_raising_search_removes_earlier_outputs(self, workdir, capsys):
         # A target rank above the support size raises inside run_pipeline,
@@ -1412,3 +1439,16 @@ class TestOutNamesAnInput:
         assert (code, stdout) == (cli.EXIT_PRECONDITION, "")
         assert "overwrite the input p_transcript.json" in err
         assert {f: f.read_bytes() for f in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("link", [os.link, os.symlink], ids=["hard", "symbolic"])
+    @pytest.mark.parametrize("command", ["slack", "dual"])
+    def test_out_linked_to_the_input_refused(self, workdir, capsys, command, link):
+        # A hard link shares the input's inode under another spelling, which
+        # no resolving of the path sees.
+        geometry.save_cone(workdir / "a.cone", data.pentagon_rays())
+        link(workdir / "a.cone", workdir / "b.mat")
+        before = (workdir / "a.cone").read_bytes()
+        code, stdout, err = run_cli(capsys, command, "a.cone", "--out", "b.mat")
+        assert (code, stdout) == (cli.EXIT_PRECONDITION, "")
+        assert "--out b.mat would overwrite the input a.cone" in err
+        assert (workdir / "a.cone").read_bytes() == before

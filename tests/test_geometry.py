@@ -598,7 +598,7 @@ class TestScreenedFacetScan:
         assert np.unique(tight, axis=1).shape[1] == normals.shape[0]
 
     def test_chunks_shrink_with_many_generators(self, monkeypatch, prism_rays):
-        # At most _SCAN_ENTRIES subset-generator products per chunk: 3
+        # At most linalg._STACK_ENTRIES subset-generator products per chunk: 3
         # subsets of the 7-generator prism cone per chunk here.
         gen = geometry.PolyhedralCone(prism_rays).generators
         expected = householder_facet_scan(gen, geometry.DEFAULT_FACET_TOL)
@@ -610,7 +610,7 @@ class TestScreenedFacetScan:
             return orthogonal_directions(stack)
 
         monkeypatch.setattr(linalg, "orthogonal_directions", counted)
-        monkeypatch.setattr(geometry, "_SCAN_ENTRIES", 3 * gen.shape[0] + 1)
+        monkeypatch.setattr(linalg, "_STACK_ENTRIES", 3 * gen.shape[0] + 1)
         assert np.array_equal(geometry._facet_scan(gen, geometry.DEFAULT_FACET_TOL)[0], expected)
         assert max(received) == 3 and sum(received) == math.comb(7, 3)
 

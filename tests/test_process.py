@@ -1,7 +1,8 @@
 """Checks that need a real interpreter: the exit status of a child process,
 warnings raised as errors (`python -W error`, so any warning ends the run
-with a traceback and exit 1), no traceback on stderr, and a timeout.  Every
-other CLI check runs in-process, in test_cli.py."""
+with a traceback and exit 1), no traceback on stderr, a timeout, and a
+child's peak memory.  Every other CLI check runs in-process, in
+test_cli.py."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import subprocess
 
 from sdcones import cli, data, search
 
-from conftest import run_python
+from conftest import run_python, shuffled_cycle_complement
 
 
 def sdcones(*argv: str, cwd) -> subprocess.CompletedProcess:
@@ -36,7 +37,7 @@ def test_search_realizations_pass_verify(tmp_path):
 
 
 def test_forty_four_cycle_retries_record_every_attempt(tmp_path):
-    # Stacks of 1, 32 and 7 attempts.  A warning raised as an error would end
+    # Stacks of 1 and 39 attempts.  A warning raised as an error would end
     # the run with a traceback and exit 1, not 3.
     search.save_support(tmp_path / "fourcycle.support", data.four_cycle_support().bits)
     proc = sdcones("search", "fourcycle.support", "--rank", "3", "--retries", "40",
@@ -56,3 +57,25 @@ def test_input_that_is_not_utf8_exits_4_without_traceback(tmp_path):
     assert (proc.returncode, proc.stdout) == (cli.EXIT_PARSE, "")
     assert proc.stderr.startswith("parse error: cannot read support file bad.support:")
     assert "Traceback" not in proc.stderr
+
+
+# VmHWM, not getrusage's ru_maxrss: the latter counts the parent's peak in a
+# child that the parent forked.
+STARTS_PEAK = """
+from sdcones import search
+bits = search.load_support("c.support")
+pattern = search.apply_sisd(bits, search.sisd_check(bits))
+for _ in search._starts(pattern, search.SearchParams(target_rank=3, max_iter=1)):
+    pass
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def test_sdp_stacks_of_a_600_point_support_stay_small(tmp_path):
+    # linalg._STACK_ENTRIES makes the 19 SDP attempts stacks of 2: the child
+    # peaked at 116 MB, where one stack of 19 peaked at 512 MB.
+    search.save_support(tmp_path / "c.support", shuffled_cycle_complement(600))
+    proc = run_python("-c", STARTS_PEAK, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 250 * 1024  # kB

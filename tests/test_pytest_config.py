@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
 
 import sdcones
 
@@ -44,6 +43,5 @@ def test_failing_property_test_is_reported(tmp_path):
 
 
 def test_distribution_is_the_package():
-    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(CONFIG.read_text(encoding="utf-8"))["project"]
     assert (project["name"], project["version"]) == ("sdcones", sdcones.__version__)

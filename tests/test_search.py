@@ -1157,13 +1157,15 @@ class TestStackedRetries:
             sequential = search.run_pipeline(bits, params)
         return stacked, sequential
 
-    @pytest.mark.parametrize("stack", [search._RETRY_STACK, 3])
+    # Attempts per stack, through linalg._STACK_ENTRIES: 32 holds the 19
+    # retries after the spectral attempt in one stack, as the default does.
+    @pytest.mark.parametrize("stack", [32, 3])
     @pytest.mark.parametrize(
         "name,support,rank", SUPPORTS, ids=[c[0] for c in SUPPORTS]
     )
     def test_same_records_as_sequential(self, name, support, rank, stack, monkeypatch):
-        monkeypatch.setattr(search, "_RETRY_STACK", stack)
         bits = support()
+        monkeypatch.setattr(linalg, "_STACK_ENTRIES", stack * len(bits) ** 2)
         for seed in (0, 1, 5, 7, 11):
             for retries in (1, 2, 4, 20):
                 params = search.SearchParams(target_rank=rank, seed=seed, retries=retries)
@@ -1228,6 +1230,32 @@ class TestStackedRetries:
             assert sdp_shapes[1:2] == ([(19, n, n)] if attempts > 1 else [])
         assert (19, 4, 4) in shapes
 
+    @pytest.mark.parametrize("bound", [None, 1, 5, 7.5])
+    def test_stacks_hold_at_most_the_entries_bound(self, bound, monkeypatch):
+        # bound is linalg._STACK_ENTRIES in units of n**2 (None keeps it): a
+        # stack holds as many attempts as fit, or one attempt when none fits.
+        # Both supports fail at rank 3, so all 20 attempts run.
+        stacks = []
+        loop = search._sdp_loop
+
+        def recorded(on, c, params):
+            stacks.append(c.shape)
+            return loop(on, c, params)
+
+        monkeypatch.setattr(search, "_sdp_loop", recorded)
+        for support in (data.four_cycle_support, data.ten_support):
+            pattern = support()
+            n = pattern.n
+            if bound is not None:
+                monkeypatch.setattr(linalg, "_STACK_ENTRIES", int(bound * n * n) - 1)
+            fit = max(1, linalg._STACK_ENTRIES // (n * n))
+            stacks.clear()
+            res = search.randomized_retry(pattern, search.SearchParams(target_rank=3, seed=5))
+            attempts = [k for k, *_ in stacks]
+            assert attempts[0] == 1 and sum(attempts) == len(res.attempts) == 20
+            assert all(k * n * n <= linalg._STACK_ENTRIES or k == 1 for k in attempts)
+            assert attempts[1:-1] == [fit] * (len(attempts) - 2) and attempts[-1] <= fit
+
     def test_stack_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
         # Every stack of more than one attempt fails; each rerun is one
         # sdp_feasibility call, one per recorded attempt, as is the spectral
@@ -1253,7 +1281,7 @@ class TestStackedRetries:
             solves = []
             with monkeypatch.context() as mp:
                 mp.setattr(linalg, "_eigh_lo", fail_on_stacks)
-                mp.setattr(search, "_RETRY_STACK", 5)
+                mp.setattr(linalg, "_STACK_ENTRIES", 5 * len(bits) ** 2)
                 mp.setattr(search, "sdp_feasibility", counted_sdp)
                 result = search.run_pipeline(bits, params)
             assert pipeline_bits(result) == expected
@@ -1879,6 +1907,22 @@ class TestSupportIO:
         search.save_support(path, data.prism_support().bits)
         back = search.load_support(path)
         assert np.array_equal(back, data.prism_support().bits)
+
+    @staticmethod
+    def per_character_text(bits) -> str:
+        """The text of a support file, written one character at a time."""
+        b = np.asarray(bits).astype(np.uint8)
+        lines = [str(b.shape[0])] + ["".join(str(int(x)) for x in row) for row in b]
+        return "\n".join(lines) + "\n"
+
+    def test_same_bytes_as_the_per_character_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "s.support"
+        cases = [np.zeros((0, 0), np.uint8), np.ones((1, 1), bool)]
+        cases += [rng.integers(0, 2, size=(n, n)) for n in (1, 2, 5, 17, 64)]
+        for bits in cases:
+            search.save_support(path, bits)
+            assert path.read_bytes() == self.per_character_text(bits).encode()
 
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.support"
