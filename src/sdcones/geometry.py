@@ -470,7 +470,12 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_support(path, bits) -> None:
-    b = np.asarray(bits).astype(np.uint8)
+    """Write a square 0/1 matrix as load_support reads it; anything else is
+    refused before a file is opened."""
+    b = np.asarray(bits)
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or not ((b == 0) | (b == 1)).all():
+        raise PreconditionError(f"support must be a square 0/1 matrix, got shape {b.shape}")
+    b = b.astype(np.uint8)
     rows = np.full((b.shape[0], b.shape[1] + 1), ord("\n"), np.uint8)  # each row, then "\n"
     rows[:, :-1] = b + ord("0")
     Path(path).write_bytes(f"{b.shape[0]}\n".encode() + rows.tobytes())

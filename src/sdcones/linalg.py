@@ -20,10 +20,13 @@ test judges the candidates, which the scan keeps by their tight sets alone.
 psd_project and low_rank_project validate their input and share one body,
 _clip_project: clip the eigenvalues at 0, keep the d largest (d = n for
 psd_project) and return V diag(w) V^T, in which the sign of each column of V
-cancels exactly, so it skips the sign rule.  It takes stacks, each matrix
-getting the bits it would get alone, and the search loops call it
-unvalidated.  _STACK_ENTRIES bounds the entries of the stacks the package
-builds, facet-scan chunks and search SDP stacks, down to one member.
+cancels exactly, so it skips the sign rule.  Every validated entry point
+takes one matrix.  Only the unvalidated kernels take stacks (leading batch
+axes), each matrix getting the bits it would get alone: _eigh,
+_clip_project and _reconstruct, which the search loops call,
+orthogonal_directions, which the facet scan calls, and null_directions.
+_STACK_ENTRIES bounds the entries of the stacks the package builds,
+facet-scan chunks and search SDP stacks, down to one member.
 All functions are pure; there is no shared mutable state.
 """
 
@@ -43,20 +46,14 @@ SYMMETRY_TOL = 1e-12
 # Default relative cutoff separating numerical zeros from structural values.
 DEFAULT_RANK_TOL = 1e-8
 
-PSD_TOL = 1e-9  # relative PSD tolerance: is_psd's, dnn's, analyze's and the SDP's
+PSD_TOL = 1e-9  # relative PSD tolerance: is_psd's, dnn's and analyze's
 _STACK_ENTRIES = 1 << 20  # the stack bound above, read by its users at call time
 
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d float array."""
-    return _finite(a, stack=False)
-
-
-def _finite(a, stack: bool) -> np.ndarray:
-    """Coerce to a finite float array: one matrix, or with stack also a
-    stack of matrices (leading batch axes)."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 and not (stack and m.ndim > 2):
+    if m.ndim != 2:
         raise PreconditionError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if np.count_nonzero(np.isfinite(m)) != m.size:
         raise PreconditionError("matrix entries must be finite")
@@ -71,23 +68,19 @@ def asymmetry(a) -> float:
     return float(np.abs(m - m.T).max())
 
 
-def _symmetric(a, stack: bool = False) -> np.ndarray:
-    """Validated square symmetric input, exactly symmetrized.  With stack,
-    a may carry leading batch axes; each matrix of the stack is checked and
-    symmetrized as a single matrix would be.
+def _symmetric(a) -> np.ndarray:
+    """Validated square symmetric input, exactly symmetrized.
 
     Exactly symmetric input comes back as is, possibly the caller's own
     array, since symmetrizing would equal it bit for bit.  Rejection
     carries the measured asymmetry so callers can report how far the input
     was from symmetric.
     """
-    m = _finite(a, stack)
-    if m.shape[-2] != m.shape[-1]:
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
-    mt = m.swapaxes(-1, -2)
-    # Equal bytes are equal (finite) entries, and far cheaper to compare
-    # than entry by entry; only zeros of opposite sign need the latter.
-    if m.tobytes() == mt.tobytes() or (m == mt).all():
+    mt = m.T
+    if (m == mt).all():
         return m
     gap = np.abs(m - mt)
     bound = SYMMETRY_TOL * np.maximum(1.0, np.maximum(np.abs(m), np.abs(mt)))
@@ -97,8 +90,7 @@ def _symmetric(a, stack: bool = False) -> np.ndarray:
             f"exceeds {SYMMETRY_TOL:g} * max(1, |entry|)"
         )
     # Halving each term first cannot overflow near the largest float;
-    # equal pairs, and so every member of a stack that is exactly
-    # symmetric, keep their bits.
+    # equal pairs keep their bits.
     return np.where(m == mt, m, 0.5 * m + 0.5 * mt)
 
 
@@ -270,18 +262,15 @@ def _clip_project(w: np.ndarray, d: int) -> np.ndarray:
 
 
 def psd_project(a) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: eigenvalues clipped at
-    0.  a may be a stack of matrices (leading batch axes); each is projected
-    as on its own, bit for bit."""
-    w = _symmetric(a, stack=True)
-    return _clip_project(w, w.shape[-1])
+    """Frobenius-nearest positive semidefinite matrix: eigenvalues clipped at 0."""
+    w = _symmetric(a)
+    return _clip_project(w, w.shape[0])
 
 
 def low_rank_project(a, d: int) -> np.ndarray:
-    """Keep the d largest nonnegative eigenvalues, zero the rest; of each
-    matrix when a is a stack."""
-    w = _symmetric(a, stack=True)
-    return _clip_project(w, _target_rank(d, w.shape[-1]))
+    """Keep the d largest nonnegative eigenvalues, zero the rest."""
+    w = _symmetric(a)
+    return _clip_project(w, _target_rank(d, w.shape[0]))
 
 
 def _target_rank(d: int, n: int) -> int:

@@ -17,7 +17,6 @@ and certify_psd_slack do, so a failure only means "no realization found".
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -110,14 +109,12 @@ class SdpResult:
     iterations: int
 
 
-_identity = functools.cache(lambda n: np.broadcast_to(np.eye(n), (n, n)))  # read-only
-
-
-def _affine_project(x: np.ndarray, on: np.ndarray) -> np.ndarray:
+def _affine_project(x: np.ndarray, on: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Closed-form projection onto {X_ij = 0 off support, X_ii = 1}, of one
     matrix or of each matrix of a stack, as one np.where pass: on marks the
-    free entries, the support off the diagonal, which the loops build once."""
-    return np.where(on, x, _identity(on.shape[-1]))
+    free entries, the support off the diagonal, and eye is the identity of
+    its size; the loops build both once per call."""
+    return np.where(on, x, eye)
 
 
 def _objective_weights(on: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -168,15 +165,16 @@ def _sdp_loop(on: np.ndarray, c: np.ndarray, params: SearchParams) -> list[SdpRe
     """
     n = on.shape[0]
     k = c.shape[0]
-    free = on > _identity(n)  # the support off the diagonal
+    eye = np.eye(n)
+    free = on > eye  # the support off the diagonal
     c = np.where(free, c, 0.0)
     results: list = [None] * k  # each attempt's result once it has left the stack
     live = np.arange(k)  # the attempts still in the stack, in stack order
     rho = np.full(k, ADMM_RHO)  # each live attempt's penalty
-    z = np.broadcast_to(np.eye(n), c.shape)
+    z = np.broadcast_to(eye, c.shape)
     u = np.zeros(c.shape)
     for it in range(1, params.max_iter + 1):
-        x = _affine_project(z - u + c / rho[:, None, None], free)
+        x = _affine_project(z - u + c / rho[:, None, None], free, eye)
         u += x  # U + X, the projection's input
         z_next = linalg._clip_project(u, n)
         u -= z_next
@@ -238,7 +236,8 @@ def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
     costs O(min(m, nd)^3) time and O(min(m, nd)^2) memory.  It converges
     once max|F| < REFINE_STOP_TOL, else stops on "stagnation"
     (REFINE_PATIENCE steps without a new minimum of max|F|, a step that is
-    not finite, or a singular J J^T) or "step cap" (REFINE_STEPS steps);
+    not finite, or a failed least-squares solve) or "step cap" (REFINE_STEPS
+    steps); a singular J J^T gives the step J^T (J J^T)^+ F = J^+ F by lstsq;
     residuals holds max|F| before each step and after the last.  The
     returned P_aff(V V^T) has an exact unit diagonal and zeros off the
     support, and is V V^T + E, max|E| = max|F|: converged, its eigenvalues
@@ -251,7 +250,8 @@ def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
         raise PreconditionError("matrix and support sizes disagree")
     d = linalg._target_rank(d, n)
     v = linalg.EigenDecomposition(*linalg._eigh(a)).factor(d)
-    free = pattern.mask > _identity(n)
+    eye = np.eye(n)
+    free = pattern.mask > eye
     i, j = _equations(free)
     m = len(i)
     residuals, reason, pairs = [], None, None
@@ -277,12 +277,16 @@ def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
                         eq, pairs = np.tile(np.arange(m), 2), np.nonzero(ends[:, None] == ends)
                     s, t = pairs
                     jjt = np.bincount(eq[s] * m + eq[t], g[other[s], other[t]], m * m)
-                    w[i, j] = np.linalg.solve(jjt.reshape(m, m), f)
+                    jjt = jjt.reshape(m, m)
+                    try:
+                        w[i, j] = np.linalg.solve(jjt, f)
+                    except np.linalg.LinAlgError:  # singular: the minimum-norm step
+                        w[i, j] = np.linalg.lstsq(jjt, f)[0]
                     dv = (w + w.T) @ v
                 else:  # J^T J: E_pq V_q V_p^T in block (p, q), sum_q (E+4I)_pq V_q V_q^T in (p, p)
                     e = (~pattern.mask).astype(float)  # E = 1 off the support
                     jtj = np.einsum("pq,qa,pb->paqb", e, v, v)
-                    diag = np.einsum("pq,qa,qb->pab", e + 4.0 * _identity(n), v, v)
+                    diag = np.einsum("pq,qa,qb->pab", e + 4.0 * eye, v, v)
                     jtj[range(n), :, range(n), :] += diag
                     w[i, j] = f
                     jtf = ((w + w.T) @ v).ravel()
@@ -291,7 +295,7 @@ def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
                 reason = "stagnation"
                 break
             v = v - dv
-    matrix = _affine_project(0.5 * (g + g.T), free)
+    matrix = _affine_project(0.5 * (g + g.T), free, eye)
     return RefineResult(matrix, reason is None, len(residuals) - 1, residuals, reason)
 
 

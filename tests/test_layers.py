@@ -3,14 +3,16 @@
     errors, linalg -> patterns -> geometry -> selfdual, dnn, data -> analysis
         -> search -> cli
 
-Modules of one layer do not import each other either.  The check reads the
-import statements of the source files, so it also covers imports that a
+Modules of one layer do not import each other either, and outside the
+package they import only the standard library and numpy.  The checks read
+the import statements of the source files, so they also cover imports that a
 module makes only inside a function.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import sdcones
@@ -47,6 +49,40 @@ def package_imports(path: Path) -> set[str]:
                 if parts[0] == "sdcones" and len(parts) > 1:
                     found.add(parts[1])
     return found
+
+
+def outside_imports(path: Path) -> set[str]:
+    """Top-level names of the modules a source file imports from outside the
+    package and the standard library."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - sys.stdlib_module_names - {"sdcones"}
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency pyproject.toml declares; scipy is
+    # for tests only.
+    imports = {path.name: outside_imports(path) for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: found for name, found in imports.items() if found - {"numpy"}} == {}
+
+
+def test_checker_sees_outside_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import json, os.path\n"
+        "import numpy as np\n"
+        "from numpy.linalg import eigh\n"
+        "from . import linalg\n"
+        "from sdcones import cli\n"
+        "def late():\n"
+        "    import scipy.spatial\n"
+        "    from networkx import Graph\n"
+    )
+    assert outside_imports(probe) == {"numpy", "scipy", "networkx"}
 
 
 def test_every_module_has_a_layer():

@@ -436,67 +436,47 @@ def symmetric_stack(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
 
 
 class TestStackedProjections:
-    """Each matrix of a stack gets the bits the 2-D call gives it, and the
-    2-D checks."""
+    """The search loops project stacks through the unvalidated
+    _clip_project, which gives each matrix of a stack the bits the
+    validated 2-D calls give it alone; the validated entry points take one
+    matrix."""
 
     @pytest.mark.parametrize("k", [1, 2, 5, 19])
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
     def test_members_match_single_calls(self, k, n):
         rng = np.random.default_rng(100 * k + n)
         stack = symmetric_stack(rng, k, n)
-        # One member asymmetric within the tolerance: symmetrized as in 2-D.
-        if n > 1:
-            stack[k // 2] = perturbed(stack[k // 2], 0.25 * linalg.SYMMETRY_TOL)
         before = stack.copy()
-        out = linalg.psd_project(stack)
-        assert out.shape == (k, n, n)
         ranks = sorted({1, max(1, n // 2), n})
-        low_rank = {d: linalg.low_rank_project(stack, d) for d in ranks}
+        out = {d: linalg._clip_project(stack, d) for d in ranks}
+        for d in ranks:
+            assert out[d].shape == (k, n, n)
         for i in range(k):
             one = stack[i].copy()
-            assert bits_of(out[i]) == bits_of(linalg.psd_project(one))
+            assert bits_of(out[n][i]) == bits_of(linalg.psd_project(one))
             for d in ranks:
-                assert bits_of(low_rank[d][i]) == bits_of(linalg.low_rank_project(one, d))
+                assert bits_of(out[d][i]) == bits_of(linalg.low_rank_project(one, d))
         assert bits_of(stack) == bits_of(before)
 
-    def test_symmetrized_member_by_member(self):
-        rng = np.random.default_rng(7)
-        stack = symmetric_stack(rng, 4, 5)
-        stack[1] = perturbed(stack[1], 0.25 * linalg.SYMMETRY_TOL)
-        sym = linalg._symmetric(stack, stack=True)
-        for i in range(4):
-            assert bits_of(sym[i]) == bits_of(linalg._symmetric(stack[i]))
-        assert bits_of(sym[0]) == bits_of(stack[0])
-        assert not np.array_equal(sym[1], stack[1])
-        assert np.array_equal(sym[1], sym[1].T)
-
-    PROJECT_STACK = {
-        "psd_project": linalg.psd_project,
-        "low_rank_project": lambda a: linalg.low_rank_project(a, 2),
-    }
-
-    @pytest.mark.parametrize("name", sorted(PROJECT_STACK))
+    @pytest.mark.parametrize("name", sorted(PROJECTIONS))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_member_rejected(self, name, bad):
         stack = symmetric_stack(np.random.default_rng(11), 5, 4)
         stack[3, 2, 1] = bad
         with pytest.raises(PreconditionError, match="finite"):
-            self.PROJECT_STACK[name](stack)
-        with pytest.raises(PreconditionError, match="finite"):
             PROJECTIONS[name](stack[3])
 
-    @pytest.mark.parametrize("name", sorted(PROJECT_STACK))
+    @pytest.mark.parametrize("name", sorted(PROJECTIONS))
     def test_asymmetric_member_rejected(self, name):
         stack = symmetric_stack(np.random.default_rng(13), 5, 4)
         stack[2] = perturbed(stack[2], 100 * linalg.SYMMETRY_TOL)
-        with pytest.raises(PreconditionError, match="not symmetric"):
-            self.PROJECT_STACK[name](stack)
         with pytest.raises(PreconditionError, match="not symmetric"):
             PROJECTIONS[name](stack[2])
 
     def test_two_d_entry_points_stay_two_d(self):
         stack = np.stack([np.eye(3)] * 2)
-        for fn in (linalg.sym_eigen, linalg.require_symmetric, linalg.as_matrix):
+        for fn in (linalg.sym_eigen, linalg.require_symmetric, linalg.as_matrix,
+                   linalg.psd_project, lambda a: linalg.low_rank_project(a, 1)):
             with pytest.raises(PreconditionError, match="2-d"):
                 fn(stack)
 
@@ -630,6 +610,12 @@ class TestOrthogonalDirections:
 
 
 class TestRequireSymmetric:
+    def test_exactly_symmetric_input_is_the_callers_array(self):
+        # Equal entries, 0.0 against -0.0 among them, need no symmetrizing.
+        signed_zeros = np.array([[1.0, 0.0, 2.0], [-0.0, 3.0, -0.0], [2.0, 0.0, 4.0]])
+        for a in (np.diag([1.0, 2.0]), signed_zeros):
+            assert linalg._symmetric(a) is a
+
     def test_exact_input_copied_bitwise(self):
         rng = np.random.default_rng(23)
         a = rng.normal(size=(6, 6))

@@ -593,8 +593,9 @@ class OracleSdp:
 def oracle_sdp_loop(on, c, params, tight=True):
     """search._sdp_loop as it was: c / rho and the dual residual on every
     iteration, rho as an array, U rescaled by every balancing step, and an
-    objective, dual bound and PSD margin read for each attempt.  tight, it
-    stops at the tight stop rule, and an attempt has converged when it
+    objective, dual bound and PSD margin read for each attempt; each member
+    of the stack is projected alone by the validated psd_project.  tight,
+    it stops at the tight stop rule, and an attempt has converged when it
     stopped and its X passes the PSD test; else it stops once both
     residuals are below search.ADMM_STOP_TOL, and converged means stopped."""
     n = on.shape[0]
@@ -618,7 +619,7 @@ def oracle_sdp_loop(on, c, params, tight=True):
     while live:
         it += 1
         x = oracle_stacked_affine_project(z - u + c / rho[:, None, None], on)
-        z_next = linalg.psd_project(x + u)
+        z_next = np.stack([linalg.psd_project(m) for m in x + u])
         u = u + x - z_next
         primal = np.abs(x - z_next).max(axis=(-2, -1)).tolist()
         change = np.abs(z_next - z).max(axis=(-2, -1)).tolist()
@@ -927,21 +928,56 @@ class TestRankRefine:
         pattern = search.SupportPattern(bits)
         x = rng.standard_normal((n, n))
         x = x @ x.T
-        v = linalg.EigenDecomposition(*linalg._eigh(x)).factor(d)
-        i, j = np.nonzero(np.triu(~pattern.mask, 1))
-        i, j = np.concatenate([np.arange(n), i]), np.concatenate([np.arange(n), j])
-        jac = np.zeros((len(i), n, d))
-        for row, (p, q) in enumerate(zip(i, j)):
-            jac[row, p] += v[q]
-            jac[row, q] += v[p]
-        f = (v @ v.T)[i, j] - (i == j)
-        v1 = v - (np.linalg.pinv(jac.reshape(len(i), n * d)) @ f).reshape(n, d)
-        want = np.where(pattern.mask, v1 @ v1.T, 0.0)
-        np.fill_diagonal(want, 1.0)
         monkeypatch.setattr(search, "REFINE_STEPS", 1)
         res = search.rank_refine(x, d, pattern)
         assert res.iterations == 1
-        assert np.abs(res.matrix - want).max() < 1e-9
+        assert np.abs(res.matrix - dense_gauss_newton_step(x, d, pattern)).max() < 1e-9
+
+    def test_singular_jjt_takes_the_minimum_norm_step(self, monkeypatch):
+        # The spectral start of five pentagons' direct sum at rank 15 has a
+        # singular J J^T, so solve refuses it; the step is still V - J^+ F.
+        pattern = pentagon_sum(5)
+        x = spectral_start(pattern)
+        solve = np.linalg.solve
+        refused = []
+
+        def counted(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                refused.append(1)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(search, "REFINE_STEPS", 1)
+        res = search.rank_refine(x, 15, pattern)
+        assert res.iterations == 1 and refused == [1]
+        assert np.abs(res.matrix - dense_gauss_newton_step(x, 15, pattern)).max() < 1e-9
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_pentagon_sums_converge_from_the_spectral_start(self, k):
+        # A singular J J^T no longer ends refinement of the k-pentagon sum.
+        pattern = pentagon_sum(k)
+        res = search.rank_refine(spectral_start(pattern), 3 * k, pattern)
+        assert res.converged and res.iterations == 3
+
+    def test_loops_keep_no_matrix_between_calls(self):
+        # Each call builds its own identity, so 20 support sizes leave no
+        # n x n array behind; a cache of identities kept 1.9 MB over them.
+        def run(n):
+            pattern = search.SupportPattern(np.eye(n, dtype=np.uint8))
+            search.sdp_feasibility(pattern, np.ones((n, n)), search.SearchParams(1, max_iter=1))
+            search.rank_refine(np.eye(n), 1, pattern)
+
+        run(99)
+        tracemalloc.start()
+        try:
+            for n in range(100, 120):
+                run(n)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 64e3
 
     def test_large_sparse_support_bounds_memory(self):
         # A 300-point diagonal support at rank 3 has 45 150 equations and 900
@@ -1099,6 +1135,30 @@ def sequential_retry(pattern, params, verify_tol=geometry.DEFAULT_FACET_TOL):
             if record.certified:
                 return search.RetryResult(refined.matrix, True, attempts, real, report)
     return search.RetryResult(matrix=None, success=False, attempts=attempts)
+
+
+def dense_gauss_newton_step(x, d: int, pattern) -> np.ndarray:
+    """P_aff(V1 V1^T) for V1 = V - J^+ F, V the top-d factor of x, with the
+    Jacobian J of rank_refine's equations built entry by entry and
+    pseudo-inverted densely: the matrix of one Gauss-Newton step."""
+    n = pattern.n
+    v = linalg.EigenDecomposition(*linalg._eigh(x)).factor(d)
+    i, j = np.nonzero(np.triu(~pattern.mask, 1))
+    i, j = np.concatenate([np.arange(n), i]), np.concatenate([np.arange(n), j])
+    jac = np.zeros((len(i), n, d))
+    for row, (p, q) in enumerate(zip(i, j)):
+        jac[row, p] += v[q]
+        jac[row, q] += v[p]
+    f = (v @ v.T)[i, j] - (i == j)
+    v1 = v - (np.linalg.pinv(jac.reshape(len(i), n * d)) @ f).reshape(n, d)
+    want = np.where(pattern.mask, v1 @ v1.T, 0.0)
+    np.fill_diagonal(want, 1.0)
+    return want
+
+
+def pentagon_sum(k: int) -> search.SupportPattern:
+    """The support of k pentagons' direct sum, block by block."""
+    return search.SupportPattern(block_diag(*[data.pentagon_support().bits] * k).astype(np.uint8))
 
 
 def gon_support(k: int) -> np.ndarray:
@@ -1539,6 +1599,12 @@ class TestPipeline:
         assert search.verify_realization(res.realization, res.pattern, 1e-6).passed
         assert selfdual.is_self_dual(res.realization.cone)[0]
 
+    def test_four_pentagons_win_at_the_spectral_attempt(self):
+        # The spectral start refines through a singular J J^T; ending there
+        # left the win to attempt 4.
+        res = search.run_pipeline(pentagon_sum(4).bits, search.SearchParams(target_rank=12))
+        assert res.success and res.retry.winning_attempt == 0
+
     def test_gauge_relabelled_support(self):
         # Relabelling the support (and the weights with it) produces a
         # realization whose Gram matrix matches the original one up to the
@@ -1623,7 +1689,9 @@ def oracle_clip_project(a, d):
     return oracle_psd_project(a)
 
 
-def oracle_affine_project(x, on):
+def oracle_affine_project(x, on, eye):
+    """search._affine_project's stand-in; it writes the unit diagonal itself
+    and leaves the loops' identity eye unread."""
     y = x.copy()
     y[~on] = 0.0
     np.fill_diagonal(y, 1.0)
@@ -1923,6 +1991,23 @@ class TestSupportIO:
         for bits in cases:
             search.save_support(path, bits)
             assert path.read_bytes() == self.per_character_text(bits).encode()
+
+    def test_round_trip_keeps_the_bytes(self, tmp_path):
+        bits = data.prism_support().bits
+        for saved in (data.prism_support(), bits, bits.astype(bool)):
+            first, second = tmp_path / "a.support", tmp_path / "b.support"
+            search.save_support(first, saved)
+            search.save_support(second, search.load_support(first))
+            assert first.read_bytes() == second.read_bytes()
+            assert first.read_bytes() == self.per_character_text(bits).encode()
+
+    @pytest.mark.parametrize("bits", [[[2]], np.ones((2, 3)), [[1, 0], [0, -1]]],
+                             ids=["two", "not square", "minus one"])
+    def test_refuses_what_the_loader_refuses(self, tmp_path, bits):
+        path = tmp_path / "s.support"
+        with pytest.raises(PreconditionError, match="square 0/1 matrix"):
+            search.save_support(path, bits)
+        assert not path.exists()
 
     def test_parse_errors(self, tmp_path):
         bad = tmp_path / "bad.support"
