@@ -1,11 +1,12 @@
 """Semidefinite search for self-dual realizations of a combinatorial type.
 
-Pipeline: a strongly-involutive support check, then attempts, each refined
-to rank d by Gauss-Newton and judged by certify, which extracts cone
-generators from the refined Gram matrix.  Attempt 0 starts from the
-support's spectral embedding and reads no seed; the later ones from scaled
-ADMM on the semidefinite program at a random objective, stopped once it is
-close enough for refinement, not at an optimum:
+Pipeline: a strongly-involutive support check, then attempts, refined to
+rank d by Gauss-Newton one stack at a time, in lockstep, and each judged by
+certify, which extracts cone generators from the refined Gram matrix.
+Attempt 0 starts from the support's spectral embedding and reads no seed;
+the later ones from scaled ADMM on the semidefinite program at a random
+objective, run as stacks too, stopped once it is close enough for
+refinement, not at an optimum:
 
     max sum c_ij X_ij   s.t.  X_ij = 0 off support,  X_ii = 1,  X PSD,
 
@@ -214,9 +215,10 @@ def _equations(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) of the equations (V V^T)_ij = [i == j] of a realization's
     factor V: the diagonal, then the pairs off the support (free, the
     support off the diagonal), i < j."""
-    n = len(free)
-    p, q = np.nonzero(np.triu(~free, 1))
-    return np.concatenate([np.arange(n), p]), np.concatenate([np.arange(n), q])
+    nodes = np.arange(len(free))
+    p, q = np.nonzero(~free)
+    upper = p < q
+    return np.concatenate([nodes, p[upper]]), np.concatenate([nodes, q[upper]])
 
 
 @dataclass
@@ -229,74 +231,160 @@ class RefineResult:
 
 
 def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
-    """Gauss-Newton (Nocedal & Wright 2006, section 10.3) on the equations
-    F(V) = 0 of _equations, from x's top-d factor V (n x d): each step is the
-    minimum-norm solution of J dV = -F, through the smaller of J J^T and
-    J^T J (m equations, nd unknowns), assembled from J's nonzeros: a step
-    costs O(min(m, nd)^3) time and O(min(m, nd)^2) memory.  It converges
-    once max|F| < REFINE_STOP_TOL, else stops on "stagnation"
-    (REFINE_PATIENCE steps without a new minimum of max|F|, a step that is
-    not finite, or a failed least-squares solve) or "step cap" (REFINE_STEPS
-    steps); a singular J J^T gives the step J^T (J J^T)^+ F = J^+ F by lstsq;
-    residuals holds max|F| before each step and after the last.  The
-    returned P_aff(V V^T) has an exact unit diagonal and zeros off the
-    support, and is V V^T + E, max|E| = max|F|: converged, its eigenvalues
-    past the d-th are within n * REFINE_STOP_TOL of 0 (Weyl).  certify
-    alone judges it.
-    """
+    """Gauss-Newton refinement of one matrix to rank d: x validated, then
+    _refine on a stack of one.  residuals holds max|F| before each step and
+    after the last; the matrix has an exact unit diagonal and zeros off the
+    support, and certify alone judges it."""
     a = linalg._symmetric(x)
     n = pattern.n
     if a.shape[0] != n:
         raise PreconditionError("matrix and support sizes disagree")
-    d = linalg._target_rank(d, n)
-    v = linalg.EigenDecomposition(*linalg._eigh(a)).factor(d)
+    return _refine(a[None], linalg._target_rank(d, n), pattern)[0]
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b, or lstsq's minimum-norm solution where a is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b)[0]
+
+
+def _refine(xs: np.ndarray, d: int, pattern: SupportPattern) -> list[RefineResult]:
+    """Gauss-Newton (Nocedal & Wright 2006, section 10.3) on the equations
+    F(V) = 0 of _equations, in lockstep over a (k, n, n) stack xs of finite,
+    exactly symmetric matrices, unchecked, from each one's top-d factor V
+    (n x d).  Each step is the minimum-norm solution of J dV = -F, through
+    the smaller of J J^T and J^T J (m equations, nd unknowns), assembled
+    from J's nonzeros: a step costs O(min(m, nd)^3) time and
+    O(min(m, nd)^2) memory per member.  A member converges once
+    max|F| < REFINE_STOP_TOL, else stops on "stagnation" (REFINE_PATIENCE
+    steps without a new minimum of max|F|, a step that is not finite, or a
+    failed least-squares solve) or "step cap" (REFINE_STEPS steps); a
+    singular J J^T gives the step J^T (J J^T)^+ F = J^+ F by lstsq.  A
+    member's P_aff(V V^T) has an exact unit diagonal and zeros off the
+    support, and is V V^T + E, max|E| = max|F|: converged, its eigenvalues
+    past the d-th are within n * REFINE_STOP_TOL of 0 (Weyl).
+
+    The stack runs in chunks whose arrays hold at most
+    linalg._STACK_ENTRIES entries, or one member: per member, m^2 for J J^T
+    and its slot pairs, (nd)^2 for J^T J, either one at least n^2.  A
+    chunk makes one _eigh call, then per step one batched V V^T, one
+    np.bincount for every member's J J^T and one batched solve; if that
+    solve raises, each member is solved alone, and a stack of one goes
+    straight to lstsq.  J^T J members are solved one at a time.  A member
+    leaves the chunk when it stops, so each gets the iterates, residuals,
+    stop reason and matrix it gets alone, bit for bit.
+    """
+    k, n = len(xs), pattern.n
     eye = np.eye(n)
     free = pattern.mask > eye
     i, j = _equations(free)
     m = len(i)
-    residuals, reason, pairs = [], None, None
-    with np.errstate(all="ignore"):  # a step that is not finite stagnates
-        for step in range(REFINE_STEPS + 1):
-            g = v @ v.T
-            f = g[i, j] - (i == j)
-            residuals.append(float(np.abs(f).max()))
-            if residuals[-1] < REFINE_STOP_TOL:
-                break
-            stalled = step - int(np.argmin(residuals)) >= REFINE_PATIENCE
-            reason = "stagnation" if stalled or not math.isfinite(residuals[-1]) else (
-                "step cap" if step == REFINE_STEPS else None)
-            if reason:
-                break
-            # Row (i, j) of J holds V_j in node i's block and V_i in node j's,
-            # so J^T y is (W + W^T) V with W_ij = y_ij.
-            w = np.zeros((n, n))
-            try:
-                if m <= n * d:  # J J^T: <V_other[s], V_other[t]> of the slots s, t at a node
-                    if pairs is None:  # slot s of the 2m: row eq[s], node ends[s], V[other[s]]
+    flat = i * n + j  # the equations' entries of a flattened V V^T
+    gram = m <= n * d  # J J^T, else J^T J
+    size = 1
+    if k > 1:  # J J^T gathers one entry per pair of slots at a node (below)
+        slots = np.bincount(np.concatenate([i, j]), minlength=n)
+        entries = max(m * m, int(slots @ slots)) if gram else (n * d) ** 2
+        size = max(1, linalg._STACK_ENTRIES // entries)
+    e = None if gram else (~pattern.mask).astype(float)  # J^T J's E = 1 off the support
+    layout = None
+    results: list = [None] * k
+
+    def leave(g, stops, reasons):
+        """The rows stops of the chunk stop at their V V^T, rows of g."""
+        y = g[stops]
+        matrices = _affine_project(0.5 * (y + y.swapaxes(-1, -2)), free, eye)
+        for matrix, row, reason in zip(matrices, stops, reasons):
+            member, history, _ = rows[row]
+            results[member] = RefineResult(matrix, reason is None, len(history) - 1,
+                                           history, reason)
+
+    for lo in range(0, k, size):
+        vals, vecs = linalg._eigh(xs[lo:lo + size])
+        v = vecs[..., :d] * np.sqrt(np.maximum(vals[:, None, :d], 0.0))  # each factor(d)
+        # Per row of v: its member, its max|F| so far, its step of least max|F|.
+        rows = [[member, [], 0] for member in range(lo, lo + len(v))]
+        with np.errstate(all="ignore"):  # a step that is not finite stagnates
+            for step in range(REFINE_STEPS + 1):
+                g = v @ v.swapaxes(-1, -2)
+                f = g.reshape(len(rows), n * n)[:, flat]
+                f[:, :n] -= 1.0
+                go, stops, reasons = [], [], []
+                for row, (state, r) in enumerate(zip(rows, np.abs(f).max(axis=1).tolist())):
+                    _, history, best = state
+                    history.append(r)
+                    if r < history[best]:
+                        state[2] = best = step
+                    if r < REFINE_STOP_TOL:
+                        reason = None
+                    elif step - best >= REFINE_PATIENCE or not math.isfinite(r):
+                        reason = "stagnation"
+                    elif step == REFINE_STEPS:
+                        reason = "step cap"
+                    else:
+                        go.append(row)
+                        continue
+                    stops.append(row)
+                    reasons.append(reason)
+                if stops:
+                    leave(g, stops, reasons)
+                    if not go:
+                        break
+                    g, f, v = g[go], f[go], v[go]
+                    rows = [rows[row] for row in go]
+                live = len(rows)
+                # Row (i, j) of J holds V_j in node i's block and V_i in node j's,
+                # so J^T y is (W + W^T) V with W_ij = y_ij.
+                w = np.zeros((live, n * n))
+                failed = []  # rows whose least-squares solve raised
+                if gram:  # J J^T: <V_other[s], V_other[t]> of the slots s, t at a node
+                    if layout is None:  # slot s of the 2m: row eq[s], node ends[s], V[other[s]]
                         ends, other = np.concatenate([i, j]), np.concatenate([j, i])
-                        eq, pairs = np.tile(np.arange(m), 2), np.nonzero(ends[:, None] == ends)
-                    s, t = pairs
-                    jjt = np.bincount(eq[s] * m + eq[t], g[other[s], other[t]], m * m)
-                    jjt = jjt.reshape(m, m)
+                        eq = np.concatenate([np.arange(m)] * 2)
+                        s, t = np.nonzero(ends[:, None] == ends)
+                        layout = eq[s] * m + eq[t], other[s] * n + other[t]
+                    index, source = layout
+                    if live > 1:  # member by member, in bins of their own
+                        index = (index + m * m * np.arange(live)[:, None]).ravel()
+                    jjt = np.bincount(index, g.reshape(live, n * n)[:, source].ravel(),
+                                      live * m * m).reshape(live, m, m)
                     try:
-                        w[i, j] = np.linalg.solve(jjt, f)
-                    except np.linalg.LinAlgError:  # singular: the minimum-norm step
-                        w[i, j] = np.linalg.lstsq(jjt, f)[0]
-                    dv = (w + w.T) @ v
+                        w[:, flat] = np.linalg.solve(jjt, f[..., None])[..., 0]
+                    except np.linalg.LinAlgError:  # a singular member: each alone
+                        for row in range(live):
+                            a, b = jjt[row], f[row]
+                            try:  # a stack of one has had its solve
+                                w[row, flat] = _solve(a, b) if live > 1 else (
+                                    np.linalg.lstsq(a, b)[0])
+                            except np.linalg.LinAlgError:
+                                failed.append(row)
+                    w = w.reshape(live, n, n)
+                    dv = (w + w.swapaxes(-1, -2)) @ v
                 else:  # J^T J: E_pq V_q V_p^T in block (p, q), sum_q (E+4I)_pq V_q V_q^T in (p, p)
-                    e = (~pattern.mask).astype(float)  # E = 1 off the support
-                    jtj = np.einsum("pq,qa,pb->paqb", e, v, v)
-                    diag = np.einsum("pq,qa,qb->pab", e + 4.0 * eye, v, v)
-                    jtj[range(n), :, range(n), :] += diag
-                    w[i, j] = f
-                    jtf = ((w + w.T) @ v).ravel()
-                    dv = np.linalg.lstsq(jtj.reshape(n * d, -1), jtf)[0].reshape(n, d)
-            except np.linalg.LinAlgError:
-                reason = "stagnation"
-                break
-            v = v - dv
-    matrix = _affine_project(0.5 * (g + g.T), free, eye)
-    return RefineResult(matrix, reason is None, len(residuals) - 1, residuals, reason)
+                    w[:, flat] = f
+                    w = w.reshape(live, n, n)
+                    jtf = ((w + w.swapaxes(-1, -2)) @ v).reshape(live, n * d)
+                    dv = np.zeros_like(v)
+                    for row, vr in enumerate(v):
+                        jtj = np.einsum("pq,qa,pb->paqb", e, vr, vr)
+                        jtj[range(n), :, range(n), :] += np.einsum(
+                            "pq,qa,qb->pab", e + 4.0 * eye, vr, vr)
+                        try:
+                            dv[row] = np.linalg.lstsq(
+                                jtj.reshape(n * d, -1), jtf[row])[0].reshape(n, d)
+                        except np.linalg.LinAlgError:
+                            failed.append(row)
+                v = v - dv
+                if failed:
+                    leave(g, failed, ["stagnation"] * len(failed))
+                    go = [row for row in range(live) if row not in failed]
+                    if not go:
+                        break
+                    v = v[go]
+                    rows = [rows[row] for row in go]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -352,53 +440,66 @@ def randomized_retry(
     The later attempts solve the SDP at weights drawn uniformly from
     [0.5, 1.5), from a stream seeded by params.seed (_starts).
 
-    Every attempt is refined through rank_refine, whether or not its SDP
+    Attempts are refined one stack at a time, whether or not their SDP
     converged: refinement needs no PSD start and max_iter does not cap it.
-    Every converged refinement goes through certify, the one gate, at
-    verify_tol; only a verified cone ends the retries, and its realization
-    and report come back with the result.
+    Attempt 0 goes through rank_refine, and each stack of SDP results that
+    _starts yields through one _refine call, in lockstep, before any of its
+    attempts is recorded; a stack whose refinement raises is refined again
+    one attempt at a time, so the error surfaces at its own attempt.  Each
+    attempt gets the refinement it gets alone, bit for bit, and its record
+    and certification come in attempt order.  Every converged refinement
+    goes through certify, the one gate, at verify_tol; only a verified cone
+    ends the retries, and its realization and report come back with the
+    result.
     """
+    d = params.target_rank
     attempts: list[AttemptRecord] = []
-    for index, sdp in enumerate(_starts(pattern, params)):
-        refined = rank_refine(sdp.matrix, params.target_rank, pattern)
-        record = AttemptRecord(
-            index=index,
-            sdp_converged=sdp.converged,
-            sdp_iterations=sdp.iterations,
-            refine_converged=refined.converged,
-            refine_iterations=refined.iterations,
-            refine_reason=refined.reason,
-            refine_affine_residual=refined.residuals[-1],
-        )
-        attempts.append(record)
-        if refined.converged:
-            real, report, record.certify_reason = certify(
-                refined.matrix, pattern, params.target_rank, verify_tol)
-            record.certified = real is not None
-            if record.certified:
-                return RetryResult(refined.matrix, True, attempts, real, report)
+    for stack in _starts(pattern, params):
+        if not attempts:  # the spectral attempt
+            refined = [rank_refine(stack[0].matrix, d, pattern)]
+        else:
+            try:
+                refined = _refine(np.stack([sdp.matrix for sdp in stack]), d, pattern)
+            except ConvergenceError:
+                refined = (_refine(sdp.matrix[None], d, pattern)[0] for sdp in stack)
+        for sdp, ref in zip(stack, refined):
+            record = AttemptRecord(
+                index=len(attempts),
+                sdp_converged=sdp.converged,
+                sdp_iterations=sdp.iterations,
+                refine_converged=ref.converged,
+                refine_iterations=ref.iterations,
+                refine_reason=ref.reason,
+                refine_affine_residual=ref.residuals[-1],
+            )
+            attempts.append(record)
+            if ref.converged:
+                real, report, record.certify_reason = certify(ref.matrix, pattern, d, verify_tol)
+                record.certified = real is not None
+                if record.certified:
+                    return RetryResult(ref.matrix, True, attempts, real, report)
     return RetryResult(matrix=None, success=False, attempts=attempts)
 
 
 def _starts(pattern: SupportPattern, params: SearchParams):
-    """randomized_retry's starts, lazily, as SDP results: X0, then one per
-    weight draw, in stacks of max(1, linalg._STACK_ENTRIES // n**2) draws
-    (the same draws as one (n, n) draw per attempt): each SDP iteration makes
-    one eigendecomposition call per stack, and no array of a stack passes
-    the bound unless one attempt does.  A stack that raises reruns one
-    attempt at a time, so an error surfaces at its own attempt, every other
-    bit unchanged.  X0 = P_aff(I + C / ADMM_RHO) is the all-ones SDP's first
-    ADMM iterate."""
+    """randomized_retry's starts, lazily, as stacks (lists) of SDP results:
+    [X0], then the weight draws in stacks of max(1, linalg._STACK_ENTRIES //
+    n**2) draws (the same draws as one (n, n) draw per attempt): each SDP
+    iteration makes one eigendecomposition call per stack, and no array of a
+    stack passes the bound unless one attempt does.  A stack that raises
+    reruns one attempt at a time, as stacks of one, so an error surfaces at
+    its own attempt, every other bit unchanged.  X0 = P_aff(I + C / ADMM_RHO)
+    is the all-ones SDP's first ADMM iterate."""
     n = pattern.n
-    yield sdp_feasibility(pattern, np.ones((n, n)), replace(params, max_iter=1))
+    yield [sdp_feasibility(pattern, np.ones((n, n)), replace(params, max_iter=1))]
     rng = np.random.default_rng(params.seed)
     stack = max(1, linalg._STACK_ENTRIES // n**2)
     for index in range(1, params.retries, stack):
         weights = rng.uniform(0.5, 1.5, size=(min(stack, params.retries - index), n, n))
         try:
-            yield from _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
+            yield _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
         except (ConvergenceError, PreconditionError):
-            yield from (sdp_feasibility(pattern, w, params) for w in weights)
+            yield from ([sdp_feasibility(pattern, w, params)] for w in weights)
 
 
 # ---------------------------------------------------------------------------

@@ -598,9 +598,9 @@ class TestSearchCommand:
         # the realization it reaches is certified.
         decline_spectral_attempt(monkeypatch)
         starts = []
-        refine = search.rank_refine
-        monkeypatch.setattr(search, "rank_refine",
-                            lambda x, d, pattern: starts.append(x) or refine(x, d, pattern))
+        refine = search._refine
+        monkeypatch.setattr(search, "_refine",
+                            lambda xs, d, pattern: starts.extend(xs) or refine(xs, d, pattern))
         run_cli(capsys, "examples", "pentagon", "--out", ".")
         code, out, _ = run_cli(
             capsys, "search", "pentagon.support", "--rank", "3", "--max-iter", "12"

@@ -1072,6 +1072,116 @@ class TestRankRefine:
         assert not report.passed
 
 
+def refused_solves(monkeypatch) -> dict:
+    """Count np.linalg.solve calls, the ones that raise, and np.linalg.lstsq
+    calls from now on."""
+    counts = {"solve": 0, "refused": 0, "lstsq": 0}
+    solve, lstsq = np.linalg.solve, np.linalg.lstsq
+
+    def counted_solve(a, b):
+        counts["solve"] += 1
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            counts["refused"] += 1
+            raise
+
+    def counted_lstsq(a, b):
+        counts["lstsq"] += 1
+        return lstsq(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    return counts
+
+
+def failing_lstsq(a, b):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+class TestLockstepRefine:
+    """_refine gives each member of a stack the refinement the one-matrix
+    rank_refine it replaced gives it, bit for bit."""
+
+    @staticmethod
+    def _assert_each_alone(xs, d, pattern):
+        stacked = search._refine(np.stack(xs), d, pattern)
+        assert [refine_bits(r) for r in stacked] == [
+            refine_bits(reference_rank_refine(x, d, pattern)) for x in xs]
+        return stacked
+
+    @pytest.mark.parametrize("name,support,rank", TestIterationCounts.SUPPORTS,
+                             ids=[c[0] for c in TestIterationCounts.SUPPORTS])
+    def test_sdp_stacks_bitwise_equal_to_the_reference(self, name, support, rank):
+        bits = support()
+        pattern = search.apply_sisd(bits, search.sisd_check(bits))
+        n = pattern.n
+        for seed, max_iter in itertools.product(range(6), (2000, 40)):
+            weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=(19, n, n))
+            params = search.SearchParams(target_rank=rank, max_iter=max_iter)
+            sdps = search._sdp_loop(pattern.mask,
+                                    search._objective_weights(pattern.mask, weights), params)
+            self._assert_each_alone([spectral_start(pattern)] + [s.matrix for s in sdps],
+                                    rank, pattern)
+
+    @pytest.mark.parametrize("lstsq", [None, failing_lstsq], ids=["lstsq", "lstsq-fails"])
+    def test_singular_member_is_solved_alone(self, monkeypatch, lstsq):
+        # The five-pentagon sum's spectral start has a singular J J^T at its
+        # first step, so the stack's solve raises and every member is solved
+        # alone, the spectral one by lstsq; where lstsq fails too, each
+        # member that needs it stagnates and the others go on.
+        pattern = pentagon_sum(5)
+        weights = np.random.default_rng(0).uniform(0.5, 1.5, size=(3, 25, 25))
+        sdps = search._sdp_loop(pattern.mask, search._objective_weights(pattern.mask, weights),
+                                search.SearchParams(target_rank=15))
+        xs = [spectral_start(pattern)] + [s.matrix for s in sdps]
+        if lstsq:
+            monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        counts = refused_solves(monkeypatch)
+        stacked = self._assert_each_alone(xs, 15, pattern)
+        assert counts["refused"] >= 2  # the stack's solve and the member's
+        if lstsq is None:
+            assert all(r.converged for r in stacked)
+        else:
+            assert stacked[0].reason == "stagnation" and stacked[0].iterations == 0
+            assert any(r.converged for r in stacked[1:])
+
+    @pytest.mark.parametrize("lstsq", [None, failing_lstsq], ids=["lstsq", "lstsq-fails"])
+    def test_sparse_support_takes_the_jtj_branch(self, monkeypatch, lstsq):
+        # 12 points at rank 3 with few support pairs: m > nd, so each member
+        # is solved alone through J^T J.
+        rng = np.random.default_rng(15)
+        n, d = 12, 3
+        bits = rng.random((n, n)) < 0.15
+        bits = (bits | bits.T | np.eye(n, dtype=bool)).astype(np.uint8)
+        pattern = search.SupportPattern(bits)
+        assert n + int(np.triu(bits == 0, 1).sum()) > n * d
+        xs = [a @ a.T for a in rng.standard_normal((5, n, n))] + [spectral_start(pattern)]
+        if lstsq:
+            monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        stacked = self._assert_each_alone(xs, d, pattern)
+        if lstsq is None:  # members leave the stack at different steps
+            assert len({r.iterations for r in stacked}) > 1
+        else:
+            assert {(r.reason, r.iterations) for r in stacked} == {("stagnation", 0)}
+
+    def test_stack_of_one_counts(self, monkeypatch):
+        # A deterministic guard on the stack of one: one eigendecomposition
+        # per call and one solve per step, and on a singular J J^T one
+        # refused solve and one lstsq.
+        eighs = []
+        eigh = linalg._eigh
+        monkeypatch.setattr(linalg, "_eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
+        counts = refused_solves(monkeypatch)
+        for pattern, d, refused in ((data.pentagon_support(), 3, 0), (pentagon_sum(5), 15, 1)):
+            eighs.clear()
+            counts.update(solve=0, refused=0, lstsq=0)
+            res = search.rank_refine(spectral_start(pattern), d, pattern)
+            assert res.converged and res.iterations == 3
+            assert eighs == [(1, pattern.n, pattern.n)]
+            assert counts == {"solve": 3, "refused": refused, "lstsq": refused}
+
+
 class TestRandomizedRetry:
     def test_identity_first_attempt(self):
         pattern = search.SupportPattern(np.eye(5, dtype=np.uint8))
@@ -1154,6 +1264,66 @@ def dense_gauss_newton_step(x, d: int, pattern) -> np.ndarray:
     want = np.where(pattern.mask, v1 @ v1.T, 0.0)
     np.fill_diagonal(want, 1.0)
     return want
+
+
+def reference_rank_refine(x, d: int, pattern) -> search.RefineResult:
+    """search.rank_refine as it was before the lockstep kernel: one matrix,
+    the equations and the J J^T slot layout built in place, the best
+    residual found by np.argmin over the growing list."""
+    a = linalg._symmetric(x)
+    n = pattern.n
+    d = linalg._target_rank(d, n)
+    v = linalg.EigenDecomposition(*linalg._eigh(a)).factor(d)
+    eye = np.eye(n)
+    free = pattern.mask > eye
+    p, q = np.nonzero(np.triu(~free, 1))
+    i, j = np.concatenate([np.arange(n), p]), np.concatenate([np.arange(n), q])
+    m = len(i)
+    residuals, reason, pairs = [], None, None
+    with np.errstate(all="ignore"):
+        for step in range(search.REFINE_STEPS + 1):
+            g = v @ v.T
+            f = g[i, j] - (i == j)
+            residuals.append(float(np.abs(f).max()))
+            if residuals[-1] < search.REFINE_STOP_TOL:
+                break
+            stalled = step - int(np.argmin(residuals)) >= search.REFINE_PATIENCE
+            reason = "stagnation" if stalled or not math.isfinite(residuals[-1]) else (
+                "step cap" if step == search.REFINE_STEPS else None)
+            if reason:
+                break
+            w = np.zeros((n, n))
+            try:
+                if m <= n * d:
+                    if pairs is None:
+                        ends, other = np.concatenate([i, j]), np.concatenate([j, i])
+                        eq, pairs = np.tile(np.arange(m), 2), np.nonzero(ends[:, None] == ends)
+                    s, t = pairs
+                    jjt = np.bincount(eq[s] * m + eq[t], g[other[s], other[t]], m * m)
+                    jjt = jjt.reshape(m, m)
+                    try:
+                        w[i, j] = np.linalg.solve(jjt, f)
+                    except np.linalg.LinAlgError:
+                        w[i, j] = np.linalg.lstsq(jjt, f)[0]
+                    dv = (w + w.T) @ v
+                else:
+                    e = (~pattern.mask).astype(float)
+                    jtj = np.einsum("pq,qa,pb->paqb", e, v, v)
+                    diag = np.einsum("pq,qa,qb->pab", e + 4.0 * eye, v, v)
+                    jtj[range(n), :, range(n), :] += diag
+                    w[i, j] = f
+                    jtf = ((w + w.T) @ v).ravel()
+                    dv = np.linalg.lstsq(jtj.reshape(n * d, -1), jtf)[0].reshape(n, d)
+            except np.linalg.LinAlgError:
+                reason = "stagnation"
+                break
+            v = v - dv
+    matrix = search._affine_project(0.5 * (g + g.T), free, eye)
+    return search.RefineResult(matrix, reason is None, len(residuals) - 1, residuals, reason)
+
+
+def refine_bits(res) -> tuple:
+    return bits_of(res.matrix), bits_of(res.residuals), res.iterations, res.converged, res.reason
 
 
 def pentagon_sum(k: int) -> search.SupportPattern:
@@ -1294,27 +1464,57 @@ class TestStackedRetries:
     def test_stacks_hold_at_most_the_entries_bound(self, bound, monkeypatch):
         # bound is linalg._STACK_ENTRIES in units of n**2 (None keeps it): a
         # stack holds as many attempts as fit, or one attempt when none fits.
-        # Both supports fail at rank 3, so all 20 attempts run.
-        stacks = []
-        loop = search._sdp_loop
+        # Both supports fail at rank 3, so all 20 attempts run.  Each stack
+        # is refined by one _refine call, in chunks whose arrays (n^2, and
+        # the m^2 entries of J J^T and its slot pairs, per member) hold at
+        # most the bound, or one member.
+        stacks, refined, chunks = [], [], []
+        loop, refine, eigh = search._sdp_loop, search._refine, linalg._eigh
 
         def recorded(on, c, params):
             stacks.append(c.shape)
             return loop(on, c, params)
 
+        def recorded_refine(xs, d, pattern):
+            refined.append(len(xs))
+            chunks.append([])
+            return refine(xs, d, pattern)
+
+        def recorded_eigh(a):
+            if caller() == "_refine":
+                chunks[-1].append(len(a))
+            return eigh(a)
+
         monkeypatch.setattr(search, "_sdp_loop", recorded)
+        monkeypatch.setattr(search, "_refine", recorded_refine)
+        monkeypatch.setattr(linalg, "_eigh", recorded_eigh)
         for support in (data.four_cycle_support, data.ten_support):
             pattern = support()
             n = pattern.n
             if bound is not None:
                 monkeypatch.setattr(linalg, "_STACK_ENTRIES", int(bound * n * n) - 1)
             fit = max(1, linalg._STACK_ENTRIES // (n * n))
+            off = ~pattern.mask
+            m = n + int(np.triu(off, 1).sum())
+            assert m <= 3 * n  # J J^T
+            # Slots per node: two for its diagonal equation, one per pair off the support.
+            slots = 2 + off.sum(axis=1)
+            entries = max(n * n, m * m, int(slots @ slots))
             stacks.clear()
+            refined.clear()
+            chunks.clear()
             res = search.randomized_retry(pattern, search.SearchParams(target_rank=3, seed=5))
             attempts = [k for k, *_ in stacks]
             assert attempts[0] == 1 and sum(attempts) == len(res.attempts) == 20
             assert all(k * n * n <= linalg._STACK_ENTRIES or k == 1 for k in attempts)
             assert attempts[1:-1] == [fit] * (len(attempts) - 2) and attempts[-1] <= fit
+            assert refined == attempts and [sum(c) for c in chunks] == attempts
+            per_chunk = max(1, linalg._STACK_ENTRIES // entries)
+            for sizes in chunks:
+                assert all(k * entries <= linalg._STACK_ENTRIES or k == 1 for k in sizes)
+                assert sizes[:-1] == [per_chunk] * (len(sizes) - 1) and sizes[-1] <= per_chunk
+            # The four-cycle's stacks at bounds 5 and 7.5 take several chunks.
+            assert any(len(c) > 1 for c in chunks) == (max(attempts) > per_chunk)
 
     def test_stack_failure_reruns_one_attempt_at_a_time(self, monkeypatch):
         # Every stack of more than one attempt fails; each rerun is one
@@ -1374,55 +1574,65 @@ class TestStackedRetries:
             )
         assert calls["weights"] == 4
 
-    def test_one_rank_refine_call_per_attempt(self, monkeypatch):
-        # Every attempt, the spectral one and each stacked SDP result, is
-        # refined by its own rank_refine call, the function the bench counts.
-        refine = search.rank_refine
+    def test_one_refine_call_per_stack(self, monkeypatch):
+        # The spectral attempt is refined by rank_refine, the function the
+        # bench counts, as a stack of one; the 19 SDP results after it are
+        # one stack and one _refine call.
         calls = []
 
-        def counted(x, d, pattern):
-            calls.append(np.shape(x))
-            return refine(x, d, pattern)
+        def counted(fn):
+            def wrapper(x, d, pattern):
+                calls.append((fn.__name__, np.shape(x)))
+                return fn(x, d, pattern)
+            return wrapper
 
-        monkeypatch.setattr(search, "rank_refine", counted)
+        monkeypatch.setattr(search, "rank_refine", counted(search.rank_refine))
+        monkeypatch.setattr(search, "_refine", counted(search._refine))
         for seed in (0, 5):
             calls = []
             res = search.randomized_retry(data.four_cycle_support(),
                                           search.SearchParams(target_rank=3, seed=seed))
-            assert len(res.attempts) == 20 and calls == [(4, 4)] * 20
+            assert len(res.attempts) == 20
+            assert calls == [("rank_refine", (4, 4)), ("_refine", (1, 4, 4)),
+                             ("_refine", (19, 4, 4))]
             assert res.attempts[0].sdp_iterations == 1
             assert all(a.sdp_iterations > 1 for a in res.attempts[1:])
 
     def test_refinement_error_surfaces_at_its_attempt(self, monkeypatch):
-        # Every refinement from the third attempt on fails: attempts 1 and 2
-        # are recorded and certified before the error of attempt 3 surfaces,
-        # as in the sequential loop.
+        # The refinement of the 19-stack fails, and so does every refinement
+        # of one attempt from the third on: the stack is refined again one
+        # attempt at a time, and attempts 1 and 2 are recorded and certified
+        # before the error of attempt 3 surfaces, as in the sequential loop.
         eigh = linalg._eigh
-        refine = search.rank_refine
+        refine = search._refine
         certify = search.certify
-        calls = {"refine": 0, "certify": 0}
+        calls = {"alone": 0, "certify": 0}
+        stacks = []
 
-        def counted_refine(x, d, pattern):
-            calls["refine"] += 1
-            return refine(x, d, pattern)
+        def counted_refine(xs, d, pattern):
+            if len(xs) == 1:
+                calls["alone"] += 1
+            else:
+                stacks.append(len(xs))
+            return refine(xs, d, pattern)
 
         def counted_certify(*args):
             calls["certify"] += 1
             return certify(*args)
 
         def failing(a):
-            if caller() == "rank_refine" and calls["refine"] >= 3:
+            if caller() == "_refine" and (len(a) > 1 or calls["alone"] >= 3):
                 raise ConvergenceError("eigh did not converge")
             return eigh(a)
 
-        monkeypatch.setattr(search, "rank_refine", counted_refine)
+        monkeypatch.setattr(search, "_refine", counted_refine)
         monkeypatch.setattr(search, "certify", counted_certify)
         monkeypatch.setattr(linalg, "_eigh", failing)
         with pytest.raises(ConvergenceError, match="eigh"):
             search.randomized_retry(
                 data.four_cycle_support(), search.SearchParams(target_rank=3, seed=5)
             )
-        assert calls == {"refine": 3, "certify": 2}
+        assert calls == {"alone": 3, "certify": 2} and stacks == [19]
 
     def test_stacked_draws_are_the_sequential_draws(self):
         for k in range(1, 33):
