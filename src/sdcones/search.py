@@ -137,7 +137,8 @@ def sdp_feasibility(pattern: SupportPattern, weights, params: SearchParams) -> S
     The returned matrix is the last X: it has an exact unit diagonal and
     exact zeros off the support.  The result has converged when the stop
     rule fired; it is no certificate of an optimum, and certify alone judges
-    what refinement makes of it.
+    what refinement makes of it.  The search calls it for attempt 0's one
+    iteration and to rerun, one draw at a time, a stack that raised.
     """
     n = pattern.n
     if n == 0:
@@ -430,76 +431,65 @@ def randomized_retry(
     params: SearchParams,
     verify_tol: float = geometry.DEFAULT_FACET_TOL,
 ) -> RetryResult:
-    """Refine a spectral start, then SDP results with random objectives,
-    until an attempt yields a certified realization.
-
-    Attempt 0 refines X0 = I + A / 2 (A the support off the diagonal; the
-    first ADMM iterate at all-ones weights), whose top-d eigenvectors
-    embed the support (Koren 2005): a cycle-like support's embedding is the
-    regular polygon.  It draws nothing, so it does not depend on params.seed.
-    The later attempts solve the SDP at weights drawn uniformly from
-    [0.5, 1.5), from a stream seeded by params.seed (_starts).
-
-    Attempts are refined one stack at a time, whether or not their SDP
-    converged: refinement needs no PSD start and max_iter does not cap it.
-    Attempt 0 goes through rank_refine, and each stack of SDP results that
-    _starts yields through one _refine call, in lockstep, before any of its
-    attempts is recorded; a stack whose refinement raises is refined again
-    one attempt at a time, so the error surfaces at its own attempt.  Each
-    attempt gets the refinement it gets alone, bit for bit, and its record
-    and certification come in attempt order.  Every converged refinement
-    goes through certify, the one gate, at verify_tol; only a verified cone
-    ends the retries, and its realization and report come back with the
-    result.
-    """
+    """Record _attempts' attempts in order, refined whether or not their
+    SDP converged (refinement needs no PSD start), until one certifies:
+    every converged refinement goes through certify, the one gate, at
+    verify_tol, and only a verified cone ends the retries, its realization
+    and report coming back with the result."""
     d = params.target_rank
     attempts: list[AttemptRecord] = []
-    for stack in _starts(pattern, params):
-        if not attempts:  # the spectral attempt
-            refined = [rank_refine(stack[0].matrix, d, pattern)]
-        else:
-            try:
-                refined = _refine(np.stack([sdp.matrix for sdp in stack]), d, pattern)
-            except ConvergenceError:
-                refined = (_refine(sdp.matrix[None], d, pattern)[0] for sdp in stack)
-        for sdp, ref in zip(stack, refined):
-            record = AttemptRecord(
-                index=len(attempts),
-                sdp_converged=sdp.converged,
-                sdp_iterations=sdp.iterations,
-                refine_converged=ref.converged,
-                refine_iterations=ref.iterations,
-                refine_reason=ref.reason,
-                refine_affine_residual=ref.residuals[-1],
-            )
-            attempts.append(record)
-            if ref.converged:
-                real, report, record.certify_reason = certify(ref.matrix, pattern, d, verify_tol)
-                record.certified = real is not None
-                if record.certified:
-                    return RetryResult(ref.matrix, True, attempts, real, report)
+    for sdp, ref in _attempts(pattern, params):
+        record = AttemptRecord(
+            index=len(attempts),
+            sdp_converged=sdp.converged,
+            sdp_iterations=sdp.iterations,
+            refine_converged=ref.converged,
+            refine_iterations=ref.iterations,
+            refine_reason=ref.reason,
+            refine_affine_residual=ref.residuals[-1],
+        )
+        attempts.append(record)
+        if ref.converged:
+            real, report, record.certify_reason = certify(ref.matrix, pattern, d, verify_tol)
+            record.certified = real is not None
+            if record.certified:
+                return RetryResult(ref.matrix, True, attempts, real, report)
     return RetryResult(matrix=None, success=False, attempts=attempts)
 
 
-def _starts(pattern: SupportPattern, params: SearchParams):
-    """randomized_retry's starts, lazily, as stacks (lists) of SDP results:
-    [X0], then the weight draws in stacks of max(1, linalg._STACK_ENTRIES //
-    n**2) draws (the same draws as one (n, n) draw per attempt): each SDP
-    iteration makes one eigendecomposition call per stack, and no array of a
-    stack passes the bound unless one attempt does.  A stack that raises
-    reruns one attempt at a time, as stacks of one, so an error surfaces at
-    its own attempt, every other bit unchanged.  X0 = P_aff(I + C / ADMM_RHO)
-    is the all-ones SDP's first ADMM iterate."""
-    n = pattern.n
-    yield [sdp_feasibility(pattern, np.ones((n, n)), replace(params, max_iter=1))]
+def _attempts(pattern: SupportPattern, params: SearchParams):
+    """randomized_retry's attempts, lazily and in attempt order, as
+    (SdpResult, RefineResult) pairs, each the one it gets alone, bit for bit.
+
+    Attempt 0 refines X0 = I + A / 2 (A the support off the diagonal), whose
+    top-d eigenvectors embed the support (Koren 2005): a cycle-like
+    support's embedding is the regular polygon.  X0 is the all-ones SDP's
+    first ADMM iterate P_aff(I + C / ADMM_RHO), so attempt 0 is that SDP run
+    for one iteration, and rank_refine.  It draws nothing.
+
+    The later attempts draw weights uniformly from [0.5, 1.5), seeded by
+    params.seed, in stacks of max(1, linalg._STACK_ENTRIES // n**2) draws
+    (the draws of one (n, n) draw per attempt), each one _sdp_loop and one
+    _refine call.  A stack that raises, in either, reruns one draw at a
+    time, by sdp_feasibility and _refine, so an error surfaces at its own
+    attempt, after the earlier ones are recorded and certified.
+    """
+    n, d = pattern.n, params.target_rank
+    sdp = sdp_feasibility(pattern, np.ones((n, n)), replace(params, max_iter=1))
+    yield sdp, rank_refine(sdp.matrix, d, pattern)
     rng = np.random.default_rng(params.seed)
     stack = max(1, linalg._STACK_ENTRIES // n**2)
     for index in range(1, params.retries, stack):
         weights = rng.uniform(0.5, 1.5, size=(min(stack, params.retries - index), n, n))
         try:
-            yield _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
+            sdps = _sdp_loop(pattern.mask, _objective_weights(pattern.mask, weights), params)
+            refined = _refine(np.stack([sdp.matrix for sdp in sdps]), d, pattern)
         except (ConvergenceError, PreconditionError):
-            yield from ([sdp_feasibility(pattern, w, params)] for w in weights)
+            for w in weights:
+                sdp = sdp_feasibility(pattern, w, params)
+                yield sdp, _refine(sdp.matrix[None], d, pattern)[0]
+        else:
+            yield from zip(sdps, refined)
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +569,25 @@ def certify(
 
 @dataclass
 class PipelineResult:
+    """success, realization and verification read failure and retry."""
+
     params: SearchParams
     sisd_permutation: np.ndarray | None
     pattern: SupportPattern | None
     retry: RetryResult | None
-    realization: Realization | None
-    verification: selfdual.SlackReport | None
-    success: bool
     failure: str | None = None
+
+    @property
+    def success(self) -> bool:
+        return self.failure is None
+
+    @property
+    def realization(self) -> Realization | None:
+        return None if self.retry is None else self.retry.realization
+
+    @property
+    def verification(self) -> selfdual.SlackReport | None:
+        return None if self.retry is None else self.retry.verification
 
 
 def run_pipeline(
@@ -603,21 +604,12 @@ def run_pipeline(
     """
     sigma = sisd_check(support)
     if sigma is None:
-        return PipelineResult(
-            params, None, None, None, None, None, False,
-            failure="support is not strongly involutive",
-        )
+        return PipelineResult(params, None, None, None, "support is not strongly involutive")
     if params.target_rank > len(sigma):
         raise PreconditionError(
             f"target rank {params.target_rank} exceeds the support size {len(sigma)}"
         )
     pattern = apply_sisd(np.asarray(support), sigma)
     retry = randomized_retry(pattern, params, verify_tol)
-    if not retry.success:
-        return PipelineResult(
-            params, sigma, pattern, retry, None, None, False,
-            failure=f"no realization found in {params.retries} attempts",
-        )
-    return PipelineResult(
-        params, sigma, pattern, retry, retry.realization, retry.verification, True
-    )
+    failure = None if retry.success else f"no realization found in {params.retries} attempts"
+    return PipelineResult(params, sigma, pattern, retry, failure)

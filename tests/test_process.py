@@ -61,11 +61,13 @@ def test_input_that_is_not_utf8_exits_4_without_traceback(tmp_path):
 
 # VmHWM, not getrusage's ru_maxrss: the latter counts the parent's peak in a
 # child that the parent forked.
-STARTS_PEAK = """
+ATTEMPTS_PEAK = """
 from sdcones import search
 bits = search.load_support("c.support")
 pattern = search.apply_sisd(bits, search.sisd_check(bits))
-for _ in search._starts(pattern, search.SearchParams(target_rank=3, max_iter=1)):
+search.rank_refine = lambda x, d, pattern: None  # only the SDP stacks are measured
+search._refine = lambda xs, d, pattern: [None] * len(xs)
+for _ in search._attempts(pattern, search.SearchParams(target_rank=3, max_iter=1)):
     pass
 with open("/proc/self/status") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
@@ -73,9 +75,10 @@ with open("/proc/self/status") as status:
 
 
 def test_sdp_stacks_of_a_600_point_support_stay_small(tmp_path):
-    # linalg._STACK_ENTRIES makes the 19 SDP attempts stacks of 2: the child
-    # peaked at 116 MB, where one stack of 19 peaked at 512 MB.
+    # linalg._STACK_ENTRIES makes the 19 SDP attempts stacks of 2: the child,
+    # its refinement stubbed out, peaked at 102 MB, where one stack of 19
+    # peaked at 512 MB.
     search.save_support(tmp_path / "c.support", shuffled_cycle_complement(600))
-    proc = run_python("-c", STARTS_PEAK, cwd=tmp_path)
+    proc = run_python("-c", ATTEMPTS_PEAK, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 250 * 1024  # kB

@@ -1377,6 +1377,8 @@ class TestStackedRetries:
         ("selfpolar10", lambda: data.ten_support().bits, 4),
         ("gon7", functools.partial(gon_support, 7), 3),
         ("four-cycle", lambda: data.four_cycle_support().bits, 3),
+        # The one support whose attempt 0 records sdp_converged: true.
+        ("orthant", lambda: np.eye(3, dtype=np.uint8), 3),
     ]
 
     @staticmethod
@@ -1600,8 +1602,8 @@ class TestStackedRetries:
 
     def test_refinement_error_surfaces_at_its_attempt(self, monkeypatch):
         # The refinement of the 19-stack fails, and so does every refinement
-        # of one attempt from the third on: the stack is refined again one
-        # attempt at a time, and attempts 1 and 2 are recorded and certified
+        # of one attempt from the third on: the stack is rerun one attempt
+        # at a time, and attempts 1 and 2 are recorded and certified
         # before the error of attempt 3 surfaces, as in the sequential loop.
         eigh = linalg._eigh
         refine = search._refine
