@@ -305,8 +305,9 @@ def main(argv=None) -> int:
     """Run one subcommand.  Every input gets its own result: outputs are
     printed in input order, each failure's message goes to stderr, and the
     exit code is the largest of the inputs' codes.  An output that cannot be
-    written, a stdout that is a closed pipe or a full device included, is one
-    "cannot write output" line on stderr and exit 4."""
+    written, a stdout or stderr that is a closed pipe or a full device
+    included, is one "cannot write output" line on stderr, where stderr can
+    be written, and exit 4."""
     global _parser
     if _parser is None:
         _parser = build_parser()
@@ -324,12 +325,24 @@ def main(argv=None) -> int:
             print(text, file=sys.stderr if failed else sys.stdout)
         sys.stdout.flush()
     except OSError as exc:
-        # The interpreter flushes stdout again at exit; pointing it at
-        # devnull first keeps that flush from raising too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"cannot write output: {exc}", file=sys.stderr)
+        _write_or_drop(sys.stdout, "")  # what stdout printed before stays printed
+        _write_or_drop(sys.stderr, f"cannot write output: {exc}\n")
         return EXIT_PARSE
     return max(code for code, _, _ in outcomes)
+
+
+def _write_or_drop(stream, text: str) -> None:
+    """Write and flush text, or, where stream cannot be written, point its
+    file descriptor at devnull: the interpreter flushes both streams again
+    at exit, and that flush must not raise too.  A stream that is None, as
+    sys.stderr is when Python starts without descriptor 2, is skipped."""
+    if stream is None:
+        return
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:  # open may return the stream's own descriptor if it is free
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,11 +22,12 @@ _clip_project: clip the eigenvalues at 0, keep the d largest (d = n for
 psd_project) and return V diag(w) V^T, in which the sign of each column of V
 cancels exactly, so it skips the sign rule.  Every validated entry point
 takes one matrix.  Only the unvalidated kernels take stacks (leading batch
-axes), each matrix getting the bits it would get alone: _eigh,
-_clip_project and _reconstruct, which the search loops call,
-orthogonal_directions, which the facet scan calls, and null_directions.
-_STACK_ENTRIES bounds the entries of the stacks the package builds,
-facet-scan chunks and search SDP stacks, down to one member.
+axes), each matrix getting the bits it would get alone: _eigh and
+_clip_project, which the search loops call, _reconstruct, which only
+_clip_project calls, orthogonal_directions, which the facet scan calls, and
+null_directions.  _STACK_ENTRIES bounds the entries of the stacks the
+package builds, down to one member: facet-scan chunks, search SDP stacks
+and the refinement's Gauss-Newton chunks.
 All functions are pure; there is no shared mutable state.
 """
 

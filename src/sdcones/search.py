@@ -224,6 +224,10 @@ def _equations(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class RefineResult:
+    """A refinement's last P_aff(V V^T); residuals holds max|F| before each
+    step and after the last, iterations is len(residuals) - 1, and converged
+    is reason is None ("stagnation" or "step cap" otherwise)."""
+
     matrix: np.ndarray
     converged: bool
     iterations: int
@@ -241,14 +245,6 @@ def rank_refine(x, d: int, pattern: SupportPattern) -> RefineResult:
     if a.shape[0] != n:
         raise PreconditionError("matrix and support sizes disagree")
     return _refine(a[None], linalg._target_rank(d, n), pattern)[0]
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b, or lstsq's minimum-norm solution where a is singular."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, b)[0]
 
 
 def _refine(xs: np.ndarray, d: int, pattern: SupportPattern) -> list[RefineResult]:
@@ -272,10 +268,10 @@ def _refine(xs: np.ndarray, d: int, pattern: SupportPattern) -> list[RefineResul
     and its slot pairs, (nd)^2 for J^T J, either one at least n^2.  A
     chunk makes one _eigh call, then per step one batched V V^T, one
     np.bincount for every member's J J^T and one batched solve; if that
-    solve raises, each member is solved alone, and a stack of one goes
-    straight to lstsq.  J^T J members are solved one at a time.  A member
-    leaves the chunk when it stops, so each gets the iterates, residuals,
-    stop reason and matrix it gets alone, bit for bit.
+    solve raises, each member is solved alone, by solve, then lstsq.  J^T J
+    members are solved one at a time.  Members stopped by the stop test or
+    a failed solve leave after the step, with its starting V V^T: each gets
+    the iterates, residuals, stop reason and matrix it gets alone, bit for bit.
     """
     k, n = len(xs), pattern.n
     eye = np.eye(n)
@@ -284,24 +280,17 @@ def _refine(xs: np.ndarray, d: int, pattern: SupportPattern) -> list[RefineResul
     m = len(i)
     flat = i * n + j  # the equations' entries of a flattened V V^T
     gram = m <= n * d  # J J^T, else J^T J
-    size = 1
-    if k > 1:  # J J^T gathers one entry per pair of slots at a node (below)
-        slots = np.bincount(np.concatenate([i, j]), minlength=n)
-        entries = max(m * m, int(slots @ slots)) if gram else (n * d) ** 2
-        size = max(1, linalg._STACK_ENTRIES // entries)
-    e = None if gram else (~pattern.mask).astype(float)  # J^T J's E = 1 off the support
-    layout = None
+    if gram:  # slot s of the 2m: row eq[s], node ends[s], V[other[s]]
+        ends, other = np.concatenate([i, j]), np.concatenate([j, i])
+        eq = np.concatenate([np.arange(m)] * 2)
+        s, t = np.nonzero(ends[:, None] == ends)  # the pairs of slots at a node
+        index, source = eq[s] * m + eq[t], other[s] * n + other[t]
+        entries = max(m * m, len(s))
+    else:  # J^T J: E_pq V_q V_p^T in block (p, q), sum_q (E+4I)_pq V_q V_q^T in (p, p)
+        e = (~pattern.mask).astype(float)  # E = 1 off the support
+        entries = (n * d) ** 2
+    size = max(1, linalg._STACK_ENTRIES // entries)
     results: list = [None] * k
-
-    def leave(g, stops, reasons):
-        """The rows stops of the chunk stop at their V V^T, rows of g."""
-        y = g[stops]
-        matrices = _affine_project(0.5 * (y + y.swapaxes(-1, -2)), free, eye)
-        for matrix, row, reason in zip(matrices, stops, reasons):
-            member, history, _ = rows[row]
-            results[member] = RefineResult(matrix, reason is None, len(history) - 1,
-                                           history, reason)
-
     for lo in range(0, k, size):
         vals, vecs = linalg._eigh(xs[lo:lo + size])
         v = vecs[..., :d] * np.sqrt(np.maximum(vals[:, None, :d], 0.0))  # each factor(d)
@@ -312,79 +301,70 @@ def _refine(xs: np.ndarray, d: int, pattern: SupportPattern) -> list[RefineResul
                 g = v @ v.swapaxes(-1, -2)
                 f = g.reshape(len(rows), n * n)[:, flat]
                 f[:, :n] -= 1.0
-                go, stops, reasons = [], [], []
+                stops = {}  # row: reason, for the rows that stop at this step
                 for row, (state, r) in enumerate(zip(rows, np.abs(f).max(axis=1).tolist())):
                     _, history, best = state
                     history.append(r)
                     if r < history[best]:
                         state[2] = best = step
                     if r < REFINE_STOP_TOL:
-                        reason = None
+                        stops[row] = None
                     elif step - best >= REFINE_PATIENCE or not math.isfinite(r):
-                        reason = "stagnation"
+                        stops[row] = "stagnation"
                     elif step == REFINE_STEPS:
-                        reason = "step cap"
-                    else:
-                        go.append(row)
-                        continue
-                    stops.append(row)
-                    reasons.append(reason)
-                if stops:
-                    leave(g, stops, reasons)
-                    if not go:
-                        break
-                    g, f, v = g[go], f[go], v[go]
-                    rows = [rows[row] for row in go]
-                live = len(rows)
-                # Row (i, j) of J holds V_j in node i's block and V_i in node j's,
-                # so J^T y is (W + W^T) V with W_ij = y_ij.
-                w = np.zeros((live, n * n))
-                failed = []  # rows whose least-squares solve raised
-                if gram:  # J J^T: <V_other[s], V_other[t]> of the slots s, t at a node
-                    if layout is None:  # slot s of the 2m: row eq[s], node ends[s], V[other[s]]
-                        ends, other = np.concatenate([i, j]), np.concatenate([j, i])
-                        eq = np.concatenate([np.arange(m)] * 2)
-                        s, t = np.nonzero(ends[:, None] == ends)
-                        layout = eq[s] * m + eq[t], other[s] * n + other[t]
-                    index, source = layout
-                    if live > 1:  # member by member, in bins of their own
-                        index = (index + m * m * np.arange(live)[:, None]).ravel()
-                    jjt = np.bincount(index, g.reshape(live, n * n)[:, source].ravel(),
-                                      live * m * m).reshape(live, m, m)
-                    try:
-                        w[:, flat] = np.linalg.solve(jjt, f[..., None])[..., 0]
-                    except np.linalg.LinAlgError:  # a singular member: each alone
-                        for row in range(live):
-                            a, b = jjt[row], f[row]
-                            try:  # a stack of one has had its solve
-                                w[row, flat] = _solve(a, b) if live > 1 else (
-                                    np.linalg.lstsq(a, b)[0])
-                            except np.linalg.LinAlgError:
-                                failed.append(row)
-                    w = w.reshape(live, n, n)
-                    dv = (w + w.swapaxes(-1, -2)) @ v
-                else:  # J^T J: E_pq V_q V_p^T in block (p, q), sum_q (E+4I)_pq V_q V_q^T in (p, p)
-                    w[:, flat] = f
-                    w = w.reshape(live, n, n)
-                    jtf = ((w + w.swapaxes(-1, -2)) @ v).reshape(live, n * d)
-                    dv = np.zeros_like(v)
-                    for row, vr in enumerate(v):
-                        jtj = np.einsum("pq,qa,pb->paqb", e, vr, vr)
-                        jtj[range(n), :, range(n), :] += np.einsum(
-                            "pq,qa,qb->pab", e + 4.0 * eye, vr, vr)
+                        stops[row] = "step cap"
+                go = [row for row in range(len(rows)) if row not in stops]
+                live = len(go)
+                if live:
+                    at = go if stops else slice(None)  # copy rows only when some stop
+                    f, v = f[at], v[at]
+                    # Row (i, j) of J holds V_j in node i's block and V_i in node j's,
+                    # so J^T y is (W + W^T) V with W_ij = y_ij.
+                    w = np.zeros((live, n * n))
+                    if gram:  # J J^T: <V_other[s], V_other[t]> of the slots s, t at a node
+                        bins = index if live == 1 else (  # each member in bins of its own
+                            index + m * m * np.arange(live)[:, None]).ravel()
+                        jjt = np.bincount(bins, g[at].reshape(live, n * n)[:, source].ravel(),
+                                          live * m * m).reshape(live, m, m)
                         try:
-                            dv[row] = np.linalg.lstsq(
-                                jtj.reshape(n * d, -1), jtf[row])[0].reshape(n, d)
-                        except np.linalg.LinAlgError:
-                            failed.append(row)
-                v = v - dv
-                if failed:
-                    leave(g, failed, ["stagnation"] * len(failed))
-                    go = [row for row in range(live) if row not in failed]
-                    if not go:
+                            w[:, flat] = np.linalg.solve(jjt, f[..., None])[..., 0]
+                        except np.linalg.LinAlgError:  # a singular member: each alone
+                            for x, (a, b) in enumerate(zip(jjt, f)):
+                                try:
+                                    w[x, flat] = np.linalg.solve(a, b)
+                                except np.linalg.LinAlgError:
+                                    try:
+                                        w[x, flat] = np.linalg.lstsq(a, b)[0]
+                                    except np.linalg.LinAlgError:
+                                        stops[go[x]] = "stagnation"
+                        w = w.reshape(live, n, n)
+                        dv = (w + w.swapaxes(-1, -2)) @ v
+                    else:
+                        w[:, flat] = f
+                        w = w.reshape(live, n, n)
+                        jtf = ((w + w.swapaxes(-1, -2)) @ v).reshape(live, n * d)
+                        dv = np.zeros_like(v)
+                        for x, vr in enumerate(v):
+                            jtj = np.einsum("pq,qa,pb->paqb", e, vr, vr)
+                            jtj[range(n), :, range(n), :] += np.einsum(
+                                "pq,qa,qb->pab", e + 4.0 * eye, vr, vr)
+                            try:
+                                dv[x] = np.linalg.lstsq(
+                                    jtj.reshape(n * d, -1), jtf[x])[0].reshape(n, d)
+                            except np.linalg.LinAlgError:
+                                stops[go[x]] = "stagnation"
+                    v = v - dv
+                if stops:  # the one exit: each stopped row at this step's V V^T
+                    y = g[list(stops)]
+                    matrices = _affine_project(0.5 * (y + y.swapaxes(-1, -2)), free, eye)
+                    for matrix, (row, reason) in zip(matrices, stops.items()):
+                        member, history, _ = rows[row]
+                        results[member] = RefineResult(matrix, reason is None,
+                                                       len(history) - 1, history, reason)
+                    keep = [x for x, row in enumerate(go) if row not in stops]
+                    if not keep:
                         break
-                    v = v[go]
-                    rows = [rows[row] for row in go]
+                    v, rows = v[keep], [rows[go[x]] for x in keep]
     return results
 
 

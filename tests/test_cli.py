@@ -1159,6 +1159,19 @@ class TestParseRefusals:
         _, _, err = run_cli(capsys, *argv)
         assert "parse error" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_value_is_a_precondition_failure(self, workdir, capsys, value):
+        # float reads these spellings, so they parse; the inputs' finiteness
+        # check refuses them with exit 2, and no output file is written.
+        (workdir / "c.cone").write_text(f"3 3\n1 0 0\n0 1 0\n0 0 {value}\n")
+        (workdir / "m.mat").write_text(f"2 2\n1 0\n0 {value}\n")
+        before = sorted(workdir.rglob("*"))
+        for argv in (["slack", "c.cone", "--out", "o.mat"], ["dual", "c.cone", "--out", "o.cone"],
+                     ["verify", "c.cone"], ["analyze", "m.mat", "--rank", "1"]):
+            assert run_cli(capsys, *argv) == (
+                cli.EXIT_PRECONDITION, "", "precondition failure: matrix entries must be finite\n")
+        assert sorted(workdir.rglob("*")) == before
+
 
 def scaled_pentagon(how: str) -> np.ndarray:
     rays = data.pentagon_rays()
@@ -1243,6 +1256,50 @@ class TestUnwritableOutputs:
         assert proc.returncode == cli.EXIT_PARSE, proc.stderr
         assert proc.stderr.startswith("cannot write output:")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink,inputs", [
+        ("one closed pipe", ["pentagon_rays.cone"]),
+        ("closed pipe", ["missing.cone"]),
+        ("/dev/full", ["missing.cone"]),
+        ("closed pipe", ["pentagon_rays.cone", "missing.cone"]),
+        ("no stderr", ["pentagon_rays.cone", "missing.cone"]),
+    ], ids=["stdout-and-stderr-on-one-closed-pipe", "closed-pipe", "dev-full",
+            "after-an-output", "no-stderr-and-stdout-on-a-closed-pipe"])
+    def test_stderr_that_cannot_be_written(self, workdir, capsys, monkeypatch, sink, inputs,
+                                           buffered):
+        # A stderr that cannot be written ends the command as a stdout that
+        # cannot be written does: exit 4, no traceback (which would exit 1)
+        # and nothing left for the flush at exit; outputs printed before
+        # the failure stay printed, from stdout's buffer too.
+        if sink == "/dev/full" and not Path(sink).exists():
+            pytest.skip("no /dev/full")
+        if buffered:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        printed = run_cli(capsys, "dual", *inputs[:-1])[1] if len(inputs) > 1 else ""
+        argv = ["-m", "sdcones.cli", "dual", *inputs]
+        if sink == "/dev/full":
+            with open(sink, "w") as full:
+                proc = run_python(*argv, stderr=full)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                if sink == "one closed pipe":
+                    proc = run_python(*argv, stdout=write, stderr=write)
+                elif sink == "no stderr":  # Python starts without descriptor 2
+                    proc = run_python("-c", "import os, sys; os.close(2); os.execv("
+                                      "sys.executable, [sys.executable, *sys.argv[1:]])",
+                                      *argv, stdout=write)
+                else:
+                    proc = run_python(*argv, stderr=write)
+            finally:
+                os.close(write)
+        assert proc.returncode == cli.EXIT_PARSE
+        assert proc.stdout == (None if sink in ("one closed pipe", "no stderr") else printed)
 
 
 # The conversion slack --json, verify and search used before the one JSON

@@ -935,7 +935,8 @@ class TestRankRefine:
 
     def test_singular_jjt_takes_the_minimum_norm_step(self, monkeypatch):
         # The spectral start of five pentagons' direct sum at rank 15 has a
-        # singular J J^T, so solve refuses it; the step is still V - J^+ F.
+        # singular J J^T, so solve refuses it, as a stack and then alone; the
+        # step is still V - J^+ F.
         pattern = pentagon_sum(5)
         x = spectral_start(pattern)
         solve = np.linalg.solve
@@ -951,7 +952,7 @@ class TestRankRefine:
         monkeypatch.setattr(np.linalg, "solve", counted)
         monkeypatch.setattr(search, "REFINE_STEPS", 1)
         res = search.rank_refine(x, 15, pattern)
-        assert res.iterations == 1 and refused == [1]
+        assert res.iterations == 1 and refused == [1, 1]
         assert np.abs(res.matrix - dense_gauss_newton_step(x, 15, pattern)).max() < 1e-9
 
     @pytest.mark.parametrize("k", [4, 5])
@@ -1165,21 +1166,36 @@ class TestLockstepRefine:
         else:
             assert {(r.reason, r.iterations) for r in stacked} == {("stagnation", 0)}
 
+    def test_failed_solve_and_stop_test_leave_at_one_step(self, monkeypatch):
+        # Rows 0 and 2 start near a rank-12 realization of the four-pentagon
+        # sum, row 1 at its spectral start, whose J J^T is singular at step
+        # 1.  With lstsq made to fail, at step 1 row 0 converges while row
+        # 1's solve fails: both leave at the one exit, and row 2 goes on.
+        pattern = pentagon_sum(4)
+        start = spectral_start(pattern)
+        near = search.rank_refine(start, 12, pattern).matrix
+        p = np.random.default_rng(1).standard_normal(near.shape)
+        p = np.where(pattern.mask > np.eye(pattern.n), p + p.T, 0.0)
+        monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+        stacked = self._assert_each_alone([near + 1e-6 * p, start, near + 1e-5 * p], 12, pattern)
+        assert [(r.reason, r.iterations) for r in stacked] == [
+            (None, 1), ("stagnation", 1), (None, 2)]
+
     def test_stack_of_one_counts(self, monkeypatch):
         # A deterministic guard on the stack of one: one eigendecomposition
-        # per call and one solve per step, and on a singular J J^T one
-        # refused solve and one lstsq.
+        # per call and one solve per step, and on a singular J J^T two
+        # refused solves, the stack's and the member's alone, and one lstsq.
         eighs = []
         eigh = linalg._eigh
         monkeypatch.setattr(linalg, "_eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
         counts = refused_solves(monkeypatch)
-        for pattern, d, refused in ((data.pentagon_support(), 3, 0), (pentagon_sum(5), 15, 1)):
+        for pattern, d, singular in ((data.pentagon_support(), 3, 0), (pentagon_sum(5), 15, 1)):
             eighs.clear()
             counts.update(solve=0, refused=0, lstsq=0)
             res = search.rank_refine(spectral_start(pattern), d, pattern)
             assert res.converged and res.iterations == 3
             assert eighs == [(1, pattern.n, pattern.n)]
-            assert counts == {"solve": 3, "refused": refused, "lstsq": refused}
+            assert counts == {"solve": 3 + singular, "refused": 2 * singular, "lstsq": singular}
 
 
 class TestRandomizedRetry:
