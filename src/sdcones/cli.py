@@ -1,7 +1,8 @@
 """Command-line front end: argument parsing, file I/O, JSON output, exit
 codes and the bundled examples.  Each subcommand checks its output paths
-(_outputs), loads its input, makes one library call on it and prints any
-JSON through analysis.to_json.
+(_outputs), loads its input, makes one library call on it and returns any
+JSON through analysis.to_json; main prints every output to stdout and every
+failure line to stderr alone, through one writer, _write_or_drop.
 
 Subcommands: slack, dual, analyze, verify, search, examples.  Exit codes:
 0 success, 2 precondition failure, 3 numerical non-convergence, 4 parse
@@ -303,46 +304,44 @@ def _file_key(path) -> tuple[int, int] | str:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Every input gets its own result: outputs are
-    printed in input order, each failure's message goes to stderr, and the
-    exit code is the largest of the inputs' codes.  An output that cannot be
-    written, a stdout or stderr that is a closed pipe or a full device
-    included, is one "cannot write output" line on stderr, where stderr can
-    be written, and exit 4."""
+    printed to stdout in input order, each failure's message to stderr and
+    nowhere else (dropped when Python started without descriptor 2), and
+    the exit code is the largest of the inputs' codes.  A refusal is one
+    such failure line, written before any input runs.  A line that cannot
+    be written, to a closed pipe or a full device, ends the command with one
+    "cannot write output" line on stderr, where stderr can be written, and
+    exit 4, as an output file that cannot be written does."""
     global _parser
+    if sys.stderr is None:  # argparse would print its usage to stdout
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     if args.command == "examples":
         outcomes = [_settle(cmd_examples, name, args.out) for name in args.names]
+    elif (refusal := _refusal(args)) is not None:
+        outcomes = [(EXIT_PRECONDITION, f"precondition failure: {refusal}", True)]
     else:
-        refusal = _refusal(args)
-        if refusal is not None:
-            print(f"precondition failure: {refusal}", file=sys.stderr)
-            return EXIT_PRECONDITION
         outcomes = [_settle(_run_one, args, p) for p in args.inputs]
-    try:
-        for _, text, failed in outcomes:
-            print(text, file=sys.stderr if failed else sys.stdout)
-        sys.stdout.flush()
-    except OSError as exc:
-        _write_or_drop(sys.stdout, "")  # what stdout printed before stays printed
-        _write_or_drop(sys.stderr, f"cannot write output: {exc}\n")
-        return EXIT_PARSE
+    for _, text, failed in outcomes:
+        error = _write_or_drop(sys.stderr if failed else sys.stdout, text)
+        if error is not None:
+            _write_or_drop(sys.stderr, f"cannot write output: {error}")
+            return EXIT_PARSE
     return max(code for code, _, _ in outcomes)
 
 
-def _write_or_drop(stream, text: str) -> None:
-    """Write and flush text, or, where stream cannot be written, point its
-    file descriptor at devnull: the interpreter flushes both streams again
-    at exit, and that flush must not raise too.  A stream that is None, as
-    sys.stderr is when Python starts without descriptor 2, is skipped."""
-    if stream is None:
-        return
+def _write_or_drop(stream, text) -> OSError | None:
+    """Print text as one line to stream and flush it: the one writer of both
+    streams.  Return None, or the OSError of a stream that cannot be
+    written, after pointing its file descriptor at devnull: the interpreter
+    flushes both streams again at exit, and that flush must not raise too."""
     try:
-        stream.write(text)
-        stream.flush()
-    except OSError:  # open may return the stream's own descriptor if it is free
+        print(text, file=stream, flush=True)
+    except OSError as exc:  # open may return the stream's own descriptor if it is free
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+    return None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,6 +31,11 @@ from conftest import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# Arguments that make `python` start the rest of its command line without
+# descriptor 2, so that sys.stderr is None in the child.
+WITHOUT_STDERR = ("-c", "import os, sys; os.close(2); os.execv("
+                  "sys.executable, [sys.executable, *sys.argv[1:]])")
+
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
@@ -1290,16 +1295,51 @@ class TestUnwritableOutputs:
             try:
                 if sink == "one closed pipe":
                     proc = run_python(*argv, stdout=write, stderr=write)
-                elif sink == "no stderr":  # Python starts without descriptor 2
-                    proc = run_python("-c", "import os, sys; os.close(2); os.execv("
-                                      "sys.executable, [sys.executable, *sys.argv[1:]])",
-                                      *argv, stdout=write)
+                elif sink == "no stderr":
+                    proc = run_python(*WITHOUT_STDERR, *argv, stdout=write)
                 else:
                     proc = run_python(*argv, stderr=write)
             finally:
                 os.close(write)
         assert proc.returncode == cli.EXIT_PARSE
         assert proc.stdout == (None if sink in ("one closed pipe", "no stderr") else printed)
+
+    @pytest.mark.parametrize("argv,code", [
+        (["dual", "pentagon_rays.cone", "missing.cone"], cli.EXIT_PARSE),
+        (["verify", "line.cone"], cli.EXIT_PRECONDITION),
+        (["analyze", "pentagon_slack.mat", "--rank", "0"], cli.EXIT_PRECONDITION),
+        (["analyze", "pentagon_slack.mat"], cli.EXIT_PRECONDITION),
+    ], ids=["parse-error-after-an-output", "failure", "refusal", "usage-error"])
+    def test_no_stderr_keeps_failures_off_stdout(self, workdir, capsys, argv, code):
+        # Without descriptor 2 a failure line, a refusal or argparse's usage
+        # line is dropped; stdout holds the outputs alone.
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        (workdir / "line.cone").write_text("1 2\n1\n-1\n")
+        printed = run_cli(capsys, "dual", "pentagon_rays.cone")[1] if argv[0] == "dual" else ""
+        proc = run_python(*WITHOUT_STDERR, "-m", "sdcones.cli", *argv)
+        assert proc.returncode == code
+        assert proc.stdout == printed
+
+    @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+    def test_refusal_that_cannot_be_written(self, workdir, capsys, sink):
+        # A refusal's line is written as any failure line is: on a stderr
+        # that cannot take it, exit 4 and no traceback (which would exit 1).
+        if sink == "/dev/full" and not Path(sink).exists():
+            pytest.skip("no /dev/full")
+        run_cli(capsys, "examples", "pentagon", "--out", ".")
+        argv = ["-m", "sdcones.cli", "analyze", "pentagon_slack.mat", "--rank", "0"]
+        if sink == "/dev/full":
+            with open(sink, "w") as full:
+                proc = run_python(*argv, stderr=full)
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = run_python(*argv, stderr=write)
+            finally:
+                os.close(write)
+        assert proc.returncode == cli.EXIT_PARSE
+        assert proc.stdout == ""
 
 
 # The conversion slack --json, verify and search used before the one JSON

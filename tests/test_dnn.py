@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,24 @@ class TestDnn5Classify:
     def test_wrong_size_rejected(self, prism_slack):
         with pytest.raises(PreconditionError):
             dnn.dnn5_classify(prism_slack)
+
+    def test_disagreeing_certificate_raises(self, monkeypatch):
+        # A label the W1/W2 certificate contradicts is a ConvergenceError,
+        # not a label.
+        extremality = dnn._extremality
+
+        def contradicting(*args):
+            return dataclasses.replace(extremality(*args), extreme=False, intersection_dim=2)
+
+        monkeypatch.setattr(dnn, "_extremality", contradicting)
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "classification 'pentagon_slack' disagrees with the extremality "
+                "certificate (intersection_dim=2)")):
+            dnn.dnn5_classify(data.pentagon_slack())
+
+    def test_extreme_report_of_rank_2_raises(self):
+        with pytest.raises(ConvergenceError, match="'not_extreme' disagrees"):
+            dnn._dnn5_label(2, dnn.ExtremalityReport(2, 1, True, False))
 
 
 class TestClassifyPsdSlack:
