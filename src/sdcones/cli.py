@@ -1,8 +1,9 @@
 """Command-line front end: argument parsing, file I/O, JSON output, exit
-codes and the bundled examples.  Each subcommand checks its output paths
-(_outputs), loads its input, makes one library call on it and returns any
-JSON through analysis.to_json; main prints every output to stdout and every
-failure line to stderr alone, through one writer, _write_or_drop.
+codes and the bundled examples.  Each input's output paths (_outputs) are
+checked, then any earlier regular file at them removed; its subcommand
+loads it, makes one library call on it and returns any JSON through
+analysis.to_json; main prints every output to stdout and every failure line
+to stderr alone, through one writer, _write_or_drop.
 
 Subcommands: slack, dual, analyze, verify, search, examples.  Exit codes:
 0 success, 2 precondition failure, 3 numerical non-convergence, 4 parse
@@ -89,8 +90,6 @@ def cmd_search(
     outputs: list[Path],
     verify_tol: float,
 ) -> str:
-    for stale in outputs:  # an earlier run's files would outlive a failure
-        stale.unlink(missing_ok=True)
     bits = geometry.load_support(path)
     result = search.run_pipeline(bits, params, verify_tol)
     transcript_path, cone_path = outputs
@@ -227,6 +226,9 @@ def _run_one(args, path: str) -> str:
     outputs = _outputs(args, path)
     for target in outputs:
         _check_writable(target, makes_parents=args.command == "search")
+    for target in outputs:  # an earlier run's file would outlive a failure;
+        if target.is_file():  # a device, FIFO or /dev/stdout is written through
+            target.unlink()
     tol = args.tol
     if args.command == "slack":
         return cmd_slack(path, tol, args.json, args.out)

@@ -334,7 +334,7 @@ def _refine(xs: np.ndarray, d: int, pattern: SupportPattern) -> list[RefineResul
                                     w[x, flat] = np.linalg.solve(a, b)
                                 except np.linalg.LinAlgError:
                                     try:
-                                        w[x, flat] = np.linalg.lstsq(a, b)[0]
+                                        w[x, flat] = np.linalg.lstsq(a, b, rcond=None)[0]
                                     except np.linalg.LinAlgError:
                                         stops[go[x]] = "stagnation"
                         w = w.reshape(live, n, n)
@@ -349,8 +349,8 @@ def _refine(xs: np.ndarray, d: int, pattern: SupportPattern) -> list[RefineResul
                             jtj[range(n), :, range(n), :] += np.einsum(
                                 "pq,qa,qb->pab", e + 4.0 * eye, vr, vr)
                             try:
-                                dv[x] = np.linalg.lstsq(
-                                    jtj.reshape(n * d, -1), jtf[x])[0].reshape(n, d)
+                                dv[x] = np.linalg.lstsq(jtj.reshape(n * d, -1), jtf[x],
+                                                        rcond=None)[0].reshape(n, d)
                             except np.linalg.LinAlgError:
                                 stops[go[x]] = "stagnation"
                     v = v - dv
@@ -479,7 +479,7 @@ def _attempts(pattern: SupportPattern, params: SearchParams):
 @dataclass
 class Realization:
     """Numeric self-dual realization: generator rows, their Gram matrix, and
-    the residuals of the certification checks."""
+    the residuals of its extraction."""
 
     dim: int
     generators: np.ndarray
@@ -499,8 +499,8 @@ def extract_realization(x, d: int) -> Realization:
     rank is not d.  Rescaling a row by a positive number would not change
     the cone they generate, so the rows are taken as they are, on a connected
     support or not; verify_realization decides whether the cone certifies.
-    Its residuals: support_violation, max |(V V^T)_ij| off the support, and
-    selfdual_gap, NaN until certify sets it; V V^T is PSD by construction.
+    Its one residual: support_violation, max |(V V^T)_ij| off the support;
+    V V^T is PSD by construction.
     """
     a = linalg.require_symmetric(x)
     if a.size == 0:
@@ -508,11 +508,9 @@ def extract_realization(x, d: int) -> Realization:
     mask = slack_support(a)  # refuses a negative entry before the rank rule runs
     factor = geometry._spectral_factor(linalg.sym_eigen(a), d)
     gram = factor @ factor.T
-    residuals = {
-        "support_violation": float(np.abs(gram[~mask]).max(initial=0.0)),
-        "selfdual_gap": float("nan"),
-    }
-    return Realization(dim=d, generators=factor, gram=gram, residuals=residuals)
+    violation = float(np.abs(gram[~mask]).max(initial=0.0))
+    return Realization(dim=d, generators=factor, gram=gram,
+                       residuals={"support_violation": violation})
 
 
 def verify_realization(
@@ -530,14 +528,12 @@ def certify(
 ) -> tuple[Realization | None, selfdual.SlackReport | None, str | None]:
     """Extract a rank-d realization from a refined matrix and verify it
     against the pattern: (realization, report, None) when it passes, else
-    (None, None, why not).  The realization's selfdual_gap residual is
-    1 - the report's worst cosine."""
+    (None, None, why not).  The realization is returned as extracted."""
     try:
         real = extract_realization(matrix, d)
     except PreconditionError as exc:
         return None, None, f"extraction failed: {exc}"
     report = verify_realization(real, pattern, tol)
-    real.residuals["selfdual_gap"] = 1.0 - report.worst_cosine
     if not report.passed:
         return None, None, "verification failed: " + "; ".join(report.details)
     return real, report, None

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from sdcones import data, geometry, linalg, patterns, search
 from sdcones.errors import PreconditionError
@@ -318,6 +321,93 @@ def equal_up_to_scaling(
                         frontier.append(("r", int(i)))
     pred = rho[:, None] + gamma[None, :]
     return bool(np.abs((pred - ratio)[p1]).max() <= tol)
+
+
+def loop_scan(gen: np.ndarray, tol: float, normal, subsets=None,
+              maximal=True) -> np.ndarray:
+    """A per-subset facet scan: normal(subset) gives each (d-1)-subset's
+    unit normal, or None when it proposes none; in lexicographic order, the
+    normal is oriented inward when every generator is on one side of it up
+    to tol, and kept when its tight set {i : |g_i . v| <= tol} no kept
+    normal has.  With maximal, a kept normal whose tight set lies strictly
+    inside another's is then dropped.  The subset of each normal left is
+    appended to the list subsets, when one is given."""
+    n, d = gen.shape
+    if d == 1:
+        col = gen[:, 0]
+        if col.min() > 0.0:
+            return np.array([[1.0]])
+        if col.max() < 0.0:
+            return np.array([[-1.0]])
+        return np.zeros((0, 1))
+    found: list[tuple[np.ndarray, list[int]]] = []
+    tight_sets: list[set[int]] = []
+    for combo in itertools.combinations(range(n), d - 1):
+        v = normal(gen[list(combo)])
+        if v is None:
+            continue
+        prods = gen @ v
+        if prods.min() >= -tol:
+            pass
+        elif prods.max() <= tol:
+            v = -v
+        else:
+            continue
+        tight = {i for i in range(n) if abs(prods[i]) <= tol}
+        if tight not in tight_sets:
+            tight_sets.append(tight)
+            found.append((v, list(combo)))
+    kept = [(v, combo) for (v, combo), tight in zip(found, tight_sets)
+            if not (maximal and any(tight < other for other in tight_sets))]
+    if subsets is not None:
+        subsets.extend(combo for _, combo in kept)
+    if not kept:
+        return np.zeros((0, d))
+    return np.vstack([v for v, _ in kept])
+
+
+def loop_facet_scan(gen: np.ndarray, tol: float, subsets=None) -> np.ndarray:
+    """The cross-kernel oracle: one SVD per (d-1)-subset (linalg.null_space),
+    a normal at nullity 1, and the maximal tight sets kept.  The stacked
+    scan must find the same tight sets in the same order, with nearby
+    normals (same_facets)."""
+    def normal(sub):
+        basis = linalg.null_space(sub)
+        return basis[:, 0] if basis.shape[1] == 1 else None
+
+    return loop_scan(gen, tol, normal, subsets)
+
+
+# Signed distances from a facet hyperplane, per unit of row length, at which
+# near_facet_cones puts generators: on both sides of tol, and up to 1000
+# times beyond it.
+NEAR_FACET_OFFSETS = (1e-8, geometry.DEFAULT_FACET_TOL * (1.0 - 1e-3),
+                      geometry.DEFAULT_FACET_TOL * (1.0 + 1e-3), 1e-6, 1e-5, 1e-4)
+
+
+@st.composite
+def near_facet_cones(draw) -> np.ndarray:
+    """Generator rows of a random pointed cone, d = 3..5, plus one to four
+    generators at signed distances +-NEAR_FACET_OFFSETS from one of its facet
+    hyperplanes, plus interior rows until the scan has at least 64 subsets;
+    all rows unit, or each scaled by 10^U(-3, 3)."""
+    d = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_pointed_cone_generators(rng, d, draw(st.integers(d + 1, 7)))
+    normals = loop_facet_scan(base, geometry.DEFAULT_FACET_TOL)
+    f = normals[draw(st.integers(0, normals.shape[0] - 1))]
+    on = base[np.abs(base @ f) <= geometry.DEFAULT_FACET_TOL]
+    rows = list(base)
+    for offset in draw(st.lists(st.sampled_from(NEAR_FACET_OFFSETS), min_size=1, max_size=4)):
+        p = rng.uniform(0.1, 1.0, size=on.shape[0]) @ on
+        rows.append(p / np.linalg.norm(p) + draw(st.sampled_from([-1.0, 1.0])) * offset * f)
+    while math.comb(len(rows), d - 1) < 64:
+        rows.append(rng.uniform(0.1, 1.0, size=base.shape[0]) @ base)
+    g = np.array(rows)
+    g /= np.linalg.norm(g, axis=1)[:, None]
+    if draw(st.booleans()):
+        g *= 10.0 ** rng.uniform(-3.0, 3.0, size=(g.shape[0], 1))
+    return g
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import time
 from pathlib import Path
 
@@ -1244,8 +1245,6 @@ class TestUnwritableOutputs:
         # A pipe whose read end is closed before the command writes (EPIPE),
         # or a full device (ENOSPC): one message, no traceback, and nothing
         # left for the interpreter's own flush at exit.
-        if sink == "/dev/full" and not Path(sink).exists():
-            pytest.skip("no /dev/full")
         run_cli(capsys, "examples", "pentagon", "--out", ".")
         argv = ["-m", "sdcones.cli", "dual", "pentagon_rays.cone"]
         if sink == "/dev/full":
@@ -1277,8 +1276,6 @@ class TestUnwritableOutputs:
         # cannot be written does: exit 4, no traceback (which would exit 1)
         # and nothing left for the flush at exit; outputs printed before
         # the failure stay printed, from stdout's buffer too.
-        if sink == "/dev/full" and not Path(sink).exists():
-            pytest.skip("no /dev/full")
         if buffered:
             monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
         else:
@@ -1324,8 +1321,6 @@ class TestUnwritableOutputs:
     def test_refusal_that_cannot_be_written(self, workdir, capsys, sink):
         # A refusal's line is written as any failure line is: on a stderr
         # that cannot take it, exit 4 and no traceback (which would exit 1).
-        if sink == "/dev/full" and not Path(sink).exists():
-            pytest.skip("no /dev/full")
         run_cli(capsys, "examples", "pentagon", "--out", ".")
         argv = ["-m", "sdcones.cli", "analyze", "pentagon_slack.mat", "--rank", "0"]
         if sink == "/dev/full":
@@ -1502,6 +1497,66 @@ class TestOutputsCheckedFirst:
         assert err == f"cannot write output: [Errno 2] No such file or directory: '{out}'\n"
         assert scans == []
         assert sorted(workdir.iterdir()) == before
+
+
+class TestEarlierOutputRemoved:
+    """Each input removes the files it would write before it runs, for
+    slack and dual --out as for search: an input that fails leaves none of
+    them, one that succeeds leaves its new output, and a refusal touches
+    no file."""
+
+    @pytest.mark.parametrize("command", ["slack", "dual"])
+    @pytest.mark.parametrize("text,code", [
+        ("1 2\n1\n-1\n", cli.EXIT_PRECONDITION),
+        ("2 2\n1 x\n0 1\n", cli.EXIT_PARSE),
+        (None, cli.EXIT_PARSE),
+    ], ids=["line-cone", "bad-value", "missing"])
+    def test_failing_input_leaves_no_earlier_out(self, workdir, capsys, command, text, code):
+        if text is not None:
+            (workdir / "a.cone").write_text(text)
+        (workdir / "f.out").write_text("earlier\n")
+        got, out, err = run_cli(capsys, command, "a.cone", "--out", "f.out")
+        assert (got, out) == (code, "") and err
+        assert not (workdir / "f.out").exists()
+
+    @pytest.mark.parametrize("command", ["slack", "dual"])
+    @pytest.mark.parametrize("earlier", ["file", "symbolic link"])
+    def test_succeeding_input_leaves_its_new_output(self, workdir, capsys, command, earlier):
+        # A symbolic link at --out is removed, not written through.
+        geometry.save_cone(workdir / "p.cone", data.pentagon_rays())
+        assert run_cli(capsys, command, "p.cone", "--out", "new.out")[0] == 0
+        (workdir / "kept.txt").write_text("kept\n")
+        if earlier == "file":
+            (workdir / "f.out").write_text("earlier\n" * 100)
+        else:
+            (workdir / "f.out").symlink_to("kept.txt")
+        code, _, err = run_cli(capsys, command, "p.cone", "--out", "f.out")
+        assert (code, err) == (0, "")
+        assert not (workdir / "f.out").is_symlink()
+        assert (workdir / "f.out").read_bytes() == (workdir / "new.out").read_bytes()
+        assert (workdir / "kept.txt").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["slack", "dual"])
+    def test_device_out_is_written_through(self, workdir, capsys, command):
+        # Only regular files are removed: a device at --out is kept.
+        geometry.save_cone(workdir / "p.cone", data.pentagon_rays())
+        code, _, err = run_cli(capsys, command, "p.cone", "--out", os.devnull)
+        assert (code, err) == (0, "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("command", ["slack", "dual"])
+    @pytest.mark.parametrize("inputs,flags", [
+        (["p.cone"], ["--tol", "nan"]),
+        (["p.cone", "q.cone"], []),
+    ], ids=["tol-nan", "shared-out"])
+    def test_refusal_keeps_earlier_out(self, workdir, capsys, command, inputs, flags):
+        geometry.save_cone(workdir / "p.cone", data.pentagon_rays())
+        geometry.save_cone(workdir / "q.cone", np.eye(3))
+        (workdir / "f.out").write_bytes(b"earlier\x00\n")
+        code, out, err = run_cli(capsys, command, *inputs, *flags, "--out", "f.out")
+        assert (code, out) == (cli.EXIT_PRECONDITION, "")
+        assert err.startswith("precondition failure:")
+        assert (workdir / "f.out").read_bytes() == b"earlier\x00\n"
 
 
 class TestOutNamesAnInput:

@@ -1087,16 +1087,16 @@ def refused_solves(monkeypatch) -> dict:
             counts["refused"] += 1
             raise
 
-    def counted_lstsq(a, b):
+    def counted_lstsq(a, b, rcond):
         counts["lstsq"] += 1
-        return lstsq(a, b)
+        return lstsq(a, b, rcond=rcond)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
     return counts
 
 
-def failing_lstsq(a, b):
+def failing_lstsq(a, b, rcond):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
@@ -1165,6 +1165,34 @@ class TestLockstepRefine:
             assert len({r.iterations for r in stacked}) > 1
         else:
             assert {(r.reason, r.iterations) for r in stacked} == {("stagnation", 0)}
+
+    def test_realizable_support_takes_the_jtj_branch(self, monkeypatch):
+        # The direct sum of two regular 9-gon cones at rank 6 certifies, and
+        # has m = 117 equations > nd = 108 unknowns: each step is one lstsq
+        # on a 108 x 108 J^T J, in the search and from a perturbed slack.
+        cone = geometry.cone_over_polytope(data.regular_polygon_vertices(9))
+        slack = selfdual.is_self_dual(cone)[1].psd_matrix
+        x = block_diag(slack, slack)
+        x /= np.sqrt(np.outer(np.diag(x), np.diag(x)))  # a unit diagonal, as refinement's
+        bits = patterns.support_of(x).astype(np.uint8)
+        pattern = search.SupportPattern(bits)
+        assert len(search._equations(pattern.mask > np.eye(18))[0]) == 117
+        shapes, lstsq = [], np.linalg.lstsq
+
+        def counted_lstsq(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        res = search.run_pipeline(bits, search.SearchParams(target_rank=6, seed=0))
+        assert res.success and res.retry.winning_attempt == 0
+        assert shapes == [(108, 108)] * res.retry.attempts[0].refine_iterations
+        shapes.clear()
+        p = np.random.default_rng(0).uniform(-1.0, 1.0, size=x.shape)
+        refined = search.rank_refine(x + 0.5e-3 * (p + p.T), 6, pattern)
+        assert refined.converged and refined.iterations == 2
+        assert shapes == [(108, 108)] * 2
+        assert search.certify(refined.matrix, pattern, 6, geometry.DEFAULT_FACET_TOL)[2] is None
 
     def test_failed_solve_and_stop_test_leave_at_one_step(self, monkeypatch):
         # Rows 0 and 2 start near a rank-12 realization of the four-pentagon
@@ -1320,7 +1348,7 @@ def reference_rank_refine(x, d: int, pattern) -> search.RefineResult:
                     try:
                         w[i, j] = np.linalg.solve(jjt, f)
                     except np.linalg.LinAlgError:
-                        w[i, j] = np.linalg.lstsq(jjt, f)[0]
+                        w[i, j] = np.linalg.lstsq(jjt, f, rcond=None)[0]
                     dv = (w + w.T) @ v
                 else:
                     e = (~pattern.mask).astype(float)
@@ -1329,7 +1357,8 @@ def reference_rank_refine(x, d: int, pattern) -> search.RefineResult:
                     jtj[range(n), :, range(n), :] += diag
                     w[i, j] = f
                     jtf = ((w + w.T) @ v).ravel()
-                    dv = np.linalg.lstsq(jtj.reshape(n * d, -1), jtf)[0].reshape(n, d)
+                    dv = np.linalg.lstsq(jtj.reshape(n * d, -1), jtf,
+                                         rcond=None)[0].reshape(n, d)
             except np.linalg.LinAlgError:
                 reason = "stagnation"
                 break
@@ -1766,7 +1795,7 @@ class TestPipeline:
         )
         assert res.success
         assert res.verification.passed
-        assert res.realization.residuals["selfdual_gap"] <= 1e-6
+        assert 1.0 - res.verification.worst_cosine <= 1e-6
 
     @pytest.mark.parametrize("name,support,rank", TestStackedRetries.SUPPORTS[:4],
                              ids=[c[0] for c in TestStackedRetries.SUPPORTS[:4]])
